@@ -28,7 +28,6 @@ __all__ = [
     "IncidenceSeries",
     "FitConfig",
     "FitResult",
-    "default_fit_initial_state",
     "predict_incidence",
     "mse",
     "nelder_mead",
@@ -111,18 +110,6 @@ class FitResult:
     evals: int
     converged: bool
     predicted: tuple[float, ...]
-
-
-def default_fit_initial_state(
-    p: ParamSet, seed_exposed: float = 20.0, seed_infected: float = 50.0
-) -> StateVec:
-    """Susceptibles at demographic balance plus seed infections in dogs."""
-    return StateVec(
-        S_H=p.theta1 / p.mu1, E_H=0.0, I_H=0.0, R_H=0.0,
-        S_F=p.theta2 / p.mu2, E_F=seed_exposed, I_F=seed_infected,
-        S_D=p.theta3 / p.mu3, E_D=seed_exposed, I_D=seed_infected,
-        R_D=0.0, M=0.0,
-    )
 
 
 def predict_incidence(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from typing import Any
 from . import calibrate, optctl, repro, sensitivity
 from .errors import ConfigError, NumericError
 from .integrate import ControlPath, TimeGrid, rk4_forward, write_trajectory_csv
-from .model import ControlConst, StateVec
+from .model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from .params import PRESETS, ParamSet
 from .sensitivity import uniform_ranges
 
@@ -51,7 +52,7 @@ def _default_config() -> dict[str, Any]:
             "seed": 7,
             "rel_range": 0.25,
             "distribution": "uniform",
-            # study scenario: ranges centred on the baseline preset, light seeding
+            # baseline-centred ranges; light seeding keeps the outputs parameter-driven
             "preset": "baseline",
             "seed_exposed": 5.0,
             "seed_infected": 10.0,
@@ -109,7 +110,10 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
     config = _default_config()
     if path is not None:
         file_path = Path(path)
-        loaded = json.loads(file_path.read_text())
+        try:
+            loaded = json.loads(file_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON in config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
         config = _deep_merge(config, loaded)
@@ -118,19 +122,20 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
     return config
 
 
-def _build_params(config: dict) -> ParamSet:
+def _build_params(config: dict, preset: str | None = None) -> ParamSet:
+    """The parameters block over its preset, or over ``preset`` when given."""
     block = dict(config.get("parameters") or {})
     preset_name = block.pop("preset", "estimated")
+    if preset is not None:
+        preset_name = preset
     if preset_name not in PRESETS:
         raise ConfigError(f"unknown parameter preset {preset_name!r}")
     return ParamSet.from_mapping(block, base=PRESETS[preset_name])
 
 
 def _build_state(config: dict, p: ParamSet) -> StateVec:
-    block = config.get("initial_state")
-    if block is None:
-        return optctl.default_initial_state(p)
-    base = optctl.default_initial_state(p)._asdict()
+    block = config.get("initial_state") or {}
+    base = seeded_state(p, *DEFAULT_SEEDING)._asdict()
     unknown = set(block) - set(base)
     if unknown:
         raise ConfigError(f"unknown initial-state field(s): {sorted(unknown)}")
@@ -202,15 +207,10 @@ def cmd_reff(args: argparse.Namespace) -> int:
         print(f"wrote {outdir / 'reff_grid.csv'} "
               f"({len(grid.axis1_values)}x{len(grid.axis2_values)} points)")
     else:
-        breakdown = repro.effective_r(p, u)
-        for name in ("R21", "R23", "R31", "R33", "a3", "Re"):
-            print(f"{name} = {getattr(breakdown, name):.12g}")
-        (outdir / "reff.json").write_text(
-            json.dumps(
-                {name: getattr(breakdown, name) for name in ("R21", "R23", "R31", "R33", "a3", "Re")},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        )
+        breakdown = dataclasses.asdict(repro.effective_r(p, u))
+        for name, value in breakdown.items():
+            print(f"{name} = {value:.12g}")
+        (outdir / "reff.json").write_text(json.dumps(breakdown, indent=2, sort_keys=True) + "\n")
     _write_sidecar(outdir, config)
     return EXIT_OK
 
@@ -259,20 +259,15 @@ def cmd_prcc(args: argparse.Namespace) -> int:
     block = config["sensitivity"]
     # the study centres its ranges on its own preset; explicit parameter
     # overrides from the parameters block still apply on top
-    preset_name = block.get("preset", "baseline")
-    if preset_name not in PRESETS:
-        raise ConfigError(f"unknown parameter preset {preset_name!r}")
-    overrides = dict(config.get("parameters") or {})
-    overrides.pop("preset", None)
-    p = ParamSet.from_mapping(overrides, base=PRESETS[preset_name])
+    p = _build_params(config, preset=block.get("preset", "baseline"))
     if config.get("initial_state") is not None:
         y0 = _build_state(config, p)
     else:
-        y0 = sensitivity.study_initial_state(
+        y0 = seeded_state(
             p,
-            seed_exposed=float(block.get("seed_exposed", 5.0)),
-            seed_infected=float(block.get("seed_infected", 10.0)),
-            m0=float(block.get("M0", 0.1)),
+            exposed=float(block.get("seed_exposed", 5.0)),
+            infected=float(block.get("seed_infected", 10.0)),
+            M0=float(block.get("M0", 0.1)),
         )
     N = int(block["N"])
     seed = int(block["seed"])
@@ -322,9 +317,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         tol=float(block.get("tol", 1e-12)),
         dt=float(block.get("dt", 0.01)),
     )
-    y0 = calibrate.default_fit_initial_state(
-        p, seed_exposed=float(block.get("seed_exposed", 20.0)),
-        seed_infected=float(block.get("seed_infected", 50.0)),
+    y0 = seeded_state(
+        p, exposed=float(block.get("seed_exposed", 20.0)),
+        infected=float(block.get("seed_infected", 50.0)),
     )
     result = calibrate.fit(data, cfg, p, y0)
     outdir = _make_outdir(config, args.outdir, "fit")

@@ -69,9 +69,6 @@ class TimeGrid:
             raise ConfigError(f"time {t} outside grid span [{self.t0}, {self.tf}]")
         return min(self.n_steps, max(0, round((t - self.t0) / self.h)))
 
-    def halved(self) -> "TimeGrid":
-        return TimeGrid(self.t0, self.tf, 2 * self.n_steps)
-
 
 @dataclass(frozen=True)
 class Trajectory:

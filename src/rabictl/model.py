@@ -10,6 +10,7 @@ education, u4 post-exposure treatment of exposed humans and domestic dogs.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -20,6 +21,8 @@ __all__ = [
     "ControlConst",
     "ForceTerms",
     "ZERO_CONTROL",
+    "DEFAULT_SEEDING",
+    "seeded_state",
     "saturation",
     "force_terms",
     "rhs",
@@ -44,8 +47,8 @@ class StateVec(NamedTuple):
 
     def validate(self, tol: float = 0.0) -> "StateVec":
         for name, value in zip(self._fields, self):
-            if value < -tol:
-                raise ConfigError(f"state component {name} is negative: {value}")
+            if not -tol <= value < math.inf:
+                raise ConfigError(f"state component {name} is negative or not finite: {value}")
         return self
 
 
@@ -68,16 +71,51 @@ ZERO_CONTROL = ControlConst()
 
 
 class ForceTerms(NamedTuple):
-    """Per-capita infection pressures for the three host populations.
+    """Uncontrolled infection pressures and the clamped control factors.
 
-    ``lamM`` is the saturating environmental response M/(M+C) applied inside
-    each pressure.
+    f1, f2, f3 act on humans, free-range dogs and domestic dogs; a1 scales f1
+    and a2 scales f3. lamM is the environmental response M/(M+C). The state
+    system, the adjoint and the control characterization read these fields;
+    chi1..chi3 are the controlled pressures.
     """
 
-    chi1: float
-    chi2: float
-    chi3: float
+    f1: float
+    f2: float
+    f3: float
+    a1: float
+    a2: float
     lamM: float
+
+    @property
+    def chi1(self) -> float:
+        return self.a1 * self.f1
+
+    @property
+    def chi2(self) -> float:
+        return self.f2
+
+    @property
+    def chi3(self) -> float:
+        return self.a2 * self.f3
+
+
+# Seeding (exposed, infected, M0) of the default scenario.
+DEFAULT_SEEDING = (20.0, 50.0, 0.1)
+
+
+def seeded_state(
+    p: ParamSet, exposed: float = 0.0, infected: float = 0.0, M0: float = 0.0
+) -> StateVec:
+    """Susceptibles at demographic balance plus seeded infection.
+
+    ``exposed`` and ``infected`` seed both dog classes and ``M0`` the
+    environment; zero seeding is the disease-free equilibrium.
+    """
+    return StateVec(
+        S_H=p.theta1 / p.mu1, E_H=0.0, I_H=0.0, R_H=0.0,
+        S_F=p.theta2 / p.mu2, E_F=exposed, I_F=infected,
+        S_D=p.theta3 / p.mu3, E_D=exposed, I_D=infected, R_D=0.0, M=M0,
+    )
 
 
 def saturation(M: float, C: float) -> float:
@@ -94,7 +132,7 @@ def saturation(M: float, C: float) -> float:
 
 
 def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:
-    """Evaluate the three per-capita infection pressures at a state.
+    """Evaluate the infection pressures and control factors at a state.
 
     The control factors (1-u1-u3) and (1-u1-u2) are clamped at zero: each
     control is bounded by 1 but their sums are not, and a negative pressure
@@ -108,14 +146,14 @@ def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:
     a2 = 1.0 - (u.u1 + u.u2)
     if a2 < 0.0:
         a2 = 0.0
-    chi1 = a1 * (p.tau1 * y.I_F + p.tau2 * y.I_D + p.tau3 * lamM)
-    chi2 = p.kappa1 * y.I_F + p.kappa2 * y.I_D + p.kappa3 * lamM
-    chi3 = a2 * (
+    f1 = p.tau1 * y.I_F + p.tau2 * y.I_D + p.tau3 * lamM
+    f2 = p.kappa1 * y.I_F + p.kappa2 * y.I_D + p.kappa3 * lamM
+    f3 = (
         p.psi1 * y.I_F / (1.0 + p.rho1)
         + p.psi2 * y.I_D / (1.0 + p.rho2)
         + p.psi3 * lamM / (1.0 + p.rho3)
     )
-    return ForceTerms(chi1, chi2, chi3, lamM)
+    return ForceTerms(f1, f2, f3, a1, a2, lamM)
 
 
 def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
@@ -123,7 +161,9 @@ def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
 
     The system is autonomous; ``t`` is accepted for integrator compatibility.
     """
-    chi1, chi2, chi3, _ = force_terms(y, u, p)
+    f1, chi2, f3, a1, a2, _ = force_terms(y, u, p)
+    chi1 = a1 * f1
+    chi3 = a2 * f3
 
     dS_H = p.theta1 + p.beta3 * y.R_H - p.mu1 * y.S_H - chi1 * y.S_H
     dE_H = chi1 * y.S_H - (p.mu1 + p.beta1 + p.beta2 + u.u4) * y.E_H

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, SweepDivergenceError
 from .integrate import ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward
-from .model import ControlConst, StateVec, force_terms, rhs
+from .model import ZERO_CONTROL, ControlConst, StateVec, force_terms, rhs
 from .params import ParamSet
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "SweepResult",
     "Mask",
     "STRATEGY_MASKS",
-    "default_initial_state",
     "objective",
     "hamiltonian",
     "adjoint_rhs",
@@ -114,15 +113,6 @@ class SweepResult:
     converged: bool
 
 
-def default_initial_state(p: ParamSet) -> StateVec:
-    """Default scenario: susceptibles at demographic balance, seeded infection."""
-    return StateVec(
-        S_H=p.theta1 / p.mu1, E_H=0.0, I_H=0.0, R_H=0.0,
-        S_F=p.theta2 / p.mu2, E_F=20.0, I_F=50.0,
-        S_D=p.theta3 / p.mu3, E_D=20.0, I_D=50.0, R_D=0.0, M=0.1,
-    )
-
-
 def running_cost(y: StateVec, u: ControlConst, w: Weights) -> float:
     return (
         w.K1 * y.M
@@ -160,16 +150,7 @@ def adjoint_rhs(
     The saturation term differentiates to C/(M+C)^2; the clamped control
     factors are constants with respect to the state.
     """
-    ft = force_terms(y, u, p)
-    f2 = ft.chi2
-    a1 = max(0.0, 1.0 - u.u1 - u.u3)
-    a2 = max(0.0, 1.0 - u.u1 - u.u2)
-    f1 = p.tau1 * y.I_F + p.tau2 * y.I_D + p.tau3 * ft.lamM
-    f3 = (
-        p.psi1 * y.I_F / (1.0 + p.rho1)
-        + p.psi2 * y.I_D / (1.0 + p.rho2)
-        + p.psi3 * ft.lamM / (1.0 + p.rho3)
-    )
+    f1, f2, f3, a1, a2, _ = force_terms(y, u, p)
     dlam_dM = p.C / (y.M + p.C) ** 2
 
     l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12 = lam
@@ -224,14 +205,9 @@ def characterize_controls(
     y: StateVec, lam: AdjointVec, w: Weights, p: ParamSet, mask: Mask = ALL_ON
 ) -> ControlConst:
     """Pointwise optimal controls from the maximality condition, clamped to [0,1]."""
-    lamM = y.M / (y.M + p.C)
-    human_term = (p.tau1 * y.I_F + p.tau2 * y.I_D + p.tau3 * lamM) * y.S_H
-    G = (
-        p.psi1 * y.I_F / (1.0 + p.rho1)
-        + p.psi2 * y.I_D / (1.0 + p.rho2)
-        + p.psi3 * lamM / (1.0 + p.rho3)
-    )
-    domestic_term = G * y.S_D
+    ft = force_terms(y, ZERO_CONTROL, p)
+    human_term = ft.f1 * y.S_H
+    domestic_term = ft.f3 * y.S_D
     dl_h = lam.lam2 - lam.lam1
     dl_d = lam.lam9 - lam.lam8
 
@@ -273,19 +249,20 @@ def forward_backward_sweep(
     if not tol > 0.0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
 
+    def solve(u_path: ControlPath) -> tuple[Trajectory, tuple[AdjointVec, ...]]:
+        states = rk4_forward(p, u_path, y0, grid)
+        adjoints = rk4_backward(
+            lambda t, lam, y, u: adjoint_rhs(y, lam, u, w, p), states, u_path, ZERO_ADJOINT
+        )
+        return states, tuple(AdjointVec(*lam) for lam in adjoints)
+
     u_path = ControlPath.constant(grid, mask=mask)
     J_history: list[float] = []
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        states = rk4_forward(p, u_path, y0, grid)
-        adjoints = rk4_backward(
-            lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p),
-            states,
-            u_path,
-            ZERO_ADJOINT,
-        )
+        states, adjoints = solve(u_path)
         J = objective(states, u_path, w)
         J_history.append(J)
         J_min = min(J_history)
@@ -298,7 +275,7 @@ def forward_backward_sweep(
         new_values = []
         delta = 0.0
         for y, lam, u_old in zip(states.states, adjoints, u_path.values):
-            u_star = characterize_controls(y, AdjointVec(*lam), w, p, mask)
+            u_star = characterize_controls(y, lam, w, p, mask)
             u_new = ControlConst(
                 *((1.0 - omega) * a + omega * b for a, b in zip(u_old, u_star))
             )
@@ -309,18 +286,12 @@ def forward_backward_sweep(
             converged = True
             break
 
-    states = rk4_forward(p, u_path, y0, grid)
-    adjoints = rk4_backward(
-        lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p),
-        states,
-        u_path,
-        ZERO_ADJOINT,
-    )
+    states, adjoints = solve(u_path)
     J_history.append(objective(states, u_path, w))
     return SweepResult(
         controls=u_path,
         states=states,
-        adjoints=tuple(AdjointVec(*lam) for lam in adjoints),
+        adjoints=adjoints,
         J_history=tuple(J_history),
         iterations=iterations,
         converged=converged,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,8 +72,8 @@ class ParamSet:
     def __post_init__(self) -> None:
         for name in PARAM_NAMES:
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ConfigError(f"parameter {name!r} must be strictly positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"parameter {name!r} must be strictly positive and finite, got {value}")
         for theta, mu in (("theta1", "mu1"), ("theta2", "mu2"), ("theta3", "mu3")):
             if not getattr(self, theta) > getattr(self, mu):
                 raise ConfigError(f"recruitment {theta} must exceed mortality {mu}")

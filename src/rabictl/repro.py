@@ -25,7 +25,9 @@ import numpy as np
 
 from .errors import ConfigError, NoEndemicEquilibriumError, NumericError
 from .integrate import ControlPath, TimeGrid, rk4_forward
-from .model import ControlConst, StateVec, ZERO_CONTROL, force_terms, rhs
+from .model import (
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, rhs, seeded_state,
+)
 from .params import PARAM_NAMES, ParamSet
 
 __all__ = [
@@ -33,7 +35,6 @@ __all__ = [
     "NgmPair",
     "ReBreakdown",
     "ReGrid",
-    "dfe",
     "effective_r",
     "ngm",
     "spectral_r",
@@ -69,24 +70,6 @@ class ReBreakdown:
     R33: float
     a3: float
     Re: float
-
-
-def dfe(p: ParamSet) -> StateVec:
-    """Disease-free equilibrium: susceptibles at demographic balance."""
-    return StateVec(
-        S_H=p.theta1 / p.mu1,
-        E_H=0.0,
-        I_H=0.0,
-        R_H=0.0,
-        S_F=p.theta2 / p.mu2,
-        E_F=0.0,
-        I_F=0.0,
-        S_D=p.theta3 / p.mu3,
-        E_D=0.0,
-        I_D=0.0,
-        R_D=0.0,
-        M=0.0,
-    )
 
 
 def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
@@ -173,7 +156,7 @@ def dfe_stability(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> float:
     The Jacobian is formed by central differences with a relative step of
     1e-6, so it reflects the full model including the environmental pathway.
     """
-    y0 = dfe(p)
+    y0 = seeded_state(p)
     n = len(y0)
     J = np.zeros((n, n))
     for j in range(n):
@@ -218,14 +201,6 @@ def _state_from_forces(chi: tuple[float, float, float], u: ControlConst, p: Para
     return StateVec(S_H, E_H, I_H, R_H, S_F, E_F, I_F, S_D, E_D, I_D, R_D, M)
 
 
-def _seed_state(p: ParamSet) -> StateVec:
-    return StateVec(
-        S_H=p.theta1 / p.mu1, E_H=0.0, I_H=0.0, R_H=0.0,
-        S_F=p.theta2 / p.mu2, E_F=20.0, I_F=50.0,
-        S_D=p.theta3 / p.mu3, E_D=20.0, I_D=50.0, R_D=0.0, M=0.1,
-    )
-
-
 def endemic_eq(
     p: ParamSet,
     u: ControlConst = ZERO_CONTROL,
@@ -249,7 +224,7 @@ def endemic_eq(
             f"no endemic equilibrium: Re = {breakdown.Re:.6g} < 1"
         )
     grid = TimeGrid(0.0, seed_years, int(seed_years / 0.02))
-    traj = rk4_forward(p, ControlPath.constant(grid, u), _seed_state(p), grid)
+    traj = rk4_forward(p, ControlPath.constant(grid, u), seeded_state(p, *DEFAULT_SEEDING), grid)
     ft = force_terms(traj.states[-1], u, p)
     chi = (ft.chi1, ft.chi2, ft.chi3)
 

@@ -27,10 +27,8 @@ from .params import PARAM_NAMES, ParamSet
 __all__ = [
     "ParamRange",
     "PrccResult",
-    "study_initial_state",
     "uniform_ranges",
     "normal_ranges",
-    "TABLE2_NORMAL",
     "lhs_sample",
     "prcc",
     "prcc_study",
@@ -39,22 +37,6 @@ __all__ = [
 ]
 
 STUDY_OUTPUTS = ("I_H", "I_F", "I_D", "M")
-
-
-def study_initial_state(
-    p: ParamSet, seed_exposed: float = 5.0, seed_infected: float = 10.0, m0: float = 0.1
-) -> StateVec:
-    """Lightly seeded scenario for sensitivity studies.
-
-    A heavy seed swamps the early response to the sampled parameters; these
-    defaults keep the outputs parameter-driven.
-    """
-    return StateVec(
-        S_H=p.theta1 / p.mu1, E_H=0.0, I_H=0.0, R_H=0.0,
-        S_F=p.theta2 / p.mu2, E_F=seed_exposed, I_F=seed_infected,
-        S_D=p.theta3 / p.mu3, E_D=seed_exposed, I_D=seed_infected,
-        R_D=0.0, M=m0,
-    )
 
 
 @dataclass(frozen=True)
@@ -146,9 +128,6 @@ def normal_ranges(names: Sequence[str] | None = None) -> list[ParamRange]:
         ParamRange(name, "normal", *_NORMAL_TABLE[name], source="normal preset")
         for name in names
     ]
-
-
-TABLE2_NORMAL = _NORMAL_TABLE
 
 
 def lhs_sample(ranges: Sequence[ParamRange], N: int, seed: int) -> np.ndarray:

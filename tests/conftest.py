@@ -1,7 +1,7 @@
 import pytest
 
 from rabictl.integrate import TimeGrid
-from rabictl.optctl import default_initial_state
+from rabictl.model import DEFAULT_SEEDING, seeded_state
 from rabictl.params import TABLE2_BASELINE, TABLE2_ESTIMATED
 
 
@@ -17,7 +17,7 @@ def p_base():
 
 @pytest.fixture(scope="session")
 def default_state(p_est):
-    return default_initial_state(p_est)
+    return seeded_state(p_est, *DEFAULT_SEEDING)
 
 
 @pytest.fixture(scope="session")

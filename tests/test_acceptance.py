@@ -12,20 +12,19 @@ import time
 import numpy as np
 import pytest
 
-from rabictl.calibrate import FitConfig, IncidenceSeries, default_fit_initial_state, fit, predict_incidence
+from rabictl.calibrate import FitConfig, IncidenceSeries, fit, predict_incidence
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
-from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, rhs
+from rabictl.model import DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, rhs, seeded_state
 from rabictl.optctl import (
     AdjointVec,
     Weights,
     adjoint_rhs,
     characterize_controls,
-    default_initial_state,
     forward_backward_sweep,
     hamiltonian,
 )
 from rabictl.params import TABLE2_BASELINE, TABLE2_ESTIMATED
-from rabictl.repro import dfe, effective_r, endemic_eq, re_grid, spectral_r
+from rabictl.repro import effective_r, endemic_eq, re_grid, spectral_r
 from rabictl.sensitivity import prcc, prcc_study, uniform_ranges
 
 P = TABLE2_ESTIMATED
@@ -44,21 +43,21 @@ def grid_default():
 
 @pytest.fixture(scope="module")
 def uncontrolled_run(grid_default):
-    y0 = default_initial_state(P)
+    y0 = seeded_state(P, *DEFAULT_SEEDING)
     return rk4_forward(P, ControlPath.constant(grid_default), y0, grid_default)
 
 
 @pytest.fixture(scope="module")
 def sweep_a(grid_default):
     started = time.perf_counter()
-    result = forward_backward_sweep(P, Weights(), default_initial_state(P), grid_default)
+    result = forward_backward_sweep(P, Weights(), seeded_state(P, *DEFAULT_SEEDING), grid_default)
     result_elapsed = time.perf_counter() - started
     return result, result_elapsed
 
 
 def test_criterion_01_dfe_residual():
     started = time.perf_counter()
-    residual = max(abs(v) for v in rhs(0.0, dfe(P), ZERO_CONTROL, P))
+    residual = max(abs(v) for v in rhs(0.0, seeded_state(P), ZERO_CONTROL, P))
     elapsed = time.perf_counter() - started
     ok = residual < 1e-9 and elapsed < 1.0
     assert report(1, "dfe-residual", ok, f"max |rhs| = {residual:.3e}, {elapsed:.3f}s")
@@ -126,7 +125,7 @@ def test_criterion_03_threshold_law():
         re_val = effective_r(p).Re
         assert abs(re_val - 1.0) > 0.05
         if subcritical:
-            y0 = dfe(p)._replace(E_F=5.0, I_F=10.0, E_D=5.0, I_D=10.0, M=1e-9)
+            y0 = seeded_state(p)._replace(E_F=5.0, I_F=10.0, E_D=5.0, I_D=10.0, M=1e-9)
             traj = rk4_forward(p, ControlPath.constant(grid), y0, grid)
             worst = 0.0
             for name in INFECTED_FIELDS:
@@ -190,7 +189,7 @@ def test_criterion_06_strategy_a_effectiveness(sweep_a, uncontrolled_run):
     ratio_ih = y_ctl.I_H / y_unc.I_H
     ratio_id = y_ctl.I_D / y_unc.I_D
     ok = ratio_ih <= 0.05 and ratio_id <= 0.05
-    floor = default_initial_state(P).I_D * np.exp(-5.0 * (P.mu3 + P.sigma3))
+    floor = seeded_state(P, *DEFAULT_SEEDING).I_D * np.exp(-5.0 * (P.mu3 + P.sigma3))
     assert report(
         6, "strategy-a-five-years", ok,
         f"I_H(5): {y_ctl.I_H:.3g}/{y_unc.I_H:.3g} = {ratio_ih:.1%}; "
@@ -222,7 +221,7 @@ def test_criterion_07_monotonicity_grids():
 def test_criterion_08_deterrence(uncontrolled_run, grid_default):
     doubled = P.replace(rho1=2 * P.rho1, rho2=2 * P.rho2, rho3=2 * P.rho3)
     run2 = rk4_forward(doubled, ControlPath.constant(grid_default),
-                       default_initial_state(doubled), grid_default)
+                       seeded_state(doubled, *DEFAULT_SEEDING), grid_default)
     peak = lambda traj, name: max(getattr(s, name) for s in traj.states)
     e_before, e_after = peak(uncontrolled_run, "E_D"), peak(run2, "E_D")
     i_before, i_after = peak(uncontrolled_run, "I_D"), peak(run2, "I_D")
@@ -283,7 +282,7 @@ def test_criterion_10_prcc_oracle():
 
 def test_criterion_11_calibration_recovery():
     started = time.perf_counter()
-    y0 = default_fit_initial_state(P)
+    y0 = seeded_state(P, 20.0, 50.0)
     years = tuple(range(1990, 2019))  # 29 points
     data = IncidenceSeries(years, tuple(float(v) for v in predict_incidence(P, y0, years)))
     free = ("theta1", "tau1", "beta1")
@@ -303,7 +302,7 @@ def test_criterion_11_calibration_recovery():
 
 
 def test_criterion_12_integrator_order_and_positivity(uncontrolled_run, sweep_a):
-    y0 = default_initial_state(P)
+    y0 = seeded_state(P, *DEFAULT_SEEDING)
 
     def endpoint(n):
         g = TimeGrid(0.0, 5.0, n)

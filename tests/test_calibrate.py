@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rabictl.calibrate import (
     FitConfig,
     IncidenceSeries,
-    default_fit_initial_state,
     fit,
     mse,
     nelder_mead,
@@ -17,7 +16,7 @@ from rabictl.calibrate import (
 )
 from rabictl.errors import ConfigError, NumericError
 from rabictl.integrate import ControlPath, TimeGrid, euler_forward, rk4_forward
-from rabictl.model import StateVec
+from rabictl.model import StateVec, seeded_state
 
 
 def test_series_validation():
@@ -51,7 +50,7 @@ def test_series_from_csv(tmp_path):
 
 
 def test_predictions_zero_without_infection(p_est):
-    y0 = default_fit_initial_state(p_est, seed_exposed=0.0, seed_infected=0.0)
+    y0 = seeded_state(p_est)
     pred = predict_incidence(p_est, y0, tuple(range(1990, 2000)))
     assert np.all(pred == 0.0)
 
@@ -72,7 +71,7 @@ def test_euler_update_hand_value(p_base):
 
 
 def test_prediction_step_halving(p_est):
-    y0 = default_fit_initial_state(p_est)
+    y0 = seeded_state(p_est, 20.0, 50.0)
     years = tuple(range(1990, 2019))
     a = predict_incidence(p_est, y0, years, dt=0.01)
     b = predict_incidence(p_est, y0, years, dt=0.005)
@@ -81,14 +80,14 @@ def test_prediction_step_halving(p_est):
 
 
 def test_prediction_rejects_coarse_step(p_est):
-    y0 = default_fit_initial_state(p_est)
+    y0 = seeded_state(p_est, 20.0, 50.0)
     with pytest.raises(ConfigError, match="dt"):
         predict_incidence(p_est, y0, (1990, 1991), dt=0.1)
 
 
 def test_prediction_converges_to_rk4(p_est):
     """Euler with shrinking dt approaches the RK4 trajectory."""
-    y0 = default_fit_initial_state(p_est)
+    y0 = seeded_state(p_est, 20.0, 50.0)
     g = TimeGrid(0.0, 5.0, 500)
     rk = rk4_forward(p_est, ControlPath.constant(g), y0, g).states[-1].I_H
     errs = [
@@ -187,7 +186,7 @@ def test_fit_config_validation():
 
 def test_fit_no_free_params_near_zero_mse(p_est):
     """Data from the RK4 route, prediction via Euler: residual is the scheme gap."""
-    y0 = default_fit_initial_state(p_est)
+    y0 = seeded_state(p_est, 20.0, 50.0)
     years = tuple(range(1990, 2001))
     g = TimeGrid(0.0, 10.0, 1000)
     traj = rk4_forward(p_est, ControlPath.constant(g), y0, g)
@@ -200,7 +199,7 @@ def test_fit_no_free_params_near_zero_mse(p_est):
 
 
 def test_fit_recovers_single_parameter(p_est):
-    y0 = default_fit_initial_state(p_est)
+    y0 = seeded_state(p_est, 20.0, 50.0)
     years = tuple(range(1990, 2011))
     data = IncidenceSeries(years, tuple(float(v) for v in predict_incidence(p_est, y0, years)))
     cfg = FitConfig(
@@ -216,7 +215,7 @@ def test_fit_recovers_single_parameter(p_est):
 
 def test_fit_improves_on_bundled_series(p_est):
     data = tanzania_series()
-    y0 = default_fit_initial_state(p_est)
+    y0 = seeded_state(p_est, 20.0, 50.0)
     free = ("theta1", "tau1", "beta1")
     cfg = FitConfig(
         free=free,

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: artifacts, determinism and exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -170,9 +171,10 @@ def test_fit_missing_data_file_is_io_error(tmp_path, capsys):
 
 
 def test_fit_round_trip_and_config_echo(tmp_path, p_est):
-    from rabictl.calibrate import default_fit_initial_state, predict_incidence
+    from rabictl.calibrate import predict_incidence
+    from rabictl.model import seeded_state
 
-    y0 = default_fit_initial_state(p_est)
+    y0 = seeded_state(p_est, 20.0, 50.0)
     years = tuple(range(1990, 2006))
     pred = predict_incidence(p_est, y0, years)
     data_path = tmp_path / "synthetic.csv"
@@ -216,3 +218,70 @@ def test_config_file_and_set_precedence(tmp_path):
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["grid"]["tf"] == 5.0
     assert echoed["grid"]["n_steps"] == 50
+
+
+def test_malformed_config_file_is_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"grid": {"tf": 5.0,')
+    code = main(["--config", str(config), "--outdir", str(tmp_path), "simulate"])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment", ["initial_state.E_H=nan", "parameters.tau1=Infinity"])
+def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
+    code, out = run(tmp_path, "a", "--set", assignment, "--set", "grid.n_steps=10", "simulate")
+    assert code == 2
+    assert out is None
+    assert "configuration error" in capsys.readouterr().err
+
+
+# sha256 of every artifact of a few small seeded runs. These runs are pure
+# Python, so their bytes do not depend on the platform; prcc and fit go
+# through numpy/BLAS and are left out. A change that keeps the numbers keeps
+# these digests.
+GOLDEN_RUNS = {
+    "simulate": (
+        ("--set", 'controls={"u1":0.2,"u2":0.3,"u3":0.1,"u4":0.4}',
+         "--set", "grid.tf=5", "--set", "grid.n_steps=100", "simulate"),
+        {
+            "config.json": "aee8df8cc170fefda9a08616e230bf194e233304eefa63d35ea667799d8048b7",
+            "trajectory.csv": "c1b693b5e6c63f6dd28b6cf1c2f79807f1ce2c09e3f014d449bab43e9f7711e4",
+        },
+    ),
+    "optimize": (
+        ("--set", "grid.n_steps=200", "optimize", "--strategy", "A"),
+        {
+            "adjoints.csv": "8572915a42b3e675a9dca0da2aecf3f6eeff69440d5adc9f779d68073a1513b7",
+            "config.json": "46e9ed2d39fe11b10ba3827868cc1232cc8a00ce0a6c53ad06f522d8cd8a92ba",
+            "controls.csv": "695eacecc7e0d27e03d1efb4c9eb1e45c4efe705097aa9c3b61653f87b8a21b7",
+            "states.csv": "7fcfd691429fc6713f5efed3ed737ecd794e601371a3a479af877c71892fc732",
+            "summary.json": "3ffe6a7215ec4357e51f8a0d8e2aa148d66a5286b0cff2bb5c29a4bb672481b8",
+        },
+    ),
+    "reff_point": (
+        ("reff",),
+        {
+            "config.json": "5a9f2f1c54253cc60958f0a0c0be6ca91a6e8a5adf7f00a50b18870d0298dc0f",
+            "reff.json": "32c5c14e77db2f212d22d393855a8931b965c2ac17f2f3b77dc14a2d429b947c",
+        },
+    ),
+    "reff_grid": (
+        ("--set", 'reff.axis1={"name":"u2","lo":0,"hi":1,"n":4}',
+         "--set", 'reff.axis2={"name":"psi1","lo":1e-5,"hi":2e-4,"n":3}', "reff"),
+        {
+            "config.json": "f0ff9cf618c3c923a200b2061e08e383efa14fa1090989f3cb5a5d91e45028f6",
+            "reff_grid.csv": "68b0dadb3de818141e814f1eb908769830c0152772f1d7fa12bb88e271f9804a",
+            "reff_grid.meta.json": "60dbfde501420d7c428e617c3631e15f0275c4ec179f1c547bb92edb3fa25862",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_RUNS))
+def test_golden_artifact_digests(tmp_path, label):
+    args, digests = GOLDEN_RUNS[label]
+    code, out = run(tmp_path, label, *args)
+    assert code == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == digests

@@ -14,9 +14,8 @@ from rabictl.integrate import (
     rk4_forward,
     write_trajectory_csv,
 )
-from rabictl.model import ControlConst, StateVec
+from rabictl.model import ControlConst, StateVec, seeded_state
 from rabictl.optctl import AdjointVec, Weights, adjoint_rhs
-from rabictl.repro import dfe
 
 ZEROS12 = (0.0,) * 12
 
@@ -43,7 +42,7 @@ def test_control_path_enforces_mask_and_bounds():
 
 
 def test_dfe_is_stationary(p_est, grid_20y):
-    y0 = dfe(p_est)
+    y0 = seeded_state(p_est)
     traj = rk4_forward(p_est, ControlPath.constant(grid_20y), y0, grid_20y)
     drift = max(max(abs(a - b) for a, b in zip(s, y0)) for s in traj.states)
     assert drift < 1e-9
@@ -51,7 +50,7 @@ def test_dfe_is_stationary(p_est, grid_20y):
 
 def test_infection_free_subspace_is_invariant(p_est):
     g = TimeGrid(0.0, 10.0, 500)
-    y0 = dfe(p_est)._replace(S_H=1e4, R_H=50.0, R_D=10.0)
+    y0 = seeded_state(p_est)._replace(S_H=1e4, R_H=50.0, R_D=10.0)
     traj = rk4_forward(p_est, ControlPath.constant(g), y0, g)
     for s in traj.states:
         assert s.E_H == s.I_H == s.E_F == s.I_F == s.E_D == s.I_D == s.M == 0.0
@@ -118,7 +117,7 @@ def test_nonfinite_state_aborts(p_base):
     # enormous transmission at a huge step overflows instead of going negative
     p = p_base.replace(kappa1=50.0)
     g = TimeGrid(0.0, 100.0, 4)
-    y0 = dfe(p)._replace(I_F=1e4)
+    y0 = seeded_state(p)._replace(I_F=1e4)
     with pytest.raises(IntegrationBlowupError):
         rk4_forward(p, ControlPath.constant(g), y0, g)
 
@@ -198,4 +197,4 @@ def test_trajectory_csv_round_trip(tmp_path, p_est, default_state):
 def test_trajectory_node_count_invariant(p_est):
     g = TimeGrid(0.0, 1.0, 10)
     with pytest.raises(ConfigError, match="states"):
-        Trajectory(g, (dfe(p_est),) * 5)
+        Trajectory(g, (seeded_state(p_est),) * 5)

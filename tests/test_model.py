@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabictl.errors import ConfigError
-from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, force_terms, rhs, saturation
+from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, force_terms, rhs, saturation, seeded_state
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, ParamSet
-from rabictl.repro import dfe
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 controls = st.floats(min_value=0.0, max_value=1.0)
@@ -96,21 +95,21 @@ def test_saturation_bounded(M, C):
 
 
 def test_forces_vanish_without_infection(p_est):
-    y = dfe(p_est)
+    y = seeded_state(p_est)
     ft = force_terms(y, ZERO_CONTROL, p_est)
     assert ft.chi1 == ft.chi2 == ft.chi3 == 0.0
     assert ft.lamM == 0.0
 
 
 def test_chi1_clamped_when_u1_plus_u3_exceeds_one(p_est):
-    y = dfe(p_est)._replace(I_F=100.0, I_D=100.0, M=5.0)
+    y = seeded_state(p_est)._replace(I_F=100.0, I_D=100.0, M=5.0)
     ft = force_terms(y, ControlConst(1.0, 0.0, 1.0, 0.0), p_est)
     assert ft.chi1 == 0.0
     assert ft.chi2 > 0.0
 
 
 def test_chi1_hand_value(p_base):
-    y = dfe(p_base)._replace(I_F=10.0)
+    y = seeded_state(p_base)._replace(I_F=10.0)
     ft = force_terms(y, ZERO_CONTROL, p_base)
     # tau1 = 0.0004, so chi1 = 0.0004 * 10
     assert ft.chi1 == pytest.approx(0.004, rel=1e-12)
@@ -153,7 +152,7 @@ def test_forces_non_increasing_in_controls(y, u, du):
 
 @pytest.mark.parametrize("rho_name", ["rho1", "rho2", "rho3"])
 def test_chi3_strictly_decreasing_in_deterrence(p_est, rho_name):
-    y = dfe(p_est)._replace(I_F=50.0, I_D=50.0, M=1.0)
+    y = seeded_state(p_est)._replace(I_F=50.0, I_D=50.0, M=1.0)
     lo = force_terms(y, ZERO_CONTROL, p_est)
     hi = force_terms(y, ZERO_CONTROL, p_est.replace(**{rho_name: 2 * getattr(p_est, rho_name)}))
     assert hi.chi3 < lo.chi3
@@ -163,7 +162,7 @@ def test_chi3_strictly_decreasing_in_deterrence(p_est, rho_name):
 
 
 def test_rhs_zero_at_dfe(p_est):
-    dy = rhs(0.0, dfe(p_est), ZERO_CONTROL, p_est)
+    dy = rhs(0.0, seeded_state(p_est), ZERO_CONTROL, p_est)
     assert max(abs(v) for v in dy) < 1e-9
 
 

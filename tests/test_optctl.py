@@ -6,14 +6,13 @@ import pytest
 
 from rabictl.errors import ConfigError
 from rabictl.integrate import ControlPath, TimeGrid, Trajectory
-from rabictl.model import ControlConst, StateVec
+from rabictl.model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from rabictl.optctl import (
     STRATEGY_MASKS,
     AdjointVec,
     Weights,
     adjoint_rhs,
     characterize_controls,
-    default_initial_state,
     forward_backward_sweep,
     hamiltonian,
     objective,
@@ -22,7 +21,6 @@ from rabictl.optctl import (
     write_controls_csv,
 )
 from rabictl.model import rhs, ZERO_CONTROL
-from rabictl.repro import dfe
 
 ZERO_LAM = AdjointVec(*(0.0,) * 12)
 
@@ -57,7 +55,7 @@ def constant_traj(grid, y):
 
 def test_objective_zero_cost(p_est):
     g = TimeGrid(0.0, 3.0, 30)
-    y = dfe(p_est)
+    y = seeded_state(p_est)
     w = Weights(K1=0, K2=0, K3=0, K4=0, K5=0, K6=0)
     assert objective(constant_traj(g, y), ControlPath.constant(g), w) == 0.0
 
@@ -65,7 +63,7 @@ def test_objective_zero_cost(p_est):
 def test_objective_constant_integrand(p_est):
     g = TimeGrid(0.0, 7.0, 70)
     c = 123.5
-    y = dfe(p_est)._replace(I_H=c)
+    y = seeded_state(p_est)._replace(I_H=c)
     w = Weights(K1=0, K2=0, K3=1, K4=0, K5=0, K6=0)
     J = objective(constant_traj(g, y), ControlPath.constant(g), w)
     assert J == pytest.approx(c * 7.0, rel=1e-12)
@@ -73,7 +71,7 @@ def test_objective_constant_integrand(p_est):
 
 def test_objective_quadratic_control_cost(p_est):
     g = TimeGrid(0.0, 4.0, 40)
-    y = dfe(p_est)
+    y = seeded_state(p_est)
     w = Weights(K1=0, K2=0, K3=0, K4=0, K5=0, K6=0, A2=2.0)
     path_on = ControlPath.constant(g, ControlConst(0, 1.0, 0, 0))
     path_off = ControlPath.constant(g)
@@ -85,7 +83,7 @@ def test_objective_quadratic_control_cost(p_est):
 def test_objective_grid_mismatch(p_est):
     g1, g2 = TimeGrid(0.0, 1.0, 10), TimeGrid(0.0, 1.0, 20)
     with pytest.raises(ConfigError):
-        objective(constant_traj(g1, dfe(p_est)), ControlPath.constant(g2), Weights())
+        objective(constant_traj(g1, seeded_state(p_est)), ControlPath.constant(g2), Weights())
 
 
 # --- Hamiltonian and adjoint -----------------------------------------------------
@@ -196,7 +194,7 @@ def test_sweep_all_masked_off(p_est, default_state):
 
 def test_sweep_prohibitive_cost_gives_tiny_controls(p_est):
     w = Weights(A1=1e9, A2=1e9, A3=1e9, A4=1e9)
-    y0 = dfe(p_est)._replace(I_F=1e-3, I_D=1e-3)
+    y0 = seeded_state(p_est)._replace(I_F=1e-3, I_D=1e-3)
     g = TimeGrid(0.0, 20.0, 1000)
     res = forward_backward_sweep(p_est, w, y0, g)
     assert res.converged
@@ -214,7 +212,7 @@ def test_sweep_parameter_validation(p_est, default_state):
 @pytest.fixture(scope="module")
 def sweep_a_coarse(p_est):
     g = TimeGrid(0.0, 20.0, 500)
-    return forward_backward_sweep(p_est, Weights(), default_initial_state(p_est), g)
+    return forward_backward_sweep(p_est, Weights(), seeded_state(p_est, *DEFAULT_SEEDING), g)
 
 
 def test_sweep_converges(sweep_a_coarse):
@@ -254,7 +252,7 @@ def test_strategy_ordering_reported(p_est, sweep_a_coarse, capsys):
     stationary points, not certified global minima.
     """
     g = TimeGrid(0.0, 20.0, 500)
-    y0 = default_initial_state(p_est)
+    y0 = seeded_state(p_est, *DEFAULT_SEEDING)
     J = {"A": sweep_a_coarse.J_history[-1]}
     for name in ("B", "C"):
         res = forward_backward_sweep(p_est, Weights(), y0, g, STRATEGY_MASKS[name])

@@ -7,9 +7,8 @@ import pytest
 
 from rabictl.errors import ConfigError, NoEndemicEquilibriumError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
-from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, rhs
+from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, rhs, seeded_state
 from rabictl.repro import (
-    dfe,
     dfe_stability,
     effective_r,
     endemic_eq,
@@ -37,18 +36,18 @@ def weak_env(p, factor=1e-6):
 
 
 def test_dfe_baseline_susceptible_humans(p_base):
-    y = dfe(p_base)
+    y = seeded_state(p_base)
     assert y.S_H == pytest.approx(140845.07, abs=0.01)  # 2000 / 0.0142
     assert y.S_H == 2000.0 / 0.0142
 
 
 def test_dfe_infected_components_zero(p_est):
-    y = dfe(p_est)
+    y = seeded_state(p_est)
     assert (y.E_H, y.I_H, y.R_H, y.E_F, y.I_F, y.E_D, y.I_D, y.R_D, y.M) == (0.0,) * 9
 
 
 def test_dfe_is_equilibrium(p_est):
-    assert max(abs(v) for v in rhs(0.0, dfe(p_est), ZERO_CONTROL, p_est)) < 1e-9
+    assert max(abs(v) for v in rhs(0.0, seeded_state(p_est), ZERO_CONTROL, p_est)) < 1e-9
 
 
 # --- effective reproduction number -------------------------------------------------
@@ -149,11 +148,11 @@ def test_endemic_residual_and_positivity(p_est):
 
 def test_endemic_attracts_forward_runs(p_est):
     """A 200-year run from a seeded infection lands on the fixed point."""
-    from rabictl.optctl import default_initial_state
+    from rabictl.model import DEFAULT_SEEDING
 
     y_star = endemic_eq(p_est)
     g = TimeGrid(0.0, 200.0, 10000)
-    traj = rk4_forward(p_est, ControlPath.constant(g), default_initial_state(p_est), g)
+    traj = rk4_forward(p_est, ControlPath.constant(g), seeded_state(p_est, *DEFAULT_SEEDING), g)
     rel = max(abs(a - b) / b for a, b in zip(traj.states[-1], y_star))
     assert rel < 1e-3  # within 0.1% per component
 
