@@ -6,7 +6,7 @@ forward-backward sweep, LHS/PRCC global sensitivity analysis and
 least-squares parameter calibration.
 """
 
-from .model import ControlConst, ForceTerms, StateVec, force_terms, rhs, saturation
+from .model import ControlConst, ForceTerms, StateVec, force_terms, rhs
 from .params import TABLE2_BASELINE, TABLE2_ESTIMATED, ParamSet
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "StateVec",
     "ControlConst",
     "ForceTerms",
-    "saturation",
     "force_terms",
     "rhs",
     "__version__",

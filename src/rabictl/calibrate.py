@@ -2,9 +2,9 @@
 
 Prediction mirrors the discretized update used for fitting: the full system
 is advanced by forward Euler (not RK4) and infected-human counts are read
-off at the observation years. A bounded Nelder-Mead simplex minimizes the
-mean squared error; bounds are enforced exactly through a logit transform,
-so every iterate stays interior.
+off at the observation years. scipy's Nelder-Mead minimizes the mean squared
+error in a logit-transformed space, which enforces the bounds exactly, so
+every iterate stays interior.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import optimize
 
 from .errors import ConfigError, NumericError
 from .integrate import TimeGrid, euler_forward
@@ -67,15 +68,11 @@ class IncidenceSeries:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Free parameters, their bounds/start values and simplex settings."""
+    """Free parameters, their bounds/start values and the stopping rule."""
 
     free: tuple[str, ...]
     bounds: dict[str, tuple[float, float]]
     x0: dict[str, float]
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     max_evals: int = 2000
     tol: float = 1e-12
     dt: float = 0.01
@@ -93,14 +90,6 @@ class FitConfig:
                 raise ConfigError(f"bounds for {name} need lo < hi")
             if not lo < self.x0[name] < hi:
                 raise ConfigError(f"start value for {name} must lie strictly inside bounds")
-        if not self.reflection > 0:
-            raise ConfigError("reflection coefficient must be positive")
-        if not self.expansion > 1:
-            raise ConfigError("expansion coefficient must exceed 1")
-        if not 0 < self.contraction < 1:
-            raise ConfigError("contraction coefficient must lie in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise ConfigError("shrink coefficient must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -129,10 +118,7 @@ def predict_incidence(
     grid = TimeGrid(0.0, n_steps * dt, n_steps)
     traj = euler_forward(p, y0, grid)
     idx = [grid.node_at(float(year - years[0])) for year in years]
-    out = np.array([traj.states[k].I_H for k in idx])
-    if not np.all(np.isfinite(out)):
-        raise NumericError("incidence prediction blew up; reduce dt")
-    return out
+    return np.array([traj.states[k].I_H for k in idx])
 
 
 def mse(observed: Sequence[float], predicted: Sequence[float]) -> float:
@@ -162,11 +148,11 @@ def nelder_mead(
 ) -> tuple[np.ndarray, float, int, bool]:
     """Bounded simplex minimization of ``f`` over the free-parameter vector.
 
-    Works in a logit-transformed unconstrained space, so returned estimates
-    satisfy the bounds strictly. The initial simplex perturbs each transformed
-    coordinate by 5% (0.00025 absolute for zero coordinates). Stops when the
-    function-value spread over the simplex drops below ``cfg.tol`` or the
-    evaluation budget is exhausted.
+    Runs scipy's Nelder-Mead in a logit-transformed unconstrained space, so
+    returned estimates satisfy the bounds strictly. The initial simplex
+    perturbs each transformed coordinate by 5% (0.00025 absolute for zero
+    coordinates). Stops when the function-value spread over the simplex is at
+    most ``cfg.tol`` or the evaluation budget is exhausted.
 
     Returns (best x, best f, evaluations, converged).
     """
@@ -175,71 +161,33 @@ def nelder_mead(
     x0 = np.array([cfg.x0[name] for name in cfg.free])
     n = len(cfg.free)
 
-    evals = 0
-
-    def objective(z: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        value = f(_from_unconstrained(z, lo, hi))
-        return value if math.isfinite(value) else math.inf
-
     if n == 0:
         value = f(x0)
         if not math.isfinite(value):
             raise NumericError("objective is not finite at the start point")
         return x0, value, 1, True
 
+    evals, finite = 0, False
+
+    def objective(z: np.ndarray) -> float:
+        nonlocal evals, finite
+        evals += 1
+        value = f(_from_unconstrained(z, lo, hi))
+        if math.isfinite(value):
+            finite = True
+            return value
+        # scipy evaluates the n+1 initial vertices first
+        if evals > n and not finite:
+            raise NumericError("objective is not finite at any initial simplex vertex")
+        return math.inf
+
     z0 = _to_unconstrained(x0, lo, hi)
-    simplex = [z0]
-    for i in range(n):
-        step = 0.05 * z0[i] if z0[i] != 0.0 else 0.00025
-        vertex = z0.copy()
-        vertex[i] += step
-        simplex.append(vertex)
-    values = [objective(z) for z in simplex]
-    if all(math.isinf(v) for v in values):
-        raise NumericError("objective is not finite at any initial simplex vertex")
-
-    converged = False
-    while evals < cfg.max_evals:
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = values[-1] - values[0]
-        if spread < cfg.tol:
-            converged = True
-            break
-
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + cfg.reflection * (centroid - worst)
-        f_r = objective(reflected)
-        if f_r < values[0]:
-            expanded = centroid + cfg.expansion * (reflected - centroid)
-            f_e = objective(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            if f_r < values[-1]:
-                contracted = centroid + cfg.contraction * (reflected - centroid)
-            else:
-                contracted = centroid + cfg.contraction * (worst - centroid)
-            f_c = objective(contracted)
-            if f_c < min(f_r, values[-1]):
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                best = simplex[0]
-                for i in range(1, n + 1):
-                    simplex[i] = best + cfg.shrink * (simplex[i] - best)
-                    values[i] = objective(simplex[i])
-
-    order = np.argsort(values, kind="stable")
-    best_z = simplex[order[0]]
-    return _from_unconstrained(best_z, lo, hi), values[order[0]], evals, converged
+    simplex = np.vstack([z0, z0 + np.diag(np.where(z0 != 0.0, 0.05 * z0, 0.00025))])
+    res = optimize.minimize(objective, z0, method="Nelder-Mead", options={
+        "initial_simplex": simplex, "maxfev": cfg.max_evals, "maxiter": cfg.max_evals,
+        "fatol": cfg.tol, "xatol": math.inf,
+    })
+    return _from_unconstrained(res.x, lo, hi), float(res.fun), evals, res.status == 0
 
 
 def fit(

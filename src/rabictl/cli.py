@@ -68,7 +68,7 @@ def _default_config() -> dict[str, Any]:
             "x0": None,  # None: current parameter values
             "dt": 0.01,
             "max_evals": 2000,
-            "tol": 1e-12,
+            "tol": 1e-6,
             "seed_exposed": 20.0,
             "seed_infected": 50.0,
         },
@@ -314,7 +314,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cfg = calibrate.FitConfig(
         free=free, bounds=bounds, x0=x0,
         max_evals=int(block.get("max_evals", 2000)),
-        tol=float(block.get("tol", 1e-12)),
+        tol=float(block.get("tol", 1e-6)),
         dt=float(block.get("dt", 0.01)),
     )
     y0 = seeded_state(

@@ -22,7 +22,7 @@ class NumericError(RabictlError):
 
 
 class IntegrationBlowupError(NumericError):
-    """A state component went significantly negative during integration."""
+    """A state component went significantly negative or non-finite during integration."""
 
 
 class NoEndemicEquilibriumError(NumericError):

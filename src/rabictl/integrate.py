@@ -9,6 +9,7 @@ between them without interpolation machinery beyond node averaging.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -155,6 +156,16 @@ def _clamp_state(y: StateVec, t: float) -> tuple[StateVec, int]:
     return StateVec(*out), clamped
 
 
+def _finite_trajectory(grid: TimeGrid, states: list[StateVec], clamped: int) -> Trajectory:
+    """Wrap integrated states; a NaN or inf persists to the last node, so only it is checked."""
+    if not all(map(math.isfinite, states[-1])):
+        raise IntegrationBlowupError(
+            f"state is not finite at t = {grid.tf:.6g}; "
+            "check the parameters or reduce the step size (increase n_steps)"
+        )
+    return Trajectory(grid, tuple(states), clamped)
+
+
 def rk4_forward(
     p: ParamSet, u_path: ControlPath, y0: StateVec, grid: TimeGrid
 ) -> Trajectory:
@@ -185,7 +196,7 @@ def rk4_forward(
         y, n_clamped = _clamp_state(y, times[i + 1])
         clamped_total += n_clamped
         states.append(y)
-    return Trajectory(grid, tuple(states), clamped_total)
+    return _finite_trajectory(grid, states, clamped_total)
 
 
 AdjointRhs = Callable[[float, tuple, StateVec, ControlConst], tuple]
@@ -249,7 +260,7 @@ def euler_forward(
         y, n_clamped = _clamp_state(y, times[i + 1])
         clamped_total += n_clamped
         states.append(y)
-    return Trajectory(grid, tuple(states), clamped_total)
+    return _finite_trajectory(grid, states, clamped_total)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:

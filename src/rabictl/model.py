@@ -23,7 +23,6 @@ __all__ = [
     "ZERO_CONTROL",
     "DEFAULT_SEEDING",
     "seeded_state",
-    "saturation",
     "force_terms",
     "rhs",
 ]
@@ -116,19 +115,6 @@ def seeded_state(
         S_F=p.theta2 / p.mu2, E_F=exposed, I_F=infected,
         S_D=p.theta3 / p.mu3, E_D=exposed, I_D=infected, R_D=0.0, M=M0,
     )
-
-
-def saturation(M: float, C: float) -> float:
-    """Saturating environmental response M/(M+C), in [0, 1).
-
-    Raises:
-        ConfigError: if M is negative or C is not strictly positive.
-    """
-    if M < 0.0:
-        raise ConfigError(f"virus concentration M must be non-negative, got {M}")
-    if C <= 0.0:
-        raise ConfigError(f"half-saturation constant C must be positive, got {C}")
-    return M / (M + C)
 
 
 def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:

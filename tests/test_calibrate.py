@@ -166,9 +166,19 @@ def test_nm_estimates_respect_bounds_exactly():
 
 
 def test_nm_nonfinite_start_raises():
-    cfg = nm_config(["theta1"], {"theta1": (-1.0, 1.0)}, {"theta1": 0.0})
-    with pytest.raises(NumericError, match="not finite"):
-        nelder_mead(lambda v: float("nan"), cfg)
+    cfg = nm_config(["theta1", "theta2"],
+                    {"theta1": (-1.0, 1.0), "theta2": (-1.0, 1.0)},
+                    {"theta1": 0.0, "theta2": 0.5})
+    for value in (float("nan"), float("inf")):
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            return value
+
+        with pytest.raises(NumericError, match="not finite"):
+            nelder_mead(f, cfg)
+        assert len(calls) == 3  # the n+1 initial vertices, nothing more
 
 
 def test_fit_config_validation():
@@ -176,9 +186,6 @@ def test_fit_config_validation():
         FitConfig(free=("theta1",), bounds={}, x0={"theta1": 1.0})
     with pytest.raises(ConfigError, match="inside bounds"):
         FitConfig(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 2.0})
-    with pytest.raises(ConfigError, match="expansion"):
-        FitConfig(free=("theta1",), bounds={"theta1": (0.0, 2.0)}, x0={"theta1": 1.0},
-                  expansion=0.9)
 
 
 # --- fit ---------------------------------------------------------------------------

@@ -236,6 +236,14 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_non_finite_state_is_numeric_error(tmp_path, capsys):
+    code, out = run(tmp_path, "a", "--set", "parameters.tau1=1e300",
+                    "--set", "grid.n_steps=100", "simulate")
+    assert code == 3
+    assert out is None
+    assert "not finite" in capsys.readouterr().err
+
+
 # sha256 of every artifact of a few small seeded runs. These runs are pure
 # Python, so their bytes do not depend on the platform; prcc and fit go
 # through numpy/BLAS and are left out. A change that keeps the numbers keeps
@@ -245,7 +253,7 @@ GOLDEN_RUNS = {
         ("--set", 'controls={"u1":0.2,"u2":0.3,"u3":0.1,"u4":0.4}',
          "--set", "grid.tf=5", "--set", "grid.n_steps=100", "simulate"),
         {
-            "config.json": "aee8df8cc170fefda9a08616e230bf194e233304eefa63d35ea667799d8048b7",
+            "config.json": "21a003e88abefcc84d18bb6b309ffdded68ffe51d7df2ffde2c64867337b92b9",
             "trajectory.csv": "c1b693b5e6c63f6dd28b6cf1c2f79807f1ce2c09e3f014d449bab43e9f7711e4",
         },
     ),
@@ -253,16 +261,16 @@ GOLDEN_RUNS = {
         ("--set", "grid.n_steps=200", "optimize", "--strategy", "A"),
         {
             "adjoints.csv": "8572915a42b3e675a9dca0da2aecf3f6eeff69440d5adc9f779d68073a1513b7",
-            "config.json": "46e9ed2d39fe11b10ba3827868cc1232cc8a00ce0a6c53ad06f522d8cd8a92ba",
+            "config.json": "d8a4df1e66d5a3a00cb7d7d8d0856894096cf206339009c7df183ab57a655d67",
             "controls.csv": "695eacecc7e0d27e03d1efb4c9eb1e45c4efe705097aa9c3b61653f87b8a21b7",
             "states.csv": "7fcfd691429fc6713f5efed3ed737ecd794e601371a3a479af877c71892fc732",
-            "summary.json": "3ffe6a7215ec4357e51f8a0d8e2aa148d66a5286b0cff2bb5c29a4bb672481b8",
+            "summary.json": "c0857b95fcb7a9dacb8558d943f7c8445d6471be459c5a3527fcbdf465dcf6a6",
         },
     ),
     "reff_point": (
         ("reff",),
         {
-            "config.json": "5a9f2f1c54253cc60958f0a0c0be6ca91a6e8a5adf7f00a50b18870d0298dc0f",
+            "config.json": "e18a67b57bef9536d0bf9dd84983eece95fb8dd3d4f5cf659285ca25620b10aa",
             "reff.json": "32c5c14e77db2f212d22d393855a8931b965c2ac17f2f3b77dc14a2d429b947c",
         },
     ),
@@ -270,7 +278,7 @@ GOLDEN_RUNS = {
         ("--set", 'reff.axis1={"name":"u2","lo":0,"hi":1,"n":4}',
          "--set", 'reff.axis2={"name":"psi1","lo":1e-5,"hi":2e-4,"n":3}', "reff"),
         {
-            "config.json": "f0ff9cf618c3c923a200b2061e08e383efa14fa1090989f3cb5a5d91e45028f6",
+            "config.json": "6e1e7f05064b90d599851c5b3d26b902fda0f91a83c9a54bc35aa281fc864bff",
             "reff_grid.csv": "68b0dadb3de818141e814f1eb908769830c0152772f1d7fa12bb88e271f9804a",
             "reff_grid.meta.json": "60dbfde501420d7c428e617c3631e15f0275c4ec179f1c547bb92edb3fa25862",
         },

@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from rabictl.errors import ConfigError, NoEndemicEquilibriumError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
 from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, rhs, seeded_state
+from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
 from rabictl.repro import (
     dfe_stability,
     effective_r,
@@ -165,6 +168,25 @@ def test_dfe_stability_sign_matches_threshold(p_est, target, sign):
     p = weak_env(p_est)
     p = scaled_transmission(p, target / effective_r(p).Re)
     assert sign * dfe_stability(p) > 0.0
+
+
+@given(
+    exponents=st.lists(st.floats(-1.0, 1.0), min_size=len(PARAM_NAMES), max_size=len(PARAM_NAMES)),
+    controls=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+)
+def test_threshold_invariant(exponents, controls):
+    """van den Driessche & Watmough (2002): R > 1 exactly when the DFE is unstable."""
+    try:
+        p = TABLE2_ESTIMATED.replace(**{
+            name: getattr(TABLE2_ESTIMATED, name) * 10.0 ** e
+            for name, e in zip(PARAM_NAMES, exponents)
+        })
+    except ConfigError:
+        assume(False)
+    u = ControlConst(*controls)
+    R = spectral_r(p, u, include_environment=True)
+    assume(abs(R - 1.0) > 1e-6)
+    assert (R > 1.0) == (dfe_stability(p, u) > 0.0)
 
 
 # --- grids ---------------------------------------------------------------------------
