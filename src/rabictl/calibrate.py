@@ -3,8 +3,8 @@
 Prediction mirrors the discretized update used for fitting: the full system
 is advanced by forward Euler (not RK4) and infected-human counts are read
 off at the observation years. scipy's Nelder-Mead minimizes the mean squared
-error in a logit-transformed space, which enforces the bounds exactly, so
-every iterate stays interior.
+error in a logit-transformed space, which keeps every iterate within the
+bounds; a saturated logit rounds an estimate onto its bound.
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ class FitResult:
     evals: int
     converged: bool
     predicted: tuple[float, ...]
+    at_bound: tuple[str, ...]  # sorted free names whose estimate sits on a bound
 
 
 def predict_incidence(
@@ -149,10 +150,10 @@ def nelder_mead(
     """Bounded simplex minimization of ``f`` over the free-parameter vector.
 
     Runs scipy's Nelder-Mead in a logit-transformed unconstrained space, so
-    returned estimates satisfy the bounds strictly. The initial simplex
-    perturbs each transformed coordinate by 5% (0.00025 absolute for zero
-    coordinates). Stops when the function-value spread over the simplex is at
-    most ``cfg.tol`` or the evaluation budget is exhausted.
+    estimates stay within the bounds, on one only where the logit saturates.
+    The initial simplex perturbs each transformed coordinate z by 5%, or by
+    0.00025 where |z| < 0.005. Stops when the function-value spread over the
+    simplex is at most ``cfg.tol`` or the evaluation budget is exhausted.
 
     Returns (best x, best f, evaluations, converged).
     """
@@ -182,7 +183,7 @@ def nelder_mead(
         return math.inf
 
     z0 = _to_unconstrained(x0, lo, hi)
-    simplex = np.vstack([z0, z0 + np.diag(np.where(z0 != 0.0, 0.05 * z0, 0.00025))])
+    simplex = np.vstack([z0, z0 + np.diag(np.where(np.abs(z0) < 0.005, 0.00025, 0.05 * z0))])
     res = optimize.minimize(objective, z0, method="Nelder-Mead", options={
         "initial_simplex": simplex, "maxfev": cfg.max_evals, "maxiter": cfg.max_evals,
         "fatol": cfg.tol, "xatol": math.inf,
@@ -205,6 +206,9 @@ def fit(
 
     best_x, best_f, evals, converged = nelder_mead(objective, cfg)
     estimates = dict(zip(cfg.free, (float(v) for v in best_x)))
+    at_bound = tuple(sorted(
+        name for name, x in estimates.items()
+        if min(abs(x - b) for b in cfg.bounds[name]) <= 1e-9 * np.ptp(cfg.bounds[name])))
     p_best = p_base.replace(**estimates)
     predicted = predict_incidence(p_best, y0, data.years, dt=cfg.dt)
     return FitResult(
@@ -213,6 +217,7 @@ def fit(
         evals=evals,
         converged=converged,
         predicted=tuple(float(v) for v in predicted),
+        at_bound=at_bound,
     )
 
 
@@ -233,6 +238,7 @@ def write_fit_json(result: FitResult, path: str | Path, config_echo: dict | None
         "mse": result.mse,
         "evals": result.evals,
         "converged": result.converged,
+        "at_bound": list(result.at_bound),
     }
     if config_echo is not None:
         payload["config"] = config_echo

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 IO error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -122,6 +123,15 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
     return config
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Turn a bad or missing config value read in the block into a ConfigError; wrap no solver."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"missing or malformed config value ({exc!r})") from exc
+
+
 def _build_params(config: dict, preset: str | None = None) -> ParamSet:
     """The parameters block over its preset, or over ``preset`` when given."""
     block = dict(config.get("parameters") or {})
@@ -176,10 +186,11 @@ def _write_sidecar(outdir: Path, config: dict) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args.config, args.set)
-    p = _build_params(config)
-    y0 = _build_state(config, p)
-    grid = _build_grid(config["grid"])
-    u = _build_controls(config)
+    with _config_values():
+        p = _build_params(config)
+        y0 = _build_state(config, p)
+        grid = _build_grid(config["grid"])
+        u = _build_controls(config)
     traj = rk4_forward(p, ControlPath.constant(grid, u), y0, grid)
     outdir = _make_outdir(config, args.outdir, "simulate")
     write_trajectory_csv(traj, outdir / "trajectory.csv")
@@ -189,16 +200,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _axis_from_block(block: dict) -> tuple[str, float, float, int]:
-    try:
+    with _config_values():
         return (str(block["name"]), float(block["lo"]), float(block["hi"]), int(block["n"]))
-    except KeyError as exc:
-        raise ConfigError(f"grid axis needs name/lo/hi/n, missing {exc}") from exc
 
 
 def cmd_reff(args: argparse.Namespace) -> int:
     config = resolve_config(args.config, args.set)
-    p = _build_params(config)
-    u = _build_controls(config)
+    with _config_values():
+        p = _build_params(config)
+        u = _build_controls(config)
     block = config.get("reff") or {}
     outdir = _make_outdir(config, args.outdir, "reff")
     if block.get("axis1") and block.get("axis2"):
@@ -229,17 +239,18 @@ def _mask_from_args(args: argparse.Namespace) -> optctl.Mask:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     config = resolve_config(args.config, args.set)
-    p = _build_params(config)
-    y0 = _build_state(config, p)
-    grid = _build_grid(config["grid"])
-    w = _build_weights(config)
+    with _config_values():
+        p = _build_params(config)
+        y0 = _build_state(config, p)
+        grid = _build_grid(config["grid"])
+        w = _build_weights(config)
+        sweep_cfg = config.get("sweep") or {}
+        omega = float(sweep_cfg.get("omega", 0.5))
+        tol = float(sweep_cfg.get("tol", 1e-4))
+        max_iter = int(sweep_cfg.get("max_iter", 200))
     mask = _mask_from_args(args)
-    sweep_cfg = config.get("sweep") or {}
     result = optctl.forward_backward_sweep(
-        p, w, y0, grid, mask,
-        omega=float(sweep_cfg.get("omega", 0.5)),
-        tol=float(sweep_cfg.get("tol", 1e-4)),
-        max_iter=int(sweep_cfg.get("max_iter", 200)),
+        p, w, y0, grid, mask, omega=omega, tol=tol, max_iter=max_iter
     )
     outdir = _make_outdir(config, args.outdir, "optimize")
     write_trajectory_csv(result.states, outdir / "states.csv")
@@ -256,36 +267,34 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_prcc(args: argparse.Namespace) -> int:
     config = resolve_config(args.config, args.set)
-    block = config["sensitivity"]
-    # the study centres its ranges on its own preset; explicit parameter
-    # overrides from the parameters block still apply on top
-    p = _build_params(config, preset=block.get("preset", "baseline"))
-    if config.get("initial_state") is not None:
-        y0 = _build_state(config, p)
-    else:
-        y0 = seeded_state(
-            p,
-            exposed=float(block.get("seed_exposed", 5.0)),
-            infected=float(block.get("seed_infected", 10.0)),
-            M0=float(block.get("M0", 0.1)),
-        )
-    N = int(block["N"])
-    seed = int(block["seed"])
-    if block.get("distribution", "uniform") == "normal":
-        ranges = sensitivity.normal_ranges()
-    else:
-        ranges = uniform_ranges(p, rel=float(block.get("rel_range", 0.25)))
+    with _config_values():
+        block = config["sensitivity"]
+        # the study centres its ranges on its own preset; explicit parameter
+        # overrides from the parameters block still apply on top
+        p = _build_params(config, preset=block.get("preset", "baseline"))
+        if config.get("initial_state") is not None:
+            y0 = _build_state(config, p)
+        else:
+            y0 = seeded_state(
+                p,
+                exposed=float(block.get("seed_exposed", 5.0)),
+                infected=float(block.get("seed_infected", 10.0)),
+                M0=float(block.get("M0", 0.1)),
+            )
+        N = int(block["N"])
+        seed = int(block["seed"])
+        if block.get("distribution", "uniform") == "normal":
+            ranges = sensitivity.normal_ranges()
+        else:
+            ranges = uniform_ranges(p, rel=float(block.get("rel_range", 0.25)))
+        grid = _build_grid(block["grid"])
+        sample_times = [float(t) for t in block["sample_times"]]
+        outputs = tuple(block["outputs"])
     if N <= len(ranges) + 2:
         raise ConfigError(
             f"sensitivity N must exceed P + 2 = {len(ranges) + 2}, got {N}"
         )
-    grid = _build_grid(block["grid"])
-    results = sensitivity.prcc_study(
-        ranges, N, seed, p, y0, grid,
-        sample_times=[float(t) for t in block["sample_times"]],
-        outputs=tuple(block["outputs"]),
-        jobs=args.jobs,
-    )
+    results = sensitivity.prcc_study(ranges, N, seed, p, y0, grid, sample_times, outputs)
     outdir = _make_outdir(config, args.outdir, "prcc")
     written = sensitivity.write_prcc_study(results, outdir, config_echo=config)
     _write_sidecar(outdir, config)
@@ -296,37 +305,38 @@ def cmd_prcc(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     config = resolve_config(args.config, args.set)
-    p = _build_params(config)
-    block = config["fit"]
-    data_path = args.data or block.get("data")
+    with _config_values():
+        p = _build_params(config)
+        block = config["fit"]
+        data_path = args.data or block.get("data")
+        free = tuple(block["free"])
+        x0 = dict(block["x0"]) if block.get("x0") else {name: getattr(p, name) for name in free}
+        bounds_block = block.get("bounds")
+        if bounds_block:
+            bounds = {name: (float(lo), float(hi)) for name, (lo, hi) in bounds_block.items()}
+        else:
+            bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free}
+        cfg = calibrate.FitConfig(
+            free=free, bounds=bounds, x0=x0,
+            max_evals=int(block.get("max_evals", 2000)),
+            tol=float(block.get("tol", 1e-6)),
+            dt=float(block.get("dt", 0.01)),
+        )
+        y0 = seeded_state(
+            p, exposed=float(block.get("seed_exposed", 20.0)),
+            infected=float(block.get("seed_infected", 50.0)),
+        )
     if data_path is None:
         data = calibrate.tanzania_series()
     else:
         data = calibrate.IncidenceSeries.from_csv(data_path)  # OSError -> exit 4
-
-    free = tuple(block["free"])
-    x0 = dict(block["x0"]) if block.get("x0") else {name: getattr(p, name) for name in free}
-    bounds_block = block.get("bounds")
-    if bounds_block:
-        bounds = {name: (float(lo), float(hi)) for name, (lo, hi) in bounds_block.items()}
-    else:
-        bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free}
-    cfg = calibrate.FitConfig(
-        free=free, bounds=bounds, x0=x0,
-        max_evals=int(block.get("max_evals", 2000)),
-        tol=float(block.get("tol", 1e-6)),
-        dt=float(block.get("dt", 0.01)),
-    )
-    y0 = seeded_state(
-        p, exposed=float(block.get("seed_exposed", 20.0)),
-        infected=float(block.get("seed_infected", 50.0)),
-    )
     result = calibrate.fit(data, cfg, p, y0)
     outdir = _make_outdir(config, args.outdir, "fit")
     calibrate.write_fit_json(result, outdir / "fit.json", config_echo=config)
     calibrate.write_fit_csv(data, result, outdir / "fit.csv")
     _write_sidecar(outdir, config)
-    print(f"mse = {result.mse:.6g} after {result.evals} evaluations; wrote {outdir}")
+    print(f"mse = {result.mse:.6g} after {result.evals} evaluations, at bound: "
+          f"{', '.join(result.at_bound) or 'none'}; wrote {outdir}")
     return EXIT_OK
 
 
@@ -340,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key (dotted path, JSON value)")
     parser.add_argument("--outdir", help=f"output root (default: ${OUTDIR_ENV} or ./runs)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for parallel studies")
+    parser.add_argument("--jobs", type=int, help="ignored; studies run in one process")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", help="forward simulation under constant controls")

@@ -22,6 +22,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "ControlPath",
+    "rk4_step",
     "rk4_forward",
     "rk4_backward",
     "euler_forward",
@@ -166,15 +167,32 @@ def _finite_trajectory(grid: TimeGrid, states: list[StateVec], clamped: int) -> 
     return Trajectory(grid, tuple(states), clamped)
 
 
+def rk4_step(
+    y: StateVec, t: float, h: float, ua: ControlConst, ub: ControlConst, p: ParamSet
+) -> StateVec:
+    """One classical RK4 step from t to t + h; the half-step control averages ua and ub.
+
+    Fields of ``y`` and ``p`` may be floats or (N,) arrays: one call steps N rows.
+    """
+    half = 0.5 * h
+    um = _mid_control(ua, ub)
+    k1 = rhs(t, y, ua, p)
+    k2 = rhs(t + half, StateVec(*(a + half * b for a, b in zip(y, k1))), um, p)
+    k3 = rhs(t + half, StateVec(*(a + half * b for a, b in zip(y, k2))), um, p)
+    k4 = rhs(t + h, StateVec(*(a + h * b for a, b in zip(y, k3))), ub, p)
+    sixth = h / 6.0
+    return StateVec(
+        *(a + sixth * (b + 2.0 * c + 2.0 * d + e)
+          for a, b, c, d, e in zip(y, k1, k2, k3, k4))
+    )
+
+
 def rk4_forward(
     p: ParamSet, u_path: ControlPath, y0: StateVec, grid: TimeGrid
 ) -> Trajectory:
     """Classical RK4 over the grid; half-step controls average adjacent nodes."""
     _require_same_grid(u_path.grid, grid, "control path")
     y0.validate()
-    h = grid.h
-    half = 0.5 * h
-    sixth = h / 6.0
     times = grid.times()
     u = u_path.values
 
@@ -182,17 +200,7 @@ def rk4_forward(
     y = y0
     clamped_total = 0
     for i in range(grid.n_steps):
-        t = times[i]
-        ua, ub = u[i], u[i + 1]
-        um = _mid_control(ua, ub)
-        k1 = rhs(t, y, ua, p)
-        k2 = rhs(t + half, StateVec(*(a + half * b for a, b in zip(y, k1))), um, p)
-        k3 = rhs(t + half, StateVec(*(a + half * b for a, b in zip(y, k2))), um, p)
-        k4 = rhs(t + h, StateVec(*(a + h * b for a, b in zip(y, k3))), ub, p)
-        y = StateVec(
-            *(a + sixth * (b + 2.0 * c + 2.0 * d + e)
-              for a, b, c, d, e in zip(y, k1, k2, k3, k4))
-        )
+        y = rk4_step(y, times[i], grid.h, u[i], u[i + 1], p)
         y, n_clamped = _clamp_state(y, times[i + 1])
         clamped_total += n_clamped
         states.append(y)

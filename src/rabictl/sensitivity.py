@@ -2,26 +2,27 @@
 
 Sampling is stratified per parameter: the N draws of each column occupy the
 N equal-probability strata exactly once, with the stratum order permuted
-independently per column. PRCC rank-transforms everything and correlates
-the residuals of two rank regressions, so it measures monotone influence of
-one parameter while controlling for the rest.
+independently per column. All sampled rows are integrated at once, as one
+array batch. PRCC rank-transforms everything and correlates the residuals
+of two rank regressions, so it measures monotone influence of one
+parameter while controlling for the rest.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, DegenerateInputError, NumericError, StudyError
-from .integrate import ControlPath, TimeGrid, rk4_forward
-from .model import StateVec
+from .errors import ConfigError, DegenerateInputError, StudyError
+from .integrate import CLAMP_TOL, KEEP_TOL, TimeGrid, rk4_step
+from .model import ZERO_CONTROL, StateVec
 from .params import PARAM_NAMES, ParamSet
 
 __all__ = [
@@ -221,22 +222,31 @@ def _simulate_rows(
     node_idx: tuple[int, ...],
     outputs: tuple[str, ...],
 ) -> list[np.ndarray | None]:
-    """Simulate a chunk of sampled rows; None marks a failed row."""
-    u_path = ControlPath.constant(grid)
-    out: list[np.ndarray | None] = []
-    field_idx = [StateVec._fields.index(o) for o in outputs]
-    for row in rows:
+    """Integrate every sampled row at once as (N,) arrays; None marks a failed row.
+
+    A row fails where ``rk4_forward`` would raise: invalid parameters, a
+    component below -CLAMP_TOL after a step, or a non-finite last node.
+    """
+    failed = np.zeros(len(rows), dtype=bool)
+    for i, row in enumerate(rows):
         try:
-            p = base.replace(**dict(zip(names, (float(v) for v in row))))
-            traj = rk4_forward(p, u_path, y0, grid)
-        except (ConfigError, NumericError):
-            out.append(None)
-            continue
-        vals = np.array(
-            [[traj.states[k][fi] for fi in field_idx] for k in node_idx]
-        )  # (T, n_outputs)
-        out.append(vals)
-    return out
+            base.replace(**dict(zip(names, (float(v) for v in row))))
+        except ConfigError:
+            failed[i] = True
+    p = SimpleNamespace(**{**base.as_dict(), **dict(zip(names, rows.T))})
+    field_idx = [StateVec._fields.index(o) for o in outputs]
+    h, times, u = grid.h, grid.times(), ZERO_CONTROL
+    Y = np.array([np.full(len(rows), v) for v in y0])  # (12, N)
+    sampled = np.empty((len(rows), len(node_idx), len(outputs)))
+    with np.errstate(all="ignore"):  # a failed row keeps integrating and may overflow
+        for i in range(grid.n_nodes):
+            if i:
+                Y = np.array(rk4_step(StateVec(*Y), times[i - 1], h, u, u, p))
+                failed |= (Y < -CLAMP_TOL).any(axis=0)
+                Y[Y < -KEEP_TOL] = 0.0
+            sampled[:, np.equal(node_idx, i)] = Y[field_idx].T[:, None]
+        failed |= ~np.isfinite(Y).all(axis=0)
+    return [None if bad else vals for bad, vals in zip(failed, sampled)]
 
 
 def prcc_study(
@@ -248,7 +258,6 @@ def prcc_study(
     grid: TimeGrid,
     sample_times: Sequence[float],
     outputs: Sequence[str] = STUDY_OUTPUTS,
-    jobs: int = 1,
     max_drop_fraction: float = 0.05,
 ) -> list[PrccResult]:
     """LHS-sample the ranges, simulate each row uncontrolled, PRCC the outputs.
@@ -264,26 +273,10 @@ def prcc_study(
     if len(set(names)) != len(names):
         raise ConfigError("duplicate parameter in ranges")
     node_idx = tuple(grid.node_at(t) for t in sample_times)
+    y0.validate()
 
     X = lhs_sample(ranges, N, seed)
-    if jobs > 1:
-        chunks = np.array_split(X, jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(
-                ex.map(
-                    _simulate_rows,
-                    chunks,
-                    [names] * len(chunks),
-                    [p_base] * len(chunks),
-                    [y0] * len(chunks),
-                    [grid] * len(chunks),
-                    [node_idx] * len(chunks),
-                    [outputs] * len(chunks),
-                )
-            )
-        results = [r for part in parts for r in part]
-    else:
-        results = _simulate_rows(X, names, p_base, y0, grid, node_idx, outputs)
+    results = _simulate_rows(X, names, p_base, y0, grid, node_idx, outputs)
 
     keep = [i for i, r in enumerate(results) if r is not None]
     dropped = N - len(keep)

@@ -218,6 +218,24 @@ def test_fit_recovers_single_parameter(p_est):
     result = fit(data, cfg, p_est, y0)
     assert abs(result.estimates["theta1"] - p_est.theta1) / p_est.theta1 < 0.05
     assert len(result.predicted) == len(years)
+    assert result.at_bound == ()
+
+
+def test_fit_from_box_centre_reaches_bound(p_est):
+    # the start sits at the centre of its box, so its logit is zero up to
+    # rounding; the truth lies below the box, so the fit ends on the lower bound
+    y0 = seeded_state(p_est, 20.0, 50.0)
+    years = tuple(range(1990, 2011))
+    data = IncidenceSeries(years, tuple(float(v) for v in predict_incidence(p_est, y0, years)))
+    cfg = FitConfig(
+        free=("theta1",),
+        bounds={"theta1": (p_est.theta1 * 2, p_est.theta1 * 4)},
+        x0={"theta1": p_est.theta1 * 3},
+        max_evals=250,
+    )
+    result = fit(data, cfg, p_est, y0)
+    assert result.evals > 2
+    assert result.at_bound == ("theta1",)
 
 
 def test_fit_improves_on_bundled_series(p_est):

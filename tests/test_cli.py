@@ -144,15 +144,15 @@ def test_optimize_rejects_bad_strategy(tmp_path):
 
 def test_prcc_seeded_runs_identical(tmp_path):
     args = (
-        "--jobs", "1",
         "--set", "sensitivity.N=40",
         "--set", "sensitivity.grid.tf=5", "--set", "sensitivity.grid.n_steps=100",
         "--set", "sensitivity.sample_times=[5.0]",
         "--set", 'sensitivity.outputs=["I_H"]',
         "prcc",
     )
-    code1, out1 = run(tmp_path, "a", *args)
-    code2, out2 = run(tmp_path, "b", *args)
+    # --jobs is still accepted and changes nothing
+    code1, out1 = run(tmp_path, "a", "--jobs", "1", *args)
+    code2, out2 = run(tmp_path, "b", "--jobs", "3", *args)
     assert code1 == 0 and code2 == 0
     assert (out1 / "prcc_I_H.csv").read_bytes() == (out2 / "prcc_I_H.csv").read_bytes()
     header = (out1 / "prcc_I_H.csv").read_text().splitlines()[0]
@@ -231,6 +231,22 @@ def test_malformed_config_file_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("assignment", ["initial_state.E_H=nan", "parameters.tau1=Infinity"])
 def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     code, out = run(tmp_path, "a", "--set", assignment, "--set", "grid.n_steps=10", "simulate")
+    assert code == 2
+    assert out is None
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment, command", [
+    ("grid.n_steps=abc", "simulate"),
+    ("grid={}", "simulate"),
+    ("sweep.omega=abc", "optimize"),
+    ("sensitivity.N=abc", "prcc"),
+    ("sensitivity.grid={}", "prcc"),
+    ("sensitivity.seed_exposed=-5", "prcc"),
+    ("sensitivity.M0=NaN", "prcc"),
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command):
+    code, out = run(tmp_path, "a", "--set", "sensitivity.N=40", "--set", assignment, command)
     assert code == 2
     assert out is None
     assert "configuration error" in capsys.readouterr().err

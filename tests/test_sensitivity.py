@@ -5,11 +5,12 @@ import pytest
 from scipy import stats
 
 from rabictl.errors import ConfigError, DegenerateInputError, StudyError
-from rabictl.integrate import TimeGrid
-from rabictl.model import StateVec
+from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
+from rabictl.model import StateVec, seeded_state
 from rabictl.params import PARAM_NAMES
 from rabictl.sensitivity import (
     ParamRange,
+    _simulate_rows,
     lhs_sample,
     normal_ranges,
     prcc,
@@ -210,3 +211,39 @@ def test_prcc_csv_long_format(tmp_path, p_base):
     assert lines[0] == "time,param,prcc"
     assert len(lines) == 1 + 2 * 4
     assert (tmp_path / "prcc.meta.json").exists()
+
+
+# --- batch integration against the scalar route -------------------------------------
+
+
+def simulate_batch(ranges, N, seed, base, y0, grid, times, outputs):
+    X = lhs_sample(ranges, N, seed)
+    names = tuple(r.name for r in ranges)
+    node_idx = tuple(grid.node_at(t) for t in times)
+    return X, names, node_idx, _simulate_rows(X, names, base, y0, grid, node_idx, outputs)
+
+
+def test_batch_equals_scalar_runs_and_drops_blowups(p_base):
+    grid = TimeGrid(0.0, 30.0, 60)
+    y0 = seeded_state(p_base, 20.0, 50.0, 0.1)
+    outputs = ("I_H", "I_D")
+    X, names, node_idx, rows = simulate_batch(
+        uniform_ranges(p_base, 0.9), 40, 4, p_base, y0, grid, [10.0, 30.0], outputs)
+    assert [i for i, r in enumerate(rows) if r is None] == [9, 11, 15, 23, 30, 35, 36]
+    fields = [StateVec._fields.index(o) for o in outputs]
+    for x, r in zip(X, rows):
+        if r is not None:
+            traj = rk4_forward(p_base.replace(**dict(zip(names, map(float, x)))),
+                               ControlPath.constant(grid), y0, grid)
+            scalar = np.array([[traj.states[k][f] for f in fields] for k in node_idx])
+            assert np.array_equal(r, scalar)
+
+
+def test_batch_drops_rows_with_invalid_parameters(p_base):
+    # theta1 <= mu1 fails ParamSet validation
+    X, _, _, rows = simulate_batch(
+        [ParamRange("theta1", "uniform", 0.001, 0.05)], 30, 2, p_base,
+        light_seed_state(p_base), TimeGrid(0.0, 5.0, 50), [5.0], ("I_H",))
+    invalid = X[:, 0] <= p_base.mu1
+    assert invalid.sum() == 9
+    assert [r is None for r in rows] == list(invalid)
