@@ -56,13 +56,17 @@ class IncidenceSeries:
     def from_csv(cls, path: str | Path) -> "IncidenceSeries":
         with open(path, newline="") as fh:
             reader = csv.reader(row for row in fh if not row.startswith("#"))
-            header = next(reader)
+            header = next(reader, [])
             if [h.strip() for h in header] != ["year", "cases"]:
                 raise ConfigError(f"expected header 'year,cases', got {header}")
             years, cases = [], []
             for row in reader:
-                years.append(int(row[0]))
-                cases.append(float(row[1]))
+                try:
+                    year, count = row
+                    years.append(int(year))
+                    cases.append(float(count))
+                except ValueError as exc:
+                    raise ConfigError(f"bad row {row} in {path}: expected 'year,cases'") from exc
         return cls(tuple(years), tuple(cases))
 
 

@@ -258,6 +258,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     optctl.write_controls_csv(result.controls, outdir / "controls.csv")
     optctl.write_sweep_summary_json(result, outdir / "summary.json", config_echo=config)
     _write_sidecar(outdir, config)
+    if not result.converged:
+        print(f"warning: sweep stopped at max_iter={max_iter} before the control update "
+              f"fell below tol={tol:g}", file=sys.stderr)
     print(
         f"J = {result.J_history[-1]:.6g} after {result.iterations} iterations "
         f"(converged={result.converged}); wrote {outdir}"

@@ -1,9 +1,10 @@
 """Fixed-step RK4 integration on a shared uniform grid.
 
-The forward pass advances the state system; the backward pass integrates an
-adjoint system from the terminal node down to t0, reusing the stored state
-trajectory. Both live on one grid so the optimal-control sweep can alternate
-between them without interpolation machinery beyond node averaging.
+``rk4_step`` is the one place the RK4 formula is written. The forward pass
+steps the state system with the controls as its frozen input; the backward
+pass steps an adjoint system from tf down to t0 with a step of -h, its input
+being the stored state and control. Both share one grid and interpolate by
+node averages only. A control path holds one (n_nodes, 4) array.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, IntegrationBlowupError
 from .model import ControlConst, StateVec, ZERO_CONTROL, rhs
@@ -26,6 +29,7 @@ __all__ = [
     "rk4_forward",
     "rk4_backward",
     "euler_forward",
+    "write_node_csv",
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
@@ -92,28 +96,29 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ControlPath:
-    """Per-node control values plus the mask of controls in active use.
+    """Per-node controls as a read-only (n_nodes, 4) array, plus the active-control mask.
 
     Masked-off controls are forced to zero at construction so the invariant
     holds by construction everywhere downstream.
     """
 
     grid: TimeGrid
-    values: tuple[ControlConst, ...]
+    values: np.ndarray
     mask: tuple[bool, bool, bool, bool] = (True, True, True, True)
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.grid.n_nodes:
+        values = np.array(self.values, dtype=float)
+        if len(values) != self.grid.n_nodes:
+            raise ConfigError(f"control path has {len(values)} nodes for {self.grid.n_nodes}")
+        values = np.where(self.mask, values, 0.0)
+        outside = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
+        if len(outside):
+            i, j = outside[0]
             raise ConfigError(
-                f"control path has {len(self.values)} nodes for {self.grid.n_nodes}"
+                f"control {ControlConst._fields[j]} must lie in [0, 1], got {values[i, j]}"
             )
-        masked = tuple(self._apply_mask(u) for u in self.values)
-        for u in masked:
-            u.validate()
-        object.__setattr__(self, "values", masked)
-
-    def _apply_mask(self, u: ControlConst) -> ControlConst:
-        return ControlConst(*(v if on else 0.0 for v, on in zip(u, self.mask)))
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(
@@ -122,10 +127,7 @@ class ControlPath:
         u: ControlConst = ZERO_CONTROL,
         mask: tuple[bool, bool, bool, bool] = (True, True, True, True),
     ) -> "ControlPath":
-        return cls(grid, (u,) * grid.n_nodes, mask)
-
-    def with_values(self, values: Sequence[ControlConst]) -> "ControlPath":
-        return ControlPath(self.grid, tuple(values), self.mask)
+        return cls(grid, np.tile(u, (grid.n_nodes, 1)), mask)
 
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
@@ -133,8 +135,11 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
         raise ConfigError(f"{what} must share the integration grid, got {a} vs {b}")
 
 
-def _mid_control(ua: ControlConst, ub: ControlConst) -> ControlConst:
-    return ControlConst(*(0.5 * (x + y) for x, y in zip(ua, ub)))
+def _controls(u_path: ControlPath) -> tuple[list[ControlConst], list[ControlConst]]:
+    """Controls of Python floats at the nodes and at the step midpoints (node averages)."""
+    u = u_path.values
+    nodes, mids = u.tolist(), (0.5 * (u[:-1] + u[1:])).tolist()
+    return list(map(ControlConst._make, nodes)), list(map(ControlConst._make, mids))
 
 
 def _clamp_state(y: StateVec, t: float) -> tuple[StateVec, int]:
@@ -167,23 +172,20 @@ def _finite_trajectory(grid: TimeGrid, states: list[StateVec], clamped: int) -> 
     return Trajectory(grid, tuple(states), clamped)
 
 
-def rk4_step(
-    y: StateVec, t: float, h: float, ua: ControlConst, ub: ControlConst, p: ParamSet
-) -> StateVec:
-    """One classical RK4 step from t to t + h; the half-step control averages ua and ub.
+def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, *args) -> tuple:
+    """One classical RK4 step of y' = f(t, y, z, *args) from t to t + h; h < 0 steps back.
 
-    Fields of ``y`` and ``p`` may be floats or (N,) arrays: one call steps N rows.
+    z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y`` is a
+    NamedTuple of floats or of (N,) arrays, one call stepping N rows; the result has its type.
     """
     half = 0.5 * h
-    um = _mid_control(ua, ub)
-    k1 = rhs(t, y, ua, p)
-    k2 = rhs(t + half, StateVec(*(a + half * b for a, b in zip(y, k1))), um, p)
-    k3 = rhs(t + half, StateVec(*(a + half * b for a, b in zip(y, k2))), um, p)
-    k4 = rhs(t + h, StateVec(*(a + h * b for a, b in zip(y, k3))), ub, p)
+    k1 = f(t, y, za, *args)
+    k2 = f(t + half, y._make(a + half * b for a, b in zip(y, k1)), zm, *args)
+    k3 = f(t + half, y._make(a + half * b for a, b in zip(y, k2)), zm, *args)
+    k4 = f(t + h, y._make(a + h * b for a, b in zip(y, k3)), zb, *args)
     sixth = h / 6.0
-    return StateVec(
-        *(a + sixth * (b + 2.0 * c + 2.0 * d + e)
-          for a, b, c, d, e in zip(y, k1, k2, k3, k4))
+    return y._make(
+        a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)
     )
 
 
@@ -193,14 +195,14 @@ def rk4_forward(
     """Classical RK4 over the grid; half-step controls average adjacent nodes."""
     _require_same_grid(u_path.grid, grid, "control path")
     y0.validate()
-    times = grid.times()
-    u = u_path.values
+    h, times = grid.h, grid.times()
+    u, um = _controls(u_path)
 
     states = [y0]
     y = y0
     clamped_total = 0
     for i in range(grid.n_steps):
-        y = rk4_step(y, times[i], grid.h, u[i], u[i + 1], p)
+        y = rk4_step(rhs, y, times[i], h, u[i], um[i], u[i + 1], p)
         y, n_clamped = _clamp_state(y, times[i + 1])
         clamped_total += n_clamped
         states.append(y)
@@ -210,43 +212,31 @@ def rk4_forward(
 AdjointRhs = Callable[[float, tuple, StateVec, ControlConst], tuple]
 
 
+def _adjoint_stage(t: float, lam: tuple, yu: tuple, adjoint_rhs: AdjointRhs) -> tuple:
+    return adjoint_rhs(t, lam, *yu)
+
+
 def rk4_backward(
-    adjoint_rhs: AdjointRhs,
-    state_traj: Trajectory,
-    u_path: ControlPath,
-    terminal: tuple,
+    adjoint_rhs: AdjointRhs, state_traj: Trajectory, u_path: ControlPath, terminal: tuple
 ) -> tuple[tuple, ...]:
     """Integrate an adjoint system from tf down to t0 with classical RK4.
 
     ``adjoint_rhs(t, lam, y, u)`` returns d(lam)/dt. State and control values
     at half-steps are linear interpolants (averages) of the adjacent nodes.
-    Returns one adjoint tuple per grid node, last node equal to ``terminal``.
+    ``terminal`` is a NamedTuple; returns one of its type per node, the last equal to it.
     """
     grid = state_traj.grid
     _require_same_grid(u_path.grid, grid, "control path")
-    h = grid.h
-    half = 0.5 * h
-    sixth = h / 6.0
-    times = grid.times()
+    h, times = grid.h, grid.times()
     ys = state_traj.states
-    us = u_path.values
+    us, um = _controls(u_path)
 
-    out: list[tuple] = [tuple(terminal)]
-    lam = tuple(terminal)
+    out = [terminal]
+    lam = terminal
     for i in range(grid.n_steps, 0, -1):
-        t = times[i]
-        ya, yb = ys[i], ys[i - 1]
-        ua, ub = us[i], us[i - 1]
-        ym = StateVec(*(0.5 * (a + b) for a, b in zip(ya, yb)))
-        um = _mid_control(ua, ub)
-        k1 = adjoint_rhs(t, lam, ya, ua)
-        k2 = adjoint_rhs(t - half, tuple(a - half * b for a, b in zip(lam, k1)), ym, um)
-        k3 = adjoint_rhs(t - half, tuple(a - half * b for a, b in zip(lam, k2)), ym, um)
-        k4 = adjoint_rhs(t - h, tuple(a - h * b for a, b in zip(lam, k3)), yb, ub)
-        lam = tuple(
-            a - sixth * (b + 2.0 * c + 2.0 * d + e)
-            for a, b, c, d, e in zip(lam, k1, k2, k3, k4)
-        )
+        ym = StateVec._make(0.5 * (a + b) for a, b in zip(ys[i], ys[i - 1]))
+        za, zm, zb = (ys[i], us[i]), (ym, um[i - 1]), (ys[i - 1], us[i - 1])
+        lam = rk4_step(_adjoint_stage, lam, times[i], -h, za, zm, zb, adjoint_rhs)
         out.append(lam)
     out.reverse()
     return tuple(out)
@@ -271,13 +261,17 @@ def euler_forward(
     return _finite_trajectory(grid, states, clamped_total)
 
 
-def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Serialize a trajectory to CSV in full double precision."""
+def write_node_csv(path: str | Path, header: Sequence[str], grid: TimeGrid, rows: Iterable) -> None:
+    """One CSV row per grid node, its time first, in full double precision."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
-        for t, y in zip(traj.grid.times(), traj.states):
-            writer.writerow([repr(t)] + [repr(v) for v in y])
+        writer.writerow(header)
+        for t, row in zip(grid.times(), rows):
+            writer.writerow([repr(t)] + [repr(v) for v in row])
+
+
+def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    write_node_csv(path, TRAJECTORY_HEADER, traj.grid, traj.states)
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[list[float], list[StateVec]]:

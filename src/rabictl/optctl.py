@@ -4,7 +4,8 @@ The four controls are characterized pointwise from the state/adjoint pair
 and improved by a relaxed forward-backward sweep: integrate the states
 forward, the adjoints backward from a zero terminal condition, evaluate the
 characterizations, then blend them into the previous controls with a convex
-combination until the update stalls below tolerance.
+combination until the update stalls below tolerance. The controls are an
+(n_nodes, 4) array; characterization, update and objective run on all nodes.
 
 State equations enter the Hamiltonian in the susceptible-inclusive
 convention (each infection pressure multiplies its susceptible pool), which
@@ -13,14 +14,17 @@ is the convention the state system and the control characterizations share.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, SweepDivergenceError
-from .integrate import ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward
+from .integrate import (
+    ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward, write_node_csv,
+)
 from .model import ZERO_CONTROL, ControlConst, StateVec, force_terms, rhs
 from .params import ParamSet
 
@@ -113,7 +117,17 @@ class SweepResult:
     converged: bool
 
 
+def _fields(rows: Sequence[tuple] | np.ndarray, vec: type[NamedTuple]):
+    """Per-node rows as one ``vec`` whose fields are (n_nodes,) arrays."""
+    return vec._make(np.array(rows).T)
+
+
 def running_cost(y: StateVec, u: ControlConst, w: Weights) -> float:
+    """The integrand of J; fields may be floats or (N,) arrays.
+
+    Squares are products, exact for floats and arrays alike (``x**2`` on a
+    float calls libm ``pow``, which can be one ulp off).
+    """
     return (
         w.K1 * y.M
         + w.K2 * y.E_H
@@ -121,7 +135,8 @@ def running_cost(y: StateVec, u: ControlConst, w: Weights) -> float:
         + w.K4 * y.E_D
         + w.K5 * y.I_D
         - w.K6 * y.S_D
-        + 0.5 * (w.A1 * u.u1**2 + w.A2 * u.u2**2 + w.A3 * u.u3**2 + w.A4 * u.u4**2)
+        + 0.5 * (w.A1 * (u.u1 * u.u1) + w.A2 * (u.u2 * u.u2)
+                 + w.A3 * (u.u3 * u.u3) + w.A4 * (u.u4 * u.u4))
     )
 
 
@@ -129,10 +144,11 @@ def objective(states: Trajectory, u_path: ControlPath, w: Weights) -> float:
     """Trapezoidal quadrature of the running cost over the horizon."""
     if states.grid != u_path.grid:
         raise ConfigError("states and controls must share a grid")
-    values = [
-        running_cost(y, u, w) for y, u in zip(states.states, u_path.values)
-    ]
+    values = running_cost(
+        _fields(states.states, StateVec), _fields(u_path.values, ControlConst), w
+    ).tolist()
     h = states.grid.h
+    # sum() adds left to right; np.sum's pairwise order would move the last bits of J.
     return h * (0.5 * (values[0] + values[-1]) + sum(values[1:-1]))
 
 
@@ -197,29 +213,26 @@ def adjoint_rhs(
     return AdjointVec(d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12)
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
 def characterize_controls(
     y: StateVec, lam: AdjointVec, w: Weights, p: ParamSet, mask: Mask = ALL_ON
 ) -> ControlConst:
-    """Pointwise optimal controls from the maximality condition, clamped to [0,1]."""
+    """Pointwise optimal controls from the maximality condition, clamped to [0,1].
+
+    Fields of ``y`` and ``lam`` may be floats or (N,) arrays: one call
+    characterizes N nodes. A masked-off control is the float 0.0.
+    """
     ft = force_terms(y, ZERO_CONTROL, p)
     human_term = ft.f1 * y.S_H
     domestic_term = ft.f3 * y.S_D
     dl_h = lam.lam2 - lam.lam1
     dl_d = lam.lam9 - lam.lam8
-
-    u1 = _clamp01((dl_h * human_term + dl_d * domestic_term) / w.A1) if mask[0] else 0.0
-    u2 = _clamp01(dl_d * domestic_term / w.A2) if mask[1] else 0.0
-    u3 = _clamp01(dl_h * human_term / w.A3) if mask[2] else 0.0
-    u4 = (
-        _clamp01((y.E_H * (lam.lam2 - lam.lam4) + y.E_D * (lam.lam9 - lam.lam11)) / w.A4)
-        if mask[3]
-        else 0.0
+    unclamped = (
+        (dl_h * human_term + dl_d * domestic_term) / w.A1,
+        dl_d * domestic_term / w.A2,
+        dl_h * human_term / w.A3,
+        (y.E_H * (lam.lam2 - lam.lam4) + y.E_D * (lam.lam9 - lam.lam11)) / w.A4,
     )
-    return ControlConst(u1, u2, u3, u4)
+    return ControlConst(*(np.clip(u, 0.0, 1.0) if on else 0.0 for u, on in zip(unclamped, mask)))
 
 
 def forward_backward_sweep(
@@ -251,10 +264,9 @@ def forward_backward_sweep(
 
     def solve(u_path: ControlPath) -> tuple[Trajectory, tuple[AdjointVec, ...]]:
         states = rk4_forward(p, u_path, y0, grid)
-        adjoints = rk4_backward(
+        return states, rk4_backward(
             lambda t, lam, y, u: adjoint_rhs(y, lam, u, w, p), states, u_path, ZERO_ADJOINT
         )
-        return states, tuple(AdjointVec(*lam) for lam in adjoints)
 
     u_path = ControlPath.constant(grid, mask=mask)
     J_history: list[float] = []
@@ -272,16 +284,12 @@ def forward_backward_sweep(
                 f"(J = {J:.6g} vs best {J_min:.6g}); try a smaller omega"
             )
 
-        new_values = []
-        delta = 0.0
-        for y, lam, u_old in zip(states.states, adjoints, u_path.values):
-            u_star = characterize_controls(y, lam, w, p, mask)
-            u_new = ControlConst(
-                *((1.0 - omega) * a + omega * b for a, b in zip(u_old, u_star))
-            )
-            delta = max(delta, max(abs(a - b) for a, b in zip(u_new, u_old)))
-            new_values.append(u_new)
-        u_path = u_path.with_values(new_values)
+        y, lam = _fields(states.states, StateVec), _fields(adjoints, AdjointVec)
+        u_star = np.column_stack(np.broadcast_arrays(*characterize_controls(y, lam, w, p, mask)))
+        u_old = u_path.values
+        u_new = (1.0 - omega) * u_old + omega * u_star
+        delta = np.abs(u_new - u_old).max()
+        u_path = ControlPath(grid, u_new, mask)
         if delta < tol:
             converged = True
             break
@@ -299,21 +307,11 @@ def forward_backward_sweep(
 
 
 def write_controls_csv(u_path: ControlPath, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "u1", "u2", "u3", "u4"])
-        for t, u in zip(u_path.grid.times(), u_path.values):
-            writer.writerow([repr(t)] + [repr(v) for v in u])
+    write_node_csv(path, ("t",) + ControlConst._fields, u_path.grid, u_path.values.tolist())
 
 
-def write_adjoints_csv(
-    grid: TimeGrid, adjoints: Sequence[AdjointVec], path: str | Path
-) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"lam{i}" for i in range(1, 13)])
-        for t, lam in zip(grid.times(), adjoints):
-            writer.writerow([repr(t)] + [repr(v) for v in lam])
+def write_adjoints_csv(grid: TimeGrid, adjoints: Sequence[AdjointVec], path: str | Path) -> None:
+    write_node_csv(path, ("t",) + AdjointVec._fields, grid, adjoints)
 
 
 def write_sweep_summary_json(

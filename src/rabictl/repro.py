@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NoEndemicEquilibriumError, NumericError
-from .integrate import ControlPath, TimeGrid, rk4_forward
 from .model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, rhs, seeded_state,
 )
@@ -206,13 +205,12 @@ def endemic_eq(
     u: ControlConst = ZERO_CONTROL,
     damping: float = 0.5,
     max_iter: int = 10_000,
-    seed_years: float = 120.0,
 ) -> StateVec:
     """Endemic (persistent) equilibrium via damped fixed-point iteration.
 
     Iterates on the three per-capita infection pressures, reconstructing the
-    compartments from the balance relations at each pass. Seeded from a long
-    forward integration so the iteration starts in the endemic basin.
+    compartments from the balance relations at each pass. Starts from the
+    pressures of the default seeded state, which lie in the endemic basin.
 
     Raises:
         NoEndemicEquilibriumError: if Re < 1 for (p, u).
@@ -223,9 +221,7 @@ def endemic_eq(
         raise NoEndemicEquilibriumError(
             f"no endemic equilibrium: Re = {breakdown.Re:.6g} < 1"
         )
-    grid = TimeGrid(0.0, seed_years, int(seed_years / 0.02))
-    traj = rk4_forward(p, ControlPath.constant(grid, u), seeded_state(p, *DEFAULT_SEEDING), grid)
-    ft = force_terms(traj.states[-1], u, p)
+    ft = force_terms(seeded_state(p, *DEFAULT_SEEDING), u, p)
     chi = (ft.chi1, ft.chi2, ft.chi3)
 
     converged = False

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
+from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
 from .errors import ConfigError, DegenerateInputError, StudyError
 from .integrate import CLAMP_TOL, KEEP_TOL, TimeGrid, rk4_step
 from .model import ZERO_CONTROL, StateVec
@@ -241,7 +242,7 @@ def _simulate_rows(
     with np.errstate(all="ignore"):  # a failed row keeps integrating and may overflow
         for i in range(grid.n_nodes):
             if i:
-                Y = np.array(rk4_step(StateVec(*Y), times[i - 1], h, u, u, p))
+                Y = np.array(rk4_step(integrate.rhs, StateVec(*Y), times[i - 1], h, u, u, u, p))
                 failed |= (Y < -CLAMP_TOL).any(axis=0)
                 Y[Y < -KEEP_TOL] = 0.0
             sampled[:, np.equal(node_idx, i)] = Y[field_idx].T[:, None]
@@ -266,6 +267,8 @@ def prcc_study(
     ``max_drop_fraction`` of failures aborts the study.
     """
     outputs = tuple(outputs)
+    if not outputs or not sample_times:
+        raise ConfigError("a study needs at least one output and one sample time")
     for o in outputs:
         if o not in StateVec._fields:
             raise ConfigError(f"unknown output {o!r}")

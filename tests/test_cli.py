@@ -244,12 +244,39 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     ("sensitivity.grid={}", "prcc"),
     ("sensitivity.seed_exposed=-5", "prcc"),
     ("sensitivity.M0=NaN", "prcc"),
+    ("sensitivity.outputs=[]", "prcc"),
+    ("sensitivity.sample_times=[]", "prcc"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command):
     code, out = run(tmp_path, "a", "--set", "sensitivity.N=40", "--set", assignment, command)
     assert code == 2
     assert out is None
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "year,cases\n1990,5\n1991,abc\n",
+    "year,cases\n1990,5\n1991\n",
+    "",
+], ids=["non-number", "short-row", "empty-file"])
+def test_bad_data_file_is_config_error(tmp_path, capsys, text):
+    data = tmp_path / "cases.csv"
+    data.write_text(text)
+    code, out = run(tmp_path, "a", "fit", "--data", str(data))
+    assert code == 2
+    assert out is None
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_unconverged_sweep_warns(tmp_path, capsys):
+    code, out = run(tmp_path, "a", "--set", "sweep.max_iter=2", "--set", "grid.n_steps=200",
+                    "optimize")
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["converged"] is False
+    err = capsys.readouterr().err
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "max_iter=2" in warnings[0] and "tol=0.0001" in warnings[0]
 
 
 def test_non_finite_state_is_numeric_error(tmp_path, capsys):
@@ -260,10 +287,11 @@ def test_non_finite_state_is_numeric_error(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
-# sha256 of every artifact of a few small seeded runs. These runs are pure
-# Python, so their bytes do not depend on the platform; prcc and fit go
-# through numpy/BLAS and are left out. A change that keeps the numbers keeps
-# these digests.
+# sha256 of every artifact of a few small seeded runs. These runs use Python
+# floats and numpy elementwise operations only, with no BLAS reductions, so
+# their bytes do not depend on the BLAS build; prcc and fit go through
+# numpy/BLAS and are left out. A change that keeps the numbers keeps these
+# digests.
 GOLDEN_RUNS = {
     "simulate": (
         ("--set", 'controls={"u1":0.2,"u2":0.3,"u3":0.1,"u4":0.4}',

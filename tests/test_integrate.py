@@ -1,5 +1,6 @@
 """Forward and backward RK4 on the shared grid."""
 
+import numpy as np
 import pytest
 
 from rabictl.errors import ConfigError, IntegrationBlowupError
@@ -18,6 +19,7 @@ from rabictl.model import ControlConst, StateVec, seeded_state
 from rabictl.optctl import AdjointVec, Weights, adjoint_rhs
 
 ZEROS12 = (0.0,) * 12
+ZERO_LAM = AdjointVec(*ZEROS12)
 
 
 def test_grid_validation():
@@ -36,9 +38,21 @@ def test_grid_validation():
 def test_control_path_enforces_mask_and_bounds():
     g = TimeGrid(0.0, 1.0, 2)
     path = ControlPath.constant(g, ControlConst(0.5, 0.5, 0.5, 0.5), mask=(True, False, True, False))
-    assert all(u.u2 == 0.0 and u.u4 == 0.0 for u in path.values)
+    assert np.array_equal(path.values[:, [1, 3]], np.zeros((g.n_nodes, 2)))
     with pytest.raises(ConfigError):
         ControlPath.constant(g, ControlConst(1.5, 0, 0, 0))
+
+
+def test_control_path_is_read_only_array_that_keeps_bits():
+    g = TimeGrid(0.0, 1.0, 2)
+    path = ControlPath(g, [(-0.0, 0.25, 0.5, 1.0)] * 3, mask=(True, True, False, True))
+    assert path.values.shape == (g.n_nodes, 4) and not path.values.flags.writeable
+    assert np.signbit(path.values[:, 0]).all()  # the mask selects; it does not multiply
+    assert np.array_equal(path.values[:, 2], np.zeros(g.n_nodes))
+    with pytest.raises(ConfigError, match=r"control u4 must lie in \[0, 1\], got nan"):
+        ControlPath(g, [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, float("nan")), (2.0, 0.0, 0.0, 0.0)])
+    with pytest.raises(ConfigError, match="control path has 2 nodes for 3"):
+        ControlPath(g, [(0.0,) * 4] * 2)
 
 
 def test_dfe_is_stationary(p_est, grid_20y):
@@ -129,7 +143,7 @@ def test_backward_zero_rhs_stays_zero(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
-    adj = rk4_backward(lambda t, lam, y, u: ZEROS12, traj, path, ZEROS12)
+    adj = rk4_backward(lambda t, lam, y, u: ZEROS12, traj, path, ZERO_LAM)
     assert len(adj) == g.n_nodes
     assert all(all(v == 0.0 for v in lam) for lam in adj)
 
@@ -138,7 +152,7 @@ def test_backward_terminal_condition_exact(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
-    terminal = tuple(float(i) for i in range(12))
+    terminal = AdjointVec(*(float(i) for i in range(12)))
     adj = rk4_backward(lambda t, lam, y, u: ZEROS12, traj, path, terminal)
     assert adj[-1] == terminal
 
@@ -148,7 +162,7 @@ def test_backward_grid_mismatch(p_est, default_state):
     other = TimeGrid(0.0, 2.0, 50)
     traj = rk4_forward(p_est, ControlPath.constant(g), default_state, g)
     with pytest.raises(ConfigError, match="grid"):
-        rk4_backward(lambda t, lam, y, u: ZEROS12, traj, ControlPath.constant(other), ZEROS12)
+        rk4_backward(lambda t, lam, y, u: ZEROS12, traj, ControlPath.constant(other), ZERO_LAM)
 
 
 def test_backward_step_halving_convergence(p_est, default_state):
@@ -161,11 +175,61 @@ def test_backward_step_halving_convergence(p_est, default_state):
         path = ControlPath.constant(g, u_const)
         traj = rk4_forward(p_est, path, default_state, g)
         fn = lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p_est)
-        return rk4_backward(fn, traj, path, ZEROS12)[0]
+        return rk4_backward(fn, traj, path, ZERO_LAM)[0]
 
     a, b = lam0(2000), lam0(4000)
     rel = max(abs(x - y) / max(1.0, abs(x)) for x, y in zip(a, b))
     assert rel < 1e-5
+
+
+def _reference_rk4_backward(adjoint_rhs, state_traj, u_path, terminal):
+    """The adjoint RK4 loop as it was written before ``rk4_step`` was shared."""
+    grid = state_traj.grid
+    h = grid.h
+    half = 0.5 * h
+    sixth = h / 6.0
+    times = grid.times()
+    ys = state_traj.states
+    us = [ControlConst(*u) for u in u_path.values.tolist()]
+
+    def mid_control(ua, ub):
+        return ControlConst(*(0.5 * (x + y) for x, y in zip(ua, ub)))
+
+    out = [tuple(terminal)]
+    lam = tuple(terminal)
+    for i in range(grid.n_steps, 0, -1):
+        t = times[i]
+        ya, yb = ys[i], ys[i - 1]
+        ua, ub = us[i], us[i - 1]
+        ym = StateVec(*(0.5 * (a + b) for a, b in zip(ya, yb)))
+        um = mid_control(ua, ub)
+        k1 = adjoint_rhs(t, lam, ya, ua)
+        k2 = adjoint_rhs(t - half, tuple(a - half * b for a, b in zip(lam, k1)), ym, um)
+        k3 = adjoint_rhs(t - half, tuple(a - half * b for a, b in zip(lam, k2)), ym, um)
+        k4 = adjoint_rhs(t - h, tuple(a - h * b for a, b in zip(lam, k3)), yb, ub)
+        lam = tuple(
+            a - sixth * (b + 2.0 * c + 2.0 * d + e)
+            for a, b, c, d, e in zip(lam, k1, k2, k3, k4)
+        )
+        out.append(lam)
+    out.reverse()
+    return tuple(out)
+
+
+def test_backward_is_bit_identical_to_reference_stage_loop(p_est, default_state):
+    """The shared step run with -h reproduces the hand-written backward loop bit for bit."""
+    g = TimeGrid(0.0, 20.0, 400)
+    rng = np.random.default_rng(11)
+    path = ControlPath(g, rng.uniform(0.0, 1.0, (g.n_nodes, 4)))
+    traj = rk4_forward(p_est, path, default_state, g)
+    w = Weights()
+    fn = lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p_est)
+    terminal = AdjointVec(*rng.uniform(-5.0, 5.0, 12).tolist())
+    got = rk4_backward(fn, traj, path, terminal)
+    want = _reference_rk4_backward(fn, traj, path, terminal)
+    assert all(type(lam) is AdjointVec for lam in got)
+    assert np.array_equal(np.array(got), np.array(want))
+    assert np.abs(np.array(got)[0]).max() > 1.0  # the adjoint is far from trivial
 
 
 # --- Euler companion and CSV ------------------------------------------------------

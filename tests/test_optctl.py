@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rabictl.errors import ConfigError
@@ -182,6 +183,24 @@ def test_characterization_respects_mask(p_est, default_state):
     assert u.u1 == 0.0 and u.u3 == 0.0
 
 
+@pytest.mark.parametrize("strategy", ["A", "D"])
+def test_batched_characterization_equals_per_node_calls(p_est, default_state, strategy):
+    """One call on every node of a sweep gives the bits of one scalar call per node."""
+    g = TimeGrid(0.0, 20.0, 200)
+    mask = STRATEGY_MASKS[strategy]
+    res = forward_backward_sweep(p_est, Weights(), default_state, g, mask, max_iter=3)
+    Y = StateVec(*np.array(res.states.states).T)
+    lam = AdjointVec(*np.array(res.adjoints).T)
+    u_star = characterize_controls(Y, lam, Weights(), p_est, mask)
+    batch = np.column_stack(np.broadcast_arrays(*u_star))
+    per_node = np.array([
+        characterize_controls(y, l, Weights(), p_est, mask)
+        for y, l in zip(res.states.states, res.adjoints)
+    ])
+    assert np.array_equal(batch, per_node)
+    assert ((batch > 0.0) & (batch < 1.0)).any()  # interior values, not only the bounds
+
+
 # --- sweep -------------------------------------------------------------------------
 
 
@@ -189,7 +208,7 @@ def test_sweep_all_masked_off(p_est, default_state):
     g = TimeGrid(0.0, 5.0, 250)
     res = forward_backward_sweep(p_est, Weights(), default_state, g, mask=(False,) * 4)
     assert res.converged and res.iterations == 1
-    assert all(u == ControlConst(0.0, 0.0, 0.0, 0.0) for u in res.controls.values)
+    assert np.array_equal(res.controls.values, np.zeros((g.n_nodes, 4)))
 
 
 def test_sweep_prohibitive_cost_gives_tiny_controls(p_est):
@@ -238,6 +257,19 @@ def test_sweep_characterization_consistency(sweep_a_coarse, p_est):
         u_star = characterize_controls(y, lam, w, p_est, sweep_a_coarse.controls.mask)
         worst = max(worst, max(abs(a - b) for a, b in zip(u, u_star)))
     assert worst < 10 * 1e-4
+
+
+def test_objective_equals_per_node_trapezoid(sweep_a_coarse):
+    """The array objective gives the bits of a per-node running-cost loop."""
+    w = Weights()
+    values = [
+        running_cost(y, ControlConst(*u), w)
+        for y, u in zip(sweep_a_coarse.states.states, sweep_a_coarse.controls.values.tolist())
+    ]
+    h = sweep_a_coarse.states.grid.h
+    expected = h * (0.5 * (values[0] + values[-1]) + sum(values[1:-1]))
+    assert objective(sweep_a_coarse.states, sweep_a_coarse.controls, w) == expected
+    assert expected == sweep_a_coarse.J_history[-1]
 
 
 def test_sweep_objective_history_decreases_overall(sweep_a_coarse):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rabictl.errors import ConfigError, NoEndemicEquilibriumError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
 from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, rhs, seeded_state
-from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
+from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED
 from rabictl.repro import (
     dfe_stability,
     effective_r,
@@ -149,13 +149,19 @@ def test_endemic_residual_and_positivity(p_est):
     assert min(y) > 0.0
 
 
-def test_endemic_attracts_forward_runs(p_est):
+@pytest.mark.parametrize("preset, u", [
+    ("estimated", ZERO_CONTROL),
+    ("baseline", ZERO_CONTROL),
+    ("estimated", ControlConst(0.1, 0.2, 0.1, 0.3)),
+], ids=["estimated", "baseline", "estimated-controlled"])
+def test_endemic_attracts_forward_runs(preset, u):
     """A 200-year run from a seeded infection lands on the fixed point."""
     from rabictl.model import DEFAULT_SEEDING
 
-    y_star = endemic_eq(p_est)
+    p = PRESETS[preset]
+    y_star = endemic_eq(p, u)
     g = TimeGrid(0.0, 200.0, 10000)
-    traj = rk4_forward(p_est, ControlPath.constant(g), seeded_state(p_est, *DEFAULT_SEEDING), g)
+    traj = rk4_forward(p, ControlPath.constant(g, u), seeded_state(p, *DEFAULT_SEEDING), g)
     rel = max(abs(a - b) / b for a, b in zip(traj.states[-1], y_star))
     assert rel < 1e-3  # within 0.1% per component
 
