@@ -47,6 +47,9 @@ class IncidenceSeries:
     def __post_init__(self) -> None:
         if len(self.years) != len(self.cases):
             raise ConfigError("years and cases must have equal length")
+        for value in (*self.years, *self.cases):
+            if not math.isfinite(value):
+                raise ConfigError(f"years and case counts must be finite, got {value!r}")
         if any(b <= a for a, b in zip(self.years, self.years[1:])):
             raise ConfigError("years must be strictly increasing")
         if any(c < 0 for c in self.cases):
@@ -70,6 +73,11 @@ class IncidenceSeries:
         return cls(tuple(years), tuple(cases))
 
 
+def _check_euler_step(dt: float) -> None:
+    if not 0.0 < dt <= 0.05:
+        raise ConfigError(f"Euler step dt must lie in (0, 0.05] year, got {dt}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Free parameters, their bounds/start values and the stopping rule."""
@@ -82,6 +90,11 @@ class FitConfig:
     dt: float = 0.01
 
     def __post_init__(self) -> None:
+        _check_euler_step(self.dt)
+        if self.max_evals < 1:
+            raise ConfigError(f"max_evals must be at least 1, got {self.max_evals}")
+        if not self.tol >= 0.0:
+            raise ConfigError(f"tol must be non-negative, got {self.tol}")
         for name in self.free:
             if name not in PARAM_NAMES:
                 raise ConfigError(f"unknown free parameter {name!r}")
@@ -114,8 +127,7 @@ def predict_incidence(
     The whole control-free system is discretized at step ``dt`` starting at
     the first observation year.
     """
-    if dt > 0.05:
-        raise ConfigError(f"Euler step dt must be <= 0.05 year, got {dt}")
+    _check_euler_step(dt)
     span = float(years[-1] - years[0])
     if span <= 0:
         raise ConfigError("need at least two distinct observation years")

@@ -6,6 +6,9 @@ nested blocks); every run writes the fully resolved configuration next to
 its artifacts so outputs are reproducible byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 IO error.
+
+``calibrate`` (scipy.optimize) and ``sensitivity`` are imported inside the
+``fit`` and ``prcc`` handlers, so the other subcommands start without scipy.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from datetime import datetime
 from pathlib import Path
 from typing import Any
 
-from . import calibrate, optctl, repro, sensitivity
+from . import optctl, repro
 from .errors import ConfigError, NumericError
 from .integrate import ControlPath, TimeGrid, rk4_forward, write_trajectory_csv
 from .model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from .params import PRESETS, ParamSet
-from .sensitivity import uniform_ranges
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,7 +130,7 @@ def _config_values():
     """Turn a bad or missing config value read in the block into a ConfigError; wrap no solver."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"missing or malformed config value ({exc!r})") from exc
 
 
@@ -269,6 +271,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_prcc(args: argparse.Namespace) -> int:
+    from . import sensitivity
+
     config = resolve_config(args.config, args.set)
     with _config_values():
         block = config["sensitivity"]
@@ -289,7 +293,7 @@ def cmd_prcc(args: argparse.Namespace) -> int:
         if block.get("distribution", "uniform") == "normal":
             ranges = sensitivity.normal_ranges()
         else:
-            ranges = uniform_ranges(p, rel=float(block.get("rel_range", 0.25)))
+            ranges = sensitivity.uniform_ranges(p, rel=float(block.get("rel_range", 0.25)))
         grid = _build_grid(block["grid"])
         sample_times = [float(t) for t in block["sample_times"]]
         outputs = tuple(block["outputs"])
@@ -307,6 +311,8 @@ def cmd_prcc(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from . import calibrate
+
     config = resolve_config(args.config, args.set)
     with _config_values():
         p = _build_params(config)

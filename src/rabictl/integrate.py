@@ -40,6 +40,10 @@ __all__ = [
 KEEP_TOL = 1e-9
 CLAMP_TOL = 1e-6
 
+# Largest grid accepted: a trajectory holds every node as Python floats, so a
+# million steps already costs about half a gigabyte.
+MAX_STEPS = 1_000_000
+
 TRAJECTORY_HEADER = ("t",) + StateVec._fields
 
 
@@ -54,8 +58,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not self.tf > self.t0:
             raise ConfigError(f"grid needs tf > t0, got [{self.t0}, {self.tf}]")
-        if self.n_steps < 1:
-            raise ConfigError(f"grid needs n_steps >= 1, got {self.n_steps}")
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ConfigError(f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {self.n_steps}")
 
     @property
     def h(self) -> float:

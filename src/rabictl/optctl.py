@@ -15,6 +15,7 @@ is the convention the state system and the control characterizations share.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -98,11 +99,13 @@ class Weights:
 
     def __post_init__(self) -> None:
         for name in ("K1", "K2", "K3", "K4", "K5", "K6"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"state weight {name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"state weight {name} must be finite and non-negative, "
+                                  f"got {getattr(self, name)!r}")
         for name in ("A1", "A2", "A3", "A4"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"control cost weight {name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"control cost weight {name} must be finite and positive, "
+                                  f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -261,6 +264,8 @@ def forward_backward_sweep(
         raise ConfigError(f"relaxation omega must lie in (0, 1], got {omega}")
     if not tol > 0.0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
 
     def solve(u_path: ControlPath) -> tuple[Trajectory, tuple[AdjointVec, ...]]:
         states = rk4_forward(p, u_path, y0, grid)

@@ -6,6 +6,10 @@ independently per column. All sampled rows are integrated at once, as one
 array batch. PRCC rank-transforms everything and correlates the residuals
 of two rank regressions, so it measures monotone influence of one
 parameter while controlling for the rest.
+
+The ranks are computed with numpy. scipy is loaded only to sample a
+``normal`` range (``scipy.stats.truncnorm``): of the CLI subcommands, only
+``fit`` and a ``prcc`` with ``distribution=normal`` load scipy at all.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
 from .errors import ConfigError, DegenerateInputError, StudyError
@@ -70,6 +73,8 @@ class ParamRange:
     def ppf(self, q: np.ndarray) -> np.ndarray:
         if self.kind == "uniform":
             return self.a + (self.b - self.a) * q
+        from scipy import stats  # the only scipy use here; uniform studies skip it
+
         # zero-truncated normal
         lo = (0.0 - self.a) / self.b
         return stats.truncnorm.ppf(q, lo, np.inf, loc=self.a, scale=self.b)
@@ -148,7 +153,20 @@ def lhs_sample(ranges: Sequence[ParamRange], N: int, seed: int) -> np.ndarray:
 
 
 def _ranks(x: np.ndarray) -> np.ndarray:
-    return stats.rankdata(x, method="average")
+    """1-based ranks with ties sharing their mean rank, as ``scipy.stats.rankdata``.
+
+    Any NaN makes every rank NaN, as under rankdata's default ``propagate``.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])  # first sorted index of each tie
+    counts = np.diff(np.r_[starts, len(y)])
+    ranks = np.empty(len(y))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
 
 
 def prcc(X: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -26,6 +26,10 @@ def test_series_validation():
         IncidenceSeries((1990, 1991), (1.0,))
     with pytest.raises(ConfigError):
         IncidenceSeries((1990, 1991), (1.0, -2.0))
+    with pytest.raises(ConfigError, match="nan"):
+        IncidenceSeries((1990, 1991), (1.0, float("nan")))
+    with pytest.raises(ConfigError, match="inf"):
+        IncidenceSeries((1990.0, float("inf")), (1.0, 2.0))
 
 
 def test_bundled_series_loads():
@@ -186,6 +190,11 @@ def test_fit_config_validation():
         FitConfig(free=("theta1",), bounds={}, x0={"theta1": 1.0})
     with pytest.raises(ConfigError, match="inside bounds"):
         FitConfig(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 2.0})
+    ok = dict(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 0.5})
+    for bad, match in [({"dt": 0.0}, "dt"), ({"dt": float("nan")}, "dt"), ({"dt": 0.1}, "dt"),
+                       ({"max_evals": 0}, "max_evals"), ({"tol": float("nan")}, "tol")]:
+        with pytest.raises(ConfigError, match=match):
+            FitConfig(**ok, **bad)
 
 
 # --- fit ---------------------------------------------------------------------------

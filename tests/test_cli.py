@@ -3,9 +3,17 @@
 import csv
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rabictl
 from rabictl.cli import main
 
 
@@ -239,6 +247,7 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
 @pytest.mark.parametrize("assignment, command", [
     ("grid.n_steps=abc", "simulate"),
     ("grid={}", "simulate"),
+    ("grid.n_steps=1e300", "simulate"),
     ("sweep.omega=abc", "optimize"),
     ("sensitivity.N=abc", "prcc"),
     ("sensitivity.grid={}", "prcc"),
@@ -246,6 +255,9 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     ("sensitivity.M0=NaN", "prcc"),
     ("sensitivity.outputs=[]", "prcc"),
     ("sensitivity.sample_times=[]", "prcc"),
+    ("fit.dt=0", "fit"),
+    ("fit.dt=NaN", "fit"),
+    ("fit.max_evals=-1", "fit"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command):
     code, out = run(tmp_path, "a", "--set", "sensitivity.N=40", "--set", assignment, command)
@@ -258,7 +270,8 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     "year,cases\n1990,5\n1991,abc\n",
     "year,cases\n1990,5\n1991\n",
     "",
-], ids=["non-number", "short-row", "empty-file"])
+    "year,cases\n1990,5\n1991,nan\n",
+], ids=["non-number", "short-row", "empty-file", "nan-count"])
 def test_bad_data_file_is_config_error(tmp_path, capsys, text):
     data = tmp_path / "cases.csv"
     data.write_text(text)
@@ -266,6 +279,82 @@ def test_bad_data_file_is_config_error(tmp_path, capsys, text):
     assert code == 2
     assert out is None
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment, name", [
+    ("weights.K1=nan", "K1"), ("weights.K6=Infinity", "K6"), ("weights.A3=Infinity", "A3"),
+])
+def test_non_finite_weight_is_config_error(tmp_path, capsys, assignment, name):
+    code, out = run(tmp_path, "a", "--set", assignment, "--set", "grid.n_steps=100", "optimize")
+    assert code == 2
+    assert out is None
+    err = capsys.readouterr().err
+    assert "configuration error" in err and name in err
+
+
+FUZZ_KEYS = (
+    *(f"weights.{k}" for k in ("K1", "K2", "K3", "K4", "K5", "K6", "A1", "A2", "A3", "A4")),
+    "sweep.omega", "sweep.tol", "sweep.max_iter",
+    *(f"controls.u{i}" for i in range(1, 5)),
+    "grid.n_steps",
+)
+FUZZ_VALUES = (math.nan, math.inf, -1, 0, 1e300, "abc", [], {})
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+@example(key="grid.n_steps", value=math.inf)  # int(inf) raised OverflowError past main
+@example(key="grid.n_steps", value=1e300)  # a 1e300-step grid was built node by node
+@example(key="sweep.max_iter", value=-1)  # ran no sweep iteration and exited 0
+def test_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
+    outdir = tmp_path_factory.mktemp("fuzz")
+    code = main(["--outdir", str(outdir), "--set", "grid.n_steps=20",
+                 "--set", f"{key}={json.dumps(value)}", "optimize"])
+    assert code in (0, 2, 3)
+
+
+# Run CLI steps in a fresh interpreter and report which scipy modules got loaded.
+IMPORT_PROBE = """
+import json, sys
+from rabictl.cli import main
+codes = [main(["--outdir", sys.argv[1], *step]) for step in json.loads(sys.argv[2])]
+loaded = [m for m in ("scipy", "scipy.optimize", "scipy.stats") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def scipy_loaded_after(tmp_path, *steps):
+    """Exit codes of ``steps`` and the scipy modules loaded once they ran."""
+    path = [str(Path(rabictl.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path), json.dumps(steps)],
+                          capture_output=True, text=True, env=env, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    return report["codes"], report["loaded"]
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    assert scipy_loaded_after(tmp_path) == ([], [])
+
+
+def test_scipy_free_subcommands_leave_scipy_unloaded(tmp_path):
+    codes, loaded = scipy_loaded_after(
+        tmp_path,
+        ["--set", "grid.n_steps=50", "simulate"],
+        ["reff"],
+        ["--set", 'reff.axis1={"name":"u2","lo":0,"hi":1,"n":4}',
+         "--set", 'reff.axis2={"name":"u4","lo":0,"hi":1,"n":3}', "reff"],
+        ["--set", "grid.n_steps=20", "optimize"],
+        ["--set", "sensitivity.N=40", "prcc"],
+    )
+    assert codes == [0] * 5
+    assert loaded == []
+
+
+def test_fit_loads_scipy_optimize_only(tmp_path):
+    codes, loaded = scipy_loaded_after(tmp_path, ["--set", "fit.max_evals=10", "fit"])
+    assert codes == [0]
+    assert "scipy.optimize" in loaded and "scipy.stats" not in loaded
 
 
 def test_unconverged_sweep_warns(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from rabictl.errors import ConfigError, IntegrationBlowupError
 from rabictl.integrate import (
+    MAX_STEPS,
     ControlPath,
     TimeGrid,
     Trajectory,
@@ -27,6 +28,9 @@ def test_grid_validation():
         TimeGrid(1.0, 1.0, 10)
     with pytest.raises(ConfigError):
         TimeGrid(0.0, 1.0, 0)
+    assert TimeGrid(0.0, 1.0, MAX_STEPS).n_nodes == MAX_STEPS + 1
+    with pytest.raises(ConfigError, match="n_steps"):
+        TimeGrid(0.0, 1.0, MAX_STEPS + 1)
     g = TimeGrid(0.0, 2.0, 4)
     assert g.h == 0.5
     assert g.times() == [0.0, 0.5, 1.0, 1.5, 2.0]

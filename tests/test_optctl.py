@@ -38,6 +38,11 @@ def test_weights_validation():
         Weights(K3=-1.0)
     with pytest.raises(ConfigError):
         Weights(A2=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="K1"):
+            Weights(K1=bad)
+        with pytest.raises(ConfigError, match="A4"):
+            Weights(A4=bad)
 
 
 def test_strategy_masks():
@@ -226,6 +231,8 @@ def test_sweep_parameter_validation(p_est, default_state):
         forward_backward_sweep(p_est, Weights(), default_state, g, omega=0.0)
     with pytest.raises(ConfigError):
         forward_backward_sweep(p_est, Weights(), default_state, g, tol=-1.0)
+    with pytest.raises(ConfigError, match="max_iter"):
+        forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=0)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rabictl.errors import ConfigError, DegenerateInputError, StudyError
@@ -10,6 +12,7 @@ from rabictl.model import StateVec, seeded_state
 from rabictl.params import PARAM_NAMES
 from rabictl.sensitivity import (
     ParamRange,
+    _ranks,
     _simulate_rows,
     lhs_sample,
     normal_ranges,
@@ -84,6 +87,14 @@ def test_normal_preset_ranges():
     assert ranges[0].kind == "normal" and ranges[0].a == pytest.approx(1996.691056)
 
 
+def test_normal_ppf_equals_scipy_truncnorm():
+    q = np.linspace(0.0005, 0.9995, 1000)
+    for r in (ParamRange("beta1", "normal", 0.166124, 7.68e-4),
+              ParamRange("nu1", "normal", 0.001, 0.002)):  # sd > mean: the truncation binds
+        expected = stats.truncnorm.ppf(q, (0.0 - r.a) / r.b, np.inf, loc=r.a, scale=r.b)
+        assert np.array_equal(r.ppf(q), expected)
+
+
 def test_lhs_validation():
     with pytest.raises(ConfigError):
         lhs_sample([ParamRange("theta1", "uniform", 0, 1)], 1, 0)
@@ -92,6 +103,26 @@ def test_lhs_validation():
 
 
 # --- prcc -------------------------------------------------------------------------
+
+
+floats = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0])
+# vectors drawn from a pool of at most five values, so most of them hold ties
+tied_vectors = st.lists(floats, min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(floats, min_size=1, max_size=40) | tied_vectors)
+def test_ranks_equal_scipy_rankdata(values):
+    x = np.array(values)
+    got, expected = _ranks(x), stats.rankdata(x, method="average")
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def test_ranks_nan_propagates_like_rankdata():
+    x = np.array([2.0, np.nan, 1.0])
+    assert np.array_equal(_ranks(x), stats.rankdata(x, method="average"), equal_nan=True)
 
 
 def test_prcc_null_case():
