@@ -119,6 +119,15 @@ class FitResult:
     at_bound: tuple[str, ...]  # sorted free names whose estimate sits on a bound
 
 
+def _euler_grid(years: Sequence[int], dt: float) -> TimeGrid:
+    _check_euler_step(dt)
+    span = float(years[-1] - years[0])
+    if span <= 0:
+        raise ConfigError("need at least two distinct observation years")
+    n_steps = round(span / dt)
+    return TimeGrid(0.0, n_steps * dt, n_steps)
+
+
 def predict_incidence(
     p: ParamSet, y0: StateVec, years: Sequence[int], dt: float = 0.01
 ) -> np.ndarray:
@@ -127,12 +136,7 @@ def predict_incidence(
     The whole control-free system is discretized at step ``dt`` starting at
     the first observation year.
     """
-    _check_euler_step(dt)
-    span = float(years[-1] - years[0])
-    if span <= 0:
-        raise ConfigError("need at least two distinct observation years")
-    n_steps = round(span / dt)
-    grid = TimeGrid(0.0, n_steps * dt, n_steps)
+    grid = _euler_grid(years, dt)
     traj = euler_forward(p, y0, grid)
     idx = [grid.node_at(float(year - years[0])) for year in years]
     return np.array([traj.states[k].I_H for k in idx])
@@ -215,11 +219,14 @@ def fit(
     def objective(x: np.ndarray) -> float:
         try:
             p = p_base.replace(**dict(zip(cfg.free, (float(v) for v in x))))
-            predicted = predict_incidence(p, y0, data.years, dt=cfg.dt)
-        except (ConfigError, NumericError):
+        except ConfigError:
             return math.inf
-        return mse(data.cases, predicted)
+        try:
+            return mse(data.cases, predict_incidence(p, y0, data.years, dt=cfg.dt))
+        except NumericError:
+            return math.inf
 
+    _euler_grid(data.years, cfg.dt)  # only errors that depend on x may make the objective inf
     best_x, best_f, evals, converged = nelder_mead(objective, cfg)
     estimates = dict(zip(cfg.free, (float(v) for v in best_x)))
     at_bound = tuple(sorted(

@@ -56,8 +56,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not self.tf > self.t0:
-            raise ConfigError(f"grid needs tf > t0, got [{self.t0}, {self.tf}]")
+        if not -math.inf < self.t0 < self.tf < math.inf:
+            raise ConfigError(f"grid needs finite t0 < tf, got [{self.t0}, {self.tf}]")
         if not 1 <= self.n_steps <= MAX_STEPS:
             raise ConfigError(f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {self.n_steps}")
 

@@ -262,8 +262,8 @@ def forward_backward_sweep(
     """
     if not 0.0 < omega <= 1.0:
         raise ConfigError(f"relaxation omega must lie in (0, 1], got {omega}")
-    if not tol > 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tolerance must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
 

@@ -3,9 +3,11 @@
 Sampling is stratified per parameter: the N draws of each column occupy the
 N equal-probability strata exactly once, with the stratum order permuted
 independently per column. All sampled rows are integrated at once, as one
-array batch. PRCC rank-transforms everything and correlates the residuals
-of two rank regressions, so it measures monotone influence of one
-parameter while controlling for the rest.
+array batch. PRCC rank-transforms everything and reads the partial
+correlations off the inverse of the rank-correlation matrix, so it measures
+monotone influence of one parameter while controlling for the rest. The
+inverse over the parameters is shared by every output, so a study ranks its
+sample once and computes all outputs at all sample times in one ``prcc`` call.
 
 The ranks are computed with numpy. scipy is loaded only to sample a
 ``normal`` range (``scipy.stats.truncnorm``): of the CLI subcommands, only
@@ -82,13 +84,11 @@ class ParamRange:
 
 def uniform_ranges(p: ParamSet, rel: float = 0.25, names: Sequence[str] | None = None) -> list[ParamRange]:
     """Uniform ranges at +/- ``rel`` around the values of ``p`` (the default)."""
+    if not 0.0 < rel < 1.0:
+        raise ConfigError(f"relative range must lie in (0, 1), got {rel}")
     names = PARAM_NAMES if names is None else tuple(names)
-    out = []
-    for name in names:
-        base = getattr(p, name)
-        out.append(ParamRange(name, "uniform", (1.0 - rel) * base, (1.0 + rel) * base,
-                              source=f"uniform +/-{rel:g}"))
-    return out
+    return [ParamRange(name, "uniform", (1.0 - rel) * getattr(p, name), (1.0 + rel) * getattr(p, name),
+                       source=f"uniform +/-{rel:g}") for name in names]
 
 
 # Reported per-parameter mean/sd pairs, available as the alternative preset.
@@ -139,10 +139,10 @@ def normal_ranges(names: Sequence[str] | None = None) -> list[ParamRange]:
 
 def lhs_sample(ranges: Sequence[ParamRange], N: int, seed: int) -> np.ndarray:
     """Latin hypercube sample, shape (N, P), deterministic for a given seed."""
-    if N < 2:
-        raise ConfigError(f"LHS needs N >= 2, got {N}")
-    if len(ranges) < 1:
-        raise ConfigError("LHS needs at least one parameter range")
+    if not 2 <= N <= 10**6:
+        raise ConfigError(f"LHS needs 2 <= N <= 10**6, got {N}")
+    if len(ranges) < 1 or seed < 0:
+        raise ConfigError(f"LHS needs a parameter range and a seed >= 0, got {len(ranges)}, {seed}")
     rng = np.random.default_rng(seed)
     out = np.empty((N, len(ranges)))
     for j, r in enumerate(ranges):
@@ -170,53 +170,52 @@ def _ranks(x: np.ndarray) -> np.ndarray:
 
 
 def prcc(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Partial rank correlation of each column of X with Z.
+    """Partial rank correlation of each column of X with each output column of Z.
 
-    For parameter i the ranks of X[:, i] and of Z are each regressed (with
-    intercept) on the ranks of the remaining parameters; the coefficient is
-    the Pearson correlation of the two residual vectors.
+    Every column is ranked once and the ranks are standardised, so that their
+    correlation matrix is ``C = [[Cxx, c], [c', 1]]`` for one output. With
+    ``A = inv(Cxx)``, ``b = A c`` and ``s = 1 - c'b``, the block inverse of C
+    gives ``prcc_i = -Om_iz / sqrt(Om_ii Om_zz) = b_i / sqrt(A_ii s + b_i^2)``
+    (Marino et al. 2008). ``A`` is shared by all outputs, so a whole study is
+    one call. A Z of shape (n,) returns (P,); one of shape (n, m) returns (m, P).
 
     Raises:
-        DegenerateInputError: for constant or collinear columns.
-        ConfigError: if N <= P + 2.
+        DegenerateInputError: for non-finite, constant or collinear columns.
+        ConfigError: if N <= P + 2 or Z does not have N rows.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2:
         raise ConfigError("X must be a 2-d sample matrix")
     n, p = X.shape
-    if Z.shape != (n,):
-        raise ConfigError(f"Z must have shape ({n},), got {Z.shape}")
+    if Z.shape[:1] != (n,) or Z.ndim > 2:
+        raise ConfigError(f"Z must have shape ({n},) or ({n}, m), got {Z.shape}")
     if n <= p + 2:
         raise ConfigError(f"PRCC needs N > P + 2 samples, got N={n}, P={p}")
-    constant = [i for i in range(p) if np.ptp(X[:, i]) == 0.0]
-    if np.ptp(Z) == 0.0:
-        raise DegenerateInputError("output vector is constant")
-    if constant:
-        raise DegenerateInputError(f"constant sample column(s): {constant}")
+    Zm = Z.reshape(n, -1)
+    for kind, M in (("output", Zm), ("sample", X)):
+        if not np.isfinite(M).all():
+            raise DegenerateInputError(f"non-finite {kind} value")
+        constant = np.flatnonzero(np.ptp(M, axis=0) == 0.0).tolist()
+        if constant:
+            raise DegenerateInputError(f"constant {kind} column(s): {constant}")
 
-    R = np.column_stack([_ranks(X[:, i]) for i in range(p)])
-    z = _ranks(Z)
-    ones = np.ones((n, 1))
-    out = np.empty(p)
-    for i in range(p):
-        others = np.hstack([ones, np.delete(R, i, axis=1)])
-        coef_x, _, rank_x, _ = np.linalg.lstsq(others, R[:, i], rcond=None)
-        coef_z, _, rank_z, _ = np.linalg.lstsq(others, z, rcond=None)
-        if min(rank_x, rank_z) < others.shape[1]:
-            raise DegenerateInputError(
-                f"rank-deficient regression while treating column {i}; "
-                "some sample columns are collinear"
-            )
-        res_x = R[:, i] - others @ coef_x
-        res_z = z - others @ coef_z
-        denom = np.sqrt((res_x @ res_x) * (res_z @ res_z))
-        if denom == 0.0:
-            raise DegenerateInputError(
-                f"zero residual variance while treating column {i}"
-            )
-        out[i] = float(res_x @ res_z / denom)
-    return out
+    R = np.column_stack([_ranks(col) for col in np.hstack([X, Zm]).T])
+    if np.linalg.matrix_rank(np.column_stack([np.ones(n), R[:, :p]])) < p + 1:
+        raise DegenerateInputError("rank-deficient sample ranks; some sample columns are collinear")
+    R -= R.mean(axis=0)
+    R /= np.sqrt((R * R).sum(axis=0))
+    C = R.T @ R
+    A = np.linalg.inv(C[:p, :p])
+    B = A @ C[:p, p:]  # (P, m)
+    # s: the variance share of each output left unexplained by the sample ranks. An output
+    # they fix up to rounding keeps eps: +-1 for the parameter that fixes it, ~0 for the rest.
+    s = np.maximum(1.0 - (C[:p, p:] * B).sum(axis=0), np.finfo(float).eps)
+    with np.errstate(all="ignore"):
+        out = (B / np.sqrt(np.diag(A)[:, None] * s + B * B)).T
+    if not np.isfinite(out).all():
+        raise DegenerateInputError("non-finite partial rank correlation")
+    return out if Z.ndim == 2 else out[0]
 
 
 @dataclass(frozen=True)
@@ -303,26 +302,19 @@ def prcc_study(
     dropped = N - len(keep)
     if dropped > max_drop_fraction * N:
         raise StudyError(f"{dropped}/{N} sample rows failed to simulate")
-    X_kept = X[keep]
-    stacked = np.stack([results[i] for i in keep])  # (N_kept, T, n_outputs)
-
-    out = []
-    for oi, output in enumerate(outputs):
-        coeffs = np.empty((len(node_idx), len(ranges)))
-        for ti in range(len(node_idx)):
-            coeffs[ti] = prcc(X_kept, stacked[:, ti, oi])
-        out.append(
-            PrccResult(
-                output=output,
-                times=tuple(grid.times()[k] for k in node_idx),
-                param_names=names,
-                coefficients=coeffs,
-                N=N,
-                seed=seed,
-                dropped_rows=dropped,
-            )
-        )
-    return out
+    stacked = np.stack([results[i] for i in keep]).transpose(0, 2, 1)  # (N_kept, n_outputs, T)
+    times = tuple(grid.times()[k] for k in node_idx)
+    constant = np.argwhere(np.ptp(stacked, axis=0) == 0.0)
+    if len(constant):
+        oi, ti = constant[0]
+        raise DegenerateInputError(
+            f"output {outputs[oi]} is constant at t={times[ti]!r} over the {len(keep)} kept rows")
+    coeffs = prcc(X[keep], stacked.reshape(len(keep), -1)).reshape(len(outputs), len(times), -1)
+    return [
+        PrccResult(output=output, times=times, param_names=names, coefficients=c,
+                   N=N, seed=seed, dropped_rows=dropped)
+        for output, c in zip(outputs, coeffs)
+    ]
 
 
 def write_prcc_csv(result: PrccResult, path: str | Path) -> None:

@@ -200,6 +200,15 @@ def test_fit_config_validation():
 # --- fit ---------------------------------------------------------------------------
 
 
+def test_fit_grid_error_is_config_error(p_est):
+    # a 10^301-step Euler grid is a config error, not an objective that is inf everywhere
+    cfg = FitConfig(free=("theta1",), bounds={"theta1": (1000.0, 4000.0)},
+                    x0={"theta1": 2000.0}, dt=1e-300)
+    data = IncidenceSeries((1990, 1991, 1992), (5.0, 6.0, 7.0))
+    with pytest.raises(ConfigError, match="n_steps"):
+        fit(data, cfg, p_est, seeded_state(p_est, 20.0, 50.0))
+
+
 def test_fit_no_free_params_near_zero_mse(p_est):
     """Data from the RK4 route, prediction via Euler: residual is the scheme gap."""
     y0 = seeded_state(p_est, 20.0, 50.0)

@@ -258,6 +258,8 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     ("fit.dt=0", "fit"),
     ("fit.dt=NaN", "fit"),
     ("fit.max_evals=-1", "fit"),
+    ("fit.dt=1e-300", "fit"),
+    ("sweep.tol=Infinity", "optimize"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command):
     code, out = run(tmp_path, "a", "--set", "sensitivity.N=40", "--set", assignment, command)
@@ -310,6 +312,23 @@ def test_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
     outdir = tmp_path_factory.mktemp("fuzz")
     code = main(["--outdir", str(outdir), "--set", "grid.n_steps=20",
                  "--set", f"{key}={json.dumps(value)}", "optimize"])
+    assert code in (0, 2, 3)
+
+
+PRCC_FUZZ_KEYS = tuple(f"sensitivity.{k}" for k in (
+    "N", "seed", "rel_range", "distribution", "preset", "seed_exposed", "seed_infected", "M0",
+    "outputs", "sample_times", "grid", "grid.t0", "grid.tf", "grid.n_steps"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(PRCC_FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+@example(key="sensitivity.N", value=1e300)  # LHS of 10^300 rows raised ValueError past main
+@example(key="sensitivity.seed", value=-1)  # default_rng(-1) raised ValueError past main
+@example(key="sensitivity.rel_range", value=math.inf)  # infinite bounds sampled NaN with a warning
+def test_prcc_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
+    outdir = tmp_path_factory.mktemp("fuzz")
+    code = main(["--outdir", str(outdir), "--set", "sensitivity.N=40",
+                 "--set", "sensitivity.grid.n_steps=20", "--set", f"{key}={json.dumps(value)}", "prcc"])
     assert code in (0, 2, 3)
 
 

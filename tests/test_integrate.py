@@ -1,5 +1,7 @@
 """Forward and backward RK4 on the shared grid."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ def test_grid_validation():
         TimeGrid(1.0, 1.0, 10)
     with pytest.raises(ConfigError):
         TimeGrid(0.0, 1.0, 0)
+    for t0, tf in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ConfigError, match="finite"):
+            TimeGrid(t0, tf, 10)
     assert TimeGrid(0.0, 1.0, MAX_STEPS).n_nodes == MAX_STEPS + 1
     with pytest.raises(ConfigError, match="n_steps"):
         TimeGrid(0.0, 1.0, MAX_STEPS + 1)

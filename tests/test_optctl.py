@@ -1,5 +1,6 @@
 """Objective, Hamiltonian, adjoint system, characterization and the sweep."""
 
+import math
 import random
 
 import numpy as np
@@ -231,6 +232,8 @@ def test_sweep_parameter_validation(p_est, default_state):
         forward_backward_sweep(p_est, Weights(), default_state, g, omega=0.0)
     with pytest.raises(ConfigError):
         forward_backward_sweep(p_est, Weights(), default_state, g, tol=-1.0)
+    with pytest.raises(ConfigError, match="finite"):
+        forward_backward_sweep(p_est, Weights(), default_state, g, tol=math.inf)
     with pytest.raises(ConfigError, match="max_iter"):
         forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=0)
 

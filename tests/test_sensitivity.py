@@ -1,5 +1,7 @@
 """Latin hypercube sampling and partial rank correlation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,33 @@ def rank_partial_corr_oracle(X, Z):
     Om = np.linalg.inv(np.corrcoef(np.column_stack(cols), rowvar=False))
     zi = X.shape[1]
     return np.array([-Om[i, zi] / np.sqrt(Om[i, i] * Om[zi, zi]) for i in range(zi)])
+
+
+def residual_regression_prcc(X, Z):
+    """Independent route: correlate the residuals of two rank regressions per parameter."""
+    n, p = X.shape
+    R = np.column_stack([stats.rankdata(X[:, i]) for i in range(p)])
+    z = stats.rankdata(Z)
+    ones = np.ones((n, 1))
+    out = np.empty(p)
+    for i in range(p):
+        others = np.hstack([ones, np.delete(R, i, axis=1)])
+        coef_x, _, rank_x, _ = np.linalg.lstsq(others, R[:, i], rcond=None)
+        coef_z, _, rank_z, _ = np.linalg.lstsq(others, z, rcond=None)
+        if min(rank_x, rank_z) < others.shape[1]:
+            raise DegenerateInputError(
+                f"rank-deficient regression while treating column {i}; "
+                "some sample columns are collinear"
+            )
+        res_x = R[:, i] - others @ coef_x
+        res_z = z - others @ coef_z
+        denom = np.sqrt((res_x @ res_x) * (res_z @ res_z))
+        if denom == 0.0:
+            raise DegenerateInputError(
+                f"zero residual variance while treating column {i}"
+            )
+        out[i] = float(res_x @ res_z / denom)
+    return out
 
 
 # --- ranges and sampling ----------------------------------------------------------
@@ -100,6 +129,16 @@ def test_lhs_validation():
         lhs_sample([ParamRange("theta1", "uniform", 0, 1)], 1, 0)
     with pytest.raises(ConfigError):
         lhs_sample([], 10, 0)
+    with pytest.raises(ConfigError, match="N <="):
+        lhs_sample([ParamRange("theta1", "uniform", 0, 1)], 10**6 + 1, 0)
+    with pytest.raises(ConfigError, match="seed"):
+        lhs_sample([ParamRange("theta1", "uniform", 0, 1)], 10, -1)
+
+
+def test_uniform_ranges_reject_relative_width_outside_unit_interval(p_est):
+    for rel in (0.0, 1.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="relative range"):
+            uniform_ranges(p_est, rel)
 
 
 # --- prcc -------------------------------------------------------------------------
@@ -146,6 +185,49 @@ def test_prcc_against_precision_matrix_oracle():
     X = rng.random((50, 3))
     Z = 1.3 * X[:, 0] - 0.7 * X[:, 1] + 0.1 * rng.random(50)
     assert np.max(np.abs(prcc(X, Z) - rank_partial_corr_oracle(X, Z))) < 1e-10
+
+
+def study_sample(p_base, N, seed):
+    """An LHS sample over all 33 parameters and its 4 outputs x 5 times, as (N, 20)."""
+    grid = TimeGrid(0.0, 10.0, 500)
+    X, _, _, rows = simulate_batch(uniform_ranges(p_base, 0.25), N, seed, p_base,
+                                   light_seed_state(p_base), grid, [2.0, 4.0, 6.0, 8.0, 10.0],
+                                   ("I_H", "I_F", "I_D", "M"))
+    keep = [i for i, r in enumerate(rows) if r is not None]
+    return X[keep], np.stack([rows[i] for i in keep]).reshape(len(keep), -1)
+
+
+def test_prcc_equals_residual_regression_oracle(p_base):
+    # the 50x3 cases of test_prcc_against_precision_matrix_oracle and criterion 10
+    for seed, make_z in ((23, lambda X, e: 1.3 * X[:, 0] - 0.7 * X[:, 1] + 0.1 * e),
+                         (50, lambda X, e: 1.7 * X[:, 0] - 0.9 * X[:, 1] ** 3 + 0.2 * e)):
+        rng = np.random.default_rng(seed)
+        X = rng.random((50, 3))
+        Z = make_z(X, rng.random(50))
+        assert np.max(np.abs(prcc(X, Z) - residual_regression_prcc(X, Z))) < 1e-12
+
+    for N, seed in ((100, 5), (1000, 9)):
+        X, Z = study_sample(p_base, N, seed)
+        assert X.shape == (N, 33) and Z.shape == (N, 20)
+        got = prcc(X, Z)  # every output column in one call
+        assert got.shape == (20, 33)
+        expected = np.array([residual_regression_prcc(X, z) for z in Z.T])
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_prcc_2d_rows_equal_1d_calls():
+    rng = np.random.default_rng(28)
+    X = rng.random((80, 4))
+    Z = np.column_stack([X[:, 0] + rng.random(80), X[:, 2] ** 3 - X[:, 1], rng.random(80)])
+    got = prcc(X, Z)
+    assert got.shape == (3, 4)
+    for j in range(3):
+        assert np.max(np.abs(got[j] - prcc(X, Z[:, j]))) < 1e-14
+    assert prcc(X, Z[:, :1]).shape == (1, 4)
+    with pytest.raises(ConfigError, match="shape"):
+        prcc(X, Z[:-1])
+    with pytest.raises(DegenerateInputError, match=r"constant output column\(s\): \[1\]"):
+        prcc(X, np.column_stack([Z[:, 0], np.full(80, 2.0)]))
 
 
 def test_prcc_invariant_under_monotone_transform():
@@ -216,6 +298,18 @@ def test_prcc_study_shapes_and_determinism(p_base):
         assert r1.dropped_rows == 0
 
 
+def test_prcc_study_equals_one_prcc_per_output_and_time(p_base):
+    ranges = uniform_ranges(p_base, 0.25, names=["tau1", "kappa1", "beta2", "nu1", "rho1"])
+    grid, times, outputs = TimeGrid(0.0, 5.0, 100), [2.0, 3.5, 5.0], ("I_H", "I_D", "M")
+    y0 = light_seed_state(p_base)
+    results = prcc_study(ranges, 40, 17, p_base, y0, grid, times, outputs)
+    X, _, _, rows = simulate_batch(ranges, 40, 17, p_base, y0, grid, times, outputs)
+    for oi, res in enumerate(results):
+        for ti in range(len(times)):
+            z = np.array([r[ti, oi] for r in rows])
+            assert np.max(np.abs(res.coefficients[ti] - prcc(X, z))) < 1e-12
+
+
 def test_prcc_study_drops_blowup_rows(p_base):
     # absurd transmission on a coarse grid: every row fails -> study error
     ranges = [ParamRange("kappa1", "uniform", 20.0, 60.0)]
@@ -229,6 +323,15 @@ def test_prcc_study_rejects_unknown_output(p_base):
     with pytest.raises(ConfigError, match="unknown output"):
         prcc_study(uniform_ranges(p_base, 0.25, names=["tau1"]), 10, 1, p_base,
                    light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("X_H",))
+
+
+def test_prcc_study_names_constant_output(p_base):
+    # no seeded infection: I_H stays at 0 on every row, while S_H follows the sampled mu1
+    y0 = light_seed_state(p_base)._replace(E_F=0.0, I_F=0.0, E_D=0.0, I_D=0.0, M=0.0)
+    with pytest.raises(DegenerateInputError, match=r"output I_H is constant at t=2\.0"):
+        prcc_study(uniform_ranges(p_base, 0.25, names=["mu1", "tau1", "beta2"]), 20, 3,
+                   p_base, y0, TimeGrid(0.0, 5.0, 50), sample_times=[2.0, 5.0],
+                   outputs=("S_H", "I_H"))
 
 
 def test_prcc_csv_long_format(tmp_path, p_base):
