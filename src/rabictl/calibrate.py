@@ -255,16 +255,15 @@ def tanzania_series() -> IncidenceSeries:
         return IncidenceSeries.from_csv(path)
 
 
-def write_fit_json(result: FitResult, path: str | Path, config_echo: dict | None = None) -> None:
+def write_fit_json(result: FitResult, path: str | Path, config_echo: dict) -> None:
     payload = {
         "estimates": result.estimates,
         "mse": result.mse,
         "evals": result.evals,
         "converged": result.converged,
         "at_bound": list(result.at_bound),
+        "config": config_echo,
     }
-    if config_echo is not None:
-        payload["config"] = config_echo
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

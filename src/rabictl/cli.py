@@ -43,11 +43,8 @@ def _default_config() -> dict[str, Any]:
         "parameters": {"preset": "estimated"},
         "initial_state": None,  # None: default scenario derived from parameters
         "grid": {"t0": 0.0, "tf": 20.0, "n_steps": 2000},
-        "controls": {"u1": 0.0, "u2": 0.0, "u3": 0.0, "u4": 0.0},
-        "weights": {
-            "K1": 1.0, "K2": 1.0, "K3": 1.0, "K4": 1.0, "K5": 1.0, "K6": 0.01,
-            "A1": 50.0, "A2": 50.0, "A3": 50.0, "A4": 50.0,
-        },
+        "controls": ControlConst()._asdict(),
+        "weights": dataclasses.asdict(optctl.Weights()),
         "sweep": {"omega": 0.5, "tol": 1e-4, "max_iter": 200},
         "reff": {"axis1": None, "axis2": None},
         "sensitivity": {
@@ -201,20 +198,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _axis_from_block(block: dict) -> tuple[str, float, float, int]:
-    with _config_values():
-        return (str(block["name"]), float(block["lo"]), float(block["hi"]), int(block["n"]))
-
-
 def cmd_reff(args: argparse.Namespace) -> int:
     config = resolve_config(args.config, args.set)
     with _config_values():
         p = _build_params(config)
         u = _build_controls(config)
-    block = config.get("reff") or {}
-    outdir = _make_outdir(config, args.outdir, "reff")
-    if block.get("axis1") and block.get("axis2"):
-        grid = repro.re_grid(p, _axis_from_block(block["axis1"]), _axis_from_block(block["axis2"]), u)
+        axes = config["reff"]["axis1"], config["reff"]["axis2"]
+        if all(axes):  # two (name, lo, hi, n) axes: a grid; otherwise a point
+            axes = [(str(a["name"]), float(a["lo"]), float(a["hi"]), int(a["n"])) for a in axes]
+    if all(axes):
+        grid = repro.re_grid(p, *axes, u)
+        outdir = _make_outdir(config, args.outdir, "reff")
         repro.write_re_grid_csv(grid, outdir / "reff_grid.csv", outdir / "reff_grid.meta.json")
         print(f"wrote {outdir / 'reff_grid.csv'} "
               f"({len(grid.axis1_values)}x{len(grid.axis2_values)} points)")
@@ -222,6 +216,7 @@ def cmd_reff(args: argparse.Namespace) -> int:
         breakdown = dataclasses.asdict(repro.effective_r(p, u))
         for name, value in breakdown.items():
             print(f"{name} = {value:.12g}")
+        outdir = _make_outdir(config, args.outdir, "reff")
         (outdir / "reff.json").write_text(json.dumps(breakdown, indent=2, sort_keys=True) + "\n")
     _write_sidecar(outdir, config)
     return EXIT_OK
@@ -246,10 +241,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         y0 = _build_state(config, p)
         grid = _build_grid(config["grid"])
         w = _build_weights(config)
-        sweep_cfg = config.get("sweep") or {}
-        omega = float(sweep_cfg.get("omega", 0.5))
-        tol = float(sweep_cfg.get("tol", 1e-4))
-        max_iter = int(sweep_cfg.get("max_iter", 200))
+        block = config["sweep"]
+        omega, tol, max_iter = float(block["omega"]), float(block["tol"]), int(block["max_iter"])
     mask = _mask_from_args(args)
     result = optctl.forward_backward_sweep(
         p, w, y0, grid, mask, omega=omega, tol=tol, max_iter=max_iter
@@ -258,7 +251,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     write_trajectory_csv(result.states, outdir / "states.csv")
     optctl.write_adjoints_csv(grid, result.adjoints, outdir / "adjoints.csv")
     optctl.write_controls_csv(result.controls, outdir / "controls.csv")
-    optctl.write_sweep_summary_json(result, outdir / "summary.json", config_echo=config)
+    optctl.write_sweep_summary_json(result, outdir / "summary.json", config)
     _write_sidecar(outdir, config)
     if not result.converged:
         print(f"warning: sweep stopped at max_iter={max_iter} before the control update "
@@ -278,22 +271,22 @@ def cmd_prcc(args: argparse.Namespace) -> int:
         block = config["sensitivity"]
         # the study centres its ranges on its own preset; explicit parameter
         # overrides from the parameters block still apply on top
-        p = _build_params(config, preset=block.get("preset", "baseline"))
+        p = _build_params(config, preset=block["preset"])
         if config.get("initial_state") is not None:
             y0 = _build_state(config, p)
         else:
-            y0 = seeded_state(
-                p,
-                exposed=float(block.get("seed_exposed", 5.0)),
-                infected=float(block.get("seed_infected", 10.0)),
-                M0=float(block.get("M0", 0.1)),
-            )
+            y0 = seeded_state(p, exposed=float(block["seed_exposed"]),
+                              infected=float(block["seed_infected"]), M0=float(block["M0"]))
         N = int(block["N"])
         seed = int(block["seed"])
-        if block.get("distribution", "uniform") == "normal":
+        distribution = block["distribution"]
+        if distribution == "normal":
             ranges = sensitivity.normal_ranges()
+        elif distribution == "uniform":
+            ranges = sensitivity.uniform_ranges(p, rel=float(block["rel_range"]))
         else:
-            ranges = sensitivity.uniform_ranges(p, rel=float(block.get("rel_range", 0.25)))
+            raise ConfigError(f"unknown sensitivity distribution {distribution!r}; "
+                              "expected 'uniform' or 'normal'")
         grid = _build_grid(block["grid"])
         sample_times = [float(t) for t in block["sample_times"]]
         outputs = tuple(block["outputs"])
@@ -303,7 +296,7 @@ def cmd_prcc(args: argparse.Namespace) -> int:
         )
     results = sensitivity.prcc_study(ranges, N, seed, p, y0, grid, sample_times, outputs)
     outdir = _make_outdir(config, args.outdir, "prcc")
-    written = sensitivity.write_prcc_study(results, outdir, config_echo=config)
+    written = sensitivity.write_prcc_study(results, outdir, config)
     _write_sidecar(outdir, config)
     names = ", ".join(p.name for p in written)
     print(f"wrote {names} in {outdir} (N={N}, {results[0].dropped_rows} rows dropped)")
@@ -317,31 +310,28 @@ def cmd_fit(args: argparse.Namespace) -> int:
     with _config_values():
         p = _build_params(config)
         block = config["fit"]
-        data_path = args.data or block.get("data")
+        data_path = args.data or block["data"]
+        if not isinstance(data_path, (str, type(None))):
+            raise ConfigError(f"fit.data must be a file path or null, got {data_path!r}")
         free = tuple(block["free"])
-        x0 = dict(block["x0"]) if block.get("x0") else {name: getattr(p, name) for name in free}
-        bounds_block = block.get("bounds")
-        if bounds_block:
-            bounds = {name: (float(lo), float(hi)) for name, (lo, hi) in bounds_block.items()}
+        x0 = dict(block["x0"]) if block["x0"] else {name: getattr(p, name) for name in free}
+        if block["bounds"]:
+            bounds = {name: (float(lo), float(hi)) for name, (lo, hi) in block["bounds"].items()}
         else:
             bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free}
         cfg = calibrate.FitConfig(
             free=free, bounds=bounds, x0=x0,
-            max_evals=int(block.get("max_evals", 2000)),
-            tol=float(block.get("tol", 1e-6)),
-            dt=float(block.get("dt", 0.01)),
+            max_evals=int(block["max_evals"]), tol=float(block["tol"]), dt=float(block["dt"]),
         )
-        y0 = seeded_state(
-            p, exposed=float(block.get("seed_exposed", 20.0)),
-            infected=float(block.get("seed_infected", 50.0)),
-        )
+        y0 = seeded_state(p, exposed=float(block["seed_exposed"]),
+                          infected=float(block["seed_infected"]))
     if data_path is None:
         data = calibrate.tanzania_series()
     else:
         data = calibrate.IncidenceSeries.from_csv(data_path)  # OSError -> exit 4
     result = calibrate.fit(data, cfg, p, y0)
     outdir = _make_outdir(config, args.outdir, "fit")
-    calibrate.write_fit_json(result, outdir / "fit.json", config_echo=config)
+    calibrate.write_fit_json(result, outdir / "fit.json", config)
     calibrate.write_fit_csv(data, result, outdir / "fit.csv")
     _write_sidecar(outdir, config)
     print(f"mse = {result.mse:.6g} after {result.evals} evaluations, at bound: "

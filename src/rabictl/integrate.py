@@ -1,10 +1,11 @@
 """Fixed-step RK4 integration on a shared uniform grid.
 
 ``rk4_step`` is the one place the RK4 formula is written. The forward pass
-steps the state system with the controls as its frozen input; the backward
-pass steps an adjoint system from tf down to t0 with a step of -h, its input
-being the stored state and control. Both share one grid and interpolate by
-node averages only. A control path holds one (n_nodes, 4) array.
+steps the state system with the controls as its frozen input, through the
+march (``_march``) it shares with forward Euler; the backward pass steps an
+adjoint system from tf down to t0 with a step of -h, its input being the
+stored state and control. Both share one grid and interpolate by node
+averages only. A control path holds one (n_nodes, 4) array.
 """
 
 from __future__ import annotations
@@ -157,23 +158,31 @@ def _clamp_state(y: StateVec, t: float) -> tuple[StateVec, int]:
             f"state component {name} = {worst:.3e} at t = {t:.6g}; "
             "reduce the step size (increase n_steps)"
         )
-    clamped = 0
-    out = list(y)
-    for i, v in enumerate(out):
-        if v < -KEEP_TOL:
-            out[i] = 0.0
-            clamped += 1
-    return StateVec(*out), clamped
+    return StateVec._make(0.0 if v < -KEEP_TOL else v for v in y), sum(v < -KEEP_TOL for v in y)
 
 
-def _finite_trajectory(grid: TimeGrid, states: list[StateVec], clamped: int) -> Trajectory:
-    """Wrap integrated states; a NaN or inf persists to the last node, so only it is checked."""
-    if not all(map(math.isfinite, states[-1])):
+def _require_finite(values: tuple, what: str, t: float) -> None:
+    """A NaN or inf persists to the end of a march, so only its last node is checked."""
+    if not all(map(math.isfinite, values)):
         raise IntegrationBlowupError(
-            f"state is not finite at t = {grid.tf:.6g}; "
+            f"{what} is not finite at t = {t:.6g}; "
             "check the parameters or reduce the step size (increase n_steps)"
         )
-    return Trajectory(grid, tuple(states), clamped)
+
+
+def _march(step: Callable, y0: StateVec, grid: TimeGrid) -> Trajectory:
+    """States at every node; ``step(i, t, y)`` advances node i, at time t, before the clamp."""
+    y0.validate()
+    times = grid.times()
+    states = [y0]
+    y = y0
+    clamped_total = 0
+    for i in range(grid.n_steps):
+        y, n_clamped = _clamp_state(step(i, times[i], y), times[i + 1])
+        clamped_total += n_clamped
+        states.append(y)
+    _require_finite(y, "state", grid.tf)
+    return Trajectory(grid, tuple(states), clamped_total)
 
 
 def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, *args) -> tuple:
@@ -198,36 +207,22 @@ def rk4_forward(
 ) -> Trajectory:
     """Classical RK4 over the grid; half-step controls average adjacent nodes."""
     _require_same_grid(u_path.grid, grid, "control path")
-    y0.validate()
-    h, times = grid.h, grid.times()
+    h = grid.h
     u, um = _controls(u_path)
-
-    states = [y0]
-    y = y0
-    clamped_total = 0
-    for i in range(grid.n_steps):
-        y = rk4_step(rhs, y, times[i], h, u[i], um[i], u[i + 1], p)
-        y, n_clamped = _clamp_state(y, times[i + 1])
-        clamped_total += n_clamped
-        states.append(y)
-    return _finite_trajectory(grid, states, clamped_total)
-
-
-AdjointRhs = Callable[[float, tuple, StateVec, ControlConst], tuple]
-
-
-def _adjoint_stage(t: float, lam: tuple, yu: tuple, adjoint_rhs: AdjointRhs) -> tuple:
-    return adjoint_rhs(t, lam, *yu)
+    return _march(lambda i, t, y: rk4_step(rhs, y, t, h, u[i], um[i], u[i + 1], p), y0, grid)
 
 
 def rk4_backward(
-    adjoint_rhs: AdjointRhs, state_traj: Trajectory, u_path: ControlPath, terminal: tuple
+    adjoint_rhs: Callable, state_traj: Trajectory, u_path: ControlPath, terminal: tuple
 ) -> tuple[tuple, ...]:
     """Integrate an adjoint system from tf down to t0 with classical RK4.
 
-    ``adjoint_rhs(t, lam, y, u)`` returns d(lam)/dt. State and control values
-    at half-steps are linear interpolants (averages) of the adjacent nodes.
+    ``adjoint_rhs(t, lam, (y, u))`` returns d(lam)/dt; its third argument is the
+    pair of state and control, whose half-step values average the adjacent nodes.
     ``terminal`` is a NamedTuple; returns one of its type per node, the last equal to it.
+
+    Raises:
+        IntegrationBlowupError: if the adjoint at t0 is not finite.
     """
     grid = state_traj.grid
     _require_same_grid(u_path.grid, grid, "control path")
@@ -240,29 +235,20 @@ def rk4_backward(
     for i in range(grid.n_steps, 0, -1):
         ym = StateVec._make(0.5 * (a + b) for a, b in zip(ys[i], ys[i - 1]))
         za, zm, zb = (ys[i], us[i]), (ym, um[i - 1]), (ys[i - 1], us[i - 1])
-        lam = rk4_step(_adjoint_stage, lam, times[i], -h, za, zm, zb, adjoint_rhs)
+        lam = rk4_step(adjoint_rhs, lam, times[i], -h, za, zm, zb)
         out.append(lam)
+    _require_finite(lam, "adjoint", grid.t0)
     out.reverse()
     return tuple(out)
 
 
-def euler_forward(
-    p: ParamSet, y0: StateVec, grid: TimeGrid, u: ControlConst = ZERO_CONTROL
-) -> Trajectory:
-    """Forward-Euler companion integrator (used by the calibration module)."""
-    y0.validate()
+def euler_forward(p: ParamSet, y0: StateVec, grid: TimeGrid) -> Trajectory:
+    """Uncontrolled forward Euler over the grid: the discretised update the calibration fits."""
     h = grid.h
-    times = grid.times()
-    states = [y0]
-    y = y0
-    clamped_total = 0
-    for i in range(grid.n_steps):
-        k = rhs(times[i], y, u, p)
-        y = StateVec(*(a + h * b for a, b in zip(y, k)))
-        y, n_clamped = _clamp_state(y, times[i + 1])
-        clamped_total += n_clamped
-        states.append(y)
-    return _finite_trajectory(grid, states, clamped_total)
+
+    def step(i: int, t: float, y: StateVec) -> StateVec:
+        return StateVec._make(a + h * b for a, b in zip(y, rhs(t, y, ZERO_CONTROL, p)))
+    return _march(step, y0, grid)
 
 
 def write_node_csv(path: str | Path, header: Sequence[str], grid: TimeGrid, rows: Iterable) -> None:

@@ -44,9 +44,9 @@ class StateVec(NamedTuple):
     R_D: float
     M: float
 
-    def validate(self, tol: float = 0.0) -> "StateVec":
+    def validate(self) -> "StateVec":
         for name, value in zip(self._fields, self):
-            if not -tol <= value < math.inf:
+            if not 0.0 <= value < math.inf:
                 raise ConfigError(f"state component {name} is negative or not finite: {value}")
         return self
 

@@ -253,7 +253,8 @@ def forward_backward_sweep(
     Each iteration integrates the states forward under the current controls,
     the adjoints backward from the zero terminal condition, evaluates the
     pointwise characterizations, and blends: u <- (1-omega) u + omega u*.
-    Stops when the sup-norm control update drops below ``tol``. The returned
+    Stops when the sup-norm control update drops below ``tol``, which must lie
+    in (0, omega): the update is at most omega. The returned
     states/adjoints are recomputed under the final controls so the triple is
     self-consistent.
 
@@ -262,15 +263,15 @@ def forward_backward_sweep(
     """
     if not 0.0 < omega <= 1.0:
         raise ConfigError(f"relaxation omega must lie in (0, 1], got {omega}")
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"tolerance must be finite and positive, got {tol}")
+    if not 0.0 < tol < omega:
+        raise ConfigError(f"tolerance must be finite, positive and below omega={omega}, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
 
     def solve(u_path: ControlPath) -> tuple[Trajectory, tuple[AdjointVec, ...]]:
         states = rk4_forward(p, u_path, y0, grid)
         return states, rk4_backward(
-            lambda t, lam, y, u: adjoint_rhs(y, lam, u, w, p), states, u_path, ZERO_ADJOINT
+            lambda t, lam, yu: adjoint_rhs(yu[0], lam, yu[1], w, p), states, u_path, ZERO_ADJOINT
         )
 
     u_path = ControlPath.constant(grid, mask=mask)
@@ -319,15 +320,12 @@ def write_adjoints_csv(grid: TimeGrid, adjoints: Sequence[AdjointVec], path: str
     write_node_csv(path, ("t",) + AdjointVec._fields, grid, adjoints)
 
 
-def write_sweep_summary_json(
-    result: SweepResult, path: str | Path, config_echo: dict | None = None
-) -> None:
+def write_sweep_summary_json(result: SweepResult, path: str | Path, config_echo: dict) -> None:
     payload = {
         "J_history": list(result.J_history),
         "iterations": result.iterations,
         "converged": result.converged,
         "mask": list(result.controls.mask),
+        "config": config_echo,
     }
-    if config_echo is not None:
-        payload["config"] = config_echo
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

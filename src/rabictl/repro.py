@@ -92,6 +92,8 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
         # (R21-R33)^2 + 4*R31*R23 with non-negative inputs; cannot happen.
         raise NumericError(f"negative discriminant {disc} in closed-form Re")
     Re = 0.5 * (R33 + R21 + math.sqrt(disc))
+    if not math.isfinite(Re):
+        raise NumericError(f"closed-form Re is not finite ({Re}); check the parameters")
     return ReBreakdown(R21=R21, R23=R23, R31=R31, R33=R33, a3=a3, Re=Re)
 
 
@@ -200,17 +202,13 @@ def _state_from_forces(chi: tuple[float, float, float], u: ControlConst, p: Para
     return StateVec(S_H, E_H, I_H, R_H, S_F, E_F, I_F, S_D, E_D, I_D, R_D, M)
 
 
-def endemic_eq(
-    p: ParamSet,
-    u: ControlConst = ZERO_CONTROL,
-    damping: float = 0.5,
-    max_iter: int = 10_000,
-) -> StateVec:
+def endemic_eq(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> StateVec:
     """Endemic (persistent) equilibrium via damped fixed-point iteration.
 
     Iterates on the three per-capita infection pressures, reconstructing the
-    compartments from the balance relations at each pass. Starts from the
-    pressures of the default seeded state, which lie in the endemic basin.
+    compartments from the balance relations at each pass, with damping 1/2
+    and at most 10000 passes. Starts from the pressures of the default
+    seeded state, which lie in the endemic basin.
 
     Raises:
         NoEndemicEquilibriumError: if Re < 1 for (p, u).
@@ -224,21 +222,17 @@ def endemic_eq(
     ft = force_terms(seeded_state(p, *DEFAULT_SEEDING), u, p)
     chi = (ft.chi1, ft.chi2, ft.chi3)
 
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(10_000):
         y = _state_from_forces(chi, u, p)
         ft = force_terms(y, u, p)
-        new = tuple(
-            c + damping * (cn - c) for c, cn in zip(chi, (ft.chi1, ft.chi2, ft.chi3))
-        )
+        new = tuple(c + 0.5 * (cn - c) for c, cn in zip(chi, (ft.chi1, ft.chi2, ft.chi3)))
         delta = max(abs(a - b) for a, b in zip(new, chi))
         scale = max(max(abs(c) for c in new), 1e-300)
         chi = new
         if delta <= 1e-15 * scale:
-            converged = True
             break
-    if not converged:
-        raise NumericError(f"endemic fixed point did not converge in {max_iter} iterations")
+    else:
+        raise NumericError("endemic fixed point did not converge in 10000 iterations")
 
     y = _state_from_forces(chi, u, p)
     if min(y) <= 0.0:
@@ -271,8 +265,8 @@ class ReGrid:
 
 
 def _axis_values(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    if n < 1:
-        raise ConfigError(f"axis needs at least one point, got {n}")
+    if not 1 <= n <= 1000:  # the grid is built point by point: 10^6 points take seconds
+        raise ConfigError(f"axis needs at least one point and at most 1000, got {n}")
     if n == 1:
         return (lo,)
     step = (hi - lo) / (n - 1)
@@ -320,19 +314,18 @@ def re_grid(
     )
 
 
-def write_re_grid_csv(grid: ReGrid, path: str | Path, sidecar: str | Path | None = None) -> None:
-    """Write the grid as long-format CSV plus an optional JSON sidecar."""
+def write_re_grid_csv(grid: ReGrid, path: str | Path, sidecar: str | Path) -> None:
+    """Write the grid as long-format CSV plus a JSON sidecar of its axes and base point."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis1", "axis2", "Re"])
         for i, v1 in enumerate(grid.axis1_values):
             for j, v2 in enumerate(grid.axis2_values):
                 writer.writerow([repr(v1), repr(v2), repr(float(grid.values[i, j]))])
-    if sidecar is not None:
-        meta = {
-            "axis1": {"name": grid.axis1_name, "values": list(grid.axis1_values)},
-            "axis2": {"name": grid.axis2_name, "values": list(grid.axis2_values)},
-            "base_controls": grid.base_u._asdict(),
-            "base_parameters": grid.base_params.as_dict(),
-        }
-        Path(sidecar).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    meta = {
+        "axis1": {"name": grid.axis1_name, "values": list(grid.axis1_values)},
+        "axis2": {"name": grid.axis2_name, "values": list(grid.axis2_values)},
+        "base_controls": grid.base_u._asdict(),
+        "base_parameters": grid.base_params.as_dict(),
+    }
+    Path(sidecar).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

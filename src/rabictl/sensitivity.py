@@ -58,7 +58,6 @@ class ParamRange:
     kind: str
     a: float
     b: float
-    source: str = ""
 
     def __post_init__(self) -> None:
         if self.name not in PARAM_NAMES:
@@ -87,8 +86,8 @@ def uniform_ranges(p: ParamSet, rel: float = 0.25, names: Sequence[str] | None =
     if not 0.0 < rel < 1.0:
         raise ConfigError(f"relative range must lie in (0, 1), got {rel}")
     names = PARAM_NAMES if names is None else tuple(names)
-    return [ParamRange(name, "uniform", (1.0 - rel) * getattr(p, name), (1.0 + rel) * getattr(p, name),
-                       source=f"uniform +/-{rel:g}") for name in names]
+    return [ParamRange(name, "uniform", (1.0 - rel) * getattr(p, name), (1.0 + rel) * getattr(p, name))
+            for name in names]
 
 
 # Reported per-parameter mean/sd pairs, available as the alternative preset.
@@ -131,10 +130,7 @@ _NORMAL_TABLE = {
 
 def normal_ranges(names: Sequence[str] | None = None) -> list[ParamRange]:
     names = PARAM_NAMES if names is None else tuple(names)
-    return [
-        ParamRange(name, "normal", *_NORMAL_TABLE[name], source="normal preset")
-        for name in names
-    ]
+    return [ParamRange(name, "normal", *_NORMAL_TABLE[name]) for name in names]
 
 
 def lhs_sample(ranges: Sequence[ParamRange], N: int, seed: int) -> np.ndarray:
@@ -276,12 +272,11 @@ def prcc_study(
     grid: TimeGrid,
     sample_times: Sequence[float],
     outputs: Sequence[str] = STUDY_OUTPUTS,
-    max_drop_fraction: float = 0.05,
 ) -> list[PrccResult]:
     """LHS-sample the ranges, simulate each row uncontrolled, PRCC the outputs.
 
     Rows whose simulation blows up are dropped and counted; more than
-    ``max_drop_fraction`` of failures aborts the study.
+    5% of the N rows failing aborts the study (a fixed limit).
     """
     outputs = tuple(outputs)
     if not outputs or not sample_times:
@@ -300,7 +295,7 @@ def prcc_study(
 
     keep = [i for i, r in enumerate(results) if r is not None]
     dropped = N - len(keep)
-    if dropped > max_drop_fraction * N:
+    if dropped > 0.05 * N:
         raise StudyError(f"{dropped}/{N} sample rows failed to simulate")
     stacked = np.stack([results[i] for i in keep]).transpose(0, 2, 1)  # (N_kept, n_outputs, T)
     times = tuple(grid.times()[k] for k in node_idx)
@@ -327,11 +322,9 @@ def write_prcc_csv(result: PrccResult, path: str | Path) -> None:
                 writer.writerow([repr(t), name, repr(float(result.coefficients[ti, pi]))])
 
 
-def write_prcc_study(
-    results: Sequence[PrccResult], outdir: str | Path,
-    sidecar_name: str = "prcc.meta.json", config_echo: dict | None = None,
-) -> list[Path]:
-    """One CSV per output plus a JSON sidecar with the study settings."""
+def write_prcc_study(results: Sequence[PrccResult], outdir: str | Path,
+                     config_echo: dict) -> list[Path]:
+    """One CSV per output plus ``prcc.meta.json`` with the study settings."""
     outdir = Path(outdir)
     written = []
     for res in results:
@@ -339,12 +332,11 @@ def write_prcc_study(
         write_prcc_csv(res, path)
         written.append(path)
     meta = {
-        "N": results[0].N if results else None,
-        "seed": results[0].seed if results else None,
-        "dropped_rows": results[0].dropped_rows if results else None,
+        "N": results[0].N,
+        "seed": results[0].seed,
+        "dropped_rows": results[0].dropped_rows,
         "outputs": [res.output for res in results],
+        "config": config_echo,
     }
-    if config_echo is not None:
-        meta["config"] = config_echo
-    (outdir / sidecar_name).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (outdir / "prcc.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return written

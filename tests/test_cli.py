@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import rabictl
 from rabictl.cli import main
+from rabictl.params import PARAM_NAMES
 
 
 def run(tmp_path, label, *args):
@@ -102,6 +104,20 @@ def test_reff_grid_monotone(tmp_path):
         for j in range(5):
             assert values[(u[i + 1], u[j])] <= values[(u[i], u[j])] + 1e-14
             assert values[(u[j], u[i + 1])] <= values[(u[j], u[i])] + 1e-14
+
+
+@pytest.mark.parametrize("axis1", [
+    {"name": "bogus", "lo": 0, "hi": 1, "n": 3},
+    {"name": "u1", "lo": 0, "hi": 1, "n": 0},
+    {"name": "u1", "lo": 0, "hi": 2, "n": 3},
+], ids=["unknown-name", "no-points", "control-above-one"])
+def test_reff_config_error_leaves_no_run_directory(tmp_path, capsys, axis1):
+    axis2 = json.dumps({"name": "u2", "lo": 0, "hi": 1, "n": 3})
+    code, out = run(tmp_path, "a", "--set", f"reff.axis1={json.dumps(axis1)}",
+                    "--set", f"reff.axis2={axis2}", "reff")
+    assert code == 2
+    assert out is None
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_reff_parameter_axis_grid(tmp_path):
@@ -260,6 +276,11 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     ("fit.max_evals=-1", "fit"),
     ("fit.dt=1e-300", "fit"),
     ("sweep.tol=Infinity", "optimize"),
+    ("sweep.tol=1e300", "optimize"),
+    ('sweep={"omega":0.3}', "optimize"),
+    ("sweep=null", "optimize"),
+    ('sensitivity.distribution="weibull"', "prcc"),
+    ("fit.data=1e300", "fit"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command):
     code, out = run(tmp_path, "a", "--set", "sensitivity.N=40", "--set", assignment, command)
@@ -301,6 +322,19 @@ FUZZ_KEYS = (
     "grid.n_steps",
 )
 FUZZ_VALUES = (math.nan, math.inf, -1, 0, 1e300, "abc", [], {})
+NON_FINITE = re.compile("nan|inf", re.IGNORECASE)
+
+
+def fuzz_run(tmp_path_factory, *argv, codes=(0, 2, 3)):
+    """Run the CLI once: it ends in one of ``codes``, leaves one run directory on success and
+    none otherwise, and writes no non-finite number to a CSV or to reff.json."""
+    outdir = tmp_path_factory.mktemp("fuzz")
+    code = main(["--outdir", str(outdir), *argv])
+    assert code in codes
+    made = list(outdir.iterdir())
+    assert len(made) == (1 if code == 0 else 0)
+    for artifact in [*made[0].glob("*.csv"), *made[0].glob("reff.json")] if made else []:
+        assert not NON_FINITE.search(artifact.read_text()), artifact.name
 
 
 @settings(max_examples=50, deadline=None)
@@ -309,10 +343,8 @@ FUZZ_VALUES = (math.nan, math.inf, -1, 0, 1e300, "abc", [], {})
 @example(key="grid.n_steps", value=1e300)  # a 1e300-step grid was built node by node
 @example(key="sweep.max_iter", value=-1)  # ran no sweep iteration and exited 0
 def test_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
-    outdir = tmp_path_factory.mktemp("fuzz")
-    code = main(["--outdir", str(outdir), "--set", "grid.n_steps=20",
-                 "--set", f"{key}={json.dumps(value)}", "optimize"])
-    assert code in (0, 2, 3)
+    fuzz_run(tmp_path_factory, "--set", "grid.n_steps=20", "--set", f"{key}={json.dumps(value)}",
+             "optimize")
 
 
 PRCC_FUZZ_KEYS = tuple(f"sensitivity.{k}" for k in (
@@ -326,10 +358,46 @@ PRCC_FUZZ_KEYS = tuple(f"sensitivity.{k}" for k in (
 @example(key="sensitivity.seed", value=-1)  # default_rng(-1) raised ValueError past main
 @example(key="sensitivity.rel_range", value=math.inf)  # infinite bounds sampled NaN with a warning
 def test_prcc_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
-    outdir = tmp_path_factory.mktemp("fuzz")
-    code = main(["--outdir", str(outdir), "--set", "sensitivity.N=40",
-                 "--set", "sensitivity.grid.n_steps=20", "--set", f"{key}={json.dumps(value)}", "prcc"])
-    assert code in (0, 2, 3)
+    fuzz_run(tmp_path_factory, "--set", "sensitivity.N=40", "--set", "sensitivity.grid.n_steps=20",
+             "--set", f"{key}={json.dumps(value)}", "prcc")
+
+
+FIT_FUZZ_KEYS = tuple(f"fit.{k}" for k in (
+    "data", "free", "bounds", "x0", "dt", "max_evals", "tol", "seed_exposed", "seed_infected"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(FIT_FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+@example(key="fit.data", value=1e300)  # open(1e300) raised TypeError past main
+@example(key="fit.data", value=0)  # open(0) read the process's standard input
+def test_fit_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
+    # a string fit.data names a file that does not exist: exit 4
+    fuzz_run(tmp_path_factory, "--set", "fit.max_evals=5", "--set", "fit.dt=0.05",
+             "--set", f"{key}={json.dumps(value)}", "fit", codes=(0, 2, 3, 4))
+
+
+REFF_FUZZ_KEYS = tuple(f"reff.{axis}{field}" for axis in ("axis1", "axis2")
+                       for field in ("", ".name", ".lo", ".hi", ".n"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(REFF_FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+# Do not run this test on a version without the 1000-point axis limit: there n=1e300
+# builds a 10^300-point axis, which exhausts memory.
+@example(key="reff.axis1.n", value=1e300)
+def test_reff_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
+    fuzz_run(tmp_path_factory, "--set", 'reff.axis1={"name":"u2","lo":0,"hi":1,"n":3}',
+             "--set", 'reff.axis2={"name":"psi1","lo":1e-5,"hi":2e-4,"n":3}',
+             "--set", f"{key}={json.dumps(value)}", "reff")
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(("preset", *PARAM_NAMES)), value=st.sampled_from(FUZZ_VALUES),
+       command=st.sampled_from(("simulate", "reff")))
+@example(key="psi2", value=1e300, command="reff")  # wrote Re = Infinity to reff.json
+def test_parameters_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value, command):
+    fuzz_run(tmp_path_factory, "--set", "grid.n_steps=20",
+             "--set", f"parameters.{key}={json.dumps(value)}", command)
 
 
 # Run CLI steps in a fresh interpreter and report which scipy modules got loaded.
@@ -393,6 +461,14 @@ def test_non_finite_state_is_numeric_error(tmp_path, capsys):
     assert code == 3
     assert out is None
     assert "not finite" in capsys.readouterr().err
+
+
+def test_non_finite_adjoint_is_numeric_error(tmp_path, capsys):
+    code, out = run(tmp_path, "a", "--set", "weights.K1=1.7e308",
+                    "--set", "grid.n_steps=20", "optimize")
+    assert code == 3
+    assert out is None
+    assert "adjoint is not finite" in capsys.readouterr().err
 
 
 # sha256 of every artifact of a few small seeded runs. These runs use Python

@@ -152,7 +152,7 @@ def test_backward_zero_rhs_stays_zero(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
-    adj = rk4_backward(lambda t, lam, y, u: ZEROS12, traj, path, ZERO_LAM)
+    adj = rk4_backward(lambda t, lam, yu: ZEROS12, traj, path, ZERO_LAM)
     assert len(adj) == g.n_nodes
     assert all(all(v == 0.0 for v in lam) for lam in adj)
 
@@ -162,7 +162,7 @@ def test_backward_terminal_condition_exact(p_est, default_state):
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
     terminal = AdjointVec(*(float(i) for i in range(12)))
-    adj = rk4_backward(lambda t, lam, y, u: ZEROS12, traj, path, terminal)
+    adj = rk4_backward(lambda t, lam, yu: ZEROS12, traj, path, terminal)
     assert adj[-1] == terminal
 
 
@@ -171,7 +171,15 @@ def test_backward_grid_mismatch(p_est, default_state):
     other = TimeGrid(0.0, 2.0, 50)
     traj = rk4_forward(p_est, ControlPath.constant(g), default_state, g)
     with pytest.raises(ConfigError, match="grid"):
-        rk4_backward(lambda t, lam, y, u: ZEROS12, traj, ControlPath.constant(other), ZERO_LAM)
+        rk4_backward(lambda t, lam, yu: ZEROS12, traj, ControlPath.constant(other), ZERO_LAM)
+
+
+def test_backward_non_finite_adjoint_raises(p_est, default_state):
+    g = TimeGrid(0.0, 2.0, 100)
+    path = ControlPath.constant(g)
+    traj = rk4_forward(p_est, path, default_state, g)
+    with pytest.raises(IntegrationBlowupError, match="adjoint is not finite at t = 0"):
+        rk4_backward(lambda t, lam, yu: (1e308,) * 12, traj, path, ZERO_LAM)
 
 
 def test_backward_step_halving_convergence(p_est, default_state):
@@ -183,7 +191,7 @@ def test_backward_step_halving_convergence(p_est, default_state):
         g = TimeGrid(0.0, 20.0, n)
         path = ControlPath.constant(g, u_const)
         traj = rk4_forward(p_est, path, default_state, g)
-        fn = lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p_est)
+        fn = lambda t, lam, yu: adjoint_rhs(yu[0], AdjointVec(*lam), yu[1], w, p_est)
         return rk4_backward(fn, traj, path, ZERO_LAM)[0]
 
     a, b = lam0(2000), lam0(4000)
@@ -234,7 +242,7 @@ def test_backward_is_bit_identical_to_reference_stage_loop(p_est, default_state)
     w = Weights()
     fn = lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p_est)
     terminal = AdjointVec(*rng.uniform(-5.0, 5.0, 12).tolist())
-    got = rk4_backward(fn, traj, path, terminal)
+    got = rk4_backward(lambda t, lam, yu: fn(t, lam, *yu), traj, path, terminal)
     want = _reference_rk4_backward(fn, traj, path, terminal)
     assert all(type(lam) is AdjointVec for lam in got)
     assert np.array_equal(np.array(got), np.array(want))

@@ -234,6 +234,8 @@ def test_sweep_parameter_validation(p_est, default_state):
         forward_backward_sweep(p_est, Weights(), default_state, g, tol=-1.0)
     with pytest.raises(ConfigError, match="finite"):
         forward_backward_sweep(p_est, Weights(), default_state, g, tol=math.inf)
+    with pytest.raises(ConfigError, match="finite"):  # the update is at most omega
+        forward_backward_sweep(p_est, Weights(), default_state, g, omega=0.3, tol=0.3)
     with pytest.raises(ConfigError, match="max_iter"):
         forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=0)
 

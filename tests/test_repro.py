@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rabictl.errors import ConfigError, NoEndemicEquilibriumError
+from rabictl.errors import ConfigError, NoEndemicEquilibriumError, NumericError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
 from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, rhs, seeded_state
 from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED
@@ -224,6 +224,20 @@ def test_grid_contact_rate_monotonicity(p_est):
 def test_grid_unknown_axis(p_est):
     with pytest.raises(ConfigError, match="unknown axis"):
         re_grid(p_est, ("u9", 0.0, 1.0, 3), ("u4", 0.0, 1.0, 3))
+
+
+def test_grid_axis_point_limit(p_est):
+    assert re_grid(p_est, ("u2", 0.0, 1.0, 1000), ("u4", 0.0, 1.0, 1)).values.shape == (1000, 1)
+    for n in (0, 1001):
+        with pytest.raises(ConfigError, match="point"):
+            re_grid(p_est, ("u2", 0.0, 1.0, n), ("u4", 0.0, 1.0, 1))
+
+
+def test_non_finite_re_is_numeric_error(p_est):
+    with pytest.raises(NumericError, match="not finite"):  # R33 * R33 overflows
+        effective_r(p_est.replace(psi2=1e300))
+    with pytest.raises(NumericError, match="not finite"):
+        re_grid(p_est, ("psi2", 1e-4, 1e300, 2), ("u4", 0.0, 1.0, 1))
 
 
 def test_grid_csv_format(tmp_path, p_est):

@@ -339,7 +339,7 @@ def test_prcc_csv_long_format(tmp_path, p_base):
     grid = TimeGrid(0.0, 3.0, 60)
     res = prcc_study(ranges, 20, 17, p_base, light_seed_state(p_base), grid,
                      sample_times=[1.5, 3.0], outputs=("I_H", "M"))
-    written = write_prcc_study(res, tmp_path)
+    written = write_prcc_study(res, tmp_path, {"sensitivity": {"N": 20, "seed": 17}})
     assert [p.name for p in written] == ["prcc_I_H.csv", "prcc_M.csv"]
     lines = written[0].read_text().splitlines()
     assert lines[0] == "time,param,prcc"
