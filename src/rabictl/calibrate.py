@@ -93,8 +93,8 @@ class FitConfig:
         _check_euler_step(self.dt)
         if self.max_evals < 1:
             raise ConfigError(f"max_evals must be at least 1, got {self.max_evals}")
-        if not self.tol >= 0.0:
-            raise ConfigError(f"tol must be non-negative, got {self.tol}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
         for name in self.free:
             if name not in PARAM_NAMES:
                 raise ConfigError(f"unknown free parameter {name!r}")

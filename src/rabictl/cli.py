@@ -204,7 +204,10 @@ def cmd_reff(args: argparse.Namespace) -> int:
         p = _build_params(config)
         u = _build_controls(config)
         axes = config["reff"]["axis1"], config["reff"]["axis2"]
-        if all(axes):  # two (name, lo, hi, n) axes: a grid; otherwise a point
+        if any(axes) and not all(axes):
+            missing = "reff.axis2" if axes[0] else "reff.axis1"
+            raise ConfigError(f"a reff grid needs both axes, but {missing} is not set")
+        if all(axes):  # two (name, lo, hi, n) axes: a grid; neither: a point
             axes = [(str(a["name"]), float(a["lo"]), float(a["hi"]), int(a["n"])) for a in axes]
     if all(axes):
         grid = repro.re_grid(p, *axes, u)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -98,6 +99,13 @@ class Trajectory:
     def at(self, t: float) -> StateVec:
         return self.states[self.grid.node_at(t)]
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The states as one read-only (n_nodes, 12) array, built on first use and then shared."""
+        values = np.array(self.states)
+        values.flags.writeable = False
+        return values
+
 
 @dataclass(frozen=True)
 class ControlPath:
@@ -140,11 +148,15 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
         raise ConfigError(f"{what} must share the integration grid, got {a} vs {b}")
 
 
+def _midpoints(values: np.ndarray, vec: type) -> list:
+    """One ``vec`` of Python floats per step midpoint: the average of the step's two nodes."""
+    return list(map(vec._make, (0.5 * (values[1:] + values[:-1])).tolist()))
+
+
 def _controls(u_path: ControlPath) -> tuple[list[ControlConst], list[ControlConst]]:
-    """Controls of Python floats at the nodes and at the step midpoints (node averages)."""
+    """Controls of Python floats at the nodes and at the step midpoints."""
     u = u_path.values
-    nodes, mids = u.tolist(), (0.5 * (u[:-1] + u[1:])).tolist()
-    return list(map(ControlConst._make, nodes)), list(map(ControlConst._make, mids))
+    return list(map(ControlConst._make, u.tolist())), _midpoints(u, ControlConst)
 
 
 def _clamp_state(y: StateVec, t: float) -> tuple[StateVec, int]:
@@ -178,8 +190,10 @@ def _march(step: Callable, y0: StateVec, grid: TimeGrid) -> Trajectory:
     y = y0
     clamped_total = 0
     for i in range(grid.n_steps):
-        y, n_clamped = _clamp_state(step(i, times[i], y), times[i + 1])
-        clamped_total += n_clamped
+        y = step(i, times[i], y)
+        if min(y) < -KEEP_TOL:  # rare: an undershoot to clamp, or one to abort on
+            y, n_clamped = _clamp_state(y, times[i + 1])
+            clamped_total += n_clamped
         states.append(y)
     _require_finite(y, "state", grid.tf)
     return Trajectory(grid, tuple(states), clamped_total)
@@ -191,14 +205,16 @@ def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, *args) -> tu
     z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y`` is a
     NamedTuple of floats or of (N,) arrays, one call stepping N rows; the result has its type.
     """
+    make = y._make
     half = 0.5 * h
+    t_half = t + half
     k1 = f(t, y, za, *args)
-    k2 = f(t + half, y._make(a + half * b for a, b in zip(y, k1)), zm, *args)
-    k3 = f(t + half, y._make(a + half * b for a, b in zip(y, k2)), zm, *args)
-    k4 = f(t + h, y._make(a + h * b for a, b in zip(y, k3)), zb, *args)
+    k2 = f(t_half, make([a + half * b for a, b in zip(y, k1)]), zm, *args)
+    k3 = f(t_half, make([a + half * b for a, b in zip(y, k2)]), zm, *args)
+    k4 = f(t + h, make([a + h * b for a, b in zip(y, k3)]), zb, *args)
     sixth = h / 6.0
-    return y._make(
-        a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+    return make(
+        [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
     )
 
 
@@ -222,21 +238,23 @@ def rk4_backward(
     ``terminal`` is a NamedTuple; returns one of its type per node, the last equal to it.
 
     Raises:
-        IntegrationBlowupError: if the adjoint at t0 is not finite.
+        IntegrationBlowupError: if the adjoint at t0 is not finite or a step overflows.
     """
     grid = state_traj.grid
     _require_same_grid(u_path.grid, grid, "control path")
-    h, times = grid.h, grid.times()
-    ys = state_traj.states
+    minus_h, times = -grid.h, grid.times()
     us, um = _controls(u_path)
+    nodes = list(zip(state_traj.states, us))  # the (state, control) input at each node
+    mids = list(zip(_midpoints(state_traj.values, StateVec), um))  # and at each step midpoint
 
     out = [terminal]
     lam = terminal
-    for i in range(grid.n_steps, 0, -1):
-        ym = StateVec._make(0.5 * (a + b) for a, b in zip(ys[i], ys[i - 1]))
-        za, zm, zb = (ys[i], us[i]), (ym, um[i - 1]), (ys[i - 1], us[i - 1])
-        lam = rk4_step(adjoint_rhs, lam, times[i], -h, za, zm, zb)
-        out.append(lam)
+    try:
+        for i in range(grid.n_steps, 0, -1):
+            lam = rk4_step(adjoint_rhs, lam, times[i], minus_h, nodes[i], mids[i - 1], nodes[i - 1])
+            out.append(lam)
+    except OverflowError:  # x ** 2 on a float raises where x * x gives inf, which persists to t0
+        lam = (math.inf,)
     _require_finite(lam, "adjoint", grid.t0)
     out.reverse()
     return tuple(out)
@@ -247,7 +265,7 @@ def euler_forward(p: ParamSet, y0: StateVec, grid: TimeGrid) -> Trajectory:
     h = grid.h
 
     def step(i: int, t: float, y: StateVec) -> StateVec:
-        return StateVec._make(a + h * b for a, b in zip(y, rhs(t, y, ZERO_CONTROL, p)))
+        return tuple.__new__(StateVec, [a + h * b for a, b in zip(y, rhs(t, y, ZERO_CONTROL, p))])
     return _march(step, y0, grid)
 
 

@@ -125,21 +125,23 @@ def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:
     has no meaning. Tolerates the tiny negative excursions integrator stages
     produce (the saturation term is evaluated unchecked).
     """
-    lamM = y.M / (y.M + p.C)
-    a1 = 1.0 - (u.u1 + u.u3)
+    I_F, I_D, M = y[6], y[9], y[11]
+    u1 = u[0]
+    lamM = M / (M + p.C)
+    a1 = 1.0 - (u1 + u[2])
     if a1 < 0.0:
         a1 = 0.0
-    a2 = 1.0 - (u.u1 + u.u2)
+    a2 = 1.0 - (u1 + u[1])
     if a2 < 0.0:
         a2 = 0.0
-    f1 = p.tau1 * y.I_F + p.tau2 * y.I_D + p.tau3 * lamM
-    f2 = p.kappa1 * y.I_F + p.kappa2 * y.I_D + p.kappa3 * lamM
+    f1 = p.tau1 * I_F + p.tau2 * I_D + p.tau3 * lamM
+    f2 = p.kappa1 * I_F + p.kappa2 * I_D + p.kappa3 * lamM
     f3 = (
-        p.psi1 * y.I_F / (1.0 + p.rho1)
-        + p.psi2 * y.I_D / (1.0 + p.rho2)
+        p.psi1 * I_F / (1.0 + p.rho1)
+        + p.psi2 * I_D / (1.0 + p.rho2)
         + p.psi3 * lamM / (1.0 + p.rho3)
     )
-    return ForceTerms(f1, f2, f3, a1, a2, lamM)
+    return tuple.__new__(ForceTerms, (f1, f2, f3, a1, a2, lamM))
 
 
 def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
@@ -147,24 +149,33 @@ def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
 
     The system is autonomous; ``t`` is accepted for integrator compatibility.
     """
+    S_H, E_H, I_H, R_H, S_F, E_F, I_F, S_D, E_D, I_D, R_D, M = y
     f1, chi2, f3, a1, a2, _ = force_terms(y, u, p)
-    chi1 = a1 * f1
-    chi3 = a2 * f3
+    u4 = u[3]
+    mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
+    beta1, beta2, beta3 = p.beta1, p.beta2, p.beta3
+    gamma, gamma1, gamma2, gamma3 = p.gamma, p.gamma1, p.gamma2, p.gamma3
+    # Incidence in each host: each enters two equations as the same product.
+    inc_H = a1 * f1 * S_H
+    inc_F = chi2 * S_F
+    inc_D = a2 * f3 * S_D
 
-    dS_H = p.theta1 + p.beta3 * y.R_H - p.mu1 * y.S_H - chi1 * y.S_H
-    dE_H = chi1 * y.S_H - (p.mu1 + p.beta1 + p.beta2 + u.u4) * y.E_H
-    dI_H = p.beta1 * y.E_H - (p.sigma1 + p.mu1) * y.I_H
-    dR_H = (p.beta2 + u.u4) * y.E_H - (p.beta3 + p.mu1) * y.R_H
+    dS_H = p.theta1 + beta3 * R_H - mu1 * S_H - inc_H
+    dE_H = inc_H - (mu1 + beta1 + beta2 + u4) * E_H
+    dI_H = beta1 * E_H - (p.sigma1 + mu1) * I_H
+    dR_H = (beta2 + u4) * E_H - (beta3 + mu1) * R_H
 
-    dS_F = p.theta2 - chi2 * y.S_F - p.mu2 * y.S_F
-    dE_F = chi2 * y.S_F - (p.mu2 + p.gamma) * y.E_F
-    dI_F = p.gamma * y.E_F - (p.mu2 + p.sigma2) * y.I_F
+    dS_F = p.theta2 - inc_F - mu2 * S_F
+    dE_F = inc_F - (mu2 + gamma) * E_F
+    dI_F = gamma * E_F - (mu2 + p.sigma2) * I_F
 
-    dS_D = p.theta3 - p.mu3 * y.S_D - chi3 * y.S_D + p.gamma3 * y.R_D
-    dE_D = chi3 * y.S_D - (p.mu3 + p.gamma1 + p.gamma2 + u.u4) * y.E_D
-    dI_D = p.gamma1 * y.E_D - (p.mu3 + p.sigma3) * y.I_D
-    dR_D = (p.gamma2 + u.u4) * y.E_D - (p.mu3 + p.gamma3) * y.R_D
+    dS_D = p.theta3 - mu3 * S_D - inc_D + gamma3 * R_D
+    dE_D = inc_D - (mu3 + gamma1 + gamma2 + u4) * E_D
+    dI_D = gamma1 * E_D - (mu3 + p.sigma3) * I_D
+    dR_D = (gamma2 + u4) * E_D - (mu3 + gamma3) * R_D
 
-    dM = p.nu1 * y.I_H + p.nu2 * y.I_F + p.nu3 * y.I_D - p.mu4 * y.M
+    dM = p.nu1 * I_H + p.nu2 * I_F + p.nu3 * I_D - p.mu4 * M
 
-    return StateVec(dS_H, dE_H, dI_H, dR_H, dS_F, dE_F, dI_F, dS_D, dE_D, dI_D, dR_D, dM)
+    return tuple.__new__(
+        StateVec, (dS_H, dE_H, dI_H, dR_H, dS_F, dE_F, dI_F, dS_D, dE_D, dI_D, dR_D, dM)
+    )

@@ -122,7 +122,7 @@ class SweepResult:
 
 def _fields(rows: Sequence[tuple] | np.ndarray, vec: type[NamedTuple]):
     """Per-node rows as one ``vec`` whose fields are (n_nodes,) arrays."""
-    return vec._make(np.array(rows).T)
+    return vec._make(np.asarray(rows).T)
 
 
 def running_cost(y: StateVec, u: ControlConst, w: Weights) -> float:
@@ -148,7 +148,7 @@ def objective(states: Trajectory, u_path: ControlPath, w: Weights) -> float:
     if states.grid != u_path.grid:
         raise ConfigError("states and controls must share a grid")
     values = running_cost(
-        _fields(states.states, StateVec), _fields(u_path.values, ControlConst), w
+        _fields(states.values, StateVec), _fields(u_path.values, ControlConst), w
     ).tolist()
     h = states.grid.h
     # sum() adds left to right; np.sum's pairwise order would move the last bits of J.
@@ -169,51 +169,61 @@ def adjoint_rhs(
     The saturation term differentiates to C/(M+C)^2; the clamped control
     factors are constants with respect to the state.
     """
+    S_H, S_F, S_D, M = y[0], y[4], y[7], y[11]
     f1, f2, f3, a1, a2, _ = force_terms(y, u, p)
-    dlam_dM = p.C / (y.M + p.C) ** 2
+    C = p.C
+    dlam_dM = C / (M + C) ** 2
+    u4 = u[3]
+    mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
+    beta1, beta2, beta3 = p.beta1, p.beta2, p.beta3
+    gamma, gamma1, gamma2, gamma3 = p.gamma, p.gamma1, p.gamma2, p.gamma3
 
     l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12 = lam
+    # Differences every infection term starts with, in the same association.
+    h12 = (l1 - l2) * a1
+    h56 = l5 - l6
+    h89 = (l8 - l9) * a2
 
-    d1 = (l1 - l2) * a1 * f1 + l1 * p.mu1
-    d2 = -w.K2 + l2 * (p.mu1 + p.beta1 + p.beta2 + u.u4) - l3 * p.beta1 - l4 * (p.beta2 + u.u4)
-    d3 = -w.K3 + l3 * (p.sigma1 + p.mu1) - l12 * p.nu1
-    d4 = -l1 * p.beta3 + l4 * (p.beta3 + p.mu1)
-    d5 = (l5 - l6) * f2 + l5 * p.mu2
-    d6 = l6 * (p.mu2 + p.gamma) - l7 * p.gamma
+    d1 = h12 * f1 + l1 * mu1
+    d2 = -w.K2 + l2 * (mu1 + beta1 + beta2 + u4) - l3 * beta1 - l4 * (beta2 + u4)
+    d3 = -w.K3 + l3 * (p.sigma1 + mu1) - l12 * p.nu1
+    d4 = -l1 * beta3 + l4 * (beta3 + mu1)
+    d5 = h56 * f2 + l5 * mu2
+    d6 = l6 * (mu2 + gamma) - l7 * gamma
     d7 = (
-        (l1 - l2) * a1 * p.tau1 * y.S_H
-        + (l5 - l6) * p.kappa1 * y.S_F
-        + (l8 - l9) * a2 * p.psi1 * y.S_D / (1.0 + p.rho1)
-        + l7 * (p.mu2 + p.sigma2)
+        h12 * p.tau1 * S_H
+        + h56 * p.kappa1 * S_F
+        + h89 * p.psi1 * S_D / (1.0 + p.rho1)
+        + l7 * (mu2 + p.sigma2)
         - l12 * p.nu2
     )
-    d8 = w.K6 + (l8 - l9) * a2 * f3 + l8 * p.mu3
+    d8 = w.K6 + h89 * f3 + l8 * mu3
     d9 = (
         -w.K4
-        + l9 * (p.mu3 + p.gamma1 + p.gamma2 + u.u4)
-        - l10 * p.gamma1
-        - l11 * (p.gamma2 + u.u4)
+        + l9 * (mu3 + gamma1 + gamma2 + u4)
+        - l10 * gamma1
+        - l11 * (gamma2 + u4)
     )
     d10 = (
         -w.K5
-        + (l1 - l2) * a1 * p.tau2 * y.S_H
-        + (l5 - l6) * p.kappa2 * y.S_F
-        + (l8 - l9) * a2 * p.psi2 * y.S_D / (1.0 + p.rho2)
-        + l10 * (p.mu3 + p.sigma3)
+        + h12 * p.tau2 * S_H
+        + h56 * p.kappa2 * S_F
+        + h89 * p.psi2 * S_D / (1.0 + p.rho2)
+        + l10 * (mu3 + p.sigma3)
         - l12 * p.nu3
     )
-    d11 = -l8 * p.gamma3 + l11 * (p.mu3 + p.gamma3)
+    d11 = -l8 * gamma3 + l11 * (mu3 + gamma3)
     d12 = (
         -w.K1
         + dlam_dM
         * (
-            (l1 - l2) * a1 * p.tau3 * y.S_H
-            + (l5 - l6) * p.kappa3 * y.S_F
-            + (l8 - l9) * a2 * p.psi3 * y.S_D / (1.0 + p.rho3)
+            h12 * p.tau3 * S_H
+            + h56 * p.kappa3 * S_F
+            + h89 * p.psi3 * S_D / (1.0 + p.rho3)
         )
         + l12 * p.mu4
     )
-    return AdjointVec(d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12)
+    return tuple.__new__(AdjointVec, (d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12))
 
 
 def characterize_controls(
@@ -290,7 +300,7 @@ def forward_backward_sweep(
                 f"(J = {J:.6g} vs best {J_min:.6g}); try a smaller omega"
             )
 
-        y, lam = _fields(states.states, StateVec), _fields(adjoints, AdjointVec)
+        y, lam = _fields(states.values, StateVec), _fields(adjoints, AdjointVec)
         u_star = np.column_stack(np.broadcast_arrays(*characterize_controls(y, lam, w, p, mask)))
         u_old = u_path.values
         u_new = (1.0 - omega) * u_old + omega * u_star

@@ -192,7 +192,8 @@ def test_fit_config_validation():
         FitConfig(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 2.0})
     ok = dict(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 0.5})
     for bad, match in [({"dt": 0.0}, "dt"), ({"dt": float("nan")}, "dt"), ({"dt": 0.1}, "dt"),
-                       ({"max_evals": 0}, "max_evals"), ({"tol": float("nan")}, "tol")]:
+                       ({"max_evals": 0}, "max_evals"), ({"tol": float("nan")}, "tol"),
+                       ({"tol": float("inf")}, "tol")]:
         with pytest.raises(ConfigError, match=match):
             FitConfig(**ok, **bad)
 

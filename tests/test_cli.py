@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import rabictl
 from rabictl.cli import main
+from rabictl.model import StateVec
 from rabictl.params import PARAM_NAMES
 
 
@@ -110,14 +111,18 @@ def test_reff_grid_monotone(tmp_path):
     {"name": "bogus", "lo": 0, "hi": 1, "n": 3},
     {"name": "u1", "lo": 0, "hi": 1, "n": 0},
     {"name": "u1", "lo": 0, "hi": 2, "n": 3},
-], ids=["unknown-name", "no-points", "control-above-one"])
+    None,
+], ids=["unknown-name", "no-points", "control-above-one", "lone-axis2"])
 def test_reff_config_error_leaves_no_run_directory(tmp_path, capsys, axis1):
     axis2 = json.dumps({"name": "u2", "lo": 0, "hi": 1, "n": 3})
     code, out = run(tmp_path, "a", "--set", f"reff.axis1={json.dumps(axis1)}",
                     "--set", f"reff.axis2={axis2}", "reff")
     assert code == 2
     assert out is None
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if axis1 is None:
+        assert "reff.axis1 is not set" in err
 
 
 def test_reff_parameter_axis_grid(tmp_path):
@@ -281,6 +286,7 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     ("sweep=null", "optimize"),
     ('sensitivity.distribution="weibull"', "prcc"),
     ("fit.data=1e300", "fit"),
+    ("fit.tol=Infinity", "fit"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command):
     code, out = run(tmp_path, "a", "--set", "sensitivity.N=40", "--set", assignment, command)
@@ -400,6 +406,19 @@ def test_parameters_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key,
              "--set", f"parameters.{key}={json.dumps(value)}", command)
 
 
+STATE_FUZZ_KEYS = ("initial_state", *(f"initial_state.{k}" for k in StateVec._fields))
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(STATE_FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES),
+       command=st.sampled_from(("simulate", "optimize")))
+@example(key="initial_state.S_H", value=1e300, command="optimize")  # (M+C)**2 raised OverflowError
+def test_initial_state_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value, command):
+    # the march's clamp and finiteness checks see these states first
+    fuzz_run(tmp_path_factory, "--set", "grid.n_steps=20", "--set", f"{key}={json.dumps(value)}",
+             command)
+
+
 # Run CLI steps in a fresh interpreter and report which scipy modules got loaded.
 IMPORT_PROBE = """
 import json, sys
@@ -471,11 +490,12 @@ def test_non_finite_adjoint_is_numeric_error(tmp_path, capsys):
     assert "adjoint is not finite" in capsys.readouterr().err
 
 
-# sha256 of every artifact of a few small seeded runs. These runs use Python
-# floats and numpy elementwise operations only, with no BLAS reductions, so
-# their bytes do not depend on the BLAS build; prcc and fit go through
-# numpy/BLAS and are left out. A change that keeps the numbers keeps these
-# digests.
+# sha256 of every artifact of a few small seeded runs. A change that keeps the
+# numbers keeps these digests. simulate, optimize and reff use Python floats and
+# numpy elementwise operations only, so their bytes do not depend on the BLAS
+# build. fit (Euler march, scipy Nelder-Mead) and prcc (batched RK4, a LAPACK
+# inverse) were recorded with numpy 2.4 and scipy 1.17 on x86-64 OpenBLAS; another
+# BLAS build may move their last bits.
 GOLDEN_RUNS = {
     "simulate": (
         ("--set", 'controls={"u1":0.2,"u2":0.3,"u3":0.1,"u4":0.4}',
@@ -509,6 +529,25 @@ GOLDEN_RUNS = {
             "config.json": "6e1e7f05064b90d599851c5b3d26b902fda0f91a83c9a54bc35aa281fc864bff",
             "reff_grid.csv": "68b0dadb3de818141e814f1eb908769830c0152772f1d7fa12bb88e271f9804a",
             "reff_grid.meta.json": "60dbfde501420d7c428e617c3631e15f0275c4ec179f1c547bb92edb3fa25862",
+        },
+    ),
+    "fit": (
+        ("--set", "fit.max_evals=40", "--set", "fit.dt=0.05", "fit"),
+        {
+            "config.json": "22a164d41421281f1af7ae901e583c2a5f1e6c39f9b727fb75148447e4f1e55a",
+            "fit.csv": "8b53b833815d169d502cc7c134f73b3d57b0ce052e647146a6ac45613c91a130",
+            "fit.json": "034821a96821436acea479932681403af8421dc7988eef221495877b6031fa20",
+        },
+    ),
+    "prcc": (
+        ("--set", "sensitivity.N=60", "--set", "sensitivity.grid.n_steps=100", "prcc"),
+        {
+            "config.json": "45acc317b00cc45740699e18af1f822cc8df9c07f8c1474ce3c6e2959793fb2e",
+            "prcc.meta.json": "b7f880a99b89dfa88cfe32278a8f8bb97235d04ab0c37ba55a64906aee28ac6c",
+            "prcc_I_D.csv": "190b7ef685486c9835871ecded5d5a37f3e682d05f38db0cb8069a8c59dbf209",
+            "prcc_I_F.csv": "f40fab91a9f7065fabfaa7ee317115c0e05b6a75ed6fa4e44f4ff179b5dbc70c",
+            "prcc_I_H.csv": "4a06fbbcc6c6769d60744ef75cb20e34c509796021772dad34e243755e33f387",
+            "prcc_M.csv": "673266cf5ea3014f34e8781eaad14695f113dfde5424e4011d9a91109dbd126f",
         },
     ),
 }

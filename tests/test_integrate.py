@@ -182,6 +182,15 @@ def test_backward_non_finite_adjoint_raises(p_est, default_state):
         rk4_backward(lambda t, lam, yu: (1e308,) * 12, traj, path, ZERO_LAM)
 
 
+def test_backward_overflow_raises(p_est, default_state):
+    g = TimeGrid(0.0, 2.0, 100)
+    path = ControlPath.constant(g)
+    traj = rk4_forward(p_est, path, default_state, g)
+    overflowing = lambda t, lam, yu: ((yu[0].S_H * 1e300) ** 2,) * 12  # float ** raises
+    with pytest.raises(IntegrationBlowupError, match="adjoint is not finite at t = 0"):
+        rk4_backward(overflowing, traj, path, ZERO_LAM)
+
+
 def test_backward_step_halving_convergence(p_est, default_state):
     """lam(t0) for the model adjoint agrees with a half-step rerun to 1e-5."""
     w = Weights()

@@ -1,0 +1,324 @@
+"""The scalar kernels equal their reference formulations bit for bit.
+
+``force_terms``, ``rhs``, ``adjoint_rhs``, ``rk4_step`` and the Euler step are
+written for speed: unpacked locals, shared prefixes and tuples built without the
+NamedTuple constructor. The ``reference_*`` functions below are the plain
+formulations they replaced, kept as oracles. Floats are compared through
+``float.hex`` so that -0.0 and 0.0 count as different.
+"""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rabictl.errors import IntegrationBlowupError
+from rabictl.integrate import (
+    ControlPath, TimeGrid, _clamp_state, _require_finite, euler_forward, rk4_backward, rk4_forward,
+)
+from rabictl.model import (
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, rhs,
+    seeded_state,
+)
+from rabictl.optctl import AdjointVec, Weights, adjoint_rhs
+from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
+
+
+def reference_force_terms(y, u, p):
+    lamM = y.M / (y.M + p.C)
+    a1 = 1.0 - (u.u1 + u.u3)
+    if a1 < 0.0:
+        a1 = 0.0
+    a2 = 1.0 - (u.u1 + u.u2)
+    if a2 < 0.0:
+        a2 = 0.0
+    f1 = p.tau1 * y.I_F + p.tau2 * y.I_D + p.tau3 * lamM
+    f2 = p.kappa1 * y.I_F + p.kappa2 * y.I_D + p.kappa3 * lamM
+    f3 = (
+        p.psi1 * y.I_F / (1.0 + p.rho1)
+        + p.psi2 * y.I_D / (1.0 + p.rho2)
+        + p.psi3 * lamM / (1.0 + p.rho3)
+    )
+    return ForceTerms(f1, f2, f3, a1, a2, lamM)
+
+
+def reference_rhs(t, y, u, p):
+    f1, chi2, f3, a1, a2, _ = reference_force_terms(y, u, p)
+    chi1 = a1 * f1
+    chi3 = a2 * f3
+
+    dS_H = p.theta1 + p.beta3 * y.R_H - p.mu1 * y.S_H - chi1 * y.S_H
+    dE_H = chi1 * y.S_H - (p.mu1 + p.beta1 + p.beta2 + u.u4) * y.E_H
+    dI_H = p.beta1 * y.E_H - (p.sigma1 + p.mu1) * y.I_H
+    dR_H = (p.beta2 + u.u4) * y.E_H - (p.beta3 + p.mu1) * y.R_H
+
+    dS_F = p.theta2 - chi2 * y.S_F - p.mu2 * y.S_F
+    dE_F = chi2 * y.S_F - (p.mu2 + p.gamma) * y.E_F
+    dI_F = p.gamma * y.E_F - (p.mu2 + p.sigma2) * y.I_F
+
+    dS_D = p.theta3 - p.mu3 * y.S_D - chi3 * y.S_D + p.gamma3 * y.R_D
+    dE_D = chi3 * y.S_D - (p.mu3 + p.gamma1 + p.gamma2 + u.u4) * y.E_D
+    dI_D = p.gamma1 * y.E_D - (p.mu3 + p.sigma3) * y.I_D
+    dR_D = (p.gamma2 + u.u4) * y.E_D - (p.mu3 + p.gamma3) * y.R_D
+
+    dM = p.nu1 * y.I_H + p.nu2 * y.I_F + p.nu3 * y.I_D - p.mu4 * y.M
+
+    return StateVec(dS_H, dE_H, dI_H, dR_H, dS_F, dE_F, dI_F, dS_D, dE_D, dI_D, dR_D, dM)
+
+
+def reference_adjoint_rhs(y, lam, u, w, p):
+    f1, f2, f3, a1, a2, _ = reference_force_terms(y, u, p)
+    dlam_dM = p.C / (y.M + p.C) ** 2
+
+    l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12 = lam
+
+    d1 = (l1 - l2) * a1 * f1 + l1 * p.mu1
+    d2 = -w.K2 + l2 * (p.mu1 + p.beta1 + p.beta2 + u.u4) - l3 * p.beta1 - l4 * (p.beta2 + u.u4)
+    d3 = -w.K3 + l3 * (p.sigma1 + p.mu1) - l12 * p.nu1
+    d4 = -l1 * p.beta3 + l4 * (p.beta3 + p.mu1)
+    d5 = (l5 - l6) * f2 + l5 * p.mu2
+    d6 = l6 * (p.mu2 + p.gamma) - l7 * p.gamma
+    d7 = (
+        (l1 - l2) * a1 * p.tau1 * y.S_H
+        + (l5 - l6) * p.kappa1 * y.S_F
+        + (l8 - l9) * a2 * p.psi1 * y.S_D / (1.0 + p.rho1)
+        + l7 * (p.mu2 + p.sigma2)
+        - l12 * p.nu2
+    )
+    d8 = w.K6 + (l8 - l9) * a2 * f3 + l8 * p.mu3
+    d9 = (
+        -w.K4
+        + l9 * (p.mu3 + p.gamma1 + p.gamma2 + u.u4)
+        - l10 * p.gamma1
+        - l11 * (p.gamma2 + u.u4)
+    )
+    d10 = (
+        -w.K5
+        + (l1 - l2) * a1 * p.tau2 * y.S_H
+        + (l5 - l6) * p.kappa2 * y.S_F
+        + (l8 - l9) * a2 * p.psi2 * y.S_D / (1.0 + p.rho2)
+        + l10 * (p.mu3 + p.sigma3)
+        - l12 * p.nu3
+    )
+    d11 = -l8 * p.gamma3 + l11 * (p.mu3 + p.gamma3)
+    d12 = (
+        -w.K1
+        + dlam_dM
+        * (
+            (l1 - l2) * a1 * p.tau3 * y.S_H
+            + (l5 - l6) * p.kappa3 * y.S_F
+            + (l8 - l9) * a2 * p.psi3 * y.S_D / (1.0 + p.rho3)
+        )
+        + l12 * p.mu4
+    )
+    return AdjointVec(d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12)
+
+
+def reference_rk4_step(f, y, t, h, za, zm, zb, *args):
+    half = 0.5 * h
+    k1 = f(t, y, za, *args)
+    k2 = f(t + half, y._make(a + half * b for a, b in zip(y, k1)), zm, *args)
+    k3 = f(t + half, y._make(a + half * b for a, b in zip(y, k2)), zm, *args)
+    k4 = f(t + h, y._make(a + h * b for a, b in zip(y, k3)), zb, *args)
+    sixth = h / 6.0
+    return y._make(
+        a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+    )
+
+
+def reference_euler_step(h, t, y, p):
+    return StateVec._make(a + h * b for a, b in zip(y, reference_rhs(t, y, ZERO_CONTROL, p)))
+
+
+def reference_march(step, y0, grid):
+    """(states, clamped) with the clamp called after every step."""
+    times = grid.times()
+    states = [y0]
+    y = y0
+    clamped_total = 0
+    for i in range(grid.n_steps):
+        y, n_clamped = _clamp_state(step(i, times[i], y), times[i + 1])
+        clamped_total += n_clamped
+        states.append(y)
+    _require_finite(y, "state", grid.tf)
+    return states, clamped_total
+
+
+def reference_rk4_forward(p, u_path, y0, grid):
+    h = grid.h
+    u = [ControlConst(*row) for row in u_path.values.tolist()]
+    um = [ControlConst(*(0.5 * (a + b) for a, b in zip(ua, ub))) for ua, ub in zip(u, u[1:])]
+    return reference_march(
+        lambda i, t, y: reference_rk4_step(reference_rhs, y, t, h, u[i], um[i], u[i + 1], p),
+        y0, grid,
+    )
+
+
+def reference_euler_forward(p, y0, grid):
+    h = grid.h
+    return reference_march(lambda i, t, y: reference_euler_step(h, t, y, p), y0, grid)
+
+
+def reference_rk4_backward(f, state_traj, u_path, terminal):
+    grid = state_traj.grid
+    h, times = grid.h, grid.times()
+    ys = state_traj.states
+    us = [ControlConst(*row) for row in u_path.values.tolist()]
+    out = [terminal]
+    lam = terminal
+    for i in range(grid.n_steps, 0, -1):
+        ym = StateVec._make(0.5 * (a + b) for a, b in zip(ys[i], ys[i - 1]))
+        um = ControlConst(*(0.5 * (a + b) for a, b in zip(us[i - 1], us[i])))
+        lam = reference_rk4_step(
+            f, lam, times[i], -h, (ys[i], us[i]), (ym, um), (ys[i - 1], us[i - 1]))
+        out.append(lam)
+    out.reverse()
+    return out
+
+
+def hexes(values):
+    """float.hex of every number in a tuple of floats or of (N,) arrays."""
+    return [float(v).hex() for field in values for v in np.atleast_1d(field).tolist()]
+
+
+def outcome(run, *args):
+    """(states, clamped) of a march, or the message of the IntegrationBlowupError it raised."""
+    try:
+        result = run(*args)
+    except IntegrationBlowupError as err:
+        return str(err)
+    if isinstance(result, tuple):
+        return np.array(result[0]), result[1]
+    return np.array(result.states), result.clamped
+
+
+def same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+# --- inputs ---------------------------------------------------------------------------
+
+log_factors = st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                       min_size=len(PARAM_NAMES), max_size=len(PARAM_NAMES))
+params = log_factors.map(lambda exps: TABLE2_ESTIMATED.replace(**{
+    name: getattr(TABLE2_ESTIMATED, name) * 10.0 ** e for name, e in zip(PARAM_NAMES, exps)}))
+unit = st.floats(min_value=0.0, max_value=1.0)
+controls = st.builds(ControlConst, unit, unit, unit, unit)
+states = st.builds(StateVec, *[st.floats(min_value=0.0, max_value=1e6)] * 12)
+adjoints = st.builds(AdjointVec, *[st.floats(min_value=-1e3, max_value=1e3)] * 12)
+weights = st.builds(Weights, *[st.floats(min_value=0.0, max_value=10.0)] * 6,
+                    *[st.floats(min_value=0.1, max_value=100.0)] * 4)
+OVER_ONE = ControlConst(0.7, 0.6, 0.5, 0.2)  # u1 + u3 > 1 and u1 + u2 > 1: both factors clamp
+
+
+# --- pointwise kernels ------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=states, u=controls, p=params)
+@example(y=seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), u=OVER_ONE, p=TABLE2_ESTIMATED)
+def test_force_terms_and_rhs_equal_reference_bits(y, u, p):
+    got = force_terms(y, u, p)
+    assert type(got) is ForceTerms
+    assert hexes(got) == hexes(reference_force_terms(y, u, p))
+    got = rhs(0.0, y, u, p)
+    assert type(got) is StateVec
+    assert hexes(got) == hexes(reference_rhs(0.0, y, u, p))
+
+
+def test_over_one_controls_clamp_both_factors():
+    ft = force_terms(seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), OVER_ONE, TABLE2_ESTIMATED)
+    assert ft.a1 == 0.0 and ft.a2 == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(states, params), min_size=1, max_size=8), u=controls)
+@example(rows=[(seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), TABLE2_ESTIMATED)], u=OVER_ONE)
+def test_rhs_on_arrays_equals_reference_bits(rows, u):
+    y = StateVec(*np.array([list(s) for s, _ in rows]).T)
+    p = SimpleNamespace(**{name: np.array([getattr(q, name) for _, q in rows])
+                           for name in PARAM_NAMES})
+    got = rhs(0.0, y, u, p)
+    assert type(got) is StateVec
+    assert hexes(got) == hexes(reference_rhs(0.0, y, u, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=states, lam=adjoints, u=controls, w=weights, p=params)
+@example(y=seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), lam=AdjointVec(*[0.0] * 12),
+         u=OVER_ONE, w=Weights(), p=TABLE2_ESTIMATED)
+def test_adjoint_rhs_equals_reference_bits(y, lam, u, w, p):
+    got = adjoint_rhs(y, lam, u, w, p)
+    assert type(got) is AdjointVec
+    assert hexes(got) == hexes(reference_adjoint_rhs(y, lam, u, w, p))
+
+
+# --- marches ----------------------------------------------------------------------------
+
+
+grids = st.builds(TimeGrid, st.just(0.0), st.floats(min_value=1.0, max_value=20.0),
+                  st.integers(min_value=5, max_value=200))
+
+
+def random_path(grid, seed):
+    return ControlPath(grid, np.random.default_rng(seed).uniform(0.0, 1.0, (grid.n_nodes, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=params, grid=grids, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_rk4_forward_equals_reference_march(p, grid, seed):
+    path = random_path(grid, seed)
+    y0 = seeded_state(p, *DEFAULT_SEEDING)
+    got = outcome(rk4_forward, p, path, y0, grid)
+    assert same_outcome(got, outcome(reference_rk4_forward, p, path, y0, grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=params, grid=grids)
+def test_euler_forward_equals_reference_march(p, grid):
+    y0 = seeded_state(p, *DEFAULT_SEEDING)
+    got = outcome(euler_forward, p, y0, grid)
+    assert same_outcome(got, outcome(reference_euler_forward, p, y0, grid))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=params, w=weights, lam=adjoints, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_rk4_backward_equals_reference_march(p, w, lam, seed):
+    grid = TimeGrid(0.0, 5.0, 100)
+    path = random_path(grid, seed)
+    y0 = seeded_state(p, *DEFAULT_SEEDING)
+    try:
+        traj = rk4_forward(p, path, y0, grid)
+    except IntegrationBlowupError:
+        return
+    want = reference_rk4_backward(
+        lambda t, lam, yu: reference_adjoint_rhs(yu[0], lam, yu[1], w, p), traj, path, lam)
+    try:
+        got = rk4_backward(lambda t, lam, yu: adjoint_rhs(yu[0], lam, yu[1], w, p), traj, path, lam)
+    except IntegrationBlowupError:
+        assert not all(map(math.isfinite, want[0]))
+        return
+    assert all(type(v) is AdjointVec for v in got)
+    assert hexes(np.array(got).T) == hexes(np.array(want).T)
+
+
+@pytest.mark.parametrize("march", ["rk4", "euler"])
+def test_state_clamp_path_equals_reference_march(march):
+    """A coarse step undershoots a tiny seed: the rare clamp branch runs and counts as before."""
+    p = TABLE2_ESTIMATED
+    y0 = seeded_state(p)._replace(I_H=8.5e-8)
+    grid = TimeGrid(0.0, 10.0, 7)
+    if march == "rk4":
+        path = ControlPath.constant(grid)
+        got = outcome(rk4_forward, p, path, y0, grid)
+        want = outcome(reference_rk4_forward, p, path, y0, grid)
+    else:
+        got = outcome(euler_forward, p, y0, grid)
+        want = outcome(reference_euler_forward, p, y0, grid)
+    assert not isinstance(got, str) and got[1] > 0  # it ran to the end and clamped
+    assert same_outcome(got, want)
