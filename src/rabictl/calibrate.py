@@ -10,7 +10,6 @@ bounds; a saturated logit rounds an estimate onto its bound.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -21,7 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, NumericError
-from .integrate import TimeGrid, euler_forward
+from .integrate import TimeGrid, euler_forward, write_csv, write_json
 from .model import StateVec
 from .params import PARAM_NAMES, ParamSet
 
@@ -264,12 +263,10 @@ def write_fit_json(result: FitResult, path: str | Path, config_echo: dict) -> No
         "at_bound": list(result.at_bound),
         "config": config_echo,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def write_fit_csv(data: IncidenceSeries, result: FitResult, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["year", "observed", "predicted"])
-        for year, obs, pred in zip(data.years, data.cases, result.predicted):
-            writer.writerow([year, repr(float(obs)), repr(float(pred))])
+    write_csv(path, ("year", "observed", "predicted"), (
+        [year, repr(float(obs)), repr(float(pred))]
+        for year, obs, pred in zip(data.years, data.cases, result.predicted)))

@@ -18,6 +18,7 @@ import contextlib
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime
@@ -26,7 +27,7 @@ from typing import Any
 
 from . import optctl, repro
 from .errors import ConfigError, NumericError
-from .integrate import ControlPath, TimeGrid, rk4_forward, write_trajectory_csv
+from .integrate import ControlPath, TimeGrid, rk4_forward, write_json, write_trajectory_csv
 from .model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from .params import PRESETS, ParamSet
 
@@ -86,12 +87,28 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _load_json(text: str, source: str) -> Any:
+    """Parse JSON text from ``source``; a NaN or infinite number in it is a ConfigError."""
+    non_finite = []
+
+    def number(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            non_finite.append(token)
+        return value
+
+    loaded = json.loads(text, parse_float=number, parse_constant=number)
+    if non_finite:  # checked only once the whole text parsed: "NaN.csv" stays a string
+        raise ConfigError(f"{source} holds the non-finite number {non_finite[0]}")
+    return loaded
+
+
 def _apply_set(config: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise ConfigError(f"--set expects key=value, got {assignment!r}")
     key, raw = assignment.split("=", 1)
     try:
-        value = json.loads(raw)
+        value = _load_json(raw, f"--set {key}")
     except json.JSONDecodeError:
         value = raw
     node = config
@@ -111,7 +128,7 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
     if path is not None:
         file_path = Path(path)
         try:
-            loaded = json.loads(file_path.read_text())
+            loaded = _load_json(file_path.read_text(), f"config file {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -119,6 +136,9 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
         config = _deep_merge(config, loaded)
     for assignment in sets or []:
         _apply_set(config, assignment)
+    root = config["output_dir"]
+    if not isinstance(root, (str, type(None))):
+        raise ConfigError(f"output_dir must be a directory path or null, got {root!r}")
     return config
 
 
@@ -139,7 +159,7 @@ def _build_params(config: dict, preset: str | None = None) -> ParamSet:
         preset_name = preset
     if preset_name not in PRESETS:
         raise ConfigError(f"unknown parameter preset {preset_name!r}")
-    return ParamSet.from_mapping(block, base=PRESETS[preset_name])
+    return PRESETS[preset_name].replace(**{k: float(v) for k, v in block.items()})
 
 
 def _build_state(config: dict, p: ParamSet) -> StateVec:
@@ -177,7 +197,7 @@ def _make_outdir(config: dict, cli_outdir: str | None, command: str) -> Path:
 
 
 def _write_sidecar(outdir: Path, config: dict) -> None:
-    (outdir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    write_json(outdir / "config.json", config)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -220,7 +240,7 @@ def cmd_reff(args: argparse.Namespace) -> int:
         for name, value in breakdown.items():
             print(f"{name} = {value:.12g}")
         outdir = _make_outdir(config, args.outdir, "reff")
-        (outdir / "reff.json").write_text(json.dumps(breakdown, indent=2, sort_keys=True) + "\n")
+        write_json(outdir / "reff.json", breakdown)
     _write_sidecar(outdir, config)
     return EXIT_OK
 
@@ -351,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key (dotted path, JSON value)")
-    parser.add_argument("--outdir", help=f"output root (default: ${OUTDIR_ENV} or ./runs)")
+    parser.add_argument("--outdir",
+                        help=f"output root (default: output_dir, then ${OUTDIR_ENV}, then ./runs)")
     parser.add_argument("--jobs", type=int, help="ignored; studies run in one process")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,16 +6,19 @@ march (``_march``) it shares with forward Euler; the backward pass steps an
 adjoint system from tf down to t0 with a step of -h, its input being the
 stored state and control. Both share one grid and interpolate by node
 averages only. A control path holds one (n_nodes, 4) array.
+
+Every artifact of the package is written here: CSV by ``write_csv``, JSON by ``write_json``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,9 +34,10 @@ __all__ = [
     "rk4_forward",
     "rk4_backward",
     "euler_forward",
+    "write_csv",
+    "write_json",
     "write_node_csv",
     "write_trajectory_csv",
-    "read_trajectory_csv",
 ]
 
 # Undershoot handling: RK4 does not preserve positivity exactly. Components in
@@ -45,8 +49,6 @@ CLAMP_TOL = 1e-6
 # Largest grid accepted: a trajectory holds every node as Python floats, so a
 # million steps already costs about half a gigabyte.
 MAX_STEPS = 1_000_000
-
-TRAJECTORY_HEADER = ("t",) + StateVec._fields
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,12 @@ class ControlPath:
     ) -> "ControlPath":
         return cls(grid, np.tile(u, (grid.n_nodes, 1)), mask)
 
+    @cached_property
+    def consts(self) -> tuple[list[ControlConst], list[ControlConst]]:
+        """Controls of Python floats at the nodes and at the step midpoints, built on first use."""
+        u = self.values
+        return list(map(ControlConst._make, u.tolist())), _midpoints(u, ControlConst)
+
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
     if a != b:
@@ -151,12 +159,6 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
 def _midpoints(values: np.ndarray, vec: type) -> list:
     """One ``vec`` of Python floats per step midpoint: the average of the step's two nodes."""
     return list(map(vec._make, (0.5 * (values[1:] + values[:-1])).tolist()))
-
-
-def _controls(u_path: ControlPath) -> tuple[list[ControlConst], list[ControlConst]]:
-    """Controls of Python floats at the nodes and at the step midpoints."""
-    u = u_path.values
-    return list(map(ControlConst._make, u.tolist())), _midpoints(u, ControlConst)
 
 
 def _clamp_state(y: StateVec, t: float) -> tuple[StateVec, int]:
@@ -224,7 +226,7 @@ def rk4_forward(
     """Classical RK4 over the grid; half-step controls average adjacent nodes."""
     _require_same_grid(u_path.grid, grid, "control path")
     h = grid.h
-    u, um = _controls(u_path)
+    u, um = u_path.consts
     return _march(lambda i, t, y: rk4_step(rhs, y, t, h, u[i], um[i], u[i + 1], p), y0, grid)
 
 
@@ -243,7 +245,7 @@ def rk4_backward(
     grid = state_traj.grid
     _require_same_grid(u_path.grid, grid, "control path")
     minus_h, times = -grid.h, grid.times()
-    us, um = _controls(u_path)
+    us, um = u_path.consts
     nodes = list(zip(state_traj.states, us))  # the (state, control) input at each node
     mids = list(zip(_midpoints(state_traj.values, StateVec), um))  # and at each step midpoint
 
@@ -269,28 +271,23 @@ def euler_forward(p: ParamSet, y0: StateVec, grid: TimeGrid) -> Trajectory:
     return _march(step, y0, grid)
 
 
-def write_node_csv(path: str | Path, header: Sequence[str], grid: TimeGrid, rows: Iterable) -> None:
-    """One CSV row per grid node, its time first, in full double precision."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV artifact: the header row, then one line per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t, row in zip(grid.times(), rows):
-            writer.writerow([repr(t)] + [repr(v) for v in row])
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """A JSON artifact: indented, keys sorted, newline-terminated."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_node_csv(path: str | Path, header: Sequence[str], grid: TimeGrid, rows: Iterable) -> None:
+    """One CSV row per grid node, its time first, in full double precision."""
+    write_csv(path, header, ([repr(t), *map(repr, row)] for t, row in zip(grid.times(), rows)))
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    write_node_csv(path, TRAJECTORY_HEADER, traj.grid, traj.states)
-
-
-def read_trajectory_csv(path: str | Path) -> tuple[list[float], list[StateVec]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != TRAJECTORY_HEADER:
-            raise ConfigError(f"unexpected trajectory header: {header}")
-        times: list[float] = []
-        states: list[StateVec] = []
-        for row in reader:
-            times.append(float(row[0]))
-            states.append(StateVec(*(float(v) for v in row[1:])))
-    return times, states
+    write_node_csv(path, ("t",) + StateVec._fields, traj.grid, traj.states)

@@ -14,7 +14,6 @@ is the convention the state system and the control characterizations share.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, SweepDivergenceError
 from .integrate import (
-    ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward, write_node_csv,
+    ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward, write_json, write_node_csv,
 )
 from .model import ZERO_CONTROL, ControlConst, StateVec, force_terms, rhs
 from .params import ParamSet
@@ -338,4 +337,4 @@ def write_sweep_summary_json(result: SweepResult, path: str | Path, config_echo:
         "mask": list(result.controls.mask),
         "config": config_echo,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)

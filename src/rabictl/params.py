@@ -1,4 +1,4 @@
-"""Model parameterization: rate constants, presets and JSON round-tripping.
+"""Model parameterization: rate constants and presets.
 
 All rates are per year; population recruitment is individuals per year and
 the half-saturation constant ``C`` is in PFU/mL.
@@ -7,10 +7,8 @@ the half-saturation constant ``C`` is in PFU/mL.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ConfigError
 
@@ -86,38 +84,6 @@ class ParamSet:
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(self.as_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, float], base: "ParamSet | None" = None) -> "ParamSet":
-        """Build a ParamSet from a flat mapping; missing keys fall back to ``base``.
-
-        Unknown keys are rejected rather than ignored so that typos in config
-        files surface immediately.
-        """
-        base = TABLE2_ESTIMATED if base is None else base
-        unknown = set(mapping) - set(PARAM_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown parameter name(s): {sorted(unknown)}")
-        values = base.as_dict()
-        for key, value in mapping.items():
-            values[key] = float(value)
-        return cls(**values)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParamSet":
-        try:
-            mapping = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid parameter JSON: {exc}") from exc
-        if not isinstance(mapping, dict):
-            raise ConfigError("parameter JSON must be a flat object")
-        return cls.from_mapping(mapping)
 
 
 PARAM_NAMES: tuple[str, ...] = tuple(f.name for f in dataclasses.fields(ParamSet))

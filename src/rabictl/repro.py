@@ -15,8 +15,6 @@ full linearization as a diagnostic; the closed form never includes it.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NoEndemicEquilibriumError, NumericError
+from .integrate import write_csv, write_json
 from .model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, rhs, seeded_state,
 )
@@ -316,16 +315,13 @@ def re_grid(
 
 def write_re_grid_csv(grid: ReGrid, path: str | Path, sidecar: str | Path) -> None:
     """Write the grid as long-format CSV plus a JSON sidecar of its axes and base point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis1", "axis2", "Re"])
-        for i, v1 in enumerate(grid.axis1_values):
-            for j, v2 in enumerate(grid.axis2_values):
-                writer.writerow([repr(v1), repr(v2), repr(float(grid.values[i, j]))])
+    write_csv(path, ("axis1", "axis2", "Re"), (
+        [repr(v1), repr(v2), repr(float(grid.values[i, j]))]
+        for i, v1 in enumerate(grid.axis1_values) for j, v2 in enumerate(grid.axis2_values)))
     meta = {
         "axis1": {"name": grid.axis1_name, "values": list(grid.axis1_values)},
         "axis2": {"name": grid.axis2_name, "values": list(grid.axis2_values)},
         "base_controls": grid.base_u._asdict(),
         "base_parameters": grid.base_params.as_dict(),
     }
-    Path(sidecar).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar, meta)

@@ -16,8 +16,6 @@ The ranks are computed with numpy. scipy is loaded only to sample a
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +25,7 @@ import numpy as np
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
 from .errors import ConfigError, DegenerateInputError, StudyError
-from .integrate import CLAMP_TOL, KEEP_TOL, TimeGrid, rk4_step
+from .integrate import CLAMP_TOL, KEEP_TOL, TimeGrid, rk4_step, write_csv, write_json
 from .model import ZERO_CONTROL, StateVec
 from .params import PARAM_NAMES, ParamSet
 
@@ -314,23 +312,17 @@ def prcc_study(
 
 def write_prcc_csv(result: PrccResult, path: str | Path) -> None:
     """Long-format CSV for one output: a (time, param, prcc) row per coefficient."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "param", "prcc"])
-        for ti, t in enumerate(result.times):
-            for pi, name in enumerate(result.param_names):
-                writer.writerow([repr(t), name, repr(float(result.coefficients[ti, pi]))])
+    write_csv(path, ("time", "param", "prcc"), (
+        [repr(t), name, repr(float(result.coefficients[ti, pi]))]
+        for ti, t in enumerate(result.times) for pi, name in enumerate(result.param_names)))
 
 
 def write_prcc_study(results: Sequence[PrccResult], outdir: str | Path,
                      config_echo: dict) -> list[Path]:
     """One CSV per output plus ``prcc.meta.json`` with the study settings."""
-    outdir = Path(outdir)
-    written = []
-    for res in results:
-        path = outdir / f"prcc_{res.output}.csv"
+    written = [Path(outdir) / f"prcc_{res.output}.csv" for res in results]
+    for res, path in zip(results, written):
         write_prcc_csv(res, path)
-        written.append(path)
     meta = {
         "N": results[0].N,
         "seed": results[0].seed,
@@ -338,5 +330,5 @@ def write_prcc_study(results: Sequence[PrccResult], outdir: str | Path,
         "outputs": [res.output for res in results],
         "config": config_echo,
     }
-    (outdir / "prcc.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(Path(outdir) / "prcc.meta.json", meta)
     return written

@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabictl
-from rabictl.cli import main
+from rabictl.cli import OUTDIR_ENV, main
 from rabictl.model import StateVec
-from rabictl.params import PARAM_NAMES
+from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
 
 
 def run(tmp_path, label, *args):
@@ -128,8 +128,12 @@ def test_reff_config_error_leaves_no_run_directory(tmp_path, capsys, axis1):
 def test_reff_parameter_axis_grid(tmp_path):
     axis1 = json.dumps({"name": "psi1", "lo": 4e-5, "hi": 1.6e-4, "n": 3})
     axis2 = json.dumps({"name": "psi2", "lo": 4e-5, "hi": 1.6e-4, "n": 3})
-    code, out = run(tmp_path, "a", "--set", f"reff.axis1={axis1}", "--set", f"reff.axis2={axis2}", "reff")
+    code, out = run(tmp_path, "a", "--set", f"reff.axis1={axis1}", "--set", f"reff.axis2={axis2}",
+                    "--set", "parameters.tau1=0.0005", "reff")
     assert code == 0
+    # a partial parameters block overrides its keys and keeps every other preset value
+    base = json.loads((out / "reff_grid.meta.json").read_text())["base_parameters"]
+    assert base == {**TABLE2_ESTIMATED.as_dict(), "tau1": 0.0005}
     _, rows = read_csv(out / "reff_grid.csv")
     values = [float(r[2]) for r in rows]  # row-major over a 3x3 grid
     for i in range(3):
@@ -331,16 +335,27 @@ FUZZ_VALUES = (math.nan, math.inf, -1, 0, 1e300, "abc", [], {})
 NON_FINITE = re.compile("nan|inf", re.IGNORECASE)
 
 
+def reject_constant(token):
+    raise AssertionError(f"non-finite number {token} in a JSON artifact")
+
+
+def check_run(code, made, codes):
+    """``code`` is one of ``codes``, a success left one run directory in ``made`` and a failure
+    none, and no CSV or JSON artifact holds a non-finite number."""
+    assert code in codes
+    assert len(made) == (1 if code == 0 else 0)
+    for artifact in made[0].iterdir() if made else []:
+        if artifact.suffix == ".json":  # a key such as seed_infected would match NON_FINITE
+            json.loads(artifact.read_text(), parse_constant=reject_constant)
+        else:
+            assert not NON_FINITE.search(artifact.read_text()), artifact.name
+
+
 def fuzz_run(tmp_path_factory, *argv, codes=(0, 2, 3)):
-    """Run the CLI once: it ends in one of ``codes``, leaves one run directory on success and
-    none otherwise, and writes no non-finite number to a CSV or to reff.json."""
+    """Run the CLI once under its own --outdir and check the run as ``check_run`` does."""
     outdir = tmp_path_factory.mktemp("fuzz")
     code = main(["--outdir", str(outdir), *argv])
-    assert code in codes
-    made = list(outdir.iterdir())
-    assert len(made) == (1 if code == 0 else 0)
-    for artifact in [*made[0].glob("*.csv"), *made[0].glob("reff.json")] if made else []:
-        assert not NON_FINITE.search(artifact.read_text()), artifact.name
+    check_run(code, list(outdir.iterdir()), codes)
 
 
 @settings(max_examples=50, deadline=None)
@@ -417,6 +432,69 @@ def test_initial_state_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, k
     # the march's clamp and finiteness checks see these states first
     fuzz_run(tmp_path_factory, "--set", "grid.n_steps=20", "--set", f"{key}={json.dumps(value)}",
              command)
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+@pytest.mark.parametrize("block, command", [
+    ("grid", "optimize"), ("sweep", "optimize"), ("sensitivity", "prcc"), ("fit", "fit"),
+])
+def test_whole_block_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, block, command, value):
+    fuzz_run(tmp_path_factory, "--set", f"{block}={json.dumps(value)}", command)
+
+
+@pytest.mark.parametrize("value", FUZZ_VALUES)
+def test_output_dir_set_fuzz_ends_in_documented_exit_code(tmp_path, monkeypatch, value):
+    # no --outdir: the run directory goes under output_dir, relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    code = main(["--set", f"output_dir={json.dumps(value)}", "reff"])
+    check_run(code, list(tmp_path.glob("*/reff-*")), codes=(0, 2))
+    if code != 0:
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["5", "[1]"])
+@pytest.mark.parametrize("with_outdir", [False, True], ids=["no-outdir", "outdir"])
+def test_non_string_output_dir_is_config_error(tmp_path, monkeypatch, capsys, value, with_outdir):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    outdir = ["--outdir", str(tmp_path / "out")] if with_outdir else []
+    code = main([*outdir, "--set", f"output_dir={value}", "reff"])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []  # neither ./runs nor the --outdir root
+    assert "output_dir must be a directory path or null" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, source", [
+    (("--set", "foo=NaN", "reff"), "--set foo"),
+    (("--set", 'fit.free=["theta1"]', "--set", 'fit.x0={"theta1":1000,"tau1":NaN}',
+      "--set", "fit.max_evals=5", "fit"), "--set fit.x0"),
+    (("--set", "controls.u1=-Infinity", "reff"), "--set controls.u1"),
+    (("--set", "grid.tf=1e999", "simulate"), "--set grid.tf"),  # overflows to inf as it parses
+], ids=["unknown-key-nan", "fit-x0-nan", "minus-infinity", "overflow"])
+def test_non_finite_set_value_is_config_error(tmp_path, capsys, argv, source):
+    code, out = run(tmp_path, "a", *argv)
+    assert code == 2
+    assert out is None
+    assert f"configuration error: {source} holds the non-finite number" in capsys.readouterr().err
+
+
+def test_non_finite_config_file_number_is_config_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"foo": NaN}')
+    code, out = run(tmp_path, "a", "--config", str(config), "reff")
+    assert code == 2
+    assert out is None
+    assert f"config file {config} holds the non-finite number NaN" in capsys.readouterr().err
+
+
+def test_set_value_that_only_starts_like_nan_stays_a_string(tmp_path, monkeypatch, capsys):
+    # "NaN.csv" is not JSON, so it is the file name it reads as: a missing file, exit 4
+    monkeypatch.chdir(tmp_path)
+    code, out = run(tmp_path, "a", "--set", "fit.data=NaN.csv", "fit")
+    assert code == 4
+    assert out is None
+    assert "NaN.csv" in capsys.readouterr().err
 
 
 # Run CLI steps in a fresh interpreter and report which scipy modules got loaded.

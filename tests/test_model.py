@@ -1,7 +1,5 @@
 """Parameterization, infection pressures and right-hand side."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 from rabictl.errors import ConfigError
 from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, force_terms, rhs, seeded_state
-from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, ParamSet
+from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 controls = st.floats(min_value=0.0, max_value=1.0)
@@ -41,23 +39,6 @@ def test_recruitment_must_exceed_mortality():
 def test_replace_rejects_unknown_names():
     with pytest.raises(ConfigError, match="unknown parameter"):
         TABLE2_ESTIMATED.replace(theta9=1.0)
-
-
-def test_json_round_trip():
-    text = TABLE2_ESTIMATED.to_json()
-    assert ParamSet.from_json(text) == TABLE2_ESTIMATED
-
-
-def test_json_unknown_key_is_error():
-    with pytest.raises(ConfigError, match="unknown parameter"):
-        ParamSet.from_json(json.dumps({"thetaX": 1.0}))
-
-
-def test_json_missing_keys_fall_back_to_estimated_preset():
-    p = ParamSet.from_json(json.dumps({"theta1": 1500.0}))
-    assert p.theta1 == 1500.0
-    assert p.tau1 == TABLE2_ESTIMATED.tau1
-    assert p.C == TABLE2_ESTIMATED.C
 
 
 # --- saturation -----------------------------------------------------------------
