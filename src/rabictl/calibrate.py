@@ -56,19 +56,23 @@ class IncidenceSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "IncidenceSeries":
-        with open(path, newline="") as fh:
-            reader = csv.reader(row for row in fh if not row.startswith("#"))
-            header = next(reader, [])
-            if [h.strip() for h in header] != ["year", "cases"]:
-                raise ConfigError(f"expected header 'year,cases', got {header}")
-            years, cases = [], []
-            for row in reader:
-                try:
-                    year, count = row
-                    years.append(int(year))
-                    cases.append(float(count))
-                except ValueError as exc:
-                    raise ConfigError(f"bad row {row} in {path}: expected 'year,cases'") from exc
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                lines = [row for row in fh if not row.startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"data file {path} is not UTF-8 text: {exc}") from exc
+        reader = csv.reader(lines)
+        header = next(reader, [])
+        if [h.strip() for h in header] != ["year", "cases"]:
+            raise ConfigError(f"expected header 'year,cases', got {header}")
+        years, cases = [], []
+        for row in reader:
+            try:
+                year, count = row
+                years.append(int(year))
+                cases.append(float(count))
+            except ValueError as exc:
+                raise ConfigError(f"bad row {row} in {path}: expected 'year,cases'") from exc
         return cls(tuple(years), tuple(cases))
 
 
@@ -94,9 +98,11 @@ class FitConfig:
             raise ConfigError(f"max_evals must be at least 1, got {self.max_evals}")
         if not 0.0 <= self.tol < math.inf:
             raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
-        for name in self.free:
+        for i, name in enumerate(self.free):
             if name not in PARAM_NAMES:
                 raise ConfigError(f"unknown free parameter {name!r}")
+            if name in self.free[:i]:
+                raise ConfigError(f"free parameter {name!r} is named twice")
             if name not in self.bounds:
                 raise ConfigError(f"missing bounds for free parameter {name!r}")
             if name not in self.x0:

@@ -5,6 +5,11 @@ an optional JSON file plus ``--set key=value`` overrides (dotted keys reach
 nested blocks); every run writes the fully resolved configuration next to
 its artifacts so outputs are reproducible byte for byte.
 
+``main`` runs every subcommand the same way: it resolves the configuration,
+calls the handler, which solves and only then creates the run directory and
+writes its artifacts, then writes ``config.json`` and prints the handler's
+summary. A failed run leaves no run directory and nothing on stdout.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 IO error.
 
 ``calibrate`` (scipy.optimize) and ``sensitivity`` are imported inside the
@@ -128,7 +133,9 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
     if path is not None:
         file_path = Path(path)
         try:
-            loaded = _load_json(file_path.read_text(), f"config file {path}")
+            loaded = _load_json(file_path.read_text(encoding="utf-8"), f"config file {path}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -184,10 +191,6 @@ def _build_controls(config: dict) -> ControlConst:
     return ControlConst(**{k: float(v) for k, v in block.items()}).validate()
 
 
-def _build_weights(config: dict) -> optctl.Weights:
-    return optctl.Weights(**{k: float(v) for k, v in (config.get("weights") or {}).items()})
-
-
 def _make_outdir(config: dict, cli_outdir: str | None, command: str) -> Path:
     root = cli_outdir or config.get("output_dir") or os.environ.get(OUTDIR_ENV) or "runs"
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
@@ -203,8 +206,7 @@ def _write_sidecar(outdir: Path, config: dict) -> None:
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = resolve_config(args.config, args.set)
+def cmd_simulate(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
     with _config_values():
         p = _build_params(config)
         y0 = _build_state(config, p)
@@ -213,13 +215,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     traj = rk4_forward(p, ControlPath.constant(grid, u), y0, grid)
     outdir = _make_outdir(config, args.outdir, "simulate")
     write_trajectory_csv(traj, outdir / "trajectory.csv")
-    _write_sidecar(outdir, config)
-    print(f"wrote {outdir / 'trajectory.csv'} ({grid.n_nodes} nodes, {traj.clamped} clamped)")
-    return EXIT_OK
+    return outdir, f"wrote {outdir / 'trajectory.csv'} ({grid.n_nodes} nodes, {traj.clamped} clamped)"
 
 
-def cmd_reff(args: argparse.Namespace) -> int:
-    config = resolve_config(args.config, args.set)
+def cmd_reff(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
     with _config_values():
         p = _build_params(config)
         u = _build_controls(config)
@@ -233,16 +232,12 @@ def cmd_reff(args: argparse.Namespace) -> int:
         grid = repro.re_grid(p, *axes, u)
         outdir = _make_outdir(config, args.outdir, "reff")
         repro.write_re_grid_csv(grid, outdir / "reff_grid.csv", outdir / "reff_grid.meta.json")
-        print(f"wrote {outdir / 'reff_grid.csv'} "
-              f"({len(grid.axis1_values)}x{len(grid.axis2_values)} points)")
-    else:
-        breakdown = dataclasses.asdict(repro.effective_r(p, u))
-        for name, value in breakdown.items():
-            print(f"{name} = {value:.12g}")
-        outdir = _make_outdir(config, args.outdir, "reff")
-        write_json(outdir / "reff.json", breakdown)
-    _write_sidecar(outdir, config)
-    return EXIT_OK
+        return outdir, (f"wrote {outdir / 'reff_grid.csv'} "
+                        f"({len(grid.axis1_values)}x{len(grid.axis2_values)} points)")
+    breakdown = dataclasses.asdict(repro.effective_r(p, u))
+    outdir = _make_outdir(config, args.outdir, "reff")
+    write_json(outdir / "reff.json", breakdown)
+    return outdir, "\n".join(f"{name} = {value:.12g}" for name, value in breakdown.items())
 
 
 def _mask_from_args(args: argparse.Namespace) -> optctl.Mask:
@@ -257,13 +252,12 @@ def _mask_from_args(args: argparse.Namespace) -> optctl.Mask:
     return optctl.STRATEGY_MASKS[strategy]
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    config = resolve_config(args.config, args.set)
+def cmd_optimize(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
     with _config_values():
         p = _build_params(config)
         y0 = _build_state(config, p)
         grid = _build_grid(config["grid"])
-        w = _build_weights(config)
+        w = optctl.Weights(**{k: float(v) for k, v in (config.get("weights") or {}).items()})
         block = config["sweep"]
         omega, tol, max_iter = float(block["omega"]), float(block["tol"]), int(block["max_iter"])
     mask = _mask_from_args(args)
@@ -275,21 +269,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     optctl.write_adjoints_csv(grid, result.adjoints, outdir / "adjoints.csv")
     optctl.write_controls_csv(result.controls, outdir / "controls.csv")
     optctl.write_sweep_summary_json(result, outdir / "summary.json", config)
-    _write_sidecar(outdir, config)
     if not result.converged:
         print(f"warning: sweep stopped at max_iter={max_iter} before the control update "
               f"fell below tol={tol:g}", file=sys.stderr)
-    print(
-        f"J = {result.J_history[-1]:.6g} after {result.iterations} iterations "
-        f"(converged={result.converged}); wrote {outdir}"
-    )
-    return EXIT_OK
+    return outdir, (f"J = {result.J_history[-1]:.6g} after {result.iterations} iterations "
+                    f"(converged={result.converged}); wrote {outdir}")
 
 
-def cmd_prcc(args: argparse.Namespace) -> int:
+def cmd_prcc(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
     from . import sensitivity
 
-    config = resolve_config(args.config, args.set)
     with _config_values():
         block = config["sensitivity"]
         # the study centres its ranges on its own preset; explicit parameter
@@ -313,23 +302,16 @@ def cmd_prcc(args: argparse.Namespace) -> int:
         grid = _build_grid(block["grid"])
         sample_times = [float(t) for t in block["sample_times"]]
         outputs = tuple(block["outputs"])
-    if N <= len(ranges) + 2:
-        raise ConfigError(
-            f"sensitivity N must exceed P + 2 = {len(ranges) + 2}, got {N}"
-        )
     results = sensitivity.prcc_study(ranges, N, seed, p, y0, grid, sample_times, outputs)
     outdir = _make_outdir(config, args.outdir, "prcc")
     written = sensitivity.write_prcc_study(results, outdir, config)
-    _write_sidecar(outdir, config)
     names = ", ".join(p.name for p in written)
-    print(f"wrote {names} in {outdir} (N={N}, {results[0].dropped_rows} rows dropped)")
-    return EXIT_OK
+    return outdir, f"wrote {names} in {outdir} (N={N}, {results[0].dropped_rows} rows dropped)"
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
     from . import calibrate
 
-    config = resolve_config(args.config, args.set)
     with _config_values():
         p = _build_params(config)
         block = config["fit"]
@@ -356,10 +338,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     outdir = _make_outdir(config, args.outdir, "fit")
     calibrate.write_fit_json(result, outdir / "fit.json", config)
     calibrate.write_fit_csv(data, result, outdir / "fit.csv")
-    _write_sidecar(outdir, config)
-    print(f"mse = {result.mse:.6g} after {result.evals} evaluations, at bound: "
-          f"{', '.join(result.at_bound) or 'none'}; wrote {outdir}")
-    return EXIT_OK
+    return outdir, (f"mse = {result.mse:.6g} after {result.evals} evaluations, at bound: "
+                    f"{', '.join(result.at_bound) or 'none'}; wrote {outdir}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +380,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        config = resolve_config(args.config, args.set)
+        outdir, summary = _HANDLERS[args.command](args, config)
+        _write_sidecar(outdir, config)
+        print(summary)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

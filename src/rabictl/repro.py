@@ -291,6 +291,8 @@ def re_grid(
     """Evaluate the closed-form Re over a Cartesian axis1 x axis2 grid."""
     name1, lo1, hi1, n1 = axis1
     name2, lo2, hi2, n2 = axis2
+    if name1 == name2:
+        raise ConfigError(f"both axes name {name1!r}; a grid needs two different axes")
     vals1 = _axis_values(lo1, hi1, int(n1))
     vals2 = _axis_values(lo2, hi2, int(n2))
     _apply_axis(name1, vals1[0], p, base_u)  # validate axis names up front

@@ -274,18 +274,29 @@ def prcc_study(
     """LHS-sample the ranges, simulate each row uncontrolled, PRCC the outputs.
 
     Rows whose simulation blows up are dropped and counted; more than
-    5% of the N rows failing aborts the study (a fixed limit).
+    5% of the N rows failing aborts the study (a fixed limit). PRCC's
+    N > P + 2 rule is checked before any row is sampled.
     """
+    if N <= len(ranges) + 2:
+        raise ConfigError(f"PRCC needs N > P + 2 samples, got N={N}, P={len(ranges)}")
     outputs = tuple(outputs)
     if not outputs or not sample_times:
         raise ConfigError("a study needs at least one output and one sample time")
-    for o in outputs:
+    for i, o in enumerate(outputs):
         if o not in StateVec._fields:
             raise ConfigError(f"unknown output {o!r}")
+        if o in outputs[:i]:
+            raise ConfigError(f"output {o!r} is named twice")
     names = tuple(r.name for r in ranges)
     if len(set(names)) != len(names):
         raise ConfigError("duplicate parameter in ranges")
     node_idx = tuple(grid.node_at(t) for t in sample_times)
+    first_time: dict[int, float] = {}
+    for t, k in zip(sample_times, node_idx):
+        if k in first_time:
+            raise ConfigError(f"sample times {first_time[k]!r} and {t!r} both fall on the grid "
+                              f"node t={grid.times()[k]!r}")
+        first_time[k] = t
     y0.validate()
 
     X = lhs_sample(ranges, N, seed)

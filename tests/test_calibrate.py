@@ -190,6 +190,9 @@ def test_fit_config_validation():
         FitConfig(free=("theta1",), bounds={}, x0={"theta1": 1.0})
     with pytest.raises(ConfigError, match="inside bounds"):
         FitConfig(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 2.0})
+    with pytest.raises(ConfigError, match="free parameter 'theta1' is named twice"):
+        FitConfig(free=("theta1", "tau1", "theta1"), bounds={"theta1": (0.0, 1.0), "tau1": (0, 1)},
+                  x0={"theta1": 0.5, "tau1": 0.5})
     ok = dict(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 0.5})
     for bad, match in [({"dt": 0.0}, "dt"), ({"dt": float("nan")}, "dt"), ({"dt": 0.1}, "dt"),
                        ({"max_evals": 0}, "max_evals"), ({"tol": float("nan")}, "tol"),

@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: artifacts, determinism and exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -192,9 +194,11 @@ def test_prcc_seeded_runs_identical(tmp_path):
     assert header == "time,param,prcc"
 
 
-def test_prcc_sample_size_validation(tmp_path):
-    code, _ = run(tmp_path, "a", "--set", "sensitivity.N=20", "prcc")
+def test_prcc_sample_size_validation(tmp_path, capsys):
+    code, out = run(tmp_path, "a", "--set", "sensitivity.N=20", "prcc")
     assert code == 2
+    assert out is None
+    assert "PRCC needs N > P + 2 samples, got N=20, P=33" in capsys.readouterr().err
 
 
 def test_fit_missing_data_file_is_io_error(tmp_path, capsys):
@@ -352,10 +356,13 @@ def check_run(code, made, codes):
 
 
 def fuzz_run(tmp_path_factory, *argv, codes=(0, 2, 3)):
-    """Run the CLI once under its own --outdir and check the run as ``check_run`` does."""
+    """Run the CLI once under its own --outdir, check the run as ``check_run`` does, and
+    check that a failed run printed nothing on stdout."""
     outdir = tmp_path_factory.mktemp("fuzz")
-    code = main(["--outdir", str(outdir), *argv])
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(["--outdir", str(outdir), *argv])
     check_run(code, list(outdir.iterdir()), codes)
+    assert code == 0 or stdout.getvalue() == ""
 
 
 @settings(max_examples=50, deadline=None)
@@ -495,6 +502,79 @@ def test_set_value_that_only_starts_like_nan_stays_a_string(tmp_path, monkeypatc
     assert code == 4
     assert out is None
     assert "NaN.csv" in capsys.readouterr().err
+
+
+# The artifacts table of README.md: each command's files besides config.json, and the
+# summary line that ends stdout ({run} stands for the run directory).
+PROTOCOL_RUNS = {
+    "simulate": (("--set", "grid.n_steps=20", "simulate"), {"trajectory.csv"},
+                 r"wrote {run}/trajectory\.csv \(21 nodes, 0 clamped\)"),
+    "reff-point": (("reff",), {"reff.json"},
+                   r"R21 = \S+\nR23 = \S+\nR31 = \S+\nR33 = \S+\na3 = \S+\nRe = 2\.28214565471"),
+    "reff-grid": (("--set", 'reff.axis1={"name":"u2","lo":0,"hi":1,"n":3}',
+                   "--set", 'reff.axis2={"name":"u4","lo":0,"hi":1,"n":2}', "reff"),
+                  {"reff_grid.csv", "reff_grid.meta.json"},
+                  r"wrote {run}/reff_grid\.csv \(3x2 points\)"),
+    "optimize": (("--set", "grid.n_steps=20", "optimize"),
+                 {"states.csv", "adjoints.csv", "controls.csv", "summary.json"},
+                 r"J = \S+ after \d+ iterations \(converged=True\); wrote {run}"),
+    "prcc": (("--set", "sensitivity.N=40", "--set", "sensitivity.grid.n_steps=20", "prcc"),
+             {"prcc_I_H.csv", "prcc_I_F.csv", "prcc_I_D.csv", "prcc_M.csv", "prcc.meta.json"},
+             r"wrote prcc_I_H\.csv, prcc_I_F\.csv, prcc_I_D\.csv, prcc_M\.csv in {run} "
+             r"\(N=40, 0 rows dropped\)"),
+    "fit": (("--set", "fit.max_evals=5", "--set", "fit.dt=0.05", "fit"), {"fit.json", "fit.csv"},
+            r"mse = \S+ after 5 evaluations, at bound: none; wrote {run}"),
+}
+
+
+@pytest.mark.parametrize("label", PROTOCOL_RUNS)
+def test_run_protocol(tmp_path, capsys, label):
+    argv, artifacts, summary = PROTOCOL_RUNS[label]
+    code = main(["--outdir", str(tmp_path), *argv])
+    assert code == 0
+    (out,) = tmp_path.iterdir()  # exactly one run directory
+    assert {f.name for f in out.iterdir()} == artifacts | {"config.json"}
+    stdout = capsys.readouterr().out
+    assert re.fullmatch(summary.replace("{run}", re.escape(str(out))) + "\n", stdout), stdout
+
+
+def test_failed_write_prints_no_summary(tmp_path, capsys):
+    # the output root is a file, so the run directory cannot be made: exit 4
+    root = tmp_path / "file"
+    root.write_text("")
+    assert main(["--outdir", str(root / "runs"), "reff"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "io error" in captured.err
+
+
+@pytest.mark.parametrize("kind, content, argv", [
+    ("config", b"\xff\xfe{}", ("--config", "{path}", "reff")),
+    ("data", b"year,cases\n1990,5\n1991,\xff\n", ("fit", "--data", "{path}")),
+])
+def test_non_utf8_file_is_config_error(tmp_path, capsys, kind, content, argv):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out = run(tmp_path, "a", *(str(path) if a == "{path}" else a for a in argv))
+    assert code == 2
+    assert out is None
+    assert f"{kind} file {path} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--set", 'fit.free=["theta1","theta1"]', "--set", "fit.max_evals=5", "fit"),
+     "free parameter 'theta1' is named twice"),
+    (("--set", 'sensitivity.outputs=["I_H","I_H"]', "prcc"), "output 'I_H' is named twice"),
+    (("--set", "sensitivity.sample_times=[2.001,2.002]", "--set", "sensitivity.grid.n_steps=50",
+      "prcc"), "sample times 2.001 and 2.002 both fall on the grid node t=2.0"),
+    (("--set", 'reff.axis1={"name":"u2","lo":0,"hi":1,"n":3}',
+      "--set", 'reff.axis2={"name":"u2","lo":0,"hi":1,"n":2}', "reff"), "both axes name 'u2'"),
+], ids=["fit-free", "prcc-outputs", "prcc-sample-times", "reff-axes"])
+def test_duplicate_name_is_config_error(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, "a", "--set", "sensitivity.N=40", *argv)
+    assert code == 2
+    assert out is None
+    assert message in capsys.readouterr().err
 
 
 # Run CLI steps in a fresh interpreter and report which scipy modules got loaded.

@@ -226,6 +226,13 @@ def test_grid_unknown_axis(p_est):
         re_grid(p_est, ("u9", 0.0, 1.0, 3), ("u4", 0.0, 1.0, 3))
 
 
+def test_grid_rejects_one_name_on_both_axes(p_est):
+    # the inner axis would override the outer one, so the axis1 column would not move Re
+    for name in ("u2", "psi1"):
+        with pytest.raises(ConfigError, match=f"both axes name '{name}'"):
+            re_grid(p_est, (name, 0.0, 1e-4, 3), (name, 0.0, 1e-4, 3))
+
+
 def test_grid_axis_point_limit(p_est):
     assert re_grid(p_est, ("u2", 0.0, 1.0, 1000), ("u4", 0.0, 1.0, 1)).values.shape == (1000, 1)
     for n in (0, 1001):

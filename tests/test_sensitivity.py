@@ -1,6 +1,7 @@
 """Latin hypercube sampling and partial rank correlation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,28 @@ def test_prcc_study_rejects_unknown_output(p_base):
     with pytest.raises(ConfigError, match="unknown output"):
         prcc_study(uniform_ranges(p_base, 0.25, names=["tau1"]), 10, 1, p_base,
                    light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("X_H",))
+
+
+def test_prcc_study_checks_sample_size_before_sampling(p_base, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled a study that PRCC cannot use")
+
+    monkeypatch.setattr("rabictl.sensitivity.lhs_sample", no_sampling)
+    with pytest.raises(ConfigError, match=r"PRCC needs N > P \+ 2 samples, got N=5, P=3"):
+        prcc_study(uniform_ranges(p_base, 0.25, names=["tau1", "mu1", "beta2"]), 5, 1, p_base,
+                   light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("I_H",))
+
+
+@pytest.mark.parametrize("times, outputs, match", [
+    ([1.0], ("I_H", "M", "I_H"), "output 'I_H' is named twice"),
+    ([0.5, 0.5], ("I_H",), "sample times 0.5 and 0.5 both fall on the grid node t=0.5"),
+    # 0.501 and 0.502 round to the same node of a 0.1 grid
+    ([0.501, 0.502], ("I_H",), "sample times 0.501 and 0.502 both fall on the grid node t=0.5"),
+], ids=["output", "time", "times-on-one-node"])
+def test_prcc_study_rejects_duplicates(p_base, times, outputs, match):
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        prcc_study(uniform_ranges(p_base, 0.25, names=["tau1"]), 10, 1, p_base,
+                   light_seed_state(p_base), TimeGrid(0, 1, 10), times, outputs)
 
 
 def test_prcc_study_names_constant_output(p_base):
