@@ -98,6 +98,12 @@ class FitConfig:
             raise ConfigError(f"max_evals must be at least 1, got {self.max_evals}")
         if not 0.0 <= self.tol < math.inf:
             raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
+        if not self.free:
+            raise ConfigError("a fit needs at least one free parameter")
+        for key, entries in (("x0", self.x0), ("bounds", self.bounds)):
+            for name in entries:
+                if name not in self.free:
+                    raise ConfigError(f"fit.{key} names {name!r}, which is not a free parameter")
         for i, name in enumerate(self.free):
             if name not in PARAM_NAMES:
                 raise ConfigError(f"unknown free parameter {name!r}")
@@ -186,13 +192,6 @@ def nelder_mead(
     hi = np.array([cfg.bounds[name][1] for name in cfg.free])
     x0 = np.array([cfg.x0[name] for name in cfg.free])
     n = len(cfg.free)
-
-    if n == 0:
-        value = f(x0)
-        if not math.isfinite(value):
-            raise NumericError("objective is not finite at the start point")
-        return x0, value, 1, True
-
     evals, finite = 0, False
 
     def objective(z: np.ndarray) -> float:

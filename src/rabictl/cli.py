@@ -338,6 +338,9 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
     outdir = _make_outdir(config, args.outdir, "fit")
     calibrate.write_fit_json(result, outdir / "fit.json", config)
     calibrate.write_fit_csv(data, result, outdir / "fit.csv")
+    if not result.converged:
+        print(f"warning: fit stopped after {result.evals} evaluations (max_evals={cfg.max_evals}) "
+              f"before the simplex spread fell below tol={cfg.tol:g}", file=sys.stderr)
     return outdir, (f"mse = {result.mse:.6g} after {result.evals} evaluations, at bound: "
                     f"{', '.join(result.at_bound) or 'none'}; wrote {outdir}")
 

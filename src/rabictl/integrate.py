@@ -2,10 +2,11 @@
 
 ``rk4_step`` is the one place the RK4 formula is written. The forward pass
 steps the state system with the controls as its frozen input, through the
-march (``_march``) it shares with forward Euler; the backward pass steps an
-adjoint system from tf down to t0 with a step of -h, its input being the
-stored state and control. Both share one grid and interpolate by node
-averages only. A control path holds one (n_nodes, 4) array.
+march (``_march``) it shares with forward Euler. The adjoint is affine in lam,
+so the backward pass, from tf down to t0 with a step of -h, is a linear
+recurrence of RK4 propagators, built in numpy blocks and applied by one
+matrix-vector product per step. Both passes share one grid and interpolate by
+node averages only. A control path holds one (n_nodes, 4) array.
 
 Every artifact of the package is written here: CSV by ``write_csv``, JSON by ``write_json``.
 """
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +50,10 @@ CLAMP_TOL = 1e-6
 # Largest grid accepted: a trajectory holds every node as Python floats, so a
 # million steps already costs about half a gigabyte.
 MAX_STEPS = 1_000_000
+
+# Steps whose adjoint propagators are built in one numpy pass: enough to spread
+# numpy's per-call cost, few enough that the (BLOCK, 13, 13) buffers stay small.
+BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ class ControlPath:
     def consts(self) -> tuple[list[ControlConst], list[ControlConst]]:
         """Controls of Python floats at the nodes and at the step midpoints, built on first use."""
         u = self.values
-        return list(map(ControlConst._make, u.tolist())), _midpoints(u, ControlConst)
+        return tuple(list(map(ControlConst._make, v.tolist())) for v in (u, _midpoints(u)))
 
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
@@ -156,9 +161,9 @@ def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
         raise ConfigError(f"{what} must share the integration grid, got {a} vs {b}")
 
 
-def _midpoints(values: np.ndarray, vec: type) -> list:
-    """One ``vec`` of Python floats per step midpoint: the average of the step's two nodes."""
-    return list(map(vec._make, (0.5 * (values[1:] + values[:-1])).tolist()))
+def _midpoints(values: np.ndarray) -> np.ndarray:
+    """One row per step: the average of the step's two nodes."""
+    return 0.5 * (values[1:] + values[:-1])
 
 
 def _clamp_state(y: StateVec, t: float) -> tuple[StateVec, int]:
@@ -175,13 +180,15 @@ def _clamp_state(y: StateVec, t: float) -> tuple[StateVec, int]:
     return StateVec._make(0.0 if v < -KEEP_TOL else v for v in y), sum(v < -KEEP_TOL for v in y)
 
 
-def _require_finite(values: tuple, what: str, t: float) -> None:
+def _not_finite(what: str, t: float) -> IntegrationBlowupError:
+    return IntegrationBlowupError(f"{what} is not finite at t = {t:.6g}; "
+                                  "check the parameters or reduce the step size (increase n_steps)")
+
+
+def _require_finite(values: Sequence[float] | np.ndarray, what: str, t: float) -> None:
     """A NaN or inf persists to the end of a march, so only its last node is checked."""
-    if not all(map(math.isfinite, values)):
-        raise IntegrationBlowupError(
-            f"{what} is not finite at t = {t:.6g}; "
-            "check the parameters or reduce the step size (increase n_steps)"
-        )
+    if not np.isfinite(values).all():
+        raise _not_finite(what, t)
 
 
 def _march(step: Callable, y0: StateVec, grid: TimeGrid) -> Trajectory:
@@ -230,36 +237,68 @@ def rk4_forward(
     return _march(lambda i, t, y: rk4_step(rhs, y, t, h, u[i], um[i], u[i + 1], p), y0, grid)
 
 
-def rk4_backward(
-    adjoint_rhs: Callable, state_traj: Trajectory, u_path: ControlPath, terminal: tuple
-) -> tuple[tuple, ...]:
-    """Integrate an adjoint system from tf down to t0 with classical RK4.
+class _Propagators(NamedTuple):
+    """A stack of 13x13 matrices: the one field ``rk4_step`` advances when it builds propagators."""
 
-    ``adjoint_rhs(t, lam, (y, u))`` returns d(lam)/dt; its third argument is the
-    pair of state and control, whose half-step values average the adjacent nodes.
-    ``terminal`` is a NamedTuple; returns one of its type per node, the last equal to it.
+    m: np.ndarray
+
+
+def _linear(t: float, z: _Propagators, a: np.ndarray) -> _Propagators:
+    return _Propagators(a @ z.m)
+
+
+def _propagators(system: Callable, y: np.ndarray, u: np.ndarray, h: float, t: float) -> np.ndarray:
+    """The (13, 13) RK4 propagator of each step between the rows of ``y`` and ``u``.
+
+    ``rk4_step`` applied to the identity of z' = [[G, g], [0, 0]] z, z = (lam, 1),
+    with G and g from ``system`` at the nodes and at the step midpoints. ``t``
+    dates the block in an error.
+    """
+    steps = len(y) - 1
+    try:
+        # an overflow may vanish into a finite number, as C / (M + C)**2 does into 0
+        with np.errstate(over="raise", invalid="raise"):
+            G, g = system(StateVec._make(np.vstack([y, _midpoints(y)]).T),
+                          ControlConst._make(np.vstack([u, _midpoints(u)]).T))
+            a = np.zeros((len(G), 13, 13))
+            a[:, :12, :12], a[:, :12, 12] = G, g
+            phi = rk4_step(_linear, _Propagators(np.broadcast_to(np.eye(13), (steps, 13, 13))),
+                           0.0, h, a[1:steps + 1], a[steps + 1:], a[:steps]).m
+    except FloatingPointError as exc:
+        raise _not_finite("adjoint", t) from exc
+    _require_finite(phi, "adjoint", t)  # a threaded BLAS raises its flags on its own threads
+    return phi
+
+
+def rk4_backward(
+    system: Callable, state_traj: Trajectory, u_path: ControlPath, terminal: Sequence[float]
+) -> np.ndarray:
+    """Integrate an affine adjoint system lam' = G lam + g from tf down to t0 with classical RK4.
+
+    ``system(y, u)`` maps a StateVec and a ControlConst of (n,) arrays to G (n, 12, 12)
+    and g, (12,) or (n, 12); half-step inputs average the adjacent nodes. Each step is
+    the affine map lam_{i-1} = P_i lam_i + q_i, its propagator built BLOCK steps at a
+    time. Returns the (n_nodes, 12) adjoint, its last row equal to ``terminal``.
 
     Raises:
-        IntegrationBlowupError: if the adjoint at t0 is not finite or a step overflows.
+        IntegrationBlowupError: if building a propagator overflows, or a propagator
+            or the adjoint at t0 is not finite.
     """
     grid = state_traj.grid
     _require_same_grid(u_path.grid, grid, "control path")
-    minus_h, times = -grid.h, grid.times()
-    us, um = u_path.consts
-    nodes = list(zip(state_traj.states, us))  # the (state, control) input at each node
-    mids = list(zip(_midpoints(state_traj.values, StateVec), um))  # and at each step midpoint
-
-    out = [terminal]
-    lam = terminal
-    try:
-        for i in range(grid.n_steps, 0, -1):
-            lam = rk4_step(adjoint_rhs, lam, times[i], minus_h, nodes[i], mids[i - 1], nodes[i - 1])
-            out.append(lam)
-    except OverflowError:  # x ** 2 on a float raises where x * x gives inf, which persists to t0
-        lam = (math.inf,)
-    _require_finite(lam, "adjoint", grid.t0)
-    out.reverse()
-    return tuple(out)
+    n, minus_h, times = grid.n_steps, -grid.h, grid.times()
+    ys, us = state_traj.values, u_path.values
+    lam = np.empty((grid.n_nodes, 12))
+    lam[n] = terminal
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf in lam persists to t0
+        for end in range(n, 0, -BLOCK):
+            start = max(end - BLOCK, 0)
+            phi = _propagators(system, ys[start:end + 1], us[start:end + 1], minus_h, times[start])
+            P, q = phi[:, :12, :12], phi[:, :12, 12]
+            for k in range(end - start - 1, -1, -1):
+                lam[start + k] = P[k] @ lam[start + k + 1] + q[k]
+    _require_finite(lam[0], "adjoint", grid.t0)
+    return lam
 
 
 def euler_forward(p: ParamSet, y0: StateVec, grid: TimeGrid) -> Trajectory:

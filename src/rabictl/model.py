@@ -129,11 +129,9 @@ def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:
     u1 = u[0]
     lamM = M / (M + p.C)
     a1 = 1.0 - (u1 + u[2])
-    if a1 < 0.0:
-        a1 = 0.0
+    a1 = 0.5 * (a1 + abs(a1))  # max(a1, 0) exactly, for floats and (N,) arrays alike
     a2 = 1.0 - (u1 + u[1])
-    if a2 < 0.0:
-        a2 = 0.0
+    a2 = 0.5 * (a2 + abs(a2))
     f1 = p.tau1 * I_F + p.tau2 * I_D + p.tau3 * lamM
     f2 = p.kappa1 * I_F + p.kappa2 * I_D + p.kappa3 * lamM
     f3 = (

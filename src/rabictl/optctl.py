@@ -36,6 +36,7 @@ __all__ = [
     "STRATEGY_MASKS",
     "objective",
     "hamiltonian",
+    "adjoint_system",
     "adjoint_rhs",
     "characterize_controls",
     "forward_backward_sweep",
@@ -160,69 +161,53 @@ def hamiltonian(y: StateVec, lam: AdjointVec, u: ControlConst, w: Weights, p: Pa
     return running_cost(y, u, w) + sum(l * d for l, d in zip(lam, dy))
 
 
+def adjoint_system(
+    y: StateVec, u: ControlConst, w: Weights, p: ParamSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoint lam' = -dH/dy as the affine system lam' = G lam + g, derived analytically.
+
+    G = -(df/dy)^T and g = -dL/dy. Fields of ``y`` and ``u`` are floats or (n,)
+    arrays; G has shape (12, 12) or (n, 12, 12) and g shape (12,). The
+    saturation term differentiates to C/(M+C)^2; the clamped control factors
+    are constants with respect to the state.
+    """
+    f1, f2, f3, a1, a2, _ = force_terms(y, u, p)
+    u4 = u[3]
+    mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
+    G = np.zeros(np.shape(f1) + (12, 12))
+    # Linear flows: G[i, j] is minus the rate at which compartment i feeds the derivative of j.
+    for (i, j), rate in {
+        (0, 0): mu1, (1, 1): mu1 + p.beta1 + p.beta2 + u4, (1, 2): -p.beta1,
+        (1, 3): -(p.beta2 + u4), (2, 2): p.sigma1 + mu1, (2, 11): -p.nu1, (3, 0): -p.beta3,
+        (3, 3): p.beta3 + mu1, (4, 4): mu2, (5, 5): mu2 + p.gamma, (5, 6): -p.gamma,
+        (6, 6): mu2 + p.sigma2, (6, 11): -p.nu2, (7, 7): mu3, (8, 9): -p.gamma1,
+        (8, 8): mu3 + p.gamma1 + p.gamma2 + u4, (8, 10): -(p.gamma2 + u4), (9, 9): mu3 + p.sigma3,
+        (9, 11): -p.nu3, (10, 7): -p.gamma3, (10, 10): mu3 + p.gamma3, (11, 11): p.mu4,
+    }.items():
+        G[..., i, j] = rate
+    # Incidence a*f*S moves a host from S (column s) to E (column s + 1); f reads
+    # I_F (row 6), I_D (row 9) and M (row 11), the last through M/(M+C).
+    M_C = y.M + p.C
+    dlamM = p.C / (M_C * M_C)
+    for s, a, f, S, (dI_F, dI_D, dlam) in (
+        (0, a1, f1, y.S_H, (p.tau1, p.tau2, p.tau3)),
+        (4, 1.0, f2, y.S_F, (p.kappa1, p.kappa2, p.kappa3)),
+        (7, a2, f3, y.S_D,
+         (p.psi1 / (1.0 + p.rho1), p.psi2 / (1.0 + p.rho2), p.psi3 / (1.0 + p.rho3))),
+    ):
+        for i, d in ((s, a * f), (6, a * dI_F * S), (9, a * dI_D * S), (11, a * dlam * dlamM * S)):
+            G[..., i, s] += d
+            G[..., i, s + 1] -= d
+    g = np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
+    return G, g
+
+
 def adjoint_rhs(
     y: StateVec, lam: AdjointVec, u: ControlConst, w: Weights, p: ParamSet
 ) -> AdjointVec:
-    """Adjoint derivatives lam' = -dH/dy, derived analytically.
-
-    The saturation term differentiates to C/(M+C)^2; the clamped control
-    factors are constants with respect to the state.
-    """
-    S_H, S_F, S_D, M = y[0], y[4], y[7], y[11]
-    f1, f2, f3, a1, a2, _ = force_terms(y, u, p)
-    C = p.C
-    dlam_dM = C / (M + C) ** 2
-    u4 = u[3]
-    mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
-    beta1, beta2, beta3 = p.beta1, p.beta2, p.beta3
-    gamma, gamma1, gamma2, gamma3 = p.gamma, p.gamma1, p.gamma2, p.gamma3
-
-    l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12 = lam
-    # Differences every infection term starts with, in the same association.
-    h12 = (l1 - l2) * a1
-    h56 = l5 - l6
-    h89 = (l8 - l9) * a2
-
-    d1 = h12 * f1 + l1 * mu1
-    d2 = -w.K2 + l2 * (mu1 + beta1 + beta2 + u4) - l3 * beta1 - l4 * (beta2 + u4)
-    d3 = -w.K3 + l3 * (p.sigma1 + mu1) - l12 * p.nu1
-    d4 = -l1 * beta3 + l4 * (beta3 + mu1)
-    d5 = h56 * f2 + l5 * mu2
-    d6 = l6 * (mu2 + gamma) - l7 * gamma
-    d7 = (
-        h12 * p.tau1 * S_H
-        + h56 * p.kappa1 * S_F
-        + h89 * p.psi1 * S_D / (1.0 + p.rho1)
-        + l7 * (mu2 + p.sigma2)
-        - l12 * p.nu2
-    )
-    d8 = w.K6 + h89 * f3 + l8 * mu3
-    d9 = (
-        -w.K4
-        + l9 * (mu3 + gamma1 + gamma2 + u4)
-        - l10 * gamma1
-        - l11 * (gamma2 + u4)
-    )
-    d10 = (
-        -w.K5
-        + h12 * p.tau2 * S_H
-        + h56 * p.kappa2 * S_F
-        + h89 * p.psi2 * S_D / (1.0 + p.rho2)
-        + l10 * (mu3 + p.sigma3)
-        - l12 * p.nu3
-    )
-    d11 = -l8 * gamma3 + l11 * (mu3 + gamma3)
-    d12 = (
-        -w.K1
-        + dlam_dM
-        * (
-            h12 * p.tau3 * S_H
-            + h56 * p.kappa3 * S_F
-            + h89 * p.psi3 * S_D / (1.0 + p.rho3)
-        )
-        + l12 * p.mu4
-    )
-    return tuple.__new__(AdjointVec, (d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12))
+    """Adjoint derivatives lam' = -dH/dy at one point of floats."""
+    G, g = adjoint_system(y, u, w, p)
+    return AdjointVec._make((G @ lam + g).tolist())
 
 
 def characterize_controls(
@@ -277,10 +262,10 @@ def forward_backward_sweep(
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
 
-    def solve(u_path: ControlPath) -> tuple[Trajectory, tuple[AdjointVec, ...]]:
+    def solve(u_path: ControlPath) -> tuple[Trajectory, np.ndarray]:
         states = rk4_forward(p, u_path, y0, grid)
         return states, rk4_backward(
-            lambda t, lam, yu: adjoint_rhs(yu[0], lam, yu[1], w, p), states, u_path, ZERO_ADJOINT
+            lambda y, u: adjoint_system(y, u, w, p), states, u_path, ZERO_ADJOINT
         )
 
     u_path = ControlPath.constant(grid, mask=mask)
@@ -314,7 +299,7 @@ def forward_backward_sweep(
     return SweepResult(
         controls=u_path,
         states=states,
-        adjoints=adjoints,
+        adjoints=tuple(map(AdjointVec._make, adjoints.tolist())),
         J_history=tuple(J_history),
         iterations=iterations,
         converged=converged,

@@ -193,6 +193,13 @@ def test_fit_config_validation():
     with pytest.raises(ConfigError, match="free parameter 'theta1' is named twice"):
         FitConfig(free=("theta1", "tau1", "theta1"), bounds={"theta1": (0.0, 1.0), "tau1": (0, 1)},
                   x0={"theta1": 0.5, "tau1": 0.5})
+    with pytest.raises(ConfigError, match="at least one free parameter"):
+        FitConfig(free=(), bounds={}, x0={})
+    with pytest.raises(ConfigError, match="fit.bounds names 'beta9'"):
+        FitConfig(free=("theta1",), bounds={"theta1": (0.0, 1.0), "beta9": (0.0, 1.0)},
+                  x0={"theta1": 0.5})
+    with pytest.raises(ConfigError, match="fit.x0 names 'tau1'"):
+        FitConfig(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 0.5, "tau1": 5.0})
     ok = dict(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 0.5})
     for bad, match in [({"dt": 0.0}, "dt"), ({"dt": float("nan")}, "dt"), ({"dt": 0.1}, "dt"),
                        ({"max_evals": 0}, "max_evals"), ({"tol": float("nan")}, "tol"),
@@ -213,18 +220,15 @@ def test_fit_grid_error_is_config_error(p_est):
         fit(data, cfg, p_est, seeded_state(p_est, 20.0, 50.0))
 
 
-def test_fit_no_free_params_near_zero_mse(p_est):
+def test_euler_prediction_of_rk4_data_near_zero_mse(p_est):
     """Data from the RK4 route, prediction via Euler: residual is the scheme gap."""
     y0 = seeded_state(p_est, 20.0, 50.0)
     years = tuple(range(1990, 2001))
     g = TimeGrid(0.0, 10.0, 1000)
     traj = rk4_forward(p_est, ControlPath.constant(g), y0, g)
     cases = tuple(max(0.0, traj.at(float(y - 1990)).I_H) for y in years)
-    data = IncidenceSeries(years, cases)
-    cfg = FitConfig(free=(), bounds={}, x0={})
-    result = fit(data, cfg, p_est, y0)
     scale = max(cases) ** 2
-    assert 0.0 < result.mse < 1e-4 * scale
+    assert 0.0 < mse(cases, predict_incidence(p_est, y0, years)) < 1e-4 * scale
 
 
 def test_fit_recovers_single_parameter(p_est):

@@ -632,6 +632,31 @@ def test_unconverged_sweep_warns(tmp_path, capsys):
     assert "max_iter=2" in warnings[0] and "tol=0.0001" in warnings[0]
 
 
+def test_unconverged_fit_warns(tmp_path, capsys):
+    code, out = run(tmp_path, "a", "--set", "fit.max_evals=5", "--set", "fit.dt=0.05", "fit")
+    assert code == 0
+    assert json.loads((out / "fit.json").read_text())["converged"] is False
+    err = capsys.readouterr().err
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "max_evals=5" in warnings[0] and "tol=1e-06" in warnings[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (('fit.free=[]',), "a fit needs at least one free parameter"),
+    (('fit.free=["theta1"]', 'fit.bounds={"theta1":[500,4000],"beta9":[0,1]}'),
+     "fit.bounds names 'beta9', which is not a free parameter"),
+    (('fit.free=["theta1"]', 'fit.x0={"theta1":1500,"tau1":5}'),
+     "fit.x0 names 'tau1', which is not a free parameter"),
+], ids=["empty-free", "bounds-outside-free", "x0-outside-free"])
+def test_fit_free_parameter_mismatch_is_config_error(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, "a", *(a for v in argv for a in ("--set", v)),
+                    "--set", "fit.max_evals=5", "fit")
+    assert code == 2
+    assert out is None
+    assert message in capsys.readouterr().err
+
+
 def test_non_finite_state_is_numeric_error(tmp_path, capsys):
     code, out = run(tmp_path, "a", "--set", "parameters.tau1=1e300",
                     "--set", "grid.n_steps=100", "simulate")
@@ -648,12 +673,21 @@ def test_non_finite_adjoint_is_numeric_error(tmp_path, capsys):
     assert "adjoint is not finite" in capsys.readouterr().err
 
 
+def test_overflow_in_adjoint_coefficients_is_numeric_error(tmp_path, capsys):
+    # (M + C)**2 overflows, and C / inf would pass for a finite 0
+    code, out = run(tmp_path, "a", "--set", "initial_state.S_H=1e300",
+                    "--set", "grid.n_steps=20", "optimize")
+    assert code == 3
+    assert out is None
+    assert "adjoint is not finite" in capsys.readouterr().err
+
+
 # sha256 of every artifact of a few small seeded runs. A change that keeps the
-# numbers keeps these digests. simulate, optimize and reff use Python floats and
-# numpy elementwise operations only, so their bytes do not depend on the BLAS
-# build. fit (Euler march, scipy Nelder-Mead) and prcc (batched RK4, a LAPACK
-# inverse) were recorded with numpy 2.4 and scipy 1.17 on x86-64 OpenBLAS; another
-# BLAS build may move their last bits.
+# numbers keeps these digests. simulate and reff use Python floats and numpy
+# elementwise operations only, so their bytes do not depend on the BLAS build.
+# optimize (a matrix product per adjoint step), fit (Euler march, scipy
+# Nelder-Mead) and prcc (batched RK4, a LAPACK inverse) were recorded with numpy
+# 2.4 and scipy 1.17 on x86-64 OpenBLAS; another BLAS build may move their last bits.
 GOLDEN_RUNS = {
     "simulate": (
         ("--set", 'controls={"u1":0.2,"u2":0.3,"u3":0.1,"u4":0.4}',
@@ -666,11 +700,11 @@ GOLDEN_RUNS = {
     "optimize": (
         ("--set", "grid.n_steps=200", "optimize", "--strategy", "A"),
         {
-            "adjoints.csv": "8572915a42b3e675a9dca0da2aecf3f6eeff69440d5adc9f779d68073a1513b7",
+            "adjoints.csv": "bfd7d60828ee474c2e1a5b5d70ebb7df2a3df370197dac029dc1f4a8d0569c91",
             "config.json": "d8a4df1e66d5a3a00cb7d7d8d0856894096cf206339009c7df183ab57a655d67",
-            "controls.csv": "695eacecc7e0d27e03d1efb4c9eb1e45c4efe705097aa9c3b61653f87b8a21b7",
-            "states.csv": "7fcfd691429fc6713f5efed3ed737ecd794e601371a3a479af877c71892fc732",
-            "summary.json": "c0857b95fcb7a9dacb8558d943f7c8445d6471be459c5a3527fcbdf465dcf6a6",
+            "controls.csv": "0a0d1c7300202812a4a0ae8f783b9bb2c0d2de6c1a0b6f4058a30b257691ba6e",
+            "states.csv": "b2afafed216d6898ed1cfe0cf1cc617e40e89d6ba70fb076216edfc756b0f7b2",
+            "summary.json": "4410b42fcd4bb7de450864303b5a2a470674afe7864695996bbf03ffbce5851a",
         },
     ),
     "reff_point": (

@@ -8,6 +8,7 @@ import pytest
 
 from rabictl.errors import ConfigError, IntegrationBlowupError
 from rabictl.integrate import (
+    BLOCK,
     MAX_STEPS,
     ControlPath,
     TimeGrid,
@@ -19,7 +20,7 @@ from rabictl.integrate import (
     write_trajectory_csv,
 )
 from rabictl.model import ControlConst, StateVec, seeded_state
-from rabictl.optctl import AdjointVec, Weights, adjoint_rhs
+from rabictl.optctl import AdjointVec, Weights, adjoint_rhs, adjoint_system
 
 ZEROS12 = (0.0,) * 12
 ZERO_LAM = AdjointVec(*ZEROS12)
@@ -148,22 +149,31 @@ def test_nonfinite_state_aborts(p_base):
 # --- backward pass ---------------------------------------------------------------
 
 
+def constant_system(G, g=ZEROS12):
+    """lam' = G lam + g with the same G and g at every input point."""
+    return lambda y, u: (np.broadcast_to(G, (len(y.S_H), 12, 12)), np.asarray(g))
+
+
+ZERO_SYSTEM = constant_system(np.zeros((12, 12)))
+
+
 def test_backward_zero_rhs_stays_zero(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
-    adj = rk4_backward(lambda t, lam, yu: ZEROS12, traj, path, ZERO_LAM)
-    assert len(adj) == g.n_nodes
-    assert all(all(v == 0.0 for v in lam) for lam in adj)
+    adj = rk4_backward(ZERO_SYSTEM, traj, path, ZERO_LAM)
+    assert adj.shape == (g.n_nodes, 12)
+    assert (adj == 0.0).all()
 
 
 def test_backward_terminal_condition_exact(p_est, default_state):
+    """A zero system keeps the terminal value at every node, across block boundaries."""
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
     terminal = AdjointVec(*(float(i) for i in range(12)))
-    adj = rk4_backward(lambda t, lam, yu: ZEROS12, traj, path, terminal)
-    assert adj[-1] == terminal
+    adj = rk4_backward(ZERO_SYSTEM, traj, path, terminal)
+    assert (adj == np.array(terminal)).all()
 
 
 def test_backward_grid_mismatch(p_est, default_state):
@@ -171,24 +181,28 @@ def test_backward_grid_mismatch(p_est, default_state):
     other = TimeGrid(0.0, 2.0, 50)
     traj = rk4_forward(p_est, ControlPath.constant(g), default_state, g)
     with pytest.raises(ConfigError, match="grid"):
-        rk4_backward(lambda t, lam, yu: ZEROS12, traj, ControlPath.constant(other), ZERO_LAM)
+        rk4_backward(ZERO_SYSTEM, traj, ControlPath.constant(other), ZERO_LAM)
 
 
 def test_backward_non_finite_adjoint_raises(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
+    # each propagator is finite (P about e * I); lam grows by e a step and overflows on the way
+    growing = constant_system(-50.0 * np.eye(12), (1e300,) * 12)
     with pytest.raises(IntegrationBlowupError, match="adjoint is not finite at t = 0"):
-        rk4_backward(lambda t, lam, yu: (1e308,) * 12, traj, path, ZERO_LAM)
+        rk4_backward(growing, traj, path, ZERO_LAM)
 
 
 def test_backward_overflow_raises(p_est, default_state):
+    """A propagator that overflows is an error even where a zero adjoint would hide it."""
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
-    overflowing = lambda t, lam, yu: ((yu[0].S_H * 1e300) ** 2,) * 12  # float ** raises
-    with pytest.raises(IntegrationBlowupError, match="adjoint is not finite at t = 0"):
-        rk4_backward(overflowing, traj, path, ZERO_LAM)
+    G = np.full((12, 12), 1e300)  # h G is finite; the propagator's h^2 G^2 / 2 term is not
+    first_block = g.times()[g.n_steps - BLOCK]  # built first, it ends at tf
+    with pytest.raises(IntegrationBlowupError, match=f"adjoint is not finite at t = {first_block}"):
+        rk4_backward(constant_system(G), traj, path, ZERO_LAM)
 
 
 def test_backward_step_halving_convergence(p_est, default_state):
@@ -200,8 +214,7 @@ def test_backward_step_halving_convergence(p_est, default_state):
         g = TimeGrid(0.0, 20.0, n)
         path = ControlPath.constant(g, u_const)
         traj = rk4_forward(p_est, path, default_state, g)
-        fn = lambda t, lam, yu: adjoint_rhs(yu[0], AdjointVec(*lam), yu[1], w, p_est)
-        return rk4_backward(fn, traj, path, ZERO_LAM)[0]
+        return rk4_backward(lambda y, u: adjoint_system(y, u, w, p_est), traj, path, ZERO_LAM)[0]
 
     a, b = lam0(2000), lam0(4000)
     rel = max(abs(x - y) / max(1.0, abs(x)) for x, y in zip(a, b))
@@ -242,8 +255,8 @@ def _reference_rk4_backward(adjoint_rhs, state_traj, u_path, terminal):
     return tuple(out)
 
 
-def test_backward_is_bit_identical_to_reference_stage_loop(p_est, default_state):
-    """The shared step run with -h reproduces the hand-written backward loop bit for bit."""
+def test_backward_matches_reference_stage_loop(p_est, default_state):
+    """The propagator march meets the hand-written stage loop to rounding, over several blocks."""
     g = TimeGrid(0.0, 20.0, 400)
     rng = np.random.default_rng(11)
     path = ControlPath(g, rng.uniform(0.0, 1.0, (g.n_nodes, 4)))
@@ -251,11 +264,10 @@ def test_backward_is_bit_identical_to_reference_stage_loop(p_est, default_state)
     w = Weights()
     fn = lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p_est)
     terminal = AdjointVec(*rng.uniform(-5.0, 5.0, 12).tolist())
-    got = rk4_backward(lambda t, lam, yu: fn(t, lam, *yu), traj, path, terminal)
-    want = _reference_rk4_backward(fn, traj, path, terminal)
-    assert all(type(lam) is AdjointVec for lam in got)
-    assert np.array_equal(np.array(got), np.array(want))
-    assert np.abs(np.array(got)[0]).max() > 1.0  # the adjoint is far from trivial
+    got = rk4_backward(lambda y, u: adjoint_system(y, u, w, p_est), traj, path, terminal)
+    want = np.array(_reference_rk4_backward(fn, traj, path, terminal))
+    assert (np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0)).all()
+    assert np.abs(got[0]).max() > 1.0  # the adjoint is far from trivial
 
 
 # --- Euler companion and CSV ------------------------------------------------------

@@ -284,6 +284,25 @@ def test_objective_equals_per_node_trapezoid(sweep_a_coarse):
     assert expected == sweep_a_coarse.J_history[-1]
 
 
+# Iterations and final J of each strategy: estimated preset, default seeding and weights,
+# t in [0, 20] in 1000 steps, as the stage-by-stage adjoint march gave them.
+SWEEP_PINS = {
+    "A": (17, -1041.1438564896841),
+    "B": (22, -1062.3601465819054),
+    "C": (14, 132293.99301334028),
+    "D": (20, -1460.393500872268),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(SWEEP_PINS))
+def test_sweep_pinned_iterations_and_objective(p_est, strategy):
+    iterations, J = SWEEP_PINS[strategy]
+    res = forward_backward_sweep(p_est, Weights(), seeded_state(p_est, *DEFAULT_SEEDING),
+                                 TimeGrid(0.0, 20.0, 1000), STRATEGY_MASKS[strategy])
+    assert res.iterations == iterations
+    assert res.J_history[-1] == pytest.approx(J, rel=1e-12, abs=0.0)
+
+
 def test_sweep_objective_history_decreases_overall(sweep_a_coarse):
     J = sweep_a_coarse.J_history
     assert J[-1] <= J[0]
