@@ -57,11 +57,11 @@ class IncidenceSeries:
     @classmethod
     def from_csv(cls, path: str | Path) -> "IncidenceSeries":
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig drops a BOM
                 lines = [row for row in fh if not row.startswith("#")]
         except UnicodeDecodeError as exc:
             raise ConfigError(f"data file {path} is not UTF-8 text: {exc}") from exc
-        reader = csv.reader(lines)
+        reader = filter(None, csv.reader(lines))  # a blank line is no row
         header = next(reader, [])
         if [h.strip() for h in header] != ["year", "cases"]:
             raise ConfigError(f"expected header 'year,cases', got {header}")

@@ -127,6 +127,15 @@ def _apply_set(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+def _check_keys(config: dict, default: dict, prefix: str = "") -> None:
+    """Reject a key the defaults do not hold; ``ParamSet.replace`` checks the parameter names."""
+    for key, value in config.items():
+        if key not in default:
+            raise ConfigError(f"unknown config key {prefix + key!r}")
+        if isinstance(default[key], dict) and isinstance(value, dict) and key != "parameters":
+            _check_keys(value, default[key], f"{prefix}{key}.")
+
+
 def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
     """Defaults, then the config file, then --set overrides."""
     config = _default_config()
@@ -143,6 +152,7 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
         config = _deep_merge(config, loaded)
     for assignment in sets or []:
         _apply_set(config, assignment)
+    _check_keys(config, _default_config())
     root = config["output_dir"]
     if not isinstance(root, (str, type(None))):
         raise ConfigError(f"output_dir must be a directory path or null, got {root!r}")
@@ -156,6 +166,17 @@ def _config_values():
         yield
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"missing or malformed config value ({exc!r})") from exc
+
+
+def _integer(block: dict, name: str) -> int:
+    """The entry of ``block`` that the dotted key ``name`` ends in, as an int.
+
+    A bool, a non-number or a fractional number is a ConfigError naming ``name``.
+    """
+    value = block[name.rsplit(".", 1)[-1]]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _build_params(config: dict, preset: str | None = None) -> ParamSet:
@@ -179,8 +200,8 @@ def _build_state(config: dict, p: ParamSet) -> StateVec:
     return StateVec(**base).validate()
 
 
-def _build_grid(block: dict) -> TimeGrid:
-    return TimeGrid(float(block["t0"]), float(block["tf"]), int(block["n_steps"]))
+def _build_grid(block: dict, name: str) -> TimeGrid:
+    return TimeGrid(float(block["t0"]), float(block["tf"]), _integer(block, f"{name}.n_steps"))
 
 
 def _build_controls(config: dict) -> ControlConst:
@@ -210,7 +231,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
     with _config_values():
         p = _build_params(config)
         y0 = _build_state(config, p)
-        grid = _build_grid(config["grid"])
+        grid = _build_grid(config["grid"], "grid")
         u = _build_controls(config)
     traj = rk4_forward(p, ControlPath.constant(grid, u), y0, grid)
     outdir = _make_outdir(config, args.outdir, "simulate")
@@ -227,7 +248,8 @@ def cmd_reff(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
             missing = "reff.axis2" if axes[0] else "reff.axis1"
             raise ConfigError(f"a reff grid needs both axes, but {missing} is not set")
         if all(axes):  # two (name, lo, hi, n) axes: a grid; neither: a point
-            axes = [(str(a["name"]), float(a["lo"]), float(a["hi"]), int(a["n"])) for a in axes]
+            axes = [(str(a["name"]), float(a["lo"]), float(a["hi"]), _integer(a, f"reff.axis{i}.n"))
+                    for i, a in enumerate(axes, 1)]
     if all(axes):
         grid = repro.re_grid(p, *axes, u)
         outdir = _make_outdir(config, args.outdir, "reff")
@@ -256,10 +278,11 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
     with _config_values():
         p = _build_params(config)
         y0 = _build_state(config, p)
-        grid = _build_grid(config["grid"])
+        grid = _build_grid(config["grid"], "grid")
         w = optctl.Weights(**{k: float(v) for k, v in (config.get("weights") or {}).items()})
         block = config["sweep"]
-        omega, tol, max_iter = float(block["omega"]), float(block["tol"]), int(block["max_iter"])
+        omega, tol = float(block["omega"]), float(block["tol"])
+        max_iter = _integer(block, "sweep.max_iter")
     mask = _mask_from_args(args)
     result = optctl.forward_backward_sweep(
         p, w, y0, grid, mask, omega=omega, tol=tol, max_iter=max_iter
@@ -289,8 +312,8 @@ def cmd_prcc(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
         else:
             y0 = seeded_state(p, exposed=float(block["seed_exposed"]),
                               infected=float(block["seed_infected"]), M0=float(block["M0"]))
-        N = int(block["N"])
-        seed = int(block["seed"])
+        N = _integer(block, "sensitivity.N")
+        seed = _integer(block, "sensitivity.seed")
         distribution = block["distribution"]
         if distribution == "normal":
             ranges = sensitivity.normal_ranges()
@@ -299,7 +322,7 @@ def cmd_prcc(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
         else:
             raise ConfigError(f"unknown sensitivity distribution {distribution!r}; "
                               "expected 'uniform' or 'normal'")
-        grid = _build_grid(block["grid"])
+        grid = _build_grid(block["grid"], "sensitivity.grid")
         sample_times = [float(t) for t in block["sample_times"]]
         outputs = tuple(block["outputs"])
     results = sensitivity.prcc_study(ranges, N, seed, p, y0, grid, sample_times, outputs)
@@ -326,7 +349,8 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
             bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free}
         cfg = calibrate.FitConfig(
             free=free, bounds=bounds, x0=x0,
-            max_evals=int(block["max_evals"]), tol=float(block["tol"]), dt=float(block["dt"]),
+            max_evals=_integer(block, "fit.max_evals"), tol=float(block["tol"]),
+            dt=float(block["dt"]),
         )
         y0 = seeded_state(p, exposed=float(block["seed_exposed"]),
                           infected=float(block["seed_infected"]))

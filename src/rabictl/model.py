@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError
 from .params import ParamSet
 
@@ -25,6 +27,7 @@ __all__ = [
     "seeded_state",
     "force_terms",
     "rhs",
+    "jacobian",
 ]
 
 
@@ -177,3 +180,42 @@ def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
     return tuple.__new__(
         StateVec, (dS_H, dE_H, dI_H, dR_H, dS_F, dE_F, dI_F, dS_D, dE_D, dI_D, dR_D, dM)
     )
+
+
+def jacobian(y: StateVec, u: ControlConst, p: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """The one hand-written derivative of ``rhs``: d rhs_i / d y_j = T[i, j] + I[i, j].
+
+    T holds the linear flows, which do not depend on the state; I holds the
+    derivatives of the three incidence products a*f*S (the clamped control factors
+    are constants). Fields of ``y`` and ``u`` are floats or (n,) arrays; T and I
+    have shape (12, 12) or (n, 12, 12).
+    """
+    f1, f2, f3, a1, a2, _ = force_terms(y, u, p)
+    u4 = u[3]
+    mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
+    lead = np.broadcast(*y, *u).shape
+    T = np.zeros(lead + (12, 12))
+    for (i, j), rate in {
+        (0, 0): -mu1, (0, 3): p.beta3, (1, 1): -(mu1 + p.beta1 + p.beta2 + u4), (2, 1): p.beta1,
+        (2, 2): -(p.sigma1 + mu1), (3, 1): p.beta2 + u4, (3, 3): -(p.beta3 + mu1), (4, 4): -mu2,
+        (5, 5): -(mu2 + p.gamma), (6, 5): p.gamma, (6, 6): -(mu2 + p.sigma2), (7, 7): -mu3,
+        (7, 10): p.gamma3, (8, 8): -(mu3 + p.gamma1 + p.gamma2 + u4), (9, 8): p.gamma1,
+        (9, 9): -(mu3 + p.sigma3), (10, 8): p.gamma2 + u4, (10, 10): -(mu3 + p.gamma3),
+        (11, 2): p.nu1, (11, 6): p.nu2, (11, 9): p.nu3, (11, 11): -p.mu4,
+    }.items():
+        T[..., i, j] = rate
+    # Incidence a*f*S moves a host from S (row s) to E (row s + 1); f reads
+    # I_F (column 6), I_D (column 9) and M (column 11), the last through M/(M+C).
+    M_C = y.M + p.C
+    dlamM = p.C / (M_C * M_C)
+    I = np.zeros(lead + (12, 12))
+    for s, a, f, S, (dI_F, dI_D, dlam) in (
+        (0, a1, f1, y.S_H, (p.tau1, p.tau2, p.tau3)),
+        (4, 1.0, f2, y.S_F, (p.kappa1, p.kappa2, p.kappa3)),
+        (7, a2, f3, y.S_D,
+         (p.psi1 / (1.0 + p.rho1), p.psi2 / (1.0 + p.rho2), p.psi3 / (1.0 + p.rho3))),
+    ):
+        for j, d in ((s, a * f), (6, a * dI_F * S), (9, a * dI_D * S), (11, a * dlam * dlamM * S)):
+            I[..., s, j] = -d
+            I[..., s + 1, j] = d
+    return T, I

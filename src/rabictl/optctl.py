@@ -25,7 +25,7 @@ from .errors import ConfigError, SweepDivergenceError
 from .integrate import (
     ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward, write_json, write_node_csv,
 )
-from .model import ZERO_CONTROL, ControlConst, StateVec, force_terms, rhs
+from .model import ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs
 from .params import ParamSet
 
 __all__ = [
@@ -164,40 +164,15 @@ def hamiltonian(y: StateVec, lam: AdjointVec, u: ControlConst, w: Weights, p: Pa
 def adjoint_system(
     y: StateVec, u: ControlConst, w: Weights, p: ParamSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The adjoint lam' = -dH/dy as the affine system lam' = G lam + g, derived analytically.
+    """The adjoint lam' = -dH/dy as the affine system lam' = G lam + g.
 
-    G = -(df/dy)^T and g = -dL/dy. Fields of ``y`` and ``u`` are floats or (n,)
-    arrays; G has shape (12, 12) or (n, 12, 12) and g shape (12,). The
-    saturation term differentiates to C/(M+C)^2; the clamped control factors
-    are constants with respect to the state.
+    G = -(df/dy)^T from ``model.jacobian`` and g = -dL/dy. Fields of ``y`` and
+    ``u`` are floats or (n,) arrays; G has shape (12, 12) or (n, 12, 12) and g
+    shape (12,).
     """
-    f1, f2, f3, a1, a2, _ = force_terms(y, u, p)
-    u4 = u[3]
-    mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
-    G = np.zeros(np.shape(f1) + (12, 12))
-    # Linear flows: G[i, j] is minus the rate at which compartment i feeds the derivative of j.
-    for (i, j), rate in {
-        (0, 0): mu1, (1, 1): mu1 + p.beta1 + p.beta2 + u4, (1, 2): -p.beta1,
-        (1, 3): -(p.beta2 + u4), (2, 2): p.sigma1 + mu1, (2, 11): -p.nu1, (3, 0): -p.beta3,
-        (3, 3): p.beta3 + mu1, (4, 4): mu2, (5, 5): mu2 + p.gamma, (5, 6): -p.gamma,
-        (6, 6): mu2 + p.sigma2, (6, 11): -p.nu2, (7, 7): mu3, (8, 9): -p.gamma1,
-        (8, 8): mu3 + p.gamma1 + p.gamma2 + u4, (8, 10): -(p.gamma2 + u4), (9, 9): mu3 + p.sigma3,
-        (9, 11): -p.nu3, (10, 7): -p.gamma3, (10, 10): mu3 + p.gamma3, (11, 11): p.mu4,
-    }.items():
-        G[..., i, j] = rate
-    # Incidence a*f*S moves a host from S (column s) to E (column s + 1); f reads
-    # I_F (row 6), I_D (row 9) and M (row 11), the last through M/(M+C).
-    M_C = y.M + p.C
-    dlamM = p.C / (M_C * M_C)
-    for s, a, f, S, (dI_F, dI_D, dlam) in (
-        (0, a1, f1, y.S_H, (p.tau1, p.tau2, p.tau3)),
-        (4, 1.0, f2, y.S_F, (p.kappa1, p.kappa2, p.kappa3)),
-        (7, a2, f3, y.S_D,
-         (p.psi1 / (1.0 + p.rho1), p.psi2 / (1.0 + p.rho2), p.psi3 / (1.0 + p.rho3))),
-    ):
-        for i, d in ((s, a * f), (6, a * dI_F * S), (9, a * dI_D * S), (11, a * dlam * dlamM * S)):
-            G[..., i, s] += d
-            G[..., i, s + 1] -= d
+    T, I = jacobian(y, u, p)
+    T += I  # in place: two more (n, 12, 12) temporaries tripled the time of this call
+    G = np.subtract(0.0, T, out=T).swapaxes(-1, -2)  # 0.0 - keeps an empty cell +0.0
     g = np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
     return G, g
 

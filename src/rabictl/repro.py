@@ -2,9 +2,11 @@
 
 The effective reproduction number is available on two independent routes:
 a closed form built from the intermediate quantities R21, R23, R31, R33 and
-a3, and the spectral radius of the next-generation matrix F V^-1 assembled
-at the disease-free equilibrium. The two agree to rounding error; the
-spectral route is the oracle for the closed form.
+a3, and the spectral radius of the next-generation matrix F V^-1, whose F
+and V are blocks of ``model.jacobian`` at the disease-free equilibrium. The
+two agree to rounding error; the spectral route is the oracle for the closed
+form. The DFE stability indicator and the endemic balance read the same
+Jacobian.
 
 Both routes track the direct transmission loops only: the environmental
 response M/(M+C) linearizes to 1/C at M = 0, which would dominate the
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, NoEndemicEquilibriumError, NumericError
 from .integrate import write_csv, write_json
 from .model import (
-    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, rhs, seeded_state,
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs, seeded_state,
 )
 from .params import PARAM_NAMES, ParamSet
 
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 INFECTED_ORDER = ("E_H", "I_H", "E_F", "I_F", "E_D", "I_D", "M")
+_INFECTED = [StateVec._fields.index(name) for name in INFECTED_ORDER]
+_SUSCEPTIBLE = [0, 4, 7]  # S_H, S_F, S_D; the E class of each follows it
 
 
 @dataclass(frozen=True)
@@ -99,43 +103,19 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
 def ngm(
     p: ParamSet, u: ControlConst = ZERO_CONTROL, include_environment: bool = False
 ) -> NgmPair:
-    """Assemble the next-generation matrices at the disease-free equilibrium."""
+    """The next-generation matrices: blocks of ``model.jacobian`` at the disease-free equilibrium.
+
+    F is the infected block of the incidence derivative I, its environmental
+    column zeroed unless ``include_environment``; V is minus the infected block
+    of the transitions T.
+    """
     u.validate()
-    S_H0 = p.theta1 / p.mu1
-    S_F0 = p.theta2 / p.mu2
-    S_D0 = p.theta3 / p.mu3
-    a1 = max(0.0, 1.0 - u.u1 - u.u3)
-    a2 = max(0.0, 1.0 - u.u1 - u.u2)
-
-    F = np.zeros((7, 7))
-    # columns: E_H, I_H, E_F, I_F, E_D, I_D, M
-    F[0, 3] = a1 * p.tau1 * S_H0
-    F[0, 5] = a1 * p.tau2 * S_H0
-    F[2, 3] = p.kappa1 * S_F0
-    F[2, 5] = p.kappa2 * S_F0
-    F[4, 3] = a2 * p.psi1 * S_D0 / (1.0 + p.rho1)
-    F[4, 5] = a2 * p.psi2 * S_D0 / (1.0 + p.rho2)
-    if include_environment:
-        # d/dM of lamM at M=0 is 1/C
-        F[0, 6] = a1 * p.tau3 * S_H0 / p.C
-        F[2, 6] = p.kappa3 * S_F0 / p.C
-        F[4, 6] = a2 * p.psi3 * S_D0 / ((1.0 + p.rho3) * p.C)
-
-    V = np.zeros((7, 7))
-    V[0, 0] = p.mu1 + p.beta1 + p.beta2 + u.u4
-    V[1, 0] = -p.beta1
-    V[1, 1] = p.sigma1 + p.mu1
-    V[2, 2] = p.mu2 + p.gamma
-    V[3, 2] = -p.gamma
-    V[3, 3] = p.mu2 + p.sigma2
-    V[4, 4] = p.mu3 + p.gamma1 + p.gamma2 + u.u4
-    V[5, 4] = -p.gamma1
-    V[5, 5] = p.mu3 + p.sigma3
-    V[6, 1] = -p.nu1
-    V[6, 3] = -p.nu2
-    V[6, 5] = -p.nu3
-    V[6, 6] = p.mu4
-    return NgmPair(F=F, V=V)
+    T, I = jacobian(seeded_state(p), u, p)
+    block = np.ix_(_INFECTED, _INFECTED)
+    F = I[block]
+    if not include_environment:
+        F[:, -1] = 0.0
+    return NgmPair(F=F, V=0.0 - T[block])
 
 
 def spectral_r(
@@ -151,61 +131,33 @@ def spectral_r(
 
 
 def dfe_stability(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> float:
-    """Largest real part of the Jacobian eigenvalues at the DFE.
-
-    The Jacobian is formed by central differences with a relative step of
-    1e-6, so it reflects the full model including the environmental pathway.
-    """
-    y0 = seeded_state(p)
-    n = len(y0)
-    J = np.zeros((n, n))
-    for j in range(n):
-        step = 1e-6 * max(1.0, abs(y0[j]))
-        up = list(y0)
-        dn = list(y0)
-        up[j] += step
-        dn[j] -= step
-        f_up = rhs(0.0, StateVec(*up), u, p)
-        f_dn = rhs(0.0, StateVec(*dn), u, p)
-        J[:, j] = [(a - b) / (2.0 * step) for a, b in zip(f_up, f_dn)]
-    return float(max(np.linalg.eigvals(J).real))
+    """Largest real part of the eigenvalues of the full ``model.jacobian`` at the DFE."""
+    T, I = jacobian(seeded_state(p), u, p)
+    return float(max(np.linalg.eigvals(T + I).real))
 
 
 # --- endemic equilibrium -----------------------------------------------------
 
 
-def _state_from_forces(chi: tuple[float, float, float], u: ControlConst, p: ParamSet) -> StateVec:
-    """Reconstruct the full state whose compartment balances match the forces."""
-    chi1, chi2, chi3 = chi
-    d_EH = p.mu1 + p.beta1 + p.beta2 + u.u4
-    d_ED = p.mu3 + p.gamma1 + p.gamma2 + u.u4
+def _state_from_forces(chi: tuple[float, float, float], T: np.ndarray, p: ParamSet) -> StateVec:
+    """The state where ``rhs`` vanishes with the pressures frozen at ``chi``: (T + K) y = -theta.
 
-    # S_H and R_H couple through the waning term; solve the 2x2 linearly.
-    recyc_H = p.beta3 * (p.beta2 + u.u4) / ((p.beta3 + p.mu1) * d_EH)
-    S_H = p.theta1 / (p.mu1 + chi1 * (1.0 - recyc_H))
-    E_H = chi1 * S_H / d_EH
-    I_H = p.beta1 * E_H / (p.sigma1 + p.mu1)
-    R_H = (p.beta2 + u.u4) * E_H / (p.beta3 + p.mu1)
-
-    S_F = p.theta2 / (p.mu2 + chi2)
-    E_F = chi2 * S_F / (p.mu2 + p.gamma)
-    I_F = p.gamma * E_F / (p.mu2 + p.sigma2)
-
-    recyc_D = p.gamma3 * (p.gamma2 + u.u4) / ((p.mu3 + p.gamma3) * d_ED)
-    S_D = p.theta3 / (p.mu3 + chi3 * (1.0 - recyc_D))
-    E_D = chi3 * S_D / d_ED
-    I_D = p.gamma1 * E_D / (p.mu3 + p.sigma3)
-    R_D = (p.gamma2 + u.u4) * E_D / (p.mu3 + p.gamma3)
-
-    M = (p.nu1 * I_H + p.nu2 * I_F + p.nu3 * I_D) / p.mu4
-    return StateVec(S_H, E_H, I_H, R_H, S_F, E_F, I_F, S_D, E_D, I_D, R_D, M)
+    T is the transitions of ``model.jacobian``; K moves chi*S from each S class to the next E.
+    """
+    A = T.copy()
+    for s, c in zip(_SUSCEPTIBLE, chi):
+        A[s, s] -= c
+        A[s + 1, s] += c
+    minus_theta = np.zeros(12)
+    minus_theta[_SUSCEPTIBLE] = -p.theta1, -p.theta2, -p.theta3
+    return StateVec._make(np.linalg.solve(A, minus_theta).tolist())
 
 
 def endemic_eq(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> StateVec:
     """Endemic (persistent) equilibrium via damped fixed-point iteration.
 
-    Iterates on the three per-capita infection pressures, reconstructing the
-    compartments from the balance relations at each pass, with damping 1/2
+    Iterates on the three per-capita infection pressures, solving for the
+    compartments that balance them at each pass, with damping 1/2
     and at most 10000 passes. Starts from the pressures of the default
     seeded state, which lie in the endemic basin.
 
@@ -218,11 +170,12 @@ def endemic_eq(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> StateVec:
         raise NoEndemicEquilibriumError(
             f"no endemic equilibrium: Re = {breakdown.Re:.6g} < 1"
         )
+    T, _ = jacobian(seeded_state(p), u, p)
     ft = force_terms(seeded_state(p, *DEFAULT_SEEDING), u, p)
     chi = (ft.chi1, ft.chi2, ft.chi3)
 
     for _ in range(10_000):
-        y = _state_from_forces(chi, u, p)
+        y = _state_from_forces(chi, T, p)
         ft = force_terms(y, u, p)
         new = tuple(c + 0.5 * (cn - c) for c, cn in zip(chi, (ft.chi1, ft.chi2, ft.chi3)))
         delta = max(abs(a - b) for a, b in zip(new, chi))
@@ -233,7 +186,7 @@ def endemic_eq(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> StateVec:
     else:
         raise NumericError("endemic fixed point did not converge in 10000 iterations")
 
-    y = _state_from_forces(chi, u, p)
+    y = _state_from_forces(chi, T, p)
     if min(y) <= 0.0:
         raise NumericError("endemic iteration collapsed onto a boundary state")
     residual = max(abs(v) for v in rhs(0.0, y, u, p))

@@ -50,6 +50,18 @@ def test_series_from_csv(tmp_path):
         IncidenceSeries.from_csv(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "year,cases\n2000,5\n2001,7\n\n",
+    "year,cases\r\n2000,5\r\n\r\n2001,7\r\n",
+    "\ufeffyear,cases\n2000,5\n2001,7\n",
+], ids=["trailing-blank-line", "inner-blank-line-crlf", "utf8-bom"])
+def test_series_from_csv_reads_common_exports(tmp_path, text):
+    path = tmp_path / "inc.csv"
+    path.write_bytes(text.encode("utf-8"))
+    data = IncidenceSeries.from_csv(path)
+    assert data.years == (2000, 2001) and data.cases == (5.0, 7.0)
+
+
 # --- prediction ----------------------------------------------------------------
 
 

@@ -295,12 +295,56 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     ('sensitivity.distribution="weibull"', "prcc"),
     ("fit.data=1e300", "fit"),
     ("fit.tol=Infinity", "fit"),
+    ("grid.nsteps=50", "simulate"),
+    ("gird.n_steps=50", "simulate"),
+    ("sweep.tolerance=1e-3", "optimize"),
+    ("fit.maxevals=5", "fit"),
+    ("sensitivity.grid.nsteps=20", "prcc"),
+    ("grid.n_steps=100.7", "simulate"),
+    ("grid.n_steps=true", "simulate"),
+    ("sensitivity.N=60.9", "prcc"),
+    ("sensitivity.seed=-0.5", "prcc"),
+    ("sweep.max_iter=1.5", "optimize"),
+    ("fit.max_evals=3.9", "fit"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command):
     code, out = run(tmp_path, "a", "--set", "sensitivity.N=40", "--set", assignment, command)
     assert code == 2
     assert out is None
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--set", "grid.nsteps=50", "simulate"), "unknown config key 'grid.nsteps'"),
+    (("--set", "gird.n_steps=50", "simulate"), "unknown config key 'gird'"),
+    (("--set", "grid.n_steps=100.7", "simulate"), "grid.n_steps must be an integer, got 100.7"),
+    (("--set", "grid.n_steps=true", "simulate"), "grid.n_steps must be an integer, got True"),
+    (("--set", "sensitivity.grid.n_steps=2.5", "prcc"),
+     "sensitivity.grid.n_steps must be an integer, got 2.5"),
+    (("--set", 'reff.axis1={"name":"u1","lo":0,"hi":1,"n":2.9}',
+      "--set", 'reff.axis2={"name":"u2","lo":0,"hi":1,"n":2}', "reff"),
+     "reff.axis1.n must be an integer, got 2.9"),
+], ids=["unknown-key", "unknown-block", "fraction", "bool", "nested-grid", "reff-axis"])
+def test_config_error_names_the_key(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, "a", *argv)
+    assert code == 2
+    assert out is None
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_unknown_config_file_key_is_config_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sweep": {"tolerance": 1e-3}}))
+    code, out = run(tmp_path, "a", "--config", str(config), "reff")
+    assert code == 2
+    assert out is None
+    assert "unknown config key 'sweep.tolerance'" in capsys.readouterr().err
+
+
+def test_integral_float_config_value_is_accepted(tmp_path):
+    code, out = run(tmp_path, "a", "--set", "grid.n_steps=20.0", "simulate")
+    assert code == 0
+    assert len(read_csv(out / "trajectory.csv")[1]) == 21
 
 
 @pytest.mark.parametrize("text", [

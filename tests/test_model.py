@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabictl.errors import ConfigError
-from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, force_terms, rhs, seeded_state
-from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
+from rabictl.model import (
+    DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, force_terms, jacobian, rhs, seeded_state,
+)
+from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 controls = st.floats(min_value=0.0, max_value=1.0)
@@ -182,6 +184,86 @@ def test_rhs_population_sum_rules(y, u):
     n_d = y.S_D + y.E_D + y.I_D + y.R_D
     dom = dy.S_D + dy.E_D + dy.I_D + dy.R_D
     assert dom == pytest.approx(p.theta3 - p.mu3 * n_d - p.sigma3 * y.I_D, abs=1e-9 * scale)
+
+
+# --- Jacobian -------------------------------------------------------------------
+
+
+def draws(p, n, seed):
+    """``n`` states around the seeded state, M = 0 in the first, and controls whose sums pass 1."""
+    rng = np.random.default_rng(seed)
+    y = np.array(seeded_state(p, *DEFAULT_SEEDING)) * rng.uniform(0.0, 2.0, (n, 12))
+    y[0, 11] = 0.0
+    return StateVec._make(y.T), ControlConst._make(rng.uniform(0.0, 0.8, (n, 4)).T)
+
+
+def central_differences(y, u, p):
+    """d rhs_i / d y_j by central differences, step 1e-6 of max(1, |y_j|), and a bound on
+    their error: 1e-6 of each for the truncation of M/(M+C), plus the rounding of rhs_i
+    amplified by 1 / step_j."""
+    y = np.array(y, dtype=float)  # (12,) or (12, n)
+    columns, noise = [], []
+    for j in range(12):
+        step = 1e-6 * np.maximum(1.0, np.abs(y[j]))
+        up, dn = y.copy(), y.copy()
+        up[j] += step
+        dn[j] -= step
+        f_up, f_dn = np.array(rhs(0.0, StateVec(*up), u, p)), np.array(rhs(0.0, StateVec(*dn), u, p))
+        columns.append((f_up - f_dn) / (2.0 * step))
+        noise.append(1e-15 * (np.abs(f_up) + np.abs(f_dn)) / step)
+    fd, noise = (np.moveaxis(np.array(a), (0, 1), (-1, -2)) for a in (columns, noise))  # [..., i, j]
+    return fd, 1e-6 * np.abs(fd) + noise
+
+
+@pytest.mark.parametrize("preset", ["estimated", "baseline"])
+def test_jacobian_matches_central_differences(preset):
+    p = PRESETS[preset]
+    y, u = draws(p, 16, seed=5)
+    T, I = jacobian(y, u, p)
+    fd, bound = central_differences(y, u, p)
+    assert T.shape == I.shape == fd.shape == (16, 12, 12)
+    assert (np.abs(T + I - fd) <= bound).all()
+    for k in (0, 7):
+        point_y, point_u = StateVec(*(float(v[k]) for v in y)), ControlConst(*(float(v[k]) for v in u))
+        T_k, I_k = jacobian(point_y, point_u, p)
+        fd_k, bound_k = central_differences(point_y, point_u, p)
+        assert T_k.shape == (12, 12)
+        assert (np.abs(T_k + I_k - fd_k) <= bound_k).all()
+
+
+def test_jacobian_on_arrays_equals_per_point_calls(p_est):
+    y, u = draws(p_est, 12, seed=6)
+    T, I = jacobian(y, u, p_est)
+    for k in range(12):
+        T_k, I_k = jacobian(StateVec(*(float(v[k]) for v in y)),
+                            ControlConst(*(float(v[k]) for v in u)), p_est)
+        assert T[k].tobytes() == T_k.tobytes() and I[k].tobytes() == I_k.tobytes()
+
+
+def test_transitions_do_not_depend_on_the_state(p_est):
+    u = ControlConst(0.1, 0.2, 0.3, 0.4)
+    T_dfe, I_dfe = jacobian(seeded_state(p_est), u, p_est)
+    T_seeded, I_seeded = jacobian(seeded_state(p_est, *DEFAULT_SEEDING), u, p_est)
+    assert T_dfe.tobytes() == T_seeded.tobytes()
+    assert not np.array_equal(I_dfe, I_seeded)
+
+
+@pytest.mark.parametrize("preset", ["estimated", "baseline"])
+def test_rhs_is_transitions_plus_recruitment_plus_incidence(preset):
+    """rhs(y) = T y + theta + incidence, the incidence a*f*S leaving each S for the next E."""
+    p = PRESETS[preset]
+    y, u = draws(p, 16, seed=8)
+    T, _ = jacobian(y, u, p)
+    ft = force_terms(y, u, p)
+    parts = np.zeros((3, 16, 12))
+    parts[0] = np.einsum("nij,jn->ni", T, np.array(y))
+    for s, theta, inc in ((0, p.theta1, ft.chi1 * y.S_H), (4, p.theta2, ft.chi2 * y.S_F),
+                          (7, p.theta3, ft.chi3 * y.S_D)):
+        parts[1, :, s] = theta
+        parts[2, :, s] -= inc
+        parts[2, :, s + 1] += inc
+    got = np.array(rhs(0.0, y, u, p)).T
+    assert (np.abs(got - parts.sum(axis=0)) <= 1e-13 * np.abs(parts).sum(axis=0)).all()
 
 
 def test_state_validation():

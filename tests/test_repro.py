@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from rabictl.errors import ConfigError, NoEndemicEquilibriumError, NumericError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
-from rabictl.model import ControlConst, StateVec, ZERO_CONTROL, rhs, seeded_state
+from rabictl.model import (
+    DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, force_terms, jacobian, rhs, seeded_state,
+)
 from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED
 from rabictl.repro import (
+    _state_from_forces,
     dfe_stability,
     effective_r,
     endemic_eq,
@@ -33,6 +36,90 @@ def weak_env(p, factor=1e-6):
         tau3=p.tau3 * factor, kappa3=p.kappa3 * factor, psi3=p.psi3 * factor,
         nu1=p.nu1 * factor, nu2=p.nu2 * factor, nu3=p.nu3 * factor,
     )
+
+
+def random_cases(n, seed):
+    """``n`` (parameters, controls) pairs: the rates within a factor 3 of the estimated ones."""
+    rng = random.Random(seed)
+    for k in range(n):
+        p = TABLE2_ESTIMATED.replace(**{
+            name: getattr(TABLE2_ESTIMATED, name) * 3.0 ** rng.uniform(-1.0, 1.0)
+            for name in PARAM_NAMES if not name.startswith("theta")
+        })
+        yield p, ZERO_CONTROL if k % 2 else ControlConst(*(rng.uniform(0.0, 0.6) for _ in range(4)))
+
+
+def reference_ngm(p, u, include_environment):
+    """F and V entry by entry at the disease-free equilibrium, the clamped control
+    factors taken from ``force_terms`` so that only the derivative is compared."""
+    S_H0, S_F0, S_D0 = p.theta1 / p.mu1, p.theta2 / p.mu2, p.theta3 / p.mu3
+    ft = force_terms(seeded_state(p), u, p)
+    a1, a2 = ft.a1, ft.a2
+    F = np.zeros((7, 7))
+    # columns: E_H, I_H, E_F, I_F, E_D, I_D, M
+    F[0, 3] = a1 * p.tau1 * S_H0
+    F[0, 5] = a1 * p.tau2 * S_H0
+    F[2, 3] = p.kappa1 * S_F0
+    F[2, 5] = p.kappa2 * S_F0
+    F[4, 3] = a2 * p.psi1 * S_D0 / (1.0 + p.rho1)
+    F[4, 5] = a2 * p.psi2 * S_D0 / (1.0 + p.rho2)
+    if include_environment:
+        # d/dM of lamM at M=0 is 1/C
+        F[0, 6] = a1 * p.tau3 * S_H0 / p.C
+        F[2, 6] = p.kappa3 * S_F0 / p.C
+        F[4, 6] = a2 * p.psi3 * S_D0 / ((1.0 + p.rho3) * p.C)
+    V = np.zeros((7, 7))
+    V[0, 0] = p.mu1 + p.beta1 + p.beta2 + u.u4
+    V[1, 0] = -p.beta1
+    V[1, 1] = p.sigma1 + p.mu1
+    V[2, 2] = p.mu2 + p.gamma
+    V[3, 2] = -p.gamma
+    V[3, 3] = p.mu2 + p.sigma2
+    V[4, 4] = p.mu3 + p.gamma1 + p.gamma2 + u.u4
+    V[5, 4] = -p.gamma1
+    V[5, 5] = p.mu3 + p.sigma3
+    V[6, 1] = -p.nu1
+    V[6, 3] = -p.nu2
+    V[6, 5] = -p.nu3
+    V[6, 6] = p.mu4
+    return F, V
+
+
+def reference_state_from_forces(chi, u, p):
+    """The compartments that balance the pressures ``chi``, solved class by class."""
+    chi1, chi2, chi3 = chi
+    d_EH = p.mu1 + p.beta1 + p.beta2 + u.u4
+    d_ED = p.mu3 + p.gamma1 + p.gamma2 + u.u4
+    # S_H and R_H couple through the waning term; solve the 2x2 linearly.
+    recyc_H = p.beta3 * (p.beta2 + u.u4) / ((p.beta3 + p.mu1) * d_EH)
+    S_H = p.theta1 / (p.mu1 + chi1 * (1.0 - recyc_H))
+    E_H = chi1 * S_H / d_EH
+    I_H = p.beta1 * E_H / (p.sigma1 + p.mu1)
+    R_H = (p.beta2 + u.u4) * E_H / (p.beta3 + p.mu1)
+    S_F = p.theta2 / (p.mu2 + chi2)
+    E_F = chi2 * S_F / (p.mu2 + p.gamma)
+    I_F = p.gamma * E_F / (p.mu2 + p.sigma2)
+    recyc_D = p.gamma3 * (p.gamma2 + u.u4) / ((p.mu3 + p.gamma3) * d_ED)
+    S_D = p.theta3 / (p.mu3 + chi3 * (1.0 - recyc_D))
+    E_D = chi3 * S_D / d_ED
+    I_D = p.gamma1 * E_D / (p.mu3 + p.sigma3)
+    R_D = (p.gamma2 + u.u4) * E_D / (p.mu3 + p.gamma3)
+    M = (p.nu1 * I_H + p.nu2 * I_F + p.nu3 * I_D) / p.mu4
+    return StateVec(S_H, E_H, I_H, R_H, S_F, E_F, I_F, S_D, E_D, I_D, R_D, M)
+
+
+def reference_endemic_eq(p, u):
+    """The damped fixed-point iteration of ``endemic_eq`` on the class-by-class balances."""
+    ft = force_terms(seeded_state(p, *DEFAULT_SEEDING), u, p)
+    chi = (ft.chi1, ft.chi2, ft.chi3)
+    for _ in range(10_000):
+        ft = force_terms(reference_state_from_forces(chi, u, p), u, p)
+        new = tuple(c + 0.5 * (cn - c) for c, cn in zip(chi, (ft.chi1, ft.chi2, ft.chi3)))
+        converged = max(abs(a - b) for a, b in zip(new, chi)) <= 1e-15 * max(map(abs, new))
+        chi = new
+        if converged:
+            return reference_state_from_forces(chi, u, p)
+    return None
 
 
 # --- disease-free equilibrium ------------------------------------------------------
@@ -114,6 +201,15 @@ def test_ngm_structure(p_est):
     assert pair.order == ("E_H", "I_H", "E_F", "I_F", "E_D", "I_D", "M")
 
 
+@pytest.mark.parametrize("include_environment", [False, True])
+def test_ngm_blocks_of_jacobian_match_hand_written_entries(include_environment):
+    for p, u in random_cases(40, seed=11):
+        pair = ngm(p, u, include_environment=include_environment)
+        for got, want in zip((pair.F, pair.V), reference_ngm(p, u, include_environment)):
+            assert ((got == 0.0) == (want == 0.0)).all()
+            assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+
+
 def test_environment_diagnostic_dominates_default_form(p_est):
     # The default matrices omit the environmental column; with C tiny the
     # full linearization is far more pessimistic. Kept as a diagnostic only.
@@ -140,6 +236,31 @@ def test_endemic_balance_relations(p_est):
         + p_est.gamma * y.E_F * p_est.nu2 / (p_est.mu4 * (p_est.mu2 + p_est.sigma2))
     )
     assert y.M == pytest.approx(expected_m, rel=1e-12)
+
+
+def test_state_from_forces_matches_class_by_class_balances(p_est):
+    rng = random.Random(12)
+    for p, u in random_cases(20, seed=13):
+        T, _ = jacobian(seeded_state(p), u, p)
+        chi = tuple(rng.uniform(0.0, 1.0) * 10.0 ** rng.uniform(-4, 0) for _ in range(3))
+        got, want = _state_from_forces(chi, T, p), reference_state_from_forces(chi, u, p)
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+
+
+def test_endemic_eq_matches_class_by_class_reference():
+    solved = 0
+    for p, u in random_cases(60, seed=14):
+        if effective_r(p, u).Re < 1.0:
+            continue
+        want = reference_endemic_eq(p, u)
+        if want is None or min(want) <= 0.0:  # the reference fails, so endemic_eq must
+            with pytest.raises(NumericError):
+                endemic_eq(p, u)
+            continue
+        got = endemic_eq(p, u)
+        solved += 1
+        assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+    assert solved >= 40
 
 
 def test_endemic_residual_and_positivity(p_est):
