@@ -127,8 +127,17 @@ def _apply_set(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+def _config_schema() -> dict[str, Any]:
+    """The defaults, each block whose default is null replaced by the keys it accepts when set."""
+    schema = _default_config()
+    axis = dict.fromkeys(("name", "lo", "hi", "n"))
+    schema["initial_state"] = dict.fromkeys(StateVec._fields)
+    schema["reff"] = {"axis1": axis, "axis2": axis}
+    return schema
+
+
 def _check_keys(config: dict, default: dict, prefix: str = "") -> None:
-    """Reject a key the defaults do not hold; ``ParamSet.replace`` checks the parameter names."""
+    """Reject a key the schema does not hold; ``ParamSet.replace`` checks the parameter names."""
     for key, value in config.items():
         if key not in default:
             raise ConfigError(f"unknown config key {prefix + key!r}")
@@ -152,7 +161,7 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
         config = _deep_merge(config, loaded)
     for assignment in sets or []:
         _apply_set(config, assignment)
-    _check_keys(config, _default_config())
+    _check_keys(config, _config_schema())
     root = config["output_dir"]
     if not isinstance(root, (str, type(None))):
         raise ConfigError(f"output_dir must be a directory path or null, got {root!r}")
@@ -193,9 +202,6 @@ def _build_params(config: dict, preset: str | None = None) -> ParamSet:
 def _build_state(config: dict, p: ParamSet) -> StateVec:
     block = config.get("initial_state") or {}
     base = seeded_state(p, *DEFAULT_SEEDING)._asdict()
-    unknown = set(block) - set(base)
-    if unknown:
-        raise ConfigError(f"unknown initial-state field(s): {sorted(unknown)}")
     base.update({k: float(v) for k, v in block.items()})
     return StateVec(**base).validate()
 

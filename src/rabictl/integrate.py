@@ -31,6 +31,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "ControlPath",
+    "Stacked",
     "rk4_step",
     "rk4_forward",
     "rk4_backward",
@@ -212,7 +213,8 @@ def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, *args) -> tu
     """One classical RK4 step of y' = f(t, y, z, *args) from t to t + h; h < 0 steps back.
 
     z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y`` is a
-    NamedTuple of floats or of (N,) arrays, one call stepping N rows; the result has its type.
+    NamedTuple of floats, of (N,) arrays (one call stepping N rows), or a ``Stacked`` array
+    (each stage one array operation); the result has its type.
     """
     make = y._make
     half = 0.5 * h
@@ -237,14 +239,15 @@ def rk4_forward(
     return _march(lambda i, t, y: rk4_step(rhs, y, t, h, u[i], um[i], u[i + 1], p), y0, grid)
 
 
-class _Propagators(NamedTuple):
-    """A stack of 13x13 matrices: the one field ``rk4_step`` advances when it builds propagators."""
+class Stacked(NamedTuple):
+    """One array as the one field ``rk4_step`` advances, so that each stage is one array
+    operation: a stack of 13x13 propagators, or the (12, N) states of a batch of N rows."""
 
-    m: np.ndarray
+    values: np.ndarray
 
 
-def _linear(t: float, z: _Propagators, a: np.ndarray) -> _Propagators:
-    return _Propagators(a @ z.m)
+def _linear(t: float, z: Stacked, a: np.ndarray) -> Stacked:
+    return Stacked(a @ z.values)
 
 
 def _propagators(system: Callable, y: np.ndarray, u: np.ndarray, h: float, t: float) -> np.ndarray:
@@ -262,8 +265,8 @@ def _propagators(system: Callable, y: np.ndarray, u: np.ndarray, h: float, t: fl
                           ControlConst._make(np.vstack([u, _midpoints(u)]).T))
             a = np.zeros((len(G), 13, 13))
             a[:, :12, :12], a[:, :12, 12] = G, g
-            phi = rk4_step(_linear, _Propagators(np.broadcast_to(np.eye(13), (steps, 13, 13))),
-                           0.0, h, a[1:steps + 1], a[steps + 1:], a[:steps]).m
+            phi = rk4_step(_linear, Stacked(np.broadcast_to(np.eye(13), (steps, 13, 13))),
+                           0.0, h, a[1:steps + 1], a[steps + 1:], a[:steps]).values
     except FloatingPointError as exc:
         raise _not_finite("adjoint", t) from exc
     _require_finite(phi, "adjoint", t)  # a threaded BLAS raises its flags on its own threads

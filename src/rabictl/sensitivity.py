@@ -2,12 +2,15 @@
 
 Sampling is stratified per parameter: the N draws of each column occupy the
 N equal-probability strata exactly once, with the stratum order permuted
-independently per column. All sampled rows are integrated at once, as one
-array batch. PRCC rank-transforms everything and reads the partial
-correlations off the inverse of the rank-correlation matrix, so it measures
-monotone influence of one parameter while controlling for the rest. The
-inverse over the parameters is shared by every output, so a study ranks its
-sample once and computes all outputs at all sample times in one ``prcc`` call.
+independently per column. All sampled rows are integrated at once: their
+states form one (12, N) array, which ``rk4_step`` advances as a ``Stacked``
+field, one array operation per stage, while ``rhs`` reads its twelve rows as
+(N,) arrays. Only the sample nodes are stored. PRCC rank-transforms
+everything and reads the partial correlations off the inverse of the
+rank-correlation matrix, so it measures monotone influence of one parameter
+while controlling for the rest. The inverse over the parameters is shared
+by every output, so a study ranks its sample once and computes all outputs
+at all sample times in one ``prcc`` call.
 
 The ranks are computed with numpy. scipy is loaded only to sample a
 ``normal`` range (``scipy.stats.truncnorm``): of the CLI subcommands, only
@@ -25,8 +28,8 @@ import numpy as np
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
 from .errors import ConfigError, DegenerateInputError, StudyError
-from .integrate import CLAMP_TOL, KEEP_TOL, TimeGrid, rk4_step, write_csv, write_json
-from .model import ZERO_CONTROL, StateVec
+from .integrate import CLAMP_TOL, KEEP_TOL, Stacked, TimeGrid, rk4_step, write_csv, write_json
+from .model import ZERO_CONTROL, ControlConst, StateVec
 from .params import PARAM_NAMES, ParamSet
 
 __all__ = [
@@ -234,7 +237,7 @@ def _simulate_rows(
     node_idx: tuple[int, ...],
     outputs: tuple[str, ...],
 ) -> list[np.ndarray | None]:
-    """Integrate every sampled row at once as (N,) arrays; None marks a failed row.
+    """Integrate every sampled row at once as one (12, N) array; None marks a failed row.
 
     A row fails where ``rk4_forward`` would raise: invalid parameters, a
     component below -CLAMP_TOL after a step, or a non-finite last node.
@@ -247,18 +250,27 @@ def _simulate_rows(
             failed[i] = True
     p = SimpleNamespace(**{**base.as_dict(), **dict(zip(names, rows.T))})
     field_idx = [StateVec._fields.index(o) for o in outputs]
+    columns = {k: np.flatnonzero(np.equal(node_idx, k)) for k in node_idx}  # node -> its samples
     h, times, u = grid.h, grid.times(), ZERO_CONTROL
     Y = np.array([np.full(len(rows), v) for v in y0])  # (12, N)
     sampled = np.empty((len(rows), len(node_idx), len(outputs)))
     with np.errstate(all="ignore"):  # a failed row keeps integrating and may overflow
         for i in range(grid.n_nodes):
             if i:
-                Y = np.array(rk4_step(integrate.rhs, StateVec(*Y), times[i - 1], h, u, u, u, p))
-                failed |= (Y < -CLAMP_TOL).any(axis=0)
-                Y[Y < -KEEP_TOL] = 0.0
-            sampled[:, np.equal(node_idx, i)] = Y[field_idx].T[:, None]
+                Y = rk4_step(_stacked_rhs, Stacked(Y), times[i - 1], h, u, u, u, p).values
+                # an undershoot to clamp or to fail on; fmin, unlike min, skips a failed row's NaN
+                if np.fmin.reduce(Y, axis=None) < -KEEP_TOL:
+                    failed |= (Y < -CLAMP_TOL).any(axis=0)
+                    Y[Y < -KEEP_TOL] = 0.0
+            if i in columns:
+                sampled[:, columns[i]] = Y[field_idx].T[:, None]
         failed |= ~np.isfinite(Y).all(axis=0)
     return [None if bad else vals for bad, vals in zip(failed, sampled)]
+
+
+def _stacked_rhs(t: float, z: Stacked, u: ControlConst, p: SimpleNamespace) -> Stacked:
+    """``rhs`` on the (12, N) states of a batch, restacked into one array."""
+    return Stacked(np.array(integrate.rhs(t, StateVec._make(z.values), u, p)))
 
 
 def prcc_study(

@@ -324,7 +324,16 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     (("--set", 'reff.axis1={"name":"u1","lo":0,"hi":1,"n":2.9}',
       "--set", 'reff.axis2={"name":"u2","lo":0,"hi":1,"n":2}', "reff"),
      "reff.axis1.n must be an integer, got 2.9"),
-], ids=["unknown-key", "unknown-block", "fraction", "bool", "nested-grid", "reff-axis"])
+    # a reff axis holds only name, lo, hi and n; initial_state only state names, whatever runs
+    (("--set", 'reff.axis1={"name":"u1","lo":0,"hi":1,"n":3,"steps":50}',
+      "--set", 'reff.axis2={"name":"u2","lo":0,"hi":1,"n":2}', "reff"),
+     "unknown config key 'reff.axis1.steps'"),
+    (("--set", "initial_state.SH=5", "reff"), "unknown config key 'initial_state.SH'"),
+    (("--set", "initial_state.SH=5", "--set", "fit.max_evals=5", "fit"),
+     "unknown config key 'initial_state.SH'"),
+    (("--set", "initial_state.SH=5", "simulate"), "unknown config key 'initial_state.SH'"),
+], ids=["unknown-key", "unknown-block", "fraction", "bool", "nested-grid", "reff-axis",
+        "reff-axis-key", "state-key-reff", "state-key-fit", "state-key-simulate"])
 def test_config_error_names_the_key(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *argv)
     assert code == 2

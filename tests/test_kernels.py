@@ -2,7 +2,8 @@
 
 ``force_terms``, ``rhs``, ``rk4_step`` and the Euler step are written for speed:
 unpacked locals, shared prefixes and tuples built without the NamedTuple
-constructor. They equal the plain formulations below bit for bit; floats are
+constructor; the ensemble steps its batch as one stacked (12, N) array. They
+equal the plain formulations below bit for bit; floats are
 compared through ``float.hex`` so that -0.0 and 0.0 count as different. The
 adjoint is an affine system ``G lam + g`` and its march a recurrence of RK4
 propagators, so they meet the hand-expanded adjoint and its stage-by-stage
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from rabictl.errors import IntegrationBlowupError
 from rabictl.integrate import (
-    ControlPath, TimeGrid, _clamp_state, _require_finite, euler_forward, rk4_backward, rk4_forward,
+    ControlPath, Stacked, TimeGrid, _clamp_state, _require_finite, euler_forward, rk4_backward,
+    rk4_forward, rk4_step,
 )
 from rabictl.model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, rhs,
@@ -27,6 +29,7 @@ from rabictl.model import (
 )
 from rabictl.optctl import AdjointVec, Weights, adjoint_rhs, adjoint_system
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
+from rabictl.sensitivity import _stacked_rhs
 
 
 def reference_force_terms(y, u, p):
@@ -131,6 +134,13 @@ def reference_rk4_step(f, y, t, h, za, zm, zb, *args):
     )
 
 
+def reference_batch_step(Y, t, h, p):
+    """The per-field batch step: the (12, N) states as twelve (N,) arrays through every
+    stage, restacked after the step."""
+    u = ZERO_CONTROL
+    return np.array(reference_rk4_step(reference_rhs, StateVec(*Y), t, h, u, u, u, p))
+
+
 def reference_euler_step(h, t, y, p):
     return StateVec._make(a + h * b for a, b in zip(y, reference_rhs(t, y, ZERO_CONTROL, p)))
 
@@ -212,6 +222,9 @@ params = log_factors.map(lambda exps: TABLE2_ESTIMATED.replace(**{
 unit = st.floats(min_value=0.0, max_value=1.0)
 controls = st.builds(ControlConst, unit, unit, unit, unit)
 states = st.builds(StateVec, *[st.floats(min_value=0.0, max_value=1e6)] * 12)
+# a failed ensemble row keeps stepping: its states go negative or overflow to inf and NaN
+batch_states = st.builds(StateVec, *[st.floats(min_value=-1e6, max_value=1e6)
+                                     | st.sampled_from([1e300, -1e300])] * 12)
 adjoints = st.builds(AdjointVec, *[st.floats(min_value=-1e3, max_value=1e3)] * 12)
 weights = st.builds(Weights, *[st.floats(min_value=0.0, max_value=10.0)] * 6,
                     *[st.floats(min_value=0.1, max_value=100.0)] * 4)
@@ -248,6 +261,24 @@ def test_rhs_on_arrays_equals_reference_bits(rows, u):
     got = rhs(0.0, y, u, p)
     assert type(got) is StateVec
     assert hexes(got) == hexes(reference_rhs(0.0, y, u, p))
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(batch_states, params), min_size=1, max_size=8),
+       h=st.floats(min_value=1e-3, max_value=1.0))
+@example(rows=[(seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), TABLE2_ESTIMATED),
+               (StateVec(*[1e300] * 12), TABLE2_ESTIMATED),
+               (StateVec(*[-1.0] * 12), TABLE2_ESTIMATED)], h=0.02)
+def test_stacked_batch_step_equals_per_field_step_bits(rows, h):
+    Y = np.array([list(s) for s, _ in rows]).T
+    p = SimpleNamespace(**{name: np.array([getattr(q, name) for _, q in rows])
+                           for name in PARAM_NAMES})
+    u = ZERO_CONTROL
+    with np.errstate(all="ignore"):
+        got = rk4_step(_stacked_rhs, Stacked(Y), 0.0, h, u, u, u, p)
+        want = reference_batch_step(Y, 0.0, h, p)
+    assert type(got) is Stacked and got.values.shape == Y.shape
+    assert hexes(got.values) == hexes(want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -404,3 +404,33 @@ def test_batch_drops_rows_with_invalid_parameters(p_base):
     invalid = X[:, 0] <= p_base.mu1
     assert invalid.sum() == 9
     assert [r is None for r in rows] == list(invalid)
+
+
+def test_batch_keeps_the_order_of_its_sample_nodes(p_base):
+    """Nodes given out of order, at tf and at t0: each column holds its own node."""
+    grid = TimeGrid(0.0, 10.0, 50)
+    y0 = light_seed_state(p_base)
+    outputs = ("M", "I_H", "S_D")
+    X, names, node_idx, rows = simulate_batch(
+        uniform_ranges(p_base), 6, 3, p_base, y0, grid, [10.0, 0.0, 4.0], outputs)
+    assert node_idx == (50, 0, 20)
+    fields = [StateVec._fields.index(o) for o in outputs]
+    for x, r in zip(X, rows):
+        traj = rk4_forward(p_base.replace(**dict(zip(names, map(float, x)))),
+                           ControlPath.constant(grid), y0, grid)
+        assert r.shape == (3, 3)
+        assert np.array_equal(r[0], [traj.states[-1][f] for f in fields])
+        assert np.array_equal(r[1], [y0[f] for f in fields])
+        assert np.array_equal(r[2], [traj.states[20][f] for f in fields])
+
+
+def test_batch_clamps_a_row_beside_a_row_gone_nan(p_base):
+    """One row's NaN must not hide another row's undershoot from the clamp."""
+    y0 = seeded_state(p_base)._replace(I_H=8.5e-8)
+    grid = TimeGrid(0.0, 10.0, 7)
+    traj = rk4_forward(p_base, ControlPath.constant(grid), y0, grid)
+    assert traj.clamped > 0
+    rows = _simulate_rows(np.array([[p_base.sigma1], [1e300]]), ("sigma1",), p_base, y0, grid,
+                          tuple(range(grid.n_nodes)), ("I_H",))
+    assert rows[1] is None
+    assert np.array_equal(rows[0][:, 0], [s.I_H for s in traj.states])
