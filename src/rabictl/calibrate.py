@@ -109,10 +109,10 @@ class FitConfig:
                 raise ConfigError(f"unknown free parameter {name!r}")
             if name in self.free[:i]:
                 raise ConfigError(f"free parameter {name!r} is named twice")
-            if name not in self.bounds:
-                raise ConfigError(f"missing bounds for free parameter {name!r}")
             if name not in self.x0:
                 raise ConfigError(f"missing start value for free parameter {name!r}")
+            if name not in self.bounds:
+                raise ConfigError(f"missing bounds for free parameter {name!r}")
             lo, hi = self.bounds[name]
             if not lo < hi:
                 raise ConfigError(f"bounds for {name} need lo < hi")

@@ -34,7 +34,7 @@ from . import optctl, repro
 from .errors import ConfigError, NumericError
 from .integrate import ControlPath, TimeGrid, rk4_forward, write_json, write_trajectory_csv
 from .model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
-from .params import PRESETS, ParamSet
+from .params import PARAM_NAMES, PRESETS, ParamSet
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -188,6 +188,16 @@ def _integer(block: dict, name: str) -> int:
     return int(value)
 
 
+def _float(value: Any, name: str) -> float:
+    """``value``, the entry at the dotted key ``name``, as a float.
+
+    A bool or a non-number, such as the JSON string "0.5", is a ConfigError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _build_params(config: dict, preset: str | None = None) -> ParamSet:
     """The parameters block over its preset, or over ``preset`` when given."""
     block = dict(config.get("parameters") or {})
@@ -196,18 +206,20 @@ def _build_params(config: dict, preset: str | None = None) -> ParamSet:
         preset_name = preset
     if preset_name not in PRESETS:
         raise ConfigError(f"unknown parameter preset {preset_name!r}")
-    return PRESETS[preset_name].replace(**{k: float(v) for k, v in block.items()})
+    return PRESETS[preset_name].replace(
+        **{k: _float(v, f"parameters.{k}") for k, v in block.items()})
 
 
 def _build_state(config: dict, p: ParamSet) -> StateVec:
     block = config.get("initial_state") or {}
     base = seeded_state(p, *DEFAULT_SEEDING)._asdict()
-    base.update({k: float(v) for k, v in block.items()})
+    base.update({k: _float(v, f"initial_state.{k}") for k, v in block.items()})
     return StateVec(**base).validate()
 
 
 def _build_grid(block: dict, name: str) -> TimeGrid:
-    return TimeGrid(float(block["t0"]), float(block["tf"]), _integer(block, f"{name}.n_steps"))
+    return TimeGrid(_float(block["t0"], f"{name}.t0"), _float(block["tf"], f"{name}.tf"),
+                    _integer(block, f"{name}.n_steps"))
 
 
 def _build_controls(config: dict) -> ControlConst:
@@ -215,7 +227,7 @@ def _build_controls(config: dict) -> ControlConst:
     unknown = set(block) - {"u1", "u2", "u3", "u4"}
     if unknown:
         raise ConfigError(f"unknown control name(s): {sorted(unknown)}")
-    return ControlConst(**{k: float(v) for k, v in block.items()}).validate()
+    return ControlConst(**{k: _float(v, f"controls.{k}") for k, v in block.items()}).validate()
 
 
 def _make_outdir(config: dict, cli_outdir: str | None, command: str) -> Path:
@@ -254,7 +266,8 @@ def cmd_reff(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
             missing = "reff.axis2" if axes[0] else "reff.axis1"
             raise ConfigError(f"a reff grid needs both axes, but {missing} is not set")
         if all(axes):  # two (name, lo, hi, n) axes: a grid; neither: a point
-            axes = [(str(a["name"]), float(a["lo"]), float(a["hi"]), _integer(a, f"reff.axis{i}.n"))
+            axes = [(str(a["name"]), _float(a["lo"], f"reff.axis{i}.lo"),
+                     _float(a["hi"], f"reff.axis{i}.hi"), _integer(a, f"reff.axis{i}.n"))
                     for i, a in enumerate(axes, 1)]
     if all(axes):
         grid = repro.re_grid(p, *axes, u)
@@ -285,9 +298,10 @@ def cmd_optimize(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
         p = _build_params(config)
         y0 = _build_state(config, p)
         grid = _build_grid(config["grid"], "grid")
-        w = optctl.Weights(**{k: float(v) for k, v in (config.get("weights") or {}).items()})
+        w = optctl.Weights(**{k: _float(v, f"weights.{k}")
+                              for k, v in (config.get("weights") or {}).items()})
         block = config["sweep"]
-        omega, tol = float(block["omega"]), float(block["tol"])
+        omega, tol = _float(block["omega"], "sweep.omega"), _float(block["tol"], "sweep.tol")
         max_iter = _integer(block, "sweep.max_iter")
     mask = _mask_from_args(args)
     result = optctl.forward_backward_sweep(
@@ -316,20 +330,22 @@ def cmd_prcc(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
         if config.get("initial_state") is not None:
             y0 = _build_state(config, p)
         else:
-            y0 = seeded_state(p, exposed=float(block["seed_exposed"]),
-                              infected=float(block["seed_infected"]), M0=float(block["M0"]))
+            y0 = seeded_state(p, exposed=_float(block["seed_exposed"], "sensitivity.seed_exposed"),
+                              infected=_float(block["seed_infected"], "sensitivity.seed_infected"),
+                              M0=_float(block["M0"], "sensitivity.M0"))
         N = _integer(block, "sensitivity.N")
         seed = _integer(block, "sensitivity.seed")
         distribution = block["distribution"]
         if distribution == "normal":
             ranges = sensitivity.normal_ranges()
         elif distribution == "uniform":
-            ranges = sensitivity.uniform_ranges(p, rel=float(block["rel_range"]))
+            ranges = sensitivity.uniform_ranges(p, rel=_float(block["rel_range"],
+                                                              "sensitivity.rel_range"))
         else:
             raise ConfigError(f"unknown sensitivity distribution {distribution!r}; "
                               "expected 'uniform' or 'normal'")
         grid = _build_grid(block["grid"], "sensitivity.grid")
-        sample_times = [float(t) for t in block["sample_times"]]
+        sample_times = [_float(t, "sensitivity.sample_times") for t in block["sample_times"]]
         outputs = tuple(block["outputs"])
     results = sensitivity.prcc_study(ranges, N, seed, p, y0, grid, sample_times, outputs)
     outdir = _make_outdir(config, args.outdir, "prcc")
@@ -348,18 +364,22 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
         if not isinstance(data_path, (str, type(None))):
             raise ConfigError(f"fit.data must be a file path or null, got {data_path!r}")
         free = tuple(block["free"])
-        x0 = dict(block["x0"]) if block["x0"] else {name: getattr(p, name) for name in free}
-        if block["bounds"]:
-            bounds = {name: (float(lo), float(hi)) for name, (lo, hi) in block["bounds"].items()}
+        if block["x0"]:
+            x0 = {name: _float(v, f"fit.x0.{name}") for name, v in block["x0"].items()}
         else:
-            bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free}
+            x0 = {name: getattr(p, name) for name in free if name in PARAM_NAMES}
+        if block["bounds"]:
+            bounds = {name: (_float(lo, f"fit.bounds.{name}"), _float(hi, f"fit.bounds.{name}"))
+                      for name, (lo, hi) in block["bounds"].items()}
+        else:  # a free parameter without a start value gets no bounds; FitConfig names it
+            bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free if name in x0}
         cfg = calibrate.FitConfig(
             free=free, bounds=bounds, x0=x0,
-            max_evals=_integer(block, "fit.max_evals"), tol=float(block["tol"]),
-            dt=float(block["dt"]),
+            max_evals=_integer(block, "fit.max_evals"), tol=_float(block["tol"], "fit.tol"),
+            dt=_float(block["dt"], "fit.dt"),
         )
-        y0 = seeded_state(p, exposed=float(block["seed_exposed"]),
-                          infected=float(block["seed_infected"]))
+        y0 = seeded_state(p, exposed=_float(block["seed_exposed"], "fit.seed_exposed"),
+                          infected=_float(block["seed_infected"], "fit.seed_infected"))
     if data_path is None:
         data = calibrate.tanzania_series()
     else:

@@ -216,16 +216,16 @@ def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, *args) -> tu
     NamedTuple of floats, of (N,) arrays (one call stepping N rows), or a ``Stacked`` array
     (each stage one array operation); the result has its type.
     """
-    make = y._make
+    new, cls = tuple.__new__, type(y)  # the NamedTuple built without its _make classmethod
     half = 0.5 * h
     t_half = t + half
     k1 = f(t, y, za, *args)
-    k2 = f(t_half, make([a + half * b for a, b in zip(y, k1)]), zm, *args)
-    k3 = f(t_half, make([a + half * b for a, b in zip(y, k2)]), zm, *args)
-    k4 = f(t + h, make([a + h * b for a, b in zip(y, k3)]), zb, *args)
+    k2 = f(t_half, new(cls, [a + half * b for a, b in zip(y, k1)]), zm, *args)
+    k3 = f(t_half, new(cls, [a + half * b for a, b in zip(y, k2)]), zm, *args)
+    k4 = f(t + h, new(cls, [a + h * b for a, b in zip(y, k3)]), zb, *args)
     sixth = h / 6.0
-    return make(
-        [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    return new(
+        cls, [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
     )
 
 

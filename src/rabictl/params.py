@@ -2,6 +2,10 @@
 
 All rates are per year; population recruitment is individuals per year and
 the half-saturation constant ``C`` is in PFU/mL.
+
+``rates_of`` combines the parameters that the model only ever reads together:
+the outflow rate of each class and the deterrence divisors. A ``ParamSet``
+builds them once, as ``rates``, and a PRCC study once for its (N,) arrays.
 """
 
 from __future__ import annotations
@@ -9,10 +13,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import ConfigError
 
-__all__ = ["ParamSet", "TABLE2_ESTIMATED", "TABLE2_BASELINE", "PARAM_NAMES"]
+__all__ = ["ParamSet", "TABLE2_ESTIMATED", "TABLE2_BASELINE", "PARAM_NAMES", "rates_of"]
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,9 @@ class ParamSet:
       sigma1..sigma3   disease-induced mortality
       nu1..nu3         virus shedding into the environment
       C                half-saturation of the environmental response
+
+    ``rates`` holds ``rates_of(self)``, built with the instance; ``replace``
+    builds a new instance, so its rates are never stale.
     """
 
     theta1: float
@@ -75,6 +83,7 @@ class ParamSet:
         for theta, mu in (("theta1", "mu1"), ("theta2", "mu2"), ("theta3", "mu3")):
             if not getattr(self, theta) > getattr(self, mu):
                 raise ConfigError(f"recruitment {theta} must exceed mortality {mu}")
+        object.__setattr__(self, "rates", rates_of(self))
 
     def replace(self, **overrides: float) -> "ParamSet":
         unknown = set(overrides) - set(PARAM_NAMES)
@@ -87,6 +96,25 @@ class ParamSet:
 
 
 PARAM_NAMES: tuple[str, ...] = tuple(f.name for f in dataclasses.fields(ParamSet))
+
+
+def rates_of(p: Any) -> tuple:
+    """The parameter-only combinations the model reads, for floats or (N,) arrays alike.
+
+    In order: the outflow rates of E_H, I_H, R_H, E_F, I_F, E_D, I_D and R_D (u4
+    is added to those of E_H and E_D on each call), then the deterrence divisors
+    1 + rho1, 1 + rho2 and 1 + rho3. Python adds left to right, so a caller that
+    adds u4 afterwards, ``(mu1 + beta1 + beta2) + u4``, gets the same double as
+    ``mu1 + beta1 + beta2 + u4``.
+    """
+    mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
+    return (
+        mu1 + p.beta1 + p.beta2, p.sigma1 + mu1, p.beta3 + mu1,
+        mu2 + p.gamma, mu2 + p.sigma2,
+        mu3 + p.gamma1 + p.gamma2, mu3 + p.sigma3, mu3 + p.gamma3,
+        1.0 + p.rho1, 1.0 + p.rho2, 1.0 + p.rho3,
+    )
+
 
 # Fitted values (the default parameterization).
 TABLE2_ESTIMATED = ParamSet(

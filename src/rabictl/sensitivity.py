@@ -5,10 +5,12 @@ N equal-probability strata exactly once, with the stratum order permuted
 independently per column. All sampled rows are integrated at once: their
 states form one (12, N) array, which ``rk4_step`` advances as a ``Stacked``
 field, one array operation per stage, while ``rhs`` reads its twelve rows as
-(N,) arrays. Only the sample nodes are stored. PRCC rank-transforms
-everything and reads the partial correlations off the inverse of the
-rank-correlation matrix, so it measures monotone influence of one parameter
-while controlling for the rest. The inverse over the parameters is shared
+(N,) arrays. The parameters of the rows form one namespace of (N,) arrays,
+whose combined rates (``params.rates_of``) are built once per study rather
+than in each of the march's ``rhs`` calls. Only the sample nodes are
+stored. PRCC rank-transforms everything and reads the partial correlations
+off the inverse of the rank-correlation matrix, so it measures monotone
+influence of one parameter while controlling for the rest. The inverse over the parameters is shared
 by every output, so a study ranks its sample once and computes all outputs
 at all sample times in one ``prcc`` call.
 
@@ -30,7 +32,7 @@ from . import integrate  # rhs is read from here at call time, where perfbench/t
 from .errors import ConfigError, DegenerateInputError, StudyError
 from .integrate import CLAMP_TOL, KEEP_TOL, Stacked, TimeGrid, rk4_step, write_csv, write_json
 from .model import ZERO_CONTROL, ControlConst, StateVec
-from .params import PARAM_NAMES, ParamSet
+from .params import PARAM_NAMES, ParamSet, rates_of
 
 __all__ = [
     "ParamRange",
@@ -248,13 +250,16 @@ def _simulate_rows(
             base.replace(**dict(zip(names, (float(v) for v in row))))
         except ConfigError:
             failed[i] = True
-    p = SimpleNamespace(**{**base.as_dict(), **dict(zip(names, rows.T))})
+    # a column of ``rows`` is a strided view, slower for each ufunc of each rhs call to read
+    # than a contiguous array, so each sampled column is copied once
+    p = SimpleNamespace(**{**base.as_dict(), **dict(zip(names, rows.T.copy()))})
     field_idx = [StateVec._fields.index(o) for o in outputs]
     columns = {k: np.flatnonzero(np.equal(node_idx, k)) for k in node_idx}  # node -> its samples
     h, times, u = grid.h, grid.times(), ZERO_CONTROL
     Y = np.array([np.full(len(rows), v) for v in y0])  # (12, N)
     sampled = np.empty((len(rows), len(node_idx), len(outputs)))
     with np.errstate(all="ignore"):  # a failed row keeps integrating and may overflow
+        p.rates = rates_of(p)  # once per study; every rhs call of the march reads it
         for i in range(grid.n_nodes):
             if i:
                 Y = rk4_step(_stacked_rhs, Stacked(Y), times[i - 1], h, u, u, u, p).values
@@ -270,7 +275,7 @@ def _simulate_rows(
 
 def _stacked_rhs(t: float, z: Stacked, u: ControlConst, p: SimpleNamespace) -> Stacked:
     """``rhs`` on the (12, N) states of a batch, restacked into one array."""
-    return Stacked(np.array(integrate.rhs(t, StateVec._make(z.values), u, p)))
+    return Stacked(np.array(integrate.rhs(t, tuple.__new__(StateVec, z.values), u, p)))
 
 
 def prcc_study(

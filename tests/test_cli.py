@@ -341,6 +341,31 @@ def test_config_error_names_the_key(tmp_path, capsys, argv, message):
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment, command, message", [
+    ("weights.A1=true", "optimize", "weights.A1 must be a number, got True"),
+    ('controls.u1="0.5"', "reff", "controls.u1 must be a number, got '0.5'"),
+    ("initial_state.S_H=true", "simulate", "initial_state.S_H must be a number, got True"),
+    ('fit.tol="1e-3"', "fit", "fit.tol must be a number, got '1e-3'"),
+    ("parameters.tau1=false", "simulate", "parameters.tau1 must be a number, got False"),
+    ("grid.tf=true", "simulate", "grid.tf must be a number, got True"),
+    ('sweep.omega="0.5"', "optimize", "sweep.omega must be a number, got '0.5'"),
+    ('sensitivity.sample_times=[2, "4"]', "prcc",
+     "sensitivity.sample_times must be a number, got '4'"),
+    ('fit.x0={"theta1":true,"tau1":0.0004,"beta1":0.17}', "fit",
+     "fit.x0.theta1 must be a number, got True"),
+    ('reff.axis1={"name":"u1","lo":false,"hi":1,"n":2}', "reff",
+     "reff.axis1.lo must be a number, got False"),
+], ids=["weight-bool", "control-string", "state-bool", "fit-tol-string", "parameter-bool",
+        "grid-bool", "sweep-string", "sample-time-string", "fit-x0-bool", "reff-axis-bool"])
+def test_non_number_float_value_is_config_error(tmp_path, capsys, assignment, command, message):
+    # a bool or a JSON string used to pass float() and be echoed in config.json as given
+    code, out = run(tmp_path, "a", "--set", assignment,
+                    "--set", 'reff.axis2={"name":"u2","lo":0,"hi":1,"n":2}', command)
+    assert code == 2
+    assert out is None
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 def test_unknown_config_file_key_is_config_error(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"sweep": {"tolerance": 1e-3}}))
@@ -388,7 +413,7 @@ FUZZ_KEYS = (
     *(f"controls.u{i}" for i in range(1, 5)),
     "grid.n_steps",
 )
-FUZZ_VALUES = (math.nan, math.inf, -1, 0, 1e300, "abc", [], {})
+FUZZ_VALUES = (math.nan, math.inf, -1, 0, 1e300, "abc", [], {}, True, "1")
 NON_FINITE = re.compile("nan|inf", re.IGNORECASE)
 
 
@@ -701,7 +726,10 @@ def test_unconverged_fit_warns(tmp_path, capsys):
      "fit.bounds names 'beta9', which is not a free parameter"),
     (('fit.free=["theta1"]', 'fit.x0={"theta1":1500,"tau1":5}'),
      "fit.x0 names 'tau1', which is not a free parameter"),
-], ids=["empty-free", "bounds-outside-free", "x0-outside-free"])
+    # the default bounds are derived from x0, which used to raise KeyError('tau1')
+    (('fit.x0={"theta1":2000}',), "missing start value for free parameter 'tau1'"),
+    (('fit.free=["theta1","theta9"]',), "unknown free parameter 'theta9'"),
+], ids=["empty-free", "bounds-outside-free", "x0-outside-free", "partial-x0", "unknown-free"])
 def test_fit_free_parameter_mismatch_is_config_error(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *(a for v in argv for a in ("--set", v)),
                     "--set", "fit.max_evals=5", "fit")

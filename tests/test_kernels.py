@@ -24,7 +24,7 @@ from rabictl.integrate import (
     rk4_forward, rk4_step,
 )
 from rabictl.model import (
-    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, rhs,
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, jacobian, rhs,
     seeded_state,
 )
 from rabictl.optctl import AdjointVec, Weights, adjoint_rhs, adjoint_system
@@ -244,6 +244,19 @@ def test_force_terms_and_rhs_equal_reference_bits(y, u, p):
     got = rhs(0.0, y, u, p)
     assert type(got) is StateVec
     assert hexes(got) == hexes(reference_rhs(0.0, y, u, p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(y=states, u=controls, p=params)
+def test_carried_rates_equal_rates_built_on_the_call(y, u, p):
+    """A ParamSet's own rates, and those built on the call for a bare namespace of its
+    fields, give the same bits in every kernel that reads them."""
+    bare = SimpleNamespace(**p.as_dict())
+    assert not hasattr(bare, "rates")
+    assert hexes(force_terms(y, u, p)) == hexes(force_terms(y, u, bare))
+    assert hexes(rhs(0.0, y, u, p)) == hexes(rhs(0.0, y, u, bare))
+    for got, want in zip(jacobian(y, u, p), jacobian(y, u, bare)):
+        assert hexes(got) == hexes(want)
 
 
 def test_over_one_controls_clamp_both_factors():

@@ -9,7 +9,7 @@ from rabictl.errors import ConfigError
 from rabictl.model import (
     DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, force_terms, jacobian, rhs, seeded_state,
 )
-from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED
+from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED, rates_of
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 controls = st.floats(min_value=0.0, max_value=1.0)
@@ -41,6 +41,15 @@ def test_recruitment_must_exceed_mortality():
 def test_replace_rejects_unknown_names():
     with pytest.raises(ConfigError, match="unknown parameter"):
         TABLE2_ESTIMATED.replace(theta9=1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mu1=st.floats(min_value=1e-3, max_value=1.0))
+def test_replace_never_keeps_stale_rates(mu1):
+    p = TABLE2_ESTIMATED
+    q = p.replace(mu1=mu1)
+    assert p.rates == rates_of(p) and q.rates == rates_of(q)
+    assert q.rates[0] == mu1 + p.beta1 + p.beta2
 
 
 # --- saturation -----------------------------------------------------------------

@@ -12,7 +12,7 @@ from scipy import stats
 from rabictl.errors import ConfigError, DegenerateInputError, StudyError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
 from rabictl.model import StateVec, seeded_state
-from rabictl.params import PARAM_NAMES
+from rabictl.params import PARAM_NAMES, rates_of
 from rabictl.sensitivity import (
     ParamRange,
     _ranks,
@@ -334,6 +334,22 @@ def test_prcc_study_checks_sample_size_before_sampling(p_base, monkeypatch):
     with pytest.raises(ConfigError, match=r"PRCC needs N > P \+ 2 samples, got N=5, P=3"):
         prcc_study(uniform_ranges(p_base, 0.25, names=["tau1", "mu1", "beta2"]), 5, 1, p_base,
                    light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("I_H",))
+
+
+def test_prcc_study_builds_its_rates_once(p_base, monkeypatch):
+    """The march reads the rates the study built. Rebuilding them in each rhs call would
+    keep every bit and only cost time, so the builds are counted."""
+    built = []
+
+    def counting_rates_of(p):
+        built.append(p)
+        return rates_of(p)
+
+    for module in ("rabictl.model", "rabictl.sensitivity"):
+        monkeypatch.setattr(f"{module}.rates_of", counting_rates_of)
+    prcc_study(uniform_ranges(p_base, 0.25, names=["tau1", "mu1", "beta2"]), 12, 1, p_base,
+               light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("I_H",))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("times, outputs, match", [
