@@ -369,6 +369,9 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
         else:
             x0 = {name: getattr(p, name) for name in free if name in PARAM_NAMES}
         if block["bounds"]:
+            for name, pair in block["bounds"].items():
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ConfigError(f"fit.bounds.{name} must be a [lo, hi] pair, got {pair!r}")
             bounds = {name: (_float(lo, f"fit.bounds.{name}"), _float(hi, f"fit.bounds.{name}"))
                       for name, (lo, hi) in block["bounds"].items()}
         else:  # a free parameter without a start value gets no bounds; FitConfig names it

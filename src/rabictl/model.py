@@ -59,7 +59,7 @@ class StateVec(NamedTuple):
 
 
 class ControlConst(NamedTuple):
-    """Constant control intensities, each in [0, 1]."""
+    """Constant control intensities, each in [0, 1]; arrays of them for an R_e grid."""
 
     u1: float = 0.0
     u2: float = 0.0
@@ -68,8 +68,9 @@ class ControlConst(NamedTuple):
 
     def validate(self) -> "ControlConst":
         for name, value in zip(self._fields, self):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"control {name} must lie in [0, 1], got {value}")
+            outside = np.asarray(value)[np.clip(value, 0.0, 1.0) != value]  # NaN != NaN: outside
+            if outside.size:
+                raise ConfigError(f"control {name} must lie in [0, 1], got {outside[0]}")
         return self
 
 

@@ -11,13 +11,15 @@ builds them once, as ``rates``, and a PRCC study once for its (N,) arrays.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
 
-__all__ = ["ParamSet", "TABLE2_ESTIMATED", "TABLE2_BASELINE", "PARAM_NAMES", "rates_of"]
+__all__ = ["ParamSet", "TABLE2_ESTIMATED", "TABLE2_BASELINE", "PARAM_NAMES", "rates_of", "rules", "valid"]
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,19 @@ class ParamSet:
     C: float
 
     def __post_init__(self) -> None:
-        for name in PARAM_NAMES:
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"parameter {name!r} must be strictly positive and finite, got {value}")
-        for theta, mu in (("theta1", "mu1"), ("theta2", "mu2"), ("theta3", "mu3")):
-            if not getattr(self, theta) > getattr(self, mu):
-                raise ConfigError(f"recruitment {theta} must exceed mortality {mu}")
+        kept = rules(self)
+        if not all(kept):
+            k = kept.index(False)
+            if k < len(PARAM_NAMES):
+                name = PARAM_NAMES[k]
+                raise ConfigError(f"parameter {name!r} must be strictly positive and finite, "
+                                  f"got {getattr(self, name)}")
+            j = k - len(PARAM_NAMES) + 1
+            raise ConfigError(f"recruitment theta{j} must exceed mortality mu{j}")
         object.__setattr__(self, "rates", rates_of(self))
 
     def replace(self, **overrides: float) -> "ParamSet":
-        unknown = set(overrides) - set(PARAM_NAMES)
+        unknown = overrides.keys() - _PARAMS_SET
         if unknown:
             raise ConfigError(f"unknown parameter name(s): {sorted(unknown)}")
         return dataclasses.replace(self, **overrides)
@@ -96,6 +100,20 @@ class ParamSet:
 
 
 PARAM_NAMES: tuple[str, ...] = tuple(f.name for f in dataclasses.fields(ParamSet))
+_PARAMS = operator.attrgetter(*PARAM_NAMES)
+_PARAMS_SET = frozenset(PARAM_NAMES)
+
+
+def rules(p: Any) -> list:
+    """Whether ``p`` keeps each rule, a bool or a mask: each field positive and finite, then theta > mu."""
+    inf = math.inf  # plain operators, not numpy calls, keep a float ParamSet's check fast
+    return [(v > 0.0) & (v < inf) for v in _PARAMS(p)] + [
+        p.theta1 > p.mu1, p.theta2 > p.mu2, p.theta3 > p.mu3]
+
+
+def valid(p: Any) -> Any:
+    """Where ``p`` keeps every rule: a bool for float fields, a mask for array fields."""
+    return functools.reduce(operator.and_, rules(p))
 
 
 def rates_of(p: Any) -> tuple:

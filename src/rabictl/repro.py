@@ -12,14 +12,15 @@ Both routes track the direct transmission loops only: the environmental
 response M/(M+C) linearizes to 1/C at M = 0, which would dominate the
 matrix whenever C is small, so the environmental column of F is excluded
 by default. ``include_environment=True`` switches the matrix route to the
-full linearization as a diagnostic; the closed form never includes it.
+full linearization as a diagnostic; the closed form never includes it. Its
+fields may be floats or arrays, so ``re_grid`` evaluates a grid in one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .integrate import write_csv, write_json
 from .model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs, seeded_state,
 )
-from .params import PARAM_NAMES, ParamSet
+from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
 __all__ = [
     "INFECTED_ORDER",
@@ -64,7 +65,7 @@ class NgmPair:
 
 @dataclass(frozen=True)
 class ReBreakdown:
-    """Effective reproduction number with its intermediate quantities."""
+    """Effective reproduction number with its intermediate quantities; arrays for array inputs."""
 
     R21: float
     R23: float
@@ -77,26 +78,24 @@ class ReBreakdown:
 def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
     """Closed-form effective reproduction number under constant controls.
 
-    The domestic control factor (1-u1-u2) is clamped at zero, matching the
-    transmission terms of the state system.
+    The fields of ``p`` and ``u`` may be floats or arrays that broadcast
+    together, giving arrays of the broadcast shape. The domestic control
+    factor (1-u1-u2) is clamped at zero, matching the state system.
     """
     u.validate()
-    a3 = p.gamma1 / ((p.mu3 + p.gamma1 + p.gamma2 + u.u4) * (p.sigma3 + p.mu3))
-    R21 = p.kappa1 * p.theta2 * p.gamma / (p.mu2 * (p.mu2 + p.gamma) * (p.sigma2 + p.mu2))
-    R23 = p.kappa2 * p.theta2 * a3 / p.mu2
-    w = max(0.0, 1.0 - u.u1 - u.u2)
-    R31 = (
-        w * p.psi1 * p.theta3 * p.gamma
-        / ((1.0 + p.rho1) * p.mu3 * (p.mu2 + p.gamma) * (p.sigma2 + p.mu2))
-    )
-    R33 = w * p.psi2 * p.theta3 * a3 / ((1.0 + p.rho2) * p.mu3)
-    disc = R21 * R21 - 2.0 * R33 * R21 + 4.0 * R31 * R23 + R33 * R33
-    if disc < 0.0:
-        # (R21-R33)^2 + 4*R31*R23 with non-negative inputs; cannot happen.
-        raise NumericError(f"negative discriminant {disc} in closed-form Re")
-    Re = 0.5 * (R33 + R21 + math.sqrt(disc))
-    if not math.isfinite(Re):
-        raise NumericError(f"closed-form Re is not finite ({Re}); check the parameters")
+    with np.errstate(all="ignore"):  # overflow, or NaN from a negative discriminant, fails below
+        _, _, _, k_EF, k_IF, k_ED, k_ID, _, d1, d2, _ = rates_of(p)
+        a3 = p.gamma1 / ((k_ED + u.u4) * k_ID)
+        R21 = p.kappa1 * p.theta2 * p.gamma / (p.mu2 * k_EF * k_IF)
+        R23 = p.kappa2 * p.theta2 * a3 / p.mu2
+        w = np.maximum(0.0, 1.0 - u.u1 - u.u2)
+        R31 = w * p.psi1 * p.theta3 * p.gamma / (d1 * p.mu3 * k_EF * k_IF)
+        R33 = w * p.psi2 * p.theta3 * a3 / (d2 * p.mu3)
+        disc = R21 * R21 - 2.0 * R33 * R21 + 4.0 * R31 * R23 + R33 * R33
+        Re = 0.5 * (R33 + R21 + np.sqrt(disc))
+    bad = np.asarray(Re)[~np.isfinite(Re)]
+    if bad.size:
+        raise NumericError(f"closed-form Re is not finite ({bad[0]}); check the parameters")
     return ReBreakdown(R21=R21, R23=R23, R31=R31, R33=R33, a3=a3, Re=Re)
 
 
@@ -200,8 +199,6 @@ def endemic_eq(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> StateVec:
 
 # --- parameter grids ----------------------------------------------------------
 
-_CONTROL_NAMES = ("u1", "u2", "u3", "u4")
-
 
 @dataclass(frozen=True)
 class ReGrid:
@@ -217,22 +214,12 @@ class ReGrid:
 
 
 def _axis_values(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    if not 1 <= n <= 1000:  # the grid is built point by point: 10^6 points take seconds
+    if not 1 <= n <= 1000:  # every point is one CSV row: 10^6 rows take seconds to write
         raise ConfigError(f"axis needs at least one point and at most 1000, got {n}")
     if n == 1:
         return (lo,)
     step = (hi - lo) / (n - 1)
     return tuple(lo + i * step for i in range(n))
-
-
-def _apply_axis(
-    name: str, value: float, p: ParamSet, u: ControlConst
-) -> tuple[ParamSet, ControlConst]:
-    if name in _CONTROL_NAMES:
-        return p, ControlConst(*(value if f == name else v for f, v in zip(u._fields, u)))
-    if name in PARAM_NAMES:
-        return p.replace(**{name: value}), u
-    raise ConfigError(f"unknown axis name {name!r}: expected u1..u4 or a parameter name")
 
 
 def re_grid(
@@ -241,31 +228,26 @@ def re_grid(
     axis2: tuple[str, float, float, int],
     base_u: ControlConst = ZERO_CONTROL,
 ) -> ReGrid:
-    """Evaluate the closed-form Re over a Cartesian axis1 x axis2 grid."""
+    """The closed-form Re over a Cartesian axis1 x axis2 grid, in one ``effective_r`` call on arrays."""
     name1, lo1, hi1, n1 = axis1
     name2, lo2, hi2, n2 = axis2
     if name1 == name2:
         raise ConfigError(f"both axes name {name1!r}; a grid needs two different axes")
     vals1 = _axis_values(lo1, hi1, int(n1))
     vals2 = _axis_values(lo2, hi2, int(n2))
-    _apply_axis(name1, vals1[0], p, base_u)  # validate axis names up front
-    _apply_axis(name2, vals2[0], p, base_u)
-
-    out = np.empty((len(vals1), len(vals2)))
-    for i, v1 in enumerate(vals1):
-        p1, u1 = _apply_axis(name1, v1, p, base_u)
-        for j, v2 in enumerate(vals2):
-            p2, u2 = _apply_axis(name2, v2, p1, u1)
-            out[i, j] = effective_r(p2, u2).Re
-    return ReGrid(
-        axis1_name=name1,
-        axis1_values=vals1,
-        axis2_name=name2,
-        axis2_values=vals2,
-        values=out,
-        base_u=base_u,
-        base_params=p,
-    )
+    fields = {**p.as_dict(), **base_u._asdict()}
+    for name in (name1, name2):
+        if name not in fields:
+            raise ConfigError(f"unknown axis name {name!r}: expected u1..u4 or a parameter name")
+    fields[name1], fields[name2] = np.array(vals1)[:, None], np.array(vals2)
+    q = SimpleNamespace(**fields)
+    kept = np.broadcast_to(valid(q), (len(vals1), len(vals2)))
+    if not kept.all():  # the ParamSet of the first point that breaks a rule raises its error
+        i, j = np.unravel_index(np.argmin(kept), kept.shape)
+        p.replace(**{n: v for n, v in ((name1, vals1[i]), (name2, vals2[j])) if n in PARAM_NAMES})
+    Re = effective_r(q, ControlConst(*(fields[name] for name in ControlConst._fields))).Re
+    return ReGrid(axis1_name=name1, axis1_values=vals1, axis2_name=name2, axis2_values=vals2,
+                  values=np.broadcast_to(Re, kept.shape).copy(), base_u=base_u, base_params=p)
 
 
 def write_re_grid_csv(grid: ReGrid, path: str | Path, sidecar: str | Path) -> None:

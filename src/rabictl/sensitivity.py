@@ -32,7 +32,7 @@ from . import integrate  # rhs is read from here at call time, where perfbench/t
 from .errors import ConfigError, DegenerateInputError, StudyError
 from .integrate import CLAMP_TOL, KEEP_TOL, Stacked, TimeGrid, rk4_step, write_csv, write_json
 from .model import ZERO_CONTROL, ControlConst, StateVec
-from .params import PARAM_NAMES, ParamSet, rates_of
+from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
 __all__ = [
     "ParamRange",
@@ -244,15 +244,10 @@ def _simulate_rows(
     A row fails where ``rk4_forward`` would raise: invalid parameters, a
     component below -CLAMP_TOL after a step, or a non-finite last node.
     """
-    failed = np.zeros(len(rows), dtype=bool)
-    for i, row in enumerate(rows):
-        try:
-            base.replace(**dict(zip(names, (float(v) for v in row))))
-        except ConfigError:
-            failed[i] = True
     # a column of ``rows`` is a strided view, slower for each ufunc of each rhs call to read
     # than a contiguous array, so each sampled column is copied once
     p = SimpleNamespace(**{**base.as_dict(), **dict(zip(names, rows.T.copy()))})
+    failed = ~valid(p)  # an (N,) mask, as every row samples at least one parameter
     field_idx = [StateVec._fields.index(o) for o in outputs]
     columns = {k: np.flatnonzero(np.equal(node_idx, k)) for k in node_idx}  # node -> its samples
     h, times, u = grid.h, grid.times(), ZERO_CONTROL

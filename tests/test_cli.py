@@ -109,13 +109,17 @@ def test_reff_grid_monotone(tmp_path):
             assert values[(u[j], u[i + 1])] <= values[(u[j], u[i])] + 1e-14
 
 
-@pytest.mark.parametrize("axis1", [
-    {"name": "bogus", "lo": 0, "hi": 1, "n": 3},
-    {"name": "u1", "lo": 0, "hi": 1, "n": 0},
-    {"name": "u1", "lo": 0, "hi": 2, "n": 3},
-    None,
-], ids=["unknown-name", "no-points", "control-above-one", "lone-axis2"])
-def test_reff_config_error_leaves_no_run_directory(tmp_path, capsys, axis1):
+@pytest.mark.parametrize("axis1, message", [
+    ({"name": "bogus", "lo": 0, "hi": 1, "n": 3}, "unknown axis name 'bogus'"),
+    ({"name": "u1", "lo": 0, "hi": 1, "n": 0}, "at most 1000, got 0"),
+    ({"name": "u1", "lo": 0, "hi": 2, "n": 3}, "control u1 must lie in [0, 1], got 2.0"),
+    (None, "reff.axis1 is not set"),
+    ({"name": "psi1", "lo": -1e-5, "hi": 1e-4, "n": 5},
+     "parameter 'psi1' must be strictly positive and finite, got -1e-05"),
+    ({"name": "mu1", "lo": 0.01, "hi": 3000, "n": 4}, "recruitment theta1 must exceed mortality mu1"),
+], ids=["unknown-name", "no-points", "control-above-one", "lone-axis2", "parameter-below-zero",
+        "mortality-above-recruitment"])
+def test_reff_config_error_leaves_no_run_directory(tmp_path, capsys, axis1, message):
     axis2 = json.dumps({"name": "u2", "lo": 0, "hi": 1, "n": 3})
     code, out = run(tmp_path, "a", "--set", f"reff.axis1={json.dumps(axis1)}",
                     "--set", f"reff.axis2={axis2}", "reff")
@@ -123,8 +127,7 @@ def test_reff_config_error_leaves_no_run_directory(tmp_path, capsys, axis1):
     assert out is None
     err = capsys.readouterr().err
     assert "configuration error" in err
-    if axis1 is None:
-        assert "reff.axis1 is not set" in err
+    assert message in err
 
 
 def test_reff_parameter_axis_grid(tmp_path):
@@ -729,7 +732,11 @@ def test_unconverged_fit_warns(tmp_path, capsys):
     # the default bounds are derived from x0, which used to raise KeyError('tau1')
     (('fit.x0={"theta1":2000}',), "missing start value for free parameter 'tau1'"),
     (('fit.free=["theta1","theta9"]',), "unknown free parameter 'theta9'"),
-], ids=["empty-free", "bounds-outside-free", "x0-outside-free", "partial-x0", "unknown-free"])
+    # each entry was unpacked as (lo, hi), which raised a ValueError naming no key
+    (('fit.bounds={"theta1":[500]}',), "fit.bounds.theta1 must be a [lo, hi] pair, got [500]"),
+    (('fit.bounds={"theta1":5}',), "fit.bounds.theta1 must be a [lo, hi] pair, got 5"),
+], ids=["empty-free", "bounds-outside-free", "x0-outside-free", "partial-x0", "unknown-free",
+        "one-bound", "bound-not-a-pair"])
 def test_fit_free_parameter_mismatch_is_config_error(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *(a for v in argv for a in ("--set", v)),
                     "--set", "fit.max_evals=5", "fit")

@@ -326,6 +326,32 @@ def test_grid_degenerate_single_point(p_est):
     assert g.values[0, 0] == expected
 
 
+@pytest.mark.parametrize("axis1, axis2, base_u", [
+    (("u2", 0.0, 1.0, 7), ("kappa1", 1e-6, 3e-4, 9), ZERO_CONTROL),
+    # moves the outflow rates and the recruitment rule theta2 > mu2
+    (("mu2", 0.02, 0.6, 8), ("theta2", 400.0, 1600.0, 6), ZERO_CONTROL),
+    # 1 - u1 - u2 crosses zero, so the domestic factor clamps on part of the grid
+    (("u1", 0.0, 1.0, 9), ("u4", 0.0, 1.0, 5), ControlConst(0.3, 0.4, 0.2, 0.1)),
+], ids=["control-x-parameter", "parameter-x-parameter", "control-x-control"])
+def test_grid_equals_pointwise_effective_r(p_est, axis1, axis2, base_u):
+    """One array call over the grid equals a float ``effective_r`` call per point, bit for bit."""
+    g = re_grid(p_est, axis1, axis2, base_u)
+
+    def point(i, j):
+        p, u = p_est, base_u
+        for (name, *_), v in ((axis1, g.axis1_values[i]), (axis2, g.axis2_values[j])):
+            if name in ControlConst._fields:
+                u = u._replace(**{name: v})
+            else:
+                p = p.replace(**{name: v})
+        return p, u
+
+    expected = [[effective_r(*point(i, j)).Re for j in range(axis2[3])] for i in range(axis1[3])]
+    assert g.values.tolist() == expected
+    for i, j in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
+        assert abs(g.values[i, j] - spectral_r(*point(i, j))) <= 1e-8 * g.values[i, j]
+
+
 def test_grid_control_monotonicity(p_est):
     g = re_grid(p_est, ("u2", 0.0, 1.0, 6), ("u4", 0.0, 1.0, 6))
     assert np.all(np.diff(g.values, axis=0) <= 1e-14)

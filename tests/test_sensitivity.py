@@ -413,13 +413,23 @@ def test_batch_equals_scalar_runs_and_drops_blowups(p_base):
 
 
 def test_batch_drops_rows_with_invalid_parameters(p_base):
-    # theta1 <= mu1 fails ParamSet validation
-    X, _, _, rows = simulate_batch(
-        [ParamRange("theta1", "uniform", 0.001, 0.05)], 30, 2, p_base,
-        light_seed_state(p_base), TimeGrid(0.0, 5.0, 50), [5.0], ("I_H",))
-    invalid = X[:, 0] <= p_base.mu1
-    assert invalid.sum() == 9
-    assert [r is None for r in rows] == list(invalid)
+    """The dropped rows are exactly those whose parameters ``ParamSet.replace`` rejects."""
+    kappa1 = ParamRange("kappa1", "uniform", -1e-5, 1e-4)  # kappa1 <= 0 on some rows
+    theta1 = ParamRange("theta1", "uniform", 0.001, 0.05)  # theta1 <= mu1 on some rows
+    mu1 = ParamRange("mu1", "uniform", 0.005, 0.03)  # mu1 >= theta1 on some rows
+    for ranges, n_invalid in (([theta1], 9), ([kappa1, theta1, mu1], 12)):
+        X, names, _, rows = simulate_batch(ranges, 30, 2, p_base, light_seed_state(p_base),
+                                           TimeGrid(0.0, 5.0, 50), [5.0], ("I_H",))
+        invalid = []
+        for x in X:
+            try:
+                p_base.replace(**dict(zip(names, map(float, x))))
+                invalid.append(False)
+            except ConfigError:
+                invalid.append(True)
+        assert sum(invalid) == n_invalid
+        assert [r is None for r in rows] == invalid
+    assert (X[:, 0] <= 0.0).any() and (X[:, 2] >= X[:, 1]).any()  # both rules break
 
 
 def test_batch_keeps_the_order_of_its_sample_nodes(p_base):
