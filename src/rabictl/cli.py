@@ -5,6 +5,13 @@ an optional JSON file plus ``--set key=value`` overrides (dotted keys reach
 nested blocks); every run writes the fully resolved configuration next to
 its artifacts so outputs are reproducible byte for byte.
 
+``resolve_config`` checks the whole resolved configuration once, whichever
+subcommand runs, against one schema: the defaults, plus the shape of each
+block whose default is null. Each key must hold the kind of its default, and
+an error names the dotted key (``grid.n_steps must be an integer, got 2.5``).
+The handlers read the checked values in plain form; the artifacts echo the
+configuration as given.
+
 ``main`` runs every subcommand the same way: it resolves the configuration,
 calls the handler, which solves and only then creates the run directory and
 writes its artifacts, then writes ``config.json`` and prints the handler's
@@ -19,7 +26,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 IO error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import dataclasses
 import json
@@ -28,7 +34,7 @@ import os
 import sys
 from datetime import datetime
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import optctl, repro
 from .errors import ConfigError, NumericError
@@ -127,26 +133,91 @@ def _apply_set(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+class _Overrides(dict):
+    """The shape of an override map: it may hold any of these keys, and null holds none."""
+
+
+class _Each(NamedTuple):
+    """The shape of an object from any name to a value of ``shape``."""
+
+    shape: Any
+
+
+class _OrNull(NamedTuple):
+    """The shape of a key whose default is null: null, or a value of ``shape``, called ``what``."""
+
+    shape: Any
+    what: str = "an object"
+
+
 def _config_schema() -> dict[str, Any]:
-    """The defaults, each block whose default is null replaced by the keys it accepts when set."""
+    """The shape of the config: the defaults, with each override map and null default marked.
+
+    A float accepts a number (never a bool), an int an integral count, a str a string, a list
+    a list of what its first item accepts and a tuple a [lo, hi] pair of numbers.
+    """
     schema = _default_config()
-    axis = dict.fromkeys(("name", "lo", "hi", "n"))
-    schema["initial_state"] = dict.fromkeys(StateVec._fields)
-    schema["reff"] = {"axis1": axis, "axis2": axis}
+    axis = {"name": "", "lo": 0.0, "hi": 0.0, "n": 0}
+    schema["parameters"] = _Overrides(schema["parameters"], **dict.fromkeys(PARAM_NAMES, 0.0))
+    schema["initial_state"] = _OrNull(_Overrides(dict.fromkeys(StateVec._fields, 0.0)))
+    schema["controls"] = _Overrides(schema["controls"])
+    schema["weights"] = _Overrides(schema["weights"])
+    schema["reff"] = {"axis1": _OrNull(axis), "axis2": _OrNull(axis)}
+    schema["fit"].update(data=_OrNull("", "a file path"), x0=_OrNull(_Each(0.0)),
+                         bounds=_OrNull(_Each((0.0, 0.0))))
+    schema["output_dir"] = _OrNull("", "a directory path")
     return schema
 
 
-def _check_keys(config: dict, default: dict, prefix: str = "") -> None:
-    """Reject a key the schema does not hold; ``ParamSet.replace`` checks the parameter names."""
-    for key, value in config.items():
-        if key not in default:
-            raise ConfigError(f"unknown config key {prefix + key!r}")
-        if isinstance(default[key], dict) and isinstance(value, dict) and key != "parameters":
-            _check_keys(value, default[key], f"{prefix}{key}.")
+_KINDS = {float: "a number", int: "an integer", str: "a string", list: "a list",
+          tuple: "a [lo, hi] pair", dict: "an object", _Overrides: "an object or null",
+          _Each: "an object"}
 
 
-def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
-    """Defaults, then the config file, then --set overrides."""
+def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
+    """``value``, found at the dotted ``key``, checked against ``shape`` and made plain.
+
+    A number becomes a float, a count an int, a pair a tuple and an override map given
+    as null an empty dict. A value of the wrong kind is a ConfigError saying what ``key``
+    must be (``what``, when given); so is a key ``shape`` does not hold, and a key missing
+    from a block that was replaced whole.
+    """
+    kind = type(shape)
+    if kind is _OrNull:
+        return None if value is None else _checked(value, shape.shape, key, f"{shape.what} or null")
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is int and type(value) in (int, float) and value % 1 == 0:
+        return int(value)
+    if kind is str and type(value) is str:
+        return value
+    if kind is list and type(value) is list:
+        return [_checked(item, shape[0], key) for item in value]
+    if kind is tuple and type(value) is list and len(value) == len(shape):
+        return tuple(_checked(item, s, key) for item, s in zip(value, shape))
+    if kind is _Overrides and value is None:
+        return {}
+    if kind in (dict, _Overrides, _Each) and type(value) is dict:
+        shape = dict.fromkeys(value, shape.shape) if kind is _Each else shape
+        prefix = key and key + "."
+        for name in value:
+            if name not in shape:
+                raise ConfigError(f"unknown config key {prefix + name!r}")
+        if kind is _Overrides:
+            shape = {name: shape[name] for name in value}
+        for name in shape:
+            if name not in value:
+                raise ConfigError(f"{prefix + name} must be set")
+        return {name: _checked(value[name], s, prefix + name) for name, s in shape.items()}
+    raise ConfigError(f"{key} must be {what or _KINDS[kind]}, got {value!r}")
+
+
+def resolve_config(path: str | None, sets: list[str]) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Defaults, then the config file, then --set overrides.
+
+    Returns the config checked against ``_config_schema`` in plain form, which the handlers
+    read, and the resolved config as given, which the artifacts echo.
+    """
     config = _default_config()
     if path is not None:
         file_path = Path(path)
@@ -161,77 +232,26 @@ def resolve_config(path: str | None, sets: list[str]) -> dict[str, Any]:
         config = _deep_merge(config, loaded)
     for assignment in sets or []:
         _apply_set(config, assignment)
-    _check_keys(config, _config_schema())
-    root = config["output_dir"]
-    if not isinstance(root, (str, type(None))):
-        raise ConfigError(f"output_dir must be a directory path or null, got {root!r}")
-    return config
-
-
-@contextlib.contextmanager
-def _config_values():
-    """Turn a bad or missing config value read in the block into a ConfigError; wrap no solver."""
-    try:
-        yield
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"missing or malformed config value ({exc!r})") from exc
-
-
-def _integer(block: dict, name: str) -> int:
-    """The entry of ``block`` that the dotted key ``name`` ends in, as an int.
-
-    A bool, a non-number or a fractional number is a ConfigError naming ``name``.
-    """
-    value = block[name.rsplit(".", 1)[-1]]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _float(value: Any, name: str) -> float:
-    """``value``, the entry at the dotted key ``name``, as a float.
-
-    A bool or a non-number, such as the JSON string "0.5", is a ConfigError naming ``name``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return _checked(config, _config_schema(), ""), config
 
 
 def _build_params(config: dict, preset: str | None = None) -> ParamSet:
     """The parameters block over its preset, or over ``preset`` when given."""
-    block = dict(config.get("parameters") or {})
-    preset_name = block.pop("preset", "estimated")
+    overrides = dict(config["parameters"])
+    preset_name = overrides.pop("preset", "estimated")
     if preset is not None:
         preset_name = preset
     if preset_name not in PRESETS:
         raise ConfigError(f"unknown parameter preset {preset_name!r}")
-    return PRESETS[preset_name].replace(
-        **{k: _float(v, f"parameters.{k}") for k, v in block.items()})
+    return PRESETS[preset_name].replace(**overrides)
 
 
 def _build_state(config: dict, p: ParamSet) -> StateVec:
-    block = config.get("initial_state") or {}
-    base = seeded_state(p, *DEFAULT_SEEDING)._asdict()
-    base.update({k: _float(v, f"initial_state.{k}") for k, v in block.items()})
-    return StateVec(**base).validate()
-
-
-def _build_grid(block: dict, name: str) -> TimeGrid:
-    return TimeGrid(_float(block["t0"], f"{name}.t0"), _float(block["tf"], f"{name}.tf"),
-                    _integer(block, f"{name}.n_steps"))
-
-
-def _build_controls(config: dict) -> ControlConst:
-    block = config.get("controls") or {}
-    unknown = set(block) - {"u1", "u2", "u3", "u4"}
-    if unknown:
-        raise ConfigError(f"unknown control name(s): {sorted(unknown)}")
-    return ControlConst(**{k: _float(v, f"controls.{k}") for k, v in block.items()}).validate()
+    return seeded_state(p, *DEFAULT_SEEDING)._replace(**config["initial_state"] or {}).validate()
 
 
 def _make_outdir(config: dict, cli_outdir: str | None, command: str) -> Path:
-    root = cli_outdir or config.get("output_dir") or os.environ.get(OUTDIR_ENV) or "runs"
+    root = cli_outdir or config["output_dir"] or os.environ.get(OUTDIR_ENV) or "runs"
     stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
     out = Path(root) / f"{command}-{stamp}"
     out.mkdir(parents=True, exist_ok=False)
@@ -243,34 +263,29 @@ def _write_sidecar(outdir: Path, config: dict) -> None:
 
 
 # --- subcommands ----------------------------------------------------------------
+# Each handler reads the checked config and echoes ``given``, the config as resolved.
 
 
-def cmd_simulate(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
-    with _config_values():
-        p = _build_params(config)
-        y0 = _build_state(config, p)
-        grid = _build_grid(config["grid"], "grid")
-        u = _build_controls(config)
+def cmd_simulate(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
+    p = _build_params(config)
+    y0 = _build_state(config, p)
+    grid = TimeGrid(**config["grid"])
+    u = ControlConst(**config["controls"]).validate()
     traj = rk4_forward(p, ControlPath.constant(grid, u), y0, grid)
     outdir = _make_outdir(config, args.outdir, "simulate")
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     return outdir, f"wrote {outdir / 'trajectory.csv'} ({grid.n_nodes} nodes, {traj.clamped} clamped)"
 
 
-def cmd_reff(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
-    with _config_values():
-        p = _build_params(config)
-        u = _build_controls(config)
-        axes = config["reff"]["axis1"], config["reff"]["axis2"]
-        if any(axes) and not all(axes):
-            missing = "reff.axis2" if axes[0] else "reff.axis1"
-            raise ConfigError(f"a reff grid needs both axes, but {missing} is not set")
-        if all(axes):  # two (name, lo, hi, n) axes: a grid; neither: a point
-            axes = [(str(a["name"]), _float(a["lo"], f"reff.axis{i}.lo"),
-                     _float(a["hi"], f"reff.axis{i}.hi"), _integer(a, f"reff.axis{i}.n"))
-                    for i, a in enumerate(axes, 1)]
-    if all(axes):
-        grid = repro.re_grid(p, *axes, u)
+def cmd_reff(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
+    p = _build_params(config)
+    u = ControlConst(**config["controls"]).validate()
+    axes = config["reff"]["axis1"], config["reff"]["axis2"]
+    if any(axes) and not all(axes):
+        missing = "reff.axis2" if axes[0] else "reff.axis1"
+        raise ConfigError(f"a reff grid needs both axes, but {missing} is not set")
+    if all(axes):  # two (name, lo, hi, n) axes: a grid; neither: a point
+        grid = repro.re_grid(p, *(tuple(axis.values()) for axis in axes), u)
         outdir = _make_outdir(config, args.outdir, "reff")
         repro.write_re_grid_csv(grid, outdir / "reff_grid.csv", outdir / "reff_grid.meta.json")
         return outdir, (f"wrote {outdir / 'reff_grid.csv'} "
@@ -293,103 +308,81 @@ def _mask_from_args(args: argparse.Namespace) -> optctl.Mask:
     return optctl.STRATEGY_MASKS[strategy]
 
 
-def cmd_optimize(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
-    with _config_values():
-        p = _build_params(config)
-        y0 = _build_state(config, p)
-        grid = _build_grid(config["grid"], "grid")
-        w = optctl.Weights(**{k: _float(v, f"weights.{k}")
-                              for k, v in (config.get("weights") or {}).items()})
-        block = config["sweep"]
-        omega, tol = _float(block["omega"], "sweep.omega"), _float(block["tol"], "sweep.tol")
-        max_iter = _integer(block, "sweep.max_iter")
+def cmd_optimize(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
+    p = _build_params(config)
+    y0 = _build_state(config, p)
+    grid = TimeGrid(**config["grid"])
+    w = optctl.Weights(**config["weights"])
+    sweep = config["sweep"]
     mask = _mask_from_args(args)
-    result = optctl.forward_backward_sweep(
-        p, w, y0, grid, mask, omega=omega, tol=tol, max_iter=max_iter
-    )
+    result = optctl.forward_backward_sweep(p, w, y0, grid, mask, **sweep)
     outdir = _make_outdir(config, args.outdir, "optimize")
     write_trajectory_csv(result.states, outdir / "states.csv")
     optctl.write_adjoints_csv(grid, result.adjoints, outdir / "adjoints.csv")
     optctl.write_controls_csv(result.controls, outdir / "controls.csv")
-    optctl.write_sweep_summary_json(result, outdir / "summary.json", config)
+    optctl.write_sweep_summary_json(result, outdir / "summary.json", given)
     if not result.converged:
-        print(f"warning: sweep stopped at max_iter={max_iter} before the control update "
-              f"fell below tol={tol:g}", file=sys.stderr)
+        print(f"warning: sweep stopped at max_iter={sweep['max_iter']} before the control update "
+              f"fell below tol={sweep['tol']:g}", file=sys.stderr)
     return outdir, (f"J = {result.J_history[-1]:.6g} after {result.iterations} iterations "
                     f"(converged={result.converged}); wrote {outdir}")
 
 
-def cmd_prcc(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
+def cmd_prcc(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
     from . import sensitivity
 
-    with _config_values():
-        block = config["sensitivity"]
-        # the study centres its ranges on its own preset; explicit parameter
-        # overrides from the parameters block still apply on top
-        p = _build_params(config, preset=block["preset"])
-        if config.get("initial_state") is not None:
-            y0 = _build_state(config, p)
-        else:
-            y0 = seeded_state(p, exposed=_float(block["seed_exposed"], "sensitivity.seed_exposed"),
-                              infected=_float(block["seed_infected"], "sensitivity.seed_infected"),
-                              M0=_float(block["M0"], "sensitivity.M0"))
-        N = _integer(block, "sensitivity.N")
-        seed = _integer(block, "sensitivity.seed")
-        distribution = block["distribution"]
-        if distribution == "normal":
-            ranges = sensitivity.normal_ranges()
-        elif distribution == "uniform":
-            ranges = sensitivity.uniform_ranges(p, rel=_float(block["rel_range"],
-                                                              "sensitivity.rel_range"))
-        else:
-            raise ConfigError(f"unknown sensitivity distribution {distribution!r}; "
-                              "expected 'uniform' or 'normal'")
-        grid = _build_grid(block["grid"], "sensitivity.grid")
-        sample_times = [_float(t, "sensitivity.sample_times") for t in block["sample_times"]]
-        outputs = tuple(block["outputs"])
-    results = sensitivity.prcc_study(ranges, N, seed, p, y0, grid, sample_times, outputs)
+    block = config["sensitivity"]
+    # the study centres its ranges on its own preset; explicit parameter
+    # overrides from the parameters block still apply on top
+    p = _build_params(config, preset=block["preset"])
+    if config["initial_state"] is not None:
+        y0 = _build_state(config, p)
+    else:
+        y0 = seeded_state(p, exposed=block["seed_exposed"], infected=block["seed_infected"],
+                          M0=block["M0"])
+    distribution = block["distribution"]
+    if distribution == "normal":
+        ranges = sensitivity.normal_ranges()
+    elif distribution == "uniform":
+        ranges = sensitivity.uniform_ranges(p, rel=block["rel_range"])
+    else:
+        raise ConfigError(f"unknown sensitivity distribution {distribution!r}; "
+                          "expected 'uniform' or 'normal'")
+    grid = TimeGrid(**block["grid"])
+    results = sensitivity.prcc_study(ranges, block["N"], block["seed"], p, y0, grid,
+                                     block["sample_times"], tuple(block["outputs"]))
     outdir = _make_outdir(config, args.outdir, "prcc")
-    written = sensitivity.write_prcc_study(results, outdir, config)
+    written = sensitivity.write_prcc_study(results, outdir, given)
     names = ", ".join(p.name for p in written)
-    return outdir, f"wrote {names} in {outdir} (N={N}, {results[0].dropped_rows} rows dropped)"
+    return outdir, (f"wrote {names} in {outdir} (N={block['N']}, "
+                    f"{results[0].dropped_rows} rows dropped)")
 
 
-def cmd_fit(args: argparse.Namespace, config: dict) -> tuple[Path, str]:
+def cmd_fit(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
     from . import calibrate
 
-    with _config_values():
-        p = _build_params(config)
-        block = config["fit"]
-        data_path = args.data or block["data"]
-        if not isinstance(data_path, (str, type(None))):
-            raise ConfigError(f"fit.data must be a file path or null, got {data_path!r}")
-        free = tuple(block["free"])
-        if block["x0"]:
-            x0 = {name: _float(v, f"fit.x0.{name}") for name, v in block["x0"].items()}
-        else:
-            x0 = {name: getattr(p, name) for name in free if name in PARAM_NAMES}
-        if block["bounds"]:
-            for name, pair in block["bounds"].items():
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ConfigError(f"fit.bounds.{name} must be a [lo, hi] pair, got {pair!r}")
-            bounds = {name: (_float(lo, f"fit.bounds.{name}"), _float(hi, f"fit.bounds.{name}"))
-                      for name, (lo, hi) in block["bounds"].items()}
-        else:  # a free parameter without a start value gets no bounds; FitConfig names it
-            bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free if name in x0}
-        cfg = calibrate.FitConfig(
-            free=free, bounds=bounds, x0=x0,
-            max_evals=_integer(block, "fit.max_evals"), tol=_float(block["tol"], "fit.tol"),
-            dt=_float(block["dt"], "fit.dt"),
-        )
-        y0 = seeded_state(p, exposed=_float(block["seed_exposed"], "fit.seed_exposed"),
-                          infected=_float(block["seed_infected"], "fit.seed_infected"))
+    p = _build_params(config)
+    block = config["fit"]
+    free = tuple(block["free"])
+    x0 = block["x0"] or {name: getattr(p, name) for name in free if name in PARAM_NAMES}
+    bounds = block["bounds"]
+    if not bounds:  # [x0/4, 4*x0]; a free parameter without a start value gets none, FitConfig names it
+        bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free if name in x0}
+        for name, (lo, _) in bounds.items():
+            if not lo > 0.0:
+                raise ConfigError(f"fit.x0.{name} must be positive to derive its bounds, "
+                                  f"got {x0[name]!r}")
+    cfg = calibrate.FitConfig(free=free, bounds=bounds, x0=x0, max_evals=block["max_evals"],
+                              tol=block["tol"], dt=block["dt"])
+    y0 = seeded_state(p, exposed=block["seed_exposed"], infected=block["seed_infected"])
+    data_path = args.data or block["data"]
     if data_path is None:
         data = calibrate.tanzania_series()
     else:
         data = calibrate.IncidenceSeries.from_csv(data_path)  # OSError -> exit 4
     result = calibrate.fit(data, cfg, p, y0)
     outdir = _make_outdir(config, args.outdir, "fit")
-    calibrate.write_fit_json(result, outdir / "fit.json", config)
+    calibrate.write_fit_json(result, outdir / "fit.json", given)
     calibrate.write_fit_csv(data, result, outdir / "fit.csv")
     if not result.converged:
         print(f"warning: fit stopped after {result.evals} evaluations (max_evals={cfg.max_evals}) "
@@ -436,9 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = resolve_config(args.config, args.set)
-        outdir, summary = _HANDLERS[args.command](args, config)
-        _write_sidecar(outdir, config)
+        config, given = resolve_config(args.config, args.set)
+        outdir, summary = _HANDLERS[args.command](args, config, given)
+        _write_sidecar(outdir, given)
         print(summary)
         return EXIT_OK
     except ConfigError as exc:

@@ -85,8 +85,9 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
     u.validate()
     with np.errstate(all="ignore"):  # overflow, or NaN from a negative discriminant, fails below
         _, _, _, k_EF, k_IF, k_ED, k_ID, _, d1, d2, _ = rates_of(p)
-        a3 = p.gamma1 / ((k_ED + u.u4) * k_ID)
-        R21 = p.kappa1 * p.theta2 * p.gamma / (p.mu2 * k_EF * k_IF)
+        # np.divide: a divisor that underflows to 0.0 gives inf on floats too, as on arrays
+        a3 = np.divide(p.gamma1, (k_ED + u.u4) * k_ID)
+        R21 = np.divide(p.kappa1 * p.theta2 * p.gamma, p.mu2 * k_EF * k_IF)
         R23 = p.kappa2 * p.theta2 * a3 / p.mu2
         w = np.maximum(0.0, 1.0 - u.u1 - u.u2)
         R31 = w * p.psi1 * p.theta3 * p.gamma / (d1 * p.mu3 * k_EF * k_IF)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabictl
-from rabictl.cli import OUTDIR_ENV, main
+from rabictl.cli import OUTDIR_ENV, _config_schema, _Each, _OrNull, main
 from rabictl.model import StateVec
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
 
@@ -335,13 +335,78 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     (("--set", "initial_state.SH=5", "--set", "fit.max_evals=5", "fit"),
      "unknown config key 'initial_state.SH'"),
     (("--set", "initial_state.SH=5", "simulate"), "unknown config key 'initial_state.SH'"),
+    # a block replaced whole must give every key
+    (("--set", 'grid={"t0":0}', "reff"), "grid.tf must be set"),
 ], ids=["unknown-key", "unknown-block", "fraction", "bool", "nested-grid", "reff-axis",
-        "reff-axis-key", "state-key-reff", "state-key-fit", "state-key-simulate"])
+        "reff-axis-key", "state-key-reff", "state-key-fit", "state-key-simulate", "missing-key"])
 def test_config_error_names_the_key(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *argv)
     assert code == 2
     assert out is None
     assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def schema_leaves(shape, path=()):
+    """(dotted path, leaf shape, whether the leaf may be null) for every leaf of ``shape``; an
+    object of any names is entered through the name theta1."""
+    inner = shape.shape if isinstance(shape, _OrNull) else shape
+    if isinstance(inner, _Each):
+        yield from schema_leaves(inner.shape, (*path, "theta1"))
+    elif isinstance(inner, dict):
+        for name, sub in inner.items():
+            yield from schema_leaves(sub, (*path, name))
+    else:
+        yield path, inner, isinstance(shape, _OrNull)
+
+
+def valid_value(shape):
+    if isinstance(shape, _OrNull):
+        return None
+    if type(shape) is dict:  # a block read key by key: every key
+        return {name: valid_value(sub) for name, sub in shape.items()}
+    if isinstance(shape, (dict, _Each)):  # an override map or an object of any names
+        return {}
+    return {float: 1.0, int: 1, str: "x", list: [], tuple: [1.0, 2.0]}[type(shape)]
+
+
+def with_leaf(shape, path, value):
+    """A valid value of ``shape`` that holds ``value`` at ``path``."""
+    if not path:
+        return value
+    inner = shape.shape if isinstance(shape, _OrNull) else shape
+    sub = inner.shape if isinstance(inner, _Each) else inner[path[0]]
+    return {**valid_value(inner), path[0]: with_leaf(sub, path[1:], value)}
+
+
+def test_every_schema_key_rejects_a_value_of_the_wrong_kind(tmp_path, capsys):
+    schema = _config_schema()
+    leaves = list(schema_leaves(schema))
+    keys = {".".join(path) for path, _, _ in leaves}
+    assert {"parameters.tau1", "initial_state.S_H", "controls.u4", "weights.A1", "reff.axis2.n",
+            "sensitivity.grid.n_steps", "fit.x0.theta1", "fit.bounds.theta1", "output_dir"} <= keys
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    for path, shape, nullable in leaves:
+        key = ".".join(path)
+        # a list is of the wrong kind for a list only through its item
+        wrong = [v for v in (True, "text", [True], {"key": 1.0}, 2.5)
+                 if type(v) is not type(shape) or type(v) is list]
+        for value in wrong + ([] if nullable else [None]):
+            block = json.dumps(with_leaf(schema[path[0]], path[1:], value))
+            code = main(["--outdir", str(outdir), "--set", f"{path[0]}={block}", "reff"])
+            err = capsys.readouterr().err
+            assert code == 2, (key, value)
+            assert list(outdir.iterdir()) == [], (key, value)
+            assert "Traceback" not in err
+            assert any(line.startswith("configuration error:") and key in line
+                       for line in err.splitlines()), (key, value, err)
+
+
+@pytest.mark.parametrize("block", ["parameters", "controls", "weights"])
+def test_null_override_map_overrides_nothing(tmp_path, block):
+    code, out = run(tmp_path, "a", "--set", f"{block}=null", "reff")
+    assert code == 0
+    assert json.loads((out / "reff.json").read_text())["Re"] == pytest.approx(2.2821456547, rel=1e-9)
 
 
 @pytest.mark.parametrize("assignment, command, message", [
@@ -735,8 +800,16 @@ def test_unconverged_fit_warns(tmp_path, capsys):
     # each entry was unpacked as (lo, hi), which raised a ValueError naming no key
     (('fit.bounds={"theta1":[500]}',), "fit.bounds.theta1 must be a [lo, hi] pair, got [500]"),
     (('fit.bounds={"theta1":5}',), "fit.bounds.theta1 must be a [lo, hi] pair, got 5"),
+    # a string was split into the free names 't', 'h', ...; a list had no .items()
+    (('fit.free="theta1"',), "fit.free must be a list, got 'theta1'"),
+    (("fit.bounds=[1,2]",), "fit.bounds must be an object or null, got [1, 2]"),
+    (("fit.x0=[1,2]",), "fit.x0 must be an object or null, got [1, 2]"),
+    # the default bounds [x0/4, 4*x0] of a negative start value have lo > hi
+    (('fit.x0={"theta1":-5,"tau1":0.0004,"beta1":0.17}',),
+     "fit.x0.theta1 must be positive to derive its bounds, got -5.0"),
 ], ids=["empty-free", "bounds-outside-free", "x0-outside-free", "partial-x0", "unknown-free",
-        "one-bound", "bound-not-a-pair"])
+        "one-bound", "bound-not-a-pair", "free-not-a-list", "bounds-not-an-object",
+        "x0-not-an-object", "non-positive-x0"])
 def test_fit_free_parameter_mismatch_is_config_error(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *(a for v in argv for a in ("--set", v)),
                     "--set", "fit.max_evals=5", "fit")

@@ -390,6 +390,8 @@ def test_grid_axis_point_limit(p_est):
 def test_non_finite_re_is_numeric_error(p_est):
     with pytest.raises(NumericError, match="not finite"):  # R33 * R33 overflows
         effective_r(p_est.replace(psi2=1e300))
+    with pytest.raises(NumericError, match="not finite"):  # mu2 * k_EF * k_IF underflows to 0.0
+        effective_r(p_est.replace(mu2=5e-324))
     with pytest.raises(NumericError, match="not finite"):
         re_grid(p_est, ("psi2", 1e-4, 1e300, 2), ("u4", 0.0, 1.0, 1))
 
