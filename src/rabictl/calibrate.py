@@ -2,14 +2,15 @@
 
 Prediction mirrors the discretized update used for fitting: the full system
 is advanced by forward Euler (not RK4) and infected-human counts are read
-off at the observation years. scipy's Nelder-Mead minimizes the mean squared
-error in a logit-transformed space, which keeps every iterate within the
-bounds; a saturated logit rounds an estimate onto its bound.
+off at the observation years. scipy's trust-region reflective least squares
+(Branch, Coleman & Li 1999) fits the residuals of those counts within native
+bounds; ``fit.tol`` bounds the fall of the mean squared error per accepted step.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, shorten
 from .integrate import TimeGrid, euler_forward, write_csv, write_json
 from .model import StateVec
 from .params import PARAM_NAMES, ParamSet
@@ -30,7 +31,7 @@ __all__ = [
     "FitResult",
     "predict_incidence",
     "mse",
-    "nelder_mead",
+    "least_squares_fit",
     "fit",
     "tanzania_series",
 ]
@@ -64,7 +65,7 @@ class IncidenceSeries:
         reader = filter(None, csv.reader(lines))  # a blank line is no row
         header = next(reader, [])
         if [h.strip() for h in header] != ["year", "cases"]:
-            raise ConfigError(f"expected header 'year,cases', got {header}")
+            raise ConfigError(f"expected header 'year,cases', got {shorten(str(header))}")
         years, cases = [], []
         for row in reader:
             try:
@@ -72,7 +73,8 @@ class IncidenceSeries:
                 years.append(int(year))
                 cases.append(float(count))
             except ValueError as exc:
-                raise ConfigError(f"bad row {row} in {path}: expected 'year,cases'") from exc
+                raise ConfigError(
+                    f"bad row {shorten(str(row))} in {path}: expected 'year,cases'") from exc
         return cls(tuple(years), tuple(cases))
 
 
@@ -89,13 +91,13 @@ class FitConfig:
     bounds: dict[str, tuple[float, float]]
     x0: dict[str, float]
     max_evals: int = 2000
-    tol: float = 1e-12
+    tol: float = 1e-6
     dt: float = 0.01
 
     def __post_init__(self) -> None:
         _check_euler_step(self.dt)
         if self.max_evals < 1:
-            raise ConfigError(f"max_evals must be at least 1, got {self.max_evals}")
+            raise ConfigError(f"max_evals must be at least 1, got {shorten(repr(self.max_evals))}")
         if not 0.0 <= self.tol < math.inf:
             raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
         if not self.free:
@@ -103,10 +105,11 @@ class FitConfig:
         for key, entries in (("x0", self.x0), ("bounds", self.bounds)):
             for name in entries:
                 if name not in self.free:
-                    raise ConfigError(f"fit.{key} names {name!r}, which is not a free parameter")
+                    raise ConfigError(
+                        f"fit.{key} names {shorten(repr(name))}, which is not a free parameter")
         for i, name in enumerate(self.free):
             if name not in PARAM_NAMES:
-                raise ConfigError(f"unknown free parameter {name!r}")
+                raise ConfigError(f"unknown free parameter {shorten(repr(name))}")
             if name in self.free[:i]:
                 raise ConfigError(f"free parameter {name!r} is named twice")
             if name not in self.x0:
@@ -127,7 +130,7 @@ class FitResult:
     evals: int
     converged: bool
     predicted: tuple[float, ...]
-    at_bound: tuple[str, ...]  # sorted free names whose estimate sits on a bound
+    at_bound: tuple[str, ...]  # sorted free names whose bound is active at the end
 
 
 def _euler_grid(years: Sequence[int], dt: float) -> TimeGrid:
@@ -156,96 +159,77 @@ def predict_incidence(
 def mse(observed: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean squared error between two equally long series."""
     if len(observed) != len(predicted):
-        raise ConfigError(
-            f"length mismatch: {len(observed)} observed vs {len(predicted)} predicted"
-        )
-    n = len(observed)
-    return sum((o - p) ** 2 for o, p in zip(observed, predicted)) / n
+        raise ConfigError(f"length mismatch: {len(observed)} observed vs {len(predicted)} predicted")
+    return sum((o - p) ** 2 for o, p in zip(observed, predicted)) / len(observed)
 
 
-# --- bounded Nelder-Mead -------------------------------------------------------
+# --- bounded least squares ----------------------------------------------------
 
 
-def _to_unconstrained(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    frac = (x - lo) / (hi - lo)
-    return np.log(frac / (1.0 - frac))
+class _BudgetUsed(Exception):
+    """A residual call past ``FitConfig.max_evals``."""
 
 
-def _from_unconstrained(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return lo + (hi - lo) / (1.0 + np.exp(-z))
+def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed: Sequence[float],
+                      cfg: FitConfig) -> FitResult:
+    """Fit ``predict(x)`` to ``observed`` over the free-parameter vector x of ``cfg``.
 
-
-def nelder_mead(
-    f: Callable[[np.ndarray], float], cfg: FitConfig
-) -> tuple[np.ndarray, float, int, bool]:
-    """Bounded simplex minimization of ``f`` over the free-parameter vector.
-
-    Runs scipy's Nelder-Mead in a logit-transformed unconstrained space, so
-    estimates stay within the bounds, on one only where the logit saturates.
-    The initial simplex perturbs each transformed coordinate z by 5%, or by
-    0.00025 where |z| < 0.005. Stops when the function-value spread over the
-    simplex is at most ``cfg.tol`` or the evaluation budget is exhausted.
-
-    Returns (best x, best f, evaluations, converged).
+    One scipy ``least_squares`` call (trust-region reflective, native bounds, Jacobian scaling)
+    on the residuals (predict(x) - observed)/sqrt(n), so the mse is twice its cost. It stops
+    once a step lowers the cost by less than ftol = tol/mse(x0) times it: the mse by less than
+    ``cfg.tol``. ``evals`` counts every ``predict`` call, the finite-difference Jacobian's
+    too; past ``cfg.max_evals`` the fit returns the best point it evaluated, unconverged. A
+    ConfigError or NumericError from ``predict`` makes its residuals inf: a trial step there
+    shrinks the trust region; at the start or in a Jacobian it is a NumericError.
     """
-    lo = np.array([cfg.bounds[name][0] for name in cfg.free])
-    hi = np.array([cfg.bounds[name][1] for name in cfg.free])
-    x0 = np.array([cfg.x0[name] for name in cfg.free])
-    n = len(cfg.free)
-    evals, finite = 0, False
+    observed = np.asarray(observed, dtype=float)
+    lo, hi, x0 = np.array([(*cfg.bounds[name], cfg.x0[name]) for name in cfg.free], dtype=float).T
+    evals, best = 0, (math.inf, x0, None)  # lowest sum of squared residuals, its x, predict(x)
 
-    def objective(z: np.ndarray) -> float:
-        nonlocal evals, finite
+    def residuals(x: np.ndarray) -> np.ndarray:
+        nonlocal evals, best
+        if x is not x0 and np.array_equal(x, x0):
+            return r0  # scipy's first call, at a copy of the start: evaluated below already
+        if evals == cfg.max_evals:
+            raise _BudgetUsed
         evals += 1
-        value = f(_from_unconstrained(z, lo, hi))
-        if math.isfinite(value):
-            finite = True
-            return value
-        # scipy evaluates the n+1 initial vertices first
-        if evals > n and not finite:
-            raise NumericError("objective is not finite at any initial simplex vertex")
-        return math.inf
-
-    z0 = _to_unconstrained(x0, lo, hi)
-    simplex = np.vstack([z0, z0 + np.diag(np.where(np.abs(z0) < 0.005, 0.00025, 0.05 * z0))])
-    res = optimize.minimize(objective, z0, method="Nelder-Mead", options={
-        "initial_simplex": simplex, "maxfev": cfg.max_evals, "maxiter": cfg.max_evals,
-        "fatol": cfg.tol, "xatol": math.inf,
-    })
-    return _from_unconstrained(res.x, lo, hi), float(res.fun), evals, res.status == 0
-
-
-def fit(
-    data: IncidenceSeries, cfg: FitConfig, p_base: ParamSet, y0: StateVec
-) -> FitResult:
-    """Fit the free parameters of ``cfg`` to an incidence series."""
-
-    def objective(x: np.ndarray) -> float:
         try:
-            p = p_base.replace(**dict(zip(cfg.free, (float(v) for v in x))))
-        except ConfigError:
-            return math.inf
-        try:
-            return mse(data.cases, predict_incidence(p, y0, data.years, dt=cfg.dt))
-        except NumericError:
-            return math.inf
+            predicted = np.asarray(predict(x), dtype=float)
+        except (ConfigError, NumericError):
+            return np.full(len(observed), math.inf)
+        r = (predicted - observed) / math.sqrt(len(observed))
+        if r @ r < best[0]:  # False for a NaN
+            best = r @ r, x.copy(), predicted
+        return r
 
-    _euler_grid(data.years, cfg.dt)  # only errors that depend on x may make the objective inf
-    best_x, best_f, evals, converged = nelder_mead(objective, cfg)
-    estimates = dict(zip(cfg.free, (float(v) for v in best_x)))
-    at_bound = tuple(sorted(
-        name for name, x in estimates.items()
-        if min(abs(x - b) for b in cfg.bounds[name]) <= 1e-9 * np.ptp(cfg.bounds[name])))
-    p_best = p_base.replace(**estimates)
-    predicted = predict_incidence(p_best, y0, data.years, dt=cfg.dt)
-    return FitResult(
-        estimates=estimates,
-        mse=float(mse(data.cases, predicted)),
-        evals=evals,
-        converged=converged,
-        predicted=tuple(float(v) for v in predicted),
-        at_bound=at_bound,
-    )
+    r0 = residuals(x0)
+    if not math.isfinite(best[0]):
+        raise NumericError("the fit's residuals are not finite at the start point")
+    ftol = cfg.tol / best[0] if best[0] else 1.0  # a start with no residual stops at once
+    try:
+        with np.errstate(all="ignore"):  # a non-finite Jacobian fails below, not with a warning
+            res = optimize.least_squares(  # scipy warns of an ftol below rounding
+                residuals, x0, bounds=(lo, hi), method="trf", x_scale="jac",
+                ftol=max(ftol, np.finfo(float).eps), max_nfev=cfg.max_evals)
+    except _BudgetUsed:  # no last iterate: unconverged, and no bound is active
+        res = optimize.OptimizeResult(status=0, active_mask=np.zeros(len(x0)))
+    except ValueError as exc:  # raised by scipy's SVD of a non-finite Jacobian
+        raise NumericError(f"the fit's Jacobian is not finite near {best[1].tolist()}") from exc
+    _, x, predicted = best
+    return FitResult(estimates=dict(zip(cfg.free, x.tolist())), mse=float(mse(observed, predicted)),
+                     evals=evals, converged=res.status > 0, predicted=tuple(predicted.tolist()),
+                     at_bound=tuple(sorted(n for n, a in zip(cfg.free, res.active_mask) if a)))
+
+
+def fit(data: IncidenceSeries, cfg: FitConfig, p_base: ParamSet, y0: StateVec) -> FitResult:
+    """Fit the free parameters of ``cfg`` to an incidence series (see ``least_squares_fit``)."""
+
+    def predict(x: np.ndarray) -> np.ndarray:
+        p = p_base.replace(**dict(zip(cfg.free, x.tolist())))
+        return predict_incidence(p, y0, data.years, dt=cfg.dt)
+
+    _euler_grid(data.years, cfg.dt)  # only errors that depend on x may make a residual non-finite
+    return least_squares_fit(predict, data.cases, cfg)
 
 
 def tanzania_series() -> IncidenceSeries:
@@ -260,14 +244,9 @@ def tanzania_series() -> IncidenceSeries:
 
 
 def write_fit_json(result: FitResult, path: str | Path, config_echo: dict) -> None:
-    payload = {
-        "estimates": result.estimates,
-        "mse": result.mse,
-        "evals": result.evals,
-        "converged": result.converged,
-        "at_bound": list(result.at_bound),
-        "config": config_echo,
-    }
+    """Every field of ``result`` but ``predicted`` (see ``write_fit_csv``), and the config."""
+    payload = {**dataclasses.asdict(result), "config": config_echo}
+    del payload["predicted"]
     write_json(path, payload)
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import optctl, repro
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, shorten
 from .integrate import ControlPath, TimeGrid, rk4_forward, write_json, write_trajectory_csv
 from .model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from .params import PARAM_NAMES, PRESETS, ParamSet
@@ -108,18 +108,20 @@ def _load_json(text: str, source: str) -> Any:
             non_finite.append(token)
         return value
 
-    loaded = json.loads(text, parse_float=number, parse_constant=number)
+    # an integer of more digits than int() reads (4300) is far too large for a double too
+    loaded = json.loads(text, parse_float=number, parse_constant=number,
+                        parse_int=lambda token: int(token) if len(token) <= 4300 else number(token))
     if non_finite:  # checked only once the whole text parsed: "NaN.csv" stays a string
-        raise ConfigError(f"{source} holds the non-finite number {non_finite[0]}")
+        raise ConfigError(f"{source} holds the non-finite number {shorten(non_finite[0])}")
     return loaded
 
 
 def _apply_set(config: dict, assignment: str) -> None:
     if "=" not in assignment:
-        raise ConfigError(f"--set expects key=value, got {assignment!r}")
+        raise ConfigError(f"--set expects key=value, got {shorten(repr(assignment))}")
     key, raw = assignment.split("=", 1)
     try:
-        value = _load_json(raw, f"--set {key}")
+        value = _load_json(raw, f"--set {shorten(key)}")
     except json.JSONDecodeError:
         value = raw
     node = config
@@ -202,14 +204,15 @@ def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
         prefix = key and key + "."
         for name in value:
             if name not in shape:
-                raise ConfigError(f"unknown config key {prefix + name!r}")
+                raise ConfigError(f"unknown config key {shorten(repr(prefix + name))}")
         if kind is _Overrides:
             shape = {name: shape[name] for name in value}
         for name in shape:
             if name not in value:
                 raise ConfigError(f"{prefix + name} must be set")
         return {name: _checked(value[name], s, prefix + name) for name, s in shape.items()}
-    raise ConfigError(f"{key} must be {what or _KINDS[kind]}, got {value!r}")
+    what = "a finite number" if kind is float and type(value) is int else what  # past a double
+    raise ConfigError(f"{shorten(key)} must be {what or _KINDS[kind]}, got {shorten(repr(value))}")
 
 
 def resolve_config(path: str | None, sets: list[str]) -> tuple[dict[str, Any], dict[str, Any]]:
@@ -242,7 +245,7 @@ def _build_params(config: dict, preset: str | None = None) -> ParamSet:
     if preset is not None:
         preset_name = preset
     if preset_name not in PRESETS:
-        raise ConfigError(f"unknown parameter preset {preset_name!r}")
+        raise ConfigError(f"unknown parameter preset {shorten(repr(preset_name))}")
     return PRESETS[preset_name].replace(**overrides)
 
 
@@ -300,11 +303,11 @@ def _mask_from_args(args: argparse.Namespace) -> optctl.Mask:
     if args.mask is not None:
         bits = args.mask.strip()
         if len(bits) != 4 or any(b not in "01" for b in bits):
-            raise ConfigError(f"--mask expects four 0/1 digits, got {args.mask!r}")
+            raise ConfigError(f"--mask expects four 0/1 digits, got {shorten(repr(args.mask))}")
         return tuple(b == "1" for b in bits)  # type: ignore[return-value]
     strategy = (args.strategy or "A").upper()
     if strategy not in optctl.STRATEGY_MASKS:
-        raise ConfigError(f"unknown strategy {args.strategy!r}; expected A, B, C or D")
+        raise ConfigError(f"unknown strategy {shorten(repr(args.strategy))}; expected A, B, C or D")
     return optctl.STRATEGY_MASKS[strategy]
 
 
@@ -346,7 +349,7 @@ def cmd_prcc(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path,
     elif distribution == "uniform":
         ranges = sensitivity.uniform_ranges(p, rel=block["rel_range"])
     else:
-        raise ConfigError(f"unknown sensitivity distribution {distribution!r}; "
+        raise ConfigError(f"unknown sensitivity distribution {shorten(repr(distribution))}; "
                           "expected 'uniform' or 'normal'")
     grid = TimeGrid(**block["grid"])
     results = sensitivity.prcc_study(ranges, block["N"], block["seed"], p, y0, grid,
@@ -370,23 +373,21 @@ def cmd_fit(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, 
         bounds = {name: (x0[name] / 4.0, x0[name] * 4.0) for name in free if name in x0}
         for name, (lo, _) in bounds.items():
             if not lo > 0.0:
-                raise ConfigError(f"fit.x0.{name} must be positive to derive its bounds, "
+                raise ConfigError(f"fit.x0.{shorten(name)} must be positive to derive its bounds, "
                                   f"got {x0[name]!r}")
     cfg = calibrate.FitConfig(free=free, bounds=bounds, x0=x0, max_evals=block["max_evals"],
                               tol=block["tol"], dt=block["dt"])
     y0 = seeded_state(p, exposed=block["seed_exposed"], infected=block["seed_infected"])
-    data_path = args.data or block["data"]
-    if data_path is None:
-        data = calibrate.tanzania_series()
-    else:
-        data = calibrate.IncidenceSeries.from_csv(data_path)  # OSError -> exit 4
+    data_path = args.data or block["data"]  # None: the bundled series; a missing file exits 4
+    data = (calibrate.tanzania_series() if data_path is None
+            else calibrate.IncidenceSeries.from_csv(data_path))
     result = calibrate.fit(data, cfg, p, y0)
     outdir = _make_outdir(config, args.outdir, "fit")
     calibrate.write_fit_json(result, outdir / "fit.json", given)
     calibrate.write_fit_csv(data, result, outdir / "fit.csv")
     if not result.converged:
         print(f"warning: fit stopped after {result.evals} evaluations (max_evals={cfg.max_evals}) "
-              f"before the simplex spread fell below tol={cfg.tol:g}", file=sys.stderr)
+              f"before a step lowered the mse by less than tol={cfg.tol:g}", file=sys.stderr)
     return outdir, (f"mse = {result.mse:.6g} after {result.evals} evaluations, at bound: "
                     f"{', '.join(result.at_bound) or 'none'}; wrote {outdir}")
 

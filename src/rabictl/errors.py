@@ -5,6 +5,11 @@ numerical failures exit 3, IO problems (plain OSError) exit 4.
 """
 
 
+def shorten(text: str) -> str:
+    """``text`` for an error message, its middle cut out past 40 characters."""
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-20:]} ({len(text)} characters)"
+
+
 class RabictlError(Exception):
     """Base class for all package-specific errors."""
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationBlowupError
+from .errors import ConfigError, IntegrationBlowupError, shorten
 from .model import ControlConst, StateVec, ZERO_CONTROL, rhs
 from .params import ParamSet
 
@@ -69,7 +69,8 @@ class TimeGrid:
         if not -math.inf < self.t0 < self.tf < math.inf:
             raise ConfigError(f"grid needs finite t0 < tf, got [{self.t0}, {self.tf}]")
         if not 1 <= self.n_steps <= MAX_STEPS:
-            raise ConfigError(f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {self.n_steps}")
+            raise ConfigError(
+                f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {shorten(repr(self.n_steps))}")
 
     @property
     def h(self) -> float:

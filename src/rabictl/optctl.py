@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SweepDivergenceError
+from .errors import ConfigError, SweepDivergenceError, shorten
 from .integrate import (
     ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward, write_json, write_node_csv,
 )
@@ -235,7 +235,7 @@ def forward_backward_sweep(
     if not 0.0 < tol < omega:
         raise ConfigError(f"tolerance must be finite, positive and below omega={omega}, got {tol}")
     if max_iter < 1:
-        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
+        raise ConfigError(f"max_iter must be at least 1, got {shorten(repr(max_iter))}")
 
     def solve(u_path: ControlPath) -> tuple[Trajectory, np.ndarray]:
         states = rk4_forward(p, u_path, y0, grid)

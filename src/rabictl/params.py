@@ -6,6 +6,7 @@ the half-saturation constant ``C`` is in PFU/mL.
 ``rates_of`` combines the parameters that the model only ever reads together:
 the outflow rate of each class and the deterrence divisors. A ``ParamSet``
 builds them once, as ``rates``, and a PRCC study once for its (N,) arrays.
+A ``ParamSet`` holds Python floats, as a numpy scalar slows every scalar ``rhs``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, shorten
 
 __all__ = ["ParamSet", "TABLE2_ESTIMATED", "TABLE2_BASELINE", "PARAM_NAMES", "rates_of", "rules", "valid"]
 
@@ -78,6 +79,15 @@ class ParamSet:
     C: float
 
     def __post_init__(self) -> None:
+        if not {float}.issuperset(map(type, vars(self).values())):  # else every field is a float
+            for name, value in zip(PARAM_NAMES, _PARAMS(self)):
+                try:  # float() would read a string, a bool or a one-value array too
+                    if isinstance(value, (str, bytes, bool)) or getattr(value, "ndim", 0):
+                        raise TypeError
+                    object.__setattr__(self, name, float(value))
+                except (TypeError, ValueError):
+                    raise ConfigError(f"parameter {name!r} must be a number, "
+                                      f"got {shorten(repr(value))}") from None
         kept = rules(self)
         if not all(kept):
             k = kept.index(False)
@@ -93,7 +103,7 @@ class ParamSet:
         unknown = overrides.keys() - _PARAMS_SET
         if unknown:
             raise ConfigError(f"unknown parameter name(s): {sorted(unknown)}")
-        return dataclasses.replace(self, **overrides)
+        return ParamSet(**dict(zip(PARAM_NAMES, _PARAMS(self)), **overrides))
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in PARAM_NAMES}

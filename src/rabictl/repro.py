@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, NoEndemicEquilibriumError, NumericError
+from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, shorten
 from .integrate import write_csv, write_json
 from .model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs, seeded_state,
@@ -79,8 +79,8 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
     """Closed-form effective reproduction number under constant controls.
 
     The fields of ``p`` and ``u`` may be floats or arrays that broadcast
-    together, giving arrays of the broadcast shape. The domestic control
-    factor (1-u1-u2) is clamped at zero, matching the state system.
+    together, giving arrays of the broadcast shape, and floats give floats. The
+    domestic control factor (1-u1-u2) is clamped at zero, matching the state system.
     """
     u.validate()
     with np.errstate(all="ignore"):  # overflow, or NaN from a negative discriminant, fails below
@@ -97,7 +97,8 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
     bad = np.asarray(Re)[~np.isfinite(Re)]
     if bad.size:
         raise NumericError(f"closed-form Re is not finite ({bad[0]}); check the parameters")
-    return ReBreakdown(R21=R21, R23=R23, R31=R31, R33=R33, a3=a3, Re=Re)
+    fields = R21, R23, R31, R33, a3, Re
+    return ReBreakdown(*(map(float, fields) if np.ndim(Re) == 0 else fields))
 
 
 def ngm(
@@ -216,7 +217,7 @@ class ReGrid:
 
 def _axis_values(lo: float, hi: float, n: int) -> tuple[float, ...]:
     if not 1 <= n <= 1000:  # every point is one CSV row: 10^6 rows take seconds to write
-        raise ConfigError(f"axis needs at least one point and at most 1000, got {n}")
+        raise ConfigError(f"axis needs at least one point and at most 1000, got {shorten(repr(n))}")
     if n == 1:
         return (lo,)
     step = (hi - lo) / (n - 1)
@@ -233,13 +234,14 @@ def re_grid(
     name1, lo1, hi1, n1 = axis1
     name2, lo2, hi2, n2 = axis2
     if name1 == name2:
-        raise ConfigError(f"both axes name {name1!r}; a grid needs two different axes")
+        raise ConfigError(f"both axes name {shorten(repr(name1))}; a grid needs two different axes")
     vals1 = _axis_values(lo1, hi1, int(n1))
     vals2 = _axis_values(lo2, hi2, int(n2))
     fields = {**p.as_dict(), **base_u._asdict()}
     for name in (name1, name2):
         if name not in fields:
-            raise ConfigError(f"unknown axis name {name!r}: expected u1..u4 or a parameter name")
+            raise ConfigError(
+                f"unknown axis name {shorten(repr(name))}: expected u1..u4 or a parameter name")
     fields[name1], fields[name2] = np.array(vals1)[:, None], np.array(vals2)
     q = SimpleNamespace(**fields)
     kept = np.broadcast_to(valid(q), (len(vals1), len(vals2)))

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
-from .errors import ConfigError, DegenerateInputError, StudyError
+from .errors import ConfigError, DegenerateInputError, StudyError, shorten
 from .integrate import CLAMP_TOL, KEEP_TOL, Stacked, TimeGrid, rk4_step, write_csv, write_json
 from .model import ZERO_CONTROL, ControlConst, StateVec
 from .params import PARAM_NAMES, ParamSet, rates_of, valid
@@ -139,9 +139,10 @@ def normal_ranges(names: Sequence[str] | None = None) -> list[ParamRange]:
 def lhs_sample(ranges: Sequence[ParamRange], N: int, seed: int) -> np.ndarray:
     """Latin hypercube sample, shape (N, P), deterministic for a given seed."""
     if not 2 <= N <= 10**6:
-        raise ConfigError(f"LHS needs 2 <= N <= 10**6, got {N}")
+        raise ConfigError(f"LHS needs 2 <= N <= 10**6, got {shorten(repr(N))}")
     if len(ranges) < 1 or seed < 0:
-        raise ConfigError(f"LHS needs a parameter range and a seed >= 0, got {len(ranges)}, {seed}")
+        raise ConfigError(f"LHS needs a parameter range and a seed >= 0, "
+                          f"got {len(ranges)}, {shorten(repr(seed))}")
     rng = np.random.default_rng(seed)
     out = np.empty((N, len(ranges)))
     for j, r in enumerate(ranges):
@@ -296,7 +297,7 @@ def prcc_study(
         raise ConfigError("a study needs at least one output and one sample time")
     for i, o in enumerate(outputs):
         if o not in StateVec._fields:
-            raise ConfigError(f"unknown output {o!r}")
+            raise ConfigError(f"unknown output {shorten(repr(o))}")
         if o in outputs[:i]:
             raise ConfigError(f"output {o!r} is named twice")
     names = tuple(r.name for r in ranges)

@@ -1,4 +1,7 @@
-"""Incidence prediction, mean squared error and bounded Nelder-Mead."""
+"""Incidence prediction, mean squared error and bounded least squares."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ from rabictl.calibrate import (
     FitConfig,
     IncidenceSeries,
     fit,
+    least_squares_fit,
     mse,
-    nelder_mead,
     predict_incidence,
     tanzania_series,
 )
+from rabictl import calibrate
 from rabictl.errors import ConfigError, NumericError
 from rabictl.integrate import ControlPath, TimeGrid, euler_forward, rk4_forward
 from rabictl.model import StateVec, seeded_state
@@ -137,64 +141,105 @@ def test_mse_reorder_invariance(pairs, rng):
     assert after == pytest.approx(before, rel=1e-12)
 
 
-# --- Nelder-Mead ------------------------------------------------------------------
+# --- bounded least squares -------------------------------------------------------
 
 
-def nm_config(names, bounds, x0, **kw):
+def lsq_config(names, bounds, x0, **kw):
     return FitConfig(free=tuple(names), bounds=bounds, x0=x0, **kw)
 
 
-def test_nm_quadratic():
-    cfg = nm_config(["theta1"], {"theta1": (-10.0, 10.0)}, {"theta1": 0.0})
-    x, f, evals, conv = nelder_mead(lambda v: (v[0] - 3.0) ** 2, cfg)
-    assert conv and abs(x[0] - 3.0) < 1e-6
+def test_lsq_quadratic():
+    for tol in (1e-6, 0.0):  # a tol of 0 is below rounding: scipy must not warn of it
+        cfg = lsq_config(["theta1"], {"theta1": (-10.0, 10.0)}, {"theta1": 0.0}, tol=tol)
+        result = least_squares_fit(lambda v: [v[0]], [3.0], cfg)
+        assert result.converged and abs(result.estimates["theta1"] - 3.0) < 1e-6
+        assert result.at_bound == ()
 
 
-def test_nm_rosenbrock():
-    cfg = nm_config(
+def test_lsq_rosenbrock():
+    # the Rosenbrock function as the residuals 10 (x2 - x1^2) and 1 - x1
+    cfg = lsq_config(
         ["theta1", "theta2"],
         {"theta1": (-5.0, 5.0), "theta2": (-5.0, 5.0)},
         {"theta1": -1.2, "theta2": 1.0},
         max_evals=2000,
     )
-    rosen = lambda v: (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2
-    x, f, evals, conv = nelder_mead(rosen, cfg)
-    assert evals <= 2000
-    assert abs(x[0] - 1.0) < 1e-4 and abs(x[1] - 1.0) < 1e-4
+    result = least_squares_fit(lambda v: [10.0 * (v[1] - v[0] ** 2), -v[0]], [0.0, -1.0], cfg)
+    assert result.converged and result.evals <= 2000
+    x = result.estimates
+    assert abs(x["theta1"] - 1.0) < 1e-4 and abs(x["theta2"] - 1.0) < 1e-4
 
 
-def test_nm_never_worse_than_start():
-    cfg = nm_config(["theta1", "theta2"],
-                    {"theta1": (-4.0, 4.0), "theta2": (-4.0, 4.0)},
-                    {"theta1": 2.0, "theta2": -1.0}, max_evals=60)
-    fn = lambda v: np.sin(3 * v[0]) + v[1] ** 2 + 0.3 * v[0]
-    x, f, _, _ = nelder_mead(fn, cfg)
-    assert f <= fn(np.array([2.0, -1.0])) + 1e-12
+def test_lsq_never_worse_than_start():
+    cfg = lsq_config(["theta1", "theta2"],
+                     {"theta1": (-4.0, 4.0), "theta2": (-4.0, 4.0)},
+                     {"theta1": 2.0, "theta2": -1.0}, max_evals=60)
+    predict = lambda v: [np.sin(3 * v[0]), v[1], 0.3 * v[0]]
+    result = least_squares_fit(predict, [0.0, 0.0, 0.0], cfg)
+    assert result.mse <= mse([0.0, 0.0, 0.0], predict(np.array([2.0, -1.0])))
+    assert result.predicted == tuple(predict(np.array(list(result.estimates.values()))))
 
 
-def test_nm_estimates_respect_bounds_exactly():
-    # unconstrained minimum at 3 lies outside the box; the logit transform
-    # pins the iterates to the feasible interval (boundary only by rounding)
-    cfg = nm_config(["theta1"], {"theta1": (0.0, 2.0)}, {"theta1": 1.0}, max_evals=400)
-    x, f, _, _ = nelder_mead(lambda v: (v[0] - 3.0) ** 2, cfg)
-    assert 0.0 <= x[0] <= 2.0
-    assert x[0] == pytest.approx(2.0, abs=1e-5)
+def test_lsq_estimates_respect_bounds():
+    # the unconstrained minimum at 3 lies outside the box; every iterate stays strictly
+    # inside it, and the active bound is reported
+    cfg = lsq_config(["theta1"], {"theta1": (0.0, 2.0)}, {"theta1": 1.0}, max_evals=400)
+    result = least_squares_fit(lambda v: [v[0]], [3.0], cfg)
+    assert 0.0 <= result.estimates["theta1"] <= 2.0
+    assert result.estimates["theta1"] == pytest.approx(2.0, abs=1e-5)
+    assert result.at_bound == ("theta1",)
 
 
-def test_nm_nonfinite_start_raises():
-    cfg = nm_config(["theta1", "theta2"],
-                    {"theta1": (-1.0, 1.0), "theta2": (-1.0, 1.0)},
-                    {"theta1": 0.0, "theta2": 0.5})
+def test_lsq_nonfinite_start_raises():
+    cfg = lsq_config(["theta1", "theta2"],
+                     {"theta1": (-1.0, 1.0), "theta2": (-1.0, 1.0)},
+                     {"theta1": 0.0, "theta2": 0.5})
     for value in (float("nan"), float("inf")):
         calls = []
 
-        def f(v):
+        def predict(v):
             calls.append(v)
-            return value
+            return [value, 1.0]
 
-        with pytest.raises(NumericError, match="not finite"):
-            nelder_mead(f, cfg)
-        assert len(calls) == 3  # the n+1 initial vertices, nothing more
+        with pytest.raises(NumericError, match="not finite at the start"):
+            least_squares_fit(predict, [0.0, 0.0], cfg)
+        assert len(calls) == 1  # the start, nothing more
+
+
+def test_lsq_nonfinite_jacobian_raises_without_warning():
+    # the start is finite, but the prediction is inf right above it: so is a Jacobian column
+    cfg = lsq_config(["theta1", "theta2"], {"theta1": (-10.0, 10.0), "theta2": (-10.0, 10.0)},
+                     {"theta1": 0.0, "theta2": 0.0})
+
+    def predict(v):
+        return [math.inf] * 2 if v[0] > 0.0 else [v[0], v[1]]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="Jacobian is not finite"):
+            least_squares_fit(predict, [2.0, 1.0], cfg)
+
+
+@pytest.mark.parametrize("max_evals", [1, 5, 7, 2000])
+def test_lsq_evals_count_every_prediction(p_est, monkeypatch, max_evals):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return predict_incidence(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "predict_incidence", counted)
+    y0 = seeded_state(p_est, 20.0, 50.0)
+    years = tuple(range(1990, 2011))
+    data = IncidenceSeries(years, tuple(1.1 * v for v in predict_incidence(p_est, y0, years)))
+    free = ("theta1", "tau1")
+    cfg = FitConfig(free=free, bounds={n: (getattr(p_est, n) / 4, getattr(p_est, n) * 4) for n in free},
+                    x0={n: getattr(p_est, n) * 1.5 for n in free}, max_evals=max_evals, dt=0.05)
+    result = fit(data, cfg, p_est, y0)
+    assert len(calls) == result.evals <= max_evals
+    assert result.converged == (result.evals < max_evals)
+    if not result.converged:
+        assert result.evals == max_evals and result.at_bound == ()
 
 
 def test_fit_config_validation():
@@ -260,8 +305,7 @@ def test_fit_recovers_single_parameter(p_est):
 
 
 def test_fit_from_box_centre_reaches_bound(p_est):
-    # the start sits at the centre of its box, so its logit is zero up to
-    # rounding; the truth lies below the box, so the fit ends on the lower bound
+    # the truth lies below the box, so the fit ends on the lower bound
     y0 = seeded_state(p_est, 20.0, 50.0)
     years = tuple(range(1990, 2011))
     data = IncidenceSeries(years, tuple(float(v) for v in predict_incidence(p_est, y0, years)))

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -337,13 +338,20 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     (("--set", "initial_state.SH=5", "simulate"), "unknown config key 'initial_state.SH'"),
     # a block replaced whole must give every key
     (("--set", 'grid={"t0":0}', "reff"), "grid.tf must be set"),
+    # an integer too large for a double is out of range, and its digits are cut short
+    (("--set", f"grid.tf={10 ** 400}", "simulate"),
+     "grid.tf must be a finite number, got 10000000000000000000...00000000000000000000 "
+     "(401 characters)"),
 ], ids=["unknown-key", "unknown-block", "fraction", "bool", "nested-grid", "reff-axis",
-        "reff-axis-key", "state-key-reff", "state-key-fit", "state-key-simulate", "missing-key"])
+        "reff-axis-key", "state-key-reff", "state-key-fit", "state-key-simulate", "missing-key",
+        "huge-integer"])
 def test_config_error_names_the_key(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *argv)
     assert code == 2
     assert out is None
-    assert f"configuration error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"configuration error: {message}" in err
+    assert len(err) < 120
 
 
 def schema_leaves(shape, path=()):
@@ -624,7 +632,9 @@ def test_non_string_output_dir_is_config_error(tmp_path, monkeypatch, capsys, va
       "--set", "fit.max_evals=5", "fit"), "--set fit.x0"),
     (("--set", "controls.u1=-Infinity", "reff"), "--set controls.u1"),
     (("--set", "grid.tf=1e999", "simulate"), "--set grid.tf"),  # overflows to inf as it parses
-], ids=["unknown-key-nan", "fit-x0-nan", "minus-infinity", "overflow"])
+    # more digits than int() reads raised ValueError past main
+    (("--set", f"grid.tf={'9' * 5000}", "simulate"), "--set grid.tf"),
+], ids=["unknown-key-nan", "fit-x0-nan", "minus-infinity", "overflow", "integer-past-digit-limit"])
 def test_non_finite_set_value_is_config_error(tmp_path, capsys, argv, source):
     code, out = run(tmp_path, "a", *argv)
     assert code == 2
@@ -788,6 +798,28 @@ def test_unconverged_fit_warns(tmp_path, capsys):
     assert "max_evals=5" in warnings[0] and "tol=1e-06" in warnings[0]
 
 
+def test_default_fit_on_bundled_series(tmp_path):
+    # pinned against the logit Nelder-Mead this fit replaced: 84283.74759242976 in 186 evaluations
+    code, out = run(tmp_path, "a", "fit")
+    assert code == 0
+    report = json.loads((out / "fit.json").read_text())
+    assert report["converged"] is True
+    assert report["at_bound"] == ["beta1", "theta1"]
+    assert report["mse"] == pytest.approx(84283.74759242976, rel=1e-6)
+    assert report["evals"] <= 60
+
+
+def test_fit_with_non_finite_start_is_numeric_error(tmp_path, capsys):
+    # a negative seeding is no valid state, so no residual at the start is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "a", "--set", "fit.seed_exposed=-1", "fit")
+    assert code == 3
+    assert out is None
+    assert "numeric failure: the fit's residuals are not finite at the start point" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv, message", [
     (('fit.free=[]',), "a fit needs at least one free parameter"),
     (('fit.free=["theta1"]', 'fit.bounds={"theta1":[500,4000],"beta9":[0,1]}'),
@@ -888,8 +920,8 @@ GOLDEN_RUNS = {
         ("--set", "fit.max_evals=40", "--set", "fit.dt=0.05", "fit"),
         {
             "config.json": "22a164d41421281f1af7ae901e583c2a5f1e6c39f9b727fb75148447e4f1e55a",
-            "fit.csv": "8b53b833815d169d502cc7c134f73b3d57b0ce052e647146a6ac45613c91a130",
-            "fit.json": "034821a96821436acea479932681403af8421dc7988eef221495877b6031fa20",
+            "fit.csv": "55c8e9fda889e67c17dfb1d16871ec05894845181861d434f8ce879dd863a6b0",
+            "fit.json": "38ea525f993d7e92bacedd21d6ab7ac951afbede132b09dc079536e856755478",
         },
     ),
     "prcc": (

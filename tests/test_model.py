@@ -9,7 +9,9 @@ from rabictl.errors import ConfigError
 from rabictl.model import (
     DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, force_terms, jacobian, rhs, seeded_state,
 )
-from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED, rates_of
+from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
+from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED, ParamSet, rates_of
+from rabictl.repro import effective_r
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 controls = st.floats(min_value=0.0, max_value=1.0)
@@ -50,6 +52,33 @@ def test_replace_never_keeps_stale_rates(mu1):
     q = p.replace(mu1=mu1)
     assert p.rates == rates_of(p) and q.rates == rates_of(q)
     assert q.rates[0] == mu1 + p.beta1 + p.beta2
+
+
+@pytest.mark.parametrize("value", ["0.0005", True, np.array([4e-4, 5e-4]), None],
+                         ids=["string", "bool", "array", "none"])
+def test_non_number_parameter_is_config_error(value):
+    with pytest.raises(ConfigError, match="parameter 'tau1' must be a number, got "):
+        TABLE2_ESTIMATED.replace(tau1=value)
+
+
+def assert_float_fields(p):
+    assert all(type(getattr(p, name)) is float for name in PARAM_NAMES)
+    assert all(type(rate) is float for rate in p.rates)
+
+
+def test_numpy_scalar_parameters_are_kept_as_floats():
+    p = ParamSet(**{name: np.float64(v) for name, v in TABLE2_ESTIMATED.as_dict().items()})
+    assert_float_fields(p)
+    assert p == TABLE2_ESTIMATED
+    assert type(TABLE2_ESTIMATED.replace(tau1=np.array(5e-4)).tau1) is float  # a 0-d array
+    # a ratio of effective_r, as a threshold draw scales its parameters
+    assert {type(v) for v in vars(effective_r(p)).values()} == {float}
+    ratio = 1.2 / effective_r(p).Re
+    scaled = p.replace(**{n: getattr(p, n) * np.float64(ratio) for n in ("kappa1", "psi1")})
+    assert_float_fields(scaled)
+    g = TimeGrid(0.0, 1.0, 10)
+    states = rk4_forward(scaled, ControlPath.constant(g), seeded_state(scaled, *DEFAULT_SEEDING), g)
+    assert all(type(v) is float for y in states.states for v in y)
 
 
 # --- saturation -----------------------------------------------------------------
