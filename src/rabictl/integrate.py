@@ -1,12 +1,12 @@
 """Fixed-step RK4 integration on a shared uniform grid.
 
-``rk4_step`` is the one place the RK4 formula is written. The forward pass
-steps the state system with the controls as its frozen input, through the
-march (``_march``) it shares with forward Euler. The adjoint is affine in lam,
-so the backward pass, from tf down to t0 with a step of -h, is a linear
-recurrence of RK4 propagators, built in numpy blocks and applied by one
-matrix-vector product per step. Both passes share one grid and interpolate by
-node averages only. A control path holds one (n_nodes, 4) array.
+``rk4_step`` is the one place the RK4 formula is written; it hands its later stage states to
+``f`` as plain lists and builds one NamedTuple per step. The forward pass steps the state
+system, its controls rows of Python floats, through the march (``_march``) it shares with
+forward Euler. The adjoint is affine in lam, so the backward pass, from tf down to t0 with a
+step of -h, is a linear recurrence of RK4 propagators, built in numpy blocks and applied by
+one matrix-vector product per step. Both passes share one grid and interpolate by node
+averages only. A control path holds one (n_nodes, 4) array.
 
 Every artifact of the package is written here: CSV by ``write_csv``, JSON by ``write_json``.
 """
@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -66,11 +67,12 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not -math.inf < self.t0 < self.tf < math.inf:
-            raise ConfigError(f"grid needs finite t0 < tf, got [{self.t0}, {self.tf}]")
         if not 1 <= self.n_steps <= MAX_STEPS:
             raise ConfigError(
                 f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {shorten(repr(self.n_steps))}")
+        if not 0.0 < self.h < math.inf:  # also where tf - t0 overflows or the step underflows
+            raise ConfigError(f"grid needs finite t0 < tf and a finite step (tf - t0)/n_steps "
+                              f"above 0, got [{self.t0}, {self.tf}] in {self.n_steps} steps")
 
     @property
     def h(self) -> float:
@@ -111,7 +113,7 @@ class Trajectory:
     @cached_property
     def values(self) -> np.ndarray:
         """The states as one read-only (n_nodes, 12) array, built on first use and then shared."""
-        values = np.array(self.states)
+        values = np.fromiter(chain.from_iterable(self.states), float).reshape(-1, 12)
         values.flags.writeable = False
         return values
 
@@ -151,12 +153,6 @@ class ControlPath:
     ) -> "ControlPath":
         return cls(grid, np.tile(u, (grid.n_nodes, 1)), mask)
 
-    @cached_property
-    def consts(self) -> tuple[list[ControlConst], list[ControlConst]]:
-        """Controls of Python floats at the nodes and at the step midpoints, built on first use."""
-        u = self.values
-        return tuple(list(map(ControlConst._make, v.tolist())) for v in (u, _midpoints(u)))
-
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:
     if a != b:
@@ -193,51 +189,51 @@ def _require_finite(values: Sequence[float] | np.ndarray, what: str, t: float) -
         raise _not_finite(what, t)
 
 
-def _march(step: Callable, y0: StateVec, grid: TimeGrid) -> Trajectory:
-    """States at every node; ``step(i, t, y)`` advances node i, at time t, before the clamp."""
-    y0.validate()
-    times = grid.times()
-    states = [y0]
-    y = y0
+def _march(step: Callable, y0: StateVec, grid: TimeGrid, p: ParamSet, za, zm, zb) -> Trajectory:
+    """States at every node: ``step(rhs, y, t, h, za, zm, zb, p)``, as ``rk4_step``, advances
+    each node before the clamp, its controls drawn in turn from ``za``, ``zm`` and ``zb``."""
+    y = y0.validate()
+    times, h = grid.times(), grid.h
+    states = [y]
     clamped_total = 0
-    for i in range(grid.n_steps):
-        y = step(i, times[i], y)
+    for t, t_next, a, m, b in zip(times, times[1:], za, zm, zb):
+        y = step(rhs, y, t, h, a, m, b, p)  # the global rhs, which a tracer may wrap
         if min(y) < -KEEP_TOL:  # rare: an undershoot to clamp, or one to abort on
-            y, n_clamped = _clamp_state(y, times[i + 1])
+            y, n_clamped = _clamp_state(y, t_next)
             clamped_total += n_clamped
         states.append(y)
     _require_finite(y, "state", grid.tf)
     return Trajectory(grid, tuple(states), clamped_total)
 
 
-def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, *args) -> tuple:
-    """One classical RK4 step of y' = f(t, y, z, *args) from t to t + h; h < 0 steps back.
+def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, p) -> tuple:
+    """One classical RK4 step of y' = f(t, y, z, p) from t to t + h; h < 0 steps back.
 
-    z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y`` is a
-    NamedTuple of floats, of (N,) arrays (one call stepping N rows), or a ``Stacked`` array
-    (each stage one array operation); the result has its type.
+    z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y`` is a NamedTuple
+    of floats, of (N,) arrays (one call stepping N rows), or a ``Stacked`` array (each stage
+    one array operation); the result has its type, and later stages reach ``f`` as lists.
     """
-    new, cls = tuple.__new__, type(y)  # the NamedTuple built without its _make classmethod
     half = 0.5 * h
     t_half = t + half
-    k1 = f(t, y, za, *args)
-    k2 = f(t_half, new(cls, [a + half * b for a, b in zip(y, k1)]), zm, *args)
-    k3 = f(t_half, new(cls, [a + half * b for a, b in zip(y, k2)]), zm, *args)
-    k4 = f(t + h, new(cls, [a + h * b for a, b in zip(y, k3)]), zb, *args)
+    k1 = f(t, y, za, p)  # one fixed argument p: ``*args`` would pack a tuple on every call
+    k2 = f(t_half, [a + half * b for a, b in zip(y, k1)], zm, p)
+    k3 = f(t_half, [a + half * b for a, b in zip(y, k2)], zm, p)
+    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)], zb, p)
     sixth = h / 6.0
-    return new(
-        cls, [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
-    )
+    return tuple.__new__(type(y), [  # the NamedTuple built without its _make classmethod
+        a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)])
 
 
-def rk4_forward(
-    p: ParamSet, u_path: ControlPath, y0: StateVec, grid: TimeGrid
-) -> Trajectory:
+def _euler_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, p) -> tuple:
+    """One forward Euler step of y' = f(t, y, za, p), in ``rk4_step``'s signature."""
+    return tuple.__new__(type(y), [a + h * b for a, b in zip(y, f(t, y, za, p))])
+
+
+def rk4_forward(p: ParamSet, u_path: ControlPath, y0: StateVec, grid: TimeGrid) -> Trajectory:
     """Classical RK4 over the grid; half-step controls average adjacent nodes."""
     _require_same_grid(u_path.grid, grid, "control path")
-    h = grid.h
-    u, um = u_path.consts
-    return _march(lambda i, t, y: rk4_step(rhs, y, t, h, u[i], um[i], u[i + 1], p), y0, grid)
+    u = u_path.values.tolist()  # rows of Python floats, u1..u4, as each stage reads them
+    return _march(rk4_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), islice(u, 1, None))
 
 
 class Stacked(NamedTuple):
@@ -247,8 +243,8 @@ class Stacked(NamedTuple):
     values: np.ndarray
 
 
-def _linear(t: float, z: Stacked, a: np.ndarray) -> Stacked:
-    return Stacked(a @ z.values)
+def _linear(t: float, z: Sequence[np.ndarray], a: np.ndarray, _: None) -> Stacked:
+    return Stacked(a @ z[0])
 
 
 def _propagators(system: Callable, y: np.ndarray, u: np.ndarray, h: float, t: float) -> np.ndarray:
@@ -267,7 +263,7 @@ def _propagators(system: Callable, y: np.ndarray, u: np.ndarray, h: float, t: fl
             a = np.zeros((len(G), 13, 13))
             a[:, :12, :12], a[:, :12, 12] = G, g
             phi = rk4_step(_linear, Stacked(np.broadcast_to(np.eye(13), (steps, 13, 13))),
-                           0.0, h, a[1:steps + 1], a[steps + 1:], a[:steps]).values
+                           0.0, h, a[1:steps + 1], a[steps + 1:], a[:steps], None).values
     except FloatingPointError as exc:
         raise _not_finite("adjoint", t) from exc
     _require_finite(phi, "adjoint", t)  # a threaded BLAS raises its flags on its own threads
@@ -293,25 +289,22 @@ def rk4_backward(
     n, minus_h, times = grid.n_steps, -grid.h, grid.times()
     ys, us = state_traj.values, u_path.values
     lam = np.empty((grid.n_nodes, 12))
-    lam[n] = terminal
+    lam[n] = row = np.array(terminal, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf in lam persists to t0
         for end in range(n, 0, -BLOCK):
             start = max(end - BLOCK, 0)
             phi = _propagators(system, ys[start:end + 1], us[start:end + 1], minus_h, times[start])
-            P, q = phi[:, :12, :12], phi[:, :12, 12]
-            for k in range(end - start - 1, -1, -1):
-                lam[start + k] = P[k] @ lam[start + k + 1] + q[k]
+            steps = zip(range(end - 1, start - 1, -1), phi[::-1, :12, :12], phi[::-1, :12, 12])
+            for k, P, q in steps:  # one (12, 12) block P and (12,) block q per step, last first
+                lam[k] = row = P @ row + q
     _require_finite(lam[0], "adjoint", grid.t0)
     return lam
 
 
 def euler_forward(p: ParamSet, y0: StateVec, grid: TimeGrid) -> Trajectory:
     """Uncontrolled forward Euler over the grid: the discretised update the calibration fits."""
-    h = grid.h
-
-    def step(i: int, t: float, y: StateVec) -> StateVec:
-        return tuple.__new__(StateVec, [a + h * b for a, b in zip(y, rhs(t, y, ZERO_CONTROL, p))])
-    return _march(step, y0, grid)
+    zero = repeat(ZERO_CONTROL)
+    return _march(_euler_step, y0, grid, p, zero, zero, zero)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

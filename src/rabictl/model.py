@@ -7,15 +7,16 @@ free-range-dog classes (S_F, E_F, I_F), four domestic-dog classes
 Controls: u1 health promotion, u2 domestic-dog vaccination, u3 public
 education, u4 post-exposure treatment of exposed humans and domestic dogs.
 
-``rhs``, ``force_terms`` and ``jacobian`` read the outflow rates and the
-deterrence divisors from ``p.rates`` (``params.rates_of``); for a parameter
-object without ``rates``, such as a bare namespace of fields, they build them.
+``rhs``, ``force_terms`` and ``jacobian`` read every parameter with one unpack
+of the tuple ``p.rates`` (``params.rates_of``): the outflow rates, the
+deterrence divisors and the raw fields. For a parameter object without
+``rates``, such as a bare namespace of fields, they build it on the call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,35 +126,34 @@ def seeded_state(
     )
 
 
-def force_terms(
-    y: StateVec, u: ControlConst, p: ParamSet, rates: tuple | None = None
-) -> ForceTerms:
-    """Evaluate the infection pressures and control factors at a state.
+def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:
+    """The infection pressures and control factors at a state, from ``_forces``."""
+    return tuple.__new__(ForceTerms, _forces(y.I_F, y.I_D, y.M, u, _rates(p)))
 
-    The control factors (1-u1-u3) and (1-u1-u2) are clamped at zero: each
-    control is bounded by 1 but their sums are not, and a negative pressure
-    has no meaning. Tolerates the tiny negative excursions integrator stages
-    produce (the saturation term is evaluated unchecked). ``rates`` is
-    ``rates_of(p)`` where the caller holds it already.
+
+def _forces(I_F: float, I_D: float, M: float, u: Sequence, rates: tuple) -> tuple:
+    """``force_terms`` as a plain tuple, which ``rhs`` unpacks faster; ``u`` is any sequence.
+
+    The control factors (1-u1-u3) and (1-u1-u2) are clamped at zero: each control is bounded by
+    1 but their sums are not, and a negative pressure has no meaning. Integrator stages may dip
+    just below zero; the saturation term M/(M+C) is evaluated unchecked.
     """
-    if rates is None:
-        rates = _rates(p)
-    I_F, I_D, M = y[6], y[9], y[11]
+    (_, _, _, _, _, _, _, _, d1, d2, d3, _, _, _, tau1, tau2, tau3, kappa1, kappa2, kappa3,
+     psi1, psi2, psi3, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, C) = rates
     u1 = u[0]
-    lamM = M / (M + p.C)
+    lamM = M / (M + C)
     a1 = 1.0 - (u1 + u[2])
     a1 = 0.5 * (a1 + abs(a1))  # max(a1, 0) exactly, for floats and (N,) arrays alike
     a2 = 1.0 - (u1 + u[1])
     a2 = 0.5 * (a2 + abs(a2))
-    f1 = p.tau1 * I_F + p.tau2 * I_D + p.tau3 * lamM
-    f2 = p.kappa1 * I_F + p.kappa2 * I_D + p.kappa3 * lamM
-    f3 = p.psi1 * I_F / rates[8] + p.psi2 * I_D / rates[9] + p.psi3 * lamM / rates[10]
-    return tuple.__new__(ForceTerms, (f1, f2, f3, a1, a2, lamM))
+    f1 = tau1 * I_F + tau2 * I_D + tau3 * lamM
+    f2 = kappa1 * I_F + kappa2 * I_D + kappa3 * lamM
+    f3 = psi1 * I_F / d1 + psi2 * I_D / d2 + psi3 * lamM / d3
+    return f1, f2, f3, a1, a2, lamM
 
 
 def _rates(p: ParamSet) -> tuple:
-    """``p.rates`` where ``p`` carries it, as a ParamSet and a PRCC study's namespace do;
-    built on the call for any other parameter object, such as a bare namespace."""
+    """``p.rates``, or the tuple built on the call where ``p`` has none (a bare namespace)."""
     try:
         return p.rates
     except AttributeError:
@@ -164,38 +164,39 @@ def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
     """Time derivatives of all twelve compartments.
 
     The system is autonomous; ``t`` is accepted for integrator compatibility.
-    The outflow rates and divisors come from ``p.rates`` (see ``params.rates_of``).
+    ``y`` and ``u`` may be any sequences of their fields, such as an RK4 stage's
+    list. Every parameter comes from the one tuple ``p.rates`` (``params.rates_of``).
     """
     S_H, E_H, I_H, R_H, S_F, E_F, I_F, S_D, E_D, I_D, R_D, M = y
     try:
         rates = p.rates
     except AttributeError:  # inlined ``_rates``: rhs is the hot loop of every solver
         rates = rates_of(p)
-    k_EH, k_IH, k_RH, k_EF, k_IF, k_ED, k_ID, k_RD, _, _, _ = rates
-    f1, chi2, f3, a1, a2, _ = force_terms(y, u, p, rates)
+    (k_EH, k_IH, k_RH, k_EF, k_IF, k_ED, k_ID, k_RD, _, _, _, theta1, theta2, theta3,
+     _, _, _, _, _, _, _, _, _, _, _, _, beta1, beta2, beta3, gamma, gamma1, gamma2, gamma3,
+     mu1, mu2, mu3, mu4, _, _, _, nu1, nu2, nu3, _) = rates
+    f1, chi2, f3, a1, a2, _ = _forces(I_F, I_D, M, u, rates)
     u4 = u[3]
-    mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
-    beta1, gamma, gamma1 = p.beta1, p.gamma, p.gamma1
     # Incidence in each host: each enters two equations as the same product.
     inc_H = a1 * f1 * S_H
     inc_F = chi2 * S_F
     inc_D = a2 * f3 * S_D
 
-    dS_H = p.theta1 + p.beta3 * R_H - mu1 * S_H - inc_H
+    dS_H = theta1 + beta3 * R_H - mu1 * S_H - inc_H
     dE_H = inc_H - (k_EH + u4) * E_H
     dI_H = beta1 * E_H - k_IH * I_H
-    dR_H = (p.beta2 + u4) * E_H - k_RH * R_H
+    dR_H = (beta2 + u4) * E_H - k_RH * R_H
 
-    dS_F = p.theta2 - inc_F - mu2 * S_F
+    dS_F = theta2 - inc_F - mu2 * S_F
     dE_F = inc_F - k_EF * E_F
     dI_F = gamma * E_F - k_IF * I_F
 
-    dS_D = p.theta3 - mu3 * S_D - inc_D + p.gamma3 * R_D
+    dS_D = theta3 - mu3 * S_D - inc_D + gamma3 * R_D
     dE_D = inc_D - (k_ED + u4) * E_D
     dI_D = gamma1 * E_D - k_ID * I_D
-    dR_D = (p.gamma2 + u4) * E_D - k_RD * R_D
+    dR_D = (gamma2 + u4) * E_D - k_RD * R_D
 
-    dM = p.nu1 * I_H + p.nu2 * I_F + p.nu3 * I_D - p.mu4 * M
+    dM = nu1 * I_H + nu2 * I_F + nu3 * I_D - mu4 * M
 
     return tuple.__new__(
         StateVec, (dS_H, dE_H, dI_H, dR_H, dS_F, dE_F, dI_F, dS_D, dE_D, dI_D, dR_D, dM)
@@ -208,32 +209,33 @@ def jacobian(y: StateVec, u: ControlConst, p: ParamSet) -> tuple[np.ndarray, np.
     T holds the linear flows, which do not depend on the state; I holds the
     derivatives of the three incidence products a*f*S (the clamped control factors
     are constants). Fields of ``y`` and ``u`` are floats or (n,) arrays; T and I
-    have shape (12, 12) or (n, 12, 12). T reads the outflow rates of ``rhs`` from
-    ``p.rates``, so each rate is written once, in ``params.rates_of``.
+    have shape (12, 12) or (n, 12, 12). Every parameter comes from ``p.rates``, the
+    tuple ``rhs`` reads, so each outflow rate is written once, in ``params.rates_of``.
     """
-    rates = _rates(p)
-    k_EH, k_IH, k_RH, k_EF, k_IF, k_ED, k_ID, k_RD, d1, d2, d3 = rates
-    f1, f2, f3, a1, a2, _ = force_terms(y, u, p, rates)
+    (k_EH, k_IH, k_RH, k_EF, k_IF, k_ED, k_ID, k_RD, d1, d2, d3, _, _, _, tau1, tau2, tau3,
+     kappa1, kappa2, kappa3, psi1, psi2, psi3, _, _, _, beta1, beta2, beta3, gamma, gamma1,
+     gamma2, gamma3, mu1, mu2, mu3, mu4, _, _, _, nu1, nu2, nu3, C) = rates = _rates(p)
+    f1, f2, f3, a1, a2, _ = _forces(y.I_F, y.I_D, y.M, u, rates)
     u4 = u[3]
     lead = np.broadcast(*y, *u).shape
     T = np.zeros(lead + (12, 12))
     for (i, j), rate in {
-        (0, 0): -p.mu1, (0, 3): p.beta3, (1, 1): -(k_EH + u4), (2, 1): p.beta1, (2, 2): -k_IH,
-        (3, 1): p.beta2 + u4, (3, 3): -k_RH, (4, 4): -p.mu2, (5, 5): -k_EF, (6, 5): p.gamma,
-        (6, 6): -k_IF, (7, 7): -p.mu3, (7, 10): p.gamma3, (8, 8): -(k_ED + u4), (9, 8): p.gamma1,
-        (9, 9): -k_ID, (10, 8): p.gamma2 + u4, (10, 10): -k_RD,
-        (11, 2): p.nu1, (11, 6): p.nu2, (11, 9): p.nu3, (11, 11): -p.mu4,
+        (0, 0): -mu1, (0, 3): beta3, (1, 1): -(k_EH + u4), (2, 1): beta1, (2, 2): -k_IH,
+        (3, 1): beta2 + u4, (3, 3): -k_RH, (4, 4): -mu2, (5, 5): -k_EF, (6, 5): gamma,
+        (6, 6): -k_IF, (7, 7): -mu3, (7, 10): gamma3, (8, 8): -(k_ED + u4), (9, 8): gamma1,
+        (9, 9): -k_ID, (10, 8): gamma2 + u4, (10, 10): -k_RD,
+        (11, 2): nu1, (11, 6): nu2, (11, 9): nu3, (11, 11): -mu4,
     }.items():
         T[..., i, j] = rate
     # Incidence a*f*S moves a host from S (row s) to E (row s + 1); f reads
     # I_F (column 6), I_D (column 9) and M (column 11), the last through M/(M+C).
-    M_C = y.M + p.C
-    dlamM = p.C / (M_C * M_C)
+    M_C = y.M + C
+    dlamM = C / (M_C * M_C)
     I = np.zeros(lead + (12, 12))
     for s, a, f, S, (dI_F, dI_D, dlam) in (
-        (0, a1, f1, y.S_H, (p.tau1, p.tau2, p.tau3)),
-        (4, 1.0, f2, y.S_F, (p.kappa1, p.kappa2, p.kappa3)),
-        (7, a2, f3, y.S_D, (p.psi1 / d1, p.psi2 / d2, p.psi3 / d3)),
+        (0, a1, f1, y.S_H, (tau1, tau2, tau3)),
+        (4, 1.0, f2, y.S_F, (kappa1, kappa2, kappa3)),
+        (7, a2, f3, y.S_D, (psi1 / d1, psi2 / d2, psi3 / d3)),
     ):
         for j, d in ((s, a * f), (6, a * dI_F * S), (9, a * dI_D * S), (11, a * dlam * dlamM * S)):
             I[..., s, j] = -d

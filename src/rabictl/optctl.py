@@ -188,10 +188,12 @@ def adjoint_rhs(
 def characterize_controls(
     y: StateVec, lam: AdjointVec, w: Weights, p: ParamSet, mask: Mask = ALL_ON
 ) -> ControlConst:
-    """Pointwise optimal controls from the maximality condition, clamped to [0,1].
+    """Pointwise controls that minimise H: each the stationary point dH/du_i = 0, clipped to [0,1].
 
-    Fields of ``y`` and ``lam`` may be floats or (N,) arrays: one call
-    characterizes N nodes. A masked-off control is the float 0.0.
+    The sweep minimises J. While 1-u1-u3 and 1-u1-u2 stay positive, H is a separable convex
+    quadratic in u, so each clipped stationary point minimises H pointwise. Fields of ``y``
+    and ``lam`` are floats or (N,) arrays: one call characterizes N nodes. A masked-off
+    control is the float 0.0.
     """
     ft = force_terms(y, ZERO_CONTROL, p)
     human_term = ft.f1 * y.S_H

@@ -3,9 +3,9 @@
 All rates are per year; population recruitment is individuals per year and
 the half-saturation constant ``C`` is in PFU/mL.
 
-``rates_of`` combines the parameters that the model only ever reads together:
-the outflow rate of each class and the deterrence divisors. A ``ParamSet``
-builds them once, as ``rates``, and a PRCC study once for its (N,) arrays.
+``rates_of`` gathers every value the model reads into one tuple, which the
+kernels unpack once per call. A ``ParamSet`` builds it once, as ``rates``, and
+a PRCC study once for its (N,) arrays.
 A ``ParamSet`` holds Python floats, as a numpy scalar slows every scalar ``rhs``.
 """
 
@@ -103,7 +103,8 @@ class ParamSet:
         unknown = overrides.keys() - _PARAMS_SET
         if unknown:
             raise ConfigError(f"unknown parameter name(s): {sorted(unknown)}")
-        return ParamSet(**dict(zip(PARAM_NAMES, _PARAMS(self)), **overrides))
+        fields = self.rates[-len(PARAM_NAMES):]  # the fields end the tuple; slicing beats _PARAMS
+        return ParamSet(**dict(zip(PARAM_NAMES, fields), **overrides))
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -127,13 +128,13 @@ def valid(p: Any) -> Any:
 
 
 def rates_of(p: Any) -> tuple:
-    """The parameter-only combinations the model reads, for floats or (N,) arrays alike.
+    """Every value the model reads, in one flat tuple, for floats or (N,) arrays alike.
 
     In order: the outflow rates of E_H, I_H, R_H, E_F, I_F, E_D, I_D and R_D (u4
-    is added to those of E_H and E_D on each call), then the deterrence divisors
-    1 + rho1, 1 + rho2 and 1 + rho3. Python adds left to right, so a caller that
-    adds u4 afterwards, ``(mu1 + beta1 + beta2) + u4``, gets the same double as
-    ``mu1 + beta1 + beta2 + u4``.
+    is added to those of E_H and E_D on each call), the deterrence divisors
+    1 + rho1, 1 + rho2 and 1 + rho3, then the fields in ``PARAM_NAMES`` order.
+    Python adds left to right, so a caller that adds u4 afterwards,
+    ``(mu1 + beta1 + beta2) + u4``, gets the same double as ``mu1 + beta1 + beta2 + u4``.
     """
     mu1, mu2, mu3 = p.mu1, p.mu2, p.mu3
     return (
@@ -141,7 +142,7 @@ def rates_of(p: Any) -> tuple:
         mu2 + p.gamma, mu2 + p.sigma2,
         mu3 + p.gamma1 + p.gamma2, mu3 + p.sigma3, mu3 + p.gamma3,
         1.0 + p.rho1, 1.0 + p.rho2, 1.0 + p.rho3,
-    )
+    ) + _PARAMS(p)
 
 
 # Fitted values (the default parameterization).

@@ -27,9 +27,10 @@ import numpy as np
 from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, shorten
 from .integrate import write_csv, write_json
 from .model import (
-    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs, seeded_state,
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, _rates, force_terms, jacobian, rhs,
+    seeded_state,
 )
-from .params import PARAM_NAMES, ParamSet, rates_of, valid
+from .params import PARAM_NAMES, ParamSet, valid
 
 __all__ = [
     "INFECTED_ORDER",
@@ -84,14 +85,15 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
     """
     u.validate()
     with np.errstate(all="ignore"):  # overflow, or NaN from a negative discriminant, fails below
-        _, _, _, k_EF, k_IF, k_ED, k_ID, _, d1, d2, _ = rates_of(p)
+        (_, _, _, k_EF, k_IF, k_ED, k_ID, _, d1, d2, _, _, theta2, theta3, _, _, _, kappa1, kappa2,
+         _, psi1, psi2, _, _, _, _, _, _, _, gamma, gamma1, _, _, _, mu2, mu3, *_) = _rates(p)
         # np.divide: a divisor that underflows to 0.0 gives inf on floats too, as on arrays
-        a3 = np.divide(p.gamma1, (k_ED + u.u4) * k_ID)
-        R21 = np.divide(p.kappa1 * p.theta2 * p.gamma, p.mu2 * k_EF * k_IF)
-        R23 = p.kappa2 * p.theta2 * a3 / p.mu2
+        a3 = np.divide(gamma1, (k_ED + u.u4) * k_ID)
+        R21 = np.divide(kappa1 * theta2 * gamma, mu2 * k_EF * k_IF)
+        R23 = kappa2 * theta2 * a3 / mu2
         w = np.maximum(0.0, 1.0 - u.u1 - u.u2)
-        R31 = w * p.psi1 * p.theta3 * p.gamma / (d1 * p.mu3 * k_EF * k_IF)
-        R33 = w * p.psi2 * p.theta3 * a3 / (d2 * p.mu3)
+        R31 = w * psi1 * theta3 * gamma / (d1 * mu3 * k_EF * k_IF)
+        R33 = w * psi2 * theta3 * a3 / (d2 * mu3)
         disc = R21 * R21 - 2.0 * R33 * R21 + 4.0 * R31 * R23 + R33 * R33
         Re = 0.5 * (R33 + R21 + np.sqrt(disc))
     bad = np.asarray(Re)[~np.isfinite(Re)]

@@ -6,7 +6,7 @@ independently per column. All sampled rows are integrated at once: their
 states form one (12, N) array, which ``rk4_step`` advances as a ``Stacked``
 field, one array operation per stage, while ``rhs`` reads its twelve rows as
 (N,) arrays. The parameters of the rows form one namespace of (N,) arrays,
-whose combined rates (``params.rates_of``) are built once per study rather
+whose one parameter tuple (``params.rates_of``) is built once per study rather
 than in each of the march's ``rhs`` calls. Only the sample nodes are
 stored. PRCC rank-transforms everything and reads the partial correlations
 off the inverse of the rank-correlation matrix, so it measures monotone
@@ -269,9 +269,9 @@ def _simulate_rows(
     return [None if bad else vals for bad, vals in zip(failed, sampled)]
 
 
-def _stacked_rhs(t: float, z: Stacked, u: ControlConst, p: SimpleNamespace) -> Stacked:
-    """``rhs`` on the (12, N) states of a batch, restacked into one array."""
-    return Stacked(np.array(integrate.rhs(t, tuple.__new__(StateVec, z.values), u, p)))
+def _stacked_rhs(t: float, z: Sequence, u: ControlConst, p: SimpleNamespace) -> Stacked:
+    """``rhs`` on the (12, N) states ``z[0]`` of a batch, a row per field, as one array."""
+    return Stacked(np.array(integrate.rhs(t, z[0], u, p)))
 
 
 def prcc_study(

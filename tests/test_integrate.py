@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rabictl import integrate
 from rabictl.errors import ConfigError, IntegrationBlowupError
 from rabictl.integrate import (
     BLOCK,
@@ -19,7 +20,7 @@ from rabictl.integrate import (
     rk4_forward,
     write_trajectory_csv,
 )
-from rabictl.model import ControlConst, StateVec, seeded_state
+from rabictl.model import ControlConst, StateVec, rhs, seeded_state
 from rabictl.optctl import AdjointVec, Weights, adjoint_rhs, adjoint_system
 
 ZEROS12 = (0.0,) * 12
@@ -34,6 +35,11 @@ def test_grid_validation():
     for t0, tf in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
         with pytest.raises(ConfigError, match="finite"):
             TimeGrid(t0, tf, 10)
+    # tf - t0 overflows to inf, and a step of 5e-324 / 2 rounds to 0: both are config errors
+    for t0, tf, n_steps in ((-1e308, 1e308, 2000), (0.0, 5e-324, 2)):
+        with pytest.raises(ConfigError, match="finite step"):
+            TimeGrid(t0, tf, n_steps)
+    assert TimeGrid(0.0, 5e-324, 1).h == 5e-324
     assert TimeGrid(0.0, 1.0, MAX_STEPS).n_nodes == MAX_STEPS + 1
     with pytest.raises(ConfigError, match="n_steps"):
         TimeGrid(0.0, 1.0, MAX_STEPS + 1)
@@ -271,6 +277,25 @@ def test_backward_matches_reference_stage_loop(p_est, default_state):
 
 
 # --- Euler companion and CSV ------------------------------------------------------
+
+
+@pytest.mark.parametrize("march", ["rk4", "euler"])
+def test_marches_call_rhs_once_per_stage(p_est, default_state, monkeypatch, march):
+    """perfbench counts ``model.rhs.calls`` through the module global ``integrate.rhs``."""
+    calls = []
+
+    def counting_rhs(*args):
+        calls.append(args)
+        return rhs(*args)
+
+    monkeypatch.setattr(integrate, "rhs", counting_rhs)
+    grid = TimeGrid(0.0, 2.0, 37)
+    if march == "rk4":
+        rk4_forward(p_est, ControlPath.constant(grid, ControlConst(0.1, 0.2, 0.3, 0.4)),
+                    default_state, grid)
+    else:
+        euler_forward(p_est, default_state, grid)
+    assert len(calls) == (4 if march == "rk4" else 1) * grid.n_steps
 
 
 def test_euler_matches_rk4_for_small_steps(p_est, default_state):

@@ -1,9 +1,11 @@
 """The kernels against their reference formulations.
 
 ``force_terms``, ``rhs``, ``rk4_step`` and the Euler step are written for speed:
-unpacked locals, shared prefixes and tuples built without the NamedTuple
-constructor; the ensemble steps its batch as one stacked (12, N) array. They
-equal the plain formulations below bit for bit; floats are
+every parameter read with one unpack of the per-set tuple ``p.rates``, shared
+prefixes, RK4 stage states passed to ``rhs`` as plain lists, and one NamedTuple
+built per step without its constructor; the ensemble steps its batch as one
+stacked (12, N) array. They equal the plain formulations below, which read
+named fields, bit for bit; floats are
 compared through ``float.hex`` so that -0.0 and 0.0 count as different. The
 adjoint is an affine system ``G lam + g`` and its march a recurrence of RK4
 propagators, so they meet the hand-expanded adjoint and its stage-by-stage
@@ -259,6 +261,18 @@ def test_carried_rates_equal_rates_built_on_the_call(y, u, p):
         assert hexes(got) == hexes(want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(y=states, u=controls, p=params)
+@example(y=seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), u=OVER_ONE, p=TABLE2_ESTIMATED)
+def test_kernels_read_only_the_parameter_tuple(y, u, p):
+    """An object that carries only ``rates`` gives the ParamSet's bits: the kernels read
+    no field of their own, so the one tuple holds every parameter they use."""
+    only = SimpleNamespace(rates=p.rates)
+    assert hexes(force_terms(y, u, only)) == hexes(force_terms(y, u, p))
+    assert hexes(rhs(0.0, y, u, only)) == hexes(rhs(0.0, y, u, p))
+    assert hexes(rhs(0.0, list(y), list(u), only)) == hexes(rhs(0.0, y, u, p))  # a stage's lists
+
+
 def test_over_one_controls_clamp_both_factors():
     ft = force_terms(seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), OVER_ONE, TABLE2_ESTIMATED)
     assert ft.a1 == 0.0 and ft.a2 == 0.0
@@ -388,3 +402,23 @@ def test_state_clamp_path_equals_reference_march(march):
         want = outcome(reference_euler_forward, p, y0, grid)
     assert not isinstance(got, str) and got[1] > 0  # it ran to the end and clamped
     assert same_outcome(got, want)
+
+
+@pytest.mark.parametrize("clamped", [False, True], ids=["plain", "clamp-path"])
+def test_trajectory_values_equal_the_states_bits(clamped):
+    """``values`` is built with np.fromiter; it holds the bits np.array(states) would."""
+    p = TABLE2_ESTIMATED
+    if clamped:  # the input of test_state_clamp_path_equals_reference_march
+        y0, grid = seeded_state(p)._replace(I_H=8.5e-8), TimeGrid(0.0, 10.0, 7)
+        path = ControlPath.constant(grid)
+    else:
+        y0, grid = seeded_state(p, *DEFAULT_SEEDING), TimeGrid(0.0, 5.0, 50)
+        path = random_path(grid, 3)
+    traj = rk4_forward(p, path, y0, grid)
+    assert (traj.clamped > 0) == clamped
+    want = np.array(traj.states)
+    assert traj.values.shape == want.shape == (grid.n_nodes, 12)
+    assert traj.values.dtype == want.dtype and traj.values.tobytes() == want.tobytes()
+    assert not traj.values.flags.writeable and traj.values is traj.values
+    with pytest.raises(ValueError):
+        traj.values[0, 0] = 1.0

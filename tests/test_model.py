@@ -52,6 +52,10 @@ def test_replace_never_keeps_stale_rates(mu1):
     q = p.replace(mu1=mu1)
     assert p.rates == rates_of(p) and q.rates == rates_of(q)
     assert q.rates[0] == mu1 + p.beta1 + p.beta2
+    # the fields close the tuple, in PARAM_NAMES order, with the replaced value in place
+    assert len(q.rates) == 11 + len(PARAM_NAMES)
+    assert q.rates[11:] == tuple(q.as_dict().values()) == tuple(
+        mu1 if name == "mu1" else getattr(p, name) for name in PARAM_NAMES)
 
 
 @pytest.mark.parametrize("value", ["0.0005", True, np.array([4e-4, 5e-4]), None],
