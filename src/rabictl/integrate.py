@@ -1,12 +1,13 @@
 """Fixed-step RK4 integration on a shared uniform grid.
 
 ``rk4_step`` is the one place the RK4 formula is written; it hands its later stage states to
-``f`` as plain lists and builds one NamedTuple per step. The forward pass steps the state
-system, its controls rows of Python floats, through the march (``_march``) it shares with
-forward Euler. The adjoint is affine in lam, so the backward pass, from tf down to t0 with a
-step of -h, is a linear recurrence of RK4 propagators, built in numpy blocks and applied by
-one matrix-vector product per step. Both passes share one grid and interpolate by node
-averages only. A control path holds one (n_nodes, 4) array.
+``f`` as plain lists and builds one NamedTuple per step. One march (``_march``), RK4 or Euler,
+steps a trajectory's StateVec of floats, kept at every node, or a PRCC batch's ``Stacked``
+(12, N) array, kept at the study's sample nodes, under one clamp rule (``_clamp_state``). The
+adjoint is affine in lam, so the backward pass, from tf down to t0 with a step of -h, is a
+linear recurrence of RK4 propagators, built in numpy blocks and applied by one matrix-vector
+product per step. Both passes share one grid and interpolate by node averages only. A control
+path holds one (n_nodes, 4) array.
 
 Every artifact of the package is written here: CSV by ``write_csv``, JSON by ``write_json``.
 """
@@ -18,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -44,8 +45,8 @@ __all__ = [
 ]
 
 # Undershoot handling: RK4 does not preserve positivity exactly. Components in
-# (-CLAMP_TOL, -KEEP_TOL] are clamped to zero and counted; anything below
-# -CLAMP_TOL aborts the integration.
+# [-CLAMP_TOL, -KEEP_TOL) are clamped to zero and counted; one below -CLAMP_TOL
+# fails its row (see ``_clamp_state``).
 KEEP_TOL = 1e-9
 CLAMP_TOL = 1e-6
 
@@ -70,9 +71,11 @@ class TimeGrid:
         if not 1 <= self.n_steps <= MAX_STEPS:
             raise ConfigError(
                 f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {shorten(repr(self.n_steps))}")
-        if not 0.0 < self.h < math.inf:  # also where tf - t0 overflows or the step underflows
+        # nodes t0 + i*h round by under 2 ulps of the largest |t|: a step of 4 eps of it parts them
+        if not 2.0**-50 * max(abs(self.t0), abs(self.tf)) < self.h < math.inf:
             raise ConfigError(f"grid needs finite t0 < tf and a finite step (tf - t0)/n_steps "
-                              f"above 0, got [{self.t0}, {self.tf}] in {self.n_steps} steps")
+                              f"that separates the nodes, got [{self.t0}, {self.tf}] in "
+                              f"{self.n_steps} steps")
 
     @property
     def h(self) -> float:
@@ -164,18 +167,27 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[1:] + values[:-1])
 
 
-def _clamp_state(y: StateVec, t: float) -> tuple[StateVec, int]:
-    """Clamp small negative undershoots; abort on significant ones."""
-    worst = min(y)
-    if worst >= -KEEP_TOL:
-        return y, 0
-    if worst < -CLAMP_TOL:
-        name = y._fields[y.index(worst)]
-        raise IntegrationBlowupError(
-            f"state component {name} = {worst:.3e} at t = {t:.6g}; "
-            "reduce the step size (increase n_steps)"
-        )
-    return StateVec._make(0.0 if v < -KEEP_TOL else v for v in y), sum(v < -KEEP_TOL for v in y)
+class Stacked(NamedTuple):
+    """One array as the one field ``rk4_step`` advances, so that each stage is one array
+    operation: a stack of 13x13 propagators, or the (12, N) states of a batch of N rows."""
+
+    values: np.ndarray
+
+
+def _clamp_state(y: StateVec | Stacked, t: float) -> tuple[StateVec | Stacked, Any]:
+    """Zero the components in [-CLAMP_TOL, -KEEP_TOL) of a StateVec of floats, or of each row
+    of a Stacked (12, N) batch, and count them per row: an int, or an (N,) array. Below
+    -CLAMP_TOL a StateVec raises, while a batch row turns NaN and counts 0."""
+    batch = type(y) is Stacked
+    if not batch and (worst := min(y)) < -CLAMP_TOL:
+        raise IntegrationBlowupError(f"state component {y._fields[y.index(worst)]} = {worst:.3e} "
+                                     f"at t = {t:.6g}; reduce the step size (increase n_steps)")
+    Y = np.array(y.values if batch else [y], dtype=float).reshape(12, -1)  # (12, rows)
+    low, gone = Y < -KEEP_TOL, (Y < -CLAMP_TOL).any(axis=0)
+    Y[low] = 0.0
+    Y[:, gone] = np.nan
+    counts = np.where(gone, 0, low.sum(axis=0))
+    return (Stacked(Y), counts) if batch else (type(y)._make(Y[:, 0].tolist()), int(counts[0]))
 
 
 def _not_finite(what: str, t: float) -> IntegrationBlowupError:
@@ -189,21 +201,30 @@ def _require_finite(values: Sequence[float] | np.ndarray, what: str, t: float) -
         raise _not_finite(what, t)
 
 
-def _march(step: Callable, y0: StateVec, grid: TimeGrid, p: ParamSet, za, zm, zb) -> Trajectory:
-    """States at every node: ``step(rhs, y, t, h, za, zm, zb, p)``, as ``rk4_step``, advances
-    each node before the clamp, its controls drawn in turn from ``za``, ``zm`` and ``zb``."""
-    y = y0.validate()
-    times, h = grid.times(), grid.h
-    states = [y]
-    clamped_total = 0
-    for t, t_next, a, m, b in zip(times, times[1:], za, zm, zb):
-        y = step(rhs, y, t, h, a, m, b, p)  # the global rhs, which a tracer may wrap
-        if min(y) < -KEEP_TOL:  # rare: an undershoot to clamp, or one to abort on
-            y, n_clamped = _clamp_state(y, t_next)
-            clamped_total += n_clamped
-        states.append(y)
+def _march(step: Callable, f: Callable, y: StateVec | Stacked, grid: TimeGrid, p, za, zm, zb,
+           nodes: Sequence[int]) -> tuple[list, StateVec | Stacked, Any]:
+    """Step ``y``, a StateVec of floats or a Stacked (12, N) batch, by ``step(f, y, t, h, za,
+    zm, zb, p)``, as ``rk4_step``, its controls drawn in turn from ``za``, ``zm`` and ``zb``.
+    Returns the states at ``nodes``, in their order, the last state and the clamp count, an
+    int or (N,) array; a batch finds its undershoots with np.fmin, which skips NaN rows."""
+    lowest = min if type(y) is not Stacked else lambda s: np.fmin.reduce(s.values, axis=None)
+    times, h, wanted = grid.times(), grid.h, set(nodes)
+    kept, clamped = {0: y}, 0
+    for i, t, a, m, b in zip(range(1, grid.n_nodes), times, za, zm, zb):
+        y = step(f, y, t, h, a, m, b, p)
+        if lowest(y) < -KEEP_TOL:  # rare: an undershoot to clamp, or one to fail on
+            y, n_clamped = _clamp_state(y, times[i])
+            clamped += n_clamped
+        if i in wanted:
+            kept[i] = y
+    return [kept[i] for i in nodes], y, clamped
+
+
+def _trajectory(step: Callable, y0: StateVec, grid: TimeGrid, p, za, zm, zb) -> Trajectory:
+    """Every node of a StateVec march through the global rhs, which a tracer may wrap."""
+    states, y, clamped = _march(step, rhs, y0.validate(), grid, p, za, zm, zb, range(grid.n_nodes))
     _require_finite(y, "state", grid.tf)
-    return Trajectory(grid, tuple(states), clamped_total)
+    return Trajectory(grid, tuple(states), clamped)
 
 
 def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, p) -> tuple:
@@ -233,14 +254,7 @@ def rk4_forward(p: ParamSet, u_path: ControlPath, y0: StateVec, grid: TimeGrid) 
     """Classical RK4 over the grid; half-step controls average adjacent nodes."""
     _require_same_grid(u_path.grid, grid, "control path")
     u = u_path.values.tolist()  # rows of Python floats, u1..u4, as each stage reads them
-    return _march(rk4_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), islice(u, 1, None))
-
-
-class Stacked(NamedTuple):
-    """One array as the one field ``rk4_step`` advances, so that each stage is one array
-    operation: a stack of 13x13 propagators, or the (12, N) states of a batch of N rows."""
-
-    values: np.ndarray
+    return _trajectory(rk4_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), u[1:])
 
 
 def _linear(t: float, z: Sequence[np.ndarray], a: np.ndarray, _: None) -> Stacked:
@@ -304,7 +318,7 @@ def rk4_backward(
 def euler_forward(p: ParamSet, y0: StateVec, grid: TimeGrid) -> Trajectory:
     """Uncontrolled forward Euler over the grid: the discretised update the calibration fits."""
     zero = repeat(ZERO_CONTROL)
-    return _march(_euler_step, y0, grid, p, zero, zero, zero)
+    return _trajectory(_euler_step, y0, grid, p, zero, zero, zero)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -2,17 +2,17 @@
 
 Sampling is stratified per parameter: the N draws of each column occupy the
 N equal-probability strata exactly once, with the stratum order permuted
-independently per column. All sampled rows are integrated at once: their
-states form one (12, N) array, which ``rk4_step`` advances as a ``Stacked``
-field, one array operation per stage, while ``rhs`` reads its twelve rows as
-(N,) arrays. The parameters of the rows form one namespace of (N,) arrays,
-whose one parameter tuple (``params.rates_of``) is built once per study rather
-than in each of the march's ``rhs`` calls. Only the sample nodes are
-stored. PRCC rank-transforms everything and reads the partial correlations
-off the inverse of the rank-correlation matrix, so it measures monotone
-influence of one parameter while controlling for the rest. The inverse over the parameters is shared
-by every output, so a study ranks its sample once and computes all outputs
-at all sample times in one ``prcc`` call.
+independently per column. All sampled rows are integrated at once by
+``integrate._march``, the march of every trajectory: their states form one
+``Stacked`` (12, N) array, one array operation per stage, while ``rhs`` reads
+its rows as (N,) arrays, and the study asks the march for its sample nodes
+only. The rows' parameters form one namespace of (N,) arrays, whose parameter
+tuple (``params.rates_of``) is built once per study, not in each ``rhs`` call.
+PRCC rank-transforms everything and reads the partial correlations off the
+inverse of the rank-correlation matrix, so it measures monotone influence of
+one parameter while controlling for the rest. The inverse over the parameters
+is shared by every output, so a study ranks its sample once and computes all
+outputs at all sample times in one ``prcc`` call.
 
 The ranks are computed with numpy. scipy is loaded only to sample a
 ``normal`` range (``scipy.stats.truncnorm``): of the CLI subcommands, only
@@ -22,6 +22,7 @@ The ranks are computed with numpy. scipy is loaded only to sample a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
 from .errors import ConfigError, DegenerateInputError, StudyError, shorten
-from .integrate import CLAMP_TOL, KEEP_TOL, Stacked, TimeGrid, rk4_step, write_csv, write_json
+from .integrate import Stacked, TimeGrid, _march, rk4_step, write_csv, write_json
 from .model import ZERO_CONTROL, ControlConst, StateVec
 from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
@@ -231,42 +232,27 @@ class PrccResult:
     dropped_rows: int = 0
 
 
-def _simulate_rows(
-    rows: np.ndarray,
-    names: tuple[str, ...],
-    base: ParamSet,
-    y0: StateVec,
-    grid: TimeGrid,
-    node_idx: tuple[int, ...],
-    outputs: tuple[str, ...],
-) -> list[np.ndarray | None]:
-    """Integrate every sampled row at once as one (12, N) array; None marks a failed row.
+def _simulate_rows(rows: np.ndarray, names: tuple[str, ...], base: ParamSet, y0: StateVec,
+                   grid: TimeGrid, node_idx: tuple[int, ...],
+                   outputs: tuple[str, ...]) -> list[np.ndarray | None]:
+    """Integrate every sampled row at once, one Stacked (12, N) batch that
+    ``integrate._march`` keeps at the sample nodes only; None marks a failed row.
 
-    A row fails where ``rk4_forward`` would raise: invalid parameters, a
-    component below -CLAMP_TOL after a step, or a non-finite last node.
+    A row fails where ``rk4_forward`` would raise: invalid parameters, or a
+    non-finite last node, as the march leaves a row that fell below -CLAMP_TOL.
     """
     # a column of ``rows`` is a strided view, slower for each ufunc of each rhs call to read
     # than a contiguous array, so each sampled column is copied once
     p = SimpleNamespace(**{**base.as_dict(), **dict(zip(names, rows.T.copy()))})
-    failed = ~valid(p)  # an (N,) mask, as every row samples at least one parameter
-    field_idx = [StateVec._fields.index(o) for o in outputs]
-    columns = {k: np.flatnonzero(np.equal(node_idx, k)) for k in node_idx}  # node -> its samples
-    h, times, u = grid.h, grid.times(), ZERO_CONTROL
-    Y = np.array([np.full(len(rows), v) for v in y0])  # (12, N)
-    sampled = np.empty((len(rows), len(node_idx), len(outputs)))
+    u = repeat(ZERO_CONTROL)
     with np.errstate(all="ignore"):  # a failed row keeps integrating and may overflow
         p.rates = rates_of(p)  # once per study; every rhs call of the march reads it
-        for i in range(grid.n_nodes):
-            if i:
-                Y = rk4_step(_stacked_rhs, Stacked(Y), times[i - 1], h, u, u, u, p).values
-                # an undershoot to clamp or to fail on; fmin, unlike min, skips a failed row's NaN
-                if np.fmin.reduce(Y, axis=None) < -KEEP_TOL:
-                    failed |= (Y < -CLAMP_TOL).any(axis=0)
-                    Y[Y < -KEEP_TOL] = 0.0
-            if i in columns:
-                sampled[:, columns[i]] = Y[field_idx].T[:, None]
-        failed |= ~np.isfinite(Y).all(axis=0)
-    return [None if bad else vals for bad, vals in zip(failed, sampled)]
+        kept, last, _ = _march(rk4_step, _stacked_rhs, Stacked(np.array(
+            [np.full(len(rows), v) for v in y0])), grid, p, u, u, u, node_idx)
+    # an (N,) mask, as every row samples at least one parameter
+    failed = ~valid(p) | ~np.isfinite(last.values).all(axis=0)
+    sampled = np.array([y.values for y in kept])[:, [StateVec._fields.index(o) for o in outputs]]
+    return [None if bad else vals for bad, vals in zip(failed, sampled.transpose(2, 0, 1))]
 
 
 def _stacked_rhs(t: float, z: Sequence, u: ControlConst, p: SimpleNamespace) -> Stacked:

@@ -5,13 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabictl import integrate
 from rabictl.errors import ConfigError, IntegrationBlowupError
 from rabictl.integrate import (
     BLOCK,
+    CLAMP_TOL,
+    KEEP_TOL,
     MAX_STEPS,
     ControlPath,
+    Stacked,
     TimeGrid,
     Trajectory,
     _clamp_state,
@@ -22,6 +27,7 @@ from rabictl.integrate import (
 )
 from rabictl.model import ControlConst, StateVec, rhs, seeded_state
 from rabictl.optctl import AdjointVec, Weights, adjoint_rhs, adjoint_system
+from rabictl.sensitivity import _simulate_rows
 
 ZEROS12 = (0.0,) * 12
 ZERO_LAM = AdjointVec(*ZEROS12)
@@ -40,6 +46,11 @@ def test_grid_validation():
         with pytest.raises(ConfigError, match="finite step"):
             TimeGrid(t0, tf, n_steps)
     assert TimeGrid(0.0, 5e-324, 1).h == 5e-324
+    # steps of 1 and 1.2 where doubles lie 2 apart repeat nodes; with 1.2 both end steps
+    # still separate theirs, so a check of t0 + h > t0 and tf - h < tf alone would pass it
+    for tf, n_steps in ((1e16 + 4, 4), (1e16 + 6, 5)):
+        with pytest.raises(ConfigError, match="separates the nodes"):
+            TimeGrid(1e16, tf, n_steps)
     assert TimeGrid(0.0, 1.0, MAX_STEPS).n_nodes == MAX_STEPS + 1
     with pytest.raises(ConfigError, match="n_steps"):
         TimeGrid(0.0, 1.0, MAX_STEPS + 1)
@@ -49,6 +60,20 @@ def test_grid_validation():
     assert g.node_at(1.0) == 2
     with pytest.raises(ConfigError):
         g.node_at(2.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t0=st.floats(min_value=-1e300, max_value=1e300).filter(lambda t: t != 0.0),
+       n_steps=st.integers(min_value=1, max_value=300),
+       ulps=st.floats(min_value=0.5, max_value=16.0))
+def test_accepted_grid_nodes_strictly_increase(t0, n_steps, ulps):
+    """Spans of a few relative ulps per step, near the separation rule's limit of 4."""
+    tf = t0 + n_steps * ulps * math.ulp(t0)
+    try:
+        times = TimeGrid(t0, tf, n_steps).times()
+    except ConfigError:
+        return
+    assert all(a < b for a, b in zip(times, times[1:]))
 
 
 def test_control_path_enforces_mask_and_bounds():
@@ -139,8 +164,20 @@ def test_undershoot_clamping_rules():
     assert n == 1 and out.M == 0.0
 
     bad = StateVec(*([1.0] * 11 + [-5e-6]))
-    with pytest.raises(IntegrationBlowupError):
+    with pytest.raises(IntegrationBlowupError, match="M = -5.000e-06 at t = 0"):
         _clamp_state(bad, 0.0)
+
+    # the same rule on a batch, one column per row: clamped, failed, untouched
+    Y = np.ones((12, 3))
+    Y[11, 0], Y[2, 1], Y[0, 2] = -5e-7, -5e-6, -5e-10
+    before = Y.copy()
+    out, n = _clamp_state(Stacked(Y), 0.0)  # a failed row raises nothing
+    assert type(out) is Stacked and np.array_equal(Y, before)  # the input is left as it was
+    assert n.tolist() == [1, 0, 0]
+    assert out.values[11, 0] == 0.0 and np.array_equal(out.values[:11, 0], np.ones(11))
+    assert np.isnan(out.values[:, 1]).all()
+    assert np.array_equal(out.values[:, 2], before[:, 2])
+    assert -CLAMP_TOL < -5e-7 < -KEEP_TOL < -5e-10
 
 
 def test_nonfinite_state_aborts(p_base):
@@ -279,9 +316,10 @@ def test_backward_matches_reference_stage_loop(p_est, default_state):
 # --- Euler companion and CSV ------------------------------------------------------
 
 
-@pytest.mark.parametrize("march", ["rk4", "euler"])
+@pytest.mark.parametrize("march", ["rk4", "euler", "batch"])
 def test_marches_call_rhs_once_per_stage(p_est, default_state, monkeypatch, march):
-    """perfbench counts ``model.rhs.calls`` through the module global ``integrate.rhs``."""
+    """perfbench counts ``model.rhs.calls`` through the module global ``integrate.rhs``; a
+    PRCC batch makes one call per stage for all of its rows."""
     calls = []
 
     def counting_rhs(*args):
@@ -293,9 +331,13 @@ def test_marches_call_rhs_once_per_stage(p_est, default_state, monkeypatch, marc
     if march == "rk4":
         rk4_forward(p_est, ControlPath.constant(grid, ControlConst(0.1, 0.2, 0.3, 0.4)),
                     default_state, grid)
-    else:
+    elif march == "euler":
         euler_forward(p_est, default_state, grid)
-    assert len(calls) == (4 if march == "rk4" else 1) * grid.n_steps
+    else:
+        rows = _simulate_rows(np.array([[0.9 * p_est.tau1], [1.1 * p_est.tau1]]), ("tau1",),
+                              p_est, default_state, grid, (0, 20, 37), ("I_H",))
+        assert all(r is not None for r in rows)
+    assert len(calls) == (1 if march == "euler" else 4) * grid.n_steps
 
 
 def test_euler_matches_rk4_for_small_steps(p_est, default_state):

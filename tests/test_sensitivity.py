@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rabictl.errors import ConfigError, DegenerateInputError, StudyError
+from rabictl import sensitivity
+from rabictl.errors import ConfigError, DegenerateInputError, IntegrationBlowupError, StudyError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
 from rabictl.model import StateVec, seeded_state
 from rabictl.params import PARAM_NAMES, rates_of
@@ -460,3 +461,35 @@ def test_batch_clamps_a_row_beside_a_row_gone_nan(p_base):
                           tuple(range(grid.n_nodes)), ("I_H",))
     assert rows[1] is None
     assert np.array_equal(rows[0][:, 0], [s.I_H for s in traj.states])
+
+
+def test_batch_clamp_counts_equal_the_scalar_runs(p_base, monkeypatch):
+    """The march's per-row clamp counts for a batch equal ``rk4_forward``'s ``clamped`` on
+    every kept row; the dropped rows are those whose scalar run raises."""
+    y0 = seeded_state(p_base)._replace(I_H=8.5e-8)  # the state of the test above
+    grid = TimeGrid(0.0, 10.0, 7)
+    # a fast I_H outflow at this coarse step undershoots, past -CLAMP_TOL on some rows
+    ranges = [r for r in uniform_ranges(p_base) if r.name != "sigma1"]
+    ranges.append(ParamRange("sigma1", "uniform", 0.5, 3.0))
+    counts = []
+    march = sensitivity._march
+
+    def recording_march(*args):
+        result = march(*args)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(sensitivity, "_march", recording_march)
+    X, names, _, rows = simulate_batch(ranges, 40, 5, p_base, y0, grid, [5.0, 10.0], ("I_H",))
+    scalar = []
+    for x in X:
+        try:
+            scalar.append(rk4_forward(p_base.replace(**dict(zip(names, map(float, x)))),
+                                      ControlPath.constant(grid), y0, grid).clamped)
+        except IntegrationBlowupError:
+            scalar.append(None)
+    assert [r is None for r in rows] == [c is None for c in scalar]
+    kept = [i for i, r in enumerate(rows) if r is not None]
+    assert len(counts) == 1 and counts[0].shape == (40,)
+    assert counts[0][kept].tolist() == [scalar[i] for i in kept]
+    assert (len(kept), counts[0][kept].sum()) == (36, sum(scalar[i] for i in kept)) == (36, 48)
