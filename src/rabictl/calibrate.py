@@ -133,13 +133,15 @@ class FitResult:
     at_bound: tuple[str, ...]  # sorted free names whose bound is active at the end
 
 
-def _euler_grid(years: Sequence[int], dt: float) -> TimeGrid:
+def _observation_nodes(years: Sequence[int], dt: float) -> tuple[TimeGrid, list[int]]:
+    """The Euler grid from the first observation year to the last, and the node of each year."""
     _check_euler_step(dt)
-    span = float(years[-1] - years[0])
+    span = float(years[-1] - years[0]) if years else 0.0
     if span <= 0:
         raise ConfigError("need at least two distinct observation years")
     n_steps = round(span / dt)
-    return TimeGrid(0.0, n_steps * dt, n_steps)
+    grid = TimeGrid(0.0, n_steps * dt, n_steps)
+    return grid, [grid.node_at(float(year - years[0])) for year in years]
 
 
 def predict_incidence(
@@ -150,9 +152,8 @@ def predict_incidence(
     The whole control-free system is discretized at step ``dt`` starting at
     the first observation year.
     """
-    grid = _euler_grid(years, dt)
+    grid, idx = _observation_nodes(years, dt)
     traj = euler_forward(p, y0, grid)
-    idx = [grid.node_at(float(year - years[0])) for year in years]
     return np.array([traj.states[k].I_H for k in idx])
 
 
@@ -198,8 +199,10 @@ def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed
         except (ConfigError, NumericError):
             return np.full(len(observed), math.inf)
         r = (predicted - observed) / math.sqrt(len(observed))
-        if r @ r < best[0]:  # False for a NaN
-            best = r @ r, x.copy(), predicted
+        with np.errstate(over="ignore"):  # an inf sum of squares is no best point
+            rr = r @ r
+        if rr < best[0]:  # False for a NaN
+            best = rr, x.copy(), predicted
         return r
 
     r0 = residuals(x0)
@@ -228,7 +231,9 @@ def fit(data: IncidenceSeries, cfg: FitConfig, p_base: ParamSet, y0: StateVec) -
         p = p_base.replace(**dict(zip(cfg.free, x.tolist())))
         return predict_incidence(p, y0, data.years, dt=cfg.dt)
 
-    _euler_grid(data.years, cfg.dt)  # only errors that depend on x may make a residual non-finite
+    y0.validate()  # checked here, so only errors that depend on x make a residual non-finite
+    p_base.replace(**cfg.x0)
+    _observation_nodes(data.years, cfg.dt)
     return least_squares_fit(predict, data.cases, cfg)
 
 

@@ -9,19 +9,20 @@ education, u4 post-exposure treatment of exposed humans and domestic dogs.
 
 ``rhs``, ``force_terms`` and ``jacobian`` read every parameter with one unpack
 of the tuple ``p.rates`` (``params.rates_of``): the outflow rates, the
-deterrence divisors and the raw fields. For a parameter object without
-``rates``, such as a bare namespace of fields, they build it on the call.
+deterrence divisors and the raw fields.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .params import ParamSet, rates_of
+from .params import ParamSet
 
 __all__ = [
     "StateVec",
@@ -128,7 +129,7 @@ def seeded_state(
 
 def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:
     """The infection pressures and control factors at a state, from ``_forces``."""
-    return tuple.__new__(ForceTerms, _forces(y.I_F, y.I_D, y.M, u, _rates(p)))
+    return tuple.__new__(ForceTerms, _forces(y.I_F, y.I_D, y.M, u, p.rates))
 
 
 def _forces(I_F: float, I_D: float, M: float, u: Sequence, rates: tuple) -> tuple:
@@ -152,14 +153,6 @@ def _forces(I_F: float, I_D: float, M: float, u: Sequence, rates: tuple) -> tupl
     return f1, f2, f3, a1, a2, lamM
 
 
-def _rates(p: ParamSet) -> tuple:
-    """``p.rates``, or the tuple built on the call where ``p`` has none (a bare namespace)."""
-    try:
-        return p.rates
-    except AttributeError:
-        return rates_of(p)
-
-
 def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
     """Time derivatives of all twelve compartments.
 
@@ -168,13 +161,9 @@ def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
     list. Every parameter comes from the one tuple ``p.rates`` (``params.rates_of``).
     """
     S_H, E_H, I_H, R_H, S_F, E_F, I_F, S_D, E_D, I_D, R_D, M = y
-    try:
-        rates = p.rates
-    except AttributeError:  # inlined ``_rates``: rhs is the hot loop of every solver
-        rates = rates_of(p)
     (k_EH, k_IH, k_RH, k_EF, k_IF, k_ED, k_ID, k_RD, _, _, _, theta1, theta2, theta3,
      _, _, _, _, _, _, _, _, _, _, _, _, beta1, beta2, beta3, gamma, gamma1, gamma2, gamma3,
-     mu1, mu2, mu3, mu4, _, _, _, nu1, nu2, nu3, _) = rates
+     mu1, mu2, mu3, mu4, _, _, _, nu1, nu2, nu3, _) = rates = p.rates
     f1, chi2, f3, a1, a2, _ = _forces(I_F, I_D, M, u, rates)
     u4 = u[3]
     # Incidence in each host: each enters two equations as the same product.
@@ -203,30 +192,36 @@ def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
     )
 
 
-def jacobian(y: StateVec, u: ControlConst, p: ParamSet) -> tuple[np.ndarray, np.ndarray]:
-    """The one hand-written derivative of ``rhs``: d rhs_i / d y_j = T[i, j] + I[i, j].
+@functools.lru_cache(maxsize=16)
+def _transitions(rates: tuple) -> np.ndarray:
+    """T at u = 0, read-only: column j is ``rhs`` at the unit state e_j with no recruitment.
 
-    T holds the linear flows, which do not depend on the state; I holds the
-    derivatives of the three incidence products a*f*S (the clamped control factors
-    are constants). Fields of ``y`` and ``u`` are floats or (n,) arrays; T and I
-    have shape (12, 12) or (n, 12, 12). Every parameter comes from ``p.rates``, the
-    tuple ``rhs`` reads, so each outflow rate is written once, in ``params.rates_of``.
+    No unit state holds both an S class and the I_F, I_D or M that its pressure reads,
+    so every incidence product a*f*S is zero there and ``rhs`` keeps only the linear flows.
     """
-    (k_EH, k_IH, k_RH, k_EF, k_IF, k_ED, k_ID, k_RD, d1, d2, d3, _, _, _, tau1, tau2, tau3,
-     kappa1, kappa2, kappa3, psi1, psi2, psi3, _, _, _, beta1, beta2, beta3, gamma, gamma1,
-     gamma2, gamma3, mu1, mu2, mu3, mu4, _, _, _, nu1, nu2, nu3, C) = rates = _rates(p)
+    no_recruitment = SimpleNamespace(rates=rates[:11] + (0.0, 0.0, 0.0) + rates[14:])
+    T = np.array(rhs(0.0, np.eye(12), ZERO_CONTROL, no_recruitment))
+    T.flags.writeable = False
+    return T
+
+
+def jacobian(y: StateVec, u: ControlConst, p: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative of ``rhs``: d rhs_i / d y_j = T[i, j] + I[i, j].
+
+    T holds the linear flows, which do not depend on the state: ``rhs`` itself at unit
+    states (``_transitions``, cached per ``p.rates``), plus the treatment u4 that moves E_H
+    and E_D to R_H and R_D. I, written by hand, holds the derivatives of the three incidence
+    products a*f*S (the clamped control factors are constants). Fields of ``y`` and ``u``
+    are floats or (n,) arrays; T and I are new arrays of shape (12, 12) or (n, 12, 12).
+    """
+    (_, _, _, _, _, _, _, _, d1, d2, d3, _, _, _, tau1, tau2, tau3, kappa1, kappa2, kappa3,
+     psi1, psi2, psi3, *_, C) = rates = p.rates
     f1, f2, f3, a1, a2, _ = _forces(y.I_F, y.I_D, y.M, u, rates)
-    u4 = u[3]
     lead = np.broadcast(*y, *u).shape
-    T = np.zeros(lead + (12, 12))
-    for (i, j), rate in {
-        (0, 0): -mu1, (0, 3): beta3, (1, 1): -(k_EH + u4), (2, 1): beta1, (2, 2): -k_IH,
-        (3, 1): beta2 + u4, (3, 3): -k_RH, (4, 4): -mu2, (5, 5): -k_EF, (6, 5): gamma,
-        (6, 6): -k_IF, (7, 7): -mu3, (7, 10): gamma3, (8, 8): -(k_ED + u4), (9, 8): gamma1,
-        (9, 9): -k_ID, (10, 8): gamma2 + u4, (10, 10): -k_RD,
-        (11, 2): nu1, (11, 6): nu2, (11, 9): nu3, (11, 11): -mu4,
-    }.items():
-        T[..., i, j] = rate
+    T = np.empty(lead + (12, 12))
+    T[...] = _transitions(rates)  # a new array each call: adjoint_system adds I into it
+    for i, j, sign in ((1, 1, -1.0), (3, 1, 1.0), (8, 8, -1.0), (10, 8, 1.0)):
+        T[..., i, j] += sign * u[3]
     # Incidence a*f*S moves a host from S (row s) to E (row s + 1); f reads
     # I_F (column 6), I_D (column 9) and M (column 11), the last through M/(M+C).
     M_C = y.M + C

@@ -200,12 +200,13 @@ def characterize_controls(
     domestic_term = ft.f3 * y.S_D
     dl_h = lam.lam2 - lam.lam1
     dl_d = lam.lam9 - lam.lam8
-    unclamped = (
-        (dl_h * human_term + dl_d * domestic_term) / w.A1,
-        dl_d * domestic_term / w.A2,
-        dl_h * human_term / w.A3,
-        (y.E_H * (lam.lam2 - lam.lam4) + y.E_D * (lam.lam9 - lam.lam11)) / w.A4,
-    )
+    with np.errstate(over="ignore"):  # a tiny weight A_i sends u_i to +-inf, which clips to 0 or 1
+        unclamped = (
+            (dl_h * human_term + dl_d * domestic_term) / w.A1,
+            dl_d * domestic_term / w.A2,
+            dl_h * human_term / w.A3,
+            (y.E_H * (lam.lam2 - lam.lam4) + y.E_D * (lam.lam9 - lam.lam11)) / w.A4,
+        )
     return ControlConst(*(np.clip(u, 0.0, 1.0) if on else 0.0 for u, on in zip(unclamped, mask)))
 
 

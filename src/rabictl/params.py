@@ -4,8 +4,8 @@ All rates are per year; population recruitment is individuals per year and
 the half-saturation constant ``C`` is in PFU/mL.
 
 ``rates_of`` gathers every value the model reads into one tuple, which the
-kernels unpack once per call. A ``ParamSet`` builds it once, as ``rates``, and
-a PRCC study once for its (N,) arrays.
+kernels unpack once per call; they read no other parameter. A ``ParamSet`` builds it
+once, as ``rates``, and a PRCC study or an R_e grid once for its arrays.
 A ``ParamSet`` holds Python floats, as a numpy scalar slows every scalar ``rhs``.
 """
 

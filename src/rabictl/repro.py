@@ -27,10 +27,10 @@ import numpy as np
 from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, shorten
 from .integrate import write_csv, write_json
 from .model import (
-    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, _rates, force_terms, jacobian, rhs,
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs,
     seeded_state,
 )
-from .params import PARAM_NAMES, ParamSet, valid
+from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
 __all__ = [
     "INFECTED_ORDER",
@@ -86,7 +86,7 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
     u.validate()
     with np.errstate(all="ignore"):  # overflow, or NaN from a negative discriminant, fails below
         (_, _, _, k_EF, k_IF, k_ED, k_ID, _, d1, d2, _, _, theta2, theta3, _, _, _, kappa1, kappa2,
-         _, psi1, psi2, _, _, _, _, _, _, _, gamma, gamma1, _, _, _, mu2, mu3, *_) = _rates(p)
+         _, psi1, psi2, _, _, _, _, _, _, _, gamma, gamma1, _, _, _, mu2, mu3, *_) = p.rates
         # np.divide: a divisor that underflows to 0.0 gives inf on floats too, as on arrays
         a3 = np.divide(gamma1, (k_ED + u.u4) * k_ID)
         R21 = np.divide(kappa1 * theta2 * gamma, mu2 * k_EF * k_IF)
@@ -250,6 +250,8 @@ def re_grid(
     if not kept.all():  # the ParamSet of the first point that breaks a rule raises its error
         i, j = np.unravel_index(np.argmin(kept), kept.shape)
         p.replace(**{n: v for n, v in ((name1, vals1[i]), (name2, vals2[j])) if n in PARAM_NAMES})
+    with np.errstate(over="ignore"):  # two valid fields may sum past the largest float
+        q.rates = rates_of(q)  # once for the grid, as effective_r reads only these
     Re = effective_r(q, ControlConst(*(fields[name] for name in ControlConst._fields))).Re
     return ReGrid(axis1_name=name1, axis1_values=vals1, axis2_name=name2, axis2_values=vals2,
                   values=np.broadcast_to(Re, kept.shape).copy(), base_u=base_u, base_params=p)

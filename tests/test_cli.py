@@ -810,14 +810,60 @@ def test_default_fit_on_bundled_series(tmp_path):
 
 
 def test_fit_with_non_finite_start_is_numeric_error(tmp_path, capsys):
-    # a negative seeding is no valid state, so no residual at the start is finite
+    # a valid but huge transmission rate blows up the Euler march at the start point
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run(tmp_path, "a", "--set", "fit.seed_exposed=-1", "fit")
+        code, out = run(tmp_path, "a", "--set", "parameters.tau1=1e300", "fit")
     assert code == 3
     assert out is None
     assert "numeric failure: the fit's residuals are not finite at the start point" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 28 years in round(28/0.03) = 933 steps end at 27.99, so 2018 is off the grid
+    (("fit.dt=0.03",), "time 28.0 outside grid span [0.0, 27.99]"),
+    (("fit.seed_exposed=-1",), "state component E_F is negative or not finite: -1.0"),
+    (('fit.x0={"theta1":0.01,"tau1":0.0004,"beta1":0.17}',),
+     "recruitment theta1 must exceed mortality mu1"),
+], ids=["year-off-grid", "negative-seeding", "x0-below-mortality"])
+def test_fit_start_point_config_error_is_not_numeric(tmp_path, capsys, argv, message):
+    """An error that does not depend on the free parameters exits 2 before the fit starts,
+    not 3 as residuals that are not finite at the start point."""
+    code, out = run(tmp_path, "a", *(a for v in argv for a in ("--set", v)), "fit")
+    assert code == 2
+    assert out is None
+    assert message in capsys.readouterr().err
+
+
+def test_fit_header_only_data_file_is_config_error(tmp_path, capsys):
+    data = tmp_path / "header_only.csv"
+    data.write_text("year,cases\n")
+    code, out = run(tmp_path, "a", "fit", "--data", str(data))
+    assert code == 2
+    assert out is None
+    assert "need at least two distinct observation years" in capsys.readouterr().err
+
+
+def test_tiny_control_weight_optimizes_without_warnings(tmp_path):
+    # A1 = 1e-320 is finite and positive: its stationary point overflows to +-inf and clips
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "a", "--set", "weights.A1=1e-320", "--set", "grid.n_steps=200",
+                        "optimize")
+    assert code == 0
+    _, rows = read_csv(out / "controls.csv")
+    assert all(0.0 <= float(v) <= 1.0 for r in rows for v in r[1:])
+
+
+def test_fit_with_overflowing_residuals_is_numeric_error_without_warnings(tmp_path, capsys):
+    # theta1 = 1e305 keeps every prediction finite, but the sum of squared residuals overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "a", "--set", "parameters.theta1=1e305", "fit")
+    assert code == 3
+    assert out is None
+    assert "numeric failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -26,11 +26,11 @@ from rabictl.integrate import (
     rk4_forward, rk4_step,
 )
 from rabictl.model import (
-    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, jacobian, rhs,
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, rhs,
     seeded_state,
 )
 from rabictl.optctl import AdjointVec, Weights, adjoint_rhs, adjoint_system
-from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
+from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, rates_of
 from rabictl.sensitivity import _stacked_rhs
 
 
@@ -250,19 +250,6 @@ def test_force_terms_and_rhs_equal_reference_bits(y, u, p):
 
 @settings(max_examples=100, deadline=None)
 @given(y=states, u=controls, p=params)
-def test_carried_rates_equal_rates_built_on_the_call(y, u, p):
-    """A ParamSet's own rates, and those built on the call for a bare namespace of its
-    fields, give the same bits in every kernel that reads them."""
-    bare = SimpleNamespace(**p.as_dict())
-    assert not hasattr(bare, "rates")
-    assert hexes(force_terms(y, u, p)) == hexes(force_terms(y, u, bare))
-    assert hexes(rhs(0.0, y, u, p)) == hexes(rhs(0.0, y, u, bare))
-    for got, want in zip(jacobian(y, u, p), jacobian(y, u, bare)):
-        assert hexes(got) == hexes(want)
-
-
-@settings(max_examples=100, deadline=None)
-@given(y=states, u=controls, p=params)
 @example(y=seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), u=OVER_ONE, p=TABLE2_ESTIMATED)
 def test_kernels_read_only_the_parameter_tuple(y, u, p):
     """An object that carries only ``rates`` gives the ParamSet's bits: the kernels read
@@ -285,6 +272,7 @@ def test_rhs_on_arrays_equals_reference_bits(rows, u):
     y = StateVec(*np.array([list(s) for s, _ in rows]).T)
     p = SimpleNamespace(**{name: np.array([getattr(q, name) for _, q in rows])
                            for name in PARAM_NAMES})
+    p.rates = rates_of(p)
     got = rhs(0.0, y, u, p)
     assert type(got) is StateVec
     assert hexes(got) == hexes(reference_rhs(0.0, y, u, p))
@@ -300,6 +288,7 @@ def test_stacked_batch_step_equals_per_field_step_bits(rows, h):
     Y = np.array([list(s) for s, _ in rows]).T
     p = SimpleNamespace(**{name: np.array([getattr(q, name) for _, q in rows])
                            for name in PARAM_NAMES})
+    p.rates = rates_of(p)
     u = ZERO_CONTROL
     with np.errstate(all="ignore"):
         got = rk4_step(_stacked_rhs, Stacked(Y), 0.0, h, u, u, u, p)

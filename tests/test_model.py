@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from rabictl.errors import ConfigError
 from rabictl.model import (
-    DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, force_terms, jacobian, rhs, seeded_state,
+    DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, _transitions, force_terms, jacobian, rhs,
+    seeded_state,
 )
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
+from rabictl.optctl import Weights, adjoint_system
 from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED, ParamSet, rates_of
 from rabictl.repro import effective_r
 
@@ -306,6 +308,69 @@ def test_rhs_is_transitions_plus_recruitment_plus_incidence(preset):
         parts[2, :, s + 1] += inc
     got = np.array(rhs(0.0, y, u, p)).T
     assert (np.abs(got - parts.sum(axis=0)) <= 1e-13 * np.abs(parts).sum(axis=0)).all()
+
+
+def reference_transitions(u4, p):
+    """The linear flows of ``rhs``, listed by hand entry by entry: the oracle for T.
+
+    Each outflow rate is summed in ``params.rates_of``'s order, then u4 is added, so
+    every entry is the double the model computes.
+    """
+    T = np.zeros(np.shape(u4) + (12, 12))
+    for (i, j), rate in {
+        (0, 0): -p.mu1, (0, 3): p.beta3, (1, 1): -(p.mu1 + p.beta1 + p.beta2 + u4),
+        (2, 1): p.beta1, (2, 2): -(p.sigma1 + p.mu1), (3, 1): p.beta2 + u4,
+        (3, 3): -(p.beta3 + p.mu1), (4, 4): -p.mu2, (5, 5): -(p.mu2 + p.gamma),
+        (6, 5): p.gamma, (6, 6): -(p.mu2 + p.sigma2), (7, 7): -p.mu3, (7, 10): p.gamma3,
+        (8, 8): -(p.mu3 + p.gamma1 + p.gamma2 + u4), (9, 8): p.gamma1,
+        (9, 9): -(p.mu3 + p.sigma3), (10, 8): p.gamma2 + u4, (10, 10): -(p.mu3 + p.gamma3),
+        (11, 2): p.nu1, (11, 6): p.nu2, (11, 9): p.nu3, (11, 11): -p.mu4,
+    }.items():
+        T[..., i, j] = rate
+    return T
+
+
+def hexes(a):
+    """float.hex of every entry, so that -0.0 and 0.0 count as different."""
+    return [float(v).hex() for v in np.ravel(a).tolist()]
+
+
+log_factors = st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                       min_size=len(PARAM_NAMES), max_size=len(PARAM_NAMES))
+param_sets = log_factors.map(lambda exps: TABLE2_ESTIMATED.replace(**{
+    name: getattr(TABLE2_ESTIMATED, name) * 10.0 ** e for name, e in zip(PARAM_NAMES, exps)}))
+control_sets = st.builds(ControlConst, controls, controls, controls, controls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=param_sets, u=control_sets, rows=st.lists(control_sets, min_size=1, max_size=6))
+def test_transitions_equal_the_hand_listed_flows_bits(p, u, rows):
+    """T, built from ``rhs`` at unit states, equals the hand-listed flows for float
+    controls, (n,) controls and the zero control."""
+    y = seeded_state(p, *DEFAULT_SEEDING)
+    u_rows = ControlConst(*map(np.array, zip(*rows)))
+    for c in (u, u_rows, ZERO_CONTROL):
+        T, _ = jacobian(y, c, p)
+        assert hexes(T) == hexes(reference_transitions(c.u4, p))
+
+
+def test_cached_transitions_are_read_only(p_est):
+    cached = _transitions(p_est.rates)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [None, 5])
+def test_adjoint_system_leaves_later_jacobians_unchanged(p_est, n):
+    """``adjoint_system`` adds I into the T ``jacobian`` returns; the next call's T must not
+    see it."""
+    y, u = draws(p_est, n or 1, seed=9)
+    if n is None:
+        y, u = StateVec(*(float(v[0]) for v in y)), ControlConst(*(float(v[0]) for v in u))
+    before = [a.tobytes() for a in jacobian(y, u, p_est)]
+    adjoint_system(y, u, Weights(), p_est)
+    assert [a.tobytes() for a in jacobian(y, u, p_est)] == before
 
 
 def test_state_validation():

@@ -368,6 +368,13 @@ def test_grid_contact_rate_monotonicity(p_est):
     assert np.all(np.diff(g.values, axis=1) >= -1e-14)
 
 
+def test_grid_of_rates_past_the_largest_float_does_not_warn(p_est):
+    # beta1 + beta2 + mu1 overflows to inf in the grid's rates, which Re does not read;
+    # the suite turns warnings into errors, so an overflow warning fails this test
+    g = re_grid(p_est, ("beta1", 1e307, 1.7e308, 3), ("beta2", 1e-3, 1.7e308, 3))
+    assert (g.values == effective_r(p_est).Re).all()
+
+
 def test_grid_unknown_axis(p_est):
     with pytest.raises(ConfigError, match="unknown axis"):
         re_grid(p_est, ("u9", 0.0, 1.0, 3), ("u4", 0.0, 1.0, 3))

@@ -346,8 +346,7 @@ def test_prcc_study_builds_its_rates_once(p_base, monkeypatch):
         built.append(p)
         return rates_of(p)
 
-    for module in ("rabictl.model", "rabictl.sensitivity"):
-        monkeypatch.setattr(f"{module}.rates_of", counting_rates_of)
+    monkeypatch.setattr("rabictl.sensitivity.rates_of", counting_rates_of)
     prcc_study(uniform_ranges(p_base, 0.25, names=["tau1", "mu1", "beta2"]), 12, 1, p_base,
                light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("I_H",))
     assert len(built) == 1
