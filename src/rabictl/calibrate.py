@@ -141,7 +141,13 @@ def _observation_nodes(years: Sequence[int], dt: float) -> tuple[TimeGrid, list[
         raise ConfigError("need at least two distinct observation years")
     n_steps = round(span / dt)
     grid = TimeGrid(0.0, n_steps * dt, n_steps)
-    return grid, [grid.node_at(float(year - years[0])) for year in years]
+    offsets = [float(year - years[0]) for year in years]
+    nodes = [grid.node_at(t) for t in offsets]  # first: a year past the grid's end names the span
+    for year, t, k in zip(years, offsets, nodes):
+        if abs(t / grid.h - k) > 1e-6:  # a node is k steps in, to rounding
+            raise ConfigError(f"observation year {year} lies {abs(t - k * grid.h):.3g} y off the "
+                              f"nearest Euler node; fit.dt = {dt} must divide a year")
+    return grid, nodes
 
 
 def predict_incidence(
@@ -206,8 +212,10 @@ def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed
         return r
 
     r0 = residuals(x0)
-    if not math.isfinite(best[0]):
+    if not np.isfinite(r0).all():
         raise NumericError("the fit's residuals are not finite at the start point")
+    if not math.isfinite(best[0]):
+        raise NumericError("the fit's sum of squared residuals overflows at the start point")
     ftol = cfg.tol / best[0] if best[0] else 1.0  # a start with no residual stops at once
     try:
         with np.errstate(all="ignore"):  # a non-finite Jacobian fails below, not with a warning

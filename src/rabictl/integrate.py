@@ -5,16 +5,18 @@
 steps a trajectory's StateVec of floats, kept at every node, or a PRCC batch's ``Stacked``
 (12, N) array, kept at the study's sample nodes, under one clamp rule (``_clamp_state``). The
 adjoint is affine in lam, so the backward pass, from tf down to t0 with a step of -h, is a
-linear recurrence of RK4 propagators, built in numpy blocks and applied by one matrix-vector
-product per step. Both passes share one grid and interpolate by node averages only. A control
-path holds one (n_nodes, 4) array.
+linear recurrence of RK4 propagators applied by one matrix-vector product per step. Once per
+solve, the adjoint system is evaluated on every node and step midpoint as a constant (13, 13)
+part and the few flows that vary (14 for the model, writing 28 entries); per block of BLOCK
+steps, those entries are written into one reused generator buffer and the block's
+propagators built from it. Both passes share one grid and interpolate by node averages only.
+A control path holds one (n_nodes, 4) array.
 
 Every artifact of the package is written here: CSV by ``write_csv``, JSON by ``write_json``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -55,7 +57,11 @@ CLAMP_TOL = 1e-6
 MAX_STEPS = 1_000_000
 
 # Steps whose adjoint propagators are built in one numpy pass: enough to spread
-# numpy's per-call cost, few enough that the (BLOCK, 13, 13) buffers stay small.
+# numpy's per-call cost, few enough that the (2*BLOCK+1, 13, 13) generator buffer and
+# the (BLOCK, 13, 13) stages stay small. The system's flows, evaluated once per solve
+# at two points a step, cost two doubles a step per varying flow (224 bytes a step for
+# the model's 14), plus 256 bytes a step for the 16 state and control inputs at those
+# points while the system is evaluated.
 BLOCK = 48
 
 
@@ -261,56 +267,67 @@ def _linear(t: float, z: Sequence[np.ndarray], a: np.ndarray, _: None) -> Stacke
     return Stacked(a @ z[0])
 
 
-def _propagators(system: Callable, y: np.ndarray, u: np.ndarray, h: float, t: float) -> np.ndarray:
-    """The (13, 13) RK4 propagator of each step between the rows of ``y`` and ``u``.
-
-    ``rk4_step`` applied to the identity of z' = [[G, g], [0, 0]] z, z = (lam, 1),
-    with G and g from ``system`` at the nodes and at the step midpoints. ``t``
-    dates the block in an error.
-    """
-    steps = len(y) - 1
-    try:
-        # an overflow may vanish into a finite number, as C / (M + C)**2 does into 0
-        with np.errstate(over="raise", invalid="raise"):
-            G, g = system(StateVec._make(np.vstack([y, _midpoints(y)]).T),
-                          ControlConst._make(np.vstack([u, _midpoints(u)]).T))
-            a = np.zeros((len(G), 13, 13))
-            a[:, :12, :12], a[:, :12, 12] = G, g
-            phi = rk4_step(_linear, Stacked(np.broadcast_to(np.eye(13), (steps, 13, 13))),
-                           0.0, h, a[1:steps + 1], a[steps + 1:], a[:steps], None).values
-    except FloatingPointError as exc:
-        raise _not_finite("adjoint", t) from exc
-    _require_finite(phi, "adjoint", t)  # a threaded BLAS raises its flags on its own threads
-    return phi
-
-
 def rk4_backward(
     system: Callable, state_traj: Trajectory, u_path: ControlPath, terminal: Sequence[float]
 ) -> np.ndarray:
     """Integrate an affine adjoint system lam' = G lam + g from tf down to t0 with classical RK4.
 
-    ``system(y, u)`` maps a StateVec and a ControlConst of (n,) arrays to G (n, 12, 12)
-    and g, (12,) or (n, 12); half-step inputs average the adjacent nodes. Each step is
-    the affine map lam_{i-1} = P_i lam_i + q_i, its propagator built BLOCK steps at a
-    time. Returns the (n_nodes, 12) adjoint, its last row equal to ``terminal``.
+    ``system(y, u)`` maps a StateVec and a ControlConst of (m,) arrays to ``(a, flows)``:
+    at point p the generator [[G, g], [0, 0]] of z = (lam, 1) is the (13, 13) array ``a``
+    with d[p] added at [i, j] and taken from [i, k] for each (i, j, k, d) of ``flows``, that is
+    lam_i' += d (lam_j - lam_k), with i, j, k < 12 and each d an (m,) array. ``system`` is
+    called once, on every node and step midpoint (the average of the step's two nodes). Each
+    step is the affine map lam_{i-1} = P_i lam_i + q_i; ``rk4_step`` on the identity builds
+    BLOCK steps' propagators [[P, q], [0, 1]] at a time, in one reused buffer of generators.
+    Returns the (n_nodes, 12) adjoint, its last row equal to ``terminal``.
 
     Raises:
-        IntegrationBlowupError: if building a propagator overflows, or a propagator
-            or the adjoint at t0 is not finite.
+        IntegrationBlowupError: if evaluating the system or building a propagator overflows
+            (dated tf, or the block's first node), or a propagator or the adjoint at t0 is not
+            finite.
     """
     grid = state_traj.grid
     _require_same_grid(u_path.grid, grid, "control path")
     n, minus_h, times = grid.n_steps, -grid.h, grid.times()
-    ys, us = state_traj.values, u_path.values
+
+    def interleaved(values: np.ndarray) -> np.ndarray:
+        """Row 2k is node k and row 2k+1 the midpoint of step k: a block's rows are contiguous."""
+        out = np.empty((2 * n + 1, values.shape[1]))
+        out[::2], out[1::2] = values, _midpoints(values)
+        return out.T
+
+    # an overflow may vanish into a finite number, as C / (M + C)**2 does into 0
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            a, flows = system(StateVec._make(interleaved(state_traj.values)),
+                              ControlConst._make(interleaved(u_path.values)))
+        except FloatingPointError as exc:
+            raise _not_finite("adjoint", grid.tf) from exc
+    generators = np.empty((2 * BLOCK + 1, 13, 13))
+    generators[...] = a  # flows overwrite only their own cells, block after block
+    identity = np.tile(np.eye(13), (BLOCK, 1, 1))
     lam = np.empty((grid.n_nodes, 12))
     lam[n] = row = np.array(terminal, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf in lam persists to t0
         for end in range(n, 0, -BLOCK):
             start = max(end - BLOCK, 0)
-            phi = _propagators(system, ys[start:end + 1], us[start:end + 1], minus_h, times[start])
-            steps = zip(range(end - 1, start - 1, -1), phi[::-1, :12, :12], phi[::-1, :12, 12])
-            for k, P, q in steps:  # one (12, 12) block P and (12,) block q per step, last first
-                lam[k] = row = P @ row + q
+            steps = end - start
+            block = generators[:2 * steps + 1]
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    for i, j, k, d in flows:
+                        rows = d[2 * start:2 * end + 1]
+                        np.add(a[i, j], rows, out=block[:, i, j])
+                        np.subtract(a[i, k], rows, out=block[:, i, k])
+                    phi = rk4_step(_linear, Stacked(identity[:steps]), 0.0, minus_h,
+                                   block[2::2], block[1::2], block[:-1:2], None).values
+            except FloatingPointError as exc:
+                raise _not_finite("adjoint", times[start]) from exc
+            _require_finite(phi, "adjoint", times[start])  # a threaded BLAS raises on its threads
+            for out, P, q in zip(lam[start:end][::-1], phi[::-1, :12, :12], phi[::-1, :12, 12]):
+                np.matmul(P, row, out=out)  # one (12, 12) block P and (12,) block q per step
+                out += q
+                row = out
     _require_finite(lam[0], "adjoint", grid.t0)
     return lam
 
@@ -322,11 +339,21 @@ def euler_forward(p: ParamSet, y0: StateVec, grid: TimeGrid) -> Trajectory:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A CSV artifact: the header row, then one line per row."""
+    """A CSV artifact: the header line, then one line per row, each ended by "\r\n".
+
+    Every cell is an int, a number's repr or a validated name, so none needs quoting: each
+    line is one join of its cells, and the file holds the bytes ``csv.writer`` gives. The
+    lines are written with one call, not joined into one text, which with its encoded bytes
+    would hold the file twice. A row whose cell count differs from the header's, or a text
+    cell holding ',', '"' or a line break, raises ValueError instead.
+    """
+    lines = [",".join(map(str, row)) + "\r\n" for row in chain([header], rows)]
+    n, commas = len(lines), (len(header) - 1) * len(lines)
+    if [sum(map(str.count, lines, repeat(c))) for c in ',"\r\n'] != [commas, 0, n, n]:
+        raise ValueError(f"each row of {path} needs {len(header)} cells, "
+                         "none holding ',', '\"' or a line break")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(lines)
 
 
 def write_json(path: str | Path, payload: Any) -> None:

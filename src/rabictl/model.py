@@ -9,7 +9,9 @@ education, u4 post-exposure treatment of exposed humans and domestic dogs.
 
 ``rhs``, ``force_terms`` and ``jacobian`` read every parameter with one unpack
 of the tuple ``p.rates`` (``params.rates_of``): the outflow rates, the
-deterrence divisors and the raw fields.
+deterrence divisors and the raw fields. The derivative entries that vary with
+the state and the controls are written once, as flows in ``_varying_flows``,
+which ``jacobian`` and the sweep's adjoint both read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -205,34 +207,51 @@ def _transitions(rates: tuple) -> np.ndarray:
     return T
 
 
-def jacobian(y: StateVec, u: ControlConst, p: ParamSet) -> tuple[np.ndarray, np.ndarray]:
-    """The derivative of ``rhs``: d rhs_i / d y_j = T[i, j] + I[i, j].
+def _varying_flows(y: StateVec, u: ControlConst, rates: tuple) -> list[tuple[int, int, int, Any]]:
+    """The entries of d rhs/dy that vary with ``y`` and ``u``, as 14 flows (src, dst, j, d):
+    each takes d from d rhs_src/dy_j and adds it to d rhs_dst/dy_j, on top of
+    ``_transitions(rates)``. Together they write 28 entries, each (i, j) once.
 
-    T holds the linear flows, which do not depend on the state: ``rhs`` itself at unit
-    states (``_transitions``, cached per ``p.rates``), plus the treatment u4 that moves E_H
-    and E_D to R_H and R_D. I, written by hand, holds the derivatives of the three incidence
-    products a*f*S (the clamped control factors are constants). Fields of ``y`` and ``u``
-    are floats or (n,) arrays; T and I are new arrays of shape (12, 12) or (n, 12, 12).
+    The first two are the treatment u4 that moves E_H and E_D to R_H and R_D; the other 12 are
+    the derivatives of the three incidence products a*f*S (the clamped control factors are
+    constants). Each d is a float or an (n,) array.
     """
     (_, _, _, _, _, _, _, _, d1, d2, d3, _, _, _, tau1, tau2, tau3, kappa1, kappa2, kappa3,
-     psi1, psi2, psi3, *_, C) = rates = p.rates
+     psi1, psi2, psi3, *_, C) = rates
     f1, f2, f3, a1, a2, _ = _forces(y.I_F, y.I_D, y.M, u, rates)
-    lead = np.broadcast(*y, *u).shape
-    T = np.empty(lead + (12, 12))
-    T[...] = _transitions(rates)  # a new array each call: adjoint_system adds I into it
-    for i, j, sign in ((1, 1, -1.0), (3, 1, 1.0), (8, 8, -1.0), (10, 8, 1.0)):
-        T[..., i, j] += sign * u[3]
+    flows = [(1, 3, 1, u[3]), (8, 10, 8, u[3])]
     # Incidence a*f*S moves a host from S (row s) to E (row s + 1); f reads
     # I_F (column 6), I_D (column 9) and M (column 11), the last through M/(M+C).
     M_C = y.M + C
     dlamM = C / (M_C * M_C)
-    I = np.zeros(lead + (12, 12))
     for s, a, f, S, (dI_F, dI_D, dlam) in (
         (0, a1, f1, y.S_H, (tau1, tau2, tau3)),
         (4, 1.0, f2, y.S_F, (kappa1, kappa2, kappa3)),
         (7, a2, f3, y.S_D, (psi1 / d1, psi2 / d2, psi3 / d3)),
     ):
         for j, d in ((s, a * f), (6, a * dI_F * S), (9, a * dI_D * S), (11, a * dlam * dlamM * S)):
-            I[..., s, j] = -d
-            I[..., s + 1, j] = d
+            flows.append((s, s + 1, j, d))
+    return flows
+
+
+def jacobian(y: StateVec, u: ControlConst, p: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative of ``rhs``: d rhs / d y = T + I.
+
+    T holds the linear flows, which do not depend on the state: ``rhs`` itself at unit
+    states (``_transitions``, cached per ``p.rates``), plus the treatment u4. I holds the
+    derivatives of the three incidence products. Both read ``_varying_flows``. Fields of
+    ``y`` and ``u`` are floats or (n,) arrays; T and I are new arrays of shape (12, 12) or
+    (n, 12, 12).
+    """
+    flows = _varying_flows(y, u, p.rates)
+    lead = np.broadcast(*y, *u).shape
+    T = np.empty(lead + (12, 12))
+    T[...] = _transitions(p.rates)  # a new array each call: adjoint_system adds I into it
+    for src, dst, j, d in flows[:2]:
+        T[..., src, j] -= d
+        T[..., dst, j] += d
+    I = np.zeros(lead + (12, 12))
+    for src, dst, j, d in flows[2:]:
+        I[..., src, j] = -d
+        I[..., dst, j] = d
     return T, I

@@ -25,7 +25,9 @@ from .errors import ConfigError, SweepDivergenceError, shorten
 from .integrate import (
     ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward, write_json, write_node_csv,
 )
-from .model import ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs
+from .model import (
+    ZERO_CONTROL, ControlConst, StateVec, _transitions, _varying_flows, force_terms, jacobian, rhs,
+)
 from .params import ParamSet
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "objective",
     "hamiltonian",
     "adjoint_system",
+    "adjoint_parts",
     "adjoint_rhs",
     "characterize_controls",
     "forward_backward_sweep",
@@ -161,6 +164,11 @@ def hamiltonian(y: StateVec, lam: AdjointVec, u: ControlConst, w: Weights, p: Pa
     return running_cost(y, u, w) + sum(l * d for l, d in zip(lam, dy))
 
 
+def _cost_gradient(w: Weights) -> np.ndarray:
+    """g = -dL/dy, the same at every point."""
+    return np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
+
+
 def adjoint_system(
     y: StateVec, u: ControlConst, w: Weights, p: ParamSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +181,24 @@ def adjoint_system(
     T, I = jacobian(y, u, p)
     T += I  # in place: two more (n, 12, 12) temporaries tripled the time of this call
     G = np.subtract(0.0, T, out=T).swapaxes(-1, -2)  # 0.0 - keeps an empty cell +0.0
-    g = np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
-    return G, g
+    return G, _cost_gradient(w)
+
+
+def adjoint_parts(
+    y: StateVec, u: ControlConst, w: Weights, p: ParamSet
+) -> tuple[np.ndarray, list[tuple[int, int, int, np.ndarray]]]:
+    """``adjoint_system`` as ``rk4_backward`` reads it: a constant part and the flows that vary.
+
+    The constant part is the (13, 13) generator [[G, g], [0, 0]] without the varying entries:
+    G = 0.0 - T^T from the cached ``model._transitions``. Each of the model's 14 varying flows
+    (src, dst, j, d) adds d (lam_src - lam_dst) to lam_j', as (j, src, dst, d). That is
+    ``adjoint_system``'s G to the bit: 0.0 - (t + e) and (0.0 - t) - e round alike, signed
+    zeros included, and so do t - d and t + (-d).
+    """
+    a = np.zeros((13, 13))
+    np.subtract(0.0, _transitions(p.rates).T, out=a[:12, :12])
+    a[:12, 12] = _cost_gradient(w)
+    return a, [(j, src, dst, d) for src, dst, j, d in _varying_flows(y, u, p.rates)]
 
 
 def adjoint_rhs(
@@ -243,7 +267,7 @@ def forward_backward_sweep(
     def solve(u_path: ControlPath) -> tuple[Trajectory, np.ndarray]:
         states = rk4_forward(p, u_path, y0, grid)
         return states, rk4_backward(
-            lambda y, u: adjoint_system(y, u, w, p), states, u_path, ZERO_ADJOINT
+            lambda y, u: adjoint_parts(y, u, w, p), states, u_path, ZERO_ADJOINT
         )
 
     u_path = ControlPath.constant(grid, mask=mask)

@@ -1,6 +1,7 @@
 """Incidence prediction, mean squared error and bounded least squares."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -105,6 +106,27 @@ def test_prediction_rejects_coarse_step(p_est):
         predict_incidence(p_est, y0, (1990, 1991), dt=0.1)
 
 
+@pytest.mark.parametrize("dt", [0.005, 0.008, 0.01, 0.0125, 0.02, 0.025, 0.04, 0.05])
+def test_observation_years_on_nodes_of_a_step_that_divides_a_year(dt):
+    years = tuple(range(1990, 2019))
+    grid, nodes = calibrate._observation_nodes(years, dt)
+    assert [grid.times()[k] for k in nodes] == pytest.approx([y - 1990.0 for y in years], abs=1e-9)
+
+
+@pytest.mark.parametrize("dt, message", [
+    (0.035, "observation year 1991 lies 0.015 y off the nearest Euler node; fit.dt = 0.035"),
+    (0.007, "observation year 1991 lies 0.001 y off the nearest Euler node; fit.dt = 0.007"),
+    # round(28/0.03) = 933 steps end at 27.99: the span check comes first and names the year
+    (0.03, "time 28.0 outside grid span [0.0, 27.99]"),
+])
+def test_observation_year_off_the_euler_nodes_is_config_error(p_est, dt, message):
+    years = tuple(range(1990, 2019))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        calibrate._observation_nodes(years, dt)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        predict_incidence(p_est, seeded_state(p_est, 20.0, 50.0), years, dt=dt)
+
+
 def test_prediction_converges_to_rk4(p_est):
     """Euler with shrinking dt approaches the RK4 trajectory."""
     y0 = seeded_state(p_est, 20.0, 50.0)
@@ -204,6 +226,17 @@ def test_lsq_nonfinite_start_raises():
         with pytest.raises(NumericError, match="not finite at the start"):
             least_squares_fit(predict, [0.0, 0.0], cfg)
         assert len(calls) == 1  # the start, nothing more
+
+
+def test_lsq_overflowing_sum_of_squares_at_start_names_it():
+    """Finite residuals whose sum of squares overflows are not called non-finite residuals."""
+    cfg = lsq_config(["theta1"], {"theta1": (-1.0, 1.0)}, {"theta1": 0.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="sum of squared residuals overflows at the start"):
+            least_squares_fit(lambda v: [1e200, 1e200], [0.0, 0.0], cfg)
+        with pytest.raises(NumericError, match="residuals are not finite at the start"):
+            least_squares_fit(lambda v: [math.inf, 1e200], [0.0, 0.0], cfg)
 
 
 def test_lsq_nonfinite_jacobian_raises_without_warning():

@@ -836,6 +836,14 @@ def test_fit_start_point_config_error_is_not_numeric(tmp_path, capsys, argv, mes
     assert message in capsys.readouterr().err
 
 
+def test_fit_step_that_misses_the_observation_years_is_config_error(tmp_path, capsys):
+    # 28 years in 800 steps of 0.035 end on 2018, but 1991 would be read at 1.015
+    code, out = run(tmp_path, "a", "--set", "fit.dt=0.035", "fit")
+    assert code == 2
+    assert out is None
+    assert "1991 lies 0.015 y off the nearest Euler node; fit.dt = 0.035" in capsys.readouterr().err
+
+
 def test_fit_header_only_data_file_is_config_error(tmp_path, capsys):
     data = tmp_path / "header_only.csv"
     data.write_text("year,cases\n")
@@ -864,6 +872,13 @@ def test_fit_with_overflowing_residuals_is_numeric_error_without_warnings(tmp_pa
     assert code == 3
     assert out is None
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_fit_overflowing_sum_of_squares_names_it(tmp_path, capsys):
+    code, _ = run(tmp_path, "a", "--set", "parameters.theta1=1e305", "fit")
+    assert code == 3
+    assert "numeric failure: the fit's sum of squared residuals overflows at the start point" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from rabictl.integrate import (
     write_trajectory_csv,
 )
 from rabictl.model import ControlConst, StateVec, rhs, seeded_state
-from rabictl.optctl import AdjointVec, Weights, adjoint_rhs, adjoint_system
+from rabictl.optctl import AdjointVec, Weights, adjoint_parts, adjoint_rhs
 from rabictl.sensitivity import _simulate_rows
 
 ZEROS12 = (0.0,) * 12
@@ -193,8 +194,10 @@ def test_nonfinite_state_aborts(p_base):
 
 
 def constant_system(G, g=ZEROS12):
-    """lam' = G lam + g with the same G and g at every input point."""
-    return lambda y, u: (np.broadcast_to(G, (len(y.S_H), 12, 12)), np.asarray(g))
+    """lam' = G lam + g with the same G and g at every input point: no entry varies."""
+    a = np.zeros((13, 13))
+    a[:12, :12], a[:12, 12] = G, g
+    return lambda y, u: (a, [])
 
 
 ZERO_SYSTEM = constant_system(np.zeros((12, 12)))
@@ -257,11 +260,27 @@ def test_backward_step_halving_convergence(p_est, default_state):
         g = TimeGrid(0.0, 20.0, n)
         path = ControlPath.constant(g, u_const)
         traj = rk4_forward(p_est, path, default_state, g)
-        return rk4_backward(lambda y, u: adjoint_system(y, u, w, p_est), traj, path, ZERO_LAM)[0]
+        return rk4_backward(lambda y, u: adjoint_parts(y, u, w, p_est), traj, path, ZERO_LAM)[0]
 
     a, b = lam0(2000), lam0(4000)
     rel = max(abs(x - y) / max(1.0, abs(x)) for x, y in zip(a, b))
     assert rel < 1e-5
+
+
+def test_backward_memory_stays_below_a_dense_generator_per_solve(p_est, default_state):
+    """One solve keeps its varying entries per point, not a (2n+1, 13, 13) generator stack."""
+    g = TimeGrid(0.0, 20.0, 2000)
+    path = ControlPath.constant(g, ControlConst(0.2, 0.2, 0.2, 0.2))
+    traj = rk4_forward(p_est, path, default_state, g)
+    traj.values  # built and cached before the measure: the forward pass's, not the adjoint's
+    system = lambda y, u: adjoint_parts(y, u, Weights(), p_est)
+    tracemalloc.start()
+    try:
+        rk4_backward(system, traj, path, ZERO_LAM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * g.n_steps + 1) * 169 * 8
 
 
 def _reference_rk4_backward(adjoint_rhs, state_traj, u_path, terminal):
@@ -307,7 +326,7 @@ def test_backward_matches_reference_stage_loop(p_est, default_state):
     w = Weights()
     fn = lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p_est)
     terminal = AdjointVec(*rng.uniform(-5.0, 5.0, 12).tolist())
-    got = rk4_backward(lambda y, u: adjoint_system(y, u, w, p_est), traj, path, terminal)
+    got = rk4_backward(lambda y, u: adjoint_parts(y, u, w, p_est), traj, path, terminal)
     want = np.array(_reference_rk4_backward(fn, traj, path, terminal))
     assert (np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0)).all()
     assert np.abs(got[0]).max() > 1.0  # the adjoint is far from trivial
@@ -349,6 +368,33 @@ def test_euler_matches_rk4_for_small_steps(p_est, default_state):
         abs(a - b) / max(1.0, abs(a)) for a, b in zip(rk.states[-1], eu.states[-1])
     )
     assert rel < 1e-3
+
+
+cells = st.one_of(
+    st.integers(), st.floats().map(repr),
+    st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+            min_size=1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(header=st.lists(cells, min_size=1, max_size=5).map(tuple), data=st.data())
+def test_write_csv_equals_csv_writer_bytes(tmp_path_factory, header, data):
+    rows = data.draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)),
+                              max_size=6))
+    path = tmp_path_factory.mktemp("csv")
+    integrate.write_csv(path / "got.csv", header, rows)
+    with open(path / "want.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row", [["1", "a,b"], ["1", 'a"b'], ["1", "a\nb"], ["1", "a\rb"],
+                                 ["1"], ["1", "2", "3"]])
+def test_write_csv_rejects_a_cell_that_needs_quoting(tmp_path, row):
+    with pytest.raises(ValueError, match="needs 2 cells, none holding"):
+        integrate.write_csv(tmp_path / "t.csv", ("a", "b"), [row])
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_trajectory_csv_round_trip(tmp_path, p_est, default_state):

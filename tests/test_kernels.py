@@ -22,14 +22,16 @@ from hypothesis import strategies as st
 
 from rabictl.errors import IntegrationBlowupError
 from rabictl.integrate import (
-    ControlPath, Stacked, TimeGrid, _clamp_state, _require_finite, euler_forward, rk4_backward,
-    rk4_forward, rk4_step,
+    BLOCK, ControlPath, Stacked, TimeGrid, _clamp_state, _require_finite, euler_forward,
+    rk4_backward, rk4_forward, rk4_step,
 )
 from rabictl.model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, rhs,
     seeded_state,
 )
-from rabictl.optctl import AdjointVec, Weights, adjoint_rhs, adjoint_system
+from rabictl.optctl import (
+    STRATEGY_MASKS, AdjointVec, Weights, adjoint_parts, adjoint_rhs, adjoint_system,
+)
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, rates_of
 from rabictl.sensitivity import _stacked_rhs
 
@@ -326,6 +328,26 @@ def test_adjoint_system_on_arrays_equals_per_point_calls(rows, w, p):
         assert hexes(G_i) == hexes(G_point) and hexes(g) == hexes(g_point)
 
 
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(states, controls), min_size=1, max_size=8), w=weights, p=params)
+@example(rows=[(seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), OVER_ONE)], w=Weights(),
+         p=TABLE2_ESTIMATED)
+def test_adjoint_parts_assemble_to_adjoint_system_bits(rows, w, p):
+    """The constant part with each varying flow written in is ``adjoint_system``'s [[G, g],
+    [0, 0]], signed zeros included."""
+    y = StateVec(*np.array([s for s, _ in rows]).T)
+    u = ControlConst(*np.array([c for _, c in rows]).T)
+    a, flows = adjoint_parts(y, u, w, p)
+    dense = np.repeat(a[np.newaxis], len(rows), axis=0)
+    for i, j, k, d in flows:
+        dense[:, i, j] = a[i, j] + d
+        dense[:, i, k] = a[i, k] - d
+    G, g = adjoint_system(y, u, w, p)
+    assert hexes([dense[:, :12, :12].ravel()]) == hexes([G.ravel()])
+    assert hexes([dense[:, :12, 12].ravel()]) == hexes([np.tile(g, len(rows))])
+    assert hexes([dense[:, 12].ravel()]) == hexes([np.zeros(13 * len(rows))])
+
+
 # --- marches ----------------------------------------------------------------------------
 
 
@@ -368,12 +390,69 @@ def test_rk4_backward_within_rounding_of_reference_march(p, w, lam, seed):
     want = np.array(reference_rk4_backward(
         lambda t, lam, yu: reference_adjoint_rhs(yu[0], lam, yu[1], w, p), traj, path, lam))
     try:
-        got = rk4_backward(lambda y, u: adjoint_system(y, u, w, p), traj, path, lam)
+        got = rk4_backward(lambda y, u: adjoint_parts(y, u, w, p), traj, path, lam)
     except IntegrationBlowupError:
         assert not np.isfinite(want[0]).all()
         return
     assert got.shape == (grid.n_nodes, 12)
     assert (np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0) + np.finfo(float).tiny).all()
+
+
+def reference_block_backward(system, state_traj, u_path, terminal):
+    """``rk4_backward`` as it was built per block: ``system``'s dense (G, g) at the block's
+    nodes and then its step midpoints, copied into a zeroed (13, 13) generator stack, stepped
+    by ``rk4_step`` from the broadcast identity, then lam = P @ lam + q step by step."""
+    grid = state_traj.grid
+    n, minus_h = grid.n_steps, -grid.h
+    ys, us = state_traj.values, u_path.values
+    lam = np.empty((grid.n_nodes, 12))
+    lam[n] = row = np.array(terminal, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for end in range(n, 0, -BLOCK):
+            start = max(end - BLOCK, 0)
+            steps = end - start
+            y, u = ys[start:end + 1], us[start:end + 1]
+            G, g = system(StateVec._make(np.vstack([y, 0.5 * (y[1:] + y[:-1])]).T),
+                          ControlConst._make(np.vstack([u, 0.5 * (u[1:] + u[:-1])]).T))
+            a = np.zeros((len(G), 13, 13))
+            a[:, :12, :12], a[:, :12, 12] = G, g
+            phi = rk4_step(lambda t, z, a_, _: Stacked(a_ @ z[0]),
+                           Stacked(np.broadcast_to(np.eye(13), (steps, 13, 13))), 0.0, minus_h,
+                           a[1:steps + 1], a[steps + 1:], a[:steps], None).values
+            for k in range(end - 1, start - 1, -1):
+                lam[k] = row = phi[k - start, :12, :12] @ row + phi[k - start, :12, 12]
+    return lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=params, w=weights, lam=adjoints, mask=st.sampled_from(sorted(STRATEGY_MASKS)),
+       n=st.one_of(st.integers(min_value=1, max_value=BLOCK - 1),
+                   st.integers(min_value=BLOCK + 1, max_value=4 * BLOCK).filter(
+                       lambda n: n % BLOCK)),
+       h=st.floats(min_value=0.005, max_value=0.05),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(p=TABLE2_ESTIMATED, w=Weights(), lam=AdjointVec(*[1.0] * 12), mask="A", n=BLOCK - 1,
+         h=0.02, seed=1)
+@example(p=TABLE2_ESTIMATED, w=Weights(), lam=AdjointVec(*[1.0] * 12), mask="D", n=2 * BLOCK + 1,
+         h=0.02, seed=2)
+def test_rk4_backward_equals_per_block_dense_assembly_bits(p, w, lam, mask, n, h, seed):
+    """Evaluated once per solve as a constant part and varying entries, the adjoint system
+    gives the per-block dense assembly's lam to the bit, for a short last block, treatment
+    u4 on, and every strategy's mask."""
+    grid = TimeGrid(0.0, n * h, n)
+    path = ControlPath(grid, np.random.default_rng(seed).uniform(0.0, 1.0, (n + 1, 4)),
+                       STRATEGY_MASKS[mask])
+    try:
+        traj = rk4_forward(p, path, seeded_state(p, *DEFAULT_SEEDING), grid)
+    except IntegrationBlowupError:
+        return
+    want = reference_block_backward(lambda y, u: adjoint_system(y, u, w, p), traj, path, lam)
+    try:
+        got = rk4_backward(lambda y, u: adjoint_parts(y, u, w, p), traj, path, lam)
+    except IntegrationBlowupError:
+        assert not np.isfinite(want).all()
+        return
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("march", ["rk4", "euler"])
