@@ -10,7 +10,6 @@ bounds; ``fit.tol`` bounds the fall of the mean squared error per accepted step.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -21,7 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, NumericError, shorten
-from .integrate import TimeGrid, euler_forward, write_csv, write_json
+from .integrate import TimeGrid, euler_forward
 from .model import StateVec
 from .params import PARAM_NAMES, ParamSet
 
@@ -255,15 +254,3 @@ def tanzania_series() -> IncidenceSeries:
     with resources.as_file(ref) as path:
         return IncidenceSeries.from_csv(path)
 
-
-def write_fit_json(result: FitResult, path: str | Path, config_echo: dict) -> None:
-    """Every field of ``result`` but ``predicted`` (see ``write_fit_csv``), and the config."""
-    payload = {**dataclasses.asdict(result), "config": config_echo}
-    del payload["predicted"]
-    write_json(path, payload)
-
-
-def write_fit_csv(data: IncidenceSeries, result: FitResult, path: str | Path) -> None:
-    write_csv(path, ("year", "observed", "predicted"), (
-        [year, repr(float(obs)), repr(float(pred))]
-        for year, obs, pred in zip(data.years, data.cases, result.predicted)))

@@ -12,10 +12,13 @@ an error names the dotted key (``grid.n_steps must be an integer, got 2.5``).
 The handlers read the checked values in plain form; the artifacts echo the
 configuration as given.
 
-``main`` runs every subcommand the same way: it resolves the configuration,
-calls the handler, which solves and only then creates the run directory and
-writes its artifacts, then writes ``config.json`` and prints the handler's
-summary. A failed run leaves no run directory and nothing on stdout.
+``main`` runs every subcommand the same way: it resolves the configuration
+and names the run directory, ``<root>/<command>-<start stamp>``; the handler
+solves and returns its summary line and its artifacts, an ordered map from
+file name to a JSON payload or a CSV ``(header, rows)`` table, and touches no
+file. Only then does ``main`` create the run directory, write each artifact
+and ``config.json`` there through ``integrate.write_csv``/``write_json``, and
+print the summary. A failed run leaves no run directory and nothing on stdout.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 IO error.
 
@@ -38,7 +41,7 @@ from typing import Any, NamedTuple
 
 from . import optctl, repro
 from .errors import ConfigError, NumericError, shorten
-from .integrate import ControlPath, TimeGrid, rk4_forward, write_json, write_trajectory_csv
+from .integrate import ControlPath, TimeGrid, node_rows, rk4_forward, write_csv, write_json
 from .model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from .params import PARAM_NAMES, PRESETS, ParamSet
 
@@ -253,34 +256,26 @@ def _build_state(config: dict, p: ParamSet) -> StateVec:
     return seeded_state(p, *DEFAULT_SEEDING)._replace(**config["initial_state"] or {}).validate()
 
 
-def _make_outdir(config: dict, cli_outdir: str | None, command: str) -> Path:
-    root = cli_outdir or config["output_dir"] or os.environ.get(OUTDIR_ENV) or "runs"
-    stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
-    out = Path(root) / f"{command}-{stamp}"
-    out.mkdir(parents=True, exist_ok=False)
-    return out
-
-
-def _write_sidecar(outdir: Path, config: dict) -> None:
-    write_json(outdir / "config.json", config)
-
-
 # --- subcommands ----------------------------------------------------------------
-# Each handler reads the checked config and echoes ``given``, the config as resolved.
+# Each handler reads the checked config, echoes ``given``, the config as resolved, and
+# names ``run``, the run directory not yet made, in its summary; it writes no file.
+
+Artifacts = dict[str, Any]  # file name -> JSON payload dict, or CSV (header, lazy rows)
 
 
-def cmd_simulate(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
+def cmd_simulate(args: argparse.Namespace, config: dict, given: dict,
+                 run: Path) -> tuple[str, Artifacts]:
     p = _build_params(config)
     y0 = _build_state(config, p)
     grid = TimeGrid(**config["grid"])
     u = ControlConst(**config["controls"]).validate()
     traj = rk4_forward(p, ControlPath.constant(grid, u), y0, grid)
-    outdir = _make_outdir(config, args.outdir, "simulate")
-    write_trajectory_csv(traj, outdir / "trajectory.csv")
-    return outdir, f"wrote {outdir / 'trajectory.csv'} ({grid.n_nodes} nodes, {traj.clamped} clamped)"
+    return (f"wrote {run / 'trajectory.csv'} ({grid.n_nodes} nodes, {traj.clamped} clamped)",
+            {"trajectory.csv": (("t",) + StateVec._fields, node_rows(grid, traj.states))})
 
 
-def cmd_reff(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
+def cmd_reff(args: argparse.Namespace, config: dict, given: dict,
+             run: Path) -> tuple[str, Artifacts]:
     p = _build_params(config)
     u = ControlConst(**config["controls"]).validate()
     axes = config["reff"]["axis1"], config["reff"]["axis2"]
@@ -289,14 +284,23 @@ def cmd_reff(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path,
         raise ConfigError(f"a reff grid needs both axes, but {missing} is not set")
     if all(axes):  # two (name, lo, hi, n) axes: a grid; neither: a point
         grid = repro.re_grid(p, *(tuple(axis.values()) for axis in axes), u)
-        outdir = _make_outdir(config, args.outdir, "reff")
-        repro.write_re_grid_csv(grid, outdir / "reff_grid.csv", outdir / "reff_grid.meta.json")
-        return outdir, (f"wrote {outdir / 'reff_grid.csv'} "
-                        f"({len(grid.axis1_values)}x{len(grid.axis2_values)} points)")
+        # long format, one (axis1, axis2, Re) row per point, and its axes and base point
+        return (f"wrote {run / 'reff_grid.csv'} "
+                f"({len(grid.axis1_values)}x{len(grid.axis2_values)} points)"), {
+            "reff_grid.csv": (("axis1", "axis2", "Re"), (
+                [repr(v1), repr(v2), repr(float(grid.values[i, j]))]
+                for i, v1 in enumerate(grid.axis1_values)
+                for j, v2 in enumerate(grid.axis2_values))),
+            "reff_grid.meta.json": {
+                "axis1": {"name": grid.axis1_name, "values": list(grid.axis1_values)},
+                "axis2": {"name": grid.axis2_name, "values": list(grid.axis2_values)},
+                "base_controls": grid.base_u._asdict(),
+                "base_parameters": grid.base_params.as_dict(),
+            },
+        }
     breakdown = dataclasses.asdict(repro.effective_r(p, u))
-    outdir = _make_outdir(config, args.outdir, "reff")
-    write_json(outdir / "reff.json", breakdown)
-    return outdir, "\n".join(f"{name} = {value:.12g}" for name, value in breakdown.items())
+    return ("\n".join(f"{name} = {value:.12g}" for name, value in breakdown.items()),
+            {"reff.json": breakdown})
 
 
 def _mask_from_args(args: argparse.Namespace) -> optctl.Mask:
@@ -311,7 +315,8 @@ def _mask_from_args(args: argparse.Namespace) -> optctl.Mask:
     return optctl.STRATEGY_MASKS[strategy]
 
 
-def cmd_optimize(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
+def cmd_optimize(args: argparse.Namespace, config: dict, given: dict,
+                 run: Path) -> tuple[str, Artifacts]:
     p = _build_params(config)
     y0 = _build_state(config, p)
     grid = TimeGrid(**config["grid"])
@@ -319,19 +324,27 @@ def cmd_optimize(args: argparse.Namespace, config: dict, given: dict) -> tuple[P
     sweep = config["sweep"]
     mask = _mask_from_args(args)
     result = optctl.forward_backward_sweep(p, w, y0, grid, mask, **sweep)
-    outdir = _make_outdir(config, args.outdir, "optimize")
-    write_trajectory_csv(result.states, outdir / "states.csv")
-    optctl.write_adjoints_csv(grid, result.adjoints, outdir / "adjoints.csv")
-    optctl.write_controls_csv(result.controls, outdir / "controls.csv")
-    optctl.write_sweep_summary_json(result, outdir / "summary.json", given)
     if not result.converged:
         print(f"warning: sweep stopped at max_iter={sweep['max_iter']} before the control update "
               f"fell below tol={sweep['tol']:g}", file=sys.stderr)
-    return outdir, (f"J = {result.J_history[-1]:.6g} after {result.iterations} iterations "
-                    f"(converged={result.converged}); wrote {outdir}")
+    return (f"J = {result.J_history[-1]:.6g} after {result.iterations} iterations "
+            f"(converged={result.converged}); wrote {run}"), {
+        "states.csv": (("t",) + StateVec._fields, node_rows(grid, result.states.states)),
+        "adjoints.csv": (("t",) + optctl.AdjointVec._fields, node_rows(grid, result.adjoints)),
+        "controls.csv": (("t",) + ControlConst._fields,
+                         node_rows(grid, result.controls.values.tolist())),
+        "summary.json": {
+            "J_history": list(result.J_history),
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "mask": list(result.controls.mask),
+            "config": given,
+        },
+    }
 
 
-def cmd_prcc(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
+def cmd_prcc(args: argparse.Namespace, config: dict, given: dict,
+             run: Path) -> tuple[str, Artifacts]:
     from . import sensitivity
 
     block = config["sensitivity"]
@@ -354,14 +367,29 @@ def cmd_prcc(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path,
     grid = TimeGrid(**block["grid"])
     results = sensitivity.prcc_study(ranges, block["N"], block["seed"], p, y0, grid,
                                      block["sample_times"], tuple(block["outputs"]))
-    outdir = _make_outdir(config, args.outdir, "prcc")
-    written = sensitivity.write_prcc_study(results, outdir, given)
-    names = ", ".join(p.name for p in written)
-    return outdir, (f"wrote {names} in {outdir} (N={block['N']}, "
-                    f"{results[0].dropped_rows} rows dropped)")
+
+    # long format, a (time, param, prcc) row per coefficient; a function binds each ``res``,
+    # which a generator inside the comprehension below would read only once it ends
+    def rows(res: sensitivity.PrccResult):
+        return ([repr(t), name, repr(float(res.coefficients[ti, pi]))]
+                for ti, t in enumerate(res.times) for pi, name in enumerate(res.param_names))
+
+    artifacts: Artifacts = {f"prcc_{res.output}.csv": (("time", "param", "prcc"), rows(res))
+                            for res in results}
+    names = ", ".join(artifacts)
+    artifacts["prcc.meta.json"] = {
+        "N": results[0].N,
+        "seed": results[0].seed,
+        "dropped_rows": results[0].dropped_rows,
+        "outputs": [res.output for res in results],
+        "config": given,
+    }
+    return (f"wrote {names} in {run} (N={block['N']}, "
+            f"{results[0].dropped_rows} rows dropped)"), artifacts
 
 
-def cmd_fit(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, str]:
+def cmd_fit(args: argparse.Namespace, config: dict, given: dict,
+            run: Path) -> tuple[str, Artifacts]:
     from . import calibrate
 
     p = _build_params(config)
@@ -382,14 +410,19 @@ def cmd_fit(args: argparse.Namespace, config: dict, given: dict) -> tuple[Path, 
     data = (calibrate.tanzania_series() if data_path is None
             else calibrate.IncidenceSeries.from_csv(data_path))
     result = calibrate.fit(data, cfg, p, y0)
-    outdir = _make_outdir(config, args.outdir, "fit")
-    calibrate.write_fit_json(result, outdir / "fit.json", given)
-    calibrate.write_fit_csv(data, result, outdir / "fit.csv")
     if not result.converged:
         print(f"warning: fit stopped after {result.evals} evaluations (max_evals={cfg.max_evals}) "
               f"before a step lowered the mse by less than tol={cfg.tol:g}", file=sys.stderr)
-    return outdir, (f"mse = {result.mse:.6g} after {result.evals} evaluations, at bound: "
-                    f"{', '.join(result.at_bound) or 'none'}; wrote {outdir}")
+    # fit.json: every field of the result but ``predicted``, which fit.csv holds, and the config
+    payload = {**dataclasses.asdict(result), "config": given}
+    del payload["predicted"]
+    return (f"mse = {result.mse:.6g} after {result.evals} evaluations, at bound: "
+            f"{', '.join(result.at_bound) or 'none'}; wrote {run}"), {
+        "fit.json": payload,
+        "fit.csv": (("year", "observed", "predicted"), (
+            [year, repr(float(obs)), repr(float(pred))]
+            for year, obs, pred in zip(data.years, data.cases, result.predicted))),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,8 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", help="forward simulation under constant controls")
     sub.add_parser("reff", help="effective reproduction number (point or grid)")
     opt = sub.add_parser("optimize", help="forward-backward sweep for a strategy")
-    opt.add_argument("--strategy", help="A (all), B (u3,u4), C (u4) or D (u1,u2)")
-    opt.add_argument("--mask", help="custom 4-digit control mask, e.g. 1010")
+    controls = opt.add_mutually_exclusive_group()
+    controls.add_argument("--strategy", help="A (all), B (u3,u4), C (u4) or D (u1,u2)")
+    controls.add_argument("--mask", help="custom 4-digit control mask, e.g. 1010")
     sub.add_parser("prcc", help="LHS + PRCC global sensitivity study")
     fit_p = sub.add_parser("fit", help="calibrate parameters to incidence data")
     fit_p.add_argument("--data", help="CSV file with header year,cases")
@@ -431,8 +465,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config, given = resolve_config(args.config, args.set)
-        outdir, summary = _HANDLERS[args.command](args, config, given)
-        _write_sidecar(outdir, given)
+        root = args.outdir or config["output_dir"] or os.environ.get(OUTDIR_ENV) or "runs"
+        run = Path(root) / f"{args.command}-{datetime.now().strftime('%Y%m%d-%H%M%S-%f')}"
+        summary, artifacts = _HANDLERS[args.command](args, config, given, run)
+        run.mkdir(parents=True)
+        for name, artifact in {**artifacts, "config.json": given}.items():
+            if isinstance(artifact, tuple):
+                write_csv(run / name, *artifact)
+            else:
+                write_json(run / name, artifact)
         print(summary)
         return EXIT_OK
     except ConfigError as exc:

@@ -12,7 +12,9 @@ steps, those entries are written into one reused generator buffer and the block'
 propagators built from it. Both passes share one grid and interpolate by node averages only.
 A control path holds one (n_nodes, 4) array.
 
-Every artifact of the package is written here: CSV by ``write_csv``, JSON by ``write_json``.
+The artifact format is defined here: ``write_csv`` writes a CSV artifact and ``write_json`` a
+JSON one. Their one caller in the package is ``cli.main``, which writes every artifact a
+handler returns; ``node_rows`` builds the rows of a table of one row per grid node, time first.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ __all__ = [
     "euler_forward",
     "write_csv",
     "write_json",
-    "write_node_csv",
-    "write_trajectory_csv",
+    "node_rows",
 ]
 
 # Undershoot handling: RK4 does not preserve positivity exactly. Components in
@@ -361,10 +362,6 @@ def write_json(path: str | Path, payload: Any) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_node_csv(path: str | Path, header: Sequence[str], grid: TimeGrid, rows: Iterable) -> None:
-    """One CSV row per grid node, its time first, in full double precision."""
-    write_csv(path, header, ([repr(t), *map(repr, row)] for t, row in zip(grid.times(), rows)))
-
-
-def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    write_node_csv(path, ("t",) + StateVec._fields, traj.grid, traj.states)
+def node_rows(grid: TimeGrid, rows: Iterable[Sequence[float]]) -> Iterable[list[str]]:
+    """One CSV row per grid node, its time first, in full double precision, built lazily."""
+    return ([repr(t), *map(repr, row)] for t, row in zip(grid.times(), rows))

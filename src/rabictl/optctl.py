@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, SweepDivergenceError, shorten
 from .integrate import (
-    ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward, write_json, write_node_csv,
+    ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward,
 )
 from .model import (
     ZERO_CONTROL, ControlConst, StateVec, _transitions, _varying_flows, force_terms, jacobian, rhs,
@@ -43,8 +42,6 @@ __all__ = [
     "adjoint_rhs",
     "characterize_controls",
     "forward_backward_sweep",
-    "write_controls_csv",
-    "write_adjoints_csv",
 ]
 
 Mask = tuple[bool, bool, bool, bool]
@@ -307,21 +304,3 @@ def forward_backward_sweep(
         converged=converged,
     )
 
-
-def write_controls_csv(u_path: ControlPath, path: str | Path) -> None:
-    write_node_csv(path, ("t",) + ControlConst._fields, u_path.grid, u_path.values.tolist())
-
-
-def write_adjoints_csv(grid: TimeGrid, adjoints: Sequence[AdjointVec], path: str | Path) -> None:
-    write_node_csv(path, ("t",) + AdjointVec._fields, grid, adjoints)
-
-
-def write_sweep_summary_json(result: SweepResult, path: str | Path, config_echo: dict) -> None:
-    payload = {
-        "J_history": list(result.J_history),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "mask": list(result.controls.mask),
-        "config": config_echo,
-    }
-    write_json(path, payload)

@@ -19,13 +19,11 @@ fields may be floats or arrays, so ``re_grid`` evaluates a grid in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, shorten
-from .integrate import write_csv, write_json
 from .model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs,
     seeded_state,
@@ -43,7 +41,6 @@ __all__ = [
     "endemic_eq",
     "dfe_stability",
     "re_grid",
-    "write_re_grid_csv",
 ]
 
 INFECTED_ORDER = ("E_H", "I_H", "E_F", "I_F", "E_D", "I_D", "M")
@@ -256,16 +253,3 @@ def re_grid(
     return ReGrid(axis1_name=name1, axis1_values=vals1, axis2_name=name2, axis2_values=vals2,
                   values=np.broadcast_to(Re, kept.shape).copy(), base_u=base_u, base_params=p)
 
-
-def write_re_grid_csv(grid: ReGrid, path: str | Path, sidecar: str | Path) -> None:
-    """Write the grid as long-format CSV plus a JSON sidecar of its axes and base point."""
-    write_csv(path, ("axis1", "axis2", "Re"), (
-        [repr(v1), repr(v2), repr(float(grid.values[i, j]))]
-        for i, v1 in enumerate(grid.axis1_values) for j, v2 in enumerate(grid.axis2_values)))
-    meta = {
-        "axis1": {"name": grid.axis1_name, "values": list(grid.axis1_values)},
-        "axis2": {"name": grid.axis2_name, "values": list(grid.axis2_values)},
-        "base_controls": grid.base_u._asdict(),
-        "base_parameters": grid.base_params.as_dict(),
-    }
-    write_json(sidecar, meta)

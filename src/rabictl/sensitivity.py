@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
 from .errors import ConfigError, DegenerateInputError, StudyError, shorten
-from .integrate import Stacked, TimeGrid, _march, rk4_step, write_csv, write_json
+from .integrate import Stacked, TimeGrid, _march, rk4_step
 from .model import ZERO_CONTROL, ControlConst, StateVec
 from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
@@ -43,8 +42,6 @@ __all__ = [
     "lhs_sample",
     "prcc",
     "prcc_study",
-    "write_prcc_csv",
-    "write_prcc_study",
 ]
 
 STUDY_OUTPUTS = ("I_H", "I_F", "I_D", "M")
@@ -319,26 +316,3 @@ def prcc_study(
         for output, c in zip(outputs, coeffs)
     ]
 
-
-def write_prcc_csv(result: PrccResult, path: str | Path) -> None:
-    """Long-format CSV for one output: a (time, param, prcc) row per coefficient."""
-    write_csv(path, ("time", "param", "prcc"), (
-        [repr(t), name, repr(float(result.coefficients[ti, pi]))]
-        for ti, t in enumerate(result.times) for pi, name in enumerate(result.param_names)))
-
-
-def write_prcc_study(results: Sequence[PrccResult], outdir: str | Path,
-                     config_echo: dict) -> list[Path]:
-    """One CSV per output plus ``prcc.meta.json`` with the study settings."""
-    written = [Path(outdir) / f"prcc_{res.output}.csv" for res in results]
-    for res, path in zip(results, written):
-        write_prcc_csv(res, path)
-    meta = {
-        "N": results[0].N,
-        "seed": results[0].seed,
-        "dropped_rows": results[0].dropped_rows,
-        "outputs": [res.output for res in results],
-        "config": config_echo,
-    }
-    write_json(Path(outdir) / "prcc.meta.json", meta)
-    return written

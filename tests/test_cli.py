@@ -18,7 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabictl
-from rabictl.cli import OUTDIR_ENV, _config_schema, _Each, _OrNull, main
+from rabictl.cli import (
+    _HANDLERS, OUTDIR_ENV, _config_schema, _Each, _OrNull, build_parser, main, resolve_config,
+)
 from rabictl.model import StateVec
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
 
@@ -179,6 +181,14 @@ def test_optimize_rejects_bad_strategy(tmp_path):
     assert code == 2
     code, _ = run(tmp_path, "b", "optimize", "--mask", "10")
     assert code == 2
+
+
+def test_optimize_rejects_strategy_with_mask(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--outdir", str(tmp_path), "optimize", "--strategy", "A", "--mask", "0000"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_prcc_seeded_runs_identical(tmp_path):
@@ -692,6 +702,22 @@ def test_run_protocol(tmp_path, capsys, label):
     assert {f.name for f in out.iterdir()} == artifacts | {"config.json"}
     stdout = capsys.readouterr().out
     assert re.fullmatch(summary.replace("{run}", re.escape(str(out))) + "\n", stdout), stdout
+
+
+@pytest.mark.parametrize("label", PROTOCOL_RUNS)
+def test_handlers_write_nothing(tmp_path, monkeypatch, label):
+    # a handler only solves and returns its artifacts: main alone makes the run directory
+    argv, artifacts, summary = PROTOCOL_RUNS[label]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "env"))
+    args = build_parser().parse_args(["--outdir", str(tmp_path / "cli"),
+                                      "--set", f"output_dir={tmp_path / 'config'}", *argv])
+    config, echo = resolve_config(args.config, args.set)
+    run_dir = tmp_path / "run"
+    said, made = _HANDLERS[args.command](args, config, echo, run_dir)
+    assert list(tmp_path.iterdir()) == []
+    assert set(made) == artifacts
+    assert re.fullmatch(summary.replace("{run}", re.escape(str(run_dir))), said), said
 
 
 def test_failed_write_prints_no_summary(tmp_path, capsys):

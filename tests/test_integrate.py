@@ -23,8 +23,9 @@ from rabictl.integrate import (
     _clamp_state,
     euler_forward,
     rk4_backward,
+    node_rows,
     rk4_forward,
-    write_trajectory_csv,
+    write_csv,
 )
 from rabictl.model import ControlConst, StateVec, rhs, seeded_state
 from rabictl.optctl import AdjointVec, Weights, adjoint_parts, adjoint_rhs
@@ -401,7 +402,7 @@ def test_trajectory_csv_round_trip(tmp_path, p_est, default_state):
     g = TimeGrid(0.0, 1.0, 50)
     traj = rk4_forward(p_est, ControlPath.constant(g), default_state, g)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    write_csv(path, ("t",) + StateVec._fields, node_rows(g, traj.states))
     header = path.read_text().splitlines()[0]
     assert header == "t,S_H,E_H,I_H,R_H,S_F,E_F,I_F,S_D,E_D,I_D,R_D,M"
     with open(path, newline="") as fh:

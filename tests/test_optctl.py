@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from rabictl.cli import main
 from rabictl.errors import ConfigError
 from rabictl.integrate import ControlPath, TimeGrid, Trajectory
 from rabictl.model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
@@ -19,8 +20,6 @@ from rabictl.optctl import (
     hamiltonian,
     objective,
     running_cost,
-    write_adjoints_csv,
-    write_controls_csv,
 )
 from rabictl.model import rhs, ZERO_CONTROL
 
@@ -327,11 +326,11 @@ def test_strategy_ordering_reported(p_est, sweep_a_coarse, capsys):
               f"({'ordered' if ordered else 'ORDER VIOLATED'})")
 
 
-def test_csv_writers(tmp_path, sweep_a_coarse):
-    cpath = tmp_path / "controls.csv"
-    apath = tmp_path / "adjoints.csv"
-    write_controls_csv(sweep_a_coarse.controls, cpath)
-    write_adjoints_csv(sweep_a_coarse.states.grid, sweep_a_coarse.adjoints, apath)
+def test_csv_writers(tmp_path):
+    assert main(["--outdir", str(tmp_path), "--set", "grid.n_steps=20", "optimize"]) == 0
+    (run,) = tmp_path.iterdir()
+    cpath = run / "controls.csv"
+    apath = run / "adjoints.csv"
     assert cpath.read_text().splitlines()[0] == "t,u1,u2,u3,u4"
     header = apath.read_text().splitlines()[0]
     assert header == "t," + ",".join(f"lam{i}" for i in range(1, 13))

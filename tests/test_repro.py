@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from rabictl.cli import main
 from rabictl.errors import ConfigError, NoEndemicEquilibriumError, NumericError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
 from rabictl.model import (
@@ -21,7 +22,6 @@ from rabictl.repro import (
     ngm,
     re_grid,
     spectral_r,
-    write_re_grid_csv,
 )
 
 
@@ -403,11 +403,12 @@ def test_non_finite_re_is_numeric_error(p_est):
         re_grid(p_est, ("psi2", 1e-4, 1e300, 2), ("u4", 0.0, 1.0, 1))
 
 
-def test_grid_csv_format(tmp_path, p_est):
-    g = re_grid(p_est, ("u2", 0.0, 1.0, 3), ("u4", 0.0, 1.0, 2))
-    out = tmp_path / "grid.csv"
-    meta = tmp_path / "grid.json"
-    write_re_grid_csv(g, out, meta)
+def test_grid_csv_format(tmp_path):
+    assert main(["--outdir", str(tmp_path), "--set", 'reff.axis1={"name":"u2","lo":0,"hi":1,"n":3}',
+                 "--set", 'reff.axis2={"name":"u4","lo":0,"hi":1,"n":2}', "reff"]) == 0
+    (run,) = tmp_path.iterdir()
+    out = run / "reff_grid.csv"
+    meta = run / "reff_grid.meta.json"
     lines = out.read_text().splitlines()
     assert lines[0] == "axis1,axis2,Re"
     assert len(lines) == 1 + 3 * 2

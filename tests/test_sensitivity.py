@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rabictl import sensitivity
+from rabictl.cli import main
 from rabictl.errors import ConfigError, DegenerateInputError, IntegrationBlowupError, StudyError
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
 from rabictl.model import StateVec, seeded_state
@@ -23,7 +24,6 @@ from rabictl.sensitivity import (
     prcc,
     prcc_study,
     uniform_ranges,
-    write_prcc_study,
 )
 
 
@@ -373,17 +373,20 @@ def test_prcc_study_names_constant_output(p_base):
                    outputs=("S_H", "I_H"))
 
 
-def test_prcc_csv_long_format(tmp_path, p_base):
+def test_prcc_csv_long_format(tmp_path, monkeypatch, p_base):
     ranges = uniform_ranges(p_base, 0.25, names=["tau1", "kappa1", "beta2", "nu1"])
     grid = TimeGrid(0.0, 3.0, 60)
     res = prcc_study(ranges, 20, 17, p_base, light_seed_state(p_base), grid,
                      sample_times=[1.5, 3.0], outputs=("I_H", "M"))
-    written = write_prcc_study(res, tmp_path, {"sensitivity": {"N": 20, "seed": 17}})
+    monkeypatch.setattr(sensitivity, "prcc_study", lambda *args: res)  # the CLI writes this study
+    assert main(["--outdir", str(tmp_path), "prcc"]) == 0
+    (run,) = tmp_path.iterdir()
+    written = sorted(run.glob("prcc_*.csv"))
     assert [p.name for p in written] == ["prcc_I_H.csv", "prcc_M.csv"]
     lines = written[0].read_text().splitlines()
     assert lines[0] == "time,param,prcc"
     assert len(lines) == 1 + 2 * 4
-    assert (tmp_path / "prcc.meta.json").exists()
+    assert (run / "prcc.meta.json").exists()
 
 
 # --- batch integration against the scalar route -------------------------------------
