@@ -5,6 +5,8 @@ is advanced by forward Euler (not RK4) and infected-human counts are read
 off at the observation years. scipy's trust-region reflective least squares
 (Branch, Coleman & Li 1999) fits the residuals of those counts within native
 bounds; ``fit.tol`` bounds the fall of the mean squared error per accepted step.
+Its Jacobian is that of the unclamped Euler update, from the update's forward
+sensitivities (Dickinson & Gelinas 1976), on the states of the march just made.
 """
 
 from __future__ import annotations
@@ -14,26 +16,18 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, NumericError, shorten
 from .integrate import TimeGrid, euler_forward
-from .model import StateVec
+from .model import StateVec, ZERO_CONTROL, jacobian, rhs
 from .params import PARAM_NAMES, ParamSet
 
-__all__ = [
-    "IncidenceSeries",
-    "FitConfig",
-    "FitResult",
-    "predict_incidence",
-    "mse",
-    "least_squares_fit",
-    "fit",
-    "tanzania_series",
-]
+__all__ = ["IncidenceSeries", "FitConfig", "FitResult", "predict_incidence", "mse",
+           "least_squares_fit", "fit", "tanzania_series"]
 
 
 @dataclass(frozen=True)
@@ -149,17 +143,12 @@ def _observation_nodes(years: Sequence[int], dt: float) -> tuple[TimeGrid, list[
     return grid, nodes
 
 
-def predict_incidence(
-    p: ParamSet, y0: StateVec, years: Sequence[int], dt: float = 0.01
-) -> np.ndarray:
-    """Forward-Euler I_H predictions at each observation year.
-
-    The whole control-free system is discretized at step ``dt`` starting at
-    the first observation year.
-    """
+def predict_incidence(p: ParamSet, y0: StateVec, years: Sequence[int],
+                      dt: float = 0.01) -> np.ndarray:
+    """Forward-Euler I_H predictions at each observation year: the whole control-free system
+    is discretized at step ``dt``, starting at the first observation year."""
     grid, idx = _observation_nodes(years, dt)
-    traj = euler_forward(p, y0, grid)
-    return np.array([traj.states[k].I_H for k in idx])
+    return euler_forward(p, y0, grid).values[idx, 2]  # column 2 is I_H
 
 
 def mse(observed: Sequence[float], predicted: Sequence[float]) -> float:
@@ -177,25 +166,30 @@ class _BudgetUsed(Exception):
 
 
 def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed: Sequence[float],
-                      cfg: FitConfig) -> FitResult:
+                      cfg: FitConfig, jac: Callable[[np.ndarray], Any] | None = None) -> FitResult:
     """Fit ``predict(x)`` to ``observed`` over the free-parameter vector x of ``cfg``.
 
     One scipy ``least_squares`` call (trust-region reflective, native bounds, Jacobian scaling)
     on the residuals (predict(x) - observed)/sqrt(n), so the mse is twice its cost. It stops
     once a step lowers the cost by less than ftol = tol/mse(x0) times it: the mse by less than
-    ``cfg.tol``. ``evals`` counts every ``predict`` call, the finite-difference Jacobian's
-    too; past ``cfg.max_evals`` the fit returns the best point it evaluated, unconverged. A
-    ConfigError or NumericError from ``predict`` makes its residuals inf: a trial step there
-    shrinks the trust region; at the start or in a Jacobian it is a NumericError.
+    ``cfg.tol``. ``jac(x)``, the derivative of ``predict`` (scipy's 2-point difference if None),
+    is called only at the x of the latest ``predict`` call that returned, so it may reuse its
+    work: scipy asks where it has just evaluated, and elsewhere ``predict`` runs first.
+    ``evals`` counts ``predict`` calls; past ``cfg.max_evals`` the fit returns the best point
+    it evaluated, unconverged. A ConfigError or NumericError from ``predict`` makes its
+    residuals inf: a trial step there shrinks the trust region; at the start, or from ``jac``,
+    it is a NumericError.
     """
     observed = np.asarray(observed, dtype=float)
+    root_n = math.sqrt(len(observed))
     lo, hi, x0 = np.array([(*cfg.bounds[name], cfg.x0[name]) for name in cfg.free], dtype=float).T
     evals, best = 0, (math.inf, x0, None)  # lowest sum of squared residuals, its x, predict(x)
+    last = None, None  # the x of the latest ``predict`` call that returned, and its residuals
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        nonlocal evals, best
-        if x is not x0 and np.array_equal(x, x0):
-            return r0  # scipy's first call, at a copy of the start: evaluated below already
+        nonlocal evals, best, last
+        if np.array_equal(x, last[0]):
+            return last[1]  # as scipy's first call, at a copy of the start evaluated below
         if evals == cfg.max_evals:
             raise _BudgetUsed
         evals += 1
@@ -203,12 +197,23 @@ def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed
             predicted = np.asarray(predict(x), dtype=float)
         except (ConfigError, NumericError):
             return np.full(len(observed), math.inf)
-        r = (predicted - observed) / math.sqrt(len(observed))
+        r = (predicted - observed) / root_n
+        last = x.copy(), r
         with np.errstate(over="ignore"):  # an inf sum of squares is no best point
             rr = r @ r
         if rr < best[0]:  # False for a NaN
             best = rr, x.copy(), predicted
         return r
+
+    def scaled_jac(x: np.ndarray) -> np.ndarray:  # the residuals' Jacobian
+        residuals(x)  # a march only where scipy has not just evaluated
+        try:
+            d = np.asarray(jac(x), dtype=float) / root_n if np.array_equal(x, last[0]) else None
+        except (ConfigError, NumericError):
+            d = None
+        if d is None or not np.isfinite(d).all():
+            raise NumericError(f"the fit's Jacobian is not finite near {best[1].tolist()}")
+        return d
 
     r0 = residuals(x0)
     if not np.isfinite(r0).all():
@@ -219,11 +224,11 @@ def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed
     try:
         with np.errstate(all="ignore"):  # a non-finite Jacobian fails below, not with a warning
             res = optimize.least_squares(  # scipy warns of an ftol below rounding
-                residuals, x0, bounds=(lo, hi), method="trf", x_scale="jac",
-                ftol=max(ftol, np.finfo(float).eps), max_nfev=cfg.max_evals)
+                residuals, x0, jac=scaled_jac if jac else "2-point", bounds=(lo, hi), method="trf",
+                x_scale="jac", ftol=max(ftol, np.finfo(float).eps), max_nfev=cfg.max_evals)
     except _BudgetUsed:  # no last iterate: unconverged, and no bound is active
         res = optimize.OptimizeResult(status=0, active_mask=np.zeros(len(x0)))
-    except ValueError as exc:  # raised by scipy's SVD of a non-finite Jacobian
+    except ValueError as exc:  # raised by scipy's SVD of a non-finite 2-point Jacobian
         raise NumericError(f"the fit's Jacobian is not finite near {best[1].tolist()}") from exc
     _, x, predicted = best
     return FitResult(estimates=dict(zip(cfg.free, x.tolist())), mse=float(mse(observed, predicted)),
@@ -231,17 +236,50 @@ def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed
                      at_bound=tuple(sorted(n for n, a in zip(cfg.free, res.active_mask) if a)))
 
 
+def _incidence_jacobian(p: ParamSet, values: np.ndarray, grid: TimeGrid, nodes: Sequence[int],
+                        cfg: FitConfig) -> np.ndarray:
+    """d I_H / d x at ``nodes`` of the Euler march ``values`` (n_nodes, 12) of ``p``, unclamped.
+
+    The sensitivities S = dy/dx of y' = y + h f(y, x) follow S' = (I + h J) S + h F from S = 0,
+    with J = df/dy (``model.jacobian``) and F = df/dx at the step's start node: per free
+    parameter one difference of ``rhs`` on all nodes between x -/+ 1e-4 x, kept inside the
+    bounds. It is exact where ``rhs`` is affine in x, and within about 1e-8 in C and the rho.
+    """
+    h, n, k = grid.h, grid.n_steps, len(cfg.free)
+    starts, q = values[:-1], np.empty((n, 12, k))  # each step's start node, and h F there
+    for j, name in enumerate(cfg.free):
+        x, (lo, hi) = getattr(p, name), cfg.bounds[name]
+        a, b = max(lo, x - 1e-4 * x), min(hi, x + 1e-4 * x)
+        fa, fb = (rhs(0.0, starts.T, ZERO_CONTROL, p.replace(**{name: v})) for v in (a, b))
+        q[:, :, j] = np.subtract(fb, fa).T * h / (b - a)
+    z = np.tile(np.eye(12 + k, k, -12), (n + 1, 1, 1))  # (S, I_k) at every node, S = 0 at 0
+    for i in range(0, n, 128):  # 128 steps at a time keep the (128, 12, 12) maps small
+        maps, inc = jacobian(StateVec._make(starts[i:i + 128].T), ZERO_CONTROL, p)
+        maps += inc
+        maps *= h
+        maps[:, range(12), range(12)] += 1.0  # the identity plus h (T + I)
+        steps = np.concatenate((maps, q[i:i + 128]), axis=2)  # [I + h J, h F], one per step
+        for step, now, after in zip(steps, z[i:], z[i + 1:, :12]):
+            np.dot(step, now, out=after)  # S' = (I + h J) S + h F
+    return z[nodes, 2]
+
+
 def fit(data: IncidenceSeries, cfg: FitConfig, p_base: ParamSet, y0: StateVec) -> FitResult:
-    """Fit the free parameters of ``cfg`` to an incidence series (see ``least_squares_fit``)."""
-
-    def predict(x: np.ndarray) -> np.ndarray:
-        p = p_base.replace(**dict(zip(cfg.free, x.tolist())))
-        return predict_incidence(p, y0, data.years, dt=cfg.dt)
-
+    """Fit the free parameters of ``cfg`` to an incidence series (see ``least_squares_fit``).
+    An evaluation is one Euler march; the Jacobian there reuses its states and makes none."""
     y0.validate()  # checked here, so only errors that depend on x make a residual non-finite
     p_base.replace(**cfg.x0)
-    _observation_nodes(data.years, cfg.dt)
-    return least_squares_fit(predict, data.cases, cfg)
+    grid, nodes = _observation_nodes(data.years, cfg.dt)
+    march = None  # the ParamSet and (n_nodes, 12) states of the latest prediction
+
+    def predict(x: np.ndarray) -> np.ndarray:
+        nonlocal march
+        p = p_base.replace(**dict(zip(cfg.free, x.tolist())))
+        march = p, euler_forward(p, y0, grid).values
+        return march[1][nodes, 2]
+
+    return least_squares_fit(predict, data.cases, cfg,
+                             lambda x: _incidence_jacobian(*march, grid, nodes, cfg))
 
 
 def tanzania_series() -> IncidenceSeries:

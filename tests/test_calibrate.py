@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabictl.calibrate import (
@@ -19,9 +19,11 @@ from rabictl.calibrate import (
     tanzania_series,
 )
 from rabictl import calibrate
+from rabictl.calibrate import _incidence_jacobian as incidence_jacobian
 from rabictl.errors import ConfigError, NumericError
 from rabictl.integrate import ControlPath, TimeGrid, euler_forward, rk4_forward
 from rabictl.model import StateVec, seeded_state
+from rabictl.params import PARAM_NAMES
 
 
 def test_series_validation():
@@ -253,26 +255,107 @@ def test_lsq_nonfinite_jacobian_raises_without_warning():
             least_squares_fit(predict, [2.0, 1.0], cfg)
 
 
+# Free parameters whose effect on I_H a central difference of the march resolves. M saturates
+# M/(M+C), so mu4 and nu1..nu3 move I_H by under 1e-6 of its size, which is within that
+# difference's rounding noise. rhs is not affine in C and rho1..rho3.
+ORACLE_PARAMS = tuple(n for n in PARAM_NAMES if n not in ("mu4", "nu1", "nu2", "nu3"))
+
+
+@settings(max_examples=15, deadline=None)
+@given(free=st.lists(st.sampled_from(ORACLE_PARAMS), min_size=1, max_size=3, unique=True),
+       scale=st.floats(0.5, 2.0), dt=st.sampled_from([0.01, 0.02, 0.05]))
+@example(free=["C", "theta1"], scale=1.3, dt=0.02)
+@example(free=["rho1", "tau1", "beta1"], scale=0.7, dt=0.01)
+def test_fit_jacobian_matches_central_difference_of_the_march(p_est, free, scale, dt):
+    y0 = seeded_state(p_est, 20.0, 50.0)
+    years = tuple(range(1990, 2011))
+    cfg = FitConfig(free=tuple(free), x0={n: getattr(p_est, n) * scale for n in free},
+                    bounds={n: (getattr(p_est, n) / 4, getattr(p_est, n) * 4) for n in free}, dt=dt)
+    p = p_est.replace(**cfg.x0)
+    grid, nodes = calibrate._observation_nodes(years, dt)
+    jac = incidence_jacobian(p, euler_forward(p, y0, grid).values, grid, nodes, cfg)
+    for column, name in zip(jac.T, free):
+        x = getattr(p, name)
+
+        def central(d):
+            up, down = (predict_incidence(p.replace(**{name: x + s}), y0, years, dt) for s in (d, -d))
+            return (up - down) / (2 * d)
+
+        reference = (4 * central(0.005 * x) - central(0.01 * x)) / 3  # Richardson: O(d^4)
+        assert np.abs(column - reference).max() <= 1e-6 * np.abs(reference).max(), name
+
+
 @pytest.mark.parametrize("max_evals", [1, 5, 7, 2000])
 def test_lsq_evals_count_every_prediction(p_est, monkeypatch, max_evals):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return predict_incidence(*args, **kwargs)
-
-    monkeypatch.setattr(calibrate, "predict_incidence", counted)
     y0 = seeded_state(p_est, 20.0, 50.0)
     years = tuple(range(1990, 2011))
     data = IncidenceSeries(years, tuple(1.1 * v for v in predict_incidence(p_est, y0, years)))
+    calls, jacobians = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return euler_forward(*args, **kwargs)
+
+    def counted_jacobian(*args):
+        jacobians.append(args)
+        return incidence_jacobian(*args)
+
+    monkeypatch.setattr(calibrate, "euler_forward", counted)  # after the data's own march
+    monkeypatch.setattr(calibrate, "_incidence_jacobian", counted_jacobian)
     free = ("theta1", "tau1")
-    cfg = FitConfig(free=free, bounds={n: (getattr(p_est, n) / 4, getattr(p_est, n) * 4) for n in free},
-                    x0={n: getattr(p_est, n) * 1.5 for n in free}, max_evals=max_evals, dt=0.05)
-    result = fit(data, cfg, p_est, y0)
+
+    def config(budget):
+        return FitConfig(free=free, bounds={n: (getattr(p_est, n) / 4, getattr(p_est, n) * 4)
+                                            for n in free},
+                         x0={n: getattr(p_est, n) * 1.5 for n in free}, max_evals=budget, dt=0.05)
+
+    unbounded = fit(data, config(2000), p_est, y0)
+    assert unbounded.converged and len(calls) == unbounded.evals
+    assert jacobians  # each on the march just made, at no march of its own
+    calls.clear()
+    result = fit(data, config(max_evals), p_est, y0)
     assert len(calls) == result.evals <= max_evals
-    assert result.converged == (result.evals < max_evals)
+    assert result.evals == min(unbounded.evals, max_evals)
+    assert result.converged == (max_evals >= unbounded.evals)
     if not result.converged:
         assert result.evals == max_evals and result.at_bound == ()
+
+
+@pytest.mark.parametrize("max_evals", [1, 2000])
+def test_jacobian_elsewhere_marches_once_and_counts_it(p_est, monkeypatch, max_evals):
+    """scipy asks for a Jacobian only where it has just evaluated; asked elsewhere, the fit
+    marches there first, as one more evaluation within ``max_evals``."""
+    y0 = seeded_state(p_est, 20.0, 50.0)
+    years = tuple(range(1990, 2011))
+    data = IncidenceSeries(years, tuple(1.1 * v for v in predict_incidence(p_est, y0, years)))
+    cfg = FitConfig(free=("theta1",), bounds={"theta1": (p_est.theta1 / 4, p_est.theta1 * 4)},
+                    x0={"theta1": p_est.theta1 * 1.5}, max_evals=max_evals, dt=0.05)
+    elsewhere = p_est.theta1 * 1.2
+    marches, probed = [], []
+    least_squares = calibrate.optimize.least_squares
+
+    def counted(p, *args):
+        marches.append(p)
+        return euler_forward(p, *args)
+
+    def probing(fun, x0, jac, **kwargs):
+        before = len(marches)
+        probed.append(jac(np.array([elsewhere])))  # a point no residual call has evaluated
+        assert len(marches) == before + 1 and marches[-1].theta1 == elsewhere
+        return least_squares(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(calibrate, "euler_forward", counted)
+    monkeypatch.setattr(calibrate.optimize, "least_squares", probing)
+    result = fit(data, cfg, p_est, y0)
+    assert result.evals == len(marches) <= max_evals
+    if max_evals == 1:  # the start used the budget: no Jacobian, and no converged fit
+        assert probed == [] and not result.converged and result.at_bound == ()
+    else:
+        p = p_est.replace(theta1=elsewhere)
+        grid, nodes = calibrate._observation_nodes(years, cfg.dt)
+        expected = incidence_jacobian(p, euler_forward(p, y0, grid).values, grid, nodes, cfg)
+        assert np.array_equal(probed[0], expected / math.sqrt(len(years)))
+        assert result.converged
 
 
 def test_fit_config_validation():

@@ -18,9 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabictl
+from rabictl import calibrate, model
 from rabictl.cli import (
     _HANDLERS, OUTDIR_ENV, _config_schema, _Each, _OrNull, build_parser, main, resolve_config,
 )
+from rabictl.errors import ConfigError, IntegrationBlowupError
 from rabictl.model import StateVec
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
 
@@ -907,6 +909,35 @@ def test_fit_overflowing_sum_of_squares_names_it(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def _raises(exc):
+    def jacobian(*args):
+        raise exc
+    return jacobian
+
+
+@pytest.mark.parametrize("argv, fault", [
+    # the start is valid, but the difference for theta1 = 0.014418 reaches below mu1 = 0.014417
+    (('fit.free=["theta1"]', 'fit.x0={"theta1":0.014418}', 'fit.bounds={"theta1":[0.001,4000]}'),
+     None),
+    # 1e-4 of a tau1 of 1e-320 rounds to 0: the difference for tau1 is 0/0
+    (('fit.x0={"theta1":1993.38,"tau1":1e-320,"beta1":0.165}',), None),
+    ((), _raises(ConfigError("a derivative the model does not define"))),
+    ((), _raises(IntegrationBlowupError("a derivative that blew up"))),
+    ((), lambda y, u, p: [1e300 * a for a in model.jacobian(y, u, p)]),  # the sensitivities overflow
+], ids=["bounds-past-theta-above-mu", "subnormal-start", "config-error", "numeric-error",
+        "overflow"])
+def test_fit_jacobian_failure_is_numeric_error(tmp_path, capsys, monkeypatch, argv, fault):
+    if fault:
+        monkeypatch.setattr(calibrate, "jacobian", fault)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "a", "--set", "fit.dt=0.05",
+                        *(a for v in argv for a in ("--set", v)), "fit")
+    assert code == 3
+    assert out is None
+    assert "numeric failure: the fit's Jacobian is not finite near [" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (('fit.free=[]',), "a fit needs at least one free parameter"),
     (('fit.free=["theta1"]', 'fit.bounds={"theta1":[500,4000],"beta9":[0,1]}'),
@@ -965,9 +996,10 @@ def test_overflow_in_adjoint_coefficients_is_numeric_error(tmp_path, capsys):
 # sha256 of every artifact of a few small seeded runs. A change that keeps the
 # numbers keeps these digests. simulate and reff use Python floats and numpy
 # elementwise operations only, so their bytes do not depend on the BLAS build.
-# optimize (a matrix product per adjoint step), fit (Euler march, scipy
-# Nelder-Mead) and prcc (batched RK4, a LAPACK inverse) were recorded with numpy
-# 2.4 and scipy 1.17 on x86-64 OpenBLAS; another BLAS build may move their last bits.
+# optimize (a matrix product per adjoint step), fit (Euler march, scipy least
+# squares on the sensitivity Jacobian, a matrix product per Euler step) and prcc
+# (batched RK4, a LAPACK inverse) were recorded with numpy 2.4 and scipy 1.17 on
+# x86-64 OpenBLAS; another BLAS build may move their last bits.
 GOLDEN_RUNS = {
     "simulate": (
         ("--set", 'controls={"u1":0.2,"u2":0.3,"u3":0.1,"u4":0.4}',
@@ -1007,8 +1039,8 @@ GOLDEN_RUNS = {
         ("--set", "fit.max_evals=40", "--set", "fit.dt=0.05", "fit"),
         {
             "config.json": "22a164d41421281f1af7ae901e583c2a5f1e6c39f9b727fb75148447e4f1e55a",
-            "fit.csv": "55c8e9fda889e67c17dfb1d16871ec05894845181861d434f8ce879dd863a6b0",
-            "fit.json": "38ea525f993d7e92bacedd21d6ab7ac951afbede132b09dc079536e856755478",
+            "fit.csv": "a9ef13dbf9ba8d3f26fc1c3c65573666a38dc85cd2e1cfd32cab7cfd1504212b",
+            "fit.json": "d5ae5a160162a289c08d95b03953a897b531d205f07b57693ee11283d3091e1b",
         },
     ),
     "prcc": (
