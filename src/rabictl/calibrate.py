@@ -4,9 +4,10 @@ Prediction mirrors the discretized update used for fitting: the full system
 is advanced by forward Euler (not RK4) and infected-human counts are read
 off at the observation years. scipy's trust-region reflective least squares
 (Branch, Coleman & Li 1999) fits the residuals of those counts within native
-bounds; ``fit.tol`` bounds the fall of the mean squared error per accepted step.
-Its Jacobian is that of the unclamped Euler update, from the update's forward
-sensitivities (Dickinson & Gelinas 1976), on the states of the march just made.
+bounds; ``fit.tol`` bounds the fall of the mean squared error per accepted step,
+and a fit its evaluation budget stops names no active bound. Its Jacobian is that
+of the unclamped Euler update, from the update's forward sensitivities
+(Dickinson & Gelinas 1976), on the states of the march just made.
 """
 
 from __future__ import annotations
@@ -166,19 +167,19 @@ class _BudgetUsed(Exception):
 
 
 def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed: Sequence[float],
-                      cfg: FitConfig, jac: Callable[[np.ndarray], Any] | None = None) -> FitResult:
+                      cfg: FitConfig, jac: Callable[[np.ndarray], Any]) -> FitResult:
     """Fit ``predict(x)`` to ``observed`` over the free-parameter vector x of ``cfg``.
 
     One scipy ``least_squares`` call (trust-region reflective, native bounds, Jacobian scaling)
     on the residuals (predict(x) - observed)/sqrt(n), so the mse is twice its cost. It stops
     once a step lowers the cost by less than ftol = tol/mse(x0) times it: the mse by less than
-    ``cfg.tol``. ``jac(x)``, the derivative of ``predict`` (scipy's 2-point difference if None),
-    is called only at the x of the latest ``predict`` call that returned, so it may reuse its
-    work: scipy asks where it has just evaluated, and elsewhere ``predict`` runs first.
-    ``evals`` counts ``predict`` calls; past ``cfg.max_evals`` the fit returns the best point
-    it evaluated, unconverged. A ConfigError or NumericError from ``predict`` makes its
-    residuals inf: a trial step there shrinks the trust region; at the start, or from ``jac``,
-    it is a NumericError.
+    ``cfg.tol``. ``jac(x)``, the derivative of ``predict``, is called only at the x of the
+    latest ``predict`` call that returned, so it may reuse its work: scipy asks where it has
+    just evaluated, and elsewhere ``predict`` runs first. ``evals`` counts ``predict`` calls;
+    past ``cfg.max_evals`` the fit returns the best point it evaluated, unconverged and with
+    no ``at_bound``, which only a converged fit reports. A ConfigError or NumericError from
+    ``predict`` makes its residuals inf: a trial step there shrinks the trust region; at the
+    start, or from ``jac``, it is a NumericError.
     """
     observed = np.asarray(observed, dtype=float)
     root_n = math.sqrt(len(observed))
@@ -224,16 +225,17 @@ def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed
     try:
         with np.errstate(all="ignore"):  # a non-finite Jacobian fails below, not with a warning
             res = optimize.least_squares(  # scipy warns of an ftol below rounding
-                residuals, x0, jac=scaled_jac if jac else "2-point", bounds=(lo, hi), method="trf",
+                residuals, x0, jac=scaled_jac, bounds=(lo, hi), method="trf",
                 x_scale="jac", ftol=max(ftol, np.finfo(float).eps), max_nfev=cfg.max_evals)
-    except _BudgetUsed:  # no last iterate: unconverged, and no bound is active
-        res = optimize.OptimizeResult(status=0, active_mask=np.zeros(len(x0)))
-    except ValueError as exc:  # raised by scipy's SVD of a non-finite 2-point Jacobian
-        raise NumericError(f"the fit's Jacobian is not finite near {best[1].tolist()}") from exc
+    except _BudgetUsed:  # no last iterate: unconverged
+        res = optimize.OptimizeResult(status=0)
+    except ValueError as exc:  # np.linalg.LinAlgError: scipy's SVD of the Jacobian failed
+        raise NumericError(f"the fit's linear algebra failed near {best[1].tolist()}") from exc
     _, x, predicted = best
+    active = res.active_mask if res.status > 0 else ()  # a budget stop's bounds say nothing
     return FitResult(estimates=dict(zip(cfg.free, x.tolist())), mse=float(mse(observed, predicted)),
                      evals=evals, converged=res.status > 0, predicted=tuple(predicted.tolist()),
-                     at_bound=tuple(sorted(n for n, a in zip(cfg.free, res.active_mask) if a)))
+                     at_bound=tuple(sorted(n for n, a in zip(cfg.free, active) if a)))
 
 
 def _incidence_jacobian(p: ParamSet, values: np.ndarray, grid: TimeGrid, nodes: Sequence[int],

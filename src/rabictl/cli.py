@@ -56,7 +56,7 @@ OUTDIR_ENV = "RABICTL_OUTDIR"
 def _default_config() -> dict[str, Any]:
     return {
         "parameters": {"preset": "estimated"},
-        "initial_state": None,  # None: default scenario derived from parameters
+        "initial_state": None,  # None: the subcommand's own scenario, from the parameters
         "grid": {"t0": 0.0, "tf": 20.0, "n_steps": 2000},
         "controls": ControlConst()._asdict(),
         "weights": dataclasses.asdict(optctl.Weights()),
@@ -142,12 +142,6 @@ class _Overrides(dict):
     """The shape of an override map: it may hold any of these keys, and null holds none."""
 
 
-class _Each(NamedTuple):
-    """The shape of an object from any name to a value of ``shape``."""
-
-    shape: Any
-
-
 class _OrNull(NamedTuple):
     """The shape of a key whose default is null: null, or a value of ``shape``, called ``what``."""
 
@@ -168,15 +162,15 @@ def _config_schema() -> dict[str, Any]:
     schema["controls"] = _Overrides(schema["controls"])
     schema["weights"] = _Overrides(schema["weights"])
     schema["reff"] = {"axis1": _OrNull(axis), "axis2": _OrNull(axis)}
-    schema["fit"].update(data=_OrNull("", "a file path"), x0=_OrNull(_Each(0.0)),
-                         bounds=_OrNull(_Each((0.0, 0.0))))
+    schema["fit"].update(data=_OrNull("", "a file path"),
+                         x0=_Overrides(dict.fromkeys(PARAM_NAMES, 0.0)),
+                         bounds=_Overrides(dict.fromkeys(PARAM_NAMES, (0.0, 0.0))))
     schema["output_dir"] = _OrNull("", "a directory path")
     return schema
 
 
 _KINDS = {float: "a number", int: "an integer", str: "a string", list: "a list",
-          tuple: "a [lo, hi] pair", dict: "an object", _Overrides: "an object or null",
-          _Each: "an object"}
+          tuple: "a [lo, hi] pair", dict: "an object", _Overrides: "an object or null"}
 
 
 def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
@@ -202,8 +196,7 @@ def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
         return tuple(_checked(item, s, key) for item, s in zip(value, shape))
     if kind is _Overrides and value is None:
         return {}
-    if kind in (dict, _Overrides, _Each) and type(value) is dict:
-        shape = dict.fromkeys(value, shape.shape) if kind is _Each else shape
+    if kind in (dict, _Overrides) and type(value) is dict:
         prefix = key and key + "."
         for name in value:
             if name not in shape:
@@ -252,8 +245,9 @@ def _build_params(config: dict, preset: str | None = None) -> ParamSet:
     return PRESETS[preset_name].replace(**overrides)
 
 
-def _build_state(config: dict, p: ParamSet) -> StateVec:
-    return seeded_state(p, *DEFAULT_SEEDING)._replace(**config["initial_state"] or {}).validate()
+def _build_state(config: dict, p: ParamSet, seeding: tuple = DEFAULT_SEEDING) -> StateVec:
+    """The subcommand's scenario ``seeded_state(p, *seeding)``; initial_state keys go on top."""
+    return seeded_state(p, *seeding)._replace(**config["initial_state"] or {}).validate()
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -351,11 +345,7 @@ def cmd_prcc(args: argparse.Namespace, config: dict, given: dict,
     # the study centres its ranges on its own preset; explicit parameter
     # overrides from the parameters block still apply on top
     p = _build_params(config, preset=block["preset"])
-    if config["initial_state"] is not None:
-        y0 = _build_state(config, p)
-    else:
-        y0 = seeded_state(p, exposed=block["seed_exposed"], infected=block["seed_infected"],
-                          M0=block["M0"])
+    y0 = _build_state(config, p, (block["seed_exposed"], block["seed_infected"], block["M0"]))
     distribution = block["distribution"]
     if distribution == "normal":
         ranges = sensitivity.normal_ranges()
@@ -365,27 +355,19 @@ def cmd_prcc(args: argparse.Namespace, config: dict, given: dict,
         raise ConfigError(f"unknown sensitivity distribution {shorten(repr(distribution))}; "
                           "expected 'uniform' or 'normal'")
     grid = TimeGrid(**block["grid"])
-    results = sensitivity.prcc_study(ranges, block["N"], block["seed"], p, y0, grid,
-                                     block["sample_times"], tuple(block["outputs"]))
-
-    # long format, a (time, param, prcc) row per coefficient; a function binds each ``res``,
-    # which a generator inside the comprehension below would read only once it ends
-    def rows(res: sensitivity.PrccResult):
-        return ([repr(t), name, repr(float(res.coefficients[ti, pi]))]
-                for ti, t in enumerate(res.times) for pi, name in enumerate(res.param_names))
-
-    artifacts: Artifacts = {f"prcc_{res.output}.csv": (("time", "param", "prcc"), rows(res))
-                            for res in results}
+    study = sensitivity.prcc_study(ranges, block["N"], block["seed"], p, y0, grid,
+                                   block["sample_times"], tuple(block["outputs"]))
+    # long format, a (time, param, prcc) row per coefficient of each output
+    artifacts: Artifacts = {f"prcc_{output}.csv": (("time", "param", "prcc"), [
+        [repr(t), name, repr(float(c))]
+        for t, row in zip(study.times, coefficients) for name, c in zip(study.param_names, row)])
+        for output, coefficients in zip(study.outputs, study.coefficients)}
     names = ", ".join(artifacts)
-    artifacts["prcc.meta.json"] = {
-        "N": results[0].N,
-        "seed": results[0].seed,
-        "dropped_rows": results[0].dropped_rows,
-        "outputs": [res.output for res in results],
-        "config": given,
-    }
+    artifacts["prcc.meta.json"] = {"N": study.N, "seed": study.seed,
+                                   "dropped_rows": study.dropped_rows,
+                                   "outputs": list(study.outputs), "config": given}
     return (f"wrote {names} in {run} (N={block['N']}, "
-            f"{results[0].dropped_rows} rows dropped)"), artifacts
+            f"{study.dropped_rows} rows dropped)"), artifacts
 
 
 def cmd_fit(args: argparse.Namespace, config: dict, given: dict,
@@ -405,7 +387,7 @@ def cmd_fit(args: argparse.Namespace, config: dict, given: dict,
                                   f"got {x0[name]!r}")
     cfg = calibrate.FitConfig(free=free, bounds=bounds, x0=x0, max_evals=block["max_evals"],
                               tol=block["tol"], dt=block["dt"])
-    y0 = seeded_state(p, exposed=block["seed_exposed"], infected=block["seed_infected"])
+    y0 = _build_state(config, p, (block["seed_exposed"], block["seed_infected"], 0.0))
     data_path = args.data or block["data"]  # None: the bundled series; a missing file exits 4
     data = (calibrate.tanzania_series() if data_path is None
             else calibrate.IncidenceSeries.from_csv(data_path))

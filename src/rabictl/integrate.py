@@ -275,12 +275,12 @@ def rk4_backward(
 
     ``system(y, u)`` maps a StateVec and a ControlConst of (m,) arrays to ``(a, flows)``:
     at point p the generator [[G, g], [0, 0]] of z = (lam, 1) is the (13, 13) array ``a``
-    with d[p] added at [i, j] and taken from [i, k] for each (i, j, k, d) of ``flows``, that is
-    lam_i' += d (lam_j - lam_k), with i, j, k < 12 and each d an (m,) array. ``system`` is
-    called once, on every node and step midpoint (the average of the step's two nodes). Each
-    step is the affine map lam_{i-1} = P_i lam_i + q_i; ``rk4_step`` on the identity builds
-    BLOCK steps' propagators [[P, q], [0, 1]] at a time, in one reused buffer of generators.
-    Returns the (n_nodes, 12) adjoint, its last row equal to ``terminal``.
+    with d[p] added at [j, src] and taken from [j, dst] for each (src, dst, j, d) of ``flows``
+    (the tuples of ``model._varying_flows``), that is lam_j' += d (lam_src - lam_dst), with
+    src, dst, j < 12 and each d an (m,) array. ``system`` is called once, on every node and
+    step midpoint (the average of the step's two nodes). Each step is the affine map
+    lam_{i-1} = P_i lam_i + q_i; ``rk4_step`` on the identity builds BLOCK steps' propagators
+    [[P, q], [0, 1]] at a time, in one reused buffer of generators. Returns the (n_nodes, 12) adjoint, its last row equal to ``terminal``.
 
     Raises:
         IntegrationBlowupError: if evaluating the system or building a propagator overflows
@@ -316,10 +316,10 @@ def rk4_backward(
             block = generators[:2 * steps + 1]
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    for i, j, k, d in flows:
+                    for src, dst, j, d in flows:
                         rows = d[2 * start:2 * end + 1]
-                        np.add(a[i, j], rows, out=block[:, i, j])
-                        np.subtract(a[i, k], rows, out=block[:, i, k])
+                        np.add(a[j, src], rows, out=block[:, j, src])
+                        np.subtract(a[j, dst], rows, out=block[:, j, dst])
                     phi = rk4_step(_linear, Stacked(identity[:steps]), 0.0, minus_h,
                                    block[2::2], block[1::2], block[:-1:2], None).values
             except FloatingPointError as exc:

@@ -188,14 +188,14 @@ def adjoint_parts(
 
     The constant part is the (13, 13) generator [[G, g], [0, 0]] without the varying entries:
     G = 0.0 - T^T from the cached ``model._transitions``. Each of the model's 14 varying flows
-    (src, dst, j, d) adds d (lam_src - lam_dst) to lam_j', as (j, src, dst, d). That is
-    ``adjoint_system``'s G to the bit: 0.0 - (t + e) and (0.0 - t) - e round alike, signed
-    zeros included, and so do t - d and t + (-d).
+    (src, dst, j, d) adds d (lam_src - lam_dst) to lam_j'. That is ``adjoint_system``'s G to
+    the bit: 0.0 - (t + e) and (0.0 - t) - e round alike, signed zeros included, and so do
+    t - d and t + (-d).
     """
     a = np.zeros((13, 13))
     np.subtract(0.0, _transitions(p.rates).T, out=a[:12, :12])
     a[:12, 12] = _cost_gradient(w)
-    return a, [(j, src, dst, d) for src, dst, j, d in _varying_flows(y, u, p.rates)]
+    return a, _varying_flows(y, u, p.rates)
 
 
 def adjoint_rhs(

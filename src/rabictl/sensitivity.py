@@ -12,7 +12,8 @@ PRCC rank-transforms everything and reads the partial correlations off the
 inverse of the rank-correlation matrix, so it measures monotone influence of
 one parameter while controlling for the rest. The inverse over the parameters
 is shared by every output, so a study ranks its sample once and computes all
-outputs at all sample times in one ``prcc`` call.
+outputs at all sample times in one ``prcc`` call, and returns them as one
+``PrccStudy``: an (outputs, times, parameters) array, with the sample's N and seed.
 
 The ranks are computed with numpy. scipy is loaded only to sample a
 ``normal`` range (``scipy.stats.truncnorm``): of the CLI subcommands, only
@@ -36,7 +37,7 @@ from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
 __all__ = [
     "ParamRange",
-    "PrccResult",
+    "PrccStudy",
     "uniform_ranges",
     "normal_ranges",
     "lhs_sample",
@@ -217,16 +218,16 @@ def prcc(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PrccResult:
-    """PRCC coefficients of one model output over time."""
+class PrccStudy:
+    """PRCC coefficients of each model output at each sample time, and the study's sample."""
 
-    output: str
+    outputs: tuple[str, ...]
     times: tuple[float, ...]
     param_names: tuple[str, ...]
-    coefficients: np.ndarray  # shape (len(times), P)
+    coefficients: np.ndarray  # shape (len(outputs), len(times), P)
     N: int
     seed: int
-    dropped_rows: int = 0
+    dropped_rows: int
 
 
 def _simulate_rows(rows: np.ndarray, names: tuple[str, ...], base: ParamSet, y0: StateVec,
@@ -266,8 +267,8 @@ def prcc_study(
     grid: TimeGrid,
     sample_times: Sequence[float],
     outputs: Sequence[str] = STUDY_OUTPUTS,
-) -> list[PrccResult]:
-    """LHS-sample the ranges, simulate each row uncontrolled, PRCC the outputs.
+) -> PrccStudy:
+    """LHS-sample the ranges, simulate each row uncontrolled, PRCC the outputs: one record.
 
     Rows whose simulation blows up are dropped and counted; more than
     5% of the N rows failing aborts the study (a fixed limit). PRCC's
@@ -310,9 +311,5 @@ def prcc_study(
         raise DegenerateInputError(
             f"output {outputs[oi]} is constant at t={times[ti]!r} over the {len(keep)} kept rows")
     coeffs = prcc(X[keep], stacked.reshape(len(keep), -1)).reshape(len(outputs), len(times), -1)
-    return [
-        PrccResult(output=output, times=times, param_names=names, coefficients=c,
-                   N=N, seed=seed, dropped_rows=dropped)
-        for output, c in zip(outputs, coeffs)
-    ]
+    return PrccStudy(outputs, times, names, coeffs, N, seed, dropped)
 

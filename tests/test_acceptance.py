@@ -239,14 +239,14 @@ def test_criterion_09_prcc_signs():
         S_D=base.theta3 / base.mu3, E_D=5.0, I_D=10.0, R_D=0.0, M=0.1,
     )
     grid = TimeGrid(0.0, 10.0, 500)
-    results = prcc_study(
+    study = prcc_study(
         uniform_ranges(base, 0.25), N=1000, seed=20260810, p_base=base, y0=y0,
         grid=grid, sample_times=[2.0, 4.0, 6.0, 8.0, 10.0], outputs=("I_H", "M"),
     )
     elapsed = time.perf_counter() - started
-    by_output = {r.output: r for r in results}
-    t_idx = by_output["I_H"].times.index(8.0)
-    names = by_output["I_H"].param_names
+    by_output = dict(zip(study.outputs, study.coefficients))
+    t_idx = study.times.index(8.0)
+    names = study.param_names
 
     wanted = {
         "I_H": [("theta1", +1), ("tau1", +1), ("tau2", +1), ("kappa1", +1), ("kappa2", +1),
@@ -255,14 +255,14 @@ def test_criterion_09_prcc_signs():
     }
     bad = []
     for output, pairs in wanted.items():
-        coeffs = by_output[output].coefficients[t_idx]
+        coeffs = by_output[output][t_idx]
         for pname, sign in pairs:
             r = coeffs[names.index(pname)]
             if not (sign * r > 0.05):
                 bad.append(f"{output}/{pname}={r:+.3f}")
     ok = not bad and elapsed < 300.0
     assert report(9, "prcc-sign-table", ok,
-                  f"N=1000 at t=8, dropped={results[0].dropped_rows}, "
+                  f"N=1000 at t=8, dropped={study.dropped_rows}, "
                   f"violations={bad or 'none'}, {elapsed:.1f}s")
 
 

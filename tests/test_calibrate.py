@@ -175,7 +175,7 @@ def lsq_config(names, bounds, x0, **kw):
 def test_lsq_quadratic():
     for tol in (1e-6, 0.0):  # a tol of 0 is below rounding: scipy must not warn of it
         cfg = lsq_config(["theta1"], {"theta1": (-10.0, 10.0)}, {"theta1": 0.0}, tol=tol)
-        result = least_squares_fit(lambda v: [v[0]], [3.0], cfg)
+        result = least_squares_fit(lambda v: [v[0]], [3.0], cfg, lambda v: [[1.0]])
         assert result.converged and abs(result.estimates["theta1"] - 3.0) < 1e-6
         assert result.at_bound == ()
 
@@ -188,7 +188,8 @@ def test_lsq_rosenbrock():
         {"theta1": -1.2, "theta2": 1.0},
         max_evals=2000,
     )
-    result = least_squares_fit(lambda v: [10.0 * (v[1] - v[0] ** 2), -v[0]], [0.0, -1.0], cfg)
+    result = least_squares_fit(lambda v: [10.0 * (v[1] - v[0] ** 2), -v[0]], [0.0, -1.0], cfg,
+                               lambda v: [[-20.0 * v[0], 10.0], [-1.0, 0.0]])
     assert result.converged and result.evals <= 2000
     x = result.estimates
     assert abs(x["theta1"] - 1.0) < 1e-4 and abs(x["theta2"] - 1.0) < 1e-4
@@ -199,7 +200,8 @@ def test_lsq_never_worse_than_start():
                      {"theta1": (-4.0, 4.0), "theta2": (-4.0, 4.0)},
                      {"theta1": 2.0, "theta2": -1.0}, max_evals=60)
     predict = lambda v: [np.sin(3 * v[0]), v[1], 0.3 * v[0]]
-    result = least_squares_fit(predict, [0.0, 0.0, 0.0], cfg)
+    jac = lambda v: [[3 * np.cos(3 * v[0]), 0.0], [0.0, 1.0], [0.3, 0.0]]
+    result = least_squares_fit(predict, [0.0, 0.0, 0.0], cfg, jac)
     assert result.mse <= mse([0.0, 0.0, 0.0], predict(np.array([2.0, -1.0])))
     assert result.predicted == tuple(predict(np.array(list(result.estimates.values()))))
 
@@ -208,7 +210,7 @@ def test_lsq_estimates_respect_bounds():
     # the unconstrained minimum at 3 lies outside the box; every iterate stays strictly
     # inside it, and the active bound is reported
     cfg = lsq_config(["theta1"], {"theta1": (0.0, 2.0)}, {"theta1": 1.0}, max_evals=400)
-    result = least_squares_fit(lambda v: [v[0]], [3.0], cfg)
+    result = least_squares_fit(lambda v: [v[0]], [3.0], cfg, lambda v: [[1.0]])
     assert 0.0 <= result.estimates["theta1"] <= 2.0
     assert result.estimates["theta1"] == pytest.approx(2.0, abs=1e-5)
     assert result.at_bound == ("theta1",)
@@ -226,7 +228,7 @@ def test_lsq_nonfinite_start_raises():
             return [value, 1.0]
 
         with pytest.raises(NumericError, match="not finite at the start"):
-            least_squares_fit(predict, [0.0, 0.0], cfg)
+            least_squares_fit(predict, [0.0, 0.0], cfg, lambda v: np.zeros((2, 2)))
         assert len(calls) == 1  # the start, nothing more
 
 
@@ -236,23 +238,26 @@ def test_lsq_overflowing_sum_of_squares_at_start_names_it():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="sum of squared residuals overflows at the start"):
-            least_squares_fit(lambda v: [1e200, 1e200], [0.0, 0.0], cfg)
+            least_squares_fit(lambda v: [1e200, 1e200], [0.0, 0.0], cfg, lambda v: [[0.0]] * 2)
         with pytest.raises(NumericError, match="residuals are not finite at the start"):
-            least_squares_fit(lambda v: [math.inf, 1e200], [0.0, 0.0], cfg)
+            least_squares_fit(lambda v: [math.inf, 1e200], [0.0, 0.0], cfg, lambda v: [[0.0]] * 2)
 
 
 def test_lsq_nonfinite_jacobian_raises_without_warning():
-    # the start is finite, but the prediction is inf right above it: so is a Jacobian column
+    # the start is finite, but the prediction is inf right above it: so is its derivative there
     cfg = lsq_config(["theta1", "theta2"], {"theta1": (-10.0, 10.0), "theta2": (-10.0, 10.0)},
                      {"theta1": 0.0, "theta2": 0.0})
 
     def predict(v):
         return [math.inf] * 2 if v[0] > 0.0 else [v[0], v[1]]
 
+    def jac(v):
+        return [[math.inf if v[0] >= 0.0 else 1.0, 0.0], [0.0, 1.0]]
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="Jacobian is not finite"):
-            least_squares_fit(predict, [2.0, 1.0], cfg)
+            least_squares_fit(predict, [2.0, 1.0], cfg, jac)
 
 
 # Free parameters whose effect on I_H a central difference of the march resolves. M saturates

@@ -13,6 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import rabictl
 from rabictl import calibrate, model
 from rabictl.cli import (
-    _HANDLERS, OUTDIR_ENV, _config_schema, _Each, _OrNull, build_parser, main, resolve_config,
+    _HANDLERS, OUTDIR_ENV, _config_schema, _OrNull, build_parser, main, resolve_config,
 )
 from rabictl.errors import ConfigError, IntegrationBlowupError
 from rabictl.model import StateVec
@@ -367,12 +368,9 @@ def test_config_error_names_the_key(tmp_path, capsys, argv, message):
 
 
 def schema_leaves(shape, path=()):
-    """(dotted path, leaf shape, whether the leaf may be null) for every leaf of ``shape``; an
-    object of any names is entered through the name theta1."""
+    """(dotted path, leaf shape, whether the leaf may be null) for every leaf of ``shape``."""
     inner = shape.shape if isinstance(shape, _OrNull) else shape
-    if isinstance(inner, _Each):
-        yield from schema_leaves(inner.shape, (*path, "theta1"))
-    elif isinstance(inner, dict):
+    if isinstance(inner, dict):
         for name, sub in inner.items():
             yield from schema_leaves(sub, (*path, name))
     else:
@@ -384,7 +382,7 @@ def valid_value(shape):
         return None
     if type(shape) is dict:  # a block read key by key: every key
         return {name: valid_value(sub) for name, sub in shape.items()}
-    if isinstance(shape, (dict, _Each)):  # an override map or an object of any names
+    if isinstance(shape, dict):  # an override map
         return {}
     return {float: 1.0, int: 1, str: "x", list: [], tuple: [1.0, 2.0]}[type(shape)]
 
@@ -394,8 +392,7 @@ def with_leaf(shape, path, value):
     if not path:
         return value
     inner = shape.shape if isinstance(shape, _OrNull) else shape
-    sub = inner.shape if isinstance(inner, _Each) else inner[path[0]]
-    return {**valid_value(inner), path[0]: with_leaf(sub, path[1:], value)}
+    return {**valid_value(inner), path[0]: with_leaf(inner[path[0]], path[1:], value)}
 
 
 def test_every_schema_key_rejects_a_value_of_the_wrong_kind(tmp_path, capsys):
@@ -837,6 +834,84 @@ def test_default_fit_on_bundled_series(tmp_path):
     assert report["evals"] <= 60
 
 
+def test_budget_stop_reports_no_bound(tmp_path, capsys):
+    """The default fit converges in 14 marches with beta1 and theta1 at their bounds; stopped
+    by its budget one march earlier, it reports no active bound."""
+    code, out = run(tmp_path, "a", "--set", "fit.max_evals=13", "fit")
+    assert code == 0
+    report = json.loads((out / "fit.json").read_text())
+    assert (report["evals"], report["converged"], report["at_bound"]) == (13, False, [])
+    assert "after 13 evaluations, at bound: none;" in capsys.readouterr().out
+
+
+def test_budget_is_kept_where_scipy_moves_the_start(tmp_path):
+    """scipy moves a start within 1e-10 of a bound inside the box and evaluates it there: that
+    second march would pass a budget of one."""
+    code, out = run(tmp_path, "a", "--set", 'fit.free=["theta1"]',
+                    "--set", 'fit.x0={"theta1":500.00000001}',
+                    "--set", 'fit.bounds={"theta1":[500,4000]}',
+                    "--set", "fit.max_evals=1", "--set", "fit.dt=0.05", "fit")
+    assert code == 0
+    report = json.loads((out / "fit.json").read_text())
+    assert (report["evals"], report["converged"]) == (1, False)
+
+
+def test_fit_linear_algebra_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(calibrate.optimize, "least_squares", failing)
+    code, out = run(tmp_path, "a", "--set", "fit.dt=0.05", "fit")
+    assert code == 3
+    assert out is None
+    assert "numeric failure: the fit's linear algebra failed near [" in capsys.readouterr().err
+
+
+def artifact_bytes(out):
+    """Every artifact of a run but config.json, with the config echo dropped from JSON ones."""
+    got = {}
+    for f in sorted(out.iterdir()):
+        if f.suffix == ".json":
+            payload = json.loads(f.read_text())
+            payload.pop("config", None)
+            got[f.name] = payload
+        else:
+            got[f.name] = f.read_bytes()
+    del got["config.json"]
+    return got
+
+
+PRCC_SMALL = ("--set", "sensitivity.N=40", "--set", "sensitivity.grid.tf=5",
+              "--set", "sensitivity.grid.n_steps=100", "--set", "sensitivity.sample_times=[2.5,5]")
+
+
+def test_prcc_initial_state_goes_on_top_of_the_study_seeding(tmp_path):
+    """M = 0.1 is the study's own M0, so setting it changes nothing; it used to replace the
+    study's seeding (5, 10) by the default scenario's (20, 50)."""
+    code, plain = run(tmp_path, "a", *PRCC_SMALL, "prcc")
+    assert code == 0
+    code, same = run(tmp_path, "b", *PRCC_SMALL, "--set", "initial_state.M=0.1", "prcc")
+    assert code == 0
+    assert artifact_bytes(same) == artifact_bytes(plain)
+    code, other = run(tmp_path, "c", *PRCC_SMALL, "--set", "initial_state.I_D=20", "prcc")
+    assert code == 0
+    assert artifact_bytes(other) != artifact_bytes(plain)
+
+
+def test_fit_reads_initial_state_on_top_of_its_seeding(tmp_path):
+    """The fit starts from its own seeding with M = 0, so M = 0 changes nothing, while another
+    I_D changes the fit; initial_state used to be ignored by the fit."""
+    reports = {}
+    for label, extra in (("plain", ()), ("M", ("initial_state.M=0",)),
+                         ("I_D", ("initial_state.I_D=60",))):
+        code, out = run(tmp_path, label, "--set", "fit.dt=0.05",
+                        *(a for v in extra for a in ("--set", v)), "fit")
+        assert code == 0
+        reports[label] = artifact_bytes(out)
+    assert reports["M"] == reports["plain"]
+    assert reports["I_D"]["fit.json"]["mse"] != reports["plain"]["fit.json"]["mse"]
+
+
 def test_fit_with_non_finite_start_is_numeric_error(tmp_path, capsys):
     # a valid but huge transmission rate blows up the Euler march at the start point
     with warnings.catch_warnings():
@@ -940,8 +1015,13 @@ def test_fit_jacobian_failure_is_numeric_error(tmp_path, capsys, monkeypatch, ar
 
 @pytest.mark.parametrize("argv, message", [
     (('fit.free=[]',), "a fit needs at least one free parameter"),
+    (('fit.free=["theta1"]', 'fit.bounds={"theta1":[500,4000],"tau1":[0,1]}'),
+     "fit.bounds names 'tau1', which is not a free parameter"),
+    # fit.x0 and fit.bounds are override maps over the parameter names
     (('fit.free=["theta1"]', 'fit.bounds={"theta1":[500,4000],"beta9":[0,1]}'),
-     "fit.bounds names 'beta9', which is not a free parameter"),
+     "unknown config key 'fit.bounds.beta9'"),
+    (('fit.x0={"theta1":1500,"tau1":0.0004,"beta1":0.17,"theta9":5}',),
+     "unknown config key 'fit.x0.theta9'"),
     (('fit.free=["theta1"]', 'fit.x0={"theta1":1500,"tau1":5}'),
      "fit.x0 names 'tau1', which is not a free parameter"),
     # the default bounds are derived from x0, which used to raise KeyError('tau1')
@@ -957,7 +1037,8 @@ def test_fit_jacobian_failure_is_numeric_error(tmp_path, capsys, monkeypatch, ar
     # the default bounds [x0/4, 4*x0] of a negative start value have lo > hi
     (('fit.x0={"theta1":-5,"tau1":0.0004,"beta1":0.17}',),
      "fit.x0.theta1 must be positive to derive its bounds, got -5.0"),
-], ids=["empty-free", "bounds-outside-free", "x0-outside-free", "partial-x0", "unknown-free",
+], ids=["empty-free", "bounds-outside-free", "bounds-not-a-parameter", "x0-not-a-parameter",
+        "x0-outside-free", "partial-x0", "unknown-free",
         "one-bound", "bound-not-a-pair", "free-not-a-list", "bounds-not-an-object",
         "x0-not-an-object", "non-positive-x0"])
 def test_fit_free_parameter_mismatch_is_config_error(tmp_path, capsys, argv, message):

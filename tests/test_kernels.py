@@ -339,9 +339,9 @@ def test_adjoint_parts_assemble_to_adjoint_system_bits(rows, w, p):
     u = ControlConst(*np.array([c for _, c in rows]).T)
     a, flows = adjoint_parts(y, u, w, p)
     dense = np.repeat(a[np.newaxis], len(rows), axis=0)
-    for i, j, k, d in flows:
-        dense[:, i, j] = a[i, j] + d
-        dense[:, i, k] = a[i, k] - d
+    for src, dst, j, d in flows:
+        dense[:, j, src] = a[j, src] + d
+        dense[:, j, dst] = a[j, dst] - d
     G, g = adjoint_system(y, u, w, p)
     assert hexes([dense[:, :12, :12].ravel()]) == hexes([G.ravel()])
     assert hexes([dense[:, :12, 12].ravel()]) == hexes([np.tile(g, len(rows))])

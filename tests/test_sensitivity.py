@@ -291,25 +291,25 @@ def test_prcc_study_shapes_and_determinism(p_base):
     )
     res1 = prcc_study(**kwargs)
     res2 = prcc_study(**kwargs)
-    assert [r.output for r in res1] == ["I_H", "M"]
-    for r1, r2 in zip(res1, res2):
-        assert r1.times == (2.0, 5.0)
-        assert r1.coefficients.shape == (2, 5)
-        assert np.array_equal(r1.coefficients, r2.coefficients)
-        assert np.all(np.abs(r1.coefficients) <= 1.0)
-        assert r1.dropped_rows == 0
+    assert res1.outputs == ("I_H", "M")
+    assert res1.times == (2.0, 5.0)
+    assert res1.param_names == ("tau1", "kappa1", "beta2", "nu1", "rho1")
+    assert res1.coefficients.shape == (2, 2, 5)
+    assert np.array_equal(res1.coefficients, res2.coefficients)
+    assert np.all(np.abs(res1.coefficients) <= 1.0)
+    assert (res1.N, res1.seed, res1.dropped_rows) == (40, 17, 0)
 
 
 def test_prcc_study_equals_one_prcc_per_output_and_time(p_base):
     ranges = uniform_ranges(p_base, 0.25, names=["tau1", "kappa1", "beta2", "nu1", "rho1"])
     grid, times, outputs = TimeGrid(0.0, 5.0, 100), [2.0, 3.5, 5.0], ("I_H", "I_D", "M")
     y0 = light_seed_state(p_base)
-    results = prcc_study(ranges, 40, 17, p_base, y0, grid, times, outputs)
+    study = prcc_study(ranges, 40, 17, p_base, y0, grid, times, outputs)
     X, _, _, rows = simulate_batch(ranges, 40, 17, p_base, y0, grid, times, outputs)
-    for oi, res in enumerate(results):
+    for oi, coefficients in enumerate(study.coefficients):
         for ti in range(len(times)):
             z = np.array([r[ti, oi] for r in rows])
-            assert np.max(np.abs(res.coefficients[ti] - prcc(X, z))) < 1e-12
+            assert np.max(np.abs(coefficients[ti] - prcc(X, z))) < 1e-12
 
 
 def test_prcc_study_drops_blowup_rows(p_base):
