@@ -245,14 +245,21 @@ def _incidence_jacobian(p: ParamSet, values: np.ndarray, grid: TimeGrid, nodes: 
     The sensitivities S = dy/dx of y' = y + h f(y, x) follow S' = (I + h J) S + h F from S = 0,
     with J = df/dy (``model.jacobian``) and F = df/dx at the step's start node: per free
     parameter one difference of ``rhs`` on all nodes between x -/+ 1e-4 x, kept inside the
-    bounds. It is exact where ``rhs`` is affine in x, and within about 1e-8 in C and the rho.
+    bounds; an end that breaks a parameter rule (theta > mu) falls back to x, so that difference
+    is one-sided. It is exact where ``rhs`` is affine in x, and within about 1e-8 in C and the rho.
     """
     h, n, k = grid.h, grid.n_steps, len(cfg.free)
     starts, q = values[:-1], np.empty((n, 12, k))  # each step's start node, and h F there
     for j, name in enumerate(cfg.free):
         x, (lo, hi) = getattr(p, name), cfg.bounds[name]
-        a, b = max(lo, x - 1e-4 * x), min(hi, x + 1e-4 * x)
-        fa, fb = (rhs(0.0, starts.T, ZERO_CONTROL, p.replace(**{name: v})) for v in (a, b))
+        ends = []
+        for v in (max(lo, x - 1e-4 * x), min(hi, x + 1e-4 * x)):
+            try:
+                ends.append((v, p.replace(**{name: v})))
+            except ConfigError:
+                ends.append((x, p))
+        (a, pa), (b, pb) = ends
+        fa, fb = (rhs(0.0, starts.T, ZERO_CONTROL, end) for end in (pa, pb))
         q[:, :, j] = np.subtract(fb, fa).T * h / (b - a)
     z = np.tile(np.eye(12 + k, k, -12), (n + 1, 1, 1))  # (S, I_k) at every node, S = 0 at 0
     for i in range(0, n, 128):  # 128 steps at a time keep the (128, 12, 12) maps small

@@ -324,14 +324,15 @@ def cmd_optimize(args: argparse.Namespace, config: dict, given: dict,
     return (f"J = {result.J_history[-1]:.6g} after {result.iterations} iterations "
             f"(converged={result.converged}); wrote {run}"), {
         "states.csv": (("t",) + StateVec._fields, node_rows(grid, result.states.states)),
-        "adjoints.csv": (("t",) + optctl.AdjointVec._fields, node_rows(grid, result.adjoints)),
+        "adjoints.csv": (("t", *(f"lam{i}" for i in range(1, 13))),
+                         node_rows(grid, result.adjoints.tolist())),
         "controls.csv": (("t",) + ControlConst._fields,
                          node_rows(grid, result.controls.values.tolist())),
         "summary.json": {
             "J_history": list(result.J_history),
             "iterations": result.iterations,
             "converged": result.converged,
-            "mask": list(result.controls.mask),
+            "mask": list(result.mask),
             "config": given,
         },
     }

@@ -6,11 +6,12 @@ steps a trajectory's StateVec of floats, kept at every node, or a PRCC batch's `
 (12, N) array, kept at the study's sample nodes, under one clamp rule (``_clamp_state``). The
 adjoint is affine in lam, so the backward pass, from tf down to t0 with a step of -h, is a
 linear recurrence of RK4 propagators applied by one matrix-vector product per step. Once per
-solve, the adjoint system is evaluated on every node and step midpoint as a constant (13, 13)
-part and the few flows that vary (14 for the model, writing 28 entries); per block of BLOCK
-steps, those entries are written into one reused generator buffer and the block's
-propagators built from it. Both passes share one grid and interpolate by node averages only.
-A control path holds one (n_nodes, 4) array.
+solve, the adjoint (``optctl.adjoint_parts``) is evaluated on every node and step midpoint as
+a constant (13, 13) part and the few flows that vary (14 for the model, writing 28 entries);
+per block of BLOCK steps, those entries are written into one reused generator buffer and the
+block's propagators built from it. Both passes share one grid and interpolate by node averages
+only. A control path holds one (n_nodes, 4) array and no mask: the sweep keeps a strategy's
+masked controls at +0.0 itself.
 
 The artifact format is defined here: ``write_csv`` writes a CSV artifact and ``write_json`` a
 JSON one. Their one caller in the package is ``cli.main``, which writes every artifact a
@@ -130,21 +131,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ControlPath:
-    """Per-node controls as a read-only (n_nodes, 4) array, plus the active-control mask.
-
-    Masked-off controls are forced to zero at construction so the invariant
-    holds by construction everywhere downstream.
-    """
+    """Per-node controls as a read-only (n_nodes, 4) array, each in [0, 1]."""
 
     grid: TimeGrid
     values: np.ndarray
-    mask: tuple[bool, bool, bool, bool] = (True, True, True, True)
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
         if len(values) != self.grid.n_nodes:
             raise ConfigError(f"control path has {len(values)} nodes for {self.grid.n_nodes}")
-        values = np.where(self.mask, values, 0.0)
         outside = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
         if len(outside):
             i, j = outside[0]
@@ -155,13 +150,8 @@ class ControlPath:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def constant(
-        cls,
-        grid: TimeGrid,
-        u: ControlConst = ZERO_CONTROL,
-        mask: tuple[bool, bool, bool, bool] = (True, True, True, True),
-    ) -> "ControlPath":
-        return cls(grid, np.tile(u, (grid.n_nodes, 1)), mask)
+    def constant(cls, grid: TimeGrid, u: ControlConst = ZERO_CONTROL) -> "ControlPath":
+        return cls(grid, np.tile(u, (grid.n_nodes, 1)))
 
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid, what: str) -> None:

@@ -246,7 +246,7 @@ def jacobian(y: StateVec, u: ControlConst, p: ParamSet) -> tuple[np.ndarray, np.
     flows = _varying_flows(y, u, p.rates)
     lead = np.broadcast(*y, *u).shape
     T = np.empty(lead + (12, 12))
-    T[...] = _transitions(p.rates)  # a new array each call: adjoint_system adds I into it
+    T[...] = _transitions(p.rates)  # a new array each call: calibrate adds I into it
     for src, dst, j, d in flows[:2]:
         T[..., src, j] -= d
         T[..., dst, j] += d

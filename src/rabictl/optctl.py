@@ -1,4 +1,4 @@
-"""Optimal control: objective, Hamiltonian, adjoint system and the sweep.
+"""Optimal control: objective, Hamiltonian, adjoint and the sweep.
 
 The four controls are characterized pointwise from the state/adjoint pair
 and improved by a relaxed forward-backward sweep: integrate the states
@@ -6,6 +6,8 @@ forward, the adjoints backward from a zero terminal condition, evaluate the
 characterizations, then blend them into the previous controls with a convex
 combination until the update stalls below tolerance. The controls are an
 (n_nodes, 4) array; characterization, update and objective run on all nodes.
+The adjoint is written once, in flow form (``adjoint_parts``). An adjoint is
+any sequence of 12 values lam1..lam12, floats or (N,) arrays.
 
 State equations enter the Hamiltonian in the susceptible-inclusive
 convention (each infection pressure multiplies its susceptible pool), which
@@ -25,19 +27,17 @@ from .integrate import (
     ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward,
 )
 from .model import (
-    ZERO_CONTROL, ControlConst, StateVec, _transitions, _varying_flows, force_terms, jacobian, rhs,
+    ZERO_CONTROL, ControlConst, StateVec, _transitions, _varying_flows, force_terms, rhs,
 )
 from .params import ParamSet
 
 __all__ = [
     "Weights",
-    "AdjointVec",
     "SweepResult",
     "Mask",
     "STRATEGY_MASKS",
     "objective",
     "hamiltonian",
-    "adjoint_system",
     "adjoint_parts",
     "adjoint_rhs",
     "characterize_controls",
@@ -56,26 +56,6 @@ STRATEGY_MASKS: dict[str, Mask] = {
     "C": (False, False, False, True),
     "D": (True, True, False, False),
 }
-
-
-class AdjointVec(NamedTuple):
-    """Adjoint variables ordered like the state vector."""
-
-    lam1: float
-    lam2: float
-    lam3: float
-    lam4: float
-    lam5: float
-    lam6: float
-    lam7: float
-    lam8: float
-    lam9: float
-    lam10: float
-    lam11: float
-    lam12: float
-
-
-ZERO_ADJOINT = AdjointVec(*(0.0,) * 12)
 
 
 @dataclass(frozen=True)
@@ -110,11 +90,13 @@ class Weights:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Converged (or truncated) output of the forward-backward sweep."""
+    """Converged (or truncated) output of the forward-backward sweep: ``adjoints`` is the read-only
+    (n_nodes, 12) array lam1..lam12, and the controls ``mask`` turns off are +0.0 at every node."""
 
     controls: ControlPath
     states: Trajectory
-    adjoints: tuple[AdjointVec, ...]
+    adjoints: np.ndarray
+    mask: Mask
     J_history: tuple[float, ...]
     iterations: int
     converged: bool
@@ -155,7 +137,7 @@ def objective(states: Trajectory, u_path: ControlPath, w: Weights) -> float:
     return h * (0.5 * (values[0] + values[-1]) + sum(values[1:-1]))
 
 
-def hamiltonian(y: StateVec, lam: AdjointVec, u: ControlConst, w: Weights, p: ParamSet) -> float:
+def hamiltonian(y: StateVec, lam: Sequence, u: ControlConst, w: Weights, p: ParamSet) -> float:
     """Running cost plus the adjoint-weighted state derivatives."""
     dy = rhs(0.0, y, u, p)
     return running_cost(y, u, w) + sum(l * d for l, d in zip(lam, dy))
@@ -166,31 +148,17 @@ def _cost_gradient(w: Weights) -> np.ndarray:
     return np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
 
 
-def adjoint_system(
-    y: StateVec, u: ControlConst, w: Weights, p: ParamSet
-) -> tuple[np.ndarray, np.ndarray]:
-    """The adjoint lam' = -dH/dy as the affine system lam' = G lam + g.
-
-    G = -(df/dy)^T from ``model.jacobian`` and g = -dL/dy. Fields of ``y`` and
-    ``u`` are floats or (n,) arrays; G has shape (12, 12) or (n, 12, 12) and g
-    shape (12,).
-    """
-    T, I = jacobian(y, u, p)
-    T += I  # in place: two more (n, 12, 12) temporaries tripled the time of this call
-    G = np.subtract(0.0, T, out=T).swapaxes(-1, -2)  # 0.0 - keeps an empty cell +0.0
-    return G, _cost_gradient(w)
-
-
 def adjoint_parts(
     y: StateVec, u: ControlConst, w: Weights, p: ParamSet
 ) -> tuple[np.ndarray, list[tuple[int, int, int, np.ndarray]]]:
-    """``adjoint_system`` as ``rk4_backward`` reads it: a constant part and the flows that vary.
+    """The adjoint lam' = -dH/dy = G lam + g as ``rk4_backward`` reads it: a constant part and
+    the flows that vary.
 
     The constant part is the (13, 13) generator [[G, g], [0, 0]] without the varying entries:
-    G = 0.0 - T^T from the cached ``model._transitions``. Each of the model's 14 varying flows
-    (src, dst, j, d) adds d (lam_src - lam_dst) to lam_j'. That is ``adjoint_system``'s G to
-    the bit: 0.0 - (t + e) and (0.0 - t) - e round alike, signed zeros included, and so do
-    t - d and t + (-d).
+    G = 0.0 - T^T from the cached ``model._transitions`` and g = -dL/dy. Each of the model's 14
+    varying flows (src, dst, j, d) adds d (lam_src - lam_dst) to lam_j'. Written in, they give
+    G = -(df/dy)^T of ``model.jacobian`` to the bit: 0.0 - (t + e) and (0.0 - t) - e round
+    alike, signed zeros included, and so do t - d and t + (-d).
     """
     a = np.zeros((13, 13))
     np.subtract(0.0, _transitions(p.rates).T, out=a[:12, :12])
@@ -199,34 +167,38 @@ def adjoint_parts(
 
 
 def adjoint_rhs(
-    y: StateVec, lam: AdjointVec, u: ControlConst, w: Weights, p: ParamSet
-) -> AdjointVec:
-    """Adjoint derivatives lam' = -dH/dy at one point of floats."""
-    G, g = adjoint_system(y, u, w, p)
-    return AdjointVec._make((G @ lam + g).tolist())
+    y: StateVec, lam: Sequence[float], u: ControlConst, w: Weights, p: ParamSet
+) -> tuple[float, ...]:
+    """Adjoint derivatives lam' = -dH/dy at one point of floats: ``adjoint_parts`` with each
+    flow written in as ``rk4_backward`` writes it, applied to z = (lam, 1)."""
+    a, flows = adjoint_parts(y, u, w, p)
+    for src, dst, j, d in flows:  # no two flows share a cell: each is written once
+        a[j, src] += d
+        a[j, dst] -= d
+    return tuple((a[:12] @ (*lam, 1.0)).tolist())
 
 
 def characterize_controls(
-    y: StateVec, lam: AdjointVec, w: Weights, p: ParamSet, mask: Mask = ALL_ON
+    y: StateVec, lam: Sequence, w: Weights, p: ParamSet, mask: Mask = ALL_ON
 ) -> ControlConst:
     """Pointwise controls that minimise H: each the stationary point dH/du_i = 0, clipped to [0,1].
 
     The sweep minimises J. While 1-u1-u3 and 1-u1-u2 stay positive, H is a separable convex
     quadratic in u, so each clipped stationary point minimises H pointwise. Fields of ``y``
-    and ``lam`` are floats or (N,) arrays: one call characterizes N nodes. A masked-off
-    control is the float 0.0.
+    and the 12 values of ``lam`` are floats or (N,) arrays: one call characterizes N nodes. A
+    masked-off control is the float 0.0.
     """
     ft = force_terms(y, ZERO_CONTROL, p)
     human_term = ft.f1 * y.S_H
     domestic_term = ft.f3 * y.S_D
-    dl_h = lam.lam2 - lam.lam1
-    dl_d = lam.lam9 - lam.lam8
+    dl_h = lam[1] - lam[0]
+    dl_d = lam[8] - lam[7]
     with np.errstate(over="ignore"):  # a tiny weight A_i sends u_i to +-inf, which clips to 0 or 1
         unclamped = (
             (dl_h * human_term + dl_d * domestic_term) / w.A1,
             dl_d * domestic_term / w.A2,
             dl_h * human_term / w.A3,
-            (y.E_H * (lam.lam2 - lam.lam4) + y.E_D * (lam.lam9 - lam.lam11)) / w.A4,
+            (y.E_H * (lam[1] - lam[3]) + y.E_D * (lam[8] - lam[10])) / w.A4,
         )
     return ControlConst(*(np.clip(u, 0.0, 1.0) if on else 0.0 for u, on in zip(unclamped, mask)))
 
@@ -264,10 +236,10 @@ def forward_backward_sweep(
     def solve(u_path: ControlPath) -> tuple[Trajectory, np.ndarray]:
         states = rk4_forward(p, u_path, y0, grid)
         return states, rk4_backward(
-            lambda y, u: adjoint_parts(y, u, w, p), states, u_path, ZERO_ADJOINT
+            lambda y, u: adjoint_parts(y, u, w, p), states, u_path, (0.0,) * 12
         )
 
-    u_path = ControlPath.constant(grid, mask=mask)
+    u_path = ControlPath.constant(grid)  # characterize_controls keeps masked controls +0.0
     J_history: list[float] = []
     converged = False
     iterations = 0
@@ -283,22 +255,24 @@ def forward_backward_sweep(
                 f"(J = {J:.6g} vs best {J_min:.6g}); try a smaller omega"
             )
 
-        y, lam = _fields(states.values, StateVec), _fields(adjoints, AdjointVec)
+        y, lam = _fields(states.values, StateVec), adjoints.T
         u_star = np.column_stack(np.broadcast_arrays(*characterize_controls(y, lam, w, p, mask)))
         u_old = u_path.values
         u_new = (1.0 - omega) * u_old + omega * u_star
         delta = np.abs(u_new - u_old).max()
-        u_path = ControlPath(grid, u_new, mask)
+        u_path = ControlPath(grid, u_new)
         if delta < tol:
             converged = True
             break
 
     states, adjoints = solve(u_path)
     J_history.append(objective(states, u_path, w))
+    adjoints.flags.writeable = False
     return SweepResult(
         controls=u_path,
         states=states,
-        adjoints=tuple(map(AdjointVec._make, adjoints.tolist())),
+        adjoints=adjoints,
+        mask=mask,
         J_history=tuple(J_history),
         iterations=iterations,
         converged=converged,

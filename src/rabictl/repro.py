@@ -58,7 +58,6 @@ class NgmPair:
 
     F: np.ndarray
     V: np.ndarray
-    order: tuple[str, ...] = INFECTED_ORDER
 
 
 @dataclass(frozen=True)

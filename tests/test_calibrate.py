@@ -22,7 +22,7 @@ from rabictl import calibrate
 from rabictl.calibrate import _incidence_jacobian as incidence_jacobian
 from rabictl.errors import ConfigError, NumericError
 from rabictl.integrate import ControlPath, TimeGrid, euler_forward, rk4_forward
-from rabictl.model import StateVec, seeded_state
+from rabictl.model import ZERO_CONTROL, StateVec, jacobian, seeded_state
 from rabictl.params import PARAM_NAMES
 
 
@@ -288,6 +288,33 @@ def test_fit_jacobian_matches_central_difference_of_the_march(p_est, free, scale
 
         reference = (4 * central(0.005 * x) - central(0.01 * x)) / 3  # Richardson: O(d^4)
         assert np.abs(column - reference).max() <= 1e-6 * np.abs(reference).max(), name
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.01], ids=["one-block", "two-blocks"])
+def test_incidence_jacobian_leaves_later_jacobians_unchanged(p_est, dt):
+    """The fit's Jacobian adds I into the T ``model.jacobian`` returns, 128 steps at a time; a
+    later call's T must not see it, on floats or on arrays."""
+    cfg = FitConfig(free=("theta1",), x0={"theta1": p_est.theta1},
+                    bounds={"theta1": (1.0, 4000.0)}, dt=dt)
+    grid, nodes = calibrate._observation_nodes((1990, 1991, 1992), dt)
+    values = euler_forward(p_est, seeded_state(p_est, 20.0, 50.0), grid).values
+    points = [StateVec._make(values[:-1].T), StateVec._make(values[-1].tolist())]
+    before = [a.tobytes() for y in points for a in jacobian(y, ZERO_CONTROL, p_est)]
+    incidence_jacobian(p_est, values, grid, nodes, cfg)
+    assert [a.tobytes() for y in points for a in jacobian(y, ZERO_CONTROL, p_est)] == before
+
+
+def test_incidence_jacobian_end_past_a_rule_falls_back_to_x(p_est):
+    """At theta1 = mu1 + 1e-6, x - 1e-4 x breaks theta1 > mu1: that end falls back to x, which
+    gives the bits of a box whose lower bound is x (the march's p holds x; cfg.x0 is not read)."""
+    x = p_est.mu1 + 1e-6
+    p = p_est.replace(theta1=x)
+    grid, nodes = calibrate._observation_nodes((1990, 1991, 1992), 0.05)
+    values = euler_forward(p, seeded_state(p, 20.0, 50.0), grid).values
+    columns = [incidence_jacobian(p, values, grid, nodes, FitConfig(
+        free=("theta1",), x0={"theta1": 1.0}, bounds={"theta1": (lo, 4000.0)}, dt=0.05))
+        for lo in (1e-3, x)]
+    assert np.isfinite(columns[0]).all() and columns[0].tobytes() == columns[1].tobytes()
 
 
 @pytest.mark.parametrize("max_evals", [1, 5, 7, 2000])

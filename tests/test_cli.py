@@ -991,16 +991,12 @@ def _raises(exc):
 
 
 @pytest.mark.parametrize("argv, fault", [
-    # the start is valid, but the difference for theta1 = 0.014418 reaches below mu1 = 0.014417
-    (('fit.free=["theta1"]', 'fit.x0={"theta1":0.014418}', 'fit.bounds={"theta1":[0.001,4000]}'),
-     None),
     # 1e-4 of a tau1 of 1e-320 rounds to 0: the difference for tau1 is 0/0
     (('fit.x0={"theta1":1993.38,"tau1":1e-320,"beta1":0.165}',), None),
     ((), _raises(ConfigError("a derivative the model does not define"))),
     ((), _raises(IntegrationBlowupError("a derivative that blew up"))),
     ((), lambda y, u, p: [1e300 * a for a in model.jacobian(y, u, p)]),  # the sensitivities overflow
-], ids=["bounds-past-theta-above-mu", "subnormal-start", "config-error", "numeric-error",
-        "overflow"])
+], ids=["subnormal-start", "config-error", "numeric-error", "overflow"])
 def test_fit_jacobian_failure_is_numeric_error(tmp_path, capsys, monkeypatch, argv, fault):
     if fault:
         monkeypatch.setattr(calibrate, "jacobian", fault)
@@ -1011,6 +1007,21 @@ def test_fit_jacobian_failure_is_numeric_error(tmp_path, capsys, monkeypatch, ar
     assert code == 3
     assert out is None
     assert "numeric failure: the fit's Jacobian is not finite near [" in capsys.readouterr().err
+
+
+def test_fit_jacobian_is_one_sided_where_theta_meets_mu(tmp_path):
+    """theta1 = 0.014418 lies within 1e-4 of mu1 = 0.014417 and the bounds reach below it: the
+    lower difference end breaks theta1 > mu1, falls back to x, and the fit goes on."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "a", "--set", "fit.dt=0.05", "--set", 'fit.free=["theta1"]',
+                        "--set", 'fit.x0={"theta1":0.014418}',
+                        "--set", 'fit.bounds={"theta1":[0.001,4000]}', "fit")
+    assert code == 0
+    report = json.loads((out / "fit.json").read_text())
+    assert (report["converged"], report["evals"], report["at_bound"]) == (True, 20, [])
+    assert report["mse"] == pytest.approx(1284260.53847493, rel=1e-9)
+    assert 0.014417 < report["estimates"]["theta1"] < 0.014418
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -28,11 +28,11 @@ from rabictl.integrate import (
     write_csv,
 )
 from rabictl.model import ControlConst, StateVec, rhs, seeded_state
-from rabictl.optctl import AdjointVec, Weights, adjoint_parts, adjoint_rhs
+from rabictl.optctl import Weights, adjoint_parts, adjoint_rhs
 from rabictl.sensitivity import _simulate_rows
 
 ZEROS12 = (0.0,) * 12
-ZERO_LAM = AdjointVec(*ZEROS12)
+ZERO_LAM = ZEROS12
 
 
 def test_grid_validation():
@@ -78,20 +78,20 @@ def test_accepted_grid_nodes_strictly_increase(t0, n_steps, ulps):
     assert all(a < b for a, b in zip(times, times[1:]))
 
 
-def test_control_path_enforces_mask_and_bounds():
+def test_control_path_enforces_bounds():
     g = TimeGrid(0.0, 1.0, 2)
-    path = ControlPath.constant(g, ControlConst(0.5, 0.5, 0.5, 0.5), mask=(True, False, True, False))
-    assert np.array_equal(path.values[:, [1, 3]], np.zeros((g.n_nodes, 2)))
+    path = ControlPath.constant(g, ControlConst(0.5, 0.5, 0.5, 0.5))
+    assert np.array_equal(path.values, np.full((g.n_nodes, 4), 0.5))
     with pytest.raises(ConfigError):
         ControlPath.constant(g, ControlConst(1.5, 0, 0, 0))
 
 
 def test_control_path_is_read_only_array_that_keeps_bits():
     g = TimeGrid(0.0, 1.0, 2)
-    path = ControlPath(g, [(-0.0, 0.25, 0.5, 1.0)] * 3, mask=(True, True, False, True))
+    path = ControlPath(g, [(-0.0, 0.25, 0.5, 1.0)] * 3)
     assert path.values.shape == (g.n_nodes, 4) and not path.values.flags.writeable
-    assert np.signbit(path.values[:, 0]).all()  # the mask selects; it does not multiply
-    assert np.array_equal(path.values[:, 2], np.zeros(g.n_nodes))
+    assert np.signbit(path.values[:, 0]).all()
+    assert path.values.tolist() == [[0.0, 0.25, 0.5, 1.0]] * 3
     with pytest.raises(ConfigError, match=r"control u4 must lie in \[0, 1\], got nan"):
         ControlPath(g, [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, float("nan")), (2.0, 0.0, 0.0, 0.0)])
     with pytest.raises(ConfigError, match="control path has 2 nodes for 3"):
@@ -218,7 +218,7 @@ def test_backward_terminal_condition_exact(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
     traj = rk4_forward(p_est, path, default_state, g)
-    terminal = AdjointVec(*(float(i) for i in range(12)))
+    terminal = tuple(float(i) for i in range(12))
     adj = rk4_backward(ZERO_SYSTEM, traj, path, terminal)
     assert (adj == np.array(terminal)).all()
 
@@ -325,8 +325,8 @@ def test_backward_matches_reference_stage_loop(p_est, default_state):
     path = ControlPath(g, rng.uniform(0.0, 1.0, (g.n_nodes, 4)))
     traj = rk4_forward(p_est, path, default_state, g)
     w = Weights()
-    fn = lambda t, lam, y, u: adjoint_rhs(y, AdjointVec(*lam), u, w, p_est)
-    terminal = AdjointVec(*rng.uniform(-5.0, 5.0, 12).tolist())
+    fn = lambda t, lam, y, u: adjoint_rhs(y, lam, u, w, p_est)
+    terminal = tuple(rng.uniform(-5.0, 5.0, 12).tolist())
     got = rk4_backward(lambda y, u: adjoint_parts(y, u, w, p_est), traj, path, terminal)
     want = np.array(_reference_rk4_backward(fn, traj, path, terminal))
     assert (np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0)).all()

@@ -26,11 +26,11 @@ from rabictl.integrate import (
     rk4_backward, rk4_forward, rk4_step,
 )
 from rabictl.model import (
-    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, rhs,
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, jacobian, rhs,
     seeded_state,
 )
 from rabictl.optctl import (
-    STRATEGY_MASKS, AdjointVec, Weights, adjoint_parts, adjoint_rhs, adjoint_system,
+    STRATEGY_MASKS, Weights, _cost_gradient, adjoint_parts, adjoint_rhs,
 )
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, rates_of
 from rabictl.sensitivity import _stacked_rhs
@@ -123,17 +123,25 @@ def reference_adjoint_rhs(y, lam, u, w, p):
         )
         + l12 * p.mu4
     )
-    return AdjointVec(d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12)
+    return (d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12)
+
+
+def dense_adjoint(y, u, w, p):
+    """The adjoint as the dense affine system lam' = G lam + g: G = -(df/dy)^T from
+    ``model.jacobian``, (12, 12) or (n, 12, 12), and g = -dL/dy, (12,)."""
+    T, I = jacobian(y, u, p)
+    return (0.0 - (T + I)).swapaxes(-1, -2), _cost_gradient(w)  # 0.0 - keeps an empty cell +0.0
 
 
 def reference_rk4_step(f, y, t, h, za, zm, zb, *args):
+    make = getattr(y, "_make", tuple)  # a NamedTuple, or an adjoint's plain tuple
     half = 0.5 * h
     k1 = f(t, y, za, *args)
-    k2 = f(t + half, y._make(a + half * b for a, b in zip(y, k1)), zm, *args)
-    k3 = f(t + half, y._make(a + half * b for a, b in zip(y, k2)), zm, *args)
-    k4 = f(t + h, y._make(a + h * b for a, b in zip(y, k3)), zb, *args)
+    k2 = f(t + half, make(a + half * b for a, b in zip(y, k1)), zm, *args)
+    k3 = f(t + half, make(a + half * b for a, b in zip(y, k2)), zm, *args)
+    k4 = f(t + h, make(a + h * b for a, b in zip(y, k3)), zb, *args)
     sixth = h / 6.0
-    return y._make(
+    return make(
         a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)
     )
 
@@ -229,7 +237,7 @@ states = st.builds(StateVec, *[st.floats(min_value=0.0, max_value=1e6)] * 12)
 # a failed ensemble row keeps stepping: its states go negative or overflow to inf and NaN
 batch_states = st.builds(StateVec, *[st.floats(min_value=-1e6, max_value=1e6)
                                      | st.sampled_from([1e300, -1e300])] * 12)
-adjoints = st.builds(AdjointVec, *[st.floats(min_value=-1e3, max_value=1e3)] * 12)
+adjoints = st.tuples(*[st.floats(min_value=-1e3, max_value=1e3)] * 12)
 weights = st.builds(Weights, *[st.floats(min_value=0.0, max_value=10.0)] * 6,
                     *[st.floats(min_value=0.1, max_value=100.0)] * 4)
 OVER_ONE = ControlConst(0.7, 0.6, 0.5, 0.2)  # u1 + u3 > 1 and u1 + u2 > 1: both factors clamp
@@ -301,13 +309,13 @@ def test_stacked_batch_step_equals_per_field_step_bits(rows, h):
 
 @settings(max_examples=200, deadline=None)
 @given(y=states, lam=adjoints, u=controls, w=weights, p=params)
-@example(y=seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), lam=AdjointVec(*[0.0] * 12),
+@example(y=seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), lam=(0.0,) * 12,
          u=OVER_ONE, w=Weights(), p=TABLE2_ESTIMATED)
 def test_adjoint_rhs_within_rounding_of_reference(y, lam, u, w, p):
     """G lam + g differs from the hand-expanded adjoint by rounding only."""
     got = adjoint_rhs(y, lam, u, w, p)
-    assert type(got) is AdjointVec
-    G, g = adjoint_system(y, u, w, p)
+    assert type(got) is tuple and len(got) == 12 and all(type(v) is float for v in got)
+    G, g = dense_adjoint(y, u, w, p)
     scale = np.abs(G) @ np.abs(lam) + np.abs(g)
     # below the smallest normal double, rounding is absolute rather than relative
     bound = 1e-13 * scale + np.finfo(float).tiny
@@ -319,13 +327,16 @@ def test_adjoint_rhs_within_rounding_of_reference(y, lam, u, w, p):
 @example(rows=[(seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), OVER_ONE)], w=Weights(),
          p=TABLE2_ESTIMATED)
 def test_adjoint_system_on_arrays_equals_per_point_calls(rows, w, p):
+    """``adjoint_parts`` on (n,) arrays gives, at each point, the bits of a call on floats."""
     y = StateVec(*np.array([s for s, _ in rows]).T)
     u = ControlConst(*np.array([c for _, c in rows]).T)
-    G, g = adjoint_system(y, u, w, p)
-    assert G.shape == (len(rows), 12, 12)
-    for G_i, (s, c) in zip(G, rows):
-        G_point, g_point = adjoint_system(s, c, w, p)
-        assert hexes(G_i) == hexes(G_point) and hexes(g) == hexes(g_point)
+    a, flows = adjoint_parts(y, u, w, p)
+    assert len(flows) == 14 and all(np.shape(d) == (len(rows),) for *_, d in flows)
+    for i, (s, c) in enumerate(rows):
+        a_point, flows_point = adjoint_parts(s, c, w, p)
+        assert hexes([a.ravel()]) == hexes([a_point.ravel()])
+        assert [f[:3] for f in flows] == [f[:3] for f in flows_point]
+        assert hexes([d[i] for *_, d in flows]) == hexes([d for *_, d in flows_point])
 
 
 @settings(max_examples=50, deadline=None)
@@ -333,16 +344,17 @@ def test_adjoint_system_on_arrays_equals_per_point_calls(rows, w, p):
 @example(rows=[(seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), OVER_ONE)], w=Weights(),
          p=TABLE2_ESTIMATED)
 def test_adjoint_parts_assemble_to_adjoint_system_bits(rows, w, p):
-    """The constant part with each varying flow written in is ``adjoint_system``'s [[G, g],
-    [0, 0]], signed zeros included."""
+    """The constant part with each varying flow written in is the dense system's [[G, g],
+    [0, 0]] from ``model.jacobian`` (``dense_adjoint``), signed zeros included."""
     y = StateVec(*np.array([s for s, _ in rows]).T)
     u = ControlConst(*np.array([c for _, c in rows]).T)
     a, flows = adjoint_parts(y, u, w, p)
+    assert len({(j, c) for src, dst, j, _ in flows for c in (src, dst)}) == 28  # one write each
     dense = np.repeat(a[np.newaxis], len(rows), axis=0)
     for src, dst, j, d in flows:
         dense[:, j, src] = a[j, src] + d
         dense[:, j, dst] = a[j, dst] - d
-    G, g = adjoint_system(y, u, w, p)
+    G, g = dense_adjoint(y, u, w, p)
     assert hexes([dense[:, :12, :12].ravel()]) == hexes([G.ravel()])
     assert hexes([dense[:, :12, 12].ravel()]) == hexes([np.tile(g, len(rows))])
     assert hexes([dense[:, 12].ravel()]) == hexes([np.zeros(13 * len(rows))])
@@ -431,22 +443,23 @@ def reference_block_backward(system, state_traj, u_path, terminal):
                        lambda n: n % BLOCK)),
        h=st.floats(min_value=0.005, max_value=0.05),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-@example(p=TABLE2_ESTIMATED, w=Weights(), lam=AdjointVec(*[1.0] * 12), mask="A", n=BLOCK - 1,
+@example(p=TABLE2_ESTIMATED, w=Weights(), lam=(1.0,) * 12, mask="A", n=BLOCK - 1,
          h=0.02, seed=1)
-@example(p=TABLE2_ESTIMATED, w=Weights(), lam=AdjointVec(*[1.0] * 12), mask="D", n=2 * BLOCK + 1,
+@example(p=TABLE2_ESTIMATED, w=Weights(), lam=(1.0,) * 12, mask="D", n=2 * BLOCK + 1,
          h=0.02, seed=2)
 def test_rk4_backward_equals_per_block_dense_assembly_bits(p, w, lam, mask, n, h, seed):
     """Evaluated once per solve as a constant part and varying entries, the adjoint system
     gives the per-block dense assembly's lam to the bit, for a short last block, treatment
     u4 on, and every strategy's mask."""
     grid = TimeGrid(0.0, n * h, n)
-    path = ControlPath(grid, np.random.default_rng(seed).uniform(0.0, 1.0, (n + 1, 4)),
-                       STRATEGY_MASKS[mask])
+    path = ControlPath(grid, np.where(STRATEGY_MASKS[mask],
+                                      np.random.default_rng(seed).uniform(0.0, 1.0, (n + 1, 4)),
+                                      0.0))
     try:
         traj = rk4_forward(p, path, seeded_state(p, *DEFAULT_SEEDING), grid)
     except IntegrationBlowupError:
         return
-    want = reference_block_backward(lambda y, u: adjoint_system(y, u, w, p), traj, path, lam)
+    want = reference_block_backward(lambda y, u: dense_adjoint(y, u, w, p), traj, path, lam)
     try:
         got = rk4_backward(lambda y, u: adjoint_parts(y, u, w, p), traj, path, lam)
     except IntegrationBlowupError:

@@ -11,7 +11,6 @@ from rabictl.model import (
     seeded_state,
 )
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
-from rabictl.optctl import Weights, adjoint_system
 from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED, ParamSet, rates_of
 from rabictl.repro import effective_r
 
@@ -359,18 +358,6 @@ def test_cached_transitions_are_read_only(p_est):
     assert not cached.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         cached[0, 0] = 0.0
-
-
-@pytest.mark.parametrize("n", [None, 5])
-def test_adjoint_system_leaves_later_jacobians_unchanged(p_est, n):
-    """``adjoint_system`` adds I into the T ``jacobian`` returns; the next call's T must not
-    see it."""
-    y, u = draws(p_est, n or 1, seed=9)
-    if n is None:
-        y, u = StateVec(*(float(v[0]) for v in y)), ControlConst(*(float(v[0]) for v in u))
-    before = [a.tobytes() for a in jacobian(y, u, p_est)]
-    adjoint_system(y, u, Weights(), p_est)
-    assert [a.tobytes() for a in jacobian(y, u, p_est)] == before
 
 
 def test_state_validation():

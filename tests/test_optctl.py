@@ -12,7 +12,6 @@ from rabictl.integrate import ControlPath, TimeGrid, Trajectory
 from rabictl.model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from rabictl.optctl import (
     STRATEGY_MASKS,
-    AdjointVec,
     Weights,
     adjoint_rhs,
     characterize_controls,
@@ -23,12 +22,12 @@ from rabictl.optctl import (
 )
 from rabictl.model import rhs, ZERO_CONTROL
 
-ZERO_LAM = AdjointVec(*(0.0,) * 12)
+ZERO_LAM = (0.0,) * 12
 
 
 def random_point(rng):
     y = StateVec(*(rng.uniform(1.0, 1e4) for _ in range(12)))
-    lam = AdjointVec(*(rng.uniform(-5.0, 5.0) for _ in range(12)))
+    lam = tuple(rng.uniform(-5.0, 5.0) for _ in range(12))
     u = ControlConst(*(rng.uniform(0.0, 1.0) for _ in range(4)))
     return y, lam, u
 
@@ -117,7 +116,7 @@ def test_hamiltonian_u4_partial_derivative(p_est):
     u = u._replace(u4=0.37)
     w = Weights()
     analytic = (
-        w.A4 * u.u4 - (lam.lam2 - lam.lam4) * y.E_H - (lam.lam9 - lam.lam11) * y.E_D
+        w.A4 * u.u4 - (lam[1] - lam[3]) * y.E_H - (lam[8] - lam[10]) * y.E_D
     )
     h = 1e-6
     fd = (
@@ -131,7 +130,7 @@ def test_adjoint_zero_weights_zero_adjoint(p_est):
     rng = random.Random(6)
     y, _, u = random_point(rng)
     w = Weights(K1=0, K2=0, K3=0, K4=0, K5=0, K6=0)
-    assert adjoint_rhs(y, ZERO_LAM, u, w, p_est) == AdjointVec(*(0.0,) * 12)
+    assert adjoint_rhs(y, ZERO_LAM, u, w, p_est) == (0.0,) * 12
 
 
 def test_adjoint_infected_human_component(p_est):
@@ -139,8 +138,8 @@ def test_adjoint_infected_human_component(p_est):
     y, lam, u = random_point(rng)
     w = Weights()
     d = adjoint_rhs(y, lam, u, w, p_est)
-    expected = -w.K3 + lam.lam3 * (p_est.sigma1 + p_est.mu1) - lam.lam12 * p_est.nu1
-    assert d.lam3 == pytest.approx(expected, rel=1e-12)
+    expected = -w.K3 + lam[2] * (p_est.sigma1 + p_est.mu1) - lam[11] * p_est.nu1
+    assert d[2] == pytest.approx(expected, rel=1e-12)
 
 
 def test_adjoint_matches_finite_differences(p_est):
@@ -166,7 +165,7 @@ def test_characterization_zero_adjoint(p_est, default_state):
 
 
 def test_characterization_clamps_at_one(p_est, default_state):
-    lam = ZERO_LAM._replace(lam2=1e9, lam9=1e9)
+    lam = tuple(1e9 if i in (1, 8) else 0.0 for i in range(12))  # lam2 and lam9
     u = characterize_controls(default_state, lam, Weights(), p_est)
     assert u.u4 == 1.0
 
@@ -175,7 +174,7 @@ def test_characterization_u3_formula(p_est):
     # engineer (tau1 I_F + tau2 I_D + tau3 lamM) S_H = 0.3 with lam2-lam1 = 1
     S_H = 0.3 / (p_est.tau1 * 10.0)
     y = StateVec(S_H, 0, 0, 0, 0, 0, 10.0, 0, 0, 0, 0, 0)
-    lam = ZERO_LAM._replace(lam1=1.0, lam2=2.0)
+    lam = (1.0, 2.0) + (0.0,) * 10
     w = Weights(A1=1.0, A2=1.0, A3=1.0, A4=1.0)
     u = characterize_controls(y, lam, w, p_est)
     assert u.u3 == pytest.approx(0.3, rel=1e-12)
@@ -183,7 +182,7 @@ def test_characterization_u3_formula(p_est):
 
 
 def test_characterization_respects_mask(p_est, default_state):
-    lam = AdjointVec(*(5.0 if i % 2 == 0 else -5.0 for i in range(12)))
+    lam = tuple(5.0 if i % 2 == 0 else -5.0 for i in range(12))
     u = characterize_controls(default_state, lam, Weights(), p_est, mask=(False, True, False, True))
     assert u.u1 == 0.0 and u.u3 == 0.0
 
@@ -195,7 +194,7 @@ def test_batched_characterization_equals_per_node_calls(p_est, default_state, st
     mask = STRATEGY_MASKS[strategy]
     res = forward_backward_sweep(p_est, Weights(), default_state, g, mask, max_iter=3)
     Y = StateVec(*np.array(res.states.states).T)
-    lam = AdjointVec(*np.array(res.adjoints).T)
+    lam = res.adjoints.T
     u_star = characterize_controls(Y, lam, Weights(), p_est, mask)
     batch = np.column_stack(np.broadcast_arrays(*u_star))
     per_node = np.array([
@@ -207,6 +206,19 @@ def test_batched_characterization_equals_per_node_calls(p_est, default_state, st
 
 
 # --- sweep -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_MASKS))
+def test_sweep_keeps_masked_controls_positive_zero(p_est, default_state, strategy):
+    """A control path holds no mask: the sweep keeps each masked control +0.0 at every node
+    (characterize_controls gives 0.0 and the sweep starts from zero), and its result carries
+    the mask."""
+    mask = STRATEGY_MASKS[strategy]
+    res = forward_backward_sweep(p_est, Weights(), default_state, TimeGrid(0.0, 20.0, 200), mask)
+    assert res.mask == mask
+    off = res.controls.values[:, [not on for on in mask]]
+    assert (off == 0.0).all() and not np.signbit(off).any()
+    assert (res.controls.values[:, list(mask)] > 0.0).any()  # the active controls moved
 
 
 def test_sweep_all_masked_off(p_est, default_state):
@@ -256,7 +268,9 @@ def test_sweep_controls_in_bounds(sweep_a_coarse):
 
 
 def test_sweep_terminal_adjoint_zero(sweep_a_coarse):
-    assert sweep_a_coarse.adjoints[-1] == AdjointVec(*(0.0,) * 12)
+    adjoints = sweep_a_coarse.adjoints
+    assert adjoints.shape == (501, 12) and not adjoints.flags.writeable
+    assert (adjoints[-1] == 0.0).all()
 
 
 def test_sweep_characterization_consistency(sweep_a_coarse, p_est):
@@ -265,7 +279,7 @@ def test_sweep_characterization_consistency(sweep_a_coarse, p_est):
     for y, lam, u in zip(
         sweep_a_coarse.states.states, sweep_a_coarse.adjoints, sweep_a_coarse.controls.values
     ):
-        u_star = characterize_controls(y, lam, w, p_est, sweep_a_coarse.controls.mask)
+        u_star = characterize_controls(y, lam, w, p_est, sweep_a_coarse.mask)
         worst = max(worst, max(abs(a - b) for a, b in zip(u, u_star)))
     assert worst < 10 * 1e-4
 

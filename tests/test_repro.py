@@ -15,6 +15,7 @@ from rabictl.model import (
 )
 from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED
 from rabictl.repro import (
+    INFECTED_ORDER,
     _state_from_forces,
     dfe_stability,
     effective_r,
@@ -198,7 +199,8 @@ def test_ngm_structure(p_est):
     assert np.all(off <= 0.0)  # M-matrix: non-positive off-diagonal
     assert np.all(pair.F >= 0.0)
     assert np.linalg.cond(pair.V) < 1e12
-    assert pair.order == ("E_H", "I_H", "E_F", "I_F", "E_D", "I_D", "M")
+    assert INFECTED_ORDER == ("E_H", "I_H", "E_F", "I_F", "E_D", "I_D", "M")
+    assert pair.F.shape == pair.V.shape == (7, 7)
 
 
 @pytest.mark.parametrize("include_environment", [False, True])
