@@ -1,17 +1,20 @@
 """Fixed-step RK4 integration on a shared uniform grid.
 
-``rk4_step`` is the one place the RK4 formula is written; it hands its later stage states to
-``f`` as plain lists and builds one NamedTuple per step. One march (``_march``), RK4 or Euler,
-steps a trajectory's StateVec of floats, kept at every node, or a PRCC batch's ``Stacked``
-(12, N) array, kept at the study's sample nodes, under one clamp rule (``_clamp_state``). The
-adjoint is affine in lam, so the backward pass, from tf down to t0 with a step of -h, is a
-linear recurrence of RK4 propagators applied by one matrix-vector product per step. Once per
-solve, the adjoint (``optctl.adjoint_parts``) is evaluated on every node and step midpoint as
-a constant (13, 13) part and the few flows that vary (14 for the model, writing 28 entries);
-per block of BLOCK steps, those entries are written into one reused generator buffer and the
-block's propagators built from it. Both passes share one grid and interpolate by node averages
-only. A control path holds one (n_nodes, 4) array and no mask: the sweep keeps a strategy's
-masked controls at +0.0 itself.
+The RK4 formula is written in two forms with one operand order: ``rk4_step`` steps a
+``Stacked`` array, each stage one array operation, and ``_rk4_state_step`` a StateVec of floats,
+field by field, each stage state a tuple literal and the result one NamedTuple; ``_euler_step``
+is the field-by-field Euler step. ``tests/test_kernels.py`` holds each equal, bit for bit, to
+its plain reference step. One march (``_march``), RK4 or Euler, steps a trajectory's StateVec of
+floats, kept at every node, or a PRCC batch's ``Stacked`` (12, N) array, kept at the study's
+sample nodes, under one clamp rule (``_clamp_state``). The adjoint is affine in lam, so the
+backward pass, from tf down to t0 with a step of -h, is a linear recurrence of RK4 propagators
+applied by one matrix-vector product per step. Once per solve, the adjoint
+(``optctl.adjoint_parts``) is evaluated on every node and step midpoint as a constant (13, 13)
+part and the few flows that vary (14 for the model, writing 28 entries); per block of BLOCK
+steps, those entries are written into one reused generator buffer and the block's propagators
+built from it. Both passes share one grid and interpolate by node averages only. A control path
+holds one (n_nodes, 4) array and no mask: the sweep keeps a strategy's masked controls at +0.0
+itself.
 
 The artifact format is defined here: ``write_csv`` writes a CSV artifact and ``write_json`` a
 JSON one. Their one caller in the package is ``cli.main``, which writes every artifact a
@@ -224,34 +227,67 @@ def _trajectory(step: Callable, y0: StateVec, grid: TimeGrid, p, za, zm, zb) -> 
     return Trajectory(grid, tuple(states), clamped)
 
 
-def rk4_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, p) -> tuple:
+def rk4_step(f: Callable, y: Stacked, t: float, h: float, za, zm, zb, p) -> Stacked:
     """One classical RK4 step of y' = f(t, y, z, p) from t to t + h; h < 0 steps back.
 
-    z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y`` is a NamedTuple
-    of floats, of (N,) arrays (one call stepping N rows), or a ``Stacked`` array (each stage
-    one array operation); the result has its type, and later stages reach ``f`` as lists.
+    z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y``, each stage state
+    and each value of ``f`` is a ``Stacked`` array, so that each stage is one array operation.
     """
+    Y = y.values
     half = 0.5 * h
     t_half = t + half
-    k1 = f(t, y, za, p)  # one fixed argument p: ``*args`` would pack a tuple on every call
-    k2 = f(t_half, [a + half * b for a, b in zip(y, k1)], zm, p)
-    k3 = f(t_half, [a + half * b for a, b in zip(y, k2)], zm, p)
-    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)], zb, p)
+    k1 = f(t, y, za, p).values  # one fixed argument p: ``*args`` would pack a tuple on every call
+    k2 = f(t_half, Stacked(Y + half * k1), zm, p).values
+    k3 = f(t_half, Stacked(Y + half * k2), zm, p).values
+    k4 = f(t + h, Stacked(Y + h * k3), zb, p).values
     sixth = h / 6.0
-    return tuple.__new__(type(y), [  # the NamedTuple built without its _make classmethod
-        a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)])
+    return Stacked(Y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def _euler_step(f: Callable, y: tuple, t: float, h: float, za, zm, zb, p) -> tuple:
-    """One forward Euler step of y' = f(t, y, za, p), in ``rk4_step``'s signature."""
-    return tuple.__new__(type(y), [a + h * b for a, b in zip(y, f(t, y, za, p))])
+def _rk4_state_step(f: Callable, y: StateVec, t: float, h: float, za, zm, zb, p) -> StateVec:
+    """``rk4_step`` on a StateVec of floats, field by field, with its operand order: each stage
+    state and the result is one tuple literal, the result a NamedTuple built without _make."""
+    y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12 = y
+    half = 0.5 * h
+    t_half = t + half
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = f(t, y, za, p)
+    b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = f(t_half, (
+        y1 + half * a1, y2 + half * a2, y3 + half * a3, y4 + half * a4, y5 + half * a5,
+        y6 + half * a6, y7 + half * a7, y8 + half * a8, y9 + half * a9, y10 + half * a10,
+        y11 + half * a11, y12 + half * a12), zm, p)
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = f(t_half, (
+        y1 + half * b1, y2 + half * b2, y3 + half * b3, y4 + half * b4, y5 + half * b5,
+        y6 + half * b6, y7 + half * b7, y8 + half * b8, y9 + half * b9, y10 + half * b10,
+        y11 + half * b11, y12 + half * b12), zm, p)
+    d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12 = f(t + h, (
+        y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4, y5 + h * c5, y6 + h * c6,
+        y7 + h * c7, y8 + h * c8, y9 + h * c9, y10 + h * c10, y11 + h * c11, y12 + h * c12), zb, p)
+    sixth = h / 6.0
+    return tuple.__new__(type(y), (
+        y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1), y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+        y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3), y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+        y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5), y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+        y7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7), y8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8),
+        y9 + sixth * (a9 + 2.0 * b9 + 2.0 * c9 + d9),
+        y10 + sixth * (a10 + 2.0 * b10 + 2.0 * c10 + d10),
+        y11 + sixth * (a11 + 2.0 * b11 + 2.0 * c11 + d11),
+        y12 + sixth * (a12 + 2.0 * b12 + 2.0 * c12 + d12)))
+
+
+def _euler_step(f: Callable, y: StateVec, t: float, h: float, za, zm, zb, p) -> StateVec:
+    """One forward Euler step of y' = f(t, y, za, p), field by field, in ``rk4_step``'s form."""
+    y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12 = y
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = f(t, y, za, p)
+    return tuple.__new__(type(y), (
+        y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4, y5 + h * a5, y6 + h * a6,
+        y7 + h * a7, y8 + h * a8, y9 + h * a9, y10 + h * a10, y11 + h * a11, y12 + h * a12))
 
 
 def rk4_forward(p: ParamSet, u_path: ControlPath, y0: StateVec, grid: TimeGrid) -> Trajectory:
     """Classical RK4 over the grid; half-step controls average adjacent nodes."""
     _require_same_grid(u_path.grid, grid, "control path")
     u = u_path.values.tolist()  # rows of Python floats, u1..u4, as each stage reads them
-    return _trajectory(rk4_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), u[1:])
+    return _trajectory(_rk4_state_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), u[1:])
 
 
 def _linear(t: float, z: Sequence[np.ndarray], a: np.ndarray, _: None) -> Stacked:

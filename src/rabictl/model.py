@@ -160,7 +160,7 @@ def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
 
     The system is autonomous; ``t`` is accepted for integrator compatibility.
     ``y`` and ``u`` may be any sequences of their fields, such as an RK4 stage's
-    list. Every parameter comes from the one tuple ``p.rates`` (``params.rates_of``).
+    tuple. Every parameter comes from the one tuple ``p.rates`` (``params.rates_of``).
     """
     S_H, E_H, I_H, R_H, S_F, E_F, I_F, S_D, E_D, I_D, R_D, M = y
     (k_EH, k_IH, k_RH, k_EF, k_IF, k_ED, k_ID, k_RD, _, _, _, theta1, theta2, theta3,

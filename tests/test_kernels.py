@@ -1,11 +1,12 @@
 """The kernels against their reference formulations.
 
-``force_terms``, ``rhs``, ``rk4_step`` and the Euler step are written for speed:
+``force_terms``, ``rhs``, the RK4 steps and the Euler step are written for speed:
 every parameter read with one unpack of the per-set tuple ``p.rates``, shared
-prefixes, RK4 stage states passed to ``rhs`` as plain lists, and one NamedTuple
-built per step without its constructor; the ensemble steps its batch as one
-stacked (12, N) array. They equal the plain formulations below, which read
-named fields, bit for bit; floats are
+prefixes, and a trajectory stepped field by field (``_rk4_state_step`` and
+``_euler_step``: each RK4 stage state passed to ``rhs`` as a tuple literal, and
+one NamedTuple built per step without its constructor); ``rk4_step`` steps the
+ensemble's batch as one stacked (12, N) array. They equal the plain
+formulations below, which read named fields, bit for bit; floats are
 compared through ``float.hex`` so that -0.0 and 0.0 count as different. The
 adjoint is an affine system ``G lam + g`` and its march a recurrence of RK4
 propagators, so they meet the hand-expanded adjoint and its stage-by-stage
@@ -20,10 +21,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rabictl import integrate
 from rabictl.errors import IntegrationBlowupError
 from rabictl.integrate import (
-    BLOCK, ControlPath, Stacked, TimeGrid, _clamp_state, _require_finite, euler_forward,
-    rk4_backward, rk4_forward, rk4_step,
+    BLOCK, CLAMP_TOL, KEEP_TOL, ControlPath, Stacked, TimeGrid, _clamp_state, _euler_step,
+    _require_finite, _rk4_state_step, euler_forward, rk4_backward, rk4_forward, rk4_step,
 )
 from rabictl.model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, jacobian, rhs,
@@ -153,8 +155,8 @@ def reference_batch_step(Y, t, h, p):
     return np.array(reference_rk4_step(reference_rhs, StateVec(*Y), t, h, u, u, u, p))
 
 
-def reference_euler_step(h, t, y, p):
-    return StateVec._make(a + h * b for a, b in zip(y, reference_rhs(t, y, ZERO_CONTROL, p)))
+def reference_euler_step(h, t, y, p, u=ZERO_CONTROL):
+    return StateVec._make(a + h * b for a, b in zip(y, reference_rhs(t, y, u, p)))
 
 
 def reference_march(step, y0, grid):
@@ -233,7 +235,11 @@ params = log_factors.map(lambda exps: TABLE2_ESTIMATED.replace(**{
     name: getattr(TABLE2_ESTIMATED, name) * 10.0 ** e for name, e in zip(PARAM_NAMES, exps)}))
 unit = st.floats(min_value=0.0, max_value=1.0)
 controls = st.builds(ControlConst, unit, unit, unit, unit)
-states = st.builds(StateVec, *[st.floats(min_value=0.0, max_value=1e6)] * 12)
+component = st.floats(min_value=0.0, max_value=1e6)
+states = st.builds(StateVec, *[component] * 12)
+# a march's state between steps: also zero, subnormal, or in the band the clamp lets through
+edge_states = st.builds(StateVec, *[component | st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1060])
+                                    | st.floats(min_value=-CLAMP_TOL, max_value=-KEEP_TOL)] * 12)
 # a failed ensemble row keeps stepping: its states go negative or overflow to inf and NaN
 batch_states = st.builds(StateVec, *[st.floats(min_value=-1e6, max_value=1e6)
                                      | st.sampled_from([1e300, -1e300])] * 12)
@@ -267,7 +273,8 @@ def test_kernels_read_only_the_parameter_tuple(y, u, p):
     only = SimpleNamespace(rates=p.rates)
     assert hexes(force_terms(y, u, only)) == hexes(force_terms(y, u, p))
     assert hexes(rhs(0.0, y, u, only)) == hexes(rhs(0.0, y, u, p))
-    assert hexes(rhs(0.0, list(y), list(u), only)) == hexes(rhs(0.0, y, u, p))  # a stage's lists
+    # an RK4 stage's tuple, and a control row of ``ControlPath.values.tolist()``
+    assert hexes(rhs(0.0, tuple(y), list(u), only)) == hexes(rhs(0.0, y, u, p))
 
 
 def test_over_one_controls_clamp_both_factors():
@@ -305,6 +312,26 @@ def test_stacked_batch_step_equals_per_field_step_bits(rows, h):
         want = reference_batch_step(Y, 0.0, h, p)
     assert type(got) is Stacked and got.values.shape == Y.shape
     assert hexes(got.values) == hexes(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=edge_states, za=controls, zm=controls, zb=controls, p=params,
+       t=st.floats(min_value=0.0, max_value=50.0), h=st.floats(min_value=1e-4, max_value=1.0))
+@example(y=seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), za=OVER_ONE, zm=ZERO_CONTROL,
+         zb=OVER_ONE, p=TABLE2_ESTIMATED, t=0.0, h=0.02)
+@example(y=StateVec(-1e-6, -0.0, 5e-324, -1e-9, *[0.0] * 8), za=ZERO_CONTROL, zm=OVER_ONE,
+         zb=ZERO_CONTROL, p=TABLE2_ESTIMATED, t=3.0, h=0.014)
+def test_state_steps_equal_reference_steps_bits(y, za, zm, zb, p, t, h):
+    """The field-by-field RK4 and Euler steps give the generic steps' bits, signed zeros
+    included, on states at zero, subnormal or just inside the clamp band, stage controls as
+    a march passes them (rows of floats) and any step."""
+    rows = [list(u) for u in (za, zm, zb)]
+    got = _rk4_state_step(rhs, y, t, h, *rows, p)
+    assert type(got) is StateVec
+    assert hexes(got) == hexes(reference_rk4_step(reference_rhs, y, t, h, za, zm, zb, p))
+    got = _euler_step(rhs, y, t, h, *rows, p)
+    assert type(got) is StateVec
+    assert hexes(got) == hexes(reference_euler_step(h, t, y, p, za))
 
 
 @settings(max_examples=200, deadline=None)
@@ -466,6 +493,26 @@ def test_rk4_backward_equals_per_block_dense_assembly_bits(p, w, lam, mask, n, h
         assert not np.isfinite(want).all()
         return
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("march,stages", [("rk4", 4), ("euler", 1)])
+def test_marches_call_the_global_rhs_once_a_stage(monkeypatch, march, stages):
+    """A march reads ``integrate.rhs`` at call time, so a wrapper installed after import (a
+    tracer's counter) sees every stage: 4 calls a step for RK4 and 1 for Euler."""
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return rhs(*args)
+
+    monkeypatch.setattr(integrate, "rhs", counting)
+    p, grid = TABLE2_ESTIMATED, TimeGrid(0.0, 5.0, 37)
+    y0 = seeded_state(p, *DEFAULT_SEEDING)
+    if march == "rk4":
+        traj = rk4_forward(p, random_path(grid, 5), y0, grid)
+    else:
+        traj = euler_forward(p, y0, grid)
+    assert len(traj.states) == grid.n_nodes and len(calls) == stages * grid.n_steps
 
 
 @pytest.mark.parametrize("march", ["rk4", "euler"])
