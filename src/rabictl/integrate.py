@@ -1,12 +1,12 @@
 """Fixed-step RK4 integration on a shared uniform grid.
 
-The RK4 formula is written in two forms with one operand order: ``rk4_step`` steps a
-``Stacked`` array, each stage one array operation, and ``_rk4_state_step`` a StateVec of floats,
-field by field, each stage state a tuple literal and the result one NamedTuple; ``_euler_step``
-is the field-by-field Euler step. ``tests/test_kernels.py`` holds each equal, bit for bit, to
-its plain reference step. One march (``_march``), RK4 or Euler, steps a trajectory's StateVec of
-floats, kept at every node, or a PRCC batch's ``Stacked`` (12, N) array, kept at the study's
-sample nodes, under one clamp rule (``_clamp_state``). The adjoint is affine in lam, so the
+The RK4 formula is written in two forms with one operand order: ``rk4_step`` steps a plain
+ndarray, each stage one array operation, and ``_rk4_state_step`` a StateVec of floats, field by
+field, each stage state a tuple literal and the result one NamedTuple; ``_euler_step`` is the
+field-by-field Euler step. ``tests/test_kernels.py`` holds each equal, bit for bit, to its plain
+reference step. One march (``_march``), RK4 or Euler, steps a trajectory's StateVec of floats,
+kept at every node, or a PRCC batch's (12, N) ndarray, kept at the study's sample nodes, under
+one clamp rule (``_clamp_state``). The adjoint is affine in lam, so the
 backward pass, from tf down to t0 with a step of -h, is a linear recurrence of RK4 propagators
 applied by one matrix-vector product per step. Once per solve, the adjoint
 (``optctl.adjoint_parts``) is evaluated on every node and step midpoint as a constant (13, 13)
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "ControlPath",
-    "Stacked",
     "rk4_step",
     "rk4_forward",
     "rk4_backward",
@@ -121,9 +120,6 @@ class Trajectory:
                 f"trajectory has {len(self.states)} states for {self.grid.n_nodes} nodes"
             )
 
-    def at(self, t: float) -> StateVec:
-        return self.states[self.grid.node_at(t)]
-
     @cached_property
     def values(self) -> np.ndarray:
         """The states as one read-only (n_nodes, 12) array, built on first use and then shared."""
@@ -167,27 +163,20 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[1:] + values[:-1])
 
 
-class Stacked(NamedTuple):
-    """One array as the one field ``rk4_step`` advances, so that each stage is one array
-    operation: a stack of 13x13 propagators, or the (12, N) states of a batch of N rows."""
-
-    values: np.ndarray
-
-
-def _clamp_state(y: StateVec | Stacked, t: float) -> tuple[StateVec | Stacked, Any]:
+def _clamp_state(y: StateVec | np.ndarray, t: float) -> tuple[StateVec | np.ndarray, Any]:
     """Zero the components in [-CLAMP_TOL, -KEEP_TOL) of a StateVec of floats, or of each row
-    of a Stacked (12, N) batch, and count them per row: an int, or an (N,) array. Below
-    -CLAMP_TOL a StateVec raises, while a batch row turns NaN and counts 0."""
-    batch = type(y) is Stacked
+    of a (12, N) ndarray batch, into a copy, and count them per row: an int, or an (N,) array.
+    Below -CLAMP_TOL a StateVec raises, while a batch row turns NaN and counts 0."""
+    batch = type(y) is np.ndarray
     if not batch and (worst := min(y)) < -CLAMP_TOL:
         raise IntegrationBlowupError(f"state component {y._fields[y.index(worst)]} = {worst:.3e} "
                                      f"at t = {t:.6g}; reduce the step size (increase n_steps)")
-    Y = np.array(y.values if batch else [y], dtype=float).reshape(12, -1)  # (12, rows)
+    Y = np.array(y if batch else [y], dtype=float).reshape(12, -1)  # (12, rows)
     low, gone = Y < -KEEP_TOL, (Y < -CLAMP_TOL).any(axis=0)
     Y[low] = 0.0
     Y[:, gone] = np.nan
     counts = np.where(gone, 0, low.sum(axis=0))
-    return (Stacked(Y), counts) if batch else (type(y)._make(Y[:, 0].tolist()), int(counts[0]))
+    return (Y, counts) if batch else (type(y)._make(Y[:, 0].tolist()), int(counts[0]))
 
 
 def _not_finite(what: str, t: float) -> IntegrationBlowupError:
@@ -201,13 +190,13 @@ def _require_finite(values: Sequence[float] | np.ndarray, what: str, t: float) -
         raise _not_finite(what, t)
 
 
-def _march(step: Callable, f: Callable, y: StateVec | Stacked, grid: TimeGrid, p, za, zm, zb,
-           nodes: Sequence[int]) -> tuple[list, StateVec | Stacked, Any]:
-    """Step ``y``, a StateVec of floats or a Stacked (12, N) batch, by ``step(f, y, t, h, za,
+def _march(step: Callable, f: Callable, y: StateVec | np.ndarray, grid: TimeGrid, p, za, zm, zb,
+           nodes: Sequence[int]) -> tuple[list, StateVec | np.ndarray, Any]:
+    """Step ``y``, a StateVec of floats or a (12, N) ndarray batch, by ``step(f, y, t, h, za,
     zm, zb, p)``, as ``rk4_step``, its controls drawn in turn from ``za``, ``zm`` and ``zb``.
     Returns the states at ``nodes``, in their order, the last state and the clamp count, an
     int or (N,) array; a batch finds its undershoots with np.fmin, which skips NaN rows."""
-    lowest = min if type(y) is not Stacked else lambda s: np.fmin.reduce(s.values, axis=None)
+    lowest = min if type(y) is not np.ndarray else lambda s: np.fmin.reduce(s, axis=None)
     times, h, wanted = grid.times(), grid.h, set(nodes)
     kept, clamped = {0: y}, 0
     for i, t, a, m, b in zip(range(1, grid.n_nodes), times, za, zm, zb):
@@ -227,21 +216,20 @@ def _trajectory(step: Callable, y0: StateVec, grid: TimeGrid, p, za, zm, zb) -> 
     return Trajectory(grid, tuple(states), clamped)
 
 
-def rk4_step(f: Callable, y: Stacked, t: float, h: float, za, zm, zb, p) -> Stacked:
+def rk4_step(f: Callable, y: np.ndarray, t: float, h: float, za, zm, zb, p) -> np.ndarray:
     """One classical RK4 step of y' = f(t, y, z, p) from t to t + h; h < 0 steps back.
 
     z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y``, each stage state
-    and each value of ``f`` is a ``Stacked`` array, so that each stage is one array operation.
+    and each value of ``f`` is an ndarray, so that each stage is one array operation.
     """
-    Y = y.values
     half = 0.5 * h
     t_half = t + half
-    k1 = f(t, y, za, p).values  # one fixed argument p: ``*args`` would pack a tuple on every call
-    k2 = f(t_half, Stacked(Y + half * k1), zm, p).values
-    k3 = f(t_half, Stacked(Y + half * k2), zm, p).values
-    k4 = f(t + h, Stacked(Y + h * k3), zb, p).values
+    k1 = f(t, y, za, p)  # one fixed argument p: ``*args`` would pack a tuple on every call
+    k2 = f(t_half, y + half * k1, zm, p)
+    k3 = f(t_half, y + half * k2, zm, p)
+    k4 = f(t + h, y + h * k3, zb, p)
     sixth = h / 6.0
-    return Stacked(Y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rk4_state_step(f: Callable, y: StateVec, t: float, h: float, za, zm, zb, p) -> StateVec:
@@ -290,8 +278,8 @@ def rk4_forward(p: ParamSet, u_path: ControlPath, y0: StateVec, grid: TimeGrid) 
     return _trajectory(_rk4_state_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), u[1:])
 
 
-def _linear(t: float, z: Sequence[np.ndarray], a: np.ndarray, _: None) -> Stacked:
-    return Stacked(a @ z[0])
+def _linear(t: float, z: np.ndarray, a: np.ndarray, _: None) -> np.ndarray:
+    return a @ z
 
 
 def rk4_backward(
@@ -305,8 +293,9 @@ def rk4_backward(
     (the tuples of ``model._varying_flows``), that is lam_j' += d (lam_src - lam_dst), with
     src, dst, j < 12 and each d an (m,) array. ``system`` is called once, on every node and
     step midpoint (the average of the step's two nodes). Each step is the affine map
-    lam_{i-1} = P_i lam_i + q_i; ``rk4_step`` on the identity builds BLOCK steps' propagators
-    [[P, q], [0, 1]] at a time, in one reused buffer of generators. Returns the (n_nodes, 12) adjoint, its last row equal to ``terminal``.
+    lam_{i-1} = P_i lam_i + q_i; ``rk4_step`` on a (BLOCK, 13, 13) stack of identities builds
+    BLOCK steps' propagators [[P, q], [0, 1]] at a time, in one reused buffer of generators.
+    Returns the (n_nodes, 12) adjoint, its last row equal to ``terminal``.
 
     Raises:
         IntegrationBlowupError: if evaluating the system or building a propagator overflows
@@ -346,8 +335,8 @@ def rk4_backward(
                         rows = d[2 * start:2 * end + 1]
                         np.add(a[j, src], rows, out=block[:, j, src])
                         np.subtract(a[j, dst], rows, out=block[:, j, dst])
-                    phi = rk4_step(_linear, Stacked(identity[:steps]), 0.0, minus_h,
-                                   block[2::2], block[1::2], block[:-1:2], None).values
+                    phi = rk4_step(_linear, identity[:steps], 0.0, minus_h,
+                                   block[2::2], block[1::2], block[:-1:2], None)
             except FloatingPointError as exc:
                 raise _not_finite("adjoint", times[start]) from exc
             _require_finite(phi, "adjoint", times[start])  # a threaded BLAS raises on its threads

@@ -32,7 +32,6 @@ from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
 __all__ = [
     "INFECTED_ORDER",
-    "NgmPair",
     "ReBreakdown",
     "ReGrid",
     "effective_r",
@@ -46,18 +45,6 @@ __all__ = [
 INFECTED_ORDER = ("E_H", "I_H", "E_F", "I_F", "E_D", "I_D", "M")
 _INFECTED = [StateVec._fields.index(name) for name in INFECTED_ORDER]
 _SUSCEPTIBLE = [0, 4, 7]  # S_H, S_F, S_D; the E class of each follows it
-
-
-@dataclass(frozen=True)
-class NgmPair:
-    """New-infection and transition Jacobians at the disease-free equilibrium.
-
-    7x7 in the infected-compartment order ``INFECTED_ORDER``. V is an
-    M-matrix (positive diagonal, non-positive off-diagonal) and invertible.
-    """
-
-    F: np.ndarray
-    V: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,37 +88,53 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
 
 def ngm(
     p: ParamSet, u: ControlConst = ZERO_CONTROL, include_environment: bool = False
-) -> NgmPair:
-    """The next-generation matrices: blocks of ``model.jacobian`` at the disease-free equilibrium.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next-generation matrices (F, V) at the disease-free equilibrium: 7x7 blocks of
+    ``model.jacobian`` in the infected-compartment order ``INFECTED_ORDER``.
 
-    F is the infected block of the incidence derivative I, its environmental
-    column zeroed unless ``include_environment``; V is minus the infected block
-    of the transitions T.
+    F is the infected block of the incidence derivative I, its environmental column zeroed
+    unless ``include_environment``; V is minus the infected block of the transitions T, an
+    invertible M-matrix (positive diagonal, non-positive off-diagonal).
     """
     u.validate()
-    T, I = jacobian(seeded_state(p), u, p)
+    T, I = _dfe_jacobian(p, u)
     block = np.ix_(_INFECTED, _INFECTED)
     F = I[block]
     if not include_environment:
         F[:, -1] = 0.0
-    return NgmPair(F=F, V=0.0 - T[block])
+    return F, 0.0 - T[block]
+
+
+def _dfe_jacobian(p: ParamSet, u: ControlConst) -> tuple[np.ndarray, np.ndarray]:
+    """``model.jacobian`` (T, I) at the DFE; NumericError if it cannot be built or is not finite."""
+    try:
+        with np.errstate(all="ignore"):  # an overflow leaves a non-finite entry: checked below
+            T, I = jacobian(seeded_state(p), u, p)
+        if np.isfinite((T, I)).all():
+            return T, I
+    except ZeroDivisionError:  # C * C underflows to 0 in the environmental response's slope
+        pass
+    raise NumericError("disease-free Jacobian is not finite; check the parameters")
 
 
 def spectral_r(
     p: ParamSet, u: ControlConst = ZERO_CONTROL, include_environment: bool = False
 ) -> float:
     """Spectral radius of F V^-1 (matrix oracle for ``effective_r``)."""
-    pair = ngm(p, u, include_environment=include_environment)
+    F, V = ngm(p, u, include_environment=include_environment)
     try:
-        K = pair.F @ np.linalg.inv(pair.V)
+        with np.errstate(all="ignore"):  # a V near singular overflows its inverse: checked below
+            K = F @ np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise ConfigError(f"transition matrix V is singular: {exc}") from exc
+    if not np.isfinite(K).all():
+        raise NumericError("next-generation matrix F V^-1 is not finite; check the parameters")
     return float(max(abs(np.linalg.eigvals(K))))
 
 
 def dfe_stability(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> float:
     """Largest real part of the eigenvalues of the full ``model.jacobian`` at the DFE."""
-    T, I = jacobian(seeded_state(p), u, p)
+    T, I = _dfe_jacobian(p, u)
     return float(max(np.linalg.eigvals(T + I).real))
 
 
@@ -169,7 +172,7 @@ def endemic_eq(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> StateVec:
         raise NoEndemicEquilibriumError(
             f"no endemic equilibrium: Re = {breakdown.Re:.6g} < 1"
         )
-    T, _ = jacobian(seeded_state(p), u, p)
+    T, _ = _dfe_jacobian(p, u)
     ft = force_terms(seeded_state(p, *DEFAULT_SEEDING), u, p)
     chi = (ft.chi1, ft.chi2, ft.chi3)
 
@@ -209,8 +212,6 @@ class ReGrid:
     axis2_name: str
     axis2_values: tuple[float, ...]
     values: np.ndarray  # shape (len(axis1), len(axis2)), row-major
-    base_u: ControlConst
-    base_params: ParamSet
 
 
 def _axis_values(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -250,5 +251,5 @@ def re_grid(
         q.rates = rates_of(q)  # once for the grid, as effective_r reads only these
     Re = effective_r(q, ControlConst(*(fields[name] for name in ControlConst._fields))).Re
     return ReGrid(axis1_name=name1, axis1_values=vals1, axis2_name=name2, axis2_values=vals2,
-                  values=np.broadcast_to(Re, kept.shape).copy(), base_u=base_u, base_params=p)
+                  values=np.broadcast_to(Re, kept.shape).copy())
 

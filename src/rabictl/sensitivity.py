@@ -4,7 +4,7 @@ Sampling is stratified per parameter: the N draws of each column occupy the
 N equal-probability strata exactly once, with the stratum order permuted
 independently per column. All sampled rows are integrated at once by
 ``integrate._march``, the march of every trajectory: their states form one
-``Stacked`` (12, N) array, one array operation per stage, while ``rhs`` reads
+plain (12, N) ndarray, one array operation per stage, while ``rhs`` reads
 its rows as (N,) arrays, and the study asks the march for its sample nodes
 only. The rows' parameters form one namespace of (N,) arrays, whose parameter
 tuple (``params.rates_of``) is built once per study, not in each ``rhs`` call.
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
 from .errors import ConfigError, DegenerateInputError, StudyError, shorten
-from .integrate import Stacked, TimeGrid, _march, rk4_step
+from .integrate import TimeGrid, _march, rk4_step
 from .model import ZERO_CONTROL, ControlConst, StateVec
 from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
@@ -233,7 +233,7 @@ class PrccStudy:
 def _simulate_rows(rows: np.ndarray, names: tuple[str, ...], base: ParamSet, y0: StateVec,
                    grid: TimeGrid, node_idx: tuple[int, ...],
                    outputs: tuple[str, ...]) -> list[np.ndarray | None]:
-    """Integrate every sampled row at once, one Stacked (12, N) batch that
+    """Integrate every sampled row at once, one (12, N) ndarray batch that
     ``integrate._march`` keeps at the sample nodes only; None marks a failed row.
 
     A row fails where ``rk4_forward`` would raise: invalid parameters, or a
@@ -245,17 +245,17 @@ def _simulate_rows(rows: np.ndarray, names: tuple[str, ...], base: ParamSet, y0:
     u = repeat(ZERO_CONTROL)
     with np.errstate(all="ignore"):  # a failed row keeps integrating and may overflow
         p.rates = rates_of(p)  # once per study; every rhs call of the march reads it
-        kept, last, _ = _march(rk4_step, _stacked_rhs, Stacked(np.array(
-            [np.full(len(rows), v) for v in y0])), grid, p, u, u, u, node_idx)
+        kept, last, _ = _march(rk4_step, _stacked_rhs, np.array(
+            [np.full(len(rows), v) for v in y0]), grid, p, u, u, u, node_idx)
     # an (N,) mask, as every row samples at least one parameter
-    failed = ~valid(p) | ~np.isfinite(last.values).all(axis=0)
-    sampled = np.array([y.values for y in kept])[:, [StateVec._fields.index(o) for o in outputs]]
+    failed = ~valid(p) | ~np.isfinite(last).all(axis=0)
+    sampled = np.array(kept)[:, [StateVec._fields.index(o) for o in outputs]]
     return [None if bad else vals for bad, vals in zip(failed, sampled.transpose(2, 0, 1))]
 
 
-def _stacked_rhs(t: float, z: Sequence, u: ControlConst, p: SimpleNamespace) -> Stacked:
-    """``rhs`` on the (12, N) states ``z[0]`` of a batch, a row per field, as one array."""
-    return Stacked(np.array(integrate.rhs(t, z[0], u, p)))
+def _stacked_rhs(t: float, z: np.ndarray, u: ControlConst, p: SimpleNamespace) -> np.ndarray:
+    """``rhs`` on the (12, N) states ``z`` of a batch, a row per field, as one array."""
+    return np.array(integrate.rhs(t, z, u, p))
 
 
 def prcc_study(

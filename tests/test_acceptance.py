@@ -183,8 +183,8 @@ def test_criterion_05_sweep_convergence(sweep_a):
 
 def test_criterion_06_strategy_a_effectiveness(sweep_a, uncontrolled_run):
     result, _ = sweep_a
-    y_ctl = result.states.at(5.0)
-    y_unc = uncontrolled_run.at(5.0)
+    y_ctl = result.states.states[result.states.grid.node_at(5.0)]
+    y_unc = uncontrolled_run.states[uncontrolled_run.grid.node_at(5.0)]
     ratio_ih = y_ctl.I_H / y_unc.I_H
     ratio_id = y_ctl.I_D / y_unc.I_D
     ok = ratio_ih <= 0.05 and ratio_id <= 0.05

@@ -431,7 +431,7 @@ def test_euler_prediction_of_rk4_data_near_zero_mse(p_est):
     years = tuple(range(1990, 2001))
     g = TimeGrid(0.0, 10.0, 1000)
     traj = rk4_forward(p_est, ControlPath.constant(g), y0, g)
-    cases = tuple(max(0.0, traj.at(float(y - 1990)).I_H) for y in years)
+    cases = tuple(max(0.0, traj.states[g.node_at(float(y - 1990))].I_H) for y in years)
     scale = max(cases) ** 2
     assert 0.0 < mse(cases, predict_incidence(p_est, y0, years)) < 1e-4 * scale
 

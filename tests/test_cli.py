@@ -355,9 +355,14 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     (("--set", f"grid.tf={10 ** 400}", "simulate"),
      "grid.tf must be a finite number, got 10000000000000000000...00000000000000000000 "
      "(401 characters)"),
+    # simulate's controls are checked once, by the constant control path it integrates
+    (("--set", "controls.u2=1.5", "simulate"), "control u2 must lie in [0, 1], got 1.5"),
+    (("--set", "controls.u2=-0.1", "simulate"), "control u2 must lie in [0, 1], got -0.1"),
+    (("--set", 'controls={"u1":2,"u2":3}', "simulate"), "control u1 must lie in [0, 1], got 2.0"),
 ], ids=["unknown-key", "unknown-block", "fraction", "bool", "nested-grid", "reff-axis",
         "reff-axis-key", "state-key-reff", "state-key-fit", "state-key-simulate", "missing-key",
-        "huge-integer"])
+        "huge-integer", "control-above-one-simulate", "control-below-zero-simulate",
+        "controls-block-simulate"])
 def test_config_error_names_the_key(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *argv)
     assert code == 2

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from rabictl import integrate
 from rabictl.errors import IntegrationBlowupError
 from rabictl.integrate import (
-    BLOCK, CLAMP_TOL, KEEP_TOL, ControlPath, Stacked, TimeGrid, _clamp_state, _euler_step,
+    BLOCK, CLAMP_TOL, KEEP_TOL, ControlPath, TimeGrid, _clamp_state, _euler_step,
     _require_finite, _rk4_state_step, euler_forward, rk4_backward, rk4_forward, rk4_step,
 )
 from rabictl.model import (
@@ -308,10 +308,10 @@ def test_stacked_batch_step_equals_per_field_step_bits(rows, h):
     p.rates = rates_of(p)
     u = ZERO_CONTROL
     with np.errstate(all="ignore"):
-        got = rk4_step(_stacked_rhs, Stacked(Y), 0.0, h, u, u, u, p)
+        got = rk4_step(_stacked_rhs, Y, 0.0, h, u, u, u, p)
         want = reference_batch_step(Y, 0.0, h, p)
-    assert type(got) is Stacked and got.values.shape == Y.shape
-    assert hexes(got.values) == hexes(want)
+    assert type(got) is np.ndarray and got.shape == Y.shape
+    assert hexes(got) == hexes(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -455,9 +455,9 @@ def reference_block_backward(system, state_traj, u_path, terminal):
                           ControlConst._make(np.vstack([u, 0.5 * (u[1:] + u[:-1])]).T))
             a = np.zeros((len(G), 13, 13))
             a[:, :12, :12], a[:, :12, 12] = G, g
-            phi = rk4_step(lambda t, z, a_, _: Stacked(a_ @ z[0]),
-                           Stacked(np.broadcast_to(np.eye(13), (steps, 13, 13))), 0.0, minus_h,
-                           a[1:steps + 1], a[steps + 1:], a[:steps], None).values
+            phi = rk4_step(lambda t, z, a_, _: a_ @ z,
+                           np.broadcast_to(np.eye(13), (steps, 13, 13)), 0.0, minus_h,
+                           a[1:steps + 1], a[steps + 1:], a[:steps], None)
             for k in range(end - 1, start - 1, -1):
                 lam[k] = row = phi[k - start, :12, :12] @ row + phi[k - start, :12, 12]
     return lam

@@ -194,20 +194,20 @@ def test_re_monotone_in_transmission_parameters(p_est):
 
 
 def test_ngm_structure(p_est):
-    pair = ngm(p_est, ControlConst(0.1, 0.2, 0.1, 0.3))
-    off = pair.V - np.diag(np.diag(pair.V))
+    F, V = ngm(p_est, ControlConst(0.1, 0.2, 0.1, 0.3))
+    off = V - np.diag(np.diag(V))
     assert np.all(off <= 0.0)  # M-matrix: non-positive off-diagonal
-    assert np.all(pair.F >= 0.0)
-    assert np.linalg.cond(pair.V) < 1e12
+    assert np.all(F >= 0.0)
+    assert np.linalg.cond(V) < 1e12
     assert INFECTED_ORDER == ("E_H", "I_H", "E_F", "I_F", "E_D", "I_D", "M")
-    assert pair.F.shape == pair.V.shape == (7, 7)
+    assert F.shape == V.shape == (7, 7)
 
 
 @pytest.mark.parametrize("include_environment", [False, True])
 def test_ngm_blocks_of_jacobian_match_hand_written_entries(include_environment):
     for p, u in random_cases(40, seed=11):
         pair = ngm(p, u, include_environment=include_environment)
-        for got, want in zip((pair.F, pair.V), reference_ngm(p, u, include_environment)):
+        for got, want in zip(pair, reference_ngm(p, u, include_environment)):
             assert ((got == 0.0) == (want == 0.0)).all()
             assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
 
@@ -403,6 +403,21 @@ def test_non_finite_re_is_numeric_error(p_est):
         effective_r(p_est.replace(mu2=5e-324))
     with pytest.raises(NumericError, match="not finite"):
         re_grid(p_est, ("psi2", 1e-4, 1e300, 2), ("u4", 0.0, 1.0, 1))
+
+
+@pytest.mark.parametrize("route, name, value", [
+    # a recruitment this large overflows the DFE's susceptibles, and so its Jacobian
+    *((route, theta, 1e308) for route in (spectral_r, dfe_stability)
+      for theta in ("theta1", "theta2", "theta3")),
+    (endemic_eq, "theta1", 1e308),
+    # C * C underflows to 0.0 in the slope of the environmental response M/(M+C) at M = 0
+    *((route, "C", 1e-162) for route in (spectral_r, dfe_stability, endemic_eq)),
+    (spectral_r, "mu4", 1e-320),  # V's M diagonal is subnormal: its inverse overflows
+])
+def test_matrix_routes_raise_numeric_error_on_a_non_finite_linearization(p_est, route, name,
+                                                                          value):
+    with pytest.raises(NumericError, match="not finite"):
+        route(p_est.replace(**{name: value}))
 
 
 def test_grid_csv_format(tmp_path):
