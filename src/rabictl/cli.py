@@ -263,7 +263,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict, given: dict,
     p = _build_params(config)
     y0 = _build_state(config, p)
     grid = TimeGrid(**config["grid"])
-    traj = rk4_forward(p, ControlPath.constant(grid, ControlConst(**config["controls"])), y0, grid)
+    traj = rk4_forward(p, ControlPath.constant(grid, ControlConst(**config["controls"])), y0)
     return (f"wrote {run / 'trajectory.csv'} ({grid.n_nodes} nodes, {traj.clamped} clamped)",
             {"trajectory.csv": (("t",) + StateVec._fields, node_rows(grid, traj.states))})
 

@@ -136,15 +136,11 @@ class ControlPath:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if len(values) != self.grid.n_nodes:
-            raise ConfigError(f"control path has {len(values)} nodes for {self.grid.n_nodes}")
-        outside = np.argwhere(~((values >= 0.0) & (values <= 1.0)))
-        if len(outside):
-            i, j = outside[0]
-            raise ConfigError(
-                f"control {ControlConst._fields[j]} must lie in [0, 1], got {values[i, j]}"
-            )
+        values, n = np.array(self.values, dtype=float, ndmin=1), self.grid.n_nodes
+        if values.shape != (n, 4):
+            raise ConfigError(f"control path has {len(values)} nodes for {n}: its shape is "
+                              f"{values.shape}, not ({n}, 4)")
+        ControlConst._make(values.T).validate()  # node by node, as the march reads them
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -271,10 +267,9 @@ def _euler_step(f: Callable, y: StateVec, t: float, h: float, za, zm, zb, p) -> 
         y7 + h * a7, y8 + h * a8, y9 + h * a9, y10 + h * a10, y11 + h * a11, y12 + h * a12))
 
 
-def rk4_forward(p: ParamSet, u_path: ControlPath, y0: StateVec, grid: TimeGrid) -> Trajectory:
-    """Classical RK4 over the grid; half-step controls average adjacent nodes."""
-    _require_same_grid(u_path.grid, grid, "control path")
-    u = u_path.values.tolist()  # rows of Python floats, u1..u4, as each stage reads them
+def rk4_forward(p: ParamSet, u_path: ControlPath, y0: StateVec) -> Trajectory:
+    """Classical RK4 over the control path's grid; half-step controls average adjacent nodes."""
+    u, grid = u_path.values.tolist(), u_path.grid  # u: rows of floats u1..u4, as stages read them
     return _trajectory(_rk4_state_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), u[1:])
 
 

@@ -71,10 +71,13 @@ class ControlConst(NamedTuple):
     u4: float = 0.0
 
     def validate(self) -> "ControlConst":
-        for name, value in zip(self._fields, self):
-            outside = np.asarray(value)[np.clip(value, 0.0, 1.0) != value]  # NaN != NaN: outside
-            if outside.size:
-                raise ConfigError(f"control {name} must lie in [0, 1], got {outside[0]}")
+        """Raise ConfigError naming the earliest point's first control outside [0, 1] or NaN."""
+        fields = np.broadcast_arrays(*self)  # each keeps its dtype: an int prints as an int
+        outside = np.argwhere(~np.stack([(v >= 0.0) & (v <= 1.0) for v in fields], axis=-1))
+        if len(outside):
+            *at, j = outside[0]
+            raise ConfigError(f"control {self._fields[j]} must lie in [0, 1], "
+                              f"got {fields[j][tuple(at)]}")
         return self
 
 
@@ -82,32 +85,20 @@ ZERO_CONTROL = ControlConst()
 
 
 class ForceTerms(NamedTuple):
-    """Uncontrolled infection pressures and the clamped control factors.
+    """Controlled infection pressures and the clamped control factors.
 
-    f1, f2, f3 act on humans, free-range dogs and domestic dogs; a1 scales f1
-    and a2 scales f3. lamM is the environmental response M/(M+C). The state
-    system, the adjoint and the control characterization read these fields;
-    chi1..chi3 are the controlled pressures.
+    chi1, chi2, chi3 act on humans, free-range dogs and domestic dogs: chi1 = a1*f1,
+    chi2 = f2 and chi3 = a2*f3 for the uncontrolled pressures f1..f3. lamM is the
+    environmental response M/(M+C). The state system, the adjoint, the control
+    characterization and the endemic balance read these fields.
     """
 
-    f1: float
-    f2: float
-    f3: float
+    chi1: float
+    chi2: float
+    chi3: float
     a1: float
     a2: float
     lamM: float
-
-    @property
-    def chi1(self) -> float:
-        return self.a1 * self.f1
-
-    @property
-    def chi2(self) -> float:
-        return self.f2
-
-    @property
-    def chi3(self) -> float:
-        return self.a2 * self.f3
 
 
 # Seeding (exposed, infected, M0) of the default scenario.
@@ -130,7 +121,7 @@ def seeded_state(
 
 
 def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:
-    """The infection pressures and control factors at a state, from ``_forces``."""
+    """The controlled infection pressures and control factors at a state, from ``_forces``."""
     return tuple.__new__(ForceTerms, _forces(y.I_F, y.I_D, y.M, u, p.rates))
 
 
@@ -138,8 +129,9 @@ def _forces(I_F: float, I_D: float, M: float, u: Sequence, rates: tuple) -> tupl
     """``force_terms`` as a plain tuple, which ``rhs`` unpacks faster; ``u`` is any sequence.
 
     The control factors (1-u1-u3) and (1-u1-u2) are clamped at zero: each control is bounded by
-    1 but their sums are not, and a negative pressure has no meaning. Integrator stages may dip
-    just below zero; the saturation term M/(M+C) is evaluated unchecked.
+    1 but their sums are not, and a negative pressure has no meaning. Each controlled pressure is
+    formed here, once: chi1 = a1*f1 and chi3 = a2*f3. Integrator stages may dip just below
+    zero; the saturation term M/(M+C) is evaluated unchecked.
     """
     (_, _, _, _, _, _, _, _, d1, d2, d3, _, _, _, tau1, tau2, tau3, kappa1, kappa2, kappa3,
      psi1, psi2, psi3, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, C) = rates
@@ -152,7 +144,7 @@ def _forces(I_F: float, I_D: float, M: float, u: Sequence, rates: tuple) -> tupl
     f1 = tau1 * I_F + tau2 * I_D + tau3 * lamM
     f2 = kappa1 * I_F + kappa2 * I_D + kappa3 * lamM
     f3 = psi1 * I_F / d1 + psi2 * I_D / d2 + psi3 * lamM / d3
-    return f1, f2, f3, a1, a2, lamM
+    return a1 * f1, f2, a2 * f3, a1, a2, lamM
 
 
 def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
@@ -166,12 +158,12 @@ def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
     (k_EH, k_IH, k_RH, k_EF, k_IF, k_ED, k_ID, k_RD, _, _, _, theta1, theta2, theta3,
      _, _, _, _, _, _, _, _, _, _, _, _, beta1, beta2, beta3, gamma, gamma1, gamma2, gamma3,
      mu1, mu2, mu3, mu4, _, _, _, nu1, nu2, nu3, _) = rates = p.rates
-    f1, chi2, f3, a1, a2, _ = _forces(I_F, I_D, M, u, rates)
+    chi1, chi2, chi3, _, _, _ = _forces(I_F, I_D, M, u, rates)
     u4 = u[3]
     # Incidence in each host: each enters two equations as the same product.
-    inc_H = a1 * f1 * S_H
+    inc_H = chi1 * S_H
     inc_F = chi2 * S_F
-    inc_D = a2 * f3 * S_D
+    inc_D = chi3 * S_D
 
     dS_H = theta1 + beta3 * R_H - mu1 * S_H - inc_H
     dE_H = inc_H - (k_EH + u4) * E_H
@@ -199,7 +191,7 @@ def _transitions(rates: tuple) -> np.ndarray:
     """T at u = 0, read-only: column j is ``rhs`` at the unit state e_j with no recruitment.
 
     No unit state holds both an S class and the I_F, I_D or M that its pressure reads,
-    so every incidence product a*f*S is zero there and ``rhs`` keeps only the linear flows.
+    so every incidence product chi*S is zero there and ``rhs`` keeps only the linear flows.
     """
     no_recruitment = SimpleNamespace(rates=rates[:11] + (0.0, 0.0, 0.0) + rates[14:])
     T = np.array(rhs(0.0, np.eye(12), ZERO_CONTROL, no_recruitment))
@@ -213,23 +205,23 @@ def _varying_flows(y: StateVec, u: ControlConst, rates: tuple) -> list[tuple[int
     ``_transitions(rates)``. Together they write 28 entries, each (i, j) once.
 
     The first two are the treatment u4 that moves E_H and E_D to R_H and R_D; the other 12 are
-    the derivatives of the three incidence products a*f*S (the clamped control factors are
-    constants). Each d is a float or an (n,) array.
+    the derivatives of the three incidence products chi*S = a*f*S (the clamped control factors
+    a are constants). Each d is a float or an (n,) array.
     """
     (_, _, _, _, _, _, _, _, d1, d2, d3, _, _, _, tau1, tau2, tau3, kappa1, kappa2, kappa3,
      psi1, psi2, psi3, *_, C) = rates
-    f1, f2, f3, a1, a2, _ = _forces(y.I_F, y.I_D, y.M, u, rates)
+    chi1, chi2, chi3, a1, a2, _ = _forces(y.I_F, y.I_D, y.M, u, rates)
     flows = [(1, 3, 1, u[3]), (8, 10, 8, u[3])]
-    # Incidence a*f*S moves a host from S (row s) to E (row s + 1); f reads
+    # Incidence chi*S moves a host from S (row s) to E (row s + 1); chi reads
     # I_F (column 6), I_D (column 9) and M (column 11), the last through M/(M+C).
     M_C = y.M + C
     dlamM = C / (M_C * M_C)
-    for s, a, f, S, (dI_F, dI_D, dlam) in (
-        (0, a1, f1, y.S_H, (tau1, tau2, tau3)),
-        (4, 1.0, f2, y.S_F, (kappa1, kappa2, kappa3)),
-        (7, a2, f3, y.S_D, (psi1 / d1, psi2 / d2, psi3 / d3)),
+    for s, a, chi, S, (dI_F, dI_D, dlam) in (
+        (0, a1, chi1, y.S_H, (tau1, tau2, tau3)),
+        (4, 1.0, chi2, y.S_F, (kappa1, kappa2, kappa3)),
+        (7, a2, chi3, y.S_D, (psi1 / d1, psi2 / d2, psi3 / d3)),
     ):
-        for j, d in ((s, a * f), (6, a * dI_F * S), (9, a * dI_D * S), (11, a * dlam * dlamM * S)):
+        for j, d in ((s, chi), (6, a * dI_F * S), (9, a * dI_D * S), (11, a * dlam * dlamM * S)):
             flows.append((s, s + 1, j, d))
     return flows
 

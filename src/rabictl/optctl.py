@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, SweepDivergenceError, shorten
 from .integrate import (
-    ControlPath, TimeGrid, Trajectory, rk4_backward, rk4_forward,
+    ControlPath, TimeGrid, Trajectory, _require_same_grid, rk4_backward, rk4_forward,
 )
 from .model import (
     ZERO_CONTROL, ControlConst, StateVec, _transitions, _varying_flows, force_terms, rhs,
@@ -127,8 +127,7 @@ def running_cost(y: StateVec, u: ControlConst, w: Weights) -> float:
 
 def objective(states: Trajectory, u_path: ControlPath, w: Weights) -> float:
     """Trapezoidal quadrature of the running cost over the horizon."""
-    if states.grid != u_path.grid:
-        raise ConfigError("states and controls must share a grid")
+    _require_same_grid(u_path.grid, states.grid, "control path")
     values = running_cost(
         _fields(states.values, StateVec), _fields(u_path.values, ControlConst), w
     ).tolist()
@@ -186,11 +185,12 @@ def characterize_controls(
     The sweep minimises J. While 1-u1-u3 and 1-u1-u2 stay positive, H is a separable convex
     quadratic in u, so each clipped stationary point minimises H pointwise. Fields of ``y``
     and the 12 values of ``lam`` are floats or (N,) arrays: one call characterizes N nodes. A
-    masked-off control is the float 0.0.
+    masked-off control is the float 0.0. The pressures are read at zero control, where each
+    factor a is 1.0 and chi1, chi3 equal the uncontrolled f1, f3 to the bit.
     """
     ft = force_terms(y, ZERO_CONTROL, p)
-    human_term = ft.f1 * y.S_H
-    domestic_term = ft.f3 * y.S_D
+    human_term = ft.chi1 * y.S_H
+    domestic_term = ft.chi3 * y.S_D
     dl_h = lam[1] - lam[0]
     dl_d = lam[8] - lam[7]
     with np.errstate(over="ignore"):  # a tiny weight A_i sends u_i to +-inf, which clips to 0 or 1
@@ -234,7 +234,7 @@ def forward_backward_sweep(
         raise ConfigError(f"max_iter must be at least 1, got {shorten(repr(max_iter))}")
 
     def solve(u_path: ControlPath) -> tuple[Trajectory, np.ndarray]:
-        states = rk4_forward(p, u_path, y0, grid)
+        states = rk4_forward(p, u_path, y0)
         return states, rk4_backward(
             lambda y, u: adjoint_parts(y, u, w, p), states, u_path, (0.0,) * 12
         )

@@ -96,7 +96,6 @@ def ngm(
     unless ``include_environment``; V is minus the infected block of the transitions T, an
     invertible M-matrix (positive diagonal, non-positive off-diagonal).
     """
-    u.validate()
     T, I = _dfe_jacobian(p, u)
     block = np.ix_(_INFECTED, _INFECTED)
     F = I[block]
@@ -106,7 +105,8 @@ def ngm(
 
 
 def _dfe_jacobian(p: ParamSet, u: ControlConst) -> tuple[np.ndarray, np.ndarray]:
-    """``model.jacobian`` (T, I) at the DFE; NumericError if it cannot be built or is not finite."""
+    """``model.jacobian`` (T, I) at the DFE of valid ``u``; NumericError if it is not finite."""
+    u.validate()
     try:
         with np.errstate(all="ignore"):  # an overflow leaves a non-finite entry: checked below
             T, I = jacobian(seeded_state(p), u, p)
@@ -173,13 +173,11 @@ def endemic_eq(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> StateVec:
             f"no endemic equilibrium: Re = {breakdown.Re:.6g} < 1"
         )
     T, _ = _dfe_jacobian(p, u)
-    ft = force_terms(seeded_state(p, *DEFAULT_SEEDING), u, p)
-    chi = (ft.chi1, ft.chi2, ft.chi3)
+    chi = force_terms(seeded_state(p, *DEFAULT_SEEDING), u, p)[:3]
 
     for _ in range(10_000):
         y = _state_from_forces(chi, T, p)
-        ft = force_terms(y, u, p)
-        new = tuple(c + 0.5 * (cn - c) for c, cn in zip(chi, (ft.chi1, ft.chi2, ft.chi3)))
+        new = tuple(c + 0.5 * (cn - c) for c, cn in zip(chi, force_terms(y, u, p)[:3]))
         delta = max(abs(a - b) for a, b in zip(new, chi))
         scale = max(max(abs(c) for c in new), 1e-300)
         chi = new

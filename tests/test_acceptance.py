@@ -43,7 +43,7 @@ def grid_default():
 @pytest.fixture(scope="module")
 def uncontrolled_run(grid_default):
     y0 = seeded_state(P, *DEFAULT_SEEDING)
-    return rk4_forward(P, ControlPath.constant(grid_default), y0, grid_default)
+    return rk4_forward(P, ControlPath.constant(grid_default), y0)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_criterion_03_threshold_law():
         assert abs(re_val - 1.0) > 0.05
         if subcritical:
             y0 = seeded_state(p)._replace(E_F=5.0, I_F=10.0, E_D=5.0, I_D=10.0, M=1e-9)
-            traj = rk4_forward(p, ControlPath.constant(grid), y0, grid)
+            traj = rk4_forward(p, ControlPath.constant(grid), y0)
             worst = 0.0
             for name in INFECTED_FIELDS:
                 idx = StateVec._fields.index(name)
@@ -137,7 +137,7 @@ def test_criterion_03_threshold_law():
         else:
             y_star = endemic_eq(p)
             y0 = StateVec(*(v * rng.uniform(0.95, 1.05) for v in y_star))
-            traj = rk4_forward(p, ControlPath.constant(grid), y0, grid)
+            traj = rk4_forward(p, ControlPath.constant(grid), y0)
             rel = max(abs(a - b) / b for a, b in zip(traj.states[-1], y_star))
             if rel >= 1e-3:
                 failures.append((k, re_val, f"rel-to-E*={rel:.1e}"))
@@ -220,7 +220,7 @@ def test_criterion_07_monotonicity_grids():
 def test_criterion_08_deterrence(uncontrolled_run, grid_default):
     doubled = P.replace(rho1=2 * P.rho1, rho2=2 * P.rho2, rho3=2 * P.rho3)
     run2 = rk4_forward(doubled, ControlPath.constant(grid_default),
-                       seeded_state(doubled, *DEFAULT_SEEDING), grid_default)
+                       seeded_state(doubled, *DEFAULT_SEEDING))
     peak = lambda traj, name: max(getattr(s, name) for s in traj.states)
     e_before, e_after = peak(uncontrolled_run, "E_D"), peak(run2, "E_D")
     i_before, i_after = peak(uncontrolled_run, "I_D"), peak(run2, "I_D")
@@ -305,7 +305,7 @@ def test_criterion_12_integrator_order_and_positivity(uncontrolled_run, sweep_a)
 
     def endpoint(n):
         g = TimeGrid(0.0, 5.0, n)
-        return rk4_forward(P, ControlPath.constant(g), y0, g).states[-1]
+        return rk4_forward(P, ControlPath.constant(g), y0).states[-1]
 
     a, b, c = endpoint(20), endpoint(40), endpoint(80)
     e1 = max(abs(x - y) for x, y in zip(a, b))

@@ -133,7 +133,7 @@ def test_prediction_converges_to_rk4(p_est):
     """Euler with shrinking dt approaches the RK4 trajectory."""
     y0 = seeded_state(p_est, 20.0, 50.0)
     g = TimeGrid(0.0, 5.0, 500)
-    rk = rk4_forward(p_est, ControlPath.constant(g), y0, g).states[-1].I_H
+    rk = rk4_forward(p_est, ControlPath.constant(g), y0).states[-1].I_H
     errs = [
         abs(predict_incidence(p_est, y0, (1990, 1995), dt=dt)[-1] - rk)
         for dt in (0.04, 0.02, 0.01)
@@ -430,7 +430,7 @@ def test_euler_prediction_of_rk4_data_near_zero_mse(p_est):
     y0 = seeded_state(p_est, 20.0, 50.0)
     years = tuple(range(1990, 2001))
     g = TimeGrid(0.0, 10.0, 1000)
-    traj = rk4_forward(p_est, ControlPath.constant(g), y0, g)
+    traj = rk4_forward(p_est, ControlPath.constant(g), y0)
     cases = tuple(max(0.0, traj.states[g.node_at(float(y - 1990))].I_H) for y in years)
     scale = max(cases) ** 2
     assert 0.0 < mse(cases, predict_incidence(p_est, y0, years)) < 1e-4 * scale

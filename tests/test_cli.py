@@ -136,6 +136,14 @@ def test_reff_config_error_leaves_no_run_directory(tmp_path, capsys, axis1, mess
     assert message in err
 
 
+def test_reff_grid_names_the_earliest_point_with_a_bad_control(tmp_path, capsys):
+    """u1 = 2.0 lies two rows in; u2 = -1.0 is already bad at the first point."""
+    code, out = run(tmp_path, "a", "--set", 'reff.axis1={"name":"u1","lo":0,"hi":2,"n":3}',
+                    "--set", 'reff.axis2={"name":"u2","lo":-1,"hi":0,"n":2}', "reff")
+    assert (code, out) == (2, None)
+    assert "control u2 must lie in [0, 1], got -1.0" in capsys.readouterr().err
+
+
 def test_reff_parameter_axis_grid(tmp_path):
     axis1 = json.dumps({"name": "psi1", "lo": 4e-5, "hi": 1.6e-4, "n": 3})
     axis2 = json.dumps({"name": "psi2", "lo": 4e-5, "hi": 1.6e-4, "n": 3})
@@ -722,6 +730,14 @@ def test_handlers_write_nothing(tmp_path, monkeypatch, label):
     assert list(tmp_path.iterdir()) == []
     assert set(made) == artifacts
     assert re.fullmatch(summary.replace("{run}", re.escape(str(run_dir))), said), said
+
+
+def test_readme_library_example_runs(capsys):
+    """The ``python`` block of README.md's "Library use" runs as written: three printed lines."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_failed_write_prints_no_summary(tmp_path, capsys):

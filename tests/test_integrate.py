@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,9 +98,15 @@ def test_control_path_is_read_only_array_that_keeps_bits():
         ControlPath(g, [(0.0,) * 4] * 2)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (3, 5), (3,), (3, 1, 4)])
+def test_control_path_needs_one_row_of_four_controls_per_node(shape):
+    with pytest.raises(ConfigError, match=re.escape(f"its shape is {shape}, not (3, 4)")):
+        ControlPath(TimeGrid(0.0, 1.0, 2), np.zeros(shape))
+
+
 def test_dfe_is_stationary(p_est, grid_20y):
     y0 = seeded_state(p_est)
-    traj = rk4_forward(p_est, ControlPath.constant(grid_20y), y0, grid_20y)
+    traj = rk4_forward(p_est, ControlPath.constant(grid_20y), y0)
     drift = max(max(abs(a - b) for a, b in zip(s, y0)) for s in traj.states)
     assert drift < 1e-9
 
@@ -107,13 +114,13 @@ def test_dfe_is_stationary(p_est, grid_20y):
 def test_infection_free_subspace_is_invariant(p_est):
     g = TimeGrid(0.0, 10.0, 500)
     y0 = seeded_state(p_est)._replace(S_H=1e4, R_H=50.0, R_D=10.0)
-    traj = rk4_forward(p_est, ControlPath.constant(g), y0, g)
+    traj = rk4_forward(p_est, ControlPath.constant(g), y0)
     for s in traj.states:
         assert s.E_H == s.I_H == s.E_F == s.I_F == s.E_D == s.I_D == s.M == 0.0
 
 
 def test_population_caps(p_est, default_state, grid_20y):
-    traj = rk4_forward(p_est, ControlPath.constant(grid_20y), default_state, grid_20y)
+    traj = rk4_forward(p_est, ControlPath.constant(grid_20y), default_state)
     y0 = default_state
     cap_h = max(y0.S_H + y0.E_H + y0.I_H + y0.R_H, p_est.theta1 / p_est.mu1)
     cap_f = max(y0.S_F + y0.E_F + y0.I_F, p_est.theta2 / p_est.mu2)
@@ -134,7 +141,7 @@ def test_population_caps(p_est, default_state, grid_20y):
 def test_fourth_order_convergence(p_est, default_state):
     def endpoint(n):
         g = TimeGrid(0.0, 5.0, n)
-        return rk4_forward(p_est, ControlPath.constant(g), default_state, g).states[-1]
+        return rk4_forward(p_est, ControlPath.constant(g), default_state).states[-1]
 
     a, b, c = endpoint(20), endpoint(40), endpoint(80)
     e1 = max(abs(x - y) for x, y in zip(a, b))
@@ -144,15 +151,15 @@ def test_fourth_order_convergence(p_est, default_state):
 
 def test_determinism_bit_identical(p_est, default_state):
     g = TimeGrid(0.0, 5.0, 250)
-    t1 = rk4_forward(p_est, ControlPath.constant(g), default_state, g)
-    t2 = rk4_forward(p_est, ControlPath.constant(g), default_state, g)
+    t1 = rk4_forward(p_est, ControlPath.constant(g), default_state)
+    t2 = rk4_forward(p_est, ControlPath.constant(g), default_state)
     assert t1.states == t2.states
 
 
 def test_blowup_raises_with_advice(p_est, default_state):
     g = TimeGrid(0.0, 20.0, 4)  # h = 5 years: far beyond stability
     with pytest.raises(IntegrationBlowupError, match="step size"):
-        rk4_forward(p_est, ControlPath.constant(g), default_state, g)
+        rk4_forward(p_est, ControlPath.constant(g), default_state)
 
 
 def test_undershoot_clamping_rules():
@@ -187,7 +194,7 @@ def test_nonfinite_state_aborts(p_base):
     g = TimeGrid(0.0, 100.0, 4)
     y0 = seeded_state(p)._replace(I_F=1e4)
     with pytest.raises(IntegrationBlowupError):
-        rk4_forward(p, ControlPath.constant(g), y0, g)
+        rk4_forward(p, ControlPath.constant(g), y0)
 
 
 # --- backward pass ---------------------------------------------------------------
@@ -206,7 +213,7 @@ ZERO_SYSTEM = constant_system(np.zeros((12, 12)))
 def test_backward_zero_rhs_stays_zero(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
-    traj = rk4_forward(p_est, path, default_state, g)
+    traj = rk4_forward(p_est, path, default_state)
     adj = rk4_backward(ZERO_SYSTEM, traj, path, ZERO_LAM)
     assert adj.shape == (g.n_nodes, 12)
     assert (adj == 0.0).all()
@@ -216,7 +223,7 @@ def test_backward_terminal_condition_exact(p_est, default_state):
     """A zero system keeps the terminal value at every node, across block boundaries."""
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
-    traj = rk4_forward(p_est, path, default_state, g)
+    traj = rk4_forward(p_est, path, default_state)
     terminal = tuple(float(i) for i in range(12))
     adj = rk4_backward(ZERO_SYSTEM, traj, path, terminal)
     assert (adj == np.array(terminal)).all()
@@ -225,7 +232,7 @@ def test_backward_terminal_condition_exact(p_est, default_state):
 def test_backward_grid_mismatch(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     other = TimeGrid(0.0, 2.0, 50)
-    traj = rk4_forward(p_est, ControlPath.constant(g), default_state, g)
+    traj = rk4_forward(p_est, ControlPath.constant(g), default_state)
     with pytest.raises(ConfigError, match="grid"):
         rk4_backward(ZERO_SYSTEM, traj, ControlPath.constant(other), ZERO_LAM)
 
@@ -233,7 +240,7 @@ def test_backward_grid_mismatch(p_est, default_state):
 def test_backward_non_finite_adjoint_raises(p_est, default_state):
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
-    traj = rk4_forward(p_est, path, default_state, g)
+    traj = rk4_forward(p_est, path, default_state)
     # each propagator is finite (P about e * I); lam grows by e a step and overflows on the way
     growing = constant_system(-50.0 * np.eye(12), (1e300,) * 12)
     with pytest.raises(IntegrationBlowupError, match="adjoint is not finite at t = 0"):
@@ -244,7 +251,7 @@ def test_backward_overflow_raises(p_est, default_state):
     """A propagator that overflows is an error even where a zero adjoint would hide it."""
     g = TimeGrid(0.0, 2.0, 100)
     path = ControlPath.constant(g)
-    traj = rk4_forward(p_est, path, default_state, g)
+    traj = rk4_forward(p_est, path, default_state)
     G = np.full((12, 12), 1e300)  # h G is finite; the propagator's h^2 G^2 / 2 term is not
     first_block = g.times()[g.n_steps - BLOCK]  # built first, it ends at tf
     with pytest.raises(IntegrationBlowupError, match=f"adjoint is not finite at t = {first_block}"):
@@ -259,7 +266,7 @@ def test_backward_step_halving_convergence(p_est, default_state):
     def lam0(n):
         g = TimeGrid(0.0, 20.0, n)
         path = ControlPath.constant(g, u_const)
-        traj = rk4_forward(p_est, path, default_state, g)
+        traj = rk4_forward(p_est, path, default_state)
         return rk4_backward(lambda y, u: adjoint_parts(y, u, w, p_est), traj, path, ZERO_LAM)[0]
 
     a, b = lam0(2000), lam0(4000)
@@ -271,7 +278,7 @@ def test_backward_memory_stays_below_a_dense_generator_per_solve(p_est, default_
     """One solve keeps its varying entries per point, not a (2n+1, 13, 13) generator stack."""
     g = TimeGrid(0.0, 20.0, 2000)
     path = ControlPath.constant(g, ControlConst(0.2, 0.2, 0.2, 0.2))
-    traj = rk4_forward(p_est, path, default_state, g)
+    traj = rk4_forward(p_est, path, default_state)
     traj.values  # built and cached before the measure: the forward pass's, not the adjoint's
     system = lambda y, u: adjoint_parts(y, u, Weights(), p_est)
     tracemalloc.start()
@@ -322,7 +329,7 @@ def test_backward_matches_reference_stage_loop(p_est, default_state):
     g = TimeGrid(0.0, 20.0, 400)
     rng = np.random.default_rng(11)
     path = ControlPath(g, rng.uniform(0.0, 1.0, (g.n_nodes, 4)))
-    traj = rk4_forward(p_est, path, default_state, g)
+    traj = rk4_forward(p_est, path, default_state)
     w = Weights()
     fn = lambda t, lam, y, u: adjoint_rhs(y, lam, u, w, p_est)
     terminal = tuple(rng.uniform(-5.0, 5.0, 12).tolist())
@@ -349,7 +356,7 @@ def test_marches_call_rhs_once_per_stage(p_est, default_state, monkeypatch, marc
     grid = TimeGrid(0.0, 2.0, 37)
     if march == "rk4":
         rk4_forward(p_est, ControlPath.constant(grid, ControlConst(0.1, 0.2, 0.3, 0.4)),
-                    default_state, grid)
+                    default_state)
     elif march == "euler":
         euler_forward(p_est, default_state, grid)
     else:
@@ -361,7 +368,7 @@ def test_marches_call_rhs_once_per_stage(p_est, default_state, monkeypatch, marc
 
 def test_euler_matches_rk4_for_small_steps(p_est, default_state):
     g_rk = TimeGrid(0.0, 2.0, 200)
-    rk = rk4_forward(p_est, ControlPath.constant(g_rk), default_state, g_rk)
+    rk = rk4_forward(p_est, ControlPath.constant(g_rk), default_state)
     g_eu = TimeGrid(0.0, 2.0, 20000)
     eu = euler_forward(p_est, default_state, g_eu)
     rel = max(
@@ -399,7 +406,7 @@ def test_write_csv_rejects_a_cell_that_needs_quoting(tmp_path, row):
 
 def test_trajectory_csv_round_trip(tmp_path, p_est, default_state):
     g = TimeGrid(0.0, 1.0, 50)
-    traj = rk4_forward(p_est, ControlPath.constant(g), default_state, g)
+    traj = rk4_forward(p_est, ControlPath.constant(g), default_state)
     path = tmp_path / "traj.csv"
     write_csv(path, ("t",) + StateVec._fields, node_rows(g, traj.states))
     header = path.read_text().splitlines()[0]

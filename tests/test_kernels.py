@@ -38,7 +38,8 @@ from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, rates_of
 from rabictl.sensitivity import _stacked_rhs
 
 
-def reference_force_terms(y, u, p):
+def reference_pressures(y, u, p):
+    """The uncontrolled pressures f1, f2, f3, the clamped factors a1, a2 and lamM."""
     lamM = y.M / (y.M + p.C)
     a1 = 1.0 - (u.u1 + u.u3)
     if a1 < 0.0:
@@ -53,13 +54,16 @@ def reference_force_terms(y, u, p):
         + p.psi2 * y.I_D / (1.0 + p.rho2)
         + p.psi3 * lamM / (1.0 + p.rho3)
     )
-    return ForceTerms(f1, f2, f3, a1, a2, lamM)
+    return f1, f2, f3, a1, a2, lamM
+
+
+def reference_force_terms(y, u, p):
+    f1, f2, f3, a1, a2, lamM = reference_pressures(y, u, p)
+    return ForceTerms(a1 * f1, f2, a2 * f3, a1, a2, lamM)
 
 
 def reference_rhs(t, y, u, p):
-    f1, chi2, f3, a1, a2, _ = reference_force_terms(y, u, p)
-    chi1 = a1 * f1
-    chi3 = a2 * f3
+    chi1, chi2, chi3, _, _, _ = reference_force_terms(y, u, p)
 
     dS_H = p.theta1 + p.beta3 * y.R_H - p.mu1 * y.S_H - chi1 * y.S_H
     dE_H = chi1 * y.S_H - (p.mu1 + p.beta1 + p.beta2 + u.u4) * y.E_H
@@ -81,7 +85,7 @@ def reference_rhs(t, y, u, p):
 
 
 def reference_adjoint_rhs(y, lam, u, w, p):
-    f1, f2, f3, a1, a2, _ = reference_force_terms(y, u, p)
+    f1, f2, f3, a1, a2, _ = reference_pressures(y, u, p)
     dlam_dM = p.C / (y.M + p.C) ** 2
 
     l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12 = lam
@@ -173,7 +177,8 @@ def reference_march(step, y0, grid):
     return states, clamped_total
 
 
-def reference_rk4_forward(p, u_path, y0, grid):
+def reference_rk4_forward(p, u_path, y0):
+    grid = u_path.grid
     h = grid.h
     u = [ControlConst(*row) for row in u_path.values.tolist()]
     um = [ControlConst(*(0.5 * (a + b) for a, b in zip(ua, ub))) for ua, ub in zip(u, u[1:])]
@@ -403,8 +408,8 @@ def random_path(grid, seed):
 def test_rk4_forward_equals_reference_march(p, grid, seed):
     path = random_path(grid, seed)
     y0 = seeded_state(p, *DEFAULT_SEEDING)
-    got = outcome(rk4_forward, p, path, y0, grid)
-    assert same_outcome(got, outcome(reference_rk4_forward, p, path, y0, grid))
+    got = outcome(rk4_forward, p, path, y0)
+    assert same_outcome(got, outcome(reference_rk4_forward, p, path, y0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,7 +428,7 @@ def test_rk4_backward_within_rounding_of_reference_march(p, w, lam, seed):
     path = random_path(grid, seed)
     y0 = seeded_state(p, *DEFAULT_SEEDING)
     try:
-        traj = rk4_forward(p, path, y0, grid)
+        traj = rk4_forward(p, path, y0)
     except IntegrationBlowupError:
         return
     want = np.array(reference_rk4_backward(
@@ -483,7 +488,7 @@ def test_rk4_backward_equals_per_block_dense_assembly_bits(p, w, lam, mask, n, h
                                       np.random.default_rng(seed).uniform(0.0, 1.0, (n + 1, 4)),
                                       0.0))
     try:
-        traj = rk4_forward(p, path, seeded_state(p, *DEFAULT_SEEDING), grid)
+        traj = rk4_forward(p, path, seeded_state(p, *DEFAULT_SEEDING))
     except IntegrationBlowupError:
         return
     want = reference_block_backward(lambda y, u: dense_adjoint(y, u, w, p), traj, path, lam)
@@ -509,7 +514,7 @@ def test_marches_call_the_global_rhs_once_a_stage(monkeypatch, march, stages):
     p, grid = TABLE2_ESTIMATED, TimeGrid(0.0, 5.0, 37)
     y0 = seeded_state(p, *DEFAULT_SEEDING)
     if march == "rk4":
-        traj = rk4_forward(p, random_path(grid, 5), y0, grid)
+        traj = rk4_forward(p, random_path(grid, 5), y0)
     else:
         traj = euler_forward(p, y0, grid)
     assert len(traj.states) == grid.n_nodes and len(calls) == stages * grid.n_steps
@@ -523,8 +528,8 @@ def test_state_clamp_path_equals_reference_march(march):
     grid = TimeGrid(0.0, 10.0, 7)
     if march == "rk4":
         path = ControlPath.constant(grid)
-        got = outcome(rk4_forward, p, path, y0, grid)
-        want = outcome(reference_rk4_forward, p, path, y0, grid)
+        got = outcome(rk4_forward, p, path, y0)
+        want = outcome(reference_rk4_forward, p, path, y0)
     else:
         got = outcome(euler_forward, p, y0, grid)
         want = outcome(reference_euler_forward, p, y0, grid)
@@ -542,7 +547,7 @@ def test_trajectory_values_equal_the_states_bits(clamped):
     else:
         y0, grid = seeded_state(p, *DEFAULT_SEEDING), TimeGrid(0.0, 5.0, 50)
         path = random_path(grid, 3)
-    traj = rk4_forward(p, path, y0, grid)
+    traj = rk4_forward(p, path, y0)
     assert (traj.clamped > 0) == clamped
     want = np.array(traj.states)
     assert traj.values.shape == want.shape == (grid.n_nodes, 12)

@@ -82,7 +82,7 @@ def test_numpy_scalar_parameters_are_kept_as_floats():
     scaled = p.replace(**{n: getattr(p, n) * np.float64(ratio) for n in ("kappa1", "psi1")})
     assert_float_fields(scaled)
     g = TimeGrid(0.0, 1.0, 10)
-    states = rk4_forward(scaled, ControlPath.constant(g), seeded_state(scaled, *DEFAULT_SEEDING), g)
+    states = rk4_forward(scaled, ControlPath.constant(g), seeded_state(scaled, *DEFAULT_SEEDING))
     assert all(type(v) is float for y in states.states for v in y)
 
 
@@ -370,3 +370,14 @@ def test_control_validation():
     with pytest.raises(ConfigError, match="u2"):
         ControlConst(0.0, 1.5, 0.0, 0.0).validate()
     ControlConst(1.0, 0.0, 0.5, 1.0).validate()
+
+
+@pytest.mark.parametrize("u, message", [
+    # the fields broadcast to points; the earliest point's first bad control is named
+    (ControlConst(np.array([0.5, 2.0]), np.array([np.nan, 0.5]), 0.0, 0.0), "u2 .*, got nan"),
+    (ControlConst(np.array([0.5, 2.0]), 0.0, np.array([[0.0], [-0.5]]), 0.0), "u1 .*, got 2.0"),
+    (ControlConst(2, 0, 0, 0), "u1 .*, got 2$"),  # an int field prints as given
+])
+def test_control_validation_scans_point_by_point(u, message):
+    with pytest.raises(ConfigError, match=message):
+        u.validate()

@@ -284,7 +284,7 @@ def test_endemic_attracts_forward_runs(preset, u):
     p = PRESETS[preset]
     y_star = endemic_eq(p, u)
     g = TimeGrid(0.0, 200.0, 10000)
-    traj = rk4_forward(p, ControlPath.constant(g, u), seeded_state(p, *DEFAULT_SEEDING), g)
+    traj = rk4_forward(p, ControlPath.constant(g, u), seeded_state(p, *DEFAULT_SEEDING))
     rel = max(abs(a - b) / b for a, b in zip(traj.states[-1], y_star))
     assert rel < 1e-3  # within 0.1% per component
 
@@ -297,6 +297,13 @@ def test_dfe_stability_sign_matches_threshold(p_est, target, sign):
     p = weak_env(p_est)
     p = scaled_transmission(p, target / effective_r(p).Re)
     assert sign * dfe_stability(p) > 0.0
+
+
+@pytest.mark.parametrize("route", [ngm, spectral_r, dfe_stability, endemic_eq])
+@pytest.mark.parametrize("u4", [7.0, float("nan")])
+def test_matrix_routes_reject_a_control_outside_the_unit_interval(p_est, route, u4):
+    with pytest.raises(ConfigError, match=f"control u4 must lie in \\[0, 1\\], got {u4}"):
+        route(p_est, ControlConst(0.0, 0.0, 0.0, u4))
 
 
 @given(

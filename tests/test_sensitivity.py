@@ -410,7 +410,7 @@ def test_batch_equals_scalar_runs_and_drops_blowups(p_base):
     for x, r in zip(X, rows):
         if r is not None:
             traj = rk4_forward(p_base.replace(**dict(zip(names, map(float, x)))),
-                               ControlPath.constant(grid), y0, grid)
+                               ControlPath.constant(grid), y0)
             scalar = np.array([[traj.states[k][f] for f in fields] for k in node_idx])
             assert np.array_equal(r, scalar)
 
@@ -446,7 +446,7 @@ def test_batch_keeps_the_order_of_its_sample_nodes(p_base):
     fields = [StateVec._fields.index(o) for o in outputs]
     for x, r in zip(X, rows):
         traj = rk4_forward(p_base.replace(**dict(zip(names, map(float, x)))),
-                           ControlPath.constant(grid), y0, grid)
+                           ControlPath.constant(grid), y0)
         assert r.shape == (3, 3)
         assert np.array_equal(r[0], [traj.states[-1][f] for f in fields])
         assert np.array_equal(r[1], [y0[f] for f in fields])
@@ -457,7 +457,7 @@ def test_batch_clamps_a_row_beside_a_row_gone_nan(p_base):
     """One row's NaN must not hide another row's undershoot from the clamp."""
     y0 = seeded_state(p_base)._replace(I_H=8.5e-8)
     grid = TimeGrid(0.0, 10.0, 7)
-    traj = rk4_forward(p_base, ControlPath.constant(grid), y0, grid)
+    traj = rk4_forward(p_base, ControlPath.constant(grid), y0)
     assert traj.clamped > 0
     rows = _simulate_rows(np.array([[p_base.sigma1], [1e300]]), ("sigma1",), p_base, y0, grid,
                           tuple(range(grid.n_nodes)), ("I_H",))
@@ -487,7 +487,7 @@ def test_batch_clamp_counts_equal_the_scalar_runs(p_base, monkeypatch):
     for x in X:
         try:
             scalar.append(rk4_forward(p_base.replace(**dict(zip(names, map(float, x)))),
-                                      ControlPath.constant(grid), y0, grid).clamped)
+                                      ControlPath.constant(grid), y0).clamped)
         except IntegrationBlowupError:
             scalar.append(None)
     assert [r is None for r in rows] == [c is None for c in scalar]
