@@ -78,9 +78,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_steps <= MAX_STEPS:
+        if not isinstance(self.n_steps, (int, np.integer)) or not 1 <= self.n_steps <= MAX_STEPS:
             raise ConfigError(
                 f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {shorten(repr(self.n_steps))}")
+        object.__setattr__(self, "n_steps", int(self.n_steps))  # a numpy count steps as an int
         # nodes t0 + i*h round by under 2 ulps of the largest |t|: a step of 4 eps of it parts them
         if not 2.0**-50 * max(abs(self.t0), abs(self.tf)) < self.h < math.inf:
             raise ConfigError(f"grid needs finite t0 < tf and a finite step (tf - t0)/n_steps "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 Mask = tuple[bool, bool, bool, bool]
-
-ALL_ON: Mask = (True, True, True, True)
 
 # Strategy A: everything; B: education + treatment; C: treatment only;
 # D: health promotion + dog vaccination.
@@ -102,11 +100,6 @@ class SweepResult:
     converged: bool
 
 
-def _fields(rows: Sequence[tuple] | np.ndarray, vec: type[NamedTuple]):
-    """Per-node rows as one ``vec`` whose fields are (n_nodes,) arrays."""
-    return vec._make(np.asarray(rows).T)
-
-
 def running_cost(y: StateVec, u: ControlConst, w: Weights) -> float:
     """The integrand of J; fields may be floats or (N,) arrays.
 
@@ -129,7 +122,7 @@ def objective(states: Trajectory, u_path: ControlPath, w: Weights) -> float:
     """Trapezoidal quadrature of the running cost over the horizon."""
     _require_same_grid(u_path.grid, states.grid, "control path")
     values = running_cost(
-        _fields(states.values, StateVec), _fields(u_path.values, ControlConst), w
+        StateVec._make(states.values.T), ControlConst._make(u_path.values.T), w
     ).tolist()
     h = states.grid.h
     # sum() adds left to right; np.sum's pairwise order would move the last bits of J.
@@ -143,8 +136,8 @@ def hamiltonian(y: StateVec, lam: Sequence, u: ControlConst, w: Weights, p: Para
 
 
 def _cost_gradient(w: Weights) -> np.ndarray:
-    """g = -dL/dy, the same at every point."""
-    return np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
+    """g = -dL/dy, the same at every point: minus ``running_cost`` at the unit states."""
+    return 0.0 - running_cost(StateVec._make(np.eye(12)), ZERO_CONTROL, w)
 
 
 def adjoint_parts(
@@ -178,7 +171,7 @@ def adjoint_rhs(
 
 
 def characterize_controls(
-    y: StateVec, lam: Sequence, w: Weights, p: ParamSet, mask: Mask = ALL_ON
+    y: StateVec, lam: Sequence, w: Weights, p: ParamSet, mask: Mask = STRATEGY_MASKS["A"]
 ) -> ControlConst:
     """Pointwise controls that minimise H: each the stationary point dH/du_i = 0, clipped to [0,1].
 
@@ -208,7 +201,7 @@ def forward_backward_sweep(
     w: Weights,
     y0: StateVec,
     grid: TimeGrid,
-    mask: Mask = ALL_ON,
+    mask: Mask = STRATEGY_MASKS["A"],
     omega: float = 0.5,
     tol: float = 1e-4,
     max_iter: int = 200,
@@ -219,9 +212,9 @@ def forward_backward_sweep(
     the adjoints backward from the zero terminal condition, evaluates the
     pointwise characterizations, and blends: u <- (1-omega) u + omega u*.
     Stops when the sup-norm control update drops below ``tol``, which must lie
-    in (0, omega): the update is at most omega. The returned
-    states/adjoints are recomputed under the final controls so the triple is
-    self-consistent.
+    in (0, omega): the update is at most omega. ``mask`` is a tuple of four bools,
+    one per control. The returned states/adjoints are recomputed under the final
+    controls so the triple is self-consistent.
 
     Raises:
         SweepDivergenceError: if the objective runs away from its best value.
@@ -232,6 +225,8 @@ def forward_backward_sweep(
         raise ConfigError(f"tolerance must be finite, positive and below omega={omega}, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be at least 1, got {shorten(repr(max_iter))}")
+    if not isinstance(mask, tuple) or len(mask) != 4 or any(type(on) is not bool for on in mask):
+        raise ConfigError(f"mask must be a tuple of four bools, got {shorten(repr(mask))}")
 
     def solve(u_path: ControlPath) -> tuple[Trajectory, np.ndarray]:
         states = rk4_forward(p, u_path, y0)
@@ -255,7 +250,7 @@ def forward_backward_sweep(
                 f"(J = {J:.6g} vs best {J_min:.6g}); try a smaller omega"
             )
 
-        y, lam = _fields(states.values, StateVec), adjoints.T
+        y, lam = StateVec._make(states.values.T), adjoints.T
         u_star = np.column_stack(np.broadcast_arrays(*characterize_controls(y, lam, w, p, mask)))
         u_old = u_path.values
         u_new = (1.0 - omega) * u_old + omega * u_star

@@ -64,17 +64,17 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
 
     The fields of ``p`` and ``u`` may be floats or arrays that broadcast
     together, giving arrays of the broadcast shape, and floats give floats. The
-    domestic control factor (1-u1-u2) is clamped at zero, matching the state system.
+    domestic control factor is the state system's, ``model._forces``' a2 at the DFE.
     """
     u.validate()
     with np.errstate(all="ignore"):  # overflow, or NaN from a negative discriminant, fails below
+        w = force_terms(seeded_state(p), u, p).a2
         (_, _, _, k_EF, k_IF, k_ED, k_ID, _, d1, d2, _, _, theta2, theta3, _, _, _, kappa1, kappa2,
          _, psi1, psi2, _, _, _, _, _, _, _, gamma, gamma1, _, _, _, mu2, mu3, *_) = p.rates
         # np.divide: a divisor that underflows to 0.0 gives inf on floats too, as on arrays
         a3 = np.divide(gamma1, (k_ED + u.u4) * k_ID)
         R21 = np.divide(kappa1 * theta2 * gamma, mu2 * k_EF * k_IF)
         R23 = kappa2 * theta2 * a3 / mu2
-        w = np.maximum(0.0, 1.0 - u.u1 - u.u2)
         R31 = w * psi1 * theta3 * gamma / (d1 * mu3 * k_EF * k_IF)
         R33 = w * psi2 * theta3 * a3 / (d2 * mu3)
         disc = R21 * R21 - 2.0 * R33 * R21 + 4.0 * R31 * R23 + R33 * R33
@@ -213,8 +213,10 @@ class ReGrid:
 
 
 def _axis_values(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    if not 1 <= n <= 1000:  # every point is one CSV row: 10^6 rows take seconds to write
+    # every point is one CSV row: 10^6 rows take seconds to write
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 1000:
         raise ConfigError(f"axis needs at least one point and at most 1000, got {shorten(repr(n))}")
+    n = int(n)  # a numpy count would make the values numpy floats
     if n == 1:
         return (lo,)
     step = (hi - lo) / (n - 1)
@@ -228,12 +230,10 @@ def re_grid(
     base_u: ControlConst = ZERO_CONTROL,
 ) -> ReGrid:
     """The closed-form Re over a Cartesian axis1 x axis2 grid, in one ``effective_r`` call on arrays."""
-    name1, lo1, hi1, n1 = axis1
-    name2, lo2, hi2, n2 = axis2
+    name1, name2 = axis1[0], axis2[0]
     if name1 == name2:
         raise ConfigError(f"both axes name {shorten(repr(name1))}; a grid needs two different axes")
-    vals1 = _axis_values(lo1, hi1, int(n1))
-    vals2 = _axis_values(lo2, hi2, int(n2))
+    vals1, vals2 = _axis_values(*axis1[1:]), _axis_values(*axis2[1:])
     fields = {**p.as_dict(), **base_u._asdict()}
     for name in (name1, name2):
         if name not in fields:

@@ -64,6 +64,15 @@ def test_grid_validation():
         g.node_at(2.5)
 
 
+def test_grid_step_count_is_an_integer():
+    for n_steps in (2.5, 4.0, "4", None):  # a float count built a grid that times() failed on
+        with pytest.raises(ConfigError, match="grid needs 1 <= n_steps"):
+            TimeGrid(0.0, 2.0, n_steps)
+    for n_steps in (np.int64(4), np.int32(4)):  # a numpy count steps as an int
+        assert type(TimeGrid(0.0, 2.0, n_steps).n_steps) is int
+        assert TimeGrid(0.0, 2.0, n_steps) == TimeGrid(0.0, 2.0, 4)
+
+
 @settings(max_examples=300, deadline=None)
 @given(t0=st.floats(min_value=-1e300, max_value=1e300).filter(lambda t: t != 0.0),
        n_steps=st.integers(min_value=1, max_value=300),

@@ -132,6 +132,11 @@ def reference_adjoint_rhs(y, lam, u, w, p):
     return (d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12)
 
 
+def reference_cost_gradient(w):
+    """g = -dL/dy with the state weights and their signs written out by hand."""
+    return np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
+
+
 def dense_adjoint(y, u, w, p):
     """The adjoint as the dense affine system lam' = G lam + g: G = -(df/dy)^T from
     ``model.jacobian``, (12, 12) or (n, 12, 12), and g = -dL/dy, (12,)."""
@@ -352,6 +357,17 @@ def test_adjoint_rhs_within_rounding_of_reference(y, lam, u, w, p):
     # below the smallest normal double, rounding is absolute rather than relative
     bound = 1e-13 * scale + np.finfo(float).tiny
     assert (np.abs(np.subtract(got, reference_adjoint_rhs(y, lam, u, w, p))) <= bound).all()
+
+
+@given(w=weights)
+@example(w=Weights())
+@example(w=Weights(K1=0.0, K2=0.0, K3=0.0, K4=0.0, K5=0.0))
+def test_cost_gradient_equals_hand_written_reference(w):
+    """``running_cost`` at the unit states gives the hand-written gradient: the same bits where
+    a weight is positive, and +0.0 where a zero weight's -K gave -0.0."""
+    got, want = _cost_gradient(w), reference_cost_gradient(w)
+    assert (got == want).all()
+    assert hexes(got) == [(v + 0.0).hex() for v in want.tolist()]
 
 
 @settings(max_examples=50, deadline=None)

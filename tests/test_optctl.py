@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from rabictl import optctl
 from rabictl.cli import main
 from rabictl.errors import ConfigError
 from rabictl.integrate import ControlPath, TimeGrid, Trajectory
@@ -249,6 +250,19 @@ def test_sweep_parameter_validation(p_est, default_state):
         forward_backward_sweep(p_est, Weights(), default_state, g, omega=0.3, tol=0.3)
     with pytest.raises(ConfigError, match="max_iter"):
         forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=0)
+
+
+@pytest.mark.parametrize("mask", [
+    (True, True), (True,) * 5, (1, 0, 1, "x"), (1, 1, 1, 1), [True] * 4, (np.True_,) * 4, None,
+], ids=["two", "five", "ints-and-text", "ints", "list", "numpy-bools", "none"])
+def test_sweep_rejects_a_malformed_mask_before_any_solve(p_est, default_state, mask, monkeypatch):
+    """(True, True) ran with u3 and u4 silently off, and came back as ``SweepResult.mask``."""
+    def no_solve(*args):
+        raise AssertionError("the sweep integrated before checking its mask")
+
+    monkeypatch.setattr(optctl, "rk4_forward", no_solve)
+    with pytest.raises(ConfigError, match="mask must be a tuple of four bools"):
+        forward_backward_sweep(p_est, Weights(), default_state, TimeGrid(0.0, 20.0, 200), mask)
 
 
 @pytest.fixture(scope="module")

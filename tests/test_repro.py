@@ -403,6 +403,28 @@ def test_grid_axis_point_limit(p_est):
             re_grid(p_est, ("u2", 0.0, 1.0, n), ("u4", 0.0, 1.0, 1))
 
 
+def test_grid_axis_point_count_is_an_integer(p_est):
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(ConfigError, match="axis needs at least one point"):
+            re_grid(p_est, ("u2", 0.0, 1.0, n), ("u4", 0.0, 1.0, 2))
+    got = re_grid(p_est, ("u2", 0.0, 1.0, np.int64(3)), ("u4", 0.0, 1.0, np.int32(2)))
+    want = re_grid(p_est, ("u2", 0.0, 1.0, 3), ("u4", 0.0, 1.0, 2))
+    assert [type(v) for v in got.axis1_values + got.axis2_values] == [float] * 5
+    assert got.axis1_values == want.axis1_values and (got.values == want.values).all()
+
+
+def test_effective_r_reads_the_state_systems_domestic_factor(p_est):
+    """R31 and R33 scale with ``model._forces``' a2 = max(0, 1 - (u1 + u2)); at this point
+    (1 - u1) - u2 rounds one ulp away from it."""
+    u = ControlConst(0.1, 0.3, 0.0, 0.2)
+    assert 1.0 - u.u1 - u.u2 != 1.0 - (u.u1 + u.u2)
+    a2 = force_terms(seeded_state(p_est), u, p_est).a2
+    k_EF, k_IF, d1, d2 = (p_est.rates[i] for i in (3, 4, 8, 9))
+    bd = effective_r(p_est, u)
+    assert bd.R31 == a2 * p_est.psi1 * p_est.theta3 * p_est.gamma / (d1 * p_est.mu3 * k_EF * k_IF)
+    assert bd.R33 == a2 * p_est.psi2 * p_est.theta3 * bd.a3 / (d2 * p_est.mu3)
+
+
 def test_non_finite_re_is_numeric_error(p_est):
     with pytest.raises(NumericError, match="not finite"):  # R33 * R33 overflows
         effective_r(p_est.replace(psi2=1e300))

@@ -264,6 +264,57 @@ def test_prcc_error_cases():
         prcc(X3, rng.random(50))
 
 
+def collinear_by_matrix_rank(X):
+    """The SVD rank test of the sample ranks with an intercept column, [1, R]."""
+    n, p = X.shape
+    R = np.column_stack([stats.rankdata(col) for col in X.T])
+    return np.linalg.matrix_rank(np.column_stack([np.ones(n), R])) < p + 1
+
+
+def collinear_by_prcc(X):
+    try:
+        prcc(X, np.random.default_rng(0).random(len(X)))
+    except DegenerateInputError as exc:
+        assert "collinear" in str(exc)
+        return True
+    return False
+
+
+def rank_test_cases():
+    rng = np.random.default_rng(28)
+    duplicated = rng.random((50, 4))
+    duplicated[:, 3] = duplicated[:, 1]
+    # balanced 0/1 columns and their sum: the average ranks of each are affine in its values,
+    # so the third rank column is an exact linear combination of the first two and the intercept
+    a, b = np.repeat([0.0, 1.0], 30), np.tile([0.0, 1.0], 30)
+    combination = np.column_stack([a, b, rng.random(60), a + b])
+    # two columns one adjacent swap apart in rank: correlation 1 - 1.2e-8 at N = 1000
+    near = rng.random((1000, 3))
+    near[:, 2] = near[:, 0]
+    i, j = np.argsort(near[:, 0])[500:502]
+    near[[i, j], 2] = near[[j, i], 2]
+    return {"duplicated": (duplicated, True), "combination": (combination, True),
+            "near-collinear": (near, False)}
+
+
+@pytest.mark.parametrize("case", sorted(rank_test_cases()))
+def test_prcc_rank_test_agrees_with_matrix_rank(case):
+    X, collinear = rank_test_cases()[case]
+    assert collinear_by_matrix_rank(X) == collinear
+    assert collinear_by_prcc(X) == collinear
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_extra=st.integers(min_value=3, max_value=40), p=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), duplicate=st.booleans())
+def test_prcc_rank_test_agrees_with_matrix_rank_on_lhs_samples(n_extra, p, seed, duplicate):
+    ranges = [ParamRange(name, "uniform", 1.0, 2.0) for name in PARAM_NAMES[:p]]
+    X = lhs_sample(ranges, p + n_extra, seed)
+    if duplicate and p > 1:
+        X[:, -1] = X[:, 0]
+    assert collinear_by_prcc(X) == collinear_by_matrix_rank(X)
+
+
 def test_prcc_magnitudes_bounded():
     rng = np.random.default_rng(27)
     X = rng.random((120, 5))
