@@ -125,22 +125,22 @@ def force_terms(y: StateVec, u: ControlConst, p: ParamSet) -> ForceTerms:
     return tuple.__new__(ForceTerms, _forces(y.I_F, y.I_D, y.M, u, p.rates))
 
 
+def _control_factors(u: Sequence) -> tuple:
+    """(1-u1-u3, 1-u1-u2) clamped at zero: each control is at most 1, but their sums are not."""
+    a1, a2 = 1.0 - (u[0] + u[2]), 1.0 - (u[0] + u[1])
+    return 0.5 * (a1 + abs(a1)), 0.5 * (a2 + abs(a2))  # max(a, 0) exactly, on floats and arrays
+
+
 def _forces(I_F: float, I_D: float, M: float, u: Sequence, rates: tuple) -> tuple:
     """``force_terms`` as a plain tuple, which ``rhs`` unpacks faster; ``u`` is any sequence.
 
-    The control factors (1-u1-u3) and (1-u1-u2) are clamped at zero: each control is bounded by
-    1 but their sums are not, and a negative pressure has no meaning. Each controlled pressure is
-    formed here, once: chi1 = a1*f1 and chi3 = a2*f3. Integrator stages may dip just below
-    zero; the saturation term M/(M+C) is evaluated unchecked.
+    Each controlled pressure is formed here, once: chi1 = a1*f1 and chi3 = a2*f3. Integrator
+    stages may dip just below zero; the saturation term M/(M+C) is evaluated unchecked.
     """
     (_, _, _, _, _, _, _, _, d1, d2, d3, _, _, _, tau1, tau2, tau3, kappa1, kappa2, kappa3,
      psi1, psi2, psi3, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, _, C) = rates
-    u1 = u[0]
     lamM = M / (M + C)
-    a1 = 1.0 - (u1 + u[2])
-    a1 = 0.5 * (a1 + abs(a1))  # max(a1, 0) exactly, for floats and (N,) arrays alike
-    a2 = 1.0 - (u1 + u[1])
-    a2 = 0.5 * (a2 + abs(a2))
+    a1, a2 = _control_factors(u)
     f1 = tau1 * I_F + tau2 * I_D + tau3 * lamM
     f2 = kappa1 * I_F + kappa2 * I_D + kappa3 * lamM
     f3 = psi1 * I_F / d1 + psi2 * I_D / d2 + psi3 * lamM / d3

@@ -208,12 +208,11 @@ def forward_backward_sweep(
 ) -> SweepResult:
     """Relaxed forward-backward sweep until the control update stalls.
 
-    Each iteration integrates the states forward under the current controls,
-    the adjoints backward from the zero terminal condition, evaluates the
-    pointwise characterizations, and blends: u <- (1-omega) u + omega u*.
-    Stops when the sup-norm control update drops below ``tol``, which must lie
-    in (0, omega): the update is at most omega. ``mask`` is a tuple of four bools,
-    one per control. The returned states/adjoints are recomputed under the final
+    Each iteration integrates the states forward under the current controls, the adjoints
+    backward from the zero terminal condition, evaluates the pointwise characterizations, and
+    blends: u <- (1-omega) u + omega u*. Stops when the sup-norm control update drops below
+    ``tol``, which must lie in (0, omega): the update is at most omega. ``mask`` is a tuple of
+    four bools, one per control. The returned states/adjoints are recomputed under the final
     controls so the triple is self-consistent.
 
     Raises:

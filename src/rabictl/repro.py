@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, shorten
 from .model import (
-    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, force_terms, jacobian, rhs,
-    seeded_state,
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, _control_factors, force_terms, jacobian,
+    rhs, seeded_state,
 )
 from .params import PARAM_NAMES, ParamSet, rates_of, valid
 
@@ -64,18 +64,18 @@ def effective_r(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> ReBreakdown:
 
     The fields of ``p`` and ``u`` may be floats or arrays that broadcast
     together, giving arrays of the broadcast shape, and floats give floats. The
-    domestic control factor is the state system's, ``model._forces``' a2 at the DFE.
+    domestic control factor is the state system's, a2 of ``model._control_factors``.
     """
     u.validate()
     with np.errstate(all="ignore"):  # overflow, or NaN from a negative discriminant, fails below
-        w = force_terms(seeded_state(p), u, p).a2
+        w = _control_factors(u)[1]
         (_, _, _, k_EF, k_IF, k_ED, k_ID, _, d1, d2, _, _, theta2, theta3, _, _, _, kappa1, kappa2,
          _, psi1, psi2, _, _, _, _, _, _, _, gamma, gamma1, _, _, _, mu2, mu3, *_) = p.rates
         # np.divide: a divisor that underflows to 0.0 gives inf on floats too, as on arrays
         a3 = np.divide(gamma1, (k_ED + u.u4) * k_ID)
         R21 = np.divide(kappa1 * theta2 * gamma, mu2 * k_EF * k_IF)
         R23 = kappa2 * theta2 * a3 / mu2
-        R31 = w * psi1 * theta3 * gamma / (d1 * mu3 * k_EF * k_IF)
+        R31 = np.divide(w * psi1 * theta3 * gamma, d1 * mu3 * k_EF * k_IF)
         R33 = w * psi2 * theta3 * a3 / (d2 * mu3)
         disc = R21 * R21 - 2.0 * R33 * R21 + 4.0 * R31 * R23 + R33 * R33
         Re = 0.5 * (R33 + R21 + np.sqrt(disc))
@@ -216,10 +216,9 @@ def _axis_values(lo: float, hi: float, n: int) -> tuple[float, ...]:
     # every point is one CSV row: 10^6 rows take seconds to write
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 1000:
         raise ConfigError(f"axis needs at least one point and at most 1000, got {shorten(repr(n))}")
-    n = int(n)  # a numpy count would make the values numpy floats
     if n == 1:
         return (lo,)
-    step = (hi - lo) / (n - 1)
+    step = (hi - lo) / (int(n) - 1)  # a numpy count would make the values numpy floats
     return tuple(lo + i * step for i in range(n))
 
 

@@ -414,7 +414,7 @@ def test_grid_axis_point_count_is_an_integer(p_est):
 
 
 def test_effective_r_reads_the_state_systems_domestic_factor(p_est):
-    """R31 and R33 scale with ``model._forces``' a2 = max(0, 1 - (u1 + u2)); at this point
+    """R31 and R33 scale with the state system's a2 = max(0, 1 - (u1 + u2)); at this point
     (1 - u1) - u2 rounds one ulp away from it."""
     u = ControlConst(0.1, 0.3, 0.0, 0.2)
     assert 1.0 - u.u1 - u.u2 != 1.0 - (u.u1 + u.u2)
@@ -428,10 +428,16 @@ def test_effective_r_reads_the_state_systems_domestic_factor(p_est):
 def test_non_finite_re_is_numeric_error(p_est):
     with pytest.raises(NumericError, match="not finite"):  # R33 * R33 overflows
         effective_r(p_est.replace(psi2=1e300))
-    with pytest.raises(NumericError, match="not finite"):  # mu2 * k_EF * k_IF underflows to 0.0
-        effective_r(p_est.replace(mu2=5e-324))
+    for name in ("mu2", "mu3"):  # R21's, R31's divisor underflows to 0.0; its factors are floats
+        with pytest.raises(NumericError, match="not finite"):
+            effective_r(p_est.replace(**{name: 5e-324}))
     with pytest.raises(NumericError, match="not finite"):
         re_grid(p_est, ("psi2", 1e-4, 1e300, 2), ("u4", 0.0, 1.0, 1))
+
+
+def test_cli_reff_with_an_underflowing_divisor_exits_numeric(tmp_path, capsys):
+    assert main(["--outdir", str(tmp_path), "--set", "parameters.mu3=5e-324", "reff"]) == 3
+    assert "closed-form Re is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("route, name, value", [

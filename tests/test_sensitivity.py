@@ -280,7 +280,21 @@ def collinear_by_prcc(X):
     return False
 
 
+def adjacent_swaps(n, k, rng):
+    """Two columns k disjoint adjacent rank swaps apart. Their Spearman correlation is
+    1 - 12k/(n^3 - n), so the eigenvalues 1 -/+ rho of their rank correlation block have a
+    ratio of about 6k/n^3."""
+    X = np.repeat(rng.random((n, 1)), 2, axis=1)
+    order = np.argsort(X[:, 0])
+    for s in range(k):
+        i, j = order[2 * s: 2 * s + 2]
+        X[[i, j], 1] = X[[j, i], 1]
+    return X
+
+
 def rank_test_cases():
+    """Each case: the sample X, then whether ``matrix_rank`` of [1, R] and ``prcc`` call it
+    collinear."""
     rng = np.random.default_rng(28)
     duplicated = rng.random((50, 4))
     duplicated[:, 3] = duplicated[:, 1]
@@ -293,15 +307,20 @@ def rank_test_cases():
     near[:, 2] = near[:, 0]
     i, j = np.argsort(near[:, 0])[500:502]
     near[[i, j], 2] = near[[j, i], 2]
-    return {"duplicated": (duplicated, True), "combination": (combination, True),
-            "near-collinear": (near, False)}
+    # about 4x either side of prcc's bound N*P*eps = 8.9e-12 at N = 20000, P = 2: eigenvalue
+    # ratios 2.25e-12 and 3.6e-11. The SVD of [1, R] keeps both, far from its N*eps = 4.4e-12
+    # on singular value ratios, so prcc alone refuses the first.
+    return {"duplicated": (duplicated, True, True), "combination": (combination, True, True),
+            "near-collinear": (near, False, False),
+            "below prcc's bound": (adjacent_swaps(20000, 3, rng), False, True),
+            "above prcc's bound": (adjacent_swaps(20000, 48, rng), False, False)}
 
 
 @pytest.mark.parametrize("case", sorted(rank_test_cases()))
-def test_prcc_rank_test_agrees_with_matrix_rank(case):
-    X, collinear = rank_test_cases()[case]
-    assert collinear_by_matrix_rank(X) == collinear
-    assert collinear_by_prcc(X) == collinear
+def test_prcc_rank_test_against_matrix_rank(case):
+    X, by_matrix_rank, by_prcc = rank_test_cases()[case]
+    assert collinear_by_matrix_rank(X) == by_matrix_rank
+    assert collinear_by_prcc(X) == by_prcc
 
 
 @settings(max_examples=100, deadline=None)
