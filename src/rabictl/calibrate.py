@@ -22,7 +22,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .errors import ConfigError, NumericError, shorten
+from .errors import ConfigError, NumericError, is_count, shorten
 from .integrate import TimeGrid, euler_forward
 from .model import StateVec, ZERO_CONTROL, jacobian, rhs
 from .params import PARAM_NAMES, ParamSet
@@ -90,7 +90,7 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         _check_euler_step(self.dt)
-        if self.max_evals < 1:
+        if not is_count(self.max_evals, 1):
             raise ConfigError(f"max_evals must be at least 1, got {shorten(repr(self.max_evals))}")
         if not 0.0 <= self.tol < math.inf:
             raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")

@@ -265,7 +265,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict, given: dict,
     grid = TimeGrid(**config["grid"])
     traj = rk4_forward(p, ControlPath.constant(grid, ControlConst(**config["controls"])), y0)
     return (f"wrote {run / 'trajectory.csv'} ({grid.n_nodes} nodes, {traj.clamped} clamped)",
-            {"trajectory.csv": (("t",) + StateVec._fields, node_rows(grid, traj.states))})
+            {"trajectory.csv": (("t",) + StateVec._fields, node_rows(grid, traj.values))})
 
 
 def cmd_reff(args: argparse.Namespace, config: dict, given: dict,
@@ -323,11 +323,10 @@ def cmd_optimize(args: argparse.Namespace, config: dict, given: dict,
               f"fell below tol={sweep['tol']:g}", file=sys.stderr)
     return (f"J = {result.J_history[-1]:.6g} after {result.iterations} iterations "
             f"(converged={result.converged}); wrote {run}"), {
-        "states.csv": (("t",) + StateVec._fields, node_rows(grid, result.states.states)),
+        "states.csv": (("t",) + StateVec._fields, node_rows(grid, result.states.values)),
         "adjoints.csv": (("t", *(f"lam{i}" for i in range(1, 13))),
-                         node_rows(grid, result.adjoints.tolist())),
-        "controls.csv": (("t",) + ControlConst._fields,
-                         node_rows(grid, result.controls.values.tolist())),
+                         node_rows(grid, result.adjoints)),
+        "controls.csv": (("t",) + ControlConst._fields, node_rows(grid, result.controls.values)),
         "summary.json": {
             "J_history": list(result.J_history),
             "iterations": result.iterations,

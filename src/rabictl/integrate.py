@@ -12,13 +12,14 @@ applied by one matrix-vector product per step. Once per solve, the adjoint
 (``optctl.adjoint_parts``) is evaluated on every node and step midpoint as a constant (13, 13)
 part and the few flows that vary (14 for the model, writing 28 entries); per block of BLOCK
 steps, those entries are written into one reused generator buffer and the block's propagators
-built from it. Both passes share one grid and interpolate by node averages only. A control path
-holds one (n_nodes, 4) array and no mask: the sweep keeps a strategy's masked controls at +0.0
-itself.
+built from it. Both passes share one grid and interpolate by node averages only. A trajectory
+holds its states as one read-only (n_nodes, 12) array, built once from the march's StateVecs, and
+a control path one (n_nodes, 4) array and no mask: the sweep keeps a strategy's masked controls at
++0.0 itself. Both check and freeze their array by one rule (``_node_table``).
 
 The artifact format is defined here: ``write_csv`` writes a CSV artifact and ``write_json`` a
 JSON one. Their one caller in the package is ``cli.main``, which writes every artifact a
-handler returns; ``node_rows`` builds the rows of a table of one row per grid node, time first.
+handler returns; ``node_rows`` builds the rows of a node table, an (n_nodes, k) array, time first.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationBlowupError, shorten
+from .errors import ConfigError, IntegrationBlowupError, is_count, shorten
 from .model import ControlConst, StateVec, ZERO_CONTROL, rhs
 from .params import ParamSet
 
@@ -56,8 +56,8 @@ __all__ = [
 KEEP_TOL = 1e-9
 CLAMP_TOL = 1e-6
 
-# Largest grid accepted: a trajectory holds every node as Python floats, so a
-# million steps already costs about half a gigabyte.
+# Largest grid accepted: a march keeps every node as Python floats until its
+# trajectory's array is built, so a million steps already costs about half a gigabyte.
 MAX_STEPS = 1_000_000
 
 # Steps whose adjoint propagators are built in one numpy pass: enough to spread
@@ -78,7 +78,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_steps, (int, np.integer)) or not 1 <= self.n_steps <= MAX_STEPS:
+        if not is_count(self.n_steps, 1, MAX_STEPS):
             raise ConfigError(
                 f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {shorten(repr(self.n_steps))}")
         object.__setattr__(self, "n_steps", int(self.n_steps))  # a numpy count steps as an int
@@ -102,31 +102,31 @@ class TimeGrid:
 
     def node_at(self, t: float) -> int:
         """Index of the grid node nearest to t; t must lie on the grid span."""
-        if t < self.t0 - 1e-12 or t > self.tf + 1e-12:
+        if not self.t0 - 1e-12 <= t <= self.tf + 1e-12:  # NaN too
             raise ConfigError(f"time {t} outside grid span [{self.t0}, {self.tf}]")
         return min(self.n_steps, max(0, round((t - self.t0) / self.h)))
 
 
+def _node_table(grid: TimeGrid, values: Any, k: int, what: str) -> np.ndarray:
+    """``values`` as a read-only (n_nodes, k) float copy: one row per node of ``grid``."""
+    values, n = np.array(values, dtype=float, ndmin=1), grid.n_nodes
+    if values.shape != (n, k):
+        raise ConfigError(f"{what} has {len(values)} nodes for {n}: its shape is "
+                          f"{values.shape}, not ({n}, {k})")
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """States at every node of a grid, plus undershoot-clamp accounting."""
+    """States at every node of a grid, one read-only (n_nodes, 12) array, and the clamp count."""
 
     grid: TimeGrid
-    states: tuple[StateVec, ...]
+    values: np.ndarray
     clamped: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.states) != self.grid.n_nodes:
-            raise ConfigError(
-                f"trajectory has {len(self.states)} states for {self.grid.n_nodes} nodes"
-            )
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The states as one read-only (n_nodes, 12) array, built on first use and then shared."""
-        values = np.fromiter(chain.from_iterable(self.states), float).reshape(-1, 12)
-        values.flags.writeable = False
-        return values
+        object.__setattr__(self, "values", _node_table(self.grid, self.values, 12, "trajectory"))
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,8 @@ class ControlPath:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values, n = np.array(self.values, dtype=float, ndmin=1), self.grid.n_nodes
-        if values.shape != (n, 4):
-            raise ConfigError(f"control path has {len(values)} nodes for {n}: its shape is "
-                              f"{values.shape}, not ({n}, 4)")
-        ControlConst._make(values.T).validate()  # node by node, as the march reads them
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _node_table(self.grid, self.values, 4, "control path"))
+        ControlConst._make(self.values.T).validate()  # node by node, as the march reads them
 
     @classmethod
     def constant(cls, grid: TimeGrid, u: ControlConst = ZERO_CONTROL) -> "ControlPath":
@@ -207,10 +202,11 @@ def _march(step: Callable, f: Callable, y: StateVec | np.ndarray, grid: TimeGrid
 
 
 def _trajectory(step: Callable, y0: StateVec, grid: TimeGrid, p, za, zm, zb) -> Trajectory:
-    """Every node of a StateVec march through the global rhs, which a tracer may wrap."""
+    """Every node of a StateVec march through the global rhs (a tracer may wrap it), as an array."""
     states, y, clamped = _march(step, rhs, y0.validate(), grid, p, za, zm, zb, range(grid.n_nodes))
     _require_finite(y, "state", grid.tf)
-    return Trajectory(grid, tuple(states), clamped)
+    values = np.fromiter(chain.from_iterable(states), float).reshape(-1, 12)
+    return Trajectory(grid, values, clamped)
 
 
 def rk4_step(f: Callable, y: np.ndarray, t: float, h: float, za, zm, zb, p) -> np.ndarray:
@@ -373,6 +369,7 @@ def write_json(path: str | Path, payload: Any) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def node_rows(grid: TimeGrid, rows: Iterable[Sequence[float]]) -> Iterable[list[str]]:
-    """One CSV row per grid node, its time first, in full double precision, built lazily."""
+def node_rows(grid: TimeGrid, values: np.ndarray) -> Iterable[list[str]]:
+    """One CSV row per node of an (n_nodes, k) array, time first, full precision, built lazily."""
+    rows = map(np.ndarray.tolist, values)
     return ([repr(t), *map(repr, row)] for t, row in zip(grid.times(), rows))

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SweepDivergenceError, shorten
+from .errors import ConfigError, SweepDivergenceError, is_count, shorten
 from .integrate import (
     ControlPath, TimeGrid, Trajectory, _require_same_grid, rk4_backward, rk4_forward,
 )
@@ -170,6 +170,11 @@ def adjoint_rhs(
     return tuple((a[:12] @ (*lam, 1.0)).tolist())
 
 
+def _check_mask(mask: Mask) -> None:
+    if not isinstance(mask, tuple) or len(mask) != 4 or any(type(on) is not bool for on in mask):
+        raise ConfigError(f"mask must be a tuple of four bools, got {shorten(repr(mask))}")
+
+
 def characterize_controls(
     y: StateVec, lam: Sequence, w: Weights, p: ParamSet, mask: Mask = STRATEGY_MASKS["A"]
 ) -> ControlConst:
@@ -177,10 +182,12 @@ def characterize_controls(
 
     The sweep minimises J. While 1-u1-u3 and 1-u1-u2 stay positive, H is a separable convex
     quadratic in u, so each clipped stationary point minimises H pointwise. Fields of ``y``
-    and the 12 values of ``lam`` are floats or (N,) arrays: one call characterizes N nodes. A
-    masked-off control is the float 0.0. The pressures are read at zero control, where each
-    factor a is 1.0 and chi1, chi3 equal the uncontrolled f1, f3 to the bit.
+    and the 12 values of ``lam`` are floats or (N,) arrays: one call characterizes N nodes.
+    ``mask`` is a tuple of four bools, else ConfigError; a masked-off control is the float 0.0.
+    The pressures are read at zero control, where each factor a is 1.0 and chi1, chi3 equal the
+    uncontrolled f1, f3 to the bit.
     """
+    _check_mask(mask)
     ft = force_terms(y, ZERO_CONTROL, p)
     human_term = ft.chi1 * y.S_H
     domestic_term = ft.chi3 * y.S_D
@@ -222,10 +229,9 @@ def forward_backward_sweep(
         raise ConfigError(f"relaxation omega must lie in (0, 1], got {omega}")
     if not 0.0 < tol < omega:
         raise ConfigError(f"tolerance must be finite, positive and below omega={omega}, got {tol}")
-    if max_iter < 1:
+    if not is_count(max_iter, 1):
         raise ConfigError(f"max_iter must be at least 1, got {shorten(repr(max_iter))}")
-    if not isinstance(mask, tuple) or len(mask) != 4 or any(type(on) is not bool for on in mask):
-        raise ConfigError(f"mask must be a tuple of four bools, got {shorten(repr(mask))}")
+    _check_mask(mask)
 
     def solve(u_path: ControlPath) -> tuple[Trajectory, np.ndarray]:
         states = rk4_forward(p, u_path, y0)

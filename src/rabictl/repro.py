@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, shorten
+from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, is_count, shorten
 from .model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, _control_factors, force_terms, jacobian,
     rhs, seeded_state,
@@ -214,7 +214,7 @@ class ReGrid:
 
 def _axis_values(lo: float, hi: float, n: int) -> tuple[float, ...]:
     # every point is one CSV row: 10^6 rows take seconds to write
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 1000:
+    if not is_count(n, 1, 1000):
         raise ConfigError(f"axis needs at least one point and at most 1000, got {shorten(repr(n))}")
     if n == 1:
         return (lo,)

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
-from .errors import ConfigError, DegenerateInputError, StudyError, shorten
+from .errors import ConfigError, DegenerateInputError, StudyError, is_count, shorten
 from .integrate import TimeGrid, _march, rk4_step
 from .model import ZERO_CONTROL, ControlConst, StateVec
 from .params import PARAM_NAMES, ParamSet, rates_of, valid
@@ -137,9 +137,9 @@ def normal_ranges(names: Sequence[str] | None = None) -> list[ParamRange]:
 
 def lhs_sample(ranges: Sequence[ParamRange], N: int, seed: int) -> np.ndarray:
     """Latin hypercube sample, shape (N, P), deterministic for a given seed."""
-    if not 2 <= N <= 10**6:
+    if not is_count(N, 2, 10**6):
         raise ConfigError(f"LHS needs 2 <= N <= 10**6, got {shorten(repr(N))}")
-    if len(ranges) < 1 or seed < 0:
+    if len(ranges) < 1 or not is_count(seed, 0):
         raise ConfigError(f"LHS needs a parameter range and a seed >= 0, "
                           f"got {len(ranges)}, {shorten(repr(seed))}")
     rng = np.random.default_rng(seed)

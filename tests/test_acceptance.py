@@ -129,16 +129,16 @@ def test_criterion_03_threshold_law():
             worst = 0.0
             for name in INFECTED_FIELDS:
                 idx = StateVec._fields.index(name)
-                peak = max(s[idx] for s in traj.states)
+                peak = traj.values[:, idx].max()
                 if peak > 0.0:
-                    worst = max(worst, traj.states[-1][idx] / peak)
+                    worst = max(worst, traj.values[-1, idx] / peak)
             if worst >= 1e-6:
                 failures.append((k, re_val, f"final/peak={worst:.1e}"))
         else:
             y_star = endemic_eq(p)
             y0 = StateVec(*(v * rng.uniform(0.95, 1.05) for v in y_star))
             traj = rk4_forward(p, ControlPath.constant(grid), y0)
-            rel = max(abs(a - b) / b for a, b in zip(traj.states[-1], y_star))
+            rel = max(abs(a - b) / b for a, b in zip(traj.values[-1].tolist(), y_star))
             if rel >= 1e-3:
                 failures.append((k, re_val, f"rel-to-E*={rel:.1e}"))
     elapsed = time.perf_counter() - started
@@ -173,7 +173,8 @@ def test_criterion_05_sweep_convergence(sweep_a):
     result, elapsed = sweep_a
     worst = 0.0
     w = Weights()
-    for y, lam, u in zip(result.states.states, result.adjoints, result.controls.values):
+    states = map(StateVec._make, result.states.values.tolist())
+    for y, lam, u in zip(states, result.adjoints, result.controls.values):
         u_star = characterize_controls(y, lam, w, P, result.mask)
         worst = max(worst, max(abs(a - b) for a, b in zip(u, u_star)))
     ok = result.converged and result.iterations <= 200 and worst < 1e-3 and elapsed < 120.0
@@ -183,8 +184,8 @@ def test_criterion_05_sweep_convergence(sweep_a):
 
 def test_criterion_06_strategy_a_effectiveness(sweep_a, uncontrolled_run):
     result, _ = sweep_a
-    y_ctl = result.states.states[result.states.grid.node_at(5.0)]
-    y_unc = uncontrolled_run.states[uncontrolled_run.grid.node_at(5.0)]
+    y_ctl = StateVec._make(result.states.values[result.states.grid.node_at(5.0)].tolist())
+    y_unc = StateVec._make(uncontrolled_run.values[uncontrolled_run.grid.node_at(5.0)].tolist())
     ratio_ih = y_ctl.I_H / y_unc.I_H
     ratio_id = y_ctl.I_D / y_unc.I_D
     ok = ratio_ih <= 0.05 and ratio_id <= 0.05
@@ -221,7 +222,7 @@ def test_criterion_08_deterrence(uncontrolled_run, grid_default):
     doubled = P.replace(rho1=2 * P.rho1, rho2=2 * P.rho2, rho3=2 * P.rho3)
     run2 = rk4_forward(doubled, ControlPath.constant(grid_default),
                        seeded_state(doubled, *DEFAULT_SEEDING))
-    peak = lambda traj, name: max(getattr(s, name) for s in traj.states)
+    peak = lambda traj, name: traj.values[:, StateVec._fields.index(name)].max()
     e_before, e_after = peak(uncontrolled_run, "E_D"), peak(run2, "E_D")
     i_before, i_after = peak(uncontrolled_run, "I_D"), peak(run2, "I_D")
     ok = e_after < e_before and i_after < i_before
@@ -305,15 +306,14 @@ def test_criterion_12_integrator_order_and_positivity(uncontrolled_run, sweep_a)
 
     def endpoint(n):
         g = TimeGrid(0.0, 5.0, n)
-        return rk4_forward(P, ControlPath.constant(g), y0).states[-1]
+        return rk4_forward(P, ControlPath.constant(g), y0).values[-1].tolist()
 
     a, b, c = endpoint(20), endpoint(40), endpoint(80)
     e1 = max(abs(x - y) for x, y in zip(a, b))
     e2 = max(abs(x - y) for x, y in zip(b, c))
     ratio = e1 / e2
 
-    worst = min(min(s) for s in uncontrolled_run.states)
-    worst = min(worst, min(min(s) for s in sweep_a[0].states.states))
+    worst = min(uncontrolled_run.values.min(), sweep_a[0].states.values.min())
     ok = 10.0 <= ratio <= 24.0 and worst > -1e-6
     assert report(12, "rk4-order-and-positivity", ok,
                   f"step-halving ratio {ratio:.1f}, most negative component {worst:.1e}")

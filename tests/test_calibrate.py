@@ -89,7 +89,7 @@ def test_euler_update_hand_value(p_base):
     grid = TimeGrid(0.0, 0.1, 1)
     traj = euler_forward(p, y0, grid)
     expected = 10.0 + (100.0 / 6.0 - (1.0 + 0.0142) * 10.0) * 0.1
-    assert traj.states[-1].I_H == pytest.approx(expected, rel=1e-12)
+    assert traj.values[-1, 2] == pytest.approx(expected, rel=1e-12)  # column 2 is I_H
     assert expected == pytest.approx(10.6525, abs=5e-5)
 
 
@@ -133,7 +133,7 @@ def test_prediction_converges_to_rk4(p_est):
     """Euler with shrinking dt approaches the RK4 trajectory."""
     y0 = seeded_state(p_est, 20.0, 50.0)
     g = TimeGrid(0.0, 5.0, 500)
-    rk = rk4_forward(p_est, ControlPath.constant(g), y0).states[-1].I_H
+    rk = rk4_forward(p_est, ControlPath.constant(g), y0).values[-1, 2]  # column 2 is I_H
     errs = [
         abs(predict_incidence(p_est, y0, (1990, 1995), dt=dt)[-1] - rk)
         for dt in (0.04, 0.02, 0.01)
@@ -170,6 +170,16 @@ def test_mse_reorder_invariance(pairs, rng):
 
 def lsq_config(names, bounds, x0, **kw):
     return FitConfig(free=tuple(names), bounds=bounds, x0=x0, **kw)
+
+
+def test_evaluation_budget_accepts_a_numpy_integer():
+    results = [least_squares_fit(
+        lambda v: [10.0 * (v[1] - v[0] ** 2), -v[0]], [0.0, -1.0],
+        lsq_config(["theta1", "theta2"], {"theta1": (-5.0, 5.0), "theta2": (-5.0, 5.0)},
+                   {"theta1": -1.2, "theta2": 1.0}, max_evals=budget),
+        lambda v: [[-20.0 * v[0], 10.0], [-1.0, 0.0]]) for budget in (np.int64(5), 5)]
+    assert results[0].evals == results[1].evals == 5  # the budget stops the Rosenbrock fit
+    assert results[0] == results[1]
 
 
 def test_lsq_quadratic():
@@ -408,7 +418,11 @@ def test_fit_config_validation():
     ok = dict(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 0.5})
     for bad, match in [({"dt": 0.0}, "dt"), ({"dt": float("nan")}, "dt"), ({"dt": 0.1}, "dt"),
                        ({"max_evals": 0}, "max_evals"), ({"tol": float("nan")}, "tol"),
-                       ({"tol": float("inf")}, "tol")]:
+                       ({"tol": float("inf")}, "tol"),
+                       # 3.5 made ``fit`` loop in scipy's trust region for good: neither
+                       # scipy's nfev == max_nfev nor the fit's evals == max_evals ever held
+                       *(({"max_evals": n}, "max_evals must be at least 1, got ")
+                         for n in (3.5, 4.0, "4", None, True))]:
         with pytest.raises(ConfigError, match=match):
             FitConfig(**ok, **bad)
 
@@ -431,7 +445,7 @@ def test_euler_prediction_of_rk4_data_near_zero_mse(p_est):
     years = tuple(range(1990, 2001))
     g = TimeGrid(0.0, 10.0, 1000)
     traj = rk4_forward(p_est, ControlPath.constant(g), y0)
-    cases = tuple(max(0.0, traj.states[g.node_at(float(y - 1990))].I_H) for y in years)
+    cases = tuple(max(0.0, traj.values[g.node_at(float(y - 1990)), 2]) for y in years)  # I_H
     scale = max(cases) ** 2
     assert 0.0 < mse(cases, predict_incidence(p_est, y0, years)) < 1e-4 * scale
 

@@ -62,10 +62,12 @@ def test_grid_validation():
     assert g.node_at(1.0) == 2
     with pytest.raises(ConfigError):
         g.node_at(2.5)
+    with pytest.raises(ConfigError, match="time nan outside grid span"):  # was round's ValueError
+        g.node_at(math.nan)
 
 
 def test_grid_step_count_is_an_integer():
-    for n_steps in (2.5, 4.0, "4", None):  # a float count built a grid that times() failed on
+    for n_steps in (2.5, 4.0, "4", None, True):  # a float count built a grid times() failed on
         with pytest.raises(ConfigError, match="grid needs 1 <= n_steps"):
             TimeGrid(0.0, 2.0, n_steps)
     for n_steps in (np.int64(4), np.int32(4)):  # a numpy count steps as an int
@@ -116,7 +118,7 @@ def test_control_path_needs_one_row_of_four_controls_per_node(shape):
 def test_dfe_is_stationary(p_est, grid_20y):
     y0 = seeded_state(p_est)
     traj = rk4_forward(p_est, ControlPath.constant(grid_20y), y0)
-    drift = max(max(abs(a - b) for a, b in zip(s, y0)) for s in traj.states)
+    drift = max(max(abs(a - b) for a, b in zip(s, y0)) for s in traj.values.tolist())
     assert drift < 1e-9
 
 
@@ -124,7 +126,7 @@ def test_infection_free_subspace_is_invariant(p_est):
     g = TimeGrid(0.0, 10.0, 500)
     y0 = seeded_state(p_est)._replace(S_H=1e4, R_H=50.0, R_D=10.0)
     traj = rk4_forward(p_est, ControlPath.constant(g), y0)
-    for s in traj.states:
+    for s in map(StateVec._make, traj.values.tolist()):
         assert s.E_H == s.I_H == s.E_F == s.I_F == s.E_D == s.I_D == s.M == 0.0
 
 
@@ -140,7 +142,7 @@ def test_population_caps(p_est, default_state, grid_20y):
         + p_est.theta2 * p_est.nu2 / (p_est.mu2 * p_est.mu4)
         + p_est.theta3 * p_est.nu3 / (p_est.mu3 * p_est.mu4),
     )
-    for s in traj.states:
+    for s in map(StateVec._make, traj.values.tolist()):
         assert s.S_H + s.E_H + s.I_H + s.R_H <= cap_h + 1e-6
         assert s.S_F + s.E_F + s.I_F <= cap_f + 1e-6
         assert s.S_D + s.E_D + s.I_D + s.R_D <= cap_d + 1e-6
@@ -150,7 +152,7 @@ def test_population_caps(p_est, default_state, grid_20y):
 def test_fourth_order_convergence(p_est, default_state):
     def endpoint(n):
         g = TimeGrid(0.0, 5.0, n)
-        return rk4_forward(p_est, ControlPath.constant(g), default_state).states[-1]
+        return rk4_forward(p_est, ControlPath.constant(g), default_state).values[-1].tolist()
 
     a, b, c = endpoint(20), endpoint(40), endpoint(80)
     e1 = max(abs(x - y) for x, y in zip(a, b))
@@ -162,7 +164,7 @@ def test_determinism_bit_identical(p_est, default_state):
     g = TimeGrid(0.0, 5.0, 250)
     t1 = rk4_forward(p_est, ControlPath.constant(g), default_state)
     t2 = rk4_forward(p_est, ControlPath.constant(g), default_state)
-    assert t1.states == t2.states
+    assert t1.values.tobytes() == t2.values.tobytes()
 
 
 def test_blowup_raises_with_advice(p_est, default_state):
@@ -306,7 +308,7 @@ def _reference_rk4_backward(adjoint_rhs, state_traj, u_path, terminal):
     half = 0.5 * h
     sixth = h / 6.0
     times = grid.times()
-    ys = state_traj.states
+    ys = list(map(StateVec._make, state_traj.values.tolist()))
     us = [ControlConst(*u) for u in u_path.values.tolist()]
 
     def mid_control(ua, ub):
@@ -380,9 +382,8 @@ def test_euler_matches_rk4_for_small_steps(p_est, default_state):
     rk = rk4_forward(p_est, ControlPath.constant(g_rk), default_state)
     g_eu = TimeGrid(0.0, 2.0, 20000)
     eu = euler_forward(p_est, default_state, g_eu)
-    rel = max(
-        abs(a - b) / max(1.0, abs(a)) for a, b in zip(rk.states[-1], eu.states[-1])
-    )
+    rk_end, eu_end = rk.values[-1].tolist(), eu.values[-1].tolist()
+    rel = max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(rk_end, eu_end))
     assert rel < 1e-3
 
 
@@ -417,16 +418,21 @@ def test_trajectory_csv_round_trip(tmp_path, p_est, default_state):
     g = TimeGrid(0.0, 1.0, 50)
     traj = rk4_forward(p_est, ControlPath.constant(g), default_state)
     path = tmp_path / "traj.csv"
-    write_csv(path, ("t",) + StateVec._fields, node_rows(g, traj.states))
+    write_csv(path, ("t",) + StateVec._fields, node_rows(g, traj.values))
     header = path.read_text().splitlines()[0]
     assert header == "t,S_H,E_H,I_H,R_H,S_F,E_F,I_F,S_D,E_D,I_D,R_D,M"
     with open(path, newline="") as fh:
         rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
     assert [row[0] for row in rows] == g.times()
-    assert [tuple(row[1:]) for row in rows] == list(traj.states)  # full double precision
+    assert [row[1:] for row in rows] == traj.values.tolist()  # full double precision
 
 
 def test_trajectory_node_count_invariant(p_est):
+    """A trajectory needs one row of 12 states per node, by ControlPath's rule and message."""
     g = TimeGrid(0.0, 1.0, 10)
-    with pytest.raises(ConfigError, match="states"):
-        Trajectory(g, (seeded_state(p_est),) * 5)
+    for values in ((seeded_state(p_est),) * 5, np.zeros((10, 12)), np.zeros((12, 12)),
+                   np.zeros((11, 11)), np.zeros((11, 13)), np.zeros(11 * 12)):
+        shape = np.shape(values)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"trajectory has {shape[0]} nodes for 11: its shape is {shape}, not (11, 12)")):
+            Trajectory(g, values)

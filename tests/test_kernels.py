@@ -201,7 +201,7 @@ def reference_euler_forward(p, y0, grid):
 def reference_rk4_backward(f, state_traj, u_path, terminal):
     grid = state_traj.grid
     h, times = grid.h, grid.times()
-    ys = state_traj.states
+    ys = list(map(StateVec._make, state_traj.values.tolist()))
     us = [ControlConst(*row) for row in u_path.values.tolist()]
     out = [terminal]
     lam = terminal
@@ -221,20 +221,24 @@ def hexes(values):
 
 
 def outcome(run, *args):
-    """(states, clamped) of a march, or the message of the IntegrationBlowupError it raised."""
+    """(states, clamped) of a march, the states an (n_nodes, 12) array (a trajectory's own),
+    or the message of the IntegrationBlowupError it raised."""
     try:
         result = run(*args)
     except IntegrationBlowupError as err:
         return str(err)
     if isinstance(result, tuple):
         return np.array(result[0]), result[1]
-    return np.array(result.states), result.clamped
+    return result.values, result.clamped
 
 
 def same_outcome(got, want):
+    """The same message, or the same states, bit for bit, and clamp count."""
     if isinstance(want, str) or isinstance(got, str):
         return got == want
-    return np.array_equal(got[0], want[0]) and got[1] == want[1]
+    states, want_states = got[0], want[0]
+    return (states.shape == want_states.shape and states.dtype == want_states.dtype
+            and states.tobytes() == want_states.tobytes() and got[1] == want[1])
 
 
 # --- inputs ---------------------------------------------------------------------------
@@ -533,7 +537,10 @@ def test_marches_call_the_global_rhs_once_a_stage(monkeypatch, march, stages):
         traj = rk4_forward(p, random_path(grid, 5), y0)
     else:
         traj = euler_forward(p, y0, grid)
-    assert len(traj.states) == grid.n_nodes and len(calls) == stages * grid.n_steps
+    assert traj.values.shape == (grid.n_nodes, 12) and len(calls) == stages * grid.n_steps
+    assert not traj.values.flags.writeable
+    with pytest.raises(ValueError):
+        traj.values[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("march", ["rk4", "euler"])
@@ -551,23 +558,6 @@ def test_state_clamp_path_equals_reference_march(march):
         want = outcome(reference_euler_forward, p, y0, grid)
     assert not isinstance(got, str) and got[1] > 0  # it ran to the end and clamped
     assert same_outcome(got, want)
-
-
-@pytest.mark.parametrize("clamped", [False, True], ids=["plain", "clamp-path"])
-def test_trajectory_values_equal_the_states_bits(clamped):
-    """``values`` is built with np.fromiter; it holds the bits np.array(states) would."""
-    p = TABLE2_ESTIMATED
-    if clamped:  # the input of test_state_clamp_path_equals_reference_march
-        y0, grid = seeded_state(p)._replace(I_H=8.5e-8), TimeGrid(0.0, 10.0, 7)
-        path = ControlPath.constant(grid)
-    else:
-        y0, grid = seeded_state(p, *DEFAULT_SEEDING), TimeGrid(0.0, 5.0, 50)
-        path = random_path(grid, 3)
-    traj = rk4_forward(p, path, y0)
-    assert (traj.clamped > 0) == clamped
-    want = np.array(traj.states)
-    assert traj.values.shape == want.shape == (grid.n_nodes, 12)
-    assert traj.values.dtype == want.dtype and traj.values.tobytes() == want.tobytes()
-    assert not traj.values.flags.writeable and traj.values is traj.values
+    assert not got[0].flags.writeable  # the trajectory's own array
     with pytest.raises(ValueError):
-        traj.values[0, 0] = 1.0
+        got[0][0, 0] = 1.0

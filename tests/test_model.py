@@ -10,6 +10,7 @@ from rabictl.model import (
     DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, _transitions, force_terms, jacobian, rhs,
     seeded_state,
 )
+from rabictl import integrate
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
 from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED, ParamSet, rates_of
 from rabictl.repro import effective_r
@@ -71,7 +72,7 @@ def assert_float_fields(p):
     assert all(type(rate) is float for rate in p.rates)
 
 
-def test_numpy_scalar_parameters_are_kept_as_floats():
+def test_numpy_scalar_parameters_are_kept_as_floats(monkeypatch):
     p = ParamSet(**{name: np.float64(v) for name, v in TABLE2_ESTIMATED.as_dict().items()})
     assert_float_fields(p)
     assert p == TABLE2_ESTIMATED
@@ -82,8 +83,17 @@ def test_numpy_scalar_parameters_are_kept_as_floats():
     scaled = p.replace(**{n: getattr(p, n) * np.float64(ratio) for n in ("kappa1", "psi1")})
     assert_float_fields(scaled)
     g = TimeGrid(0.0, 1.0, 10)
+    stepped = []  # every state the march hands to rhs
+
+    def recording_rhs(t, y, u, p):
+        stepped.append(y)
+        return rhs(t, y, u, p)
+
+    monkeypatch.setattr(integrate, "rhs", recording_rhs)
     states = rk4_forward(scaled, ControlPath.constant(g), seeded_state(scaled, *DEFAULT_SEEDING))
-    assert all(type(v) is float for y in states.states for v in y)
+    assert len(stepped) == 4 * g.n_steps
+    assert all(type(v) is float for y in stepped for v in y)
+    assert states.values.dtype == float
 
 
 # --- saturation -----------------------------------------------------------------

@@ -194,13 +194,13 @@ def test_batched_characterization_equals_per_node_calls(p_est, default_state, st
     g = TimeGrid(0.0, 20.0, 200)
     mask = STRATEGY_MASKS[strategy]
     res = forward_backward_sweep(p_est, Weights(), default_state, g, mask, max_iter=3)
-    Y = StateVec(*np.array(res.states.states).T)
+    Y = StateVec(*res.states.values.T)
     lam = res.adjoints.T
     u_star = characterize_controls(Y, lam, Weights(), p_est, mask)
     batch = np.column_stack(np.broadcast_arrays(*u_star))
     per_node = np.array([
         characterize_controls(y, l, Weights(), p_est, mask)
-        for y, l in zip(res.states.states, res.adjoints)
+        for y, l in zip(map(StateVec._make, res.states.values.tolist()), res.adjoints)
     ])
     assert np.array_equal(batch, per_node)
     assert ((batch > 0.0) & (batch < 1.0)).any()  # interior values, not only the bounds
@@ -248,13 +248,17 @@ def test_sweep_parameter_validation(p_est, default_state):
         forward_backward_sweep(p_est, Weights(), default_state, g, tol=math.inf)
     with pytest.raises(ConfigError, match="finite"):  # the update is at most omega
         forward_backward_sweep(p_est, Weights(), default_state, g, omega=0.3, tol=0.3)
-    with pytest.raises(ConfigError, match="max_iter"):
-        forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=0)
+    for max_iter in (0, 2.5, 1.0, "3", None, True):  # 2.5 reached ``range`` and raised TypeError
+        with pytest.raises(ConfigError, match="max_iter must be at least 1, got "):
+            forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("mask", [
+MALFORMED_MASKS = pytest.mark.parametrize("mask", [
     (True, True), (True,) * 5, (1, 0, 1, "x"), (1, 1, 1, 1), [True] * 4, (np.True_,) * 4, None,
 ], ids=["two", "five", "ints-and-text", "ints", "list", "numpy-bools", "none"])
+
+
+@MALFORMED_MASKS
 def test_sweep_rejects_a_malformed_mask_before_any_solve(p_est, default_state, mask, monkeypatch):
     """(True, True) ran with u3 and u4 silently off, and came back as ``SweepResult.mask``."""
     def no_solve(*args):
@@ -263,6 +267,22 @@ def test_sweep_rejects_a_malformed_mask_before_any_solve(p_est, default_state, m
     monkeypatch.setattr(optctl, "rk4_forward", no_solve)
     with pytest.raises(ConfigError, match="mask must be a tuple of four bools"):
         forward_backward_sweep(p_est, Weights(), default_state, TimeGrid(0.0, 20.0, 200), mask)
+
+
+@MALFORMED_MASKS
+def test_characterize_controls_rejects_a_malformed_mask(p_est, default_state, mask):
+    """(True, True) returned u3 = u4 = 0.0, and (1, 0, 1, 'x') ran as if u1, u3, u4 were on."""
+    lam = np.linspace(-3.0, 3.0, 12)
+    with pytest.raises(ConfigError, match="mask must be a tuple of four bools"):
+        characterize_controls(default_state, lam, Weights(), p_est, mask)
+
+
+def test_sweep_iteration_budget_accepts_a_numpy_integer(p_est, default_state):
+    g = TimeGrid(0.0, 1.0, 10)
+    got = forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=np.int64(2))
+    want = forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=2)
+    assert type(got.iterations) is int and got.iterations == want.iterations
+    assert got.J_history == want.J_history
 
 
 @pytest.fixture(scope="module")
@@ -290,9 +310,8 @@ def test_sweep_terminal_adjoint_zero(sweep_a_coarse):
 def test_sweep_characterization_consistency(sweep_a_coarse, p_est):
     w = Weights()
     worst = 0.0
-    for y, lam, u in zip(
-        sweep_a_coarse.states.states, sweep_a_coarse.adjoints, sweep_a_coarse.controls.values
-    ):
+    states = map(StateVec._make, sweep_a_coarse.states.values.tolist())
+    for y, lam, u in zip(states, sweep_a_coarse.adjoints, sweep_a_coarse.controls.values):
         u_star = characterize_controls(y, lam, w, p_est, sweep_a_coarse.mask)
         worst = max(worst, max(abs(a - b) for a, b in zip(u, u_star)))
     assert worst < 10 * 1e-4
@@ -303,7 +322,8 @@ def test_objective_equals_per_node_trapezoid(sweep_a_coarse):
     w = Weights()
     values = [
         running_cost(y, ControlConst(*u), w)
-        for y, u in zip(sweep_a_coarse.states.states, sweep_a_coarse.controls.values.tolist())
+        for y, u in zip(map(StateVec._make, sweep_a_coarse.states.values.tolist()),
+                        sweep_a_coarse.controls.values.tolist())
     ]
     h = sweep_a_coarse.states.grid.h
     expected = h * (0.5 * (values[0] + values[-1]) + sum(values[1:-1]))

@@ -135,6 +135,15 @@ def test_lhs_validation():
         lhs_sample([ParamRange("theta1", "uniform", 0, 1)], 10**6 + 1, 0)
     with pytest.raises(ConfigError, match="seed"):
         lhs_sample([ParamRange("theta1", "uniform", 0, 1)], 10, -1)
+    # a non-integer N or seed raised TypeError from numpy; a numpy integer samples as an int
+    ranges = [ParamRange("theta1", "uniform", 0, 1)]
+    for N in (10.5, 10.0, "10", None, True):
+        with pytest.raises(ConfigError, match=r"LHS needs 2 <= N <= 10\*\*6, got "):
+            lhs_sample(ranges, N, 1)
+    for seed in (1.5, 1.0, "1", None, True):
+        with pytest.raises(ConfigError, match="LHS needs a parameter range and a seed >= 0, got "):
+            lhs_sample(ranges, 10, seed)
+    assert np.array_equal(lhs_sample(ranges, np.int64(10), np.int32(1)), lhs_sample(ranges, 10, 1))
 
 
 def test_uniform_ranges_reject_relative_width_outside_unit_interval(p_est):
@@ -407,6 +416,16 @@ def test_prcc_study_checks_sample_size_before_sampling(p_base, monkeypatch):
                    light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("I_H",))
 
 
+def test_prcc_study_rejects_a_non_integer_count_and_a_nan_time(p_base):
+    """N = 20.5 raised TypeError in the sampler, and a NaN time ValueError in ``node_at``."""
+    study = dict(ranges=uniform_ranges(p_base, 0.25, names=["tau1", "kappa1"]), seed=1,
+                 p_base=p_base, y0=light_seed_state(p_base), grid=TimeGrid(0.0, 1.0, 10))
+    with pytest.raises(ConfigError, match="LHS needs 2 <= N <= "):
+        prcc_study(N=20.5, sample_times=[1.0], **study)
+    with pytest.raises(ConfigError, match="time nan outside grid span"):
+        prcc_study(N=20, sample_times=[0.5, math.nan], **study)
+
+
 def test_prcc_study_builds_its_rates_once(p_base, monkeypatch):
     """The march reads the rates the study built. Rebuilding them in each rhs call would
     keep every bit and only cost time, so the builds are counted."""
@@ -481,7 +500,7 @@ def test_batch_equals_scalar_runs_and_drops_blowups(p_base):
         if r is not None:
             traj = rk4_forward(p_base.replace(**dict(zip(names, map(float, x)))),
                                ControlPath.constant(grid), y0)
-            scalar = np.array([[traj.states[k][f] for f in fields] for k in node_idx])
+            scalar = traj.values[np.ix_(node_idx, fields)]
             assert np.array_equal(r, scalar)
 
 
@@ -518,9 +537,9 @@ def test_batch_keeps_the_order_of_its_sample_nodes(p_base):
         traj = rk4_forward(p_base.replace(**dict(zip(names, map(float, x)))),
                            ControlPath.constant(grid), y0)
         assert r.shape == (3, 3)
-        assert np.array_equal(r[0], [traj.states[-1][f] for f in fields])
+        assert np.array_equal(r[0], traj.values[-1, fields])
         assert np.array_equal(r[1], [y0[f] for f in fields])
-        assert np.array_equal(r[2], [traj.states[20][f] for f in fields])
+        assert np.array_equal(r[2], traj.values[20, fields])
 
 
 def test_batch_clamps_a_row_beside_a_row_gone_nan(p_base):
@@ -532,7 +551,7 @@ def test_batch_clamps_a_row_beside_a_row_gone_nan(p_base):
     rows = _simulate_rows(np.array([[p_base.sigma1], [1e300]]), ("sigma1",), p_base, y0, grid,
                           tuple(range(grid.n_nodes)), ("I_H",))
     assert rows[1] is None
-    assert np.array_equal(rows[0][:, 0], [s.I_H for s in traj.states])
+    assert np.array_equal(rows[0][:, 0], traj.values[:, 2])  # column 2 is I_H
 
 
 def test_batch_clamp_counts_equal_the_scalar_runs(p_base, monkeypatch):
