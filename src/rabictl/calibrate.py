@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -42,8 +43,9 @@ class IncidenceSeries:
         if len(self.years) != len(self.cases):
             raise ConfigError("years and cases must have equal length")
         for value in (*self.years, *self.cases):
-            if not math.isfinite(value):
-                raise ConfigError(f"years and case counts must be finite, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # a NaN, an inf, or an int past a double
+                raise ConfigError(
+                    f"years and case counts must be finite, got {shorten(repr(value))}")
         if any(b <= a for a, b in zip(self.years, self.years[1:])):
             raise ConfigError("years must be strictly increasing")
         if any(c < 0 for c in self.cases):
@@ -54,14 +56,16 @@ class IncidenceSeries:
         try:
             with open(path, newline="", encoding="utf-8-sig") as fh:  # utf-8-sig drops a BOM
                 lines = [row for row in fh if not row.startswith("#")]
+            rows = [row for row in csv.reader(lines) if row]  # a blank line is no row
         except UnicodeDecodeError as exc:
             raise ConfigError(f"data file {path} is not UTF-8 text: {exc}") from exc
-        reader = filter(None, csv.reader(lines))  # a blank line is no row
-        header = next(reader, [])
+        except csv.Error as exc:  # such as a cell past the field size limit
+            raise ConfigError(f"data file {path} is not a readable CSV: {exc}") from exc
+        header = rows[0] if rows else []
         if [h.strip() for h in header] != ["year", "cases"]:
             raise ConfigError(f"expected header 'year,cases', got {shorten(str(header))}")
         years, cases = [], []
-        for row in reader:
+        for row in rows[1:]:
             try:
                 year, count = row
                 years.append(int(year))
@@ -259,7 +263,7 @@ def _incidence_jacobian(p: ParamSet, values: np.ndarray, grid: TimeGrid, nodes: 
             except ConfigError:
                 ends.append((x, p))
         (a, pa), (b, pb) = ends
-        fa, fb = (rhs(0.0, starts.T, ZERO_CONTROL, end) for end in (pa, pb))
+        fa, fb = (rhs(starts.T, ZERO_CONTROL, end) for end in (pa, pb))
         q[:, :, j] = np.subtract(fb, fa).T * h / (b - a)
     z = np.tile(np.eye(12 + k, k, -12), (n + 1, 1, 1))  # (S, I_k) at every node, S = 0 at 0
     for i in range(0, n, 128):  # 128 steps at a time keep the (128, 12, 12) maps small

@@ -30,7 +30,6 @@ start without scipy. ``sensitivity`` is imported inside ``prcc``'s: it loads no 
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import math
@@ -93,17 +92,17 @@ def _default_config() -> dict[str, Any]:
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
-    out = copy.deepcopy(base)
+    """``extra`` merged into ``base`` in place, block by block: the caller owns both."""
     for key, value in extra.items():
-        if key in out and isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(out[key], value)
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            _deep_merge(base[key], value)
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            base[key] = value
+    return base
 
 
 def _load_json(text: str, source: str) -> Any:
-    """Parse JSON text from ``source``; a NaN or infinite number in it is a ConfigError."""
+    """Parse JSON text from ``source``; a non-finite number or too deep nesting is a ConfigError."""
     non_finite = []
 
     def number(token: str) -> float:
@@ -112,9 +111,11 @@ def _load_json(text: str, source: str) -> Any:
             non_finite.append(token)
         return value
 
-    # an integer of more digits than int() reads (4300) is far too large for a double too
-    loaded = json.loads(text, parse_float=number, parse_constant=number,
-                        parse_int=lambda token: int(token) if len(token) <= 4300 else number(token))
+    try:  # an integer of more digits than int() reads (4300) is far too large for a double too
+        loaded = json.loads(text, parse_float=number, parse_constant=number, parse_int=lambda t:
+                            int(t) if len(t) <= 4300 else number(t))
+    except RecursionError:
+        raise ConfigError(f"{source} nests arrays or objects too deeply to read") from None
     if non_finite:  # checked only once the whole text parsed: "NaN.csv" stays a string
         raise ConfigError(f"{source} holds the non-finite number {shorten(non_finite[0])}")
     return loaded

@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration on a shared uniform grid.
+"""Fixed-step RK4 integration of autonomous fields y' = f(y, z, p) on a shared uniform grid.
 
 The RK4 formula is written in two forms with one operand order: ``rk4_step`` steps a plain
 ndarray, each stage one array operation, and ``_rk4_state_step`` a StateVec of floats, field by
@@ -184,15 +184,16 @@ def _require_finite(values: Sequence[float] | np.ndarray, what: str, t: float) -
 
 def _march(step: Callable, f: Callable, y: StateVec | np.ndarray, grid: TimeGrid, p, za, zm, zb,
            nodes: Sequence[int]) -> tuple[list, StateVec | np.ndarray, Any]:
-    """Step ``y``, a StateVec of floats or a (12, N) ndarray batch, by ``step(f, y, t, h, za,
-    zm, zb, p)``, as ``rk4_step``, its controls drawn in turn from ``za``, ``zm`` and ``zb``.
-    Returns the states at ``nodes``, in their order, the last state and the clamp count, an
-    int or (N,) array; a batch finds its undershoots with np.fmin, which skips NaN rows."""
+    """Step ``y``, a StateVec of floats or a (12, N) ndarray batch, by ``step(f, y, h, za, zm,
+    zb, p)``, as ``rk4_step``, its controls drawn in turn from ``za``, ``zm`` and ``zb``; the
+    node times only date a clamp's error. Returns the states at ``nodes``, in their order, the
+    last state and the clamp count, an int or (N,) array; a batch finds its undershoots with
+    np.fmin, which skips NaN rows."""
     lowest = min if type(y) is not np.ndarray else lambda s: np.fmin.reduce(s, axis=None)
     times, h, wanted = grid.times(), grid.h, set(nodes)
     kept, clamped = {0: y}, 0
-    for i, t, a, m, b in zip(range(1, grid.n_nodes), times, za, zm, zb):
-        y = step(f, y, t, h, a, m, b, p)
+    for i, a, m, b in zip(range(1, grid.n_nodes), za, zm, zb):
+        y = step(f, y, h, a, m, b, p)
         if lowest(y) < -KEEP_TOL:  # rare: an undershoot to clamp, or one to fail on
             y, n_clamped = _clamp_state(y, times[i])
             clamped += n_clamped
@@ -209,38 +210,36 @@ def _trajectory(step: Callable, y0: StateVec, grid: TimeGrid, p, za, zm, zb) -> 
     return Trajectory(grid, values, clamped)
 
 
-def rk4_step(f: Callable, y: np.ndarray, t: float, h: float, za, zm, zb, p) -> np.ndarray:
-    """One classical RK4 step of y' = f(t, y, z, p) from t to t + h; h < 0 steps back.
+def rk4_step(f: Callable, y: np.ndarray, h: float, za, zm, zb, p) -> np.ndarray:
+    """One classical RK4 step of the autonomous y' = f(y, z, p) over a step h; h < 0 steps back.
 
-    z is frozen at ``za``, ``zm`` and ``zb`` at t, t + h/2 and t + h. ``y``, each stage state
-    and each value of ``f`` is an ndarray, so that each stage is one array operation.
+    z is frozen at ``za``, ``zm`` and ``zb`` at the step's start, middle and end. ``y``, each
+    stage state and each value of ``f`` is an ndarray, so that each stage is one array operation.
     """
     half = 0.5 * h
-    t_half = t + half
-    k1 = f(t, y, za, p)  # one fixed argument p: ``*args`` would pack a tuple on every call
-    k2 = f(t_half, y + half * k1, zm, p)
-    k3 = f(t_half, y + half * k2, zm, p)
-    k4 = f(t + h, y + h * k3, zb, p)
+    k1 = f(y, za, p)  # one fixed argument p: ``*args`` would pack a tuple on every call
+    k2 = f(y + half * k1, zm, p)
+    k3 = f(y + half * k2, zm, p)
+    k4 = f(y + h * k3, zb, p)
     sixth = h / 6.0
     return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_state_step(f: Callable, y: StateVec, t: float, h: float, za, zm, zb, p) -> StateVec:
+def _rk4_state_step(f: Callable, y: StateVec, h: float, za, zm, zb, p) -> StateVec:
     """``rk4_step`` on a StateVec of floats, field by field, with its operand order: each stage
     state and the result is one tuple literal, the result a NamedTuple built without _make."""
     y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12 = y
     half = 0.5 * h
-    t_half = t + half
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = f(t, y, za, p)
-    b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = f(t_half, (
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = f(y, za, p)
+    b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = f((
         y1 + half * a1, y2 + half * a2, y3 + half * a3, y4 + half * a4, y5 + half * a5,
         y6 + half * a6, y7 + half * a7, y8 + half * a8, y9 + half * a9, y10 + half * a10,
         y11 + half * a11, y12 + half * a12), zm, p)
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = f(t_half, (
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = f((
         y1 + half * b1, y2 + half * b2, y3 + half * b3, y4 + half * b4, y5 + half * b5,
         y6 + half * b6, y7 + half * b7, y8 + half * b8, y9 + half * b9, y10 + half * b10,
         y11 + half * b11, y12 + half * b12), zm, p)
-    d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12 = f(t + h, (
+    d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12 = f((
         y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4, y5 + h * c5, y6 + h * c6,
         y7 + h * c7, y8 + h * c8, y9 + h * c9, y10 + h * c10, y11 + h * c11, y12 + h * c12), zb, p)
     sixth = h / 6.0
@@ -255,10 +254,10 @@ def _rk4_state_step(f: Callable, y: StateVec, t: float, h: float, za, zm, zb, p)
         y12 + sixth * (a12 + 2.0 * b12 + 2.0 * c12 + d12)))
 
 
-def _euler_step(f: Callable, y: StateVec, t: float, h: float, za, zm, zb, p) -> StateVec:
-    """One forward Euler step of y' = f(t, y, za, p), field by field, in ``rk4_step``'s form."""
+def _euler_step(f: Callable, y: StateVec, h: float, za, zm, zb, p) -> StateVec:
+    """One forward Euler step of y' = f(y, za, p), field by field, in ``rk4_step``'s form."""
     y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12 = y
-    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = f(t, y, za, p)
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = f(y, za, p)
     return tuple.__new__(type(y), (
         y1 + h * a1, y2 + h * a2, y3 + h * a3, y4 + h * a4, y5 + h * a5, y6 + h * a6,
         y7 + h * a7, y8 + h * a8, y9 + h * a9, y10 + h * a10, y11 + h * a11, y12 + h * a12))
@@ -270,7 +269,7 @@ def rk4_forward(p: ParamSet, u_path: ControlPath, y0: StateVec) -> Trajectory:
     return _trajectory(_rk4_state_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), u[1:])
 
 
-def _linear(t: float, z: np.ndarray, a: np.ndarray, _: None) -> np.ndarray:
+def _linear(z: np.ndarray, a: np.ndarray, _: None) -> np.ndarray:
     return a @ z
 
 
@@ -327,7 +326,7 @@ def rk4_backward(
                         rows = d[2 * start:2 * end + 1]
                         np.add(a[j, src], rows, out=block[:, j, src])
                         np.subtract(a[j, dst], rows, out=block[:, j, dst])
-                    phi = rk4_step(_linear, identity[:steps], 0.0, minus_h,
+                    phi = rk4_step(_linear, identity[:steps], minus_h,
                                    block[2::2], block[1::2], block[:-1:2], None)
             except FloatingPointError as exc:
                 raise _not_finite("adjoint", times[start]) from exc

@@ -147,10 +147,9 @@ def _forces(I_F: float, I_D: float, M: float, u: Sequence, rates: tuple) -> tupl
     return a1 * f1, f2, a2 * f3, a1, a2, lamM
 
 
-def rhs(t: float, y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
-    """Time derivatives of all twelve compartments.
+def rhs(y: StateVec, u: ControlConst, p: ParamSet) -> StateVec:
+    """Time derivatives of all twelve compartments; the system is autonomous.
 
-    The system is autonomous; ``t`` is accepted for integrator compatibility.
     ``y`` and ``u`` may be any sequences of their fields, such as an RK4 stage's
     tuple. Every parameter comes from the one tuple ``p.rates`` (``params.rates_of``).
     """
@@ -194,7 +193,7 @@ def _transitions(rates: tuple) -> np.ndarray:
     so every incidence product chi*S is zero there and ``rhs`` keeps only the linear flows.
     """
     no_recruitment = SimpleNamespace(rates=rates[:11] + (0.0, 0.0, 0.0) + rates[14:])
-    T = np.array(rhs(0.0, np.eye(12), ZERO_CONTROL, no_recruitment))
+    T = np.array(rhs(np.eye(12), ZERO_CONTROL, no_recruitment))
     T.flags.writeable = False
     return T
 

@@ -6,8 +6,8 @@ forward, the adjoints backward from a zero terminal condition, evaluate the
 characterizations, then blend them into the previous controls with a convex
 combination until the update stalls below tolerance. The controls are an
 (n_nodes, 4) array; characterization, update and objective run on all nodes.
-The adjoint is written once, in flow form (``adjoint_parts``). An adjoint is
-any sequence of 12 values lam1..lam12, floats or (N,) arrays.
+The adjoint has one evaluator, the flow form (``adjoint_parts``). An adjoint
+is any sequence of 12 values lam1..lam12, floats or (N,) arrays.
 
 State equations enter the Hamiltonian in the susceptible-inclusive
 convention (each infection pressure multiplies its susceptible pool), which
@@ -39,7 +39,6 @@ __all__ = [
     "objective",
     "hamiltonian",
     "adjoint_parts",
-    "adjoint_rhs",
     "characterize_controls",
     "forward_backward_sweep",
 ]
@@ -131,7 +130,7 @@ def objective(states: Trajectory, u_path: ControlPath, w: Weights) -> float:
 
 def hamiltonian(y: StateVec, lam: Sequence, u: ControlConst, w: Weights, p: ParamSet) -> float:
     """Running cost plus the adjoint-weighted state derivatives."""
-    dy = rhs(0.0, y, u, p)
+    dy = rhs(y, u, p)
     return running_cost(y, u, w) + sum(l * d for l, d in zip(lam, dy))
 
 
@@ -156,18 +155,6 @@ def adjoint_parts(
     np.subtract(0.0, _transitions(p.rates).T, out=a[:12, :12])
     a[:12, 12] = _cost_gradient(w)
     return a, _varying_flows(y, u, p.rates)
-
-
-def adjoint_rhs(
-    y: StateVec, lam: Sequence[float], u: ControlConst, w: Weights, p: ParamSet
-) -> tuple[float, ...]:
-    """Adjoint derivatives lam' = -dH/dy at one point of floats: ``adjoint_parts`` with each
-    flow written in as ``rk4_backward`` writes it, applied to z = (lam, 1)."""
-    a, flows = adjoint_parts(y, u, w, p)
-    for src, dst, j, d in flows:  # no two flows share a cell: each is written once
-        a[j, src] += d
-        a[j, dst] -= d
-    return tuple((a[:12] @ (*lam, 1.0)).tolist())
 
 
 def _check_mask(mask: Mask) -> None:

@@ -189,7 +189,7 @@ def endemic_eq(p: ParamSet, u: ControlConst = ZERO_CONTROL) -> StateVec:
     y = _state_from_forces(chi, T, p)
     if min(y) <= 0.0:
         raise NumericError("endemic iteration collapsed onto a boundary state")
-    residual = max(abs(v) for v in rhs(0.0, y, u, p))
+    residual = max(abs(v) for v in rhs(y, u, p))
     tol = 1e-8 * max(abs(v) for v in y)
     if residual > tol:
         raise NumericError(

@@ -52,8 +52,8 @@ STUDY_OUTPUTS = ("I_H", "I_F", "I_D", "M")
 class ParamRange:
     """Sampling distribution for one parameter.
 
-    kind "uniform" uses (lo, hi); kind "normal" uses (mean, sd) truncated at
-    zero from below.
+    kind "uniform" uses (lo, hi), 0 <= lo < hi < inf, as every parameter is positive and
+    finite; kind "normal" uses a finite mean and 0 < sd < inf, truncated at zero from below.
     """
 
     name: str
@@ -63,13 +63,13 @@ class ParamRange:
 
     def __post_init__(self) -> None:
         if self.name not in PARAM_NAMES:
-            raise ConfigError(f"unknown parameter name {self.name!r}")
+            raise ConfigError(f"unknown parameter name {shorten(repr(self.name))}")
         if self.kind == "uniform":
-            if not self.a < self.b:
-                raise ConfigError(f"uniform range for {self.name} needs lo < hi")
+            if not 0.0 <= self.a < self.b < np.inf:
+                raise ConfigError(f"uniform range for {self.name} needs 0 <= lo < hi < inf")
         elif self.kind == "normal":
-            if not self.b > 0.0:
-                raise ConfigError(f"normal range for {self.name} needs sd > 0")
+            if not (abs(self.a) < np.inf and 0.0 < self.b < np.inf):
+                raise ConfigError(f"normal range for {self.name} needs a finite mean and sd > 0")
         else:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
 
@@ -87,9 +87,10 @@ def uniform_ranges(p: ParamSet, rel: float = 0.25, names: Sequence[str] | None =
     """Uniform ranges at +/- ``rel`` around the values of ``p`` (the default)."""
     if not 0.0 < rel < 1.0:
         raise ConfigError(f"relative range must lie in (0, 1), got {rel}")
-    names = PARAM_NAMES if names is None else tuple(names)
-    return [ParamRange(name, "uniform", (1.0 - rel) * getattr(p, name), (1.0 + rel) * getattr(p, name))
-            for name in names]
+    values = p.as_dict()  # an unknown name gets 1.0 here, and ParamRange refuses it
+    return [ParamRange(name, "uniform", (1.0 - rel) * values.get(name, 1.0),
+                       (1.0 + rel) * values.get(name, 1.0))
+            for name in (PARAM_NAMES if names is None else names)]
 
 
 # Reported per-parameter mean/sd pairs, available as the alternative preset.
@@ -131,8 +132,8 @@ _NORMAL_TABLE = {
 
 
 def normal_ranges(names: Sequence[str] | None = None) -> list[ParamRange]:
-    names = PARAM_NAMES if names is None else tuple(names)
-    return [ParamRange(name, "normal", *_NORMAL_TABLE[name]) for name in names]
+    names = PARAM_NAMES if names is None else tuple(names)  # ParamRange refuses an unknown one
+    return [ParamRange(name, "normal", *_NORMAL_TABLE.get(name, (1.0, 1.0))) for name in names]
 
 
 def lhs_sample(ranges: Sequence[ParamRange], N: int, seed: int) -> np.ndarray:
@@ -255,9 +256,9 @@ def _simulate_rows(rows: np.ndarray, names: tuple[str, ...], base: ParamSet, y0:
     return [None if bad else vals for bad, vals in zip(failed, sampled.transpose(2, 0, 1))]
 
 
-def _stacked_rhs(t: float, z: np.ndarray, u: ControlConst, p: SimpleNamespace) -> np.ndarray:
+def _stacked_rhs(z: np.ndarray, u: ControlConst, p: SimpleNamespace) -> np.ndarray:
     """``rhs`` on the (12, N) states ``z`` of a batch, a row per field, as one array."""
-    return np.array(integrate.rhs(t, z, u, p))
+    return np.array(integrate.rhs(z, u, p))
 
 
 def prcc_study(

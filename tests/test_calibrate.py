@@ -37,6 +37,8 @@ def test_series_validation():
         IncidenceSeries((1990, 1991), (1.0, float("nan")))
     with pytest.raises(ConfigError, match="inf"):
         IncidenceSeries((1990.0, float("inf")), (1.0, 2.0))
+    with pytest.raises(ConfigError, match="must be finite, got 10000"):  # was OverflowError
+        IncidenceSeries((1990, 10**400), (1.0, 2.0))
 
 
 def test_bundled_series_loads():
@@ -405,6 +407,8 @@ def test_fit_config_validation():
         FitConfig(free=("theta1",), bounds={}, x0={"theta1": 1.0})
     with pytest.raises(ConfigError, match="inside bounds"):
         FitConfig(free=("theta1",), bounds={"theta1": (0.0, 1.0)}, x0={"theta1": 2.0})
+    with pytest.raises(ConfigError, match="bounds for theta1 need lo < hi"):
+        FitConfig(free=("theta1",), bounds={"theta1": (2.0, 1.0)}, x0={"theta1": 1.5})
     with pytest.raises(ConfigError, match="free parameter 'theta1' is named twice"):
         FitConfig(free=("theta1", "tau1", "theta1"), bounds={"theta1": (0.0, 1.0), "tau1": (0, 1)},
                   x0={"theta1": 0.5, "tau1": 0.5})

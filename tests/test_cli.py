@@ -359,6 +359,7 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     (("--set", "initial_state.SH=5", "simulate"), "unknown config key 'initial_state.SH'"),
     # a block replaced whole must give every key
     (("--set", 'grid={"t0":0}', "reff"), "grid.tf must be set"),
+    (("--set", "grid.tf", "simulate"), "--set expects key=value, got 'grid.tf'"),
     # an integer too large for a double is out of range, and its digits are cut short
     (("--set", f"grid.tf={10 ** 400}", "simulate"),
      "grid.tf must be a finite number, got 10000000000000000000...00000000000000000000 "
@@ -369,8 +370,8 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     (("--set", 'controls={"u1":2,"u2":3}', "simulate"), "control u1 must lie in [0, 1], got 2.0"),
 ], ids=["unknown-key", "unknown-block", "fraction", "bool", "nested-grid", "reff-axis",
         "reff-axis-key", "state-key-reff", "state-key-fit", "state-key-simulate", "missing-key",
-        "huge-integer", "control-above-one-simulate", "control-below-zero-simulate",
-        "controls-block-simulate"])
+        "set-without-equals", "huge-integer", "control-above-one-simulate",
+        "control-below-zero-simulate", "controls-block-simulate"])
 def test_config_error_names_the_key(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *argv)
     assert code == 2
@@ -378,6 +379,32 @@ def test_config_error_names_the_key(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert f"configuration error: {message}" in err
     assert len(err) < 120
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("source, text, message", [
+    ("config", "[1, 2]", "config file must contain a JSON object"),
+    ("config", f'{{"grid": {{"tf": {nested(600)}}}}}', "grid.tf must be a number, got [[[["),
+    ("config", f'{{"grid": {{"tf": {nested(1100)}}}}}',
+     "config file {path} nests arrays or objects too deeply to read"),
+    ("set", f"grid.tf={nested(600)}", "grid.tf must be a number, got [[[["),
+    ("set", f"grid.tf={nested(1100)}", "--set grid.tf nests arrays or objects too deeply to read"),
+], ids=["config-list", "config-600-deep", "config-1100-deep", "set-600-deep", "set-1100-deep"])
+def test_config_source_error_is_one_line(tmp_path, capsys, source, text, message):
+    """A config file that holds no object, or a value nested hundreds deep, exits 2 with one
+    line: a file nested 500 deep raised RecursionError in the merge's deepcopy, and either
+    source nested 990 deep in the JSON decoder."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out = run(tmp_path, "a", *(("--config", str(path)) if source == "config"
+                                     else ("--set", text)), "simulate")
+    captured = capsys.readouterr()
+    assert code == 2 and out is None and captured.out == ""
+    assert captured.err.startswith(f"configuration error: {message.format(path=path)}")
+    assert captured.err.count("\n") == 1
 
 
 def schema_leaves(shape, path=()):
@@ -484,7 +511,9 @@ def test_integral_float_config_value_is_accepted(tmp_path):
     "year,cases\n1990,5\n1991\n",
     "",
     "year,cases\n1990,5\n1991,nan\n",
-], ids=["non-number", "short-row", "empty-file", "nan-count"])
+    "year,cases\n1990,5\n1991," + "1" * 140_000 + "\n",  # past csv's field limit: csv.Error
+    "year,cases\n1990,5\n" + "9" * 400 + ",6\n",  # a year past a double: OverflowError
+], ids=["non-number", "short-row", "empty-file", "nan-count", "huge-cell", "huge-year"])
 def test_bad_data_file_is_config_error(tmp_path, capsys, text):
     data = tmp_path / "cases.csv"
     data.write_text(text)
@@ -784,7 +813,8 @@ IMPORT_PROBE = """
 import json, sys
 from rabictl.cli import main
 codes = [main(["--outdir", sys.argv[1], *step]) for step in json.loads(sys.argv[2])]
-loaded = [m for m in ("scipy", "scipy.optimize", "scipy.stats") if m in sys.modules]
+loaded = [m for m in ("scipy", "scipy.optimize", "scipy.stats", "rabictl.calibrate")
+          if m in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
@@ -821,6 +851,15 @@ def test_fit_loads_scipy_optimize_only(tmp_path):
     codes, loaded = scipy_loaded_after(tmp_path, ["--set", "fit.max_evals=10", "fit"])
     assert codes == [0]
     assert "scipy.optimize" in loaded and "scipy.stats" not in loaded
+
+
+def test_normal_prcc_loads_scipy_stats_without_the_fit(tmp_path):
+    """A normal range is sampled with scipy.stats, which itself imports scipy.optimize; the
+    fit's module, which imports scipy.optimize for its solver, stays unloaded."""
+    codes, loaded = scipy_loaded_after(
+        tmp_path, ["--set", "sensitivity.N=40", "--set", "sensitivity.distribution=normal", "prcc"])
+    assert codes == [0]
+    assert "scipy.stats" in loaded and "rabictl.calibrate" not in loaded
 
 
 def test_unconverged_sweep_warns(tmp_path, capsys):

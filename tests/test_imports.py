@@ -1,11 +1,13 @@
-"""Every name a module of the package imports is used, and so is every private top-level name.
+"""Every name a module of the package imports is used, and so is every private top-level name;
+every exported name is read in the package or the README's usage, or says why it ships.
 
 No linter is a dependency of the project, so this walks each module's syntax tree with the
 standard library's ``ast``: a deleted caller would otherwise leave its import, or the private
-helper it called, behind.
+helper it called, behind, and a public function only the tests call would stay in the package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,53 @@ def test_unread_private_names_finds_each_kind_of_definition():
 
 def test_every_private_name_is_read_in_the_package():
     assert unread_private_names({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+# Public names that ship with no caller in the package or the README's usage, and why.
+UNCALLED_EXPORTS = {
+    "optctl.hamiltonian": "the H the adjoint's finite-difference oracles differentiate and "
+                          "characterize_controls minimises",
+    "calibrate.predict_incidence": "the Euler I_H at the observation years, the prediction a "
+                                   "fit's residuals compare, for library callers",
+    "repro.spectral_r": "R_e as the spectral radius of F V^-1, the matrix route that checks "
+                        "effective_r's closed form; include_environment gives the full one",
+    "repro.dfe_stability": "the largest real part of the Jacobian's eigenvalues at the "
+                           "disease-free equilibrium, the stability indicator",
+}
+
+
+def unread_exports(sources: dict[str, str], usage: list[str]) -> list[str]:
+    """``module.name`` for each name in a submodule's ``__all__`` (the package's ``__init__``
+    aside) that no module of ``sources`` nor any snippet of ``usage`` reads: as a name, as an
+    attribute of one of the modules, or in an import."""
+    exported, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if module != "__init__" and isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported.update(dict.fromkeys(ast.literal_eval(node.value), module))
+    for tree in map(ast.parse, [*sources.values(), *usage]):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in sources):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{module}.{name}" for name, module in exported.items() if name not in read)
+
+
+def test_unread_exports_finds_each_kind_of_read():
+    sources = {"__init__": "from .a import f\n__all__ = ['f', 'g']\n",
+               "a": "__all__ = ['f', 'g', 'h', 'k', 'm', 'n']\ndef f(): pass\ndef g(): pass\n"
+                    "def h(): pass\ndef k(): pass\ndef m(): pass\ndef n(): pass\nh()\n",
+               "b": "from . import a\na.k\nx.m\n"}
+    assert unread_exports(sources, ["from rabictl.a import n\n"]) == ["a.g", "a.m"]
+
+
+def test_every_export_is_read_or_says_why_it_ships():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert unread_exports(sources, usage) == sorted(UNCALLED_EXPORTS)

@@ -28,8 +28,10 @@ from rabictl.integrate import (
     write_csv,
 )
 from rabictl.model import ControlConst, StateVec, rhs, seeded_state
-from rabictl.optctl import Weights, adjoint_parts, adjoint_rhs
+from rabictl.optctl import Weights, adjoint_parts
 from rabictl.sensitivity import _simulate_rows
+
+from oracles import dense_adjoint
 
 ZEROS12 = (0.0,) * 12
 ZERO_LAM = ZEROS12
@@ -307,7 +309,6 @@ def _reference_rk4_backward(adjoint_rhs, state_traj, u_path, terminal):
     h = grid.h
     half = 0.5 * h
     sixth = h / 6.0
-    times = grid.times()
     ys = list(map(StateVec._make, state_traj.values.tolist()))
     us = [ControlConst(*u) for u in u_path.values.tolist()]
 
@@ -317,15 +318,14 @@ def _reference_rk4_backward(adjoint_rhs, state_traj, u_path, terminal):
     out = [tuple(terminal)]
     lam = tuple(terminal)
     for i in range(grid.n_steps, 0, -1):
-        t = times[i]
         ya, yb = ys[i], ys[i - 1]
         ua, ub = us[i], us[i - 1]
         ym = StateVec(*(0.5 * (a + b) for a, b in zip(ya, yb)))
         um = mid_control(ua, ub)
-        k1 = adjoint_rhs(t, lam, ya, ua)
-        k2 = adjoint_rhs(t - half, tuple(a - half * b for a, b in zip(lam, k1)), ym, um)
-        k3 = adjoint_rhs(t - half, tuple(a - half * b for a, b in zip(lam, k2)), ym, um)
-        k4 = adjoint_rhs(t - h, tuple(a - h * b for a, b in zip(lam, k3)), yb, ub)
+        k1 = adjoint_rhs(lam, ya, ua)
+        k2 = adjoint_rhs(tuple(a - half * b for a, b in zip(lam, k1)), ym, um)
+        k3 = adjoint_rhs(tuple(a - half * b for a, b in zip(lam, k2)), ym, um)
+        k4 = adjoint_rhs(tuple(a - h * b for a, b in zip(lam, k3)), yb, ub)
         lam = tuple(
             a - sixth * (b + 2.0 * c + 2.0 * d + e)
             for a, b, c, d, e in zip(lam, k1, k2, k3, k4)
@@ -337,12 +337,16 @@ def _reference_rk4_backward(adjoint_rhs, state_traj, u_path, terminal):
 
 def test_backward_matches_reference_stage_loop(p_est, default_state):
     """The propagator march meets the hand-written stage loop to rounding, over several blocks."""
-    g = TimeGrid(0.0, 20.0, 400)
+    grid = TimeGrid(0.0, 20.0, 400)
     rng = np.random.default_rng(11)
-    path = ControlPath(g, rng.uniform(0.0, 1.0, (g.n_nodes, 4)))
+    path = ControlPath(grid, rng.uniform(0.0, 1.0, (grid.n_nodes, 4)))
     traj = rk4_forward(p_est, path, default_state)
     w = Weights()
-    fn = lambda t, lam, y, u: adjoint_rhs(y, lam, u, w, p_est)
+
+    def fn(lam, y, u):
+        G, g = dense_adjoint(y, u, w, p_est)
+        return (G @ lam + g).tolist()
+
     terminal = tuple(rng.uniform(-5.0, 5.0, 12).tolist())
     got = rk4_backward(lambda y, u: adjoint_parts(y, u, w, p_est), traj, path, terminal)
     want = np.array(_reference_rk4_backward(fn, traj, path, terminal))

@@ -28,14 +28,16 @@ from rabictl.integrate import (
     _require_finite, _rk4_state_step, euler_forward, rk4_backward, rk4_forward, rk4_step,
 )
 from rabictl.model import (
-    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, jacobian, rhs,
+    DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, ForceTerms, StateVec, force_terms, rhs,
     seeded_state,
 )
 from rabictl.optctl import (
-    STRATEGY_MASKS, Weights, _cost_gradient, adjoint_parts, adjoint_rhs,
+    STRATEGY_MASKS, Weights, _cost_gradient, adjoint_parts,
 )
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, rates_of
 from rabictl.sensitivity import _stacked_rhs
+
+from oracles import dense_adjoint
 
 
 def reference_pressures(y, u, p):
@@ -62,7 +64,7 @@ def reference_force_terms(y, u, p):
     return ForceTerms(a1 * f1, f2, a2 * f3, a1, a2, lamM)
 
 
-def reference_rhs(t, y, u, p):
+def reference_rhs(y, u, p):
     chi1, chi2, chi3, _, _, _ = reference_force_terms(y, u, p)
 
     dS_H = p.theta1 + p.beta3 * y.R_H - p.mu1 * y.S_H - chi1 * y.S_H
@@ -137,35 +139,28 @@ def reference_cost_gradient(w):
     return np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
 
 
-def dense_adjoint(y, u, w, p):
-    """The adjoint as the dense affine system lam' = G lam + g: G = -(df/dy)^T from
-    ``model.jacobian``, (12, 12) or (n, 12, 12), and g = -dL/dy, (12,)."""
-    T, I = jacobian(y, u, p)
-    return (0.0 - (T + I)).swapaxes(-1, -2), _cost_gradient(w)  # 0.0 - keeps an empty cell +0.0
-
-
-def reference_rk4_step(f, y, t, h, za, zm, zb, *args):
+def reference_rk4_step(f, y, h, za, zm, zb, *args):
     make = getattr(y, "_make", tuple)  # a NamedTuple, or an adjoint's plain tuple
     half = 0.5 * h
-    k1 = f(t, y, za, *args)
-    k2 = f(t + half, make(a + half * b for a, b in zip(y, k1)), zm, *args)
-    k3 = f(t + half, make(a + half * b for a, b in zip(y, k2)), zm, *args)
-    k4 = f(t + h, make(a + h * b for a, b in zip(y, k3)), zb, *args)
+    k1 = f(y, za, *args)
+    k2 = f(make(a + half * b for a, b in zip(y, k1)), zm, *args)
+    k3 = f(make(a + half * b for a, b in zip(y, k2)), zm, *args)
+    k4 = f(make(a + h * b for a, b in zip(y, k3)), zb, *args)
     sixth = h / 6.0
     return make(
         a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)
     )
 
 
-def reference_batch_step(Y, t, h, p):
+def reference_batch_step(Y, h, p):
     """The per-field batch step: the (12, N) states as twelve (N,) arrays through every
     stage, restacked after the step."""
     u = ZERO_CONTROL
-    return np.array(reference_rk4_step(reference_rhs, StateVec(*Y), t, h, u, u, u, p))
+    return np.array(reference_rk4_step(reference_rhs, StateVec(*Y), h, u, u, u, p))
 
 
-def reference_euler_step(h, t, y, p, u=ZERO_CONTROL):
-    return StateVec._make(a + h * b for a, b in zip(y, reference_rhs(t, y, u, p)))
+def reference_euler_step(h, y, p, u=ZERO_CONTROL):
+    return StateVec._make(a + h * b for a, b in zip(y, reference_rhs(y, u, p)))
 
 
 def reference_march(step, y0, grid):
@@ -175,7 +170,7 @@ def reference_march(step, y0, grid):
     y = y0
     clamped_total = 0
     for i in range(grid.n_steps):
-        y, n_clamped = _clamp_state(step(i, times[i], y), times[i + 1])
+        y, n_clamped = _clamp_state(step(i, y), times[i + 1])
         clamped_total += n_clamped
         states.append(y)
     _require_finite(y, "state", grid.tf)
@@ -188,19 +183,19 @@ def reference_rk4_forward(p, u_path, y0):
     u = [ControlConst(*row) for row in u_path.values.tolist()]
     um = [ControlConst(*(0.5 * (a + b) for a, b in zip(ua, ub))) for ua, ub in zip(u, u[1:])]
     return reference_march(
-        lambda i, t, y: reference_rk4_step(reference_rhs, y, t, h, u[i], um[i], u[i + 1], p),
+        lambda i, y: reference_rk4_step(reference_rhs, y, h, u[i], um[i], u[i + 1], p),
         y0, grid,
     )
 
 
 def reference_euler_forward(p, y0, grid):
     h = grid.h
-    return reference_march(lambda i, t, y: reference_euler_step(h, t, y, p), y0, grid)
+    return reference_march(lambda i, y: reference_euler_step(h, y, p), y0, grid)
 
 
 def reference_rk4_backward(f, state_traj, u_path, terminal):
     grid = state_traj.grid
-    h, times = grid.h, grid.times()
+    h = grid.h
     ys = list(map(StateVec._make, state_traj.values.tolist()))
     us = [ControlConst(*row) for row in u_path.values.tolist()]
     out = [terminal]
@@ -208,8 +203,7 @@ def reference_rk4_backward(f, state_traj, u_path, terminal):
     for i in range(grid.n_steps, 0, -1):
         ym = StateVec._make(0.5 * (a + b) for a, b in zip(ys[i], ys[i - 1]))
         um = ControlConst(*(0.5 * (a + b) for a, b in zip(us[i - 1], us[i])))
-        lam = reference_rk4_step(
-            f, lam, times[i], -h, (ys[i], us[i]), (ym, um), (ys[i - 1], us[i - 1]))
+        lam = reference_rk4_step(f, lam, -h, (ys[i], us[i]), (ym, um), (ys[i - 1], us[i - 1]))
         out.append(lam)
     out.reverse()
     return out
@@ -273,9 +267,9 @@ def test_force_terms_and_rhs_equal_reference_bits(y, u, p):
     got = force_terms(y, u, p)
     assert type(got) is ForceTerms
     assert hexes(got) == hexes(reference_force_terms(y, u, p))
-    got = rhs(0.0, y, u, p)
+    got = rhs(y, u, p)
     assert type(got) is StateVec
-    assert hexes(got) == hexes(reference_rhs(0.0, y, u, p))
+    assert hexes(got) == hexes(reference_rhs(y, u, p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,9 +280,9 @@ def test_kernels_read_only_the_parameter_tuple(y, u, p):
     no field of their own, so the one tuple holds every parameter they use."""
     only = SimpleNamespace(rates=p.rates)
     assert hexes(force_terms(y, u, only)) == hexes(force_terms(y, u, p))
-    assert hexes(rhs(0.0, y, u, only)) == hexes(rhs(0.0, y, u, p))
+    assert hexes(rhs(y, u, only)) == hexes(rhs(y, u, p))
     # an RK4 stage's tuple, and a control row of ``ControlPath.values.tolist()``
-    assert hexes(rhs(0.0, tuple(y), list(u), only)) == hexes(rhs(0.0, y, u, p))
+    assert hexes(rhs(tuple(y), list(u), only)) == hexes(rhs(y, u, p))
 
 
 def test_over_one_controls_clamp_both_factors():
@@ -304,9 +298,9 @@ def test_rhs_on_arrays_equals_reference_bits(rows, u):
     p = SimpleNamespace(**{name: np.array([getattr(q, name) for _, q in rows])
                            for name in PARAM_NAMES})
     p.rates = rates_of(p)
-    got = rhs(0.0, y, u, p)
+    got = rhs(y, u, p)
     assert type(got) is StateVec
-    assert hexes(got) == hexes(reference_rhs(0.0, y, u, p))
+    assert hexes(got) == hexes(reference_rhs(y, u, p))
 
 
 @settings(max_examples=50, deadline=None)
@@ -322,30 +316,30 @@ def test_stacked_batch_step_equals_per_field_step_bits(rows, h):
     p.rates = rates_of(p)
     u = ZERO_CONTROL
     with np.errstate(all="ignore"):
-        got = rk4_step(_stacked_rhs, Y, 0.0, h, u, u, u, p)
-        want = reference_batch_step(Y, 0.0, h, p)
+        got = rk4_step(_stacked_rhs, Y, h, u, u, u, p)
+        want = reference_batch_step(Y, h, p)
     assert type(got) is np.ndarray and got.shape == Y.shape
     assert hexes(got) == hexes(want)
 
 
 @settings(max_examples=200, deadline=None)
 @given(y=edge_states, za=controls, zm=controls, zb=controls, p=params,
-       t=st.floats(min_value=0.0, max_value=50.0), h=st.floats(min_value=1e-4, max_value=1.0))
+       h=st.floats(min_value=1e-4, max_value=1.0))
 @example(y=seeded_state(TABLE2_ESTIMATED, *DEFAULT_SEEDING), za=OVER_ONE, zm=ZERO_CONTROL,
-         zb=OVER_ONE, p=TABLE2_ESTIMATED, t=0.0, h=0.02)
+         zb=OVER_ONE, p=TABLE2_ESTIMATED, h=0.02)
 @example(y=StateVec(-1e-6, -0.0, 5e-324, -1e-9, *[0.0] * 8), za=ZERO_CONTROL, zm=OVER_ONE,
-         zb=ZERO_CONTROL, p=TABLE2_ESTIMATED, t=3.0, h=0.014)
-def test_state_steps_equal_reference_steps_bits(y, za, zm, zb, p, t, h):
+         zb=ZERO_CONTROL, p=TABLE2_ESTIMATED, h=0.014)
+def test_state_steps_equal_reference_steps_bits(y, za, zm, zb, p, h):
     """The field-by-field RK4 and Euler steps give the generic steps' bits, signed zeros
     included, on states at zero, subnormal or just inside the clamp band, stage controls as
     a march passes them (rows of floats) and any step."""
     rows = [list(u) for u in (za, zm, zb)]
-    got = _rk4_state_step(rhs, y, t, h, *rows, p)
+    got = _rk4_state_step(rhs, y, h, *rows, p)
     assert type(got) is StateVec
-    assert hexes(got) == hexes(reference_rk4_step(reference_rhs, y, t, h, za, zm, zb, p))
-    got = _euler_step(rhs, y, t, h, *rows, p)
+    assert hexes(got) == hexes(reference_rk4_step(reference_rhs, y, h, za, zm, zb, p))
+    got = _euler_step(rhs, y, h, *rows, p)
     assert type(got) is StateVec
-    assert hexes(got) == hexes(reference_euler_step(h, t, y, p, za))
+    assert hexes(got) == hexes(reference_euler_step(h, y, p, za))
 
 
 @settings(max_examples=200, deadline=None)
@@ -354,9 +348,8 @@ def test_state_steps_equal_reference_steps_bits(y, za, zm, zb, p, t, h):
          u=OVER_ONE, w=Weights(), p=TABLE2_ESTIMATED)
 def test_adjoint_rhs_within_rounding_of_reference(y, lam, u, w, p):
     """G lam + g differs from the hand-expanded adjoint by rounding only."""
-    got = adjoint_rhs(y, lam, u, w, p)
-    assert type(got) is tuple and len(got) == 12 and all(type(v) is float for v in got)
     G, g = dense_adjoint(y, u, w, p)
+    got = G @ lam + g
     scale = np.abs(G) @ np.abs(lam) + np.abs(g)
     # below the smallest normal double, rounding is absolute rather than relative
     bound = 1e-13 * scale + np.finfo(float).tiny
@@ -452,7 +445,7 @@ def test_rk4_backward_within_rounding_of_reference_march(p, w, lam, seed):
     except IntegrationBlowupError:
         return
     want = np.array(reference_rk4_backward(
-        lambda t, lam, yu: reference_adjoint_rhs(yu[0], lam, yu[1], w, p), traj, path, lam))
+        lambda lam, yu: reference_adjoint_rhs(yu[0], lam, yu[1], w, p), traj, path, lam))
     try:
         got = rk4_backward(lambda y, u: adjoint_parts(y, u, w, p), traj, path, lam)
     except IntegrationBlowupError:
@@ -480,8 +473,8 @@ def reference_block_backward(system, state_traj, u_path, terminal):
                           ControlConst._make(np.vstack([u, 0.5 * (u[1:] + u[:-1])]).T))
             a = np.zeros((len(G), 13, 13))
             a[:, :12, :12], a[:, :12, 12] = G, g
-            phi = rk4_step(lambda t, z, a_, _: a_ @ z,
-                           np.broadcast_to(np.eye(13), (steps, 13, 13)), 0.0, minus_h,
+            phi = rk4_step(lambda z, a_, _: a_ @ z,
+                           np.broadcast_to(np.eye(13), (steps, 13, 13)), minus_h,
                            a[1:steps + 1], a[steps + 1:], a[:steps], None)
             for k in range(end - 1, start - 1, -1):
                 lam[k] = row = phi[k - start, :12, :12] @ row + phi[k - start, :12, 12]

@@ -85,9 +85,9 @@ def test_numpy_scalar_parameters_are_kept_as_floats(monkeypatch):
     g = TimeGrid(0.0, 1.0, 10)
     stepped = []  # every state the march hands to rhs
 
-    def recording_rhs(t, y, u, p):
+    def recording_rhs(y, u, p):
         stepped.append(y)
-        return rhs(t, y, u, p)
+        return rhs(y, u, p)
 
     monkeypatch.setattr(integrate, "rhs", recording_rhs)
     states = rk4_forward(scaled, ControlPath.constant(g), seeded_state(scaled, *DEFAULT_SEEDING))
@@ -197,13 +197,13 @@ def test_chi3_strictly_decreasing_in_deterrence(p_est, rho_name):
 
 
 def test_rhs_zero_at_dfe(p_est):
-    dy = rhs(0.0, seeded_state(p_est), ZERO_CONTROL, p_est)
+    dy = rhs(seeded_state(p_est), ZERO_CONTROL, p_est)
     assert max(abs(v) for v in dy) < 1e-9
 
 
 def test_rhs_susceptibles_only(p_est):
     y = StateVec(1000.0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    dy = rhs(0.0, y, ZERO_CONTROL, p_est)
+    dy = rhs(y, ZERO_CONTROL, p_est)
     assert dy.S_H == p_est.theta1 - p_est.mu1 * 1000.0
     assert dy.E_H == 0.0
     assert dy.I_H == 0.0
@@ -211,7 +211,7 @@ def test_rhs_susceptibles_only(p_est):
 
 def test_environment_equation(p_est):
     y = StateVec(0, 0, 3.0, 0, 0, 0, 5.0, 0, 0, 7.0, 0, 2.0)
-    dy = rhs(0.0, y, ZERO_CONTROL, p_est)
+    dy = rhs(y, ZERO_CONTROL, p_est)
     expected = p_est.nu1 * 3.0 + p_est.nu2 * 5.0 + p_est.nu3 * 7.0 - p_est.mu4 * 2.0
     assert dy.M == pytest.approx(expected, rel=1e-15)
 
@@ -223,7 +223,7 @@ def test_environment_equation(p_est):
 )
 def test_rhs_population_sum_rules(y, u):
     p = TABLE2_ESTIMATED
-    dy = rhs(0.0, y, u, p)
+    dy = rhs(y, u, p)
     scale = max(1.0, max(abs(v) for v in y))
 
     n_h = y.S_H + y.E_H + y.I_H + y.R_H
@@ -261,7 +261,7 @@ def central_differences(y, u, p):
         up, dn = y.copy(), y.copy()
         up[j] += step
         dn[j] -= step
-        f_up, f_dn = np.array(rhs(0.0, StateVec(*up), u, p)), np.array(rhs(0.0, StateVec(*dn), u, p))
+        f_up, f_dn = np.array(rhs(StateVec(*up), u, p)), np.array(rhs(StateVec(*dn), u, p))
         columns.append((f_up - f_dn) / (2.0 * step))
         noise.append(1e-15 * (np.abs(f_up) + np.abs(f_dn)) / step)
     fd, noise = (np.moveaxis(np.array(a), (0, 1), (-1, -2)) for a in (columns, noise))  # [..., i, j]
@@ -315,7 +315,7 @@ def test_rhs_is_transitions_plus_recruitment_plus_incidence(preset):
         parts[1, :, s] = theta
         parts[2, :, s] -= inc
         parts[2, :, s + 1] += inc
-    got = np.array(rhs(0.0, y, u, p)).T
+    got = np.array(rhs(y, u, p)).T
     assert (np.abs(got - parts.sum(axis=0)) <= 1e-13 * np.abs(parts).sum(axis=0)).all()
 
 

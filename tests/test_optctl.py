@@ -8,13 +8,12 @@ import pytest
 
 from rabictl import optctl
 from rabictl.cli import main
-from rabictl.errors import ConfigError
+from rabictl.errors import ConfigError, SweepDivergenceError
 from rabictl.integrate import ControlPath, TimeGrid, Trajectory
 from rabictl.model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from rabictl.optctl import (
     STRATEGY_MASKS,
     Weights,
-    adjoint_rhs,
     characterize_controls,
     forward_backward_sweep,
     hamiltonian,
@@ -22,6 +21,8 @@ from rabictl.optctl import (
     running_cost,
 )
 from rabictl.model import rhs, ZERO_CONTROL
+
+from oracles import dense_adjoint
 
 ZERO_LAM = (0.0,) * 12
 
@@ -106,7 +107,7 @@ def test_hamiltonian_zero_weights_is_adjoint_dot_rhs(p_est):
     rng = random.Random(4)
     y, lam, _ = random_point(rng)
     w = Weights(K1=0, K2=0, K3=0, K4=0, K5=0, K6=0)
-    expected = sum(l * d for l, d in zip(lam, rhs(0.0, y, ZERO_CONTROL, p_est)))
+    expected = sum(l * d for l, d in zip(lam, rhs(y, ZERO_CONTROL, p_est)))
     assert hamiltonian(y, lam, ZERO_CONTROL, w, p_est) == pytest.approx(expected, rel=1e-12)
 
 
@@ -131,14 +132,16 @@ def test_adjoint_zero_weights_zero_adjoint(p_est):
     rng = random.Random(6)
     y, _, u = random_point(rng)
     w = Weights(K1=0, K2=0, K3=0, K4=0, K5=0, K6=0)
-    assert adjoint_rhs(y, ZERO_LAM, u, w, p_est) == (0.0,) * 12
+    G, g = dense_adjoint(y, u, w, p_est)
+    assert (G @ ZERO_LAM + g == 0.0).all()
 
 
 def test_adjoint_infected_human_component(p_est):
     rng = random.Random(7)
     y, lam, u = random_point(rng)
     w = Weights()
-    d = adjoint_rhs(y, lam, u, w, p_est)
+    G, g = dense_adjoint(y, u, w, p_est)
+    d = G @ lam + g
     expected = -w.K3 + lam[2] * (p_est.sigma1 + p_est.mu1) - lam[11] * p_est.nu1
     assert d[2] == pytest.approx(expected, rel=1e-12)
 
@@ -148,7 +151,8 @@ def test_adjoint_matches_finite_differences(p_est):
     w = Weights()
     for _ in range(10):
         y, lam, u = random_point(rng)
-        analytic = adjoint_rhs(y, lam, u, w, p_est)
+        G, g = dense_adjoint(y, u, w, p_est)
+        analytic = G @ lam + g
         for j in range(12):
             h = 1e-5 * max(1.0, abs(y[j]))
             up = StateVec(*(v + h if i == j else v for i, v in enumerate(y)))
@@ -251,6 +255,15 @@ def test_sweep_parameter_validation(p_est, default_state):
     for max_iter in (0, 2.5, 1.0, "3", None, True):  # 2.5 reached ``range`` and raised TypeError
         with pytest.raises(ConfigError, match="max_iter must be at least 1, got "):
             forward_backward_sweep(p_est, Weights(), default_state, g, max_iter=max_iter)
+
+
+def test_sweep_raises_when_the_objective_runs_away(p_est, default_state, monkeypatch):
+    """An objective more than ten times its best magnitude above its best value stops the sweep."""
+    values = iter([-5.0, 60.0])
+    monkeypatch.setattr(optctl, "objective", lambda *args: next(values))
+    with pytest.raises(SweepDivergenceError, match=r"diverged after 2 iterations \(J = 60 vs "
+                                                    r"best -5\)"):
+        forward_backward_sweep(p_est, Weights(), default_state, TimeGrid(0.0, 1.0, 10), tol=1e-12)
 
 
 MALFORMED_MASKS = pytest.mark.parametrize("mask", [

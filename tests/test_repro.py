@@ -138,7 +138,7 @@ def test_dfe_infected_components_zero(p_est):
 
 
 def test_dfe_is_equilibrium(p_est):
-    assert max(abs(v) for v in rhs(0.0, seeded_state(p_est), ZERO_CONTROL, p_est)) < 1e-9
+    assert max(abs(v) for v in rhs(seeded_state(p_est), ZERO_CONTROL, p_est)) < 1e-9
 
 
 # --- effective reproduction number -------------------------------------------------
@@ -267,7 +267,7 @@ def test_endemic_eq_matches_class_by_class_reference():
 
 def test_endemic_residual_and_positivity(p_est):
     y = endemic_eq(p_est)
-    residual = max(abs(v) for v in rhs(0.0, y, ZERO_CONTROL, p_est))
+    residual = max(abs(v) for v in rhs(y, ZERO_CONTROL, p_est))
     assert residual < 1e-8 * max(abs(v) for v in y)
     assert min(y) > 0.0
 

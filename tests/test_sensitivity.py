@@ -65,7 +65,7 @@ def residual_regression_prcc(X, Z):
 # --- ranges and sampling ----------------------------------------------------------
 
 
-def test_param_range_validation():
+def test_param_range_validation(p_base):
     with pytest.raises(ConfigError):
         ParamRange("theta1", "uniform", 2.0, 1.0)
     with pytest.raises(ConfigError):
@@ -74,6 +74,16 @@ def test_param_range_validation():
         ParamRange("not_a_param", "uniform", 0.0, 1.0)
     with pytest.raises(ConfigError):
         ParamRange("theta1", "weibull", 0.0, 1.0)
+    # each was accepted, and every (or, for the negative lo, some) sample row failed to simulate
+    for bad in (("theta1", "normal", math.nan, 1.0), ("tau1", "normal", 1e-3, math.inf),
+                ("tau1", "uniform", 0.0, math.inf), ("tau1", "uniform", -1e-4, 1e-3)):
+        with pytest.raises(ConfigError, match=f"{bad[1]} range for {bad[0]} needs"):
+            ParamRange(*bad)
+    # an unknown name raised KeyError and AttributeError
+    for build in (lambda: normal_ranges(["beta9"]),
+                  lambda: uniform_ranges(p_base, 0.25, names=["beta9"])):
+        with pytest.raises(ConfigError, match="unknown parameter name 'beta9'"):
+            build()
 
 
 def test_uniform_ranges_cover_all_parameters(p_est):
@@ -271,6 +281,15 @@ def test_prcc_error_cases():
     X3[:, 2] = X3[:, 0]
     with pytest.raises(DegenerateInputError, match="collinear"):
         prcc(X3, rng.random(50))
+    X4, Z4 = rng.random((50, 3)), rng.random(50)
+    with pytest.raises(ConfigError, match="X must be a 2-d sample matrix"):
+        prcc(X4[:, 0], Z4)
+    X5, Z5 = X4.copy(), Z4.copy()
+    X5[7, 1] = Z5[9] = math.nan
+    with pytest.raises(DegenerateInputError, match="non-finite sample value"):
+        prcc(X5, Z4)
+    with pytest.raises(DegenerateInputError, match="non-finite output value"):
+        prcc(X4, Z5)
 
 
 def collinear_by_matrix_rank(X):
@@ -406,6 +425,12 @@ def test_prcc_study_rejects_unknown_output(p_base):
                    light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("X_H",))
 
 
+def test_prcc_study_rejects_a_parameter_named_twice(p_base):
+    ranges = uniform_ranges(p_base, 0.25, names=["tau1", "mu1", "tau1"])
+    with pytest.raises(ConfigError, match="duplicate parameter in ranges"):
+        prcc_study(ranges, 10, 1, p_base, light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0])
+
+
 def test_prcc_study_checks_sample_size_before_sampling(p_base, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a study that PRCC cannot use")
@@ -506,12 +531,16 @@ def test_batch_equals_scalar_runs_and_drops_blowups(p_base):
 
 def test_batch_drops_rows_with_invalid_parameters(p_base):
     """The dropped rows are exactly those whose parameters ``ParamSet.replace`` rejects."""
-    kappa1 = ParamRange("kappa1", "uniform", -1e-5, 1e-4)  # kappa1 <= 0 on some rows
+    # kappa1 shifted by -1e-5 below, to [-1e-5, 1e-4): <= 0 on some rows, which ParamRange refuses
+    kappa1 = ParamRange("kappa1", "uniform", 0.0, 1.1e-4)
     theta1 = ParamRange("theta1", "uniform", 0.001, 0.05)  # theta1 <= mu1 on some rows
     mu1 = ParamRange("mu1", "uniform", 0.005, 0.03)  # mu1 >= theta1 on some rows
-    for ranges, n_invalid in (([theta1], 9), ([kappa1, theta1, mu1], 12)):
-        X, names, _, rows = simulate_batch(ranges, 30, 2, p_base, light_seed_state(p_base),
-                                           TimeGrid(0.0, 5.0, 50), [5.0], ("I_H",))
+    for ranges, shift, n_invalid in (([theta1], 0.0, 9), ([kappa1, theta1, mu1], 1e-5, 12)):
+        X = lhs_sample(ranges, 30, 2)
+        X[:, 0] -= shift
+        names = tuple(r.name for r in ranges)
+        rows = _simulate_rows(X, names, p_base, light_seed_state(p_base), TimeGrid(0.0, 5.0, 50),
+                              (50,), ("I_H",))
         invalid = []
         for x in X:
             try:
