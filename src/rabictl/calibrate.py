@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -23,8 +22,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .errors import ConfigError, NumericError, is_count, shorten
-from .integrate import TimeGrid, euler_forward
+from .errors import ConfigError, NumericError, echo, is_count, is_finite, shorten
+from .integrate import MAX_STEPS, TimeGrid, euler_forward
 from .model import StateVec, ZERO_CONTROL, jacobian, rhs
 from .params import PARAM_NAMES, ParamSet
 
@@ -43,9 +42,8 @@ class IncidenceSeries:
         if len(self.years) != len(self.cases):
             raise ConfigError("years and cases must have equal length")
         for value in (*self.years, *self.cases):
-            if not abs(value) <= sys.float_info.max:  # a NaN, an inf, or an int past a double
-                raise ConfigError(
-                    f"years and case counts must be finite, got {shorten(repr(value))}")
+            if not is_finite(value):
+                raise ConfigError(f"years and case counts must be finite, got {echo(value)}")
         if any(b <= a for a, b in zip(self.years, self.years[1:])):
             raise ConfigError("years must be strictly increasing")
         if any(c < 0 for c in self.cases):
@@ -78,7 +76,7 @@ class IncidenceSeries:
 
 def _check_euler_step(dt: float) -> None:
     if not 0.0 < dt <= 0.05:
-        raise ConfigError(f"Euler step dt must lie in (0, 0.05] year, got {dt}")
+        raise ConfigError(f"Euler step dt must lie in (0, 0.05] year, got {echo(dt)}")
 
 
 @dataclass(frozen=True)
@@ -95,19 +93,19 @@ class FitConfig:
     def __post_init__(self) -> None:
         _check_euler_step(self.dt)
         if not is_count(self.max_evals, 1):
-            raise ConfigError(f"max_evals must be at least 1, got {shorten(repr(self.max_evals))}")
-        if not 0.0 <= self.tol < math.inf:
-            raise ConfigError(f"tol must be finite and non-negative, got {self.tol}")
+            raise ConfigError(f"max_evals must be at least 1, got {echo(self.max_evals)}")
+        if not (is_finite(self.tol) and self.tol >= 0.0):
+            raise ConfigError(f"tol must be finite and non-negative, got {echo(self.tol)}")
         if not self.free:
             raise ConfigError("a fit needs at least one free parameter")
         for key, entries in (("x0", self.x0), ("bounds", self.bounds)):
             for name in entries:
                 if name not in self.free:
                     raise ConfigError(
-                        f"fit.{key} names {shorten(repr(name))}, which is not a free parameter")
+                        f"fit.{key} names {echo(name)}, which is not a free parameter")
         for i, name in enumerate(self.free):
             if name not in PARAM_NAMES:
-                raise ConfigError(f"unknown free parameter {shorten(repr(name))}")
+                raise ConfigError(f"unknown free parameter {echo(name)}")
             if name in self.free[:i]:
                 raise ConfigError(f"free parameter {name!r} is named twice")
             if name not in self.x0:
@@ -115,8 +113,8 @@ class FitConfig:
             if name not in self.bounds:
                 raise ConfigError(f"missing bounds for free parameter {name!r}")
             lo, hi = self.bounds[name]
-            if not lo < hi:
-                raise ConfigError(f"bounds for {name} need lo < hi")
+            if not (is_finite(lo) and is_finite(hi) and lo < hi):
+                raise ConfigError(f"bounds for {name} need lo < hi, both finite")
             if not lo < self.x0[name] < hi:
                 raise ConfigError(f"start value for {name} must lie strictly inside bounds")
 
@@ -137,6 +135,9 @@ def _observation_nodes(years: Sequence[int], dt: float) -> tuple[TimeGrid, list[
     span = float(years[-1] - years[0]) if years else 0.0
     if span <= 0:
         raise ConfigError("need at least two distinct observation years")
+    if not span / dt <= MAX_STEPS:  # a subnormal dt makes it inf, which round() refuses
+        raise ConfigError(f"fit.dt = {dt!r} cuts the {span:g} years observed into n_steps = "
+                          f"{span / dt:.3g} Euler steps; at most {MAX_STEPS}")
     n_steps = round(span / dt)
     grid = TimeGrid(0.0, n_steps * dt, n_steps)
     offsets = [float(year - years[0]) for year in years]
@@ -170,26 +171,26 @@ class _BudgetUsed(Exception):
     """A residual call past ``FitConfig.max_evals``."""
 
 
-def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed: Sequence[float],
-                      cfg: FitConfig, jac: Callable[[np.ndarray], Any]) -> FitResult:
-    """Fit ``predict(x)`` to ``observed`` over the free-parameter vector x of ``cfg``.
+def least_squares_fit(model: Callable[[np.ndarray], tuple[Sequence[float], Callable[[], Any]]],
+                      observed: Sequence[float], cfg: FitConfig) -> FitResult:
+    """Fit the prediction of ``model`` to ``observed`` over the free-parameter vector x of ``cfg``.
 
-    One scipy ``least_squares`` call (trust-region reflective, native bounds, Jacobian scaling)
-    on the residuals (predict(x) - observed)/sqrt(n), so the mse is twice its cost. It stops
-    once a step lowers the cost by less than ftol = tol/mse(x0) times it: the mse by less than
-    ``cfg.tol``. ``jac(x)``, the derivative of ``predict``, is called only at the x of the
-    latest ``predict`` call that returned, so it may reuse its work: scipy asks where it has
-    just evaluated, and elsewhere ``predict`` runs first. ``evals`` counts ``predict`` calls;
-    past ``cfg.max_evals`` the fit returns the best point it evaluated, unconverged and with
-    no ``at_bound``, which only a converged fit reports. A ConfigError or NumericError from
-    ``predict`` makes its residuals inf: a trial step there shrinks the trust region; at the
-    start, or from ``jac``, it is a NumericError.
+    ``model(x)`` returns the prediction at x and a function that gives its Jacobian at that x,
+    which may reuse the prediction's work. One scipy ``least_squares`` call (trust-region
+    reflective, native bounds, Jacobian scaling) on the residuals (prediction - observed)/sqrt(n),
+    so the mse is twice its cost. It stops once a step lowers the cost by less than
+    ftol = tol/mse(x0) times it: the mse by less than ``cfg.tol``. scipy asks for the Jacobian
+    where it has just evaluated; elsewhere ``model`` runs first. ``evals`` counts ``model``
+    calls; past ``cfg.max_evals`` the fit returns the best point it evaluated, unconverged and
+    with no ``at_bound``, which only a converged fit reports. A ConfigError or NumericError from
+    ``model`` makes its residuals inf: a trial step there shrinks the trust region; at the
+    start, or from the Jacobian, it is a NumericError.
     """
     observed = np.asarray(observed, dtype=float)
     root_n = math.sqrt(len(observed))
     lo, hi, x0 = np.array([(*cfg.bounds[name], cfg.x0[name]) for name in cfg.free], dtype=float).T
-    evals, best = 0, (math.inf, x0, None)  # lowest sum of squared residuals, its x, predict(x)
-    last = None, None  # the x of the latest ``predict`` call that returned, and its residuals
+    evals, best = 0, (math.inf, x0, None)  # lowest sum of squared residuals, its x, prediction
+    last = None, None, None  # the x of the latest ``model`` call that returned, its residuals, jac
 
     def residuals(x: np.ndarray) -> np.ndarray:
         nonlocal evals, best, last
@@ -199,11 +200,12 @@ def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed
             raise _BudgetUsed
         evals += 1
         try:
-            predicted = np.asarray(predict(x), dtype=float)
+            predicted, jac = model(x)
+            predicted = np.asarray(predicted, dtype=float)
         except (ConfigError, NumericError):
             return np.full(len(observed), math.inf)
         r = (predicted - observed) / root_n
-        last = x.copy(), r
+        last = x.copy(), r, jac
         with np.errstate(over="ignore"):  # an inf sum of squares is no best point
             rr = r @ r
         if rr < best[0]:  # False for a NaN
@@ -213,7 +215,7 @@ def least_squares_fit(predict: Callable[[np.ndarray], Sequence[float]], observed
     def scaled_jac(x: np.ndarray) -> np.ndarray:  # the residuals' Jacobian
         residuals(x)  # a march only where scipy has not just evaluated
         try:
-            d = np.asarray(jac(x), dtype=float) / root_n if np.array_equal(x, last[0]) else None
+            d = np.asarray(last[2](), dtype=float) / root_n if np.array_equal(x, last[0]) else None
         except (ConfigError, NumericError):
             d = None
         if d is None or not np.isfinite(d).all():
@@ -283,16 +285,13 @@ def fit(data: IncidenceSeries, cfg: FitConfig, p_base: ParamSet, y0: StateVec) -
     y0.validate()  # checked here, so only errors that depend on x make a residual non-finite
     p_base.replace(**cfg.x0)
     grid, nodes = _observation_nodes(data.years, cfg.dt)
-    march = None  # the ParamSet and (n_nodes, 12) states of the latest prediction
 
-    def predict(x: np.ndarray) -> np.ndarray:
-        nonlocal march
+    def model(x: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
         p = p_base.replace(**dict(zip(cfg.free, x.tolist())))
-        march = p, euler_forward(p, y0, grid).values
-        return march[1][nodes, 2]
+        values = euler_forward(p, y0, grid).values
+        return values[nodes, 2], lambda: _incidence_jacobian(p, values, grid, nodes, cfg)
 
-    return least_squares_fit(predict, data.cases, cfg,
-                             lambda x: _incidence_jacobian(*march, grid, nodes, cfg))
+    return least_squares_fit(model, data.cases, cfg)
 
 
 def tanzania_series() -> IncidenceSeries:

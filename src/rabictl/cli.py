@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import optctl, repro
-from .errors import ConfigError, NumericError, shorten
+from .errors import ConfigError, NumericError, echo, is_finite, shorten
 from .integrate import ControlPath, TimeGrid, node_rows, rk4_forward, write_csv, write_json
 from .model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from .params import PARAM_NAMES, PRESETS, ParamSet
@@ -123,7 +123,7 @@ def _load_json(text: str, source: str) -> Any:
 
 def _apply_set(config: dict, assignment: str) -> None:
     if "=" not in assignment:
-        raise ConfigError(f"--set expects key=value, got {shorten(repr(assignment))}")
+        raise ConfigError(f"--set expects key=value, got {echo(assignment)}")
     key, raw = assignment.split("=", 1)
     try:
         value = _load_json(raw, f"--set {shorten(key)}")
@@ -186,7 +186,7 @@ def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
     kind = type(shape)
     if kind is _OrNull:
         return None if value is None else _checked(value, shape.shape, key, f"{shape.what} or null")
-    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+    if kind is float and type(value) in (int, float) and is_finite(value):
         return float(value)
     if kind is int and type(value) in (int, float) and value % 1 == 0:
         return int(value)
@@ -202,7 +202,7 @@ def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
         prefix = key and key + "."
         for name in value:
             if name not in shape:
-                raise ConfigError(f"unknown config key {shorten(repr(prefix + name))}")
+                raise ConfigError(f"unknown config key {echo(prefix + name)}")
         if kind is _Overrides:
             shape = {name: shape[name] for name in value}
         for name in shape:
@@ -210,7 +210,7 @@ def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
                 raise ConfigError(f"{prefix + name} must be set")
         return {name: _checked(value[name], s, prefix + name) for name, s in shape.items()}
     what = "a finite number" if kind is float and type(value) is int else what  # past a double
-    raise ConfigError(f"{shorten(key)} must be {what or _KINDS[kind]}, got {shorten(repr(value))}")
+    raise ConfigError(f"{shorten(key)} must be {what or _KINDS[kind]}, got {echo(value)}")
 
 
 def resolve_config(path: str | None, sets: list[str]) -> tuple[dict[str, Any], dict[str, Any]]:
@@ -243,7 +243,7 @@ def _build_params(config: dict, preset: str | None = None) -> ParamSet:
     if preset is not None:
         preset_name = preset
     if preset_name not in PRESETS:
-        raise ConfigError(f"unknown parameter preset {shorten(repr(preset_name))}")
+        raise ConfigError(f"unknown parameter preset {echo(preset_name)}")
     return PRESETS[preset_name].replace(**overrides)
 
 
@@ -302,11 +302,11 @@ def _mask_from_args(args: argparse.Namespace) -> optctl.Mask:
     if args.mask is not None:
         bits = args.mask.strip()
         if len(bits) != 4 or any(b not in "01" for b in bits):
-            raise ConfigError(f"--mask expects four 0/1 digits, got {shorten(repr(args.mask))}")
+            raise ConfigError(f"--mask expects four 0/1 digits, got {echo(args.mask)}")
         return tuple(b == "1" for b in bits)  # type: ignore[return-value]
     strategy = (args.strategy or "A").upper()
     if strategy not in optctl.STRATEGY_MASKS:
-        raise ConfigError(f"unknown strategy {shorten(repr(args.strategy))}; expected A, B, C or D")
+        raise ConfigError(f"unknown strategy {echo(args.strategy)}; expected A, B, C or D")
     return optctl.STRATEGY_MASKS[strategy]
 
 
@@ -353,7 +353,7 @@ def cmd_prcc(args: argparse.Namespace, config: dict, given: dict,
     elif distribution == "uniform":
         ranges = sensitivity.uniform_ranges(p, rel=block["rel_range"])
     else:
-        raise ConfigError(f"unknown sensitivity distribution {shorten(repr(distribution))}; "
+        raise ConfigError(f"unknown sensitivity distribution {echo(distribution)}; "
                           "expected 'uniform' or 'normal'")
     grid = TimeGrid(**block["grid"])
     study = sensitivity.prcc_study(ranges, block["N"], block["seed"], p, y0, grid,

@@ -5,11 +5,26 @@ numerical failures exit 3, IO problems (plain OSError) exit 4.
 """
 
 import numbers
+import sys
 
 
 def shorten(text: str) -> str:
     """``text`` for an error message, its middle cut out past 40 characters."""
     return text if len(text) <= 40 else f"{text[:20]}...{text[-20:]} ({len(text)} characters)"
+
+
+def echo(value: object) -> str:
+    """``value``'s repr for an error message, shortened; it never raises, as repr can."""
+    try:
+        return shorten(repr(value))
+    except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+        return f"an integer of {value.bit_length()} bits"  # type: ignore[attr-defined]
+
+
+def is_finite(value: object) -> bool:
+    """Whether ``value`` is a real number a double holds, as a finite number must be: not NaN
+    or inf, and no int past the largest double, which ``0 <= value < inf`` lets through."""
+    return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
 
 
 def is_count(value: object, lo: int, hi: float = float("inf")) -> bool:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationBlowupError, is_count, shorten
+from .errors import ConfigError, IntegrationBlowupError, echo, is_count, is_finite
 from .model import ControlConst, StateVec, ZERO_CONTROL, rhs
 from .params import ParamSet
 
@@ -80,13 +80,14 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not is_count(self.n_steps, 1, MAX_STEPS):
             raise ConfigError(
-                f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {shorten(repr(self.n_steps))}")
+                f"grid needs 1 <= n_steps <= {MAX_STEPS}, got {echo(self.n_steps)}")
         object.__setattr__(self, "n_steps", int(self.n_steps))  # a numpy count steps as an int
         # nodes t0 + i*h round by under 2 ulps of the largest |t|: a step of 4 eps of it parts them
-        if not 2.0**-50 * max(abs(self.t0), abs(self.tf)) < self.h < math.inf:
+        if not (is_finite(self.t0) and is_finite(self.tf)
+                and 2.0**-50 * max(abs(self.t0), abs(self.tf)) < self.h < math.inf):
             raise ConfigError(f"grid needs finite t0 < tf and a finite step (tf - t0)/n_steps "
-                              f"that separates the nodes, got [{self.t0}, {self.tf}] in "
-                              f"{self.n_steps} steps")
+                              f"that separates the nodes, got [{echo(self.t0)}, {echo(self.tf)}] "
+                              f"in {self.n_steps} steps")
 
     @property
     def h(self) -> float:
@@ -109,7 +110,10 @@ class TimeGrid:
 
 def _node_table(grid: TimeGrid, values: Any, k: int, what: str) -> np.ndarray:
     """``values`` as a read-only (n_nodes, k) float copy: one row per node of ``grid``."""
-    values, n = np.array(values, dtype=float, ndmin=1), grid.n_nodes
+    try:
+        values, n = np.array(values, dtype=float, ndmin=1), grid.n_nodes
+    except OverflowError:  # an int past a double
+        raise ConfigError(f"{what} holds a number past the largest double") from None
     if values.shape != (n, k):
         raise ConfigError(f"{what} has {len(values)} nodes for {n}: its shape is "
                           f"{values.shape}, not ({n}, {k})")

@@ -17,13 +17,12 @@ which ``jacobian`` and the sweep's adjoint both read.
 from __future__ import annotations
 
 import functools
-import math
 from types import SimpleNamespace
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, echo, is_finite
 from .params import ParamSet
 
 __all__ = [
@@ -57,8 +56,9 @@ class StateVec(NamedTuple):
 
     def validate(self) -> "StateVec":
         for name, value in zip(self._fields, self):
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"state component {name} is negative or not finite: {value}")
+            if not (is_finite(value) and value >= 0.0):
+                raise ConfigError(
+                    f"state component {name} is negative or not finite: {echo(value)}")
         return self
 
 
@@ -77,7 +77,7 @@ class ControlConst(NamedTuple):
         if len(outside):
             *at, j = outside[0]
             raise ConfigError(f"control {self._fields[j]} must lie in [0, 1], "
-                              f"got {fields[j][tuple(at)]}")
+                              f"got {echo(fields[j].item(*at))}")
         return self
 
 

@@ -16,13 +16,12 @@ is the convention the state system and the control characterizations share.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SweepDivergenceError, is_count, shorten
+from .errors import ConfigError, SweepDivergenceError, echo, is_count, is_finite
 from .integrate import (
     ControlPath, TimeGrid, Trajectory, _require_same_grid, rk4_backward, rk4_forward,
 )
@@ -75,14 +74,13 @@ class Weights:
     A4: float = 50.0
 
     def __post_init__(self) -> None:
-        for name in ("K1", "K2", "K3", "K4", "K5", "K6"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"state weight {name} must be finite and non-negative, "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("A1", "A2", "A3", "A4"):
-            if not 0.0 < getattr(self, name) < math.inf:
+        for name, value in vars(self).items():
+            if name.startswith("A") and not (is_finite(value) and value > 0.0):
                 raise ConfigError(f"control cost weight {name} must be finite and positive, "
-                                  f"got {getattr(self, name)!r}")
+                                  f"got {echo(value)}")
+            if not (is_finite(value) and value >= 0.0):  # so a state weight K1..K6
+                raise ConfigError(f"state weight {name} must be finite and non-negative, "
+                                  f"got {echo(value)}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def adjoint_parts(
 
 def _check_mask(mask: Mask) -> None:
     if not isinstance(mask, tuple) or len(mask) != 4 or any(type(on) is not bool for on in mask):
-        raise ConfigError(f"mask must be a tuple of four bools, got {shorten(repr(mask))}")
+        raise ConfigError(f"mask must be a tuple of four bools, got {echo(mask)}")
 
 
 def characterize_controls(
@@ -217,7 +215,7 @@ def forward_backward_sweep(
     if not 0.0 < tol < omega:
         raise ConfigError(f"tolerance must be finite, positive and below omega={omega}, got {tol}")
     if not is_count(max_iter, 1):
-        raise ConfigError(f"max_iter must be at least 1, got {shorten(repr(max_iter))}")
+        raise ConfigError(f"max_iter must be at least 1, got {echo(max_iter)}")
     _check_mask(mask)
 
     def solve(u_path: ControlPath) -> tuple[Trajectory, np.ndarray]:

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ConfigError, shorten
+from .errors import ConfigError, echo
 
 __all__ = ["ParamSet", "TABLE2_ESTIMATED", "TABLE2_BASELINE", "PARAM_NAMES", "rates_of", "rules", "valid"]
 
@@ -87,7 +87,10 @@ class ParamSet:
                     object.__setattr__(self, name, float(value))
                 except (TypeError, ValueError):
                     raise ConfigError(f"parameter {name!r} must be a number, "
-                                      f"got {shorten(repr(value))}") from None
+                                      f"got {echo(value)}") from None
+                except OverflowError:  # an int past a double
+                    raise ConfigError(f"parameter {name!r} must be strictly positive and finite, "
+                                      f"got {echo(value)}") from None
         kept = rules(self)
         if not all(kept):
             k = kept.index(False)

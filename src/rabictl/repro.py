@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, is_count, shorten
+from .errors import ConfigError, NoEndemicEquilibriumError, NumericError, echo, is_count
 from .model import (
     DEFAULT_SEEDING, ZERO_CONTROL, ControlConst, StateVec, _control_factors, force_terms, jacobian,
     rhs, seeded_state,
@@ -215,7 +215,7 @@ class ReGrid:
 def _axis_values(lo: float, hi: float, n: int) -> tuple[float, ...]:
     # every point is one CSV row: 10^6 rows take seconds to write
     if not is_count(n, 1, 1000):
-        raise ConfigError(f"axis needs at least one point and at most 1000, got {shorten(repr(n))}")
+        raise ConfigError(f"axis needs at least one point and at most 1000, got {echo(n)}")
     if n == 1:
         return (lo,)
     step = (hi - lo) / (int(n) - 1)  # a numpy count would make the values numpy floats
@@ -231,13 +231,13 @@ def re_grid(
     """The closed-form Re over a Cartesian axis1 x axis2 grid, in one ``effective_r`` call on arrays."""
     name1, name2 = axis1[0], axis2[0]
     if name1 == name2:
-        raise ConfigError(f"both axes name {shorten(repr(name1))}; a grid needs two different axes")
+        raise ConfigError(f"both axes name {echo(name1)}; a grid needs two different axes")
     vals1, vals2 = _axis_values(*axis1[1:]), _axis_values(*axis2[1:])
     fields = {**p.as_dict(), **base_u._asdict()}
     for name in (name1, name2):
         if name not in fields:
             raise ConfigError(
-                f"unknown axis name {shorten(repr(name))}: expected u1..u4 or a parameter name")
+                f"unknown axis name {echo(name)}: expected u1..u4 or a parameter name")
     fields[name1], fields[name2] = np.array(vals1)[:, None], np.array(vals2)
     q = SimpleNamespace(**fields)
     kept = np.broadcast_to(valid(q), (len(vals1), len(vals2)))

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
-from .errors import ConfigError, DegenerateInputError, StudyError, is_count, shorten
+from .errors import ConfigError, DegenerateInputError, StudyError, echo, is_count, is_finite
 from .integrate import TimeGrid, _march, rk4_step
 from .model import ZERO_CONTROL, ControlConst, StateVec
 from .params import PARAM_NAMES, ParamSet, rates_of, valid
@@ -63,15 +63,15 @@ class ParamRange:
 
     def __post_init__(self) -> None:
         if self.name not in PARAM_NAMES:
-            raise ConfigError(f"unknown parameter name {shorten(repr(self.name))}")
+            raise ConfigError(f"unknown parameter name {echo(self.name)}")
         if self.kind == "uniform":
-            if not 0.0 <= self.a < self.b < np.inf:
+            if not (is_finite(self.a) and is_finite(self.b) and 0.0 <= self.a < self.b):
                 raise ConfigError(f"uniform range for {self.name} needs 0 <= lo < hi < inf")
         elif self.kind == "normal":
-            if not (abs(self.a) < np.inf and 0.0 < self.b < np.inf):
+            if not (is_finite(self.a) and is_finite(self.b) and self.b > 0.0):
                 raise ConfigError(f"normal range for {self.name} needs a finite mean and sd > 0")
         else:
-            raise ConfigError(f"unknown distribution kind {self.kind!r}")
+            raise ConfigError(f"unknown distribution kind {echo(self.kind)}")
 
     def ppf(self, q: np.ndarray) -> np.ndarray:
         if self.kind == "uniform":
@@ -86,7 +86,7 @@ class ParamRange:
 def uniform_ranges(p: ParamSet, rel: float = 0.25, names: Sequence[str] | None = None) -> list[ParamRange]:
     """Uniform ranges at +/- ``rel`` around the values of ``p`` (the default)."""
     if not 0.0 < rel < 1.0:
-        raise ConfigError(f"relative range must lie in (0, 1), got {rel}")
+        raise ConfigError(f"relative range must lie in (0, 1), got {echo(rel)}")
     values = p.as_dict()  # an unknown name gets 1.0 here, and ParamRange refuses it
     return [ParamRange(name, "uniform", (1.0 - rel) * values.get(name, 1.0),
                        (1.0 + rel) * values.get(name, 1.0))
@@ -139,10 +139,10 @@ def normal_ranges(names: Sequence[str] | None = None) -> list[ParamRange]:
 def lhs_sample(ranges: Sequence[ParamRange], N: int, seed: int) -> np.ndarray:
     """Latin hypercube sample, shape (N, P), deterministic for a given seed."""
     if not is_count(N, 2, 10**6):
-        raise ConfigError(f"LHS needs 2 <= N <= 10**6, got {shorten(repr(N))}")
+        raise ConfigError(f"LHS needs 2 <= N <= 10**6, got {echo(N)}")
     if len(ranges) < 1 or not is_count(seed, 0):
         raise ConfigError(f"LHS needs a parameter range and a seed >= 0, "
-                          f"got {len(ranges)}, {shorten(repr(seed))}")
+                          f"got {len(ranges)}, {echo(seed)}")
     rng = np.random.default_rng(seed)
     out = np.empty((N, len(ranges)))
     for j, r in enumerate(ranges):
@@ -284,7 +284,7 @@ def prcc_study(
         raise ConfigError("a study needs at least one output and one sample time")
     for i, o in enumerate(outputs):
         if o not in StateVec._fields:
-            raise ConfigError(f"unknown output {shorten(repr(o))}")
+            raise ConfigError(f"unknown output {echo(o)}")
         if o in outputs[:i]:
             raise ConfigError(f"output {o!r} is named twice")
     names = tuple(r.name for r in ranges)

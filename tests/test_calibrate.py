@@ -176,10 +176,11 @@ def lsq_config(names, bounds, x0, **kw):
 
 def test_evaluation_budget_accepts_a_numpy_integer():
     results = [least_squares_fit(
-        lambda v: [10.0 * (v[1] - v[0] ** 2), -v[0]], [0.0, -1.0],
+        lambda v: ([10.0 * (v[1] - v[0] ** 2), -v[0]], lambda: [[-20.0 * v[0], 10.0], [-1.0, 0.0]]),
+        [0.0, -1.0],
         lsq_config(["theta1", "theta2"], {"theta1": (-5.0, 5.0), "theta2": (-5.0, 5.0)},
-                   {"theta1": -1.2, "theta2": 1.0}, max_evals=budget),
-        lambda v: [[-20.0 * v[0], 10.0], [-1.0, 0.0]]) for budget in (np.int64(5), 5)]
+                   {"theta1": -1.2, "theta2": 1.0}, max_evals=budget))
+        for budget in (np.int64(5), 5)]
     assert results[0].evals == results[1].evals == 5  # the budget stops the Rosenbrock fit
     assert results[0] == results[1]
 
@@ -187,7 +188,7 @@ def test_evaluation_budget_accepts_a_numpy_integer():
 def test_lsq_quadratic():
     for tol in (1e-6, 0.0):  # a tol of 0 is below rounding: scipy must not warn of it
         cfg = lsq_config(["theta1"], {"theta1": (-10.0, 10.0)}, {"theta1": 0.0}, tol=tol)
-        result = least_squares_fit(lambda v: [v[0]], [3.0], cfg, lambda v: [[1.0]])
+        result = least_squares_fit(lambda v: ([v[0]], lambda: [[1.0]]), [3.0], cfg)
         assert result.converged and abs(result.estimates["theta1"] - 3.0) < 1e-6
         assert result.at_bound == ()
 
@@ -200,8 +201,9 @@ def test_lsq_rosenbrock():
         {"theta1": -1.2, "theta2": 1.0},
         max_evals=2000,
     )
-    result = least_squares_fit(lambda v: [10.0 * (v[1] - v[0] ** 2), -v[0]], [0.0, -1.0], cfg,
-                               lambda v: [[-20.0 * v[0], 10.0], [-1.0, 0.0]])
+    result = least_squares_fit(lambda v: ([10.0 * (v[1] - v[0] ** 2), -v[0]],
+                                          lambda: [[-20.0 * v[0], 10.0], [-1.0, 0.0]]),
+                               [0.0, -1.0], cfg)
     assert result.converged and result.evals <= 2000
     x = result.estimates
     assert abs(x["theta1"] - 1.0) < 1e-4 and abs(x["theta2"] - 1.0) < 1e-4
@@ -213,7 +215,7 @@ def test_lsq_never_worse_than_start():
                      {"theta1": 2.0, "theta2": -1.0}, max_evals=60)
     predict = lambda v: [np.sin(3 * v[0]), v[1], 0.3 * v[0]]
     jac = lambda v: [[3 * np.cos(3 * v[0]), 0.0], [0.0, 1.0], [0.3, 0.0]]
-    result = least_squares_fit(predict, [0.0, 0.0, 0.0], cfg, jac)
+    result = least_squares_fit(lambda v: (predict(v), lambda: jac(v)), [0.0, 0.0, 0.0], cfg)
     assert result.mse <= mse([0.0, 0.0, 0.0], predict(np.array([2.0, -1.0])))
     assert result.predicted == tuple(predict(np.array(list(result.estimates.values()))))
 
@@ -222,7 +224,7 @@ def test_lsq_estimates_respect_bounds():
     # the unconstrained minimum at 3 lies outside the box; every iterate stays strictly
     # inside it, and the active bound is reported
     cfg = lsq_config(["theta1"], {"theta1": (0.0, 2.0)}, {"theta1": 1.0}, max_evals=400)
-    result = least_squares_fit(lambda v: [v[0]], [3.0], cfg, lambda v: [[1.0]])
+    result = least_squares_fit(lambda v: ([v[0]], lambda: [[1.0]]), [3.0], cfg)
     assert 0.0 <= result.estimates["theta1"] <= 2.0
     assert result.estimates["theta1"] == pytest.approx(2.0, abs=1e-5)
     assert result.at_bound == ("theta1",)
@@ -235,12 +237,12 @@ def test_lsq_nonfinite_start_raises():
     for value in (float("nan"), float("inf")):
         calls = []
 
-        def predict(v):
+        def model(v):
             calls.append(v)
-            return [value, 1.0]
+            return [value, 1.0], lambda: np.zeros((2, 2))
 
         with pytest.raises(NumericError, match="not finite at the start"):
-            least_squares_fit(predict, [0.0, 0.0], cfg, lambda v: np.zeros((2, 2)))
+            least_squares_fit(model, [0.0, 0.0], cfg)
         assert len(calls) == 1  # the start, nothing more
 
 
@@ -250,9 +252,9 @@ def test_lsq_overflowing_sum_of_squares_at_start_names_it():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="sum of squared residuals overflows at the start"):
-            least_squares_fit(lambda v: [1e200, 1e200], [0.0, 0.0], cfg, lambda v: [[0.0]] * 2)
+            least_squares_fit(lambda v: ([1e200, 1e200], lambda: [[0.0]] * 2), [0.0, 0.0], cfg)
         with pytest.raises(NumericError, match="residuals are not finite at the start"):
-            least_squares_fit(lambda v: [math.inf, 1e200], [0.0, 0.0], cfg, lambda v: [[0.0]] * 2)
+            least_squares_fit(lambda v: ([math.inf, 1e200], lambda: [[0.0]] * 2), [0.0, 0.0], cfg)
 
 
 def test_lsq_nonfinite_jacobian_raises_without_warning():
@@ -260,16 +262,14 @@ def test_lsq_nonfinite_jacobian_raises_without_warning():
     cfg = lsq_config(["theta1", "theta2"], {"theta1": (-10.0, 10.0), "theta2": (-10.0, 10.0)},
                      {"theta1": 0.0, "theta2": 0.0})
 
-    def predict(v):
-        return [math.inf] * 2 if v[0] > 0.0 else [v[0], v[1]]
-
-    def jac(v):
-        return [[math.inf if v[0] >= 0.0 else 1.0, 0.0], [0.0, 1.0]]
+    def model(v):
+        jac = [[math.inf if v[0] >= 0.0 else 1.0, 0.0], [0.0, 1.0]]
+        return [math.inf] * 2 if v[0] > 0.0 else [v[0], v[1]], lambda: jac
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="Jacobian is not finite"):
-            least_squares_fit(predict, [2.0, 1.0], cfg, jac)
+            least_squares_fit(model, [2.0, 1.0], cfg)
 
 
 # Free parameters whose effect on I_H a central difference of the march resolves. M saturates
@@ -441,6 +441,12 @@ def test_fit_grid_error_is_config_error(p_est):
     data = IncidenceSeries((1990, 1991, 1992), (5.0, 6.0, 7.0))
     with pytest.raises(ConfigError, match="n_steps"):
         fit(data, cfg, p_est, seeded_state(p_est, 20.0, 50.0))
+
+
+def test_subnormal_step_is_config_error(p_est):
+    # 28 years over 5e-324 is an inf step count, which round() refused with OverflowError
+    with pytest.raises(ConfigError, match="n_steps = inf Euler steps; at most 1000000"):
+        predict_incidence(p_est, seeded_state(p_est), (1990, 2018), dt=5e-324)
 
 
 def test_euler_prediction_of_rk4_data_near_zero_mse(p_est):

@@ -1,16 +1,19 @@
 """End-to-end CLI behaviour: artifacts, determinism and exit codes."""
 
-import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +27,7 @@ from rabictl.cli import (
     _HANDLERS, OUTDIR_ENV, _config_schema, _OrNull, build_parser, main, resolve_config,
 )
 from rabictl.errors import ConfigError, IntegrationBlowupError
-from rabictl.model import StateVec
-from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED
+from rabictl.params import TABLE2_ESTIMATED
 
 
 def run(tmp_path, label, *args):
@@ -534,127 +536,7 @@ def test_non_finite_weight_is_config_error(tmp_path, capsys, assignment, name):
     assert "configuration error" in err and name in err
 
 
-FUZZ_KEYS = (
-    *(f"weights.{k}" for k in ("K1", "K2", "K3", "K4", "K5", "K6", "A1", "A2", "A3", "A4")),
-    "sweep.omega", "sweep.tol", "sweep.max_iter",
-    *(f"controls.u{i}" for i in range(1, 5)),
-    "grid.n_steps",
-)
-FUZZ_VALUES = (math.nan, math.inf, -1, 0, 1e300, "abc", [], {}, True, "1")
-NON_FINITE = re.compile("nan|inf", re.IGNORECASE)
-
-
-def reject_constant(token):
-    raise AssertionError(f"non-finite number {token} in a JSON artifact")
-
-
-def check_run(code, made, codes):
-    """``code`` is one of ``codes``, a success left one run directory in ``made`` and a failure
-    none, and no CSV or JSON artifact holds a non-finite number."""
-    assert code in codes
-    assert len(made) == (1 if code == 0 else 0)
-    for artifact in made[0].iterdir() if made else []:
-        if artifact.suffix == ".json":  # a key such as seed_infected would match NON_FINITE
-            json.loads(artifact.read_text(), parse_constant=reject_constant)
-        else:
-            assert not NON_FINITE.search(artifact.read_text()), artifact.name
-
-
-def fuzz_run(tmp_path_factory, *argv, codes=(0, 2, 3)):
-    """Run the CLI once under its own --outdir, check the run as ``check_run`` does, and
-    check that a failed run printed nothing on stdout."""
-    outdir = tmp_path_factory.mktemp("fuzz")
-    with contextlib.redirect_stdout(io.StringIO()) as stdout:
-        code = main(["--outdir", str(outdir), *argv])
-    check_run(code, list(outdir.iterdir()), codes)
-    assert code == 0 or stdout.getvalue() == ""
-
-
-@settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
-@example(key="grid.n_steps", value=math.inf)  # int(inf) raised OverflowError past main
-@example(key="grid.n_steps", value=1e300)  # a 1e300-step grid was built node by node
-@example(key="sweep.max_iter", value=-1)  # ran no sweep iteration and exited 0
-def test_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
-    fuzz_run(tmp_path_factory, "--set", "grid.n_steps=20", "--set", f"{key}={json.dumps(value)}",
-             "optimize")
-
-
-PRCC_FUZZ_KEYS = tuple(f"sensitivity.{k}" for k in (
-    "N", "seed", "rel_range", "distribution", "preset", "seed_exposed", "seed_infected", "M0",
-    "outputs", "sample_times", "grid", "grid.t0", "grid.tf", "grid.n_steps"))
-
-
-@settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(PRCC_FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
-@example(key="sensitivity.N", value=1e300)  # LHS of 10^300 rows raised ValueError past main
-@example(key="sensitivity.seed", value=-1)  # default_rng(-1) raised ValueError past main
-@example(key="sensitivity.rel_range", value=math.inf)  # infinite bounds sampled NaN with a warning
-def test_prcc_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
-    fuzz_run(tmp_path_factory, "--set", "sensitivity.N=40", "--set", "sensitivity.grid.n_steps=20",
-             "--set", f"{key}={json.dumps(value)}", "prcc")
-
-
-FIT_FUZZ_KEYS = tuple(f"fit.{k}" for k in (
-    "data", "free", "bounds", "x0", "dt", "max_evals", "tol", "seed_exposed", "seed_infected"))
-
-
-@settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(FIT_FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
-@example(key="fit.data", value=1e300)  # open(1e300) raised TypeError past main
-@example(key="fit.data", value=0)  # open(0) read the process's standard input
-def test_fit_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
-    # a string fit.data names a file that does not exist: exit 4
-    fuzz_run(tmp_path_factory, "--set", "fit.max_evals=5", "--set", "fit.dt=0.05",
-             "--set", f"{key}={json.dumps(value)}", "fit", codes=(0, 2, 3, 4))
-
-
-REFF_FUZZ_KEYS = tuple(f"reff.{axis}{field}" for axis in ("axis1", "axis2")
-                       for field in ("", ".name", ".lo", ".hi", ".n"))
-
-
-@settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(REFF_FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
-# Do not run this test on a version without the 1000-point axis limit: there n=1e300
-# builds a 10^300-point axis, which exhausts memory.
-@example(key="reff.axis1.n", value=1e300)
-def test_reff_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value):
-    fuzz_run(tmp_path_factory, "--set", 'reff.axis1={"name":"u2","lo":0,"hi":1,"n":3}',
-             "--set", 'reff.axis2={"name":"psi1","lo":1e-5,"hi":2e-4,"n":3}',
-             "--set", f"{key}={json.dumps(value)}", "reff")
-
-
-@settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(("preset", *PARAM_NAMES)), value=st.sampled_from(FUZZ_VALUES),
-       command=st.sampled_from(("simulate", "reff")))
-@example(key="psi2", value=1e300, command="reff")  # wrote Re = Infinity to reff.json
-def test_parameters_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value, command):
-    fuzz_run(tmp_path_factory, "--set", "grid.n_steps=20",
-             "--set", f"parameters.{key}={json.dumps(value)}", command)
-
-
-STATE_FUZZ_KEYS = ("initial_state", *(f"initial_state.{k}" for k in StateVec._fields))
-
-
-@settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(STATE_FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES),
-       command=st.sampled_from(("simulate", "optimize")))
-@example(key="initial_state.S_H", value=1e300, command="optimize")  # (M+C)**2 raised OverflowError
-def test_initial_state_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, key, value, command):
-    # the march's clamp and finiteness checks see these states first
-    fuzz_run(tmp_path_factory, "--set", "grid.n_steps=20", "--set", f"{key}={json.dumps(value)}",
-             command)
-
-
-@pytest.mark.parametrize("value", FUZZ_VALUES)
-@pytest.mark.parametrize("block, command", [
-    ("grid", "optimize"), ("sweep", "optimize"), ("sensitivity", "prcc"), ("fit", "fit"),
-])
-def test_whole_block_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, block, command, value):
-    fuzz_run(tmp_path_factory, "--set", f"{block}={json.dumps(value)}", command)
-
-
-@pytest.mark.parametrize("value", FUZZ_VALUES)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1, 0, 1e300, "abc", [], {}, True, "1"])
 def test_output_dir_set_fuzz_ends_in_documented_exit_code(tmp_path, monkeypatch, value):
     # no --outdir: the run directory goes under output_dir, relative to the working directory
     monkeypatch.chdir(tmp_path)
@@ -759,6 +641,124 @@ def test_handlers_write_nothing(tmp_path, monkeypatch, label):
     assert list(tmp_path.iterdir()) == []
     assert set(made) == artifacts
     assert re.fullmatch(summary.replace("{run}", re.escape(str(run_dir))), said), said
+
+
+def hostile(shape):
+    """The hostile values of a leaf of ``shape``'s kind."""
+    if isinstance(shape, list):  # empty, one hostile item, an item given twice
+        return [[], *([v] for v in hostile(shape[0])), [shape[0]] * 2]
+    if isinstance(shape, tuple):  # a [lo, hi] pair reversed, or with both ends equal
+        return [[2.0, 1.0], [1.0, 1.0]]
+    return ["", "abc", "1"] if isinstance(shape, str) else [
+        math.nan, -1, 0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308]
+
+
+def finite(token):
+    """Whether ``token``, a number or a name in an artifact, is no NaN or infinity."""
+    with suppress(ValueError):  # a name, such as a parameter's
+        return math.isfinite(float(token))
+    return True
+
+
+def check_run(code, made, codes):
+    """``code`` is one of ``codes``; a success left one run directory in ``made``, a failure none,
+    and each artifact parses (JSON, and CSV rows as long as their header) to finite numbers."""
+    assert code in codes and len(made) == (code == 0)
+    for artifact in made[0].iterdir() if made else []:
+        if artifact.suffix == ".json":  # dumps refuses a NaN or infinity that loads read
+            json.dumps(json.loads(artifact.read_text()), allow_nan=False)
+            continue
+        header, *rows = csv.reader(artifact.read_text().splitlines())
+        assert all(len(row) == len(header) and all(map(finite, row)) for row in rows), artifact
+
+
+# The guard: each schema key, leaf or block, alone on the run that reads it, and two or three
+# keys drawn together on any run, each with the hostile values of its kind.
+LEAVES = {".".join(path): hostile(shape) for path, shape, _ in schema_leaves(_config_schema())}
+HOSTILE = {**{key.rsplit(".", i)[0]: (None, {}, {"bogus": 1.0}, [])  # each block of a leaf
+              for key in LEAVES for i in range(1, key.count(".") + 1)}, **LEAVES}
+FUZZ_RUNS = {label: argv for label, (argv, _, _) in PROTOCOL_RUNS.items()}  # the command last
+READERS = {"parameters": "reff-point", "initial_state": "simulate", "grid": "optimize",
+           "controls": "simulate", "weights": "optimize", "sweep": "optimize", "reff": "reff-grid",
+           "sensitivity": "prcc", "fit": "fit", "output_dir": "reff-point"}
+
+
+def fuzz_run(tmp_path_factory, label, sets):
+    """Run ``FUZZ_RUNS[label]`` with ``sets`` as --set; a failure prints one line, on stderr."""
+    *base, command = FUZZ_RUNS[label]
+    argv = [*base, *(a for key, value in sets for a in ("--set", f"{key}={json.dumps(value)}"))]
+    outdir = tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())  # mktemp scans every sibling
+    try:
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+            code = main(["--outdir", outdir, *argv, command])
+        check_run(code, list(Path(outdir).iterdir()), (0, 2, 3, 4))
+        assert code == 0 or (out.getvalue(), err.getvalue().count("\n")) == ("", 1)
+    except Exception as exc:  # a traceback, too, is no documented exit
+        raise AssertionError(f"{label} with {sets} broke the guard") from exc
+
+
+@pytest.mark.parametrize("key", HOSTILE)
+def test_hostile_value_of_each_key_ends_in_documented_exit(tmp_path_factory, key):
+    for value in HOSTILE[key]:
+        fuzz_run(tmp_path_factory, READERS[key.split(".")[0]], [(key, value)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(label=st.sampled_from(list(FUZZ_RUNS)), sets=st.lists(st.sampled_from(
+    [(key, value) for key, values in HOSTILE.items() for value in values]), min_size=2, max_size=3))
+@example("optimize", [("grid.n_steps", math.inf)])  # int(inf) raised OverflowError past main
+@example("optimize", [("grid.n_steps", 1e300)])  # a 1e300-step grid was built node by node
+@example("optimize", [("sweep.max_iter", -1)])  # ran no sweep iteration and exited 0
+@example("prcc", [("sensitivity.N", 1e300)])  # LHS of 10^300 rows raised ValueError past main
+@example("prcc", [("sensitivity.seed", -1)])  # default_rng(-1) raised ValueError past main
+@example("prcc", [("sensitivity.rel_range", math.inf)])  # infinite bounds sampled NaN with a warning
+@example("fit", [("fit.data", 1e300)])  # open(1e300) raised TypeError past main
+@example("fit", [("fit.data", 0)])  # open(0) read the process's standard input
+# Do not run this test on a version without the 1000-point axis limit: there n=1e300
+# builds a 10^300-point axis, which exhausts memory.
+@example("reff-grid", [("reff.axis1.n", 1e300)])
+@example("reff-point", [("parameters.psi2", 1e300)])  # wrote Re = Infinity to reff.json
+@example("optimize", [("initial_state.S_H", 1e300)])  # (M+C)**2 raised OverflowError
+def test_hostile_keys_drawn_together_end_in_documented_exit(tmp_path_factory, label, sets):
+    fuzz_run(tmp_path_factory, label, sets)
+
+
+def run_bytes(tmp_path_factory, *argv):
+    """The exit code and every artifact's bytes of one CLI run under its own --outdir."""
+    outdir = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["--outdir", str(outdir), *argv])
+    return code, {f.name: f.read_bytes() for run in outdir.iterdir() for f in run.iterdir()}
+
+
+@pytest.mark.parametrize("label", FUZZ_RUNS)
+def test_setting_keys_to_their_values_changes_no_byte(tmp_path_factory, label):
+    """``--set key=<its value>`` for every leaf the run's config holds, a default of
+    ``_default_config`` or a value the run sets, writes the bytes of the run without them."""
+    *base, command = FUZZ_RUNS[label]
+    given, sets = resolve_config(None, base[1::2])[1], []
+    for path, _, _ in schema_leaves(_config_schema()):
+        with suppress(KeyError, TypeError):  # an override map's key, or one under a null block
+            value = functools.reduce(operator.getitem, path, given)
+            sets += ["--set", f"{'.'.join(path)}={json.dumps(value)}"]
+    plain = run_bytes(tmp_path_factory, *base, command)
+    assert plain[0] == 0 and run_bytes(tmp_path_factory, *base, *sets, command) == plain, sets
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(label=st.sampled_from(list(FUZZ_RUNS)),
+       case=st.sampled_from([(key, value) for key, values in LEAVES.items() for value in values]))
+def test_set_writes_what_a_config_file_writes(tmp_path_factory, label, case):
+    """``--set key=value`` writes the bytes of a config file that holds only that value. A --set
+    of a block replaces it while a file merges, so this holds for leaves; the run's own --set
+    values go after either."""
+    key, value = case
+    config = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / "config.json"
+    config.write_text(json.dumps(functools.reduce(lambda v, k: {k: v}, reversed(key.split(".")),
+                                                  value)))
+    run = FUZZ_RUNS[label]
+    assert run_bytes(tmp_path_factory, "--set", f"{key}={json.dumps(value)}", *run) == (
+        run_bytes(tmp_path_factory, "--config", str(config), *run))
 
 
 def test_readme_library_example_runs(capsys):
@@ -989,7 +989,10 @@ def test_fit_with_non_finite_start_is_numeric_error(tmp_path, capsys):
     (("fit.seed_exposed=-1",), "state component E_F is negative or not finite: -1.0"),
     (('fit.x0={"theta1":0.01,"tau1":0.0004,"beta1":0.17}',),
      "recruitment theta1 must exceed mortality mu1"),
-], ids=["year-off-grid", "negative-seeding", "x0-below-mortality"])
+    # an inf step count raised OverflowError in round()
+    (("fit.dt=5e-324",), "fit.dt = 5e-324 cuts the 28 years observed into n_steps = inf Euler "
+                         "steps; at most 1000000"),
+], ids=["year-off-grid", "negative-seeding", "x0-below-mortality", "subnormal-dt"])
 def test_fit_start_point_config_error_is_not_numeric(tmp_path, capsys, argv, message):
     """An error that does not depend on the free parameters exits 2 before the fit starts,
     not 3 as residuals that are not finite at the start point."""

@@ -359,8 +359,10 @@ def test_backward_matches_reference_stage_loop(p_est, default_state):
 
 @pytest.mark.parametrize("march", ["rk4", "euler", "batch"])
 def test_marches_call_rhs_once_per_stage(p_est, default_state, monkeypatch, march):
-    """perfbench counts ``model.rhs.calls`` through the module global ``integrate.rhs``; a
-    PRCC batch makes one call per stage for all of its rows."""
+    """A march reads the module global ``integrate.rhs`` at call time, so a wrapper installed
+    after import (perfbench's ``model.rhs.calls`` counter) sees every stage: 4 calls a step for
+    RK4 and 1 for Euler, and a PRCC batch one per stage for all of its rows. A trajectory holds
+    its states as one read-only (n_nodes, 12) array."""
     calls = []
 
     def counting_rhs(*args):
@@ -369,15 +371,16 @@ def test_marches_call_rhs_once_per_stage(p_est, default_state, monkeypatch, marc
 
     monkeypatch.setattr(integrate, "rhs", counting_rhs)
     grid = TimeGrid(0.0, 2.0, 37)
-    if march == "rk4":
-        rk4_forward(p_est, ControlPath.constant(grid, ControlConst(0.1, 0.2, 0.3, 0.4)),
-                    default_state)
-    elif march == "euler":
-        euler_forward(p_est, default_state, grid)
-    else:
+    if march == "batch":
         rows = _simulate_rows(np.array([[0.9 * p_est.tau1], [1.1 * p_est.tau1]]), ("tau1",),
                               p_est, default_state, grid, (0, 20, 37), ("I_H",))
         assert all(r is not None for r in rows)
+    else:
+        traj = (euler_forward(p_est, default_state, grid) if march == "euler" else rk4_forward(
+            p_est, ControlPath.constant(grid, ControlConst(0.1, 0.2, 0.3, 0.4)), default_state))
+        assert traj.values.shape == (grid.n_nodes, 12) and not traj.values.flags.writeable
+        with pytest.raises(ValueError):
+            traj.values[0, 0] = 1.0
     assert len(calls) == (1 if march == "euler" else 4) * grid.n_steps
 
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rabictl.calibrate import FitConfig, IncidenceSeries
 from rabictl.errors import ConfigError
 from rabictl.model import (
     DEFAULT_SEEDING, ControlConst, StateVec, ZERO_CONTROL, _transitions, force_terms, jacobian, rhs,
@@ -12,8 +13,10 @@ from rabictl.model import (
 )
 from rabictl import integrate
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
+from rabictl.optctl import Weights
 from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED, ParamSet, rates_of
 from rabictl.repro import effective_r
+from rabictl.sensitivity import ParamRange
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 controls = st.floats(min_value=0.0, max_value=1.0)
@@ -65,6 +68,43 @@ def test_replace_never_keeps_stale_rates(mu1):
 def test_non_number_parameter_is_config_error(value):
     with pytest.raises(ConfigError, match="parameter 'tau1' must be a number, got "):
         TABLE2_ESTIMATED.replace(tau1=value)
+
+
+def entry_points(value):
+    """Each library entry point that takes a number, given ``value`` in one of its fields."""
+    fit = {"free": ("theta1",), "bounds": {"theta1": (1.0, 3.0)}, "x0": {"theta1": 2.0}}
+    return [
+        lambda: TimeGrid(value, 1.0, 10), lambda: TimeGrid(0.0, value, 10),
+        lambda: TimeGrid(0.0, 1.0, value), lambda: Weights(K1=value), lambda: Weights(A4=value),
+        lambda: FitConfig(**fit, tol=value), lambda: FitConfig(**fit, dt=value),
+        lambda: FitConfig(**{**fit, "bounds": {"theta1": (value, 3.0)}}),
+        lambda: FitConfig(**{**fit, "bounds": {"theta1": (1.0, value)}}),
+        lambda: FitConfig(**{**fit, "x0": {"theta1": value}}),
+        lambda: ParamRange("tau1", "uniform", value, 1.0),
+        lambda: ParamRange("tau1", "uniform", 0.0, value),
+        lambda: ParamRange("tau1", "normal", value, 1.0),
+        lambda: ParamRange("tau1", "normal", 1.0, value),
+        lambda: TABLE2_ESTIMATED.replace(tau1=value), lambda: ControlConst(u3=value).validate(),
+        lambda: seeded_state(TABLE2_ESTIMATED)._replace(M=value).validate(),
+        lambda: ControlPath(TimeGrid(0.0, 1.0, 1), [[0.0, value, 0.0, 0.0]] * 2),
+        lambda: IncidenceSeries((1990, value), (1.0, 2.0)),
+        lambda: IncidenceSeries((1990, 1991), (value, 2.0)),
+    ]
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(value=st.one_of(st.floats(), st.sampled_from(
+    [sign * n for sign in (1, -1) for n in (2**1024, 10**400, 10**5000)])))
+@example(10**400)  # overflowed in TimeGrid, ParamSet and ControlPath; other entry points took it
+@example(-10**5000)  # past repr's 4300 digits: echoing it in a message raised ValueError
+def test_any_number_is_returned_or_config_error(value):
+    """A float, or an int past a double, which passes ``0 <= value < inf`` and then overflows,
+    is accepted or refused with ConfigError by every entry point, never another exception."""
+    for build in entry_points(value):
+        try:
+            build()
+        except ConfigError:
+            pass
 
 
 def assert_float_fields(p):
