@@ -536,7 +536,10 @@ def test_non_finite_weight_is_config_error(tmp_path, capsys, assignment, name):
     assert "configuration error" in err and name in err
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1, 0, 1e300, "abc", [], {}, True, "1"])
+WRONG_KIND = (math.nan, math.inf, -1, 0, 1e300, "abc", [], {}, True, "1")  # for a block or a path
+
+
+@pytest.mark.parametrize("value", WRONG_KIND)
 def test_output_dir_set_fuzz_ends_in_documented_exit_code(tmp_path, monkeypatch, value):
     # no --outdir: the run directory goes under output_dir, relative to the working directory
     monkeypatch.chdir(tmp_path)
@@ -697,10 +700,48 @@ def fuzz_run(tmp_path_factory, label, sets):
         raise AssertionError(f"{label} with {sets} broke the guard") from exc
 
 
-@pytest.mark.parametrize("key", HOSTILE)
-def test_hostile_value_of_each_key_ends_in_documented_exit(tmp_path_factory, key):
-    for value in HOSTILE[key]:
-        fuzz_run(tmp_path_factory, READERS[key.split(".")[0]], [(key, value)])
+BLOCKS = dict.fromkeys(key.split(".")[0] for key in LEAVES if "." in key)
+# the blocks with a sweep test of their own; test_set_fuzz_… sweeps every other key
+OWN_SWEEPS = ("parameters", "initial_state", "sensitivity", "fit", "reff")
+
+
+def sweep(tmp_path_factory, blocks):
+    """Each key of ``HOSTILE`` in ``blocks``, alone with each of its values, on the run that reads
+    its block."""
+    for key, values in HOSTILE.items():
+        if key.split(".")[0] in blocks:
+            for value in values:
+                fuzz_run(tmp_path_factory, READERS[key.split(".")[0]], [(key, value)])
+
+
+def test_set_fuzz_ends_in_documented_exit_code(tmp_path_factory):
+    sweep(tmp_path_factory, {key.split(".")[0] for key in HOSTILE} - set(OWN_SWEEPS))
+
+
+def test_parameters_set_fuzz_ends_in_documented_exit_code(tmp_path_factory):
+    sweep(tmp_path_factory, {"parameters"})
+
+
+def test_initial_state_set_fuzz_ends_in_documented_exit_code(tmp_path_factory):
+    sweep(tmp_path_factory, {"initial_state"})
+
+
+def test_prcc_set_fuzz_ends_in_documented_exit_code(tmp_path_factory):
+    sweep(tmp_path_factory, {"sensitivity"})
+
+
+def test_fit_set_fuzz_ends_in_documented_exit_code(tmp_path_factory):
+    sweep(tmp_path_factory, {"fit"})
+
+
+def test_reff_set_fuzz_ends_in_documented_exit_code(tmp_path_factory):
+    sweep(tmp_path_factory, {"reff"})
+
+
+@pytest.mark.parametrize("value", WRONG_KIND)
+@pytest.mark.parametrize("block, label", [(block, READERS[block]) for block in BLOCKS])
+def test_whole_block_set_fuzz_ends_in_documented_exit_code(tmp_path_factory, block, label, value):
+    fuzz_run(tmp_path_factory, label, [(block, value)])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
