@@ -75,7 +75,7 @@ class IncidenceSeries:
 
 
 def _check_euler_step(dt: float) -> None:
-    if not 0.0 < dt <= 0.05:
+    if not (is_finite(dt) and 0.0 < dt <= 0.05):
         raise ConfigError(f"Euler step dt must lie in (0, 0.05] year, got {echo(dt)}")
 
 
@@ -112,10 +112,13 @@ class FitConfig:
                 raise ConfigError(f"missing start value for free parameter {name!r}")
             if name not in self.bounds:
                 raise ConfigError(f"missing bounds for free parameter {name!r}")
-            lo, hi = self.bounds[name]
+            try:
+                lo, hi = self.bounds[name]
+            except (TypeError, ValueError):  # not a pair
+                lo = hi = None
             if not (is_finite(lo) and is_finite(hi) and lo < hi):
                 raise ConfigError(f"bounds for {name} need lo < hi, both finite")
-            if not lo < self.x0[name] < hi:
+            if not (is_finite(self.x0[name]) and lo < self.x0[name] < hi):
                 raise ConfigError(f"start value for {name} must lie strictly inside bounds")
 
 

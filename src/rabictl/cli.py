@@ -16,9 +16,9 @@ configuration as given.
 and names the run directory, ``<root>/<command>-<start stamp>``; the handler
 solves and returns its summary line and its artifacts, an ordered map from
 file name to a JSON payload or a CSV ``(header, rows)`` table, and touches no
-file. Only then does ``main`` create the run directory, write each artifact
-and ``config.json`` there through ``integrate.write_csv``/``write_json``, and
-print the summary. A failed run leaves no run directory and nothing on stdout.
+file. Only then does ``main`` create the run directory, write each artifact and
+``config.json`` there through ``write_csv``/``write_json``, the artifact format,
+and print the summary. A failed run leaves no run directory and nothing on stdout.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 IO error.
 
@@ -36,12 +36,15 @@ import math
 import os
 import sys
 from datetime import datetime
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import optctl, repro
 from .errors import ConfigError, NumericError, echo, is_finite, shorten
-from .integrate import ControlPath, TimeGrid, node_rows, rk4_forward, write_csv, write_json
+from .integrate import ControlPath, TimeGrid, rk4_forward
 from .model import DEFAULT_SEEDING, ControlConst, StateVec, seeded_state
 from .params import PARAM_NAMES, PRESETS, ParamSet
 
@@ -252,6 +255,35 @@ def _build_state(config: dict, p: ParamSet, seeding: tuple = DEFAULT_SEEDING) ->
     return seeded_state(p, *seeding)._replace(**config["initial_state"] or {}).validate()
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV artifact: the header line, then one line per row, each ended by "\r\n".
+
+    Every cell is an int, a number's repr or a validated name, so none needs quoting: each
+    line is one join of its cells, and the file holds the bytes ``csv.writer`` gives. The
+    lines are written with one call, not joined into one text, which with its encoded bytes
+    would hold the file twice. A row whose cell count differs from the header's, or a text
+    cell holding ',', '"' or a line break, raises ValueError instead.
+    """
+    lines = [",".join(map(str, row)) + "\r\n" for row in chain([header], rows)]
+    n, commas = len(lines), (len(header) - 1) * len(lines)
+    if [sum(map(str.count, lines, repeat(c))) for c in ',"\r\n'] != [commas, 0, n, n]:
+        raise ValueError(f"each row of {path} needs {len(header)} cells, "
+                         "none holding ',', '\"' or a line break")
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """A JSON artifact: indented, keys sorted, newline-terminated."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def node_rows(grid: TimeGrid, values: np.ndarray) -> Iterable[list[str]]:
+    """One CSV row per node of an (n_nodes, k) array, time first, full precision, built lazily."""
+    rows = map(np.ndarray.tolist, values)
+    return ([repr(t), *map(repr, row)] for t, row in zip(grid.times(), rows))
+
+
 # --- subcommands ----------------------------------------------------------------
 # Each handler reads the checked config, echoes ``given``, the config as resolved, and
 # names ``run``, the run directory not yet made, in its summary; it writes no file.
@@ -389,9 +421,8 @@ def cmd_fit(args: argparse.Namespace, config: dict, given: dict,
     cfg = calibrate.FitConfig(free=free, bounds=bounds, x0=x0, max_evals=block["max_evals"],
                               tol=block["tol"], dt=block["dt"])
     y0 = _build_state(config, p, (block["seed_exposed"], block["seed_infected"], 0.0))
-    data_path = args.data or block["data"]  # None: the bundled series; a missing file exits 4
-    data = (calibrate.tanzania_series() if data_path is None
-            else calibrate.IncidenceSeries.from_csv(data_path))
+    data = (calibrate.tanzania_series() if block["data"] is None  # a missing file exits 4
+            else calibrate.IncidenceSeries.from_csv(block["data"]))
     result = calibrate.fit(data, cfg, p, y0)
     if not result.converged:
         print(f"warning: fit stopped after {result.evals} evaluations (max_evals={cfg.max_evals}) "
@@ -446,6 +477,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "data", None) is not None:  # fit --data: the last word on fit.data
+        args.set.append(f"fit.data={json.dumps(args.data)}")
     try:
         config, given = resolve_config(args.config, args.set)
         root = args.outdir or config["output_dir"] or os.environ.get(OUTDIR_ENV) or "runs"

@@ -5,8 +5,8 @@ ndarray, each stage one array operation, and ``_rk4_state_step`` a StateVec of f
 field, each stage state a tuple literal and the result one NamedTuple; ``_euler_step`` is the
 field-by-field Euler step. ``tests/test_kernels.py`` holds each equal, bit for bit, to its plain
 reference step. One march (``_march``), RK4 or Euler, steps a trajectory's StateVec of floats,
-kept at every node, or a PRCC batch's (12, N) ndarray, kept at the study's sample nodes, under
-one clamp rule (``_clamp_state``). The adjoint is affine in lam, so the
+kept at every node, or a PRCC batch's (12, N) ndarray (``rk4_batch``), kept at the study's
+sample nodes, under one clamp rule (``_clamp_state``). The adjoint is affine in lam, so the
 backward pass, from tf down to t0 with a step of -h, is a linear recurrence of RK4 propagators
 applied by one matrix-vector product per step. Once per solve, the adjoint
 (``optctl.adjoint_parts``) is evaluated on every node and step midpoint as a constant (13, 13)
@@ -16,26 +16,20 @@ built from it. Both passes share one grid and interpolate by node averages only.
 holds its states as one read-only (n_nodes, 12) array, built once from the march's StateVecs, and
 a control path one (n_nodes, 4) array and no mask: the sweep keeps a strategy's masked controls at
 +0.0 itself. Both check and freeze their array by one rule (``_node_table``).
-
-The artifact format is defined here: ``write_csv`` writes a CSV artifact and ``write_json`` a
-JSON one. Their one caller in the package is ``cli.main``, which writes every artifact a
-handler returns; ``node_rows`` builds the rows of a node table, an (n_nodes, k) array, time first.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, IntegrationBlowupError, echo, is_count, is_finite
 from .model import ControlConst, StateVec, ZERO_CONTROL, rhs
-from .params import ParamSet
+from .params import ParamSet, rates_of
 
 __all__ = [
     "TimeGrid",
@@ -44,10 +38,8 @@ __all__ = [
     "rk4_step",
     "rk4_forward",
     "rk4_backward",
+    "rk4_batch",
     "euler_forward",
-    "write_csv",
-    "write_json",
-    "node_rows",
 ]
 
 # Undershoot handling: RK4 does not preserve positivity exactly. Components in
@@ -103,17 +95,20 @@ class TimeGrid:
 
     def node_at(self, t: float) -> int:
         """Index of the grid node nearest to t; t must lie on the grid span."""
-        if not self.t0 - 1e-12 <= t <= self.tf + 1e-12:  # NaN too
-            raise ConfigError(f"time {t} outside grid span [{self.t0}, {self.tf}]")
+        if not (is_finite(t) and self.t0 - 1e-12 <= t <= self.tf + 1e-12):
+            raise ConfigError(f"time {echo(t)} outside grid span [{self.t0}, {self.tf}]")
         return min(self.n_steps, max(0, round((t - self.t0) / self.h)))
 
 
 def _node_table(grid: TimeGrid, values: Any, k: int, what: str) -> np.ndarray:
     """``values`` as a read-only (n_nodes, k) float copy: one row per node of ``grid``."""
-    try:
-        values, n = np.array(values, dtype=float, ndmin=1), grid.n_nodes
-    except OverflowError:  # an int past a double
-        raise ConfigError(f"{what} holds a number past the largest double") from None
+    try:  # as floats, a str would read as a number and None as NaN: only numbers are read
+        given, n = np.asarray(values), grid.n_nodes
+    except ValueError:  # ragged rows: a cell holds a sequence, refused as a None cell is
+        given = np.array(None)
+    if given.dtype.kind not in "biuf" and not all(map(is_finite, given.flat)):
+        raise ConfigError(f"{what} holds a cell that is not a finite number")
+    values = np.array(given, dtype=float, ndmin=1)
     if values.shape != (n, k):
         raise ConfigError(f"{what} has {len(values)} nodes for {n}: its shape is "
                           f"{values.shape}, not ({n}, {k})")
@@ -217,14 +212,15 @@ def _trajectory(step: Callable, y0: StateVec, grid: TimeGrid, p, za, zm, zb) -> 
 def rk4_step(f: Callable, y: np.ndarray, h: float, za, zm, zb, p) -> np.ndarray:
     """One classical RK4 step of the autonomous y' = f(y, z, p) over a step h; h < 0 steps back.
 
-    z is frozen at ``za``, ``zm`` and ``zb`` at the step's start, middle and end. ``y``, each
-    stage state and each value of ``f`` is an ndarray, so that each stage is one array operation.
+    z is frozen at ``za``, ``zm`` and ``zb`` at the step's start, middle and end. ``y`` and each
+    stage state is an ndarray, and each value of ``f`` is read as one (``np.asarray``), as
+    ``rhs``'s StateVec of (N,) rows, so that each stage is one array operation.
     """
     half = 0.5 * h
-    k1 = f(y, za, p)  # one fixed argument p: ``*args`` would pack a tuple on every call
-    k2 = f(y + half * k1, zm, p)
-    k3 = f(y + half * k2, zm, p)
-    k4 = f(y + h * k3, zb, p)
+    k1 = np.asarray(f(y, za, p))  # one fixed argument p: ``*args`` would pack a tuple per call
+    k2 = np.asarray(f(y + half * k1, zm, p))
+    k3 = np.asarray(f(y + half * k2, zm, p))
+    k4 = np.asarray(f(y + h * k3, zb, p))
     sixth = h / 6.0
     return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
@@ -271,6 +267,17 @@ def rk4_forward(p: ParamSet, u_path: ControlPath, y0: StateVec) -> Trajectory:
     """Classical RK4 over the control path's grid; half-step controls average adjacent nodes."""
     u, grid = u_path.values.tolist(), u_path.grid  # u: rows of floats u1..u4, as stages read them
     return _trajectory(_rk4_state_step, y0, grid, p, u, _midpoints(u_path.values).tolist(), u[1:])
+
+
+def rk4_batch(p, Y0: np.ndarray, grid: TimeGrid, nodes: Sequence[int]) -> tuple:
+    """Uncontrolled RK4 of a (12, N) batch, a column per row of the (N,) parameter arrays in the
+    namespace ``p``, which gets their ``rates``: the (len(nodes), 12, N) states at ``nodes``, the
+    (N,) clamp counts, and the mask of rows fallen below -CLAMP_TOL (made NaN) or not finite."""
+    zero = repeat(ZERO_CONTROL)
+    with np.errstate(all="ignore"):  # a sum of rates, or a failed row's march, may overflow
+        p.rates = rates_of(p)  # once per batch, not in each call of the global rhs
+        kept, last, clamped = _march(rk4_step, rhs, Y0, grid, p, zero, zero, zero, nodes)
+    return np.array(kept), clamped + np.zeros(Y0.shape[1], int), ~np.isfinite(last).all(axis=0)
 
 
 def _linear(z: np.ndarray, a: np.ndarray, _: None) -> np.ndarray:
@@ -348,31 +355,3 @@ def euler_forward(p: ParamSet, y0: StateVec, grid: TimeGrid) -> Trajectory:
     zero = repeat(ZERO_CONTROL)
     return _trajectory(_euler_step, y0, grid, p, zero, zero, zero)
 
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A CSV artifact: the header line, then one line per row, each ended by "\r\n".
-
-    Every cell is an int, a number's repr or a validated name, so none needs quoting: each
-    line is one join of its cells, and the file holds the bytes ``csv.writer`` gives. The
-    lines are written with one call, not joined into one text, which with its encoded bytes
-    would hold the file twice. A row whose cell count differs from the header's, or a text
-    cell holding ',', '"' or a line break, raises ValueError instead.
-    """
-    lines = [",".join(map(str, row)) + "\r\n" for row in chain([header], rows)]
-    n, commas = len(lines), (len(header) - 1) * len(lines)
-    if [sum(map(str.count, lines, repeat(c))) for c in ',"\r\n'] != [commas, 0, n, n]:
-        raise ValueError(f"each row of {path} needs {len(header)} cells, "
-                         "none holding ',', '\"' or a line break")
-    with open(path, "w", newline="") as fh:
-        fh.writelines(lines)
-
-
-def write_json(path: str | Path, payload: Any) -> None:
-    """A JSON artifact: indented, keys sorted, newline-terminated."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def node_rows(grid: TimeGrid, values: np.ndarray) -> Iterable[list[str]]:
-    """One CSV row per node of an (n_nodes, k) array, time first, full precision, built lazily."""
-    rows = map(np.ndarray.tolist, values)
-    return ([repr(t), *map(repr, row)] for t, row in zip(grid.times(), rows))

@@ -71,9 +71,10 @@ class ControlConst(NamedTuple):
     u4: float = 0.0
 
     def validate(self) -> "ControlConst":
-        """Raise ConfigError naming the earliest point's first control outside [0, 1] or NaN."""
+        """Raise ConfigError naming the earliest point's first control not a number in [0, 1]."""
         fields = np.broadcast_arrays(*self)  # each keeps its dtype: an int prints as an int
-        outside = np.argwhere(~np.stack([(v >= 0.0) & (v <= 1.0) for v in fields], axis=-1))
+        outside = np.argwhere(~np.stack([(v >= 0.0) & (v <= 1.0) if v.dtype.kind in "iuf"
+                                         else np.zeros_like(v, bool) for v in fields], axis=-1))
         if len(outside):
             *at, j = outside[0]
             raise ConfigError(f"control {self._fields[j]} must lie in [0, 1], "

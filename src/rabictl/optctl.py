@@ -210,10 +210,10 @@ def forward_backward_sweep(
     Raises:
         SweepDivergenceError: if the objective runs away from its best value.
     """
-    if not 0.0 < omega <= 1.0:
-        raise ConfigError(f"relaxation omega must lie in (0, 1], got {omega}")
-    if not 0.0 < tol < omega:
-        raise ConfigError(f"tolerance must be finite, positive and below omega={omega}, got {tol}")
+    if not (is_finite(omega) and 0.0 < omega <= 1.0):
+        raise ConfigError(f"relaxation omega must lie in (0, 1], got {echo(omega)}")
+    if not (is_finite(tol) and 0.0 < tol < omega):
+        raise ConfigError(f"tolerance must be finite and in (0, omega={omega}), got {echo(tol)}")
     if not is_count(max_iter, 1):
         raise ConfigError(f"max_iter must be at least 1, got {echo(max_iter)}")
     _check_mask(mask)

@@ -3,11 +3,10 @@
 Sampling is stratified per parameter: the N draws of each column occupy the
 N equal-probability strata exactly once, with the stratum order permuted
 independently per column. All sampled rows are integrated at once by
-``integrate._march``, the march of every trajectory: their states form one
-plain (12, N) ndarray, one array operation per stage, while ``rhs`` reads
-its rows as (N,) arrays, and the study asks the march for its sample nodes
-only. The rows' parameters form one namespace of (N,) arrays, whose parameter
-tuple (``params.rates_of``) is built once per study, not in each ``rhs`` call.
+``integrate.rk4_batch``: their states form one plain (12, N) ndarray, one
+array operation per stage. ``rhs`` reads its rows as (N,) arrays, and their
+parameters, one namespace of (N,) arrays, as one tuple (``params.rates_of``)
+built once per batch. The study keeps its sample nodes only.
 PRCC rank-transforms everything and reads the partial correlations off the
 inverse of the rank-correlation matrix, so it measures monotone influence of
 one parameter while controlling for the rest. The inverse over the parameters
@@ -23,17 +22,15 @@ The ranks are computed with numpy. scipy is loaded only to sample a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from . import integrate  # rhs is read from here at call time, where perfbench/trace.py wraps it
 from .errors import ConfigError, DegenerateInputError, StudyError, echo, is_count, is_finite
-from .integrate import TimeGrid, _march, rk4_step
-from .model import ZERO_CONTROL, ControlConst, StateVec
-from .params import PARAM_NAMES, ParamSet, rates_of, valid
+from .integrate import TimeGrid, rk4_batch
+from .model import StateVec
+from .params import PARAM_NAMES, ParamSet, valid
 
 __all__ = [
     "ParamRange",
@@ -85,7 +82,7 @@ class ParamRange:
 
 def uniform_ranges(p: ParamSet, rel: float = 0.25, names: Sequence[str] | None = None) -> list[ParamRange]:
     """Uniform ranges at +/- ``rel`` around the values of ``p`` (the default)."""
-    if not 0.0 < rel < 1.0:
+    if not (is_finite(rel) and 0.0 < rel < 1.0):
         raise ConfigError(f"relative range must lie in (0, 1), got {echo(rel)}")
     values = p.as_dict()  # an unknown name gets 1.0 here, and ParamRange refuses it
     return [ParamRange(name, "uniform", (1.0 - rel) * values.get(name, 1.0),
@@ -236,29 +233,16 @@ class PrccStudy:
 def _simulate_rows(rows: np.ndarray, names: tuple[str, ...], base: ParamSet, y0: StateVec,
                    grid: TimeGrid, node_idx: tuple[int, ...],
                    outputs: tuple[str, ...]) -> list[np.ndarray | None]:
-    """Integrate every sampled row at once, one (12, N) ndarray batch that
-    ``integrate._march`` keeps at the sample nodes only; None marks a failed row.
-
-    A row fails where ``rk4_forward`` would raise: invalid parameters, or a
-    non-finite last node, as the march leaves a row that fell below -CLAMP_TOL.
-    """
+    """Integrate every sampled row at once by ``integrate.rk4_batch``, kept at the sample nodes
+    only. None marks a row that fails where ``rk4_forward`` would raise: its parameters are
+    invalid, or the batch marks it failed."""
     # a column of ``rows`` is a strided view, slower for each ufunc of each rhs call to read
     # than a contiguous array, so each sampled column is copied once
     p = SimpleNamespace(**{**base.as_dict(), **dict(zip(names, rows.T.copy()))})
-    u = repeat(ZERO_CONTROL)
-    with np.errstate(all="ignore"):  # a failed row keeps integrating and may overflow
-        p.rates = rates_of(p)  # once per study; every rhs call of the march reads it
-        kept, last, _ = _march(rk4_step, _stacked_rhs, np.array(
-            [np.full(len(rows), v) for v in y0]), grid, p, u, u, u, node_idx)
-    # an (N,) mask, as every row samples at least one parameter
-    failed = ~valid(p) | ~np.isfinite(last).all(axis=0)
-    sampled = np.array(kept)[:, [StateVec._fields.index(o) for o in outputs]]
+    kept, _, failed = rk4_batch(p, np.array([np.full(len(rows), v) for v in y0]), grid, node_idx)
+    failed |= ~valid(p)  # an (N,) mask, as every row samples at least one parameter
+    sampled = kept[:, [StateVec._fields.index(o) for o in outputs]]
     return [None if bad else vals for bad, vals in zip(failed, sampled.transpose(2, 0, 1))]
-
-
-def _stacked_rhs(z: np.ndarray, u: ControlConst, p: SimpleNamespace) -> np.ndarray:
-    """``rhs`` on the (12, N) states ``z`` of a batch, a row per field, as one array."""
-    return np.array(integrate.rhs(z, u, p))
 
 
 def prcc_study(

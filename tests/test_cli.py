@@ -264,6 +264,27 @@ def test_fit_round_trip_and_config_echo(tmp_path, p_est):
     assert len(rows) == len(years)
 
 
+def test_data_run_repeats_from_its_own_config(tmp_path):
+    """``fit --data`` is recorded as fit.data, so a run re-run from its own config.json writes
+    the same fit.json and fit.csv bytes; --data beats a fit.data given with it."""
+    series, data = calibrate.tanzania_series(), tmp_path / "series.csv"
+    data.write_text("year,cases\n" + "".join(
+        f"{y},{c!r}\n" for y, c in zip(series.years[:12], series.cases[:12])))
+    small = ("--set", "fit.max_evals=20")
+    code, first = run(tmp_path, "a", *small, "fit", "--data", str(data))
+    assert code == 0
+    assert json.loads((first / "config.json").read_text())["fit"]["data"] == str(data)
+    code, again = run(tmp_path, "b", "--config", str(first / "config.json"), "fit")
+    assert code == 0
+    missing = json.dumps(str(tmp_path / "nope.csv"))
+    code, beaten = run(tmp_path, "c", *small, "--set", f"fit.data={missing}",
+                       "fit", "--data", str(data))
+    assert code == 0
+    for name in ("fit.json", "fit.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes() == (
+            beaten / name).read_bytes()
+
+
 def test_bad_parameter_override_is_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "a", "--set", "parameters.theta9=5", "simulate")
     assert code == 2

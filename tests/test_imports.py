@@ -132,3 +132,42 @@ def test_every_export_is_read_or_says_why_it_ships():
     usage = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     sources = {path.stem: path.read_text() for path in SOURCES}
     assert unread_exports(sources, usage) == sorted(UNCALLED_EXPORTS)
+
+
+# Private names a module imports from another, and why each is shared rather than made public.
+SHARED_PRIVATE_NAMES = {
+    "optctl <- integrate._require_same_grid": "the sweep checks its control path's grid by the "
+                                              "rule and message of the backward pass",
+    "optctl <- model._transitions": "the adjoint's constant part is the cached linear flows of rhs",
+    "optctl <- model._varying_flows": "the adjoint writes the same 14 varying flows as jacobian",
+    "repro <- model._control_factors": "the endemic balance clamps the control factors as rhs does",
+}
+
+
+def imported_private_names(sources: dict[str, str]) -> list[str]:
+    """``module <- other._name`` for each private name (one leading underscore) a module of
+    ``sources``, module name to source, takes from another: in a relative import
+    (``from .integrate import _march``) or as an attribute of another of the modules."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update((module, node.module, alias.name) for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in sources.keys() - {module}):
+                found.add((module, node.value.id, node.attr))
+    return sorted(f"{module} <- {owner}.{name}" for module, owner, name in found
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_imported_private_names_finds_each_kind_of_import():
+    sources = {"a": "def _f(): pass\ndef g(): pass\n_K = 1\n",
+               "b": "from .a import _f, g\nfrom . import a\nfrom os import _exit\n"
+                    "a._K, a.__name__, x._f, b._own\n",
+               "c": "import a\na._K\n"}
+    assert imported_private_names(sources) == ["b <- a._K", "b <- a._f", "c <- a._K"]
+
+
+def test_no_module_imports_a_private_name_unless_listed():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert imported_private_names(sources) == sorted(SHARED_PRIVATE_NAMES)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabictl import integrate
+from rabictl.cli import node_rows, write_csv
 from rabictl.errors import ConfigError, IntegrationBlowupError
 from rabictl.integrate import (
     BLOCK,
@@ -23,9 +24,7 @@ from rabictl.integrate import (
     _clamp_state,
     euler_forward,
     rk4_backward,
-    node_rows,
     rk4_forward,
-    write_csv,
 )
 from rabictl.model import ControlConst, StateVec, rhs, seeded_state
 from rabictl.optctl import Weights, adjoint_parts
@@ -407,7 +406,7 @@ def test_write_csv_equals_csv_writer_bytes(tmp_path_factory, header, data):
     rows = data.draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)),
                               max_size=6))
     path = tmp_path_factory.mktemp("csv")
-    integrate.write_csv(path / "got.csv", header, rows)
+    write_csv(path / "got.csv", header, rows)
     with open(path / "want.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([header, *rows])
     assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
@@ -417,7 +416,7 @@ def test_write_csv_equals_csv_writer_bytes(tmp_path_factory, header, data):
                                  ["1"], ["1", "2", "3"]])
 def test_write_csv_rejects_a_cell_that_needs_quoting(tmp_path, row):
     with pytest.raises(ValueError, match="needs 2 cells, none holding"):
-        integrate.write_csv(tmp_path / "t.csv", ("a", "b"), [row])
+        write_csv(tmp_path / "t.csv", ("a", "b"), [row])
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -432,6 +431,13 @@ def test_trajectory_csv_round_trip(tmp_path, p_est, default_state):
         rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
     assert [row[0] for row in rows] == g.times()
     assert [row[1:] for row in rows] == traj.values.tolist()  # full double precision
+
+
+@pytest.mark.parametrize("cell", ["0.5", None, (0.5,)], ids=["string", "none", "tuple"])
+def test_control_path_refuses_a_cell_that_is_no_number(cell):
+    """float() reads "0.5" as a number and numpy None as NaN, so a table is checked first."""
+    with pytest.raises(ConfigError, match="control path"):
+        ControlPath(TimeGrid(0.0, 1.0, 1), [[cell, 0.0, 0.0, 0.0]] * 2)
 
 
 def test_trajectory_node_count_invariant(p_est):

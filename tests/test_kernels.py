@@ -34,7 +34,6 @@ from rabictl.optctl import (
     STRATEGY_MASKS, Weights, _cost_gradient, adjoint_parts,
 )
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, rates_of
-from rabictl.sensitivity import _stacked_rhs
 
 from oracles import dense_adjoint
 
@@ -315,7 +314,7 @@ def test_stacked_batch_step_equals_per_field_step_bits(rows, h):
     p.rates = rates_of(p)
     u = ZERO_CONTROL
     with np.errstate(all="ignore"):
-        got = rk4_step(_stacked_rhs, Y, h, u, u, u, p)
+        got = rk4_step(rhs, Y, h, u, u, u, p)
         want = reference_batch_step(Y, h, p)
     assert type(got) is np.ndarray and got.shape == Y.shape
     assert hexes(got) == hexes(want)

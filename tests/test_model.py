@@ -13,10 +13,10 @@ from rabictl.model import (
 )
 from rabictl import integrate
 from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
-from rabictl.optctl import Weights
+from rabictl.optctl import Weights, forward_backward_sweep
 from rabictl.params import PARAM_NAMES, PRESETS, TABLE2_ESTIMATED, ParamSet, rates_of
 from rabictl.repro import effective_r
-from rabictl.sensitivity import ParamRange
+from rabictl.sensitivity import ParamRange, uniform_ranges
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 controls = st.floats(min_value=0.0, max_value=1.0)
@@ -73,6 +73,7 @@ def test_non_number_parameter_is_config_error(value):
 def entry_points(value):
     """Each library entry point that takes a number, given ``value`` in one of its fields."""
     fit = {"free": ("theta1",), "bounds": {"theta1": (1.0, 3.0)}, "x0": {"theta1": 2.0}}
+    sweep = (TABLE2_ESTIMATED, Weights(), seeded_state(TABLE2_ESTIMATED), TimeGrid(0.0, 0.1, 1))
     return [
         lambda: TimeGrid(value, 1.0, 10), lambda: TimeGrid(0.0, value, 10),
         lambda: TimeGrid(0.0, 1.0, value), lambda: Weights(K1=value), lambda: Weights(A4=value),
@@ -80,6 +81,7 @@ def entry_points(value):
         lambda: FitConfig(**{**fit, "bounds": {"theta1": (value, 3.0)}}),
         lambda: FitConfig(**{**fit, "bounds": {"theta1": (1.0, value)}}),
         lambda: FitConfig(**{**fit, "x0": {"theta1": value}}),
+        lambda: FitConfig(**{**fit, "bounds": {"theta1": value}}),
         lambda: ParamRange("tau1", "uniform", value, 1.0),
         lambda: ParamRange("tau1", "uniform", 0.0, value),
         lambda: ParamRange("tau1", "normal", value, 1.0),
@@ -89,17 +91,25 @@ def entry_points(value):
         lambda: ControlPath(TimeGrid(0.0, 1.0, 1), [[0.0, value, 0.0, 0.0]] * 2),
         lambda: IncidenceSeries((1990, value), (1.0, 2.0)),
         lambda: IncidenceSeries((1990, 1991), (value, 2.0)),
+        lambda: uniform_ranges(TABLE2_ESTIMATED, value),
+        lambda: TimeGrid(0.0, 1.0, 10).node_at(value),
+        lambda: forward_backward_sweep(*sweep, omega=value, max_iter=1),
+        lambda: forward_backward_sweep(*sweep, tol=value, max_iter=1),
     ]
 
 
 @settings(max_examples=100, derandomize=True, database=None)
 @given(value=st.one_of(st.floats(), st.sampled_from(
-    [sign * n for sign in (1, -1) for n in (2**1024, 10**400, 10**5000)])))
+    [sign * n for sign in (1, -1) for n in (2**1024, 10**400, 10**5000)]),
+    st.text(max_size=3), st.booleans(), st.none(), st.lists(st.floats(), max_size=1).map(tuple)))
 @example(10**400)  # overflowed in TimeGrid, ParamSet and ControlPath; other entry points took it
 @example(-10**5000)  # past repr's 4300 digits: echoing it in a message raised ValueError
+@example("0.5")  # a TypeError in six entry points; ControlPath read it as the number 0.5
+@example((1.0,))  # a ValueError in FitConfig's bounds and ControlPath
 def test_any_number_is_returned_or_config_error(value):
     """A float, or an int past a double, which passes ``0 <= value < inf`` and then overflows,
-    is accepted or refused with ConfigError by every entry point, never another exception."""
+    or a value that is no number (a string, a bool, None or a short tuple) is accepted or
+    refused with ConfigError by every entry point, never another exception."""
     for build in entry_points(value):
         try:
             build()

@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy import stats
 from rabictl import sensitivity
 from rabictl.cli import main
 from rabictl.errors import ConfigError, DegenerateInputError, IntegrationBlowupError, StudyError
-from rabictl.integrate import ControlPath, TimeGrid, rk4_forward
+from rabictl.integrate import ControlPath, TimeGrid, rk4_batch, rk4_forward
 from rabictl.model import StateVec, seeded_state
 from rabictl.params import PARAM_NAMES, rates_of
 from rabictl.sensitivity import (
@@ -452,7 +453,7 @@ def test_prcc_study_rejects_a_non_integer_count_and_a_nan_time(p_base):
 
 
 def test_prcc_study_builds_its_rates_once(p_base, monkeypatch):
-    """The march reads the rates the study built. Rebuilding them in each rhs call would
+    """The march reads the rates the batch built. Rebuilding them in each rhs call would
     keep every bit and only cost time, so the builds are counted."""
     built = []
 
@@ -460,7 +461,7 @@ def test_prcc_study_builds_its_rates_once(p_base, monkeypatch):
         built.append(p)
         return rates_of(p)
 
-    monkeypatch.setattr("rabictl.sensitivity.rates_of", counting_rates_of)
+    monkeypatch.setattr("rabictl.integrate.rates_of", counting_rates_of)
     prcc_study(uniform_ranges(p_base, 0.25, names=["tau1", "mu1", "beta2"]), 12, 1, p_base,
                light_seed_state(p_base), TimeGrid(0, 1, 10), [1.0], outputs=("I_H",))
     assert len(built) == 1
@@ -583,24 +584,18 @@ def test_batch_clamps_a_row_beside_a_row_gone_nan(p_base):
     assert np.array_equal(rows[0][:, 0], traj.values[:, 2])  # column 2 is I_H
 
 
-def test_batch_clamp_counts_equal_the_scalar_runs(p_base, monkeypatch):
-    """The march's per-row clamp counts for a batch equal ``rk4_forward``'s ``clamped`` on
-    every kept row; the dropped rows are those whose scalar run raises."""
+def test_batch_clamp_counts_equal_the_scalar_runs(p_base):
+    """``rk4_batch``'s per-row clamp counts equal ``rk4_forward``'s ``clamped`` on every kept
+    row; the dropped rows, and the batch's failed ones, are those whose scalar run raises."""
     y0 = seeded_state(p_base)._replace(I_H=8.5e-8)  # the state of the test above
     grid = TimeGrid(0.0, 10.0, 7)
     # a fast I_H outflow at this coarse step undershoots, past -CLAMP_TOL on some rows
     ranges = [r for r in uniform_ranges(p_base) if r.name != "sigma1"]
     ranges.append(ParamRange("sigma1", "uniform", 0.5, 3.0))
-    counts = []
-    march = sensitivity._march
-
-    def recording_march(*args):
-        result = march(*args)
-        counts.append(result[2])
-        return result
-
-    monkeypatch.setattr(sensitivity, "_march", recording_march)
-    X, names, _, rows = simulate_batch(ranges, 40, 5, p_base, y0, grid, [5.0, 10.0], ("I_H",))
+    X, names, node_idx, rows = simulate_batch(ranges, 40, 5, p_base, y0, grid, [5.0, 10.0],
+                                              ("I_H",))
+    p = SimpleNamespace(**{**p_base.as_dict(), **dict(zip(names, X.T))})
+    _, counts, failed = rk4_batch(p, np.array([np.full(40, v) for v in y0]), grid, node_idx)
     scalar = []
     for x in X:
         try:
@@ -608,8 +603,8 @@ def test_batch_clamp_counts_equal_the_scalar_runs(p_base, monkeypatch):
                                       ControlPath.constant(grid), y0).clamped)
         except IntegrationBlowupError:
             scalar.append(None)
-    assert [r is None for r in rows] == [c is None for c in scalar]
+    assert [r is None for r in rows] == [c is None for c in scalar] == failed.tolist()
     kept = [i for i, r in enumerate(rows) if r is not None]
-    assert len(counts) == 1 and counts[0].shape == (40,)
-    assert counts[0][kept].tolist() == [scalar[i] for i in kept]
-    assert (len(kept), counts[0][kept].sum()) == (36, sum(scalar[i] for i in kept)) == (36, 48)
+    assert counts.shape == (40,)
+    assert counts[kept].tolist() == [scalar[i] for i in kept]
+    assert (len(kept), counts[kept].sum()) == (36, sum(scalar[i] for i in kept)) == (36, 48)
