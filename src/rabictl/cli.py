@@ -2,15 +2,16 @@
 
 Subcommands: simulate, reff, optimize, prcc, fit. Configuration comes from
 an optional JSON file plus ``--set key=value`` overrides (dotted keys reach
-nested blocks); every run writes the fully resolved configuration next to
-its artifacts so outputs are reproducible byte for byte.
+nested blocks), each merged into the defaults key by key, by one rule; every
+run writes the fully resolved configuration next to its artifacts so outputs
+are reproducible byte for byte.
 
 ``resolve_config`` checks the whole resolved configuration once, whichever
 subcommand runs, against one schema: the defaults, plus the shape of each
-block whose default is null. Each key must hold the kind of its default, and
-an error names the dotted key (``grid.n_steps must be an integer, got 2.5``).
-The handlers read the checked values in plain form; the artifacts echo the
-configuration as given.
+block whose default is null and the names a name key admits. Each key must
+hold the kind of its default, and an error names the dotted key
+(``grid.n_steps must be an integer, got 2.5``). The handlers read the checked
+values in plain form; the artifacts echo the configuration as given.
 
 ``main`` runs every subcommand the same way: it resolves the configuration
 and names the run directory, ``<root>/<command>-<start stamp>``; the handler
@@ -125,6 +126,7 @@ def _load_json(text: str, source: str) -> Any:
 
 
 def _apply_set(config: dict, assignment: str) -> None:
+    """One ``key=value``: the value nested under its dotted key, merged as a config file is."""
     if "=" not in assignment:
         raise ConfigError(f"--set expects key=value, got {echo(assignment)}")
     key, raw = assignment.split("=", 1)
@@ -132,15 +134,9 @@ def _apply_set(config: dict, assignment: str) -> None:
         value = _load_json(raw, f"--set {shorten(key)}")
     except json.JSONDecodeError:
         value = raw
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    _deep_merge(config, value)
 
 
 class _Overrides(dict):
@@ -155,14 +151,16 @@ class _OrNull(NamedTuple):
 
 
 def _config_schema() -> dict[str, Any]:
-    """The shape of the config: the defaults, with each override map and null default marked.
-
-    A float accepts a number (never a bool), an int an integral count, a str a string, a list
-    a list of what its first item accepts and a tuple a [lo, hi] pair of numbers.
+    """The shape of the config: the defaults, with each override map, null default and name
+    key marked. A float accepts a number (never a bool), an int an integral count, a str a
+    string, a frozenset one of its names, a list a list of what its first item accepts and a
+    tuple a [lo, hi] pair of numbers.
     """
     schema = _default_config()
     axis = {"name": "", "lo": 0.0, "hi": 0.0, "n": 0}
-    schema["parameters"] = _Overrides(schema["parameters"], **dict.fromkeys(PARAM_NAMES, 0.0))
+    schema["parameters"] = _Overrides(preset=frozenset(PRESETS), **dict.fromkeys(PARAM_NAMES, 0.0))
+    schema["sensitivity"].update(preset=frozenset(PRESETS),
+                                 distribution=frozenset({"uniform", "normal"}))
     schema["initial_state"] = _OrNull(_Overrides(dict.fromkeys(StateVec._fields, 0.0)))
     schema["controls"] = _Overrides(schema["controls"])
     schema["weights"] = _Overrides(schema["weights"])
@@ -182,9 +180,9 @@ def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
     """``value``, found at the dotted ``key``, checked against ``shape`` and made plain.
 
     A number becomes a float, a count an int, a pair a tuple and an override map given
-    as null an empty dict. A value of the wrong kind is a ConfigError saying what ``key``
-    must be (``what``, when given); so is a key ``shape`` does not hold, and a key missing
-    from a block that was replaced whole.
+    as null an empty dict. A value of the wrong kind, or a name not in its frozenset, is a
+    ConfigError saying what ``key`` must be (``what``, when given); so is a key ``shape`` does
+    not hold, and a key missing from a block that no default fills in, such as a reff axis.
     """
     kind = type(shape)
     if kind is _OrNull:
@@ -193,7 +191,7 @@ def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
         return float(value)
     if kind is int and type(value) in (int, float) and value % 1 == 0:
         return int(value)
-    if kind is str and type(value) is str:
+    if type(value) is str and (kind is str or kind is frozenset and value in shape):
         return value
     if kind is list and type(value) is list:
         return [_checked(item, shape[0], key) for item in value]
@@ -212,6 +210,7 @@ def _checked(value: Any, shape: Any, key: str, what: str = "") -> Any:
             if name not in value:
                 raise ConfigError(f"{prefix + name} must be set")
         return {name: _checked(value[name], s, prefix + name) for name, s in shape.items()}
+    what = "one of " + ", ".join(map(repr, sorted(shape))) if kind is frozenset else what
     what = "a finite number" if kind is float and type(value) is int else what  # past a double
     raise ConfigError(f"{shorten(key)} must be {what or _KINDS[kind]}, got {echo(value)}")
 
@@ -243,11 +242,7 @@ def _build_params(config: dict, preset: str | None = None) -> ParamSet:
     """The parameters block over its preset, or over ``preset`` when given."""
     overrides = dict(config["parameters"])
     preset_name = overrides.pop("preset", "estimated")
-    if preset is not None:
-        preset_name = preset
-    if preset_name not in PRESETS:
-        raise ConfigError(f"unknown parameter preset {echo(preset_name)}")
-    return PRESETS[preset_name].replace(**overrides)
+    return PRESETS[preset or preset_name].replace(**overrides)
 
 
 def _build_state(config: dict, p: ParamSet, seeding: tuple = DEFAULT_SEEDING) -> StateVec:
@@ -379,14 +374,8 @@ def cmd_prcc(args: argparse.Namespace, config: dict, given: dict,
     # overrides from the parameters block still apply on top
     p = _build_params(config, preset=block["preset"])
     y0 = _build_state(config, p, (block["seed_exposed"], block["seed_infected"], block["M0"]))
-    distribution = block["distribution"]
-    if distribution == "normal":
-        ranges = sensitivity.normal_ranges()
-    elif distribution == "uniform":
-        ranges = sensitivity.uniform_ranges(p, rel=block["rel_range"])
-    else:
-        raise ConfigError(f"unknown sensitivity distribution {echo(distribution)}; "
-                          "expected 'uniform' or 'normal'")
+    ranges = (sensitivity.normal_ranges() if block["distribution"] == "normal"
+              else sensitivity.uniform_ranges(p, rel=block["rel_range"]))
     grid = TimeGrid(**block["grid"])
     study = sensitivity.prcc_study(ranges, block["N"], block["seed"], p, y0, grid,
                                    block["sample_times"], tuple(block["outputs"]))
@@ -396,7 +385,7 @@ def cmd_prcc(args: argparse.Namespace, config: dict, given: dict,
         for t, row in zip(study.times, coefficients) for name, c in zip(study.param_names, row)])
         for output, coefficients in zip(study.outputs, study.coefficients)}
     names = ", ".join(artifacts)
-    artifacts["prcc.meta.json"] = {"N": study.N, "seed": study.seed,
+    artifacts["prcc.meta.json"] = {"N": block["N"], "seed": block["seed"],
                                    "dropped_rows": study.dropped_rows,
                                    "outputs": list(study.outputs), "config": given}
     return (f"wrote {names} in {run} (N={block['N']}, "

@@ -12,7 +12,7 @@ inverse of the rank-correlation matrix, so it measures monotone influence of
 one parameter while controlling for the rest. The inverse over the parameters
 is shared by every output, so a study ranks its sample once and computes all
 outputs at all sample times in one ``prcc`` call, and returns them as one
-``PrccStudy``: an (outputs, times, parameters) array, with the sample's N and seed.
+``PrccStudy``: an (outputs, times, parameters) array, with the count of dropped rows.
 
 The ranks are computed with numpy. scipy is loaded only to sample a
 ``normal`` range (``scipy.stats.truncnorm``): of the CLI subcommands, only
@@ -219,14 +219,12 @@ def prcc(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrccStudy:
-    """PRCC coefficients of each model output at each sample time, and the study's sample."""
+    """PRCC coefficients of each model output at each sample time, and the rows dropped."""
 
     outputs: tuple[str, ...]
     times: tuple[float, ...]
     param_names: tuple[str, ...]
     coefficients: np.ndarray  # shape (len(outputs), len(times), P)
-    N: int
-    seed: int
     dropped_rows: int
 
 
@@ -298,5 +296,5 @@ def prcc_study(
         raise DegenerateInputError(
             f"output {outputs[oi]} is constant at t={times[ti]!r} over the {len(keep)} kept rows")
     coeffs = prcc(X[keep], stacked.reshape(len(keep), -1)).reshape(len(outputs), len(times), -1)
-    return PrccStudy(outputs, times, names, coeffs, N, seed, dropped)
+    return PrccStudy(outputs, times, names, coeffs, dropped)
 

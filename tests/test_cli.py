@@ -323,11 +323,9 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
 
 @pytest.mark.parametrize("assignment, command", [
     ("grid.n_steps=abc", "simulate"),
-    ("grid={}", "simulate"),
     ("grid.n_steps=1e300", "simulate"),
     ("sweep.omega=abc", "optimize"),
     ("sensitivity.N=abc", "prcc"),
-    ("sensitivity.grid={}", "prcc"),
     ("sensitivity.seed_exposed=-5", "prcc"),
     ("sensitivity.M0=NaN", "prcc"),
     ("sensitivity.outputs=[]", "prcc"),
@@ -338,7 +336,6 @@ def test_non_finite_input_is_config_error(tmp_path, capsys, assignment):
     ("fit.dt=1e-300", "fit"),
     ("sweep.tol=Infinity", "optimize"),
     ("sweep.tol=1e300", "optimize"),
-    ('sweep={"omega":0.3}', "optimize"),
     ("sweep=null", "optimize"),
     ('sensitivity.distribution="weibull"', "prcc"),
     ("fit.data=1e300", "fit"),
@@ -380,8 +377,8 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     (("--set", "initial_state.SH=5", "--set", "fit.max_evals=5", "fit"),
      "unknown config key 'initial_state.SH'"),
     (("--set", "initial_state.SH=5", "simulate"), "unknown config key 'initial_state.SH'"),
-    # a block replaced whole must give every key
-    (("--set", 'grid={"t0":0}', "reff"), "grid.tf must be set"),
+    # a block with no default to merge into, such as a reff axis, must give every key
+    (("--set", 'reff.axis1={"name":"u1"}', "reff"), "reff.axis1.lo must be set"),
     (("--set", "grid.tf", "simulate"), "--set expects key=value, got 'grid.tf'"),
     # an integer too large for a double is out of range, and its digits are cut short
     (("--set", f"grid.tf={10 ** 400}", "simulate"),
@@ -391,10 +388,18 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, assignment, command)
     (("--set", "controls.u2=1.5", "simulate"), "control u2 must lie in [0, 1], got 1.5"),
     (("--set", "controls.u2=-0.1", "simulate"), "control u2 must lie in [0, 1], got -0.1"),
     (("--set", 'controls={"u1":2,"u2":3}', "simulate"), "control u1 must lie in [0, 1], got 2.0"),
+    # a name key admits its names only, on every subcommand, whether or not it reads the key
+    (("--set", "parameters.preset=table3", "reff"),
+     "parameters.preset must be one of 'baseline', 'estimated', got 'table3'"),
+    (("--set", "sensitivity.preset=Baseline", "simulate"),
+     "sensitivity.preset must be one of 'baseline', 'estimated', got 'Baseline'"),
+    (("--set", "sensitivity.distribution=weibull", "simulate"),
+     "sensitivity.distribution must be one of 'normal', 'uniform', got 'weibull'"),
 ], ids=["unknown-key", "unknown-block", "fraction", "bool", "nested-grid", "reff-axis",
         "reff-axis-key", "state-key-reff", "state-key-fit", "state-key-simulate", "missing-key",
         "set-without-equals", "huge-integer", "control-above-one-simulate",
-        "control-below-zero-simulate", "controls-block-simulate"])
+        "control-below-zero-simulate", "controls-block-simulate", "preset", "prcc-preset",
+        "distribution"])
 def test_config_error_names_the_key(tmp_path, capsys, argv, message):
     code, out = run(tmp_path, "a", *argv)
     assert code == 2
@@ -443,6 +448,8 @@ def schema_leaves(shape, path=()):
 def valid_value(shape):
     if isinstance(shape, _OrNull):
         return None
+    if isinstance(shape, frozenset):  # a name key: one of its names
+        return min(shape)
     if type(shape) is dict:  # a block read key by key: every key
         return {name: valid_value(sub) for name, sub in shape.items()}
     if isinstance(shape, dict):  # an override map
@@ -673,6 +680,8 @@ def hostile(shape):
         return [[], *([v] for v in hostile(shape[0])), [shape[0]] * 2]
     if isinstance(shape, tuple):  # a [lo, hi] pair reversed, or with both ends equal
         return [[2.0, 1.0], [1.0, 1.0]]
+    if isinstance(shape, frozenset):  # a name key: as a string's, and a name in the wrong case
+        return ["", "abc", "1", min(shape).capitalize()]
     return ["", "abc", "1"] if isinstance(shape, str) else [
         math.nan, -1, 0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308]
 
@@ -807,20 +816,43 @@ def test_setting_keys_to_their_values_changes_no_byte(tmp_path_factory, label):
     assert plain[0] == 0 and run_bytes(tmp_path_factory, *base, *sets, command) == plain, sets
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(label=st.sampled_from(list(FUZZ_RUNS)),
-       case=st.sampled_from([(key, value) for key, values in LEAVES.items() for value in values]))
-def test_set_writes_what_a_config_file_writes(tmp_path_factory, label, case):
-    """``--set key=value`` writes the bytes of a config file that holds only that value. A --set
-    of a block replaces it while a file merges, so this holds for leaves; the run's own --set
-    values go after either."""
-    key, value = case
+def config_file(tmp_path_factory, key, value):
+    """A config file that holds only ``value``, at the dotted ``key``."""
     config = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / "config.json"
     config.write_text(json.dumps(functools.reduce(lambda v, k: {k: v}, reversed(key.split(".")),
                                                   value)))
+    return str(config)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(label=st.sampled_from(list(FUZZ_RUNS)), case=st.one_of(  # a block as often as a leaf
+    st.sampled_from([(key, v) for key, values in HOSTILE.items() if key not in LEAVES
+                     for v in values]),
+    st.sampled_from([(key, v) for key, values in LEAVES.items() for v in values])))
+def test_set_writes_what_a_config_file_writes(tmp_path_factory, label, case):
+    """``--set key=value`` writes the bytes of a config file that holds only that value, a
+    block as a leaf: both merge into the defaults by one rule. The run's own --set values go
+    after either."""
+    key, value = case
     run = FUZZ_RUNS[label]
     assert run_bytes(tmp_path_factory, "--set", f"{key}={json.dumps(value)}", *run) == (
-        run_bytes(tmp_path_factory, "--config", str(config), *run))
+        run_bytes(tmp_path_factory, "--config", config_file(tmp_path_factory, key, value), *run))
+
+
+@pytest.mark.parametrize("assignment, command", [
+    ("grid={}", "simulate"),
+    ("sensitivity.grid={}", "prcc"),
+    ('sweep={"omega":0.3}', "optimize"),
+])
+def test_partial_block_set_merges_as_a_config_file_does(tmp_path_factory, assignment, command):
+    """A --set of a block that leaves keys out keeps their defaults and exits 0, and writes the
+    bytes, config.json too, of a config file that holds the same block."""
+    small = ("--set", "sensitivity.N=40", "--set", "grid.n_steps=200")
+    key, raw = assignment.split("=", 1)
+    got = run_bytes(tmp_path_factory, *small, "--set", assignment, command)
+    assert got[0] == 0 and got == run_bytes(
+        tmp_path_factory, "--config", config_file(tmp_path_factory, key, json.loads(raw)), *small,
+        command)
 
 
 def test_readme_library_example_runs(capsys):

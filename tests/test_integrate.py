@@ -30,7 +30,7 @@ from rabictl.model import ControlConst, StateVec, rhs, seeded_state
 from rabictl.optctl import Weights, adjoint_parts
 from rabictl.sensitivity import _simulate_rows
 
-from oracles import dense_adjoint
+from oracles import dense_adjoint, reference_rk4_backward
 
 ZEROS12 = (0.0,) * 12
 ZERO_LAM = ZEROS12
@@ -302,38 +302,6 @@ def test_backward_memory_stays_below_a_dense_generator_per_solve(p_est, default_
     assert peak < (2 * g.n_steps + 1) * 169 * 8
 
 
-def _reference_rk4_backward(adjoint_rhs, state_traj, u_path, terminal):
-    """The adjoint RK4 loop as it was written before ``rk4_step`` was shared."""
-    grid = state_traj.grid
-    h = grid.h
-    half = 0.5 * h
-    sixth = h / 6.0
-    ys = list(map(StateVec._make, state_traj.values.tolist()))
-    us = [ControlConst(*u) for u in u_path.values.tolist()]
-
-    def mid_control(ua, ub):
-        return ControlConst(*(0.5 * (x + y) for x, y in zip(ua, ub)))
-
-    out = [tuple(terminal)]
-    lam = tuple(terminal)
-    for i in range(grid.n_steps, 0, -1):
-        ya, yb = ys[i], ys[i - 1]
-        ua, ub = us[i], us[i - 1]
-        ym = StateVec(*(0.5 * (a + b) for a, b in zip(ya, yb)))
-        um = mid_control(ua, ub)
-        k1 = adjoint_rhs(lam, ya, ua)
-        k2 = adjoint_rhs(tuple(a - half * b for a, b in zip(lam, k1)), ym, um)
-        k3 = adjoint_rhs(tuple(a - half * b for a, b in zip(lam, k2)), ym, um)
-        k4 = adjoint_rhs(tuple(a - h * b for a, b in zip(lam, k3)), yb, ub)
-        lam = tuple(
-            a - sixth * (b + 2.0 * c + 2.0 * d + e)
-            for a, b, c, d, e in zip(lam, k1, k2, k3, k4)
-        )
-        out.append(lam)
-    out.reverse()
-    return tuple(out)
-
-
 def test_backward_matches_reference_stage_loop(p_est, default_state):
     """The propagator march meets the hand-written stage loop to rounding, over several blocks."""
     grid = TimeGrid(0.0, 20.0, 400)
@@ -342,13 +310,13 @@ def test_backward_matches_reference_stage_loop(p_est, default_state):
     traj = rk4_forward(p_est, path, default_state)
     w = Weights()
 
-    def fn(lam, y, u):
-        G, g = dense_adjoint(y, u, w, p_est)
+    def fn(lam, yu):
+        G, g = dense_adjoint(*yu, w, p_est)
         return (G @ lam + g).tolist()
 
     terminal = tuple(rng.uniform(-5.0, 5.0, 12).tolist())
     got = rk4_backward(lambda y, u: adjoint_parts(y, u, w, p_est), traj, path, terminal)
-    want = np.array(_reference_rk4_backward(fn, traj, path, terminal))
+    want = np.array(reference_rk4_backward(fn, traj, path, terminal))
     assert (np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=0)).all()
     assert np.abs(got[0]).max() > 1.0  # the adjoint is far from trivial
 

@@ -35,7 +35,7 @@ from rabictl.optctl import (
 )
 from rabictl.params import PARAM_NAMES, TABLE2_ESTIMATED, rates_of
 
-from oracles import dense_adjoint
+from oracles import dense_adjoint, reference_rk4_backward, reference_rk4_step
 
 
 def reference_pressures(y, u, p):
@@ -137,19 +137,6 @@ def reference_cost_gradient(w):
     return np.array([0.0, -w.K2, -w.K3, 0.0, 0.0, 0.0, 0.0, w.K6, -w.K4, -w.K5, 0.0, -w.K1])
 
 
-def reference_rk4_step(f, y, h, za, zm, zb, *args):
-    make = getattr(y, "_make", tuple)  # a NamedTuple, or an adjoint's plain tuple
-    half = 0.5 * h
-    k1 = f(y, za, *args)
-    k2 = f(make(a + half * b for a, b in zip(y, k1)), zm, *args)
-    k3 = f(make(a + half * b for a, b in zip(y, k2)), zm, *args)
-    k4 = f(make(a + h * b for a, b in zip(y, k3)), zb, *args)
-    sixth = h / 6.0
-    return make(
-        a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-    )
-
-
 def reference_batch_step(Y, h, p):
     """The per-field batch step: the (12, N) states as twelve (N,) arrays through every
     stage, restacked after the step."""
@@ -189,22 +176,6 @@ def reference_rk4_forward(p, u_path, y0):
 def reference_euler_forward(p, y0, grid):
     h = grid.h
     return reference_march(lambda i, y: reference_euler_step(h, y, p), y0, grid)
-
-
-def reference_rk4_backward(f, state_traj, u_path, terminal):
-    grid = state_traj.grid
-    h = grid.h
-    ys = list(map(StateVec._make, state_traj.values.tolist()))
-    us = [ControlConst(*row) for row in u_path.values.tolist()]
-    out = [terminal]
-    lam = terminal
-    for i in range(grid.n_steps, 0, -1):
-        ym = StateVec._make(0.5 * (a + b) for a, b in zip(ys[i], ys[i - 1]))
-        um = ControlConst(*(0.5 * (a + b) for a, b in zip(us[i - 1], us[i])))
-        lam = reference_rk4_step(f, lam, -h, (ys[i], us[i]), (ym, um), (ys[i - 1], us[i - 1]))
-        out.append(lam)
-    out.reverse()
-    return out
 
 
 def hexes(values):

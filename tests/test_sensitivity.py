@@ -396,7 +396,7 @@ def test_prcc_study_shapes_and_determinism(p_base):
     assert res1.coefficients.shape == (2, 2, 5)
     assert np.array_equal(res1.coefficients, res2.coefficients)
     assert np.all(np.abs(res1.coefficients) <= 1.0)
-    assert (res1.N, res1.seed, res1.dropped_rows) == (40, 17, 0)
+    assert res1.dropped_rows == 0
 
 
 def test_prcc_study_equals_one_prcc_per_output_and_time(p_base):
